@@ -66,6 +66,11 @@ func (c *Cache) Fill(addr uint64, markDirty bool) (hit bool, evicted uint64, evi
 		}
 	}
 	c.Misses++
+	if ts == nil {
+		// First touch: allocate the set at full associativity so it never
+		// regrows (sets stay lazy — most of a large L2 is never touched).
+		ts, ds = make([]uint64, 0, c.ways), make([]bool, 0, c.ways)
+	}
 	if len(ts) < c.ways {
 		ts = append(ts, 0)
 		ds = append(ds, false)
@@ -117,6 +122,7 @@ func (c *Cache) HitRate() float64 {
 type MSHR struct {
 	cap     int
 	entries map[uint64][]any // line → waiter contexts
+	free    [][]any          // waiter slices of completed entries, for reuse
 }
 
 // NewMSHR builds an MSHR file with the given number of entries.
@@ -142,7 +148,11 @@ func (m *MSHR) Allocate(line uint64, waiter any) bool {
 	if m.Full() {
 		return false
 	}
-	m.entries[line] = []any{waiter}
+	var ws []any
+	if k := len(m.free); k > 0 {
+		ws, m.free = m.free[k-1][:0], m.free[:k-1]
+	}
+	m.entries[line] = append(ws, waiter)
 	return true
 }
 
@@ -155,10 +165,14 @@ func (m *MSHR) Merge(line uint64, waiter any) bool {
 	return true
 }
 
-// Complete removes the entry and returns its waiters.
+// Complete removes the entry and returns its waiters. The slice is recycled
+// into a later entry: it is valid until the next Allocate.
 func (m *MSHR) Complete(line uint64) []any {
-	ws := m.entries[line]
-	delete(m.entries, line)
+	ws, ok := m.entries[line]
+	if ok {
+		delete(m.entries, line)
+		m.free = append(m.free, ws)
+	}
 	return ws
 }
 

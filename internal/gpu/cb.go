@@ -18,7 +18,8 @@ type CB struct {
 	mshr       *MSHR
 	pendingOut []*Transaction // replies waiting for reply-network space
 	maxPending int
-	writebacks []uint64 // dirty-evicted lines awaiting the HBM write queue
+	writebacks []uint64       // dirty-evicted lines awaiting the HBM write queue
+	reqPool    []*hbm.Request // completed HBM requests, reused for later misses
 
 	Requests   int64
 	L2Hits     int64
@@ -117,10 +118,26 @@ func (cb *CB) ProcessRequest(tx *Transaction, now int64) bool {
 		return false
 	}
 	cb.mshr.Allocate(tx.Line, tx)
-	cb.MC.Enqueue(&hbm.Request{Addr: tx.Addr, Payload: tx.Line}, now)
+	// The primary-miss transaction rides along as the payload (a pointer
+	// boxes without allocating, unlike the line number); it waits in the
+	// MSHR until the fetch completes.
+	cb.enqueue(hbm.Request{Addr: tx.Addr, Payload: tx}, now)
 	cb.Requests++
 	cb.L2Misses++
 	return true
+}
+
+// enqueue hands a request to the memory controller in a recycled Request
+// struct; the caller has checked MC.QueueSpace.
+func (cb *CB) enqueue(req hbm.Request, now int64) {
+	var r *hbm.Request
+	if k := len(cb.reqPool); k > 0 {
+		r, cb.reqPool = cb.reqPool[k-1], cb.reqPool[:k-1]
+	} else {
+		r = new(hbm.Request)
+	}
+	*r = req
+	cb.MC.Enqueue(r, now)
 }
 
 // fill updates the L2 and queues a write-back when a dirty line is evicted.
@@ -144,20 +161,24 @@ func (cb *CB) Step(now int64) {
 	// Drain write-backs (up to two per cycle, behind demand traffic).
 	for k := 0; k < 2 && len(cb.writebacks) > 0 && cb.MC.QueueSpace() > 0; k++ {
 		line := cb.writebacks[0]
-		cb.writebacks = cb.writebacks[1:]
-		cb.MC.Enqueue(&hbm.Request{Addr: line * uint64(cb.L2.LineBytes()), Write: true}, now)
+		// Compact in place (here and in PopReply): a q = q[1:] pop strands
+		// capacity behind the slice base, so every later append reallocates.
+		cb.writebacks = cb.writebacks[:copy(cb.writebacks, cb.writebacks[1:])]
+		cb.enqueue(hbm.Request{Addr: line * uint64(cb.L2.LineBytes()), Write: true}, now)
 	}
 	if len(cb.pendingOut) >= cb.maxPending {
 		cb.StallOnOut++
 		return
 	}
+	// MC.Step's result is the controller's scratch, consumed here and not
+	// retained; the completed requests themselves go back to the pool.
 	for _, done := range cb.MC.Step(now) {
+		cb.reqPool = append(cb.reqPool, done)
 		if done.Write {
 			continue // write-backs complete silently
 		}
-		line := done.Payload.(uint64)
 		cb.fill(done.Addr, false)
-		for _, w := range cb.mshr.Complete(line) {
+		for _, w := range cb.mshr.Complete(done.Payload.(*Transaction).Line) {
 			cb.pendingOut = append(cb.pendingOut, w.(*Transaction))
 		}
 	}
@@ -169,7 +190,7 @@ func (cb *CB) PopReply() *Transaction {
 		return nil
 	}
 	tx := cb.pendingOut[0]
-	cb.pendingOut = cb.pendingOut[1:]
+	cb.pendingOut = cb.pendingOut[:copy(cb.pendingOut, cb.pendingOut[1:])]
 	return tx
 }
 

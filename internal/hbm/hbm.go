@@ -81,6 +81,10 @@ type Request struct {
 	arrived   int64
 	doneAt    int64
 	scheduled bool
+
+	// Address decode, filled once by Enqueue (see mapAddr).
+	ch, bk int
+	row    int64
 }
 
 // Arrived returns the cycle the request entered the controller.
@@ -98,12 +102,18 @@ type channel struct {
 	banks       []bank
 	busTill     int64 // data bus occupancy
 	nextRefresh int64
+
+	// This cycle's FR-FCFS pick (Step scratch): the chosen request and
+	// whether it is a row hit; nil between cycles.
+	best    *Request
+	bestHit bool
 }
 
 // Controller is one FR-FCFS memory controller fronting one HBM stack.
 type Controller struct {
 	cfg   Config
-	queue []*Request
+	queue []*Request // arrival order, capacity QueueDepth
+	done  []*Request // Step's result buffer, reused every call
 	chans []channel
 
 	// Stats.
@@ -120,13 +130,14 @@ func NewController(cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Controller{cfg: cfg}
+	c := &Controller{cfg: cfg, queue: make([]*Request, 0, cfg.QueueDepth)}
 	c.chans = make([]channel, cfg.Channels)
+	banks := make([]bank, cfg.Channels*cfg.BanksPerChannel)
+	for b := range banks {
+		banks[b].openRow = -1
+	}
 	for i := range c.chans {
-		c.chans[i].banks = make([]bank, cfg.BanksPerChannel)
-		for b := range c.chans[i].banks {
-			c.chans[i].banks[b].openRow = -1
-		}
+		c.chans[i].banks = banks[i*cfg.BanksPerChannel : (i+1)*cfg.BanksPerChannel]
 		// Stagger refreshes across channels so they don't align.
 		if cfg.TREFI > 0 {
 			c.chans[i].nextRefresh = int64((i + 1) * cfg.TREFI / cfg.Channels)
@@ -138,12 +149,16 @@ func NewController(cfg Config) (*Controller, error) {
 // QueueSpace returns remaining request slots.
 func (c *Controller) QueueSpace() int { return c.cfg.QueueDepth - len(c.queue) }
 
-// Enqueue adds a request; false when the queue is full.
+// Enqueue adds a request; false when the queue is full. The address is
+// decoded here, once, so Step only compares integers. The controller holds
+// the request until Step returns it; a returned request may be enqueued
+// again.
 func (c *Controller) Enqueue(r *Request, now int64) bool {
 	if len(c.queue) >= c.cfg.QueueDepth {
 		return false
 	}
-	r.arrived = now
+	r.arrived, r.doneAt, r.scheduled = now, 0, false
+	r.ch, r.bk, r.row = c.mapAddr(r.Addr)
 	c.queue = append(c.queue, r)
 	return true
 }
@@ -164,15 +179,20 @@ func (c *Controller) mapAddr(addr uint64) (ch, bk int, row int64) {
 }
 
 // Step advances one cycle and returns the requests completing this cycle.
-// Scheduling is FR-FCFS: among schedulable requests, row hits first, then
-// arrival order.
+// Scheduling is FR-FCFS per channel: among schedulable requests, the first
+// ready row hit in arrival order, else the oldest ready request.
+//
+// The returned slice is the controller's own buffer, overwritten by the next
+// Step: callers consume it before stepping again and do not retain it.
 func (c *Controller) Step(now int64) []*Request {
-	// Issue: pick the best schedulable request per channel this cycle.
-	for chIx := range c.chans {
-		ch := &c.chans[chIx]
-		// All-bank refresh: closes every row and blocks the channel's banks
-		// for TRFC cycles.
-		if c.cfg.TREFI > 0 && now >= ch.nextRefresh {
+	// All-bank refresh: closes every row and blocks the channel's banks for
+	// TRFC cycles.
+	if c.cfg.TREFI > 0 {
+		for chIx := range c.chans {
+			ch := &c.chans[chIx]
+			if now < ch.nextRefresh {
+				continue
+			}
 			ch.nextRefresh = now + int64(c.cfg.TREFI)
 			c.Refreshes++
 			till := now + int64(c.cfg.TRFC)
@@ -183,44 +203,58 @@ func (c *Controller) Step(now int64) []*Request {
 				ch.banks[b].openRow = -1
 			}
 		}
-		bestIdx := -1
-		bestHit := false
-		for i, r := range c.queue {
-			if r.scheduled {
+	}
+
+	// One pass over the queue in arrival order retires what completed and
+	// picks each channel's request. Channels share nothing — a request
+	// belongs to one channel and an issue touches only that channel's banks
+	// and bus — so visiting each request once and updating its channel's
+	// pick is the per-channel scan, run for every channel at once. A request
+	// issued this cycle completes at least TBurst ≥ 1 cycles later, so
+	// retiring before issuing loses nothing.
+	done := c.done[:0]
+	w := 0
+	for _, r := range c.queue {
+		if r.scheduled {
+			if r.doneAt <= now {
+				done = append(done, r)
+				c.Served++
+				c.TotalWait += r.doneAt - r.arrived
 				continue
 			}
-			rch, rbk, rrow := c.mapAddr(r.Addr)
-			if rch != chIx {
-				continue
-			}
-			b := &ch.banks[rbk]
+		} else if ch := &c.chans[r.ch]; !ch.bestHit {
 			// Issue needs a free bank; the data burst may queue behind the
 			// channel bus (bank-level parallelism hides access latency).
-			if b.busyTill > now {
-				continue
-			}
-			hit := b.openRow == rrow
-			if bestIdx == -1 || (hit && !bestHit) {
-				bestIdx = i
-				bestHit = hit
-				if hit {
-					break // FR: first ready row hit in arrival order wins
+			if b := &ch.banks[r.bk]; b.busyTill <= now {
+				if b.openRow == r.row {
+					ch.best, ch.bestHit = r, true // FR: first ready row hit wins
+				} else if ch.best == nil {
+					ch.best = r
 				}
 			}
 		}
-		if bestIdx == -1 {
+		c.queue[w] = r
+		w++
+	}
+	c.queue = c.queue[:w]
+	c.done = done
+
+	// Issue each channel's pick.
+	for chIx := range c.chans {
+		ch := &c.chans[chIx]
+		r := ch.best
+		if r == nil {
 			continue
 		}
-		r := c.queue[bestIdx]
-		_, rbk, rrow := c.mapAddr(r.Addr)
-		b := &ch.banks[rbk]
+		ch.best, ch.bestHit = nil, false
+		b := &ch.banks[r.bk]
 		lat := int64(c.cfg.TCAS)
-		if b.openRow != rrow {
+		if b.openRow != r.row {
 			if b.openRow >= 0 {
 				lat += int64(c.cfg.TRP)
 			}
 			lat += int64(c.cfg.TRCD)
-			b.openRow = rrow
+			b.openRow = r.row
 			c.RowMisses++
 		} else {
 			c.RowHits++
@@ -238,21 +272,6 @@ func (c *Controller) Step(now int64) []*Request {
 		r.scheduled = true
 		c.BusyCycles += burst
 	}
-
-	// Retire completed requests in queue order.
-	var done []*Request
-	w := 0
-	for _, r := range c.queue {
-		if r.scheduled && r.doneAt <= now {
-			done = append(done, r)
-			c.Served++
-			c.TotalWait += r.doneAt - r.arrived
-		} else {
-			c.queue[w] = r
-			w++
-		}
-	}
-	c.queue = c.queue[:w]
 	return done
 }
 

@@ -171,6 +171,11 @@ func (c Config) Validate() error {
 	if c.ClockGHz <= 0 {
 		return fmt.Errorf("noc: clock must be positive")
 	}
+	for _, cb := range c.CBs {
+		if !cb.In(c.Width, c.Height) {
+			return fmt.Errorf("noc: CB %v outside mesh", cb)
+		}
+	}
 	for cb := range c.EIRGroups {
 		if !cb.In(c.Width, c.Height) {
 			return fmt.Errorf("noc: EIR group CB %v outside mesh", cb)
@@ -181,7 +186,62 @@ func (c Config) Validate() error {
 			}
 		}
 	}
+	// The allocators track input VCs and output links in 64-bit occupancy
+	// masks, one bit per (input port, VC) slot and per output port.
+	in, out := c.portCounts()
+	for id := range in {
+		if in[id]*c.VCsPerPort > maskBits || out[id] > maskBits {
+			return fmt.Errorf("noc: router %v needs %d input ports x %d VCs and %d output ports; at most %d input VCs and %d output ports per router are supported",
+				geom.FromID(id, c.Width), in[id], c.VCsPerPort, out[id], maskBits, maskBits)
+		}
+	}
 	return nil
+}
+
+// maskBits is the width of the routers' occupancy masks.
+const maskBits = 64
+
+// portCounts returns, per router, the number of input and output ports New
+// builds: the five mesh ports plus concentration spokes, MultiPort CB
+// injection/ejection ports, and one EIR injection port per on-axis EIR
+// grouped under a CB tile. It must be called on a configuration whose CBs
+// and EIR groups lie inside the mesh.
+func (c Config) portCounts() (in, out []int) {
+	in, out = make([]int, c.Nodes()), make([]int, c.Nodes())
+	for id := range in {
+		in[id] = int(geom.NumDirections) + max(c.SpokesPerNode-1, 0)
+		out[id] = int(geom.NumDirections)
+	}
+	for id, cb := range c.isCB() {
+		if !cb {
+			continue
+		}
+		out[id] += max(c.EjectPortsPerCB-1, 0)
+		// Mirrors New's choice of NI for a CB tile.
+		switch {
+		case c.SpokesPerNode > 1:
+		case c.EIRGroups != nil:
+			pos := geom.FromID(id, c.Width)
+			for _, e := range c.EIRGroups[pos] {
+				if (e.X == pos.X) != (e.Y == pos.Y) { // on-axis, not the CB itself
+					in[e.ID(c.Width)]++
+				}
+			}
+		case c.InjectPortsPerCB > 1:
+			in[id] += c.InjectPortsPerCB - 1
+		}
+	}
+	return in, out
+}
+
+// isCB returns the index-keyed CB lookup (a point-keyed map costs a hash per
+// probe and allocates; the mesh is dense so a flat bool table is both).
+func (c Config) isCB() []bool {
+	t := make([]bool, c.Nodes())
+	for _, cb := range c.CBs {
+		t[cb.ID(c.Width)] = true
+	}
+	return t
 }
 
 // Nodes returns the number of tiles.

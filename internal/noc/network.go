@@ -47,11 +47,18 @@ type Network struct {
 	// steady-state injection allocates nothing.
 	flitPool []*Flit
 
-	// credits stages phase-4 upstream credit returns for an end-of-phase
+	// creditSlab holds every output port's per-VC credit counters
+	// (outputPort.credits are windows of it). credits stages phase-4
+	// upstream credit returns, as creditSlab indices, for an end-of-phase
 	// apply. Deferral makes credit visibility independent of the order
 	// routers are scanned in, which is what lets the sharded stepper
 	// reproduce the serial results bit-for-bit (see shard.go).
-	credits []stagedCredit
+	creditSlab []int
+	credits    []int32
+
+	// scratch is the serial stepper's allocator working memory (shard
+	// workers carry their own).
+	scratch allocScratch
 
 	// Sharded-stepper state; empty/nil when Cfg.Shards <= 1.
 	shards   []*shardState
@@ -68,8 +75,10 @@ type Network struct {
 	// classVCList is the precomputed per-class downstream-VC preference
 	// order (see initClassVCs).
 	classVCList [NumClasses][]int
-	// allocStride is the owner-token stride: the per-port VC count.
-	allocStride int
+	// nvc is the slot stride: the per-port VC count (see slot).
+	nvc int
+	// slotPort maps a slot back to its input port (slot / nvc, tabulated).
+	slotPort [maskBits]uint8
 
 	Stats Stats
 
@@ -108,81 +117,17 @@ type injector interface {
 	backlog(per []int64)
 }
 
-// New builds a network from a configuration.
+// New builds a network from a configuration. Router state is laid out flat:
+// routers, ports, VC buffers, their flit rings, credit/owner counters, links
+// and NI queues are windows of a handful of per-network slabs indexed
+// router × port × VC, not separate heap objects.
 func New(cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{Cfg: cfg, ejectCap: 2, allocStride: cfg.VCsPerPort}
+	n := &Network{Cfg: cfg, ejectCap: 2, nvc: cfg.VCsPerPort}
 	n.Stats.init()
 	n.initClassVCs()
-
-	// Routers.
-	for y := 0; y < cfg.Height; y++ {
-		for x := 0; x < cfg.Width; x++ {
-			r := &Router{
-				id:   y*cfg.Width + x,
-				pos:  geom.Pt(x, y),
-				net:  n,
-				node: y*cfg.Width + x,
-			}
-			for d := range r.dirOut {
-				r.dirOut[d] = noAlloc
-			}
-			// Base ports: local + four directions (ports exist even on the
-			// boundary — the paper notes boundary routers reuse the same
-			// template — but boundary direction ports are never routed to).
-			for p := 0; p < int(geom.NumDirections); p++ {
-				r.in = append(r.in, n.newInputPort())
-				r.out = append(r.out, n.newOutputPort())
-			}
-			r.out[PortLocal].eject = true
-			n.Routers = append(n.Routers, r)
-		}
-	}
-	// Mesh links.
-	for _, r := range n.Routers {
-		for _, d := range []geom.Direction{geom.East, geom.West, geom.South, geom.North} {
-			np := r.pos.Add(d.Delta())
-			if !np.In(cfg.Width, cfg.Height) {
-				continue
-			}
-			nb := n.Routers[np.ID(cfg.Width)]
-			op := r.out[PortID(d)]
-			op.link = &link{to: nb, toPort: int(d.Opposite()), latency: 1}
-			r.dirOut[d] = int(d)
-			nb.in[int(d.Opposite())].upRouter = r
-			nb.in[int(d.Opposite())].upPort = int(d)
-		}
-	}
-
-	// Index-keyed CB lookup (a point-keyed map costs a hash per probe and
-	// allocates; the mesh is dense so a flat bool table is both).
-	isCB := make([]bool, cfg.Nodes())
-	for _, cb := range cfg.CBs {
-		isCB[cb.ID(cfg.Width)] = true
-	}
-
-	// MultiPort extra injection/ejection ports at CB routers.
-	for _, r := range n.Routers {
-		if !isCB[r.id] {
-			continue
-		}
-		for k := 1; k < cfg.EjectPortsPerCB; k++ {
-			op := n.newOutputPort()
-			op.eject = true
-			r.out = append(r.out, op)
-		}
-	}
-
-	// Ejection queues, one per class per node.
-	for c := range n.ejectQ {
-		n.ejectQ[c] = make([][]*Packet, cfg.Nodes())
-	}
-
-	// NIs. EquiNox CB NIs are created when EIR groups exist for the tile;
-	// MultiPort CB NIs when InjectPortsPerCB > 1; concentrated nodes get one
-	// independent NI per spoke; standard NIs otherwise.
 	n.spokes = 1
 	if cfg.SpokesPerNode > 1 {
 		n.spokes = cfg.SpokesPerNode
@@ -190,33 +135,132 @@ func New(cfg Config) (*Network, error) {
 	if n.spokes > 1 && (cfg.EIRGroups != nil || cfg.InjectPortsPerCB > 1) {
 		return nil, fmt.Errorf("noc: SpokesPerNode cannot combine with EIR groups or MultiPort")
 	}
+	for s := range n.slotPort {
+		n.slotPort[s] = uint8(s / n.nvc)
+	}
+
+	// Slabs, sized from the port plan.
+	nIn, nOut := cfg.portCounts()
+	totIn, totOut := 0, 0
+	for id := range nIn {
+		totIn += nIn[id]
+		totOut += nOut[id]
+	}
+	nvc, depth := n.nvc, cfg.VCDepthFlits
+	routers := make([]Router, cfg.Nodes())
+	inPorts := make([]inputPort, totIn)
+	outPorts := make([]outputPort, totOut)
+	vcs := make([]vcBuf, totIn*nvc)
+	rings := make([]*Flit, totIn*nvc*depth)
+	n.creditSlab = make([]int, totOut*nvc)
+	owners := make([]int, totOut*nvc)
+	for i := range vcs {
+		vcs[i] = vcBuf{q: rings[i*depth : (i+1)*depth : (i+1)*depth], outPort: noAlloc, outVC: noAlloc, credit: noAlloc}
+	}
+	for i := range inPorts {
+		inPorts[i] = inputPort{vcs: vcs[i*nvc : (i+1)*nvc : (i+1)*nvc], upCredit: noAlloc}
+	}
+	for i := range n.creditSlab {
+		n.creditSlab[i], owners[i] = depth, noAlloc
+	}
+	for i := range outPorts {
+		outPorts[i] = outputPort{
+			credits:    n.creditSlab[i*nvc : (i+1)*nvc : (i+1)*nvc],
+			owner:      owners[i*nvc : (i+1)*nvc : (i+1)*nvc],
+			creditBase: i * nvc,
+			grant:      noAlloc,
+		}
+	}
+
+	// Routers. Base ports are local + four directions (ports exist even on
+	// the boundary — the paper notes boundary routers reuse the same template
+	// — but boundary direction ports are never routed to); output ports past
+	// those are MultiPort ejection ports. Input ports past the base five are
+	// attached by the NIs below, within the planned window.
+	base := int(geom.NumDirections)
+	n.Routers = make([]*Router, len(routers))
+	io, oo := 0, 0
+	for id := range routers {
+		r := &routers[id]
+		*r = Router{
+			id:   id,
+			pos:  geom.FromID(id, cfg.Width),
+			net:  n,
+			node: id,
+			vcs:  vcs[io*nvc : (io+nIn[id])*nvc : (io+nIn[id])*nvc],
+			in:   inPorts[io : io+base : io+nIn[id]],
+			out:  outPorts[oo : oo+nOut[id] : oo+nOut[id]],
+		}
+		for d := range r.dirOut {
+			r.dirOut[d] = noAlloc
+		}
+		r.out[PortLocal].eject = true
+		for p := base; p < len(r.out); p++ {
+			r.out[p].eject = true
+		}
+		n.Routers[id] = r
+		io += nIn[id]
+		oo += nOut[id]
+	}
+	// Mesh links (latency 1: the ring holds one flit).
+	const linkLatency = 1
+	links := make([]link, 0, 2*((cfg.Width-1)*cfg.Height+cfg.Width*(cfg.Height-1)))
+	linkRings := make([]flitInFlight, cap(links)*linkLatency)
+	for _, r := range n.Routers {
+		for _, d := range []geom.Direction{geom.East, geom.West, geom.South, geom.North} {
+			np := r.pos.Add(d.Delta())
+			if !np.In(cfg.Width, cfg.Height) {
+				continue
+			}
+			nb := n.Routers[np.ID(cfg.Width)]
+			toPort := int(d.Opposite())
+			k := len(links)
+			links = append(links, link{
+				to: nb, toPort: toPort, toSlot: n.slot(toPort, 0), latency: linkLatency,
+				q: linkRings[k*linkLatency : (k+1)*linkLatency : (k+1)*linkLatency],
+			})
+			r.out[PortID(d)].link = &links[k]
+			r.dirOut[d] = int(d)
+			nb.in[toPort].upCredit = r.out[PortID(d)].creditBase
+		}
+	}
+
+	// Ejection queues, one per class per node, preallocated to the most an
+	// eject-ready check can let through: ejectCap-1 waiting plus one tail per
+	// ejection port in a cycle.
+	ejectSlots := n.ejectCap - 1 + max(cfg.EjectPortsPerCB, 1)
+	ejectSlab := make([]*Packet, int(NumClasses)*cfg.Nodes()*ejectSlots)
+	for c := range n.ejectQ {
+		n.ejectQ[c] = make([][]*Packet, cfg.Nodes())
+		for node := range n.ejectQ[c] {
+			k := (c*cfg.Nodes() + node) * ejectSlots
+			n.ejectQ[c][node] = ejectSlab[k : k : k+ejectSlots]
+		}
+	}
+
+	// NIs. EquiNox CB NIs are created when EIR groups exist for the tile;
+	// MultiPort CB NIs when InjectPortsPerCB > 1; concentrated nodes get one
+	// independent NI per spoke; standard NIs otherwise.
+	isCB := cfg.isCB()
 	for _, r := range n.Routers {
 		switch {
 		case n.spokes > 1:
-			n.nis = append(n.nis, newStandardNIAt(n, r, int(PortLocal)))
+			n.nis = append(n.nis, newStandardNI(n, r, int(PortLocal)))
 			for k := 1; k < n.spokes; k++ {
-				port := n.addInjectionPort(r, nil)
-				ni := newStandardNIAt(n, r, port)
-				r.in[port].upNI = ni
-				n.nis = append(n.nis, ni)
+				n.nis = append(n.nis, newStandardNI(n, r, addInjectionPort(r)))
 			}
 		case cfg.EIRGroups != nil && isCB[r.id]:
 			n.nis = append(n.nis, newEquiNoxNI(n, r, cfg.EIRGroups[r.pos]))
 		case cfg.InjectPortsPerCB > 1 && isCB[r.id]:
 			n.nis = append(n.nis, newMultiPortNI(n, r, cfg.InjectPortsPerCB))
 		default:
-			n.nis = append(n.nis, newStandardNI(n, r))
+			n.nis = append(n.nis, newStandardNI(n, r, int(PortLocal)))
 		}
 	}
 
-	// Finalize per-router scratch now that every port (MultiPort ejection,
-	// EIR and spoke injection) exists.
+	// Every port (MultiPort ejection, EIR and spoke injection) now exists.
 	for _, r := range n.Routers {
-		r.saReqs = make([]saReq, 0, len(r.in))
-		r.grant = make([]int32, len(r.out))
-		r.candBuf = make([]routeCand, 0, len(r.out)*cfg.VCsPerPort)
-		r.vcOrdBuf = make([]int, 0, cfg.VCsPerPort)
-		r.dirBuf = make([]geom.Direction, 0, 2)
+		r.finalize()
 	}
 	n.niQueued = make([]bool, len(n.nis))
 	if cfg.Shards > 1 {
@@ -398,20 +442,26 @@ func (n *Network) ejectFlit(node int, f *Flit, now int64, sh *shardState) {
 	}
 }
 
+// flitSlabSize is how many Flit structs the pool allocates at once when it
+// runs dry (a few packets' worth).
+const flitSlabSize = 64
+
 // makeFlits serializes a packet into buf (reused across packets), drawing
 // Flit structs from the recycle pool so steady-state injection is
-// allocation-free. The exported MakeFlits remains the pool-free variant for
-// callers outside the simulator loop.
+// allocation-free.
 func (n *Network) makeFlits(p *Packet, buf []*Flit) []*Flit {
 	buf = buf[:0]
 	for i := 0; i < p.Flits; i++ {
-		var f *Flit
-		if k := len(n.flitPool); k > 0 {
-			f = n.flitPool[k-1]
-			n.flitPool = n.flitPool[:k-1]
-		} else {
-			f = &Flit{}
+		if len(n.flitPool) == 0 {
+			// Grow the pool a slab at a time, not a flit at a time.
+			slab := make([]Flit, flitSlabSize)
+			for j := range slab {
+				n.flitPool = append(n.flitPool, &slab[j])
+			}
 		}
+		k := len(n.flitPool) - 1
+		f := n.flitPool[k]
+		n.flitPool = n.flitPool[:k]
 		*f = Flit{
 			Pkt:    p,
 			Index:  i,
@@ -440,7 +490,7 @@ func (n *Network) Step() {
 	// 1. Deliver link arrivals due this cycle.
 	for _, id := range n.active {
 		r := n.Routers[id]
-		if r.linkFlits > 0 {
+		if r.linkBusy != 0 {
 			r.deliverArrivals(now, nil)
 		}
 	}
@@ -455,7 +505,7 @@ func (n *Network) Step() {
 	// 3. Routing + VC allocation.
 	for _, id := range n.active {
 		r := n.Routers[id]
-		if r.inFlits > 0 {
+		if r.needVA != 0 {
 			r.vcAllocate(now, nil)
 		}
 	}
@@ -463,13 +513,13 @@ func (n *Network) Step() {
 	moved := 0
 	for _, id := range n.active {
 		r := n.Routers[id]
-		if r.inFlits > 0 {
+		if r.ready != 0 {
 			moved += r.switchAllocate(now, nil)
 		}
 	}
 	// Deferred credit returns become visible between cycles, never within
 	// phase 4 — the serial stepper matches the sharded one exactly.
-	applyCredits(n.credits)
+	n.applyCredits(n.credits)
 	n.credits = n.credits[:0]
 	if moved > 0 {
 		n.lastProgress = now
@@ -490,7 +540,7 @@ func (n *Network) pruneActive() {
 	w := 0
 	for _, id := range n.active {
 		r := n.Routers[id]
-		if r.inFlits > 0 || r.linkFlits > 0 {
+		if r.needVA|r.ready|r.linkBusy != 0 {
 			n.active[w] = id
 			w++
 		} else {
@@ -525,18 +575,16 @@ func (n *Network) quiescentScan() bool {
 		}
 	}
 	for _, r := range n.Routers {
-		if r.inFlits > 0 || r.linkFlits > 0 {
+		if r.inFlits > 0 {
 			return false
 		}
-		for _, ip := range r.in {
-			for _, vb := range ip.vcs {
-				if !vb.empty() {
-					return false
-				}
+		for i := range r.vcs {
+			if !r.vcs[i].empty() {
+				return false
 			}
 		}
 		for _, op := range r.out {
-			if op.link != nil && len(op.link.inFlight) > 0 {
+			if op.link != nil && op.link.n > 0 {
 				return false
 			}
 		}
@@ -590,19 +638,24 @@ type standardNI struct {
 	stall  stallNote
 }
 
-func newStandardNI(n *Network, r *Router) *standardNI {
-	ni := newStandardNIAt(n, r, int(PortLocal))
-	r.in[PortLocal].upNI = ni
+// newStandardNI builds a standard NI feeding the given input port (the
+// local port, or a concentration spoke's). NIs take no credits: they inspect
+// the router's buffer space directly.
+func newStandardNI(n *Network, r *Router, port int) *standardNI {
+	ni := &standardNI{net: n, r: r, port: port, cap: n.Cfg.InjQueuePackets, curVC: noAlloc}
+	ni.queues = newClassQueues(ni.cap)
 	return ni
 }
 
-// newStandardNIAt builds a standard NI feeding an arbitrary input port
-// (concentration spokes). The caller wires the credit sink.
-func newStandardNIAt(n *Network, r *Router, port int) *standardNI {
-	return &standardNI{net: n, r: r, port: port, cap: n.Cfg.InjQueuePackets, curVC: noAlloc}
+// newClassQueues preallocates an NI's per-class packet FIFOs at capacity so
+// enqueues never grow them.
+func newClassQueues(capacity int) (qs [NumClasses][]*Packet) {
+	slab := make([]*Packet, int(NumClasses)*capacity)
+	for c := range qs {
+		qs[c] = slab[c*capacity : c*capacity : (c+1)*capacity]
+	}
+	return qs
 }
-
-func (ni *standardNI) credit(int) {} // buffer space is inspected directly
 
 func (ni *standardNI) tryEnqueue(p *Packet, now int64) bool {
 	c := ClassOf(p.Type)
@@ -649,7 +702,7 @@ func (ni *standardNI) backlog(per []int64) {
 func injectVC(n *Network, ip *inputPort, cls Class) int {
 	best, bestFree := noAlloc, 0
 	for _, vc := range n.classVCs(cls) {
-		vb := ip.vcs[vc]
+		vb := &ip.vcs[vc]
 		if n.Cfg.VCPolicy != VCPrivate && vc != int(cls) && !vb.empty() {
 			continue
 		}
@@ -665,7 +718,7 @@ func (ni *standardNI) step(now int64) {
 		// Pick a class whose head packet can enter a VC right now,
 		// round-robin between classes for fairness; a blocked class never
 		// prevents the other from injecting.
-		ip := ni.r.in[ni.port]
+		ip := &ni.r.in[ni.port]
 		for k := 0; k < int(NumClasses); k++ {
 			c := Class((ni.rrCls + k) % int(NumClasses))
 			if len(ni.queues[c]) == 0 {
@@ -703,12 +756,11 @@ func (ni *standardNI) step(now int64) {
 		}
 	}
 	// Stream one flit per cycle while buffer space remains.
-	ip := ni.r.in[ni.port]
-	vb := ip.vcs[ni.curVC]
-	if vb.free() > 0 && ni.sent < len(ni.flits) {
+	slot := ni.net.slot(ni.port, ni.curVC)
+	if ni.r.vcs[slot].free() > 0 && ni.sent < len(ni.flits) {
 		f := ni.flits[ni.sent]
 		f.enteredRouter = now
-		ni.r.accept(vb, f)
+		ni.r.accept(slot, f)
 		ni.sent++
 		if ni.net.flight != nil {
 			ni.stall.clear()
@@ -744,8 +796,9 @@ func (n *Network) DebugDump() string {
 	add := func(s string) { b = append(b, s...) }
 	for _, r := range n.Routers {
 		hdr := false
-		for pi, ip := range r.in {
-			for vi, vb := range ip.vcs {
+		for pi := range r.in {
+			for vi := range r.in[pi].vcs {
+				vb := &r.in[pi].vcs[vi]
 				if vb.empty() {
 					continue
 				}
@@ -753,12 +806,12 @@ func (n *Network) DebugDump() string {
 					add(fmt.Sprintf("router %v (node %d):\n", r.pos, r.node))
 					hdr = true
 				}
-				f := vb.q[0]
+				f := vb.at(0)
 				reason := "?"
 				if vb.outPort == noAlloc {
 					reason = "awaiting VC alloc"
 				} else {
-					op := r.out[vb.outPort]
+					op := &r.out[vb.outPort]
 					if op.eject {
 						if !n.ejectReady(r.node, ClassOf(f.Pkt.Type)) {
 							reason = "eject queue full"
@@ -772,7 +825,7 @@ func (n *Network) DebugDump() string {
 					}
 				}
 				add(fmt.Sprintf("  in[%d].vc[%d]: %d flits, head pkt %v %d->%d out=%d/%d (%s)\n",
-					pi, vi, len(vb.q), f.Pkt.Type, f.Pkt.Src, f.Pkt.Dst, vb.outPort, vb.outVC, reason))
+					pi, vi, vb.n, f.Pkt.Type, f.Pkt.Src, f.Pkt.Dst, vb.outPort, vb.outVC, reason))
 			}
 		}
 	}

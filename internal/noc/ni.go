@@ -5,12 +5,12 @@ import (
 	"equinox/internal/geom"
 )
 
-// addInjectionPort appends a new injection-only input port to a router and
-// returns its index. Used for EIR input ports and MultiPort CB injection.
-func (n *Network) addInjectionPort(r *Router, sink creditSink) int {
-	ip := n.newInputPort()
-	ip.upNI = sink
-	r.in = append(r.in, ip)
+// addInjectionPort attaches the router's next planned injection-only input
+// port (its buffers already sit in the slabs) and returns its index. Used for
+// EIR input ports, MultiPort CB injection and concentration spokes; going
+// past the window Config.portCounts planned is a construction bug and panics.
+func addInjectionPort(r *Router) int {
+	r.in = r.in[:len(r.in)+1]
 	return len(r.in) - 1
 }
 
@@ -59,9 +59,8 @@ func (b *injBuffer) stream(n *Network, now int64) {
 	if b.pkt == nil {
 		return
 	}
-	ip := b.r.in[b.port]
 	if b.vc == noAlloc {
-		vc := injectVC(n, ip, ClassOf(b.pkt.Type))
+		vc := injectVC(n, &b.r.in[b.port], ClassOf(b.pkt.Type))
 		if vc == noAlloc {
 			if n.flight != nil {
 				n.flightStall(&b.stall, now, b.pkt, b.r.id, flight.StallNoVC)
@@ -71,11 +70,11 @@ func (b *injBuffer) stream(n *Network, now int64) {
 		b.vc = vc
 		b.pkt.InjectedAt = now
 	}
-	vb := ip.vcs[b.vc]
-	if vb.free() > 0 && b.sent < len(b.flits) {
+	slot := n.slot(b.port, b.vc)
+	if b.r.vcs[slot].free() > 0 && b.sent < len(b.flits) {
 		f := b.flits[b.sent]
 		f.enteredRouter = now
-		b.r.accept(vb, f)
+		b.r.accept(slot, f)
 		b.sent++
 		if n.flight != nil {
 			b.stall.clear()
@@ -120,7 +119,6 @@ func newEquiNoxNI(n *Network, r *Router, eirs []geom.Point) *equiNoxNI {
 		cap:   n.Cfg.InjQueuePackets,
 		local: &injBuffer{r: r, port: int(PortLocal), ix: 0, vc: noAlloc},
 	}
-	r.in[PortLocal].upNI = ni
 	for _, e := range eirs {
 		dirs := geom.DirTowards(ni.cb, e)
 		if len(dirs) != 1 {
@@ -128,14 +126,12 @@ func newEquiNoxNI(n *Network, r *Router, eirs []geom.Point) *equiNoxNI {
 		}
 		d := dirs[0]
 		er := n.RouterAt(e)
-		port := n.addInjectionPort(er, ni)
+		port := addInjectionPort(er)
 		ni.dir[d] = &injBuffer{r: er, port: port, ix: int32(d), vc: noAlloc}
 		ni.eirOffset[d] = geom.Manhattan(ni.cb, e)
 	}
 	return ni
 }
-
-func (ni *equiNoxNI) credit(int) {}
 
 func (ni *equiNoxNI) tryEnqueue(p *Packet, now int64) bool {
 	if len(ni.queue) >= ni.cap {
@@ -223,19 +219,18 @@ func (ni *equiNoxNI) selectBuffer(dst geom.Point) *injBuffer {
 		return nil
 	}
 	// Quadrant destination: up to two shortest-path EIRs.
-	var avail []*injBuffer
-	if xb != nil && !xb.busy() {
-		avail = append(avail, xb)
-	}
-	if yb != nil && !yb.busy() {
-		avail = append(avail, yb)
-	}
-	switch len(avail) {
-	case 2:
-		ni.rrQuadrant ^= 1
-		return avail[ni.rrQuadrant]
-	case 1:
-		return avail[0]
+	xOK := xb != nil && !xb.busy()
+	yOK := yb != nil && !yb.busy()
+	switch {
+	case xOK && yOK:
+		if ni.rrQuadrant ^= 1; ni.rrQuadrant == 1 {
+			return yb
+		}
+		return xb
+	case xOK:
+		return xb
+	case yOK:
+		return yb
 	}
 	if !ni.local.busy() {
 		return ni.local
@@ -297,16 +292,14 @@ func newMultiPortNI(n *Network, r *Router, ports int) *multiPortNI {
 	if n.Cfg.NIAssignsPerCycle > 1 {
 		ni.assigns = n.Cfg.NIAssignsPerCycle
 	}
-	r.in[PortLocal].upNI = ni
+	ni.queues = newClassQueues(ni.cap)
 	ni.bufs = append(ni.bufs, &injBuffer{r: r, port: int(PortLocal), ix: 0, vc: noAlloc})
 	for k := 1; k < ports; k++ {
-		port := n.addInjectionPort(r, ni)
+		port := addInjectionPort(r)
 		ni.bufs = append(ni.bufs, &injBuffer{r: r, port: port, ix: int32(k), vc: noAlloc})
 	}
 	return ni
 }
-
-func (ni *multiPortNI) credit(int) {}
 
 func (ni *multiPortNI) tryEnqueue(p *Packet, now int64) bool {
 	c := ClassOf(p.Type)

@@ -107,20 +107,6 @@ type Flit struct {
 	enteredRouter int64
 }
 
-// MakeFlits serializes a packet into its flits.
-func MakeFlits(p *Packet) []*Flit {
-	fl := make([]*Flit, p.Flits)
-	for i := range fl {
-		fl[i] = &Flit{
-			Pkt:    p,
-			Index:  i,
-			IsHead: i == 0,
-			IsTail: i == p.Flits-1,
-		}
-	}
-	return fl
-}
-
 // SizeInFlits returns the length of a packet of the given type for a network
 // with the given flit width, assuming the paper's 128-byte cache lines and
 // single-flit control packets.

@@ -98,9 +98,8 @@ func (p *Probe) sample(n *Network) {
 		p.scratch[i] = int64(r.inFlits)
 		base := i * meshLinks
 		for d := 1; d <= meshLinks; d++ {
-			op := r.out[d]
-			if op.link != nil {
-				p.linkSum[base+d-1] += int64(len(op.link.inFlight))
+			if lnk := r.out[d].link; lnk != nil {
+				p.linkSum[base+d-1] += int64(lnk.n)
 			}
 		}
 	}

@@ -1,6 +1,9 @@
 package noc
 
 import (
+	"fmt"
+	"math/bits"
+
 	"equinox/internal/flight"
 	"equinox/internal/geom"
 )
@@ -21,45 +24,77 @@ const (
 
 const noAlloc = -1
 
-// vcBuf is one virtual-channel buffer of an input port.
+// vcBuf is one virtual-channel buffer of an input port: a fixed-capacity
+// ring of VCDepthFlits slots carved from the network's flit slab, so pushes
+// never grow and pops never copy.
 type vcBuf struct {
-	q   []*Flit
-	cap int
+	q    []*Flit // ring storage; len(q) is the buffer's capacity
+	head int32   // index of the oldest flit
+	n    int32   // flits buffered
 
-	// Allocation state for the packet at the head of the buffer.
-	outPort int // allocated output port, noAlloc if none
-	outVC   int // allocated downstream VC, noAlloc if none
+	// Allocation state for the packet at the head of the buffer. credit and
+	// class are valid while outPort is set.
+	outPort int32 // allocated output port, noAlloc if none
+	outVC   int32 // allocated downstream VC, noAlloc if none
+	credit  int32 // Network.creditSlab index of (outPort, outVC); noAlloc when ejecting
+	class   Class // class of the allocated packet
+
+	// headEntered caches the head flit's enteredRouter. With credit and
+	// class it lets the switch allocator's input stage decide from the vcBuf
+	// and one credit counter, without touching the flit, its packet or the
+	// output port.
+	headEntered int64
 }
 
-func (b *vcBuf) free() int   { return b.cap - len(b.q) }
-func (b *vcBuf) empty() bool { return len(b.q) == 0 }
+func (b *vcBuf) free() int   { return len(b.q) - int(b.n) }
+func (b *vcBuf) empty() bool { return b.n == 0 }
 
-// pop removes and returns the head flit. The queue is compacted in place so
-// the backing array never walks forward: once a buffer has grown to its
-// steady-state occupancy, pushes stop allocating (a `q = q[1:]` pop would
-// strand capacity behind the slice base and force append to reallocate).
+// at returns the i-th buffered flit, oldest first.
+func (b *vcBuf) at(i int) *Flit {
+	i += int(b.head)
+	if i >= len(b.q) {
+		i -= len(b.q)
+	}
+	return b.q[i]
+}
+
+// push appends a flit; the caller has checked free() > 0.
+func (b *vcBuf) push(f *Flit) {
+	i := int(b.head + b.n)
+	if i >= len(b.q) {
+		i -= len(b.q)
+	}
+	b.q[i] = f
+	if b.n == 0 {
+		b.headEntered = f.enteredRouter
+	}
+	b.n++
+}
+
+// pop removes and returns the head flit and refreshes the head cache.
 func (b *vcBuf) pop() *Flit {
-	f := b.q[0]
-	copy(b.q, b.q[1:])
-	b.q = b.q[:len(b.q)-1]
+	f := b.q[b.head]
+	b.head++
+	if int(b.head) == len(b.q) {
+		b.head = 0
+	}
+	b.n--
+	if b.n > 0 {
+		b.headEntered = b.q[b.head].enteredRouter
+	}
 	return f
 }
 
-// inputPort is one input port with its VC buffers and the upstream entity
-// that receives our credits.
+// inputPort is one input port: a window of the router's VC buffers and the
+// upstream output port that receives its credits.
 type inputPort struct {
-	vcs []*vcBuf
+	vcs []vcBuf // this port's VCs, a sub-slice of Router.vcs
 
-	// Credit return path: either an upstream router output port or an NI.
-	upRouter *Router
-	upPort   int
-	upNI     creditSink
+	// upCredit indexes the upstream router output port's VC-0 credit counter
+	// in Network.creditSlab; noAlloc for NI-fed ports, whose NIs inspect
+	// buffer space directly and take no credits.
+	upCredit int
 	rrVC     int // round-robin pointer for switch allocation
-}
-
-// creditSink receives credits for NI-fed input ports.
-type creditSink interface {
-	credit(vc int)
 }
 
 // outputPort is one output port: a link to a downstream router input port,
@@ -67,21 +102,31 @@ type creditSink interface {
 type outputPort struct {
 	link *link // nil for ejection ports
 
-	// Downstream VC bookkeeping (links only).
-	credits []int // free downstream buffer slots per VC
-	owner   []int // owning (inPort*maxVC+vc) per downstream VC, noAlloc if free
+	// Downstream VC bookkeeping (links only), windows of the network slabs;
+	// credits[v] is Network.creditSlab[creditBase+v].
+	credits    []int // free downstream buffer slots per VC
+	owner      []int // owning input slot per downstream VC, noAlloc if free
+	creditBase int
 
 	eject bool
 	rrIn  int // round-robin pointer for output arbitration
+
+	// Output-arbitration scratch, valid within one switchAllocate call:
+	// the winning nomination and its round-robin distance. grant is noAlloc
+	// between calls.
+	grant, score int
 }
 
-// link carries flits in flight between routers with a fixed latency.
+// link carries flits in flight between routers with a fixed latency. At most
+// one flit enters per cycle and each leaves after latency cycles, so the
+// in-flight queue is a ring of latency slots in due order.
 type link struct {
 	to      *Router
 	toPort  int
+	toSlot  int // slot of (toPort, VC 0) at the downstream router
 	latency int64
-	// inFlight holds flits with their arrival cycle and target VC.
-	inFlight []flitInFlight
+	q       []flitInFlight // ring storage, len == latency
+	head, n int
 }
 
 type flitInFlight struct {
@@ -92,36 +137,76 @@ type flitInFlight struct {
 
 // Router is one input-buffered VC router.
 type Router struct {
+	// Occupancy masks over input slots (slot = port*VCsPerPort + vc). Every
+	// non-empty input VC has exactly one of the two bits set:
+	//
+	//   needVA — non-empty, head packet has no output allocated
+	//   ready  — non-empty, output allocated (a switch-allocation candidate)
+	//
+	// They change in three places only: accept (empty → non-empty), VC
+	// allocation success (needVA → ready), and the switch-traversal pop (the
+	// tail clears the allocation, or the buffer drains). linkBusy is the same
+	// idea over output ports: bit p set iff out[p]'s link has flits in flight.
+	needVA, ready uint64
+	linkBusy      uint64
+
+	inFlits int  // flits buffered in this router's input VCs
+	queued  bool // on the network's active worklist
+
+	vcs []vcBuf // every input VC, indexed by slot
+	in  []inputPort
+	out []outputPort
+
 	id   int
 	pos  geom.Point
 	net  *Network
-	in   []*inputPort
-	out  []*outputPort
 	node int // node (tile) ID this router serves; -1 for pure transit routers
 
 	// dirOut maps geometric directions to output port IDs (noAlloc if the
 	// router has no neighbour in that direction).
 	dirOut [geom.NumDirections]int
 
-	// Occupancy counters for the network's active-set scheduler: the router
-	// only takes allocator/link work while either is non-zero.
-	inFlits   int  // flits buffered in this router's input VCs
-	linkFlits int  // flits in flight on this router's outgoing links
-	queued    bool // on the network's active worklist
-
-	// Per-router scratch reused across cycles so the steady-state hot path
-	// (routeCandidates, vcAllocate, switchAllocate) performs no heap
-	// allocations. Each buffer is valid only within a single phase call.
-	candBuf  []routeCand
-	vcOrdBuf []int
-	dirBuf   []geom.Direction
-	saReqs   []saReq
-	grant    []int32 // per-output granted saReqs index, noAlloc if none
-
 	// Stats: cumulative flit-cycles spent in this router and flits passed,
 	// for the Figure 4 heat maps.
 	occupancyCycles int64
 	flitsThrough    int64
+}
+
+// allocScratch is the allocators' working memory, valid within one phase
+// call on one router. The serial stepper shares the network's; each shard
+// worker has its own.
+type allocScratch struct {
+	cands []routeCand
+	vcOrd []int
+	dirs  []geom.Direction
+	reqs  []saReq
+}
+
+// fit grows the scratch to serve a router with the given port counts.
+func (sc *allocScratch) fit(nin, nout, nvc int) {
+	if cap(sc.reqs) < nin {
+		sc.reqs = make([]saReq, 0, nin)
+	}
+	if cap(sc.cands) < nout*nvc {
+		sc.cands = make([]routeCand, 0, nout*nvc)
+	}
+	if cap(sc.vcOrd) < nvc {
+		sc.vcOrd = make([]int, 0, nvc)
+	}
+	if cap(sc.dirs) < 2 {
+		sc.dirs = make([]geom.Direction, 0, 2)
+	}
+}
+
+// finalize seals the router's port set once New has attached every
+// MultiPort, EIR and spoke port: it checks the ports filled exactly the slab
+// windows Config.portCounts planned (so every slot has its mask bit) and
+// sizes the network's allocator scratch to fit the router.
+func (r *Router) finalize() {
+	if len(r.in) != cap(r.in) || len(r.in)*r.net.nvc != len(r.vcs) {
+		panic(fmt.Sprintf("noc: router %d has %d input ports, planned %d", r.id, len(r.in), cap(r.in)))
+	}
+	r.net.scratch.fit(len(r.in), len(r.out), r.net.nvc)
 }
 
 // markActive puts the router on its network's active worklist; cheap and
@@ -143,11 +228,22 @@ func (r *Router) markActive() {
 	}
 }
 
-// accept appends a flit to an input VC buffer, maintaining the occupancy
-// counter and active-set membership. All flit arrivals (links and NIs) go
-// through here.
-func (r *Router) accept(vb *vcBuf, f *Flit) {
-	vb.q = append(vb.q, f)
+// accept pushes a flit into input slot (port*VCsPerPort + vc), maintaining
+// the occupancy masks, flit counter and active-set membership. All flit
+// arrivals (links and NIs) go through here; the caller has set
+// f.enteredRouter and checked the buffer has room.
+func (r *Router) accept(slot int, f *Flit) {
+	vb := &r.vcs[slot]
+	if vb.n == 0 {
+		// Empty → non-empty: a buffer that drained mid-packet keeps its
+		// allocation and goes straight back to switch allocation.
+		if vb.outPort == noAlloc {
+			r.needVA |= 1 << uint(slot)
+		} else {
+			r.ready |= 1 << uint(slot)
+		}
+	}
+	vb.push(f)
 	r.inFlits++
 	r.markActive()
 }
@@ -155,33 +251,11 @@ func (r *Router) accept(vb *vcBuf, f *Flit) {
 // Pos returns the router's tile coordinate.
 func (r *Router) Pos() geom.Point { return r.pos }
 
-// newInputPort builds an input port with the network's VC configuration.
-func (n *Network) newInputPort() *inputPort {
-	p := &inputPort{upPort: noAlloc}
-	for v := 0; v < n.Cfg.VCsPerPort; v++ {
-		p.vcs = append(p.vcs, &vcBuf{
-			cap:     n.Cfg.VCDepthFlits,
-			outPort: noAlloc,
-			outVC:   noAlloc,
-		})
-	}
-	return p
-}
-
-func (n *Network) newOutputPort() *outputPort {
-	p := &outputPort{}
-	for v := 0; v < n.Cfg.VCsPerPort; v++ {
-		p.credits = append(p.credits, n.Cfg.VCDepthFlits)
-		p.owner = append(p.owner, noAlloc)
-	}
-	return p
-}
-
 // vcOrderByCredit lists the output port's VCs most-free first, for adaptive
-// VC selection on single-class networks. The returned slice is the router's
-// scratch buffer, valid until the next call.
-func (r *Router) vcOrderByCredit(op *outputPort) []int {
-	vcs := r.vcOrdBuf[:0]
+// VC selection on single-class networks. The returned slice is scratch,
+// valid until the next call.
+func vcOrderByCredit(op *outputPort, sc *allocScratch) []int {
+	vcs := sc.vcOrd[:0]
 	for i := range op.credits {
 		vcs = append(vcs, i)
 	}
@@ -190,7 +264,6 @@ func (r *Router) vcOrderByCredit(op *outputPort) []int {
 			vcs[j], vcs[j-1] = vcs[j-1], vcs[j]
 		}
 	}
-	r.vcOrdBuf = vcs
 	return vcs
 }
 
@@ -224,33 +297,32 @@ func (n *Network) initClassVCs() {
 	}
 }
 
-// routeCandidates lists candidate (output port, downstream VC) pairs in
-// preference order for the head packet of input VC (ip, vc).
+// routeCand is one candidate (output port, downstream VC) pair for the head
+// packet of an input VC.
 type routeCand struct {
 	port int
 	vc   int
 }
 
-// routeCandidates fills the router's candidate scratch buffer; the returned
-// slice is valid until the next call on the same router.
-func (r *Router) routeCandidates(f *Flit) []routeCand {
+// routeCandidates lists the head packet's candidates in preference order
+// into the scratch buffer; the returned slice is valid until the next call
+// with the same scratch.
+func (r *Router) routeCandidates(f *Flit, sc *allocScratch) []routeCand {
 	n := r.net
-	cands := r.candBuf[:0]
+	cands := sc.cands[:0]
 	dst := geom.FromID(f.Pkt.Dst, n.Cfg.Width)
 	if dst == r.pos {
 		// Ejection. MultiPort CB routers may have several ejection ports.
-		for pi, op := range r.out {
-			if op.eject {
+		for pi := range r.out {
+			if r.out[pi].eject {
 				cands = append(cands, routeCand{port: pi, vc: 0})
 			}
 		}
-		r.candBuf = cands
 		return cands
 	}
 
 	cls := ClassOf(f.Pkt.Type)
-	dirs := geom.AppendDirTowards(r.dirBuf[:0], r.pos, dst)
-	r.dirBuf = dirs
+	dirs := geom.AppendDirTowards(sc.dirs[:0], r.pos, dst)
 	xyDir := dirs[0] // X first: DirTowards emits the X direction first
 
 	switch n.Cfg.Routing {
@@ -281,8 +353,8 @@ func (r *Router) routeCandidates(f *Flit) []routeCand {
 				continue
 			}
 			total := 0
-			for v := 0; v < n.Cfg.VCsPerPort; v++ {
-				total += r.out[op].credits[v]
+			for _, c := range r.out[op].credits {
+				total += c
 			}
 			adaptive[na] = scored{op, total}
 			na++
@@ -294,46 +366,53 @@ func (r *Router) routeCandidates(f *Flit) []routeCand {
 			}
 		}
 		for _, s := range adaptive[:na] {
-			for _, vc := range r.vcOrderByCredit(r.out[s.port]) {
+			for _, vc := range vcOrderByCredit(&r.out[s.port], sc) {
 				cands = append(cands, routeCand{port: s.port, vc: vc})
 			}
 		}
 	}
-	r.candBuf = cands
 	return cands
 }
 
 // westOnly is the fixed direction list for the west-first turn restriction.
 var westOnly = []geom.Direction{geom.West}
 
-// vcAllocate performs VC allocation for head flits without an output.
+// vcAllocate performs VC allocation for head flits without an output,
+// visiting only the set bits of needVA.
 //
-// The input-port round-robin offset is derived from the cycle counter
-// instead of stored state: the legacy implementation incremented a pointer
-// once per cycle on every router, which made even a fully idle router's
-// vcAllocate call stateful. Deriving it keeps idle routers skippable by the
-// active-set scheduler while producing bit-identical arbitration.
+// Arbitration order is the scan order it replaces: input ports round-robin
+// from an offset, VCs ascending within a port. Slots are port-major, so that
+// is ascending slot order rotated to start at slot offset*VCsPerPort — the
+// mask is split there and each half walked low bit first. The offset is
+// derived from the cycle counter, not stored per router, so idle routers stay
+// skippable by the active-set scheduler.
 func (r *Router) vcAllocate(now int64, sh *shardState) {
-	nin := len(r.in)
-	rrInPort := int(now % int64(nin))
-	for k := 0; k < nin; k++ {
-		ipIx := (rrInPort + k) % nin
-		ip := r.in[ipIx]
-		for vcIx, vb := range ip.vcs {
-			if vb.outPort != noAlloc || vb.empty() {
-				continue
-			}
-			head := vb.q[0]
+	m := r.needVA
+	if m == 0 {
+		return
+	}
+	n := r.net
+	sc := &n.scratch
+	if sh != nil {
+		sc = &sh.scratch
+	}
+	below := uint64(1)<<uint(int(now%int64(len(r.in)))*n.nvc) - 1
+	for _, half := range [2]uint64{m &^ below, m & below} {
+		for ; half != 0; half &= half - 1 {
+			slot := bits.TrailingZeros64(half)
+			vb := &r.vcs[slot]
+			head := vb.q[vb.head]
 			if !head.IsHead {
 				continue // mid-packet without allocation cannot happen, but be safe
 			}
-			for _, c := range r.routeCandidates(head) {
+			cls := ClassOf(head.Pkt.Type)
+			for _, c := range r.routeCandidates(head, sc) {
 				if c.port == noAlloc {
 					continue
 				}
-				op := r.out[c.port]
+				op := &r.out[c.port]
 				if op.eject {
-					vb.outPort, vb.outVC = c.port, 0
+					vb.outPort, vb.outVC, vb.credit = int32(c.port), 0, noAlloc
 					break
 				}
 				if op.owner[c.vc] != noAlloc {
@@ -345,197 +424,216 @@ func (r *Router) vcAllocate(now int64, sh *shardState) {
 				// request (or vice versa), or the M2F2M protocol loop —
 				// requests waiting on the CB, the CB waiting on reply
 				// injection, replies waiting behind requests — deadlocks.
-				if r.net.Cfg.VCPolicy == VCMonopolize &&
-					c.vc != int(ClassOf(head.Pkt.Type)) &&
-					op.credits[c.vc] < r.net.Cfg.VCDepthFlits {
+				if n.Cfg.VCPolicy == VCMonopolize &&
+					c.vc != int(cls) &&
+					op.credits[c.vc] < n.Cfg.VCDepthFlits {
 					continue
 				}
 				// Deadlock freedom: both routing modes (XY and west-first
 				// adaptive) have acyclic channel dependence graphs, so
 				// owner-free acquisition with ordinary wormhole flow control
 				// suffices.
-				op.owner[c.vc] = r.net.allocKey(ipIx, vcIx)
-				vb.outPort, vb.outVC = c.port, c.vc
+				op.owner[c.vc] = slot
+				vb.outPort, vb.outVC, vb.credit = int32(c.port), int32(c.vc), int32(op.creditBase+c.vc)
 				break
 			}
-			if r.net.flight != nil && vb.outPort != noAlloc {
-				r.net.flightRecordSh(sh, now, head.Pkt, flight.VCAlloc, r.id, int32(vb.outPort), int32(vb.outVC))
+			if vb.outPort == noAlloc {
+				continue
+			}
+			vb.class = cls
+			bit := uint64(1) << uint(slot)
+			r.needVA &^= bit
+			r.ready |= bit
+			if n.flight != nil {
+				n.flightRecordSh(sh, now, head.Pkt, flight.VCAlloc, r.id, vb.outPort, vb.outVC)
 			}
 		}
 	}
 }
 
-// allocKey packs an (input port, VC) pair into a unique owner token. The
-// stride is the network's actual per-port VC count (set at construction), so
-// the packing cannot silently collide for any validated configuration.
-func (n *Network) allocKey(inPort, vc int) int { return inPort*n.allocStride + vc }
+// slot packs an (input port, VC) pair into the router-local index of the VC
+// buffer: the bit position in the occupancy masks, the index into Router.vcs
+// and the owner token held by a downstream VC. Config.Validate bounds it
+// below 64.
+func (n *Network) slot(inPort, vc int) int { return inPort*n.nvc + vc }
 
 // saReq is one input port's switch-allocation nomination.
 type saReq struct {
-	ip   *inputPort
-	ipIx int
-	vb   *vcBuf
-	vcIx int
+	vb     *vcBuf
+	slot   int
+	ipIx   int
+	credit int // Network.creditSlab index to return a credit to, or noAlloc
 }
 
-// switchAllocate runs separable input-first switch allocation and traverses
-// the granted flits. Returns the number of flits moved. All working state
-// lives in per-router scratch buffers; the steady state allocates nothing.
-// With sh non-nil the call runs on a shard worker: upstream credit returns,
-// flight events, stats, and ejection side effects stage into the shard for
-// the phase barrier (everything else the phase touches is router-local).
+// switchAllocate runs separable input-first switch allocation over the
+// ready mask and traverses the granted flits. Returns the number of flits
+// moved. The steady state allocates nothing. With sh non-nil the call runs
+// on a shard worker: upstream credit returns, flight events, stats, and
+// ejection side effects stage into the shard for the phase barrier
+// (everything else the phase touches is router-local).
 func (r *Router) switchAllocate(now int64, sh *shardState) int {
 	n := r.net
-	// Input stage: each input port nominates one VC.
-	reqs := r.saReqs[:0]
-	for i, ip := range r.in {
-		nvc := len(ip.vcs)
-		for k := 0; k < nvc; k++ {
-			vi := (ip.rrVC + k) % nvc
-			vb := ip.vcs[vi]
-			if vb.empty() || vb.outPort == noAlloc {
-				continue
+	sc, st, credits := &n.scratch, &n.Stats, &n.credits
+	if sh != nil {
+		sc, st, credits = &sh.scratch, &sh.stats, &sh.credits
+	}
+	nvc := n.nvc
+	vcMask := uint64(1)<<uint(nvc) - 1
+	nin := len(r.in)
+
+	// Input stage: each input port with a ready VC nominates one, round-robin
+	// from its rrVC pointer. Ports come up in ascending order because slots
+	// are port-major.
+	reqs := sc.reqs[:0]
+	var granted uint64 // output ports holding a grant
+	for m := r.ready; m != 0; {
+		ipIx := int(n.slotPort[bits.TrailingZeros64(m)])
+		base := ipIx * nvc
+		pm := m >> uint(base) & vcMask
+		m &^= vcMask << uint(base)
+		ip := &r.in[ipIx]
+		// Rotate the port's ready bits so bit k is VC (rrVC+k) mod nvc.
+		rr := ip.rrVC
+		for rot := (pm>>uint(rr) | pm<<uint(nvc-rr)) & vcMask; rot != 0; rot &= rot - 1 {
+			vi := rr + bits.TrailingZeros64(rot)
+			if vi >= nvc {
+				vi -= nvc
 			}
-			f := vb.q[0]
-			if f.enteredRouter >= now {
+			vb := &r.vcs[base+vi]
+			if vb.headEntered >= now {
 				continue // one-cycle router pipeline
 			}
-			op := r.out[vb.outPort]
-			if op.eject {
-				if !n.ejectReady(r.node, ClassOf(f.Pkt.Type)) {
+			if vb.credit == noAlloc {
+				if !n.ejectReady(r.node, vb.class) {
 					continue
 				}
-			} else if op.credits[vb.outVC] <= 0 {
+			} else if n.creditSlab[vb.credit] <= 0 {
 				continue
 			}
-			reqs = append(reqs, saReq{ip, i, vb, vi})
-			ip.rrVC = (vi + 1) % nvc
+			op := &r.out[vb.outPort]
+			// Output stage, folded into the same walk: each output port
+			// grants the requester nearest its round-robin pointer. The
+			// pointers only move in the traversal below, so bucketing
+			// nominations as they appear picks the same winner as scanning
+			// all of them per port. Input-first allocation nominates at most
+			// one VC per input port, so a per-output grant cannot
+			// double-grant an input.
+			score := ipIx - op.rrIn
+			if score < 0 {
+				score += nin
+			}
+			if op.grant == noAlloc {
+				granted |= 1 << uint(vb.outPort)
+				op.grant, op.score = len(reqs), score
+			} else if score < op.score {
+				op.grant, op.score = len(reqs), score
+			}
+			credit := noAlloc
+			if ip.upCredit != noAlloc {
+				credit = ip.upCredit + vi
+			}
+			reqs = append(reqs, saReq{vb: vb, slot: base + vi, ipIx: ipIx, credit: credit})
+			if vi++; vi == nvc {
+				vi = 0
+			}
+			ip.rrVC = vi
 			break
 		}
 	}
-	r.saReqs = reqs
-	// Output stage: one grant per output port, round-robin over inputs.
-	grant := r.grant
-	if len(grant) != len(r.out) {
-		// Ports were added after construction (tests wiring topologies by
-		// hand); resize once and reuse thereafter.
-		grant = make([]int32, len(r.out))
-		r.grant = grant
-	}
-	for pi := range grant {
-		grant[pi] = noAlloc
-	}
-	for pi := range r.out {
-		op := r.out[pi]
-		// Round-robin among the input ports requesting this output; scanning
-		// the nomination list in order matches the old want-list selection.
-		best, bestScore := noAlloc, 0
-		for qi := range reqs {
-			if reqs[qi].vb.outPort != pi {
-				continue
-			}
-			s := ((reqs[qi].ipIx - op.rrIn) + len(r.in)) % len(r.in)
-			if best == noAlloc || s < bestScore {
-				best, bestScore = qi, s
-			}
+
+	// Switch traversal (ascending output port, for determinism).
+	moved, ejected := 0, 0
+	for ; granted != 0; granted &= granted - 1 {
+		pi := bits.TrailingZeros64(granted)
+		op := &r.out[pi]
+		q := &reqs[op.grant]
+		op.grant = noAlloc
+		if op.rrIn = q.ipIx + 1; op.rrIn == nin {
+			op.rrIn = 0
 		}
-		if best == noAlloc {
-			continue
-		}
-		// Input-first allocation nominates at most one VC per input port, so
-		// granting per-output cannot double-grant an input.
-		grant[pi] = int32(best)
-		op.rrIn = (reqs[best].ipIx + 1) % len(r.in)
-	}
-	// Switch traversal (fixed port order for determinism).
-	moved := 0
-	for pi := range r.out {
-		if grant[pi] == noAlloc {
-			continue
-		}
-		q := &reqs[grant[pi]]
-		op := r.out[pi]
-		f := q.vb.pop()
+		vb := q.vb
+		outVC := vb.outVC
+		r.occupancyCycles += now - vb.headEntered
+		f := vb.pop()
 		if n.flight != nil && f.IsHead {
-			n.flightRecordSh(sh, now, f.Pkt, flight.SAGrant, r.id, int32(pi), int32(q.vb.outVC))
+			n.flightRecordSh(sh, now, f.Pkt, flight.SAGrant, r.id, int32(pi), outVC)
 		}
-		r.inFlits--
 		moved++
-		r.occupancyCycles += now - f.enteredRouter
-		r.flitsThrough++
 		// Return a credit upstream — deferred to the end of phase 4 (both
 		// paths), so no router can observe a credit freed earlier in the same
-		// phase. NI credit sinks are no-ops and stay inline.
-		st := &n.Stats
-		if sh != nil {
-			st = &sh.stats
+		// phase. NI-fed ports take no credits.
+		if q.credit != noAlloc {
+			*credits = append(*credits, int32(q.credit))
 		}
-		if q.ip.upRouter != nil {
-			up := q.ip.upRouter.out[q.ip.upPort]
-			if sh != nil {
-				sh.credits = append(sh.credits, stagedCredit{op: up, vc: int32(q.vcIx)})
-			} else {
-				n.credits = append(n.credits, stagedCredit{op: up, vc: int32(q.vcIx)})
-			}
-		} else if q.ip.upNI != nil {
-			q.ip.upNI.credit(q.vcIx)
-		}
-		st.FlitHops++
 		tail := f.IsTail
 		if op.eject {
-			st.EjectFlits++
+			ejected++
 			n.ejectFlit(r.node, f, now, sh) // recycles f; do not touch it after
 		} else {
-			st.LinkFlits++
-			op.credits[q.vb.outVC]--
-			op.link.inFlight = append(op.link.inFlight, flitInFlight{
-				f:   f,
-				vc:  q.vb.outVC,
-				due: now + op.link.latency,
-			})
-			r.linkFlits++
+			op.credits[outVC]--
+			lnk := op.link
+			i := lnk.head + lnk.n
+			if i >= len(lnk.q) {
+				i -= len(lnk.q)
+			}
+			lnk.q[i] = flitInFlight{f: f, vc: int(outVC), due: now + lnk.latency}
+			lnk.n++
+			r.linkBusy |= 1 << uint(pi)
 		}
+		// Mask maintenance: the tail releases the allocation (the next
+		// packet's head, if already buffered, now needs VA); a buffer that
+		// drains mid-packet keeps its allocation but leaves the ready set
+		// until accept refills it.
+		bit := uint64(1) << uint(q.slot)
 		if tail {
 			if !op.eject {
-				op.owner[q.vb.outVC] = noAlloc
+				op.owner[outVC] = noAlloc
 			}
-			q.vb.outPort, q.vb.outVC = noAlloc, noAlloc
+			vb.outPort, vb.outVC = noAlloc, noAlloc
+			r.ready &^= bit
+			if vb.n > 0 {
+				r.needVA |= bit
+			}
+		} else if vb.n == 0 {
+			r.ready &^= bit
 		}
 	}
+	r.inFlits -= moved
+	r.flitsThrough += int64(moved)
+	st.FlitHops += int64(moved)
+	st.EjectFlits += int64(ejected)
+	st.LinkFlits += int64(moved - ejected)
 	return moved
 }
 
-// deliverArrivals moves due in-flight flits into downstream input buffers.
-// On a shard worker (sh non-nil), deliveries whose target router lies
-// outside the shard are staged and applied at the barrier; each input VC has
-// a single upstream link, so per-buffer FIFO order survives the detour.
+// deliverArrivals moves due in-flight flits into downstream input buffers,
+// visiting only the output ports in linkBusy. On a shard worker (sh
+// non-nil), deliveries whose target router lies outside the shard are staged
+// and applied at the barrier; each input VC has a single upstream link, so
+// per-buffer FIFO order survives the detour.
 func (r *Router) deliverArrivals(now int64, sh *shardState) {
-	for _, op := range r.out {
-		if op.link == nil || len(op.link.inFlight) == 0 {
-			continue
-		}
-		lnk := op.link
-		w := 0
-		for _, ff := range lnk.inFlight {
-			if ff.due <= now {
-				ff.f.enteredRouter = now
-				if r.net.flight != nil && ff.f.IsHead {
-					r.net.flightRecordSh(sh, now, ff.f.Pkt, flight.LinkTraverse, lnk.to.id, int32(lnk.toPort), int32(ff.vc))
-				}
-				if sh != nil && (int32(lnk.to.id) < sh.lo || int32(lnk.to.id) >= sh.hi) {
-					sh.arrivals = append(sh.arrivals, stagedArrival{
-						to: lnk.to, port: int32(lnk.toPort), vc: int32(ff.vc), f: ff.f,
-					})
-				} else {
-					lnk.to.accept(lnk.to.in[lnk.toPort].vcs[ff.vc], ff.f)
-				}
-				r.linkFlits--
+	for m := r.linkBusy; m != 0; m &= m - 1 {
+		pi := bits.TrailingZeros64(m)
+		lnk := r.out[pi].link
+		for lnk.n > 0 && lnk.q[lnk.head].due <= now {
+			ff := lnk.q[lnk.head]
+			if lnk.head++; lnk.head == len(lnk.q) {
+				lnk.head = 0
+			}
+			lnk.n--
+			ff.f.enteredRouter = now
+			if r.net.flight != nil && ff.f.IsHead {
+				r.net.flightRecordSh(sh, now, ff.f.Pkt, flight.LinkTraverse, lnk.to.id, int32(lnk.toPort), int32(ff.vc))
+			}
+			if sh != nil && (int32(lnk.to.id) < sh.lo || int32(lnk.to.id) >= sh.hi) {
+				sh.arrivals = append(sh.arrivals, stagedArrival{to: lnk.to, slot: int32(lnk.toSlot + ff.vc), f: ff.f})
 			} else {
-				lnk.inFlight[w] = ff
-				w++
+				lnk.to.accept(lnk.toSlot+ff.vc, ff.f)
 			}
 		}
-		lnk.inFlight = lnk.inFlight[:w]
+		if lnk.n == 0 {
+			r.linkBusy &^= 1 << uint(pi)
+		}
 	}
 }
 

@@ -95,7 +95,7 @@ func TestWestFirstTurnLegality(t *testing.T) {
 	dst := geom.Pt(1, 2).ID(8)
 	r := n.Routers[src]
 	f := &Flit{Pkt: &Packet{Type: ReadReply, Src: src, Dst: dst}, IsHead: true}
-	cands := r.routeCandidates(f)
+	cands := r.routeCandidates(f, &n.scratch)
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -108,7 +108,7 @@ func TestWestFirstTurnLegality(t *testing.T) {
 	r2 := n.Routers[dst]
 	f2 := &Flit{Pkt: &Packet{Type: ReadReply, Src: dst, Dst: src}, IsHead: true}
 	seen := map[int]bool{}
-	for _, c := range r2.routeCandidates(f2) {
+	for _, c := range r2.routeCandidates(f2, &n.scratch) {
 		seen[c.port] = true
 	}
 	if !seen[int(geom.East)] || !seen[int(geom.South)] {
@@ -159,8 +159,8 @@ func TestVCClassSeparation(t *testing.T) {
 	check := func() {
 		for _, r := range n.Routers {
 			for _, ip := range r.in {
-				for vc, vb := range ip.vcs {
-					for _, f := range vb.q {
+				for vc := range ip.vcs {
+					for _, f := range ip.vcs[vc].flits() {
 						if int(ClassOf(f.Pkt.Type)) != vc {
 							t.Fatalf("class %v flit in VC %d", ClassOf(f.Pkt.Type), vc)
 						}
@@ -209,9 +209,8 @@ func TestMonopolizeOnlyIntoEmptyVC(t *testing.T) {
 		// preceded by flits of the same packet.
 		for _, r := range n.Routers {
 			for _, ip := range r.in {
-				vb := ip.vcs[int(Request)]
 				var firstPkt *Packet
-				for _, f := range vb.q {
+				for _, f := range ip.vcs[int(Request)].flits() {
 					if firstPkt == nil {
 						firstPkt = f.Pkt
 					}
@@ -241,7 +240,7 @@ func TestRequestsNeverBorrowReplyVC(t *testing.T) {
 		n.Step()
 		for _, r := range n.Routers {
 			for _, ip := range r.in {
-				for _, f := range ip.vcs[int(Reply)].q {
+				for _, f := range ip.vcs[int(Reply)].flits() {
 					if ClassOf(f.Pkt.Type) == Request {
 						t.Fatal("request flit in the reply VC")
 					}
@@ -273,9 +272,9 @@ func TestFlitOrderingWithinPacket(t *testing.T) {
 		// increasing order within each VC FIFO.
 		for _, r := range n.Routers {
 			for _, ip := range r.in {
-				for _, vb := range ip.vcs {
+				for vc := range ip.vcs {
 					last := map[*Packet]int{}
-					for _, f := range vb.q {
+					for _, f := range ip.vcs[vc].flits() {
 						if prev, ok := last[f.Pkt]; ok && f.Index != prev+1 {
 							t.Fatalf("flit order broken: %d after %d", f.Index, prev)
 						}
@@ -318,8 +317,8 @@ func TestEIRInputPortOwnership(t *testing.T) {
 		if len(eir.in) != 6 {
 			t.Fatalf("EIR router has %d input ports", len(eir.in))
 		}
-		for _, vb := range eir.in[5].vcs {
-			for _, f := range vb.q {
+		for vc := range eir.in[5].vcs {
+			for _, f := range eir.in[5].vcs[vc].flits() {
 				if f.Pkt.Src != cb.ID(8) {
 					t.Fatalf("foreign packet (src %d) on CB %v's EIR port", f.Pkt.Src, cb)
 				}
@@ -384,4 +383,14 @@ func TestAdaptiveSpreadsLoad(t *testing.T) {
 	if ratio < 0.25 || ratio > 4 {
 		t.Errorf("adaptive load split very skewed: east=%d south=%d", east, south)
 	}
+}
+
+// flits returns the buffered flits oldest first (test helper: the ring has
+// no contiguous view).
+func (b *vcBuf) flits() []*Flit {
+	fl := make([]*Flit, b.n)
+	for i := range fl {
+		fl[i] = b.at(i)
+	}
+	return fl
 }

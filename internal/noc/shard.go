@@ -40,9 +40,10 @@ type shardState struct {
 	// active-list merge (phase 1 and phases 3/4 see different lists).
 	alo, ahi int
 
+	scratch   allocScratch    // this worker's allocator working memory
 	newly     []int32         // routers this shard activated (drained by mergeActive)
 	arrivals  []stagedArrival // phase-1 deliveries landing outside [lo, hi)
-	credits   []stagedCredit  // phase-4 upstream credit returns
+	credits   []int32         // phase-4 upstream credit returns (creditSlab indices)
 	frees     []*Flit         // ejected flits to recycle into the network pool
 	fops      []stagedFlightOp
 	delivers  []*Packet // staged OnDeliver callbacks
@@ -56,16 +57,8 @@ type shardState struct {
 // for one buffer always come from one shard and per-link FIFO order holds.
 type stagedArrival struct {
 	to   *Router
-	port int32
-	vc   int32
+	slot int32 // input slot at the target router
 	f    *Flit
-}
-
-// stagedCredit is a deferred phase-4 credit return. NI credit sinks are
-// no-ops in every NI implementation, so only router-side credits stage.
-type stagedCredit struct {
-	op *outputPort
-	vc int32
 }
 
 // stagedFlightOp is a flight-recorder operation held until the phase
@@ -145,6 +138,9 @@ func (n *Network) initShards() {
 			lo: int32(rowLo * n.Cfg.Width),
 			hi: int32((rowLo + rows) * n.Cfg.Width),
 		}
+		for _, r := range n.Routers[sh.lo:sh.hi] {
+			sh.scratch.fit(len(r.in), len(r.out), n.nvc)
+		}
 		for id := sh.lo; id < sh.hi; id++ {
 			n.shardOf[id] = int32(s)
 		}
@@ -187,21 +183,21 @@ func (n *Network) runShardPhase(k int) {
 	case phaseLink:
 		for _, id := range n.active[sh.alo:sh.ahi] {
 			r := n.Routers[id]
-			if r.linkFlits > 0 {
+			if r.linkBusy != 0 {
 				r.deliverArrivals(now, sh)
 			}
 		}
 	case phaseVC:
 		for _, id := range n.active[sh.alo:sh.ahi] {
 			r := n.Routers[id]
-			if r.inFlits > 0 {
+			if r.needVA != 0 {
 				r.vcAllocate(now, sh)
 			}
 		}
 	default: // phaseSA
 		for _, id := range n.active[sh.alo:sh.ahi] {
 			r := n.Routers[id]
-			if r.inFlits > 0 {
+			if r.ready != 0 {
 				sh.moved += r.switchAllocate(now, sh)
 			}
 		}
@@ -252,9 +248,9 @@ func (n *Network) flushFlightOps(sh *shardState) {
 
 // applyCredits performs deferred credit returns; increments commute, so the
 // apply order within the batch is irrelevant.
-func applyCredits(creds []stagedCredit) {
-	for _, c := range creds {
-		c.op.credits[c.vc]++
+func (n *Network) applyCredits(creds []int32) {
+	for _, ix := range creds {
+		n.creditSlab[ix]++
 	}
 }
 
@@ -285,14 +281,14 @@ func (n *Network) stepSharded() {
 		for _, sh := range n.shards {
 			n.flushFlightOps(sh)
 			for _, a := range sh.arrivals {
-				a.to.accept(a.to.in[a.port].vcs[a.vc], a.f)
+				a.to.accept(int(a.slot), a.f)
 			}
 			sh.arrivals = sh.arrivals[:0]
 		}
 	} else {
 		for _, id := range n.active {
 			r := n.Routers[id]
-			if r.linkFlits > 0 {
+			if r.linkBusy != 0 {
 				r.deliverArrivals(now, nil)
 			}
 		}
@@ -318,7 +314,7 @@ func (n *Network) stepSharded() {
 				n.OnDeliver(p)
 			}
 			sh.delivers = sh.delivers[:0]
-			applyCredits(sh.credits)
+			n.applyCredits(sh.credits)
 			sh.credits = sh.credits[:0]
 			n.flitPool = append(n.flitPool, sh.frees...)
 			sh.frees = sh.frees[:0]
@@ -331,20 +327,20 @@ func (n *Network) stepSharded() {
 	} else {
 		for _, id := range n.active {
 			r := n.Routers[id]
-			if r.inFlits > 0 {
+			if r.needVA != 0 {
 				r.vcAllocate(now, nil)
 			}
 		}
 		for _, id := range n.active {
 			r := n.Routers[id]
-			if r.inFlits > 0 {
+			if r.ready != 0 {
 				moved += r.switchAllocate(now, nil)
 			}
 		}
 	}
 	// Deferred credit returns from the inline path (the parallel path applied
 	// its per-shard batches above); same end-of-phase-4 visibility either way.
-	applyCredits(n.credits)
+	n.applyCredits(n.credits)
 	n.credits = n.credits[:0]
 	if moved > 0 {
 		n.lastProgress = now

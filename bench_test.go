@@ -96,6 +96,7 @@ func BenchmarkFig5NQueenScoring(b *testing.B) {
 // BenchmarkFig7MCTSDesign runs the full §4 design flow with MCTS (E4) and
 // reports the crossing count (paper: 0) and link count (paper: 24).
 func BenchmarkFig7MCTSDesign(b *testing.B) {
+	b.ReportAllocs()
 	var rep core.Report
 	for i := 0; i < b.N; i++ {
 		cfg := core.DefaultDesignConfig()

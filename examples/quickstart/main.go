@@ -16,7 +16,7 @@ func main() {
 
 	// 1. Run the design flow: N-Queen CB placement + MCTS EIR selection.
 	dcfg := equinox.DefaultDesignConfig()
-	dcfg.MCTS.IterationsPerLevel = 300 // seconds-scale search
+	dcfg.MCTS.IterationsPerLevel = 300 // the default is 400; either takes milliseconds
 	design, err := equinox.Design(dcfg)
 	if err != nil {
 		log.Fatal(err)

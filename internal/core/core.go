@@ -204,16 +204,17 @@ func PlanFor(groups map[geom.Point][]geom.Point) *interposer.Plan {
 // also snapped outward when possible — the evaluation already makes them
 // rare.
 func refineTwoHop(prob mcts.Problem, a mcts.Assignment) mcts.Assignment {
-	taken := map[geom.Point]bool{}
-	isCB := map[geom.Point]bool{}
+	w := prob.Width
+	taken, isCB := geom.NewTileSet(w*prob.Height), geom.NewTileSet(w*prob.Height)
 	for _, cb := range prob.CBs {
-		isCB[cb] = true
+		isCB.Add(cb.ID(w))
 	}
 	for _, g := range a {
 		for _, e := range g {
-			taken[e] = true
+			taken.Add(e.ID(w))
 		}
 	}
+	var dirBuf [2]geom.Direction
 	for i, cb := range prob.CBs {
 		if i >= len(a) {
 			break
@@ -225,14 +226,14 @@ func refineTwoHop(prob mcts.Problem, a mcts.Assignment) mcts.Assignment {
 				kept = append(kept, e)
 				continue
 			}
-			dirs := geom.DirTowards(cb, e)
+			dirs := geom.AppendDirTowards(dirBuf[:0], cb, e)
 			if len(dirs) != 1 {
 				continue // malformed (off-axis); drop
 			}
 			cand := cb.Add(geom.Pt(dirs[0].Delta().X*2, dirs[0].Delta().Y*2))
-			if cand.In(prob.Width, prob.Height) && !isCB[cand] && !taken[cand] {
-				delete(taken, e)
-				taken[cand] = true
+			if cand.In(w, prob.Height) && !isCB.Has(cand.ID(w)) && !taken.Has(cand.ID(w)) {
+				taken.Remove(e.ID(w))
+				taken.Add(cand.ID(w))
 				kept = append(kept, cand)
 				continue
 			}
@@ -240,7 +241,7 @@ func refineTwoHop(prob mcts.Problem, a mcts.Assignment) mcts.Assignment {
 				kept = append(kept, e) // short links are physically fine
 				continue
 			}
-			delete(taken, e) // over-length and un-snappable: drop the link
+			taken.Remove(e.ID(w)) // over-length and un-snappable: drop the link
 		}
 		a[i] = kept
 	}

@@ -200,3 +200,28 @@ func TestDefaultWeightsUsedWhenZero(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestZeroBudgetKeepsSeed: with IterationsPerLevel left zero, both seeded
+// strategies run the default budget with the configured seed, not the
+// default seed.
+func TestZeroBudgetKeepsSeed(t *testing.T) {
+	for _, strategy := range []SearchStrategy{SearchMCTS, SearchRandom} {
+		cfg := DefaultDesignConfig()
+		cfg.Search = strategy
+		cfg.MCTS = mcts.Options{Seed: 7}
+		got, err := BuildDesign(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.MCTS = mcts.DefaultOptions()
+		cfg.MCTS.Seed = 7
+		want, err := BuildDesign(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.SearchIters != want.SearchIters || got.Eval != want.Eval || got.String() != want.String() {
+			t.Errorf("%v: a zero budget with seed 7 differs from the default budget with seed 7:\n%s(%+v)\nvs\n%s(%+v)",
+				strategy, got, got.Eval, want, want.Eval)
+		}
+	}
+}

@@ -8,7 +8,10 @@
 // node ID y*W + x.
 package geom
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Point is a tile coordinate on the mesh grid.
 type Point struct {
@@ -35,6 +38,30 @@ func (p Point) ID(w int) int { return p.Y*w + p.X }
 
 // FromID returns the Point for a node ID on a grid of width w.
 func FromID(id, w int) Point { return Point{X: id % w, Y: id / w} }
+
+// TileSet is a set of tiles of one mesh: a bitset over node IDs.
+type TileSet []uint64
+
+// NewTileSet returns an empty set for a mesh of the given tile count.
+func NewTileSet(tiles int) TileSet { return make(TileSet, (tiles+63)/64) }
+
+// Has reports whether the tile with node ID id is in the set.
+func (s TileSet) Has(id int) bool { return s[id>>6]>>(uint(id)&63)&1 != 0 }
+
+// Add puts the tile with node ID id into the set.
+func (s TileSet) Add(id int) { s[id>>6] |= 1 << (uint(id) & 63) }
+
+// Remove takes the tile with node ID id out of the set.
+func (s TileSet) Remove(id int) { s[id>>6] &^= 1 << (uint(id) & 63) }
+
+// Len returns the number of tiles in the set.
+func (s TileSet) Len() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // Manhattan returns the Manhattan (L1) distance between p and q.
 func Manhattan(p, q Point) int { return abs(p.X-q.X) + abs(p.Y-q.Y) }

@@ -285,3 +285,32 @@ func TestSegmentLengths(t *testing.T) {
 		t.Errorf("String = %q", s.String())
 	}
 }
+
+func TestTileSet(t *testing.T) {
+	s := NewTileSet(130) // three words
+	if len(s) != 3 || s.Len() != 0 {
+		t.Fatalf("NewTileSet(130): %d words, %d tiles", len(s), s.Len())
+	}
+	ids := []int{0, 63, 64, 129}
+	for _, id := range ids {
+		s.Add(id)
+		s.Add(id) // idempotent
+	}
+	for id := 0; id < 130; id++ {
+		want := id == 0 || id == 63 || id == 64 || id == 129
+		if s.Has(id) != want {
+			t.Errorf("Has(%d) = %v, want %v", id, s.Has(id), want)
+		}
+	}
+	if s.Len() != len(ids) {
+		t.Errorf("Len = %d, want %d", s.Len(), len(ids))
+	}
+	s.Remove(63)
+	s.Remove(5) // absent: no effect
+	if s.Has(63) || s.Len() != 3 {
+		t.Errorf("after Remove(63): Has = %v, Len = %d", s.Has(63), s.Len())
+	}
+	if len(NewTileSet(64)) != 1 || len(NewTileSet(65)) != 2 || len(NewTileSet(0)) != 0 {
+		t.Error("NewTileSet word count is not ceil(tiles/64)")
+	}
+}

@@ -26,10 +26,7 @@ func SimulatedAnnealing(p Problem, evaluations int, seed int64) (Result, error) 
 	}
 	rng := rand.New(rand.NewSource(seed))
 	n := p.Width * p.Height
-	isCB := map[int]bool{}
-	for _, cb := range p.CBs {
-		isCB[cb.ID(p.Width)] = true
-	}
+	isCB := p.cbTiles(nil)
 
 	// Start from a random valid-ish bit vector: mark a few tiles near CBs.
 	bits := make([]bool, n)
@@ -38,32 +35,27 @@ func SimulatedAnnealing(p Problem, evaluations int, seed int64) (Result, error) 
 			d := geom.Direction(1 + rng.Intn(4))
 			dist := 1 + rng.Intn(p.HopLimit)
 			e := cb.Add(geom.Pt(d.Delta().X*dist, d.Delta().Y*dist))
-			if e.In(p.Width, p.Height) && !isCB[e.ID(p.Width)] {
+			if e.In(p.Width, p.Height) && !isCB.Has(e.ID(p.Width)) {
 				bits[e.ID(p.Width)] = true
 			}
 		}
 	}
 
+	dirTaken := make([][geom.NumDirections]bool, len(p.CBs))
 	decode := func(bs []bool) Assignment {
 		// Repair: each set bit becomes an EIR of the nearest CB whose axis
 		// it lies on (first match wins); bits that fit no CB are invalid and
 		// dropped — the wasted encodings the paper's critique predicts.
 		a := make(Assignment, len(p.CBs))
-		used := map[geom.Point]bool{}
-		dirTaken := make([]map[geom.Direction]bool, len(p.CBs))
-		for i := range dirTaken {
-			dirTaken[i] = map[geom.Direction]bool{}
-		}
+		clear(dirTaken)
+		var dirBuf [2]geom.Direction
 		for id, set := range bs {
-			if !set {
+			if !set || isCB.Has(id) {
 				continue
 			}
 			e := geom.FromID(id, p.Width)
-			if isCB[id] || used[e] {
-				continue
-			}
 			for ci, cb := range p.CBs {
-				dirs := geom.DirTowards(cb, e)
+				dirs := geom.AppendDirTowards(dirBuf[:0], cb, e)
 				if len(dirs) != 1 || geom.Manhattan(cb, e) > p.HopLimit {
 					continue
 				}
@@ -72,7 +64,6 @@ func SimulatedAnnealing(p Problem, evaluations int, seed int64) (Result, error) 
 				}
 				a[ci] = append(a[ci], e)
 				dirTaken[ci][dirs[0]] = true
-				used[e] = true
 				break
 			}
 		}

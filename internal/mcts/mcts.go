@@ -22,7 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"equinox/internal/geom"
 )
@@ -78,9 +78,14 @@ func (p Problem) Validate() error {
 	if p.HopLimit < 1 {
 		return fmt.Errorf("mcts: HopLimit %d < 1", p.HopLimit)
 	}
-	for _, cb := range p.CBs {
+	for i, cb := range p.CBs {
 		if !cb.In(p.Width, p.Height) {
 			return fmt.Errorf("mcts: CB %v outside mesh", cb)
+		}
+		// The searches sum per-CB evaluation shares, which is exact only
+		// when no two CBs are the same injector.
+		if slices.Contains(p.CBs[:i], cb) {
+			return fmt.Errorf("mcts: duplicate CB %v", cb)
 		}
 	}
 	return nil
@@ -105,60 +110,6 @@ func (p Problem) Groups(a Assignment) map[geom.Point][]geom.Point {
 	return m
 }
 
-// candidateGroups enumerates the legal EIR groups for CB index ci given the
-// EIRs already taken by earlier CBs. Per the paper's simplifications, EIRs
-// are distributed on distinct axis directions from the CB (matching the NI's
-// four per-direction buffers), each within HopLimit hops; an EIR cannot be a
-// CB or shared with another CB.
-func (p Problem) candidateGroups(ci int, taken map[geom.Point]bool) []Group {
-	cb := p.CBs[ci]
-	isCB := make(map[geom.Point]bool, len(p.CBs))
-	for _, c := range p.CBs {
-		isCB[c] = true
-	}
-	// Options per direction: index 0 = no EIR, else distance d.
-	dirs := []geom.Direction{geom.East, geom.West, geom.South, geom.North}
-	options := make([][]geom.Point, len(dirs))
-	for i, d := range dirs {
-		options[i] = []geom.Point{{X: -1, Y: -1}} // sentinel: none
-		for dist := 1; dist <= p.HopLimit; dist++ {
-			e := cb.Add(geom.Pt(d.Delta().X*dist, d.Delta().Y*dist))
-			if !e.In(p.Width, p.Height) || isCB[e] || taken[e] {
-				continue
-			}
-			options[i] = append(options[i], e)
-		}
-	}
-	none := geom.Pt(-1, -1)
-	var out []Group
-	var rec func(dim int, cur Group)
-	rec = func(dim int, cur Group) {
-		if dim == len(dirs) {
-			if len(cur) <= p.MaxEIRsPerCB {
-				g := make(Group, len(cur))
-				copy(g, cur)
-				out = append(out, g)
-			}
-			return
-		}
-		for _, opt := range options[dim] {
-			if opt == none {
-				rec(dim+1, cur)
-			} else {
-				rec(dim+1, append(cur, opt))
-			}
-		}
-	}
-	rec(0, nil)
-	// Informed expansion order: statically promising groups first, so MCTS
-	// spends its visit budget discriminating among strong candidates instead
-	// of warming up weak ones. The rollout evaluation remains the judge.
-	sort.SliceStable(out, func(i, j int) bool {
-		return p.heuristicKey(cb, out[i]) < p.heuristicKey(cb, out[j])
-	})
-	return out
-}
-
 // Evaluation carries the raw and weighted evaluation of a full assignment.
 type Evaluation struct {
 	MaxLoad    float64 // highest per-injector load, normalized to the mean
@@ -170,76 +121,162 @@ type Evaluation struct {
 	Cost       float64 // weighted, normalized sum (lower is better)
 }
 
+// cbEval is one CB's share of an Evaluation. EIRs are never shared and CBs
+// never inject for one another, so everything but the RDL crossings depends
+// only on (CB, its group) and a full evaluation is a sum of these. Hops and
+// loads are stored doubled: every flow weight is 1 or ½ and every hop count
+// an integer, so the doubled values are exact integers, and the float64
+// sums they replace were exact half-integers in any order.
+type cbEval struct {
+	hops2              int                       // 2 × Σ weight·hops over the CB's flows
+	links, length, hot int32                     // EIR links, their Manhattan length, hot-zone EIRs
+	load2              [geom.NumDirections]int32 // 2 × injected load of the CB router (Local) and of the EIR per direction
+}
+
+// totals accumulates cbEvals (and the merged injector loads) of a full
+// assignment.
+type totals struct {
+	hops2, links, length, hot int
+	maxLoad2, sumLoad2        int
+}
+
+func (t *totals) add(ev *cbEval) {
+	t.hops2 += ev.hops2
+	t.links += int(ev.links)
+	t.length += int(ev.length)
+	t.hot += int(ev.hot)
+}
+
+func (t *totals) addLoad(load2 int) {
+	t.maxLoad2 = max(t.maxLoad2, load2)
+	t.sumLoad2 += load2
+}
+
+// eirsByDir is one CB's group keyed by the direction each EIR serves; the
+// CB itself stands for "none" (and is, as Local, its own injector).
+type eirsByDir [geom.NumDirections]geom.Point
+
+// cbTiles returns the set of CB tiles, in buf when that is large enough.
+// CBs outside the mesh (an unvalidated Problem) are never a destination.
+func (p Problem) cbTiles(buf []uint64) geom.TileSet {
+	words := (p.Width*p.Height + 63) / 64
+	var s geom.TileSet
+	if words <= len(buf) {
+		s = buf[:words]
+		clear(s)
+	} else {
+		s = make(geom.TileSet, words)
+	}
+	for _, cb := range p.CBs {
+		if cb.In(p.Width, p.Height) {
+			s.Add(cb.ID(p.Width))
+		}
+	}
+	return s
+}
+
 // Evaluate scores a complete assignment using the paper's four metrics plus
 // the hot-zone penalty. It assumes each PE has similar traffic load, as the
-// paper does, so every CB→PE flow counts equally.
+// paper does, so every CB→PE flow counts equally. Any hand-built assignment
+// is accepted, legal or not; the searches score legal ones through the
+// per-(CB, group) tables of search.evaluate, which agree with this exactly.
 func (p Problem) Evaluate(a Assignment) Evaluation {
-	var ev Evaluation
-	isCB := make(map[geom.Point]bool, len(p.CBs))
-	for _, c := range p.CBs {
-		isCB[c] = true
+	var setBuf [4]uint64
+	isCB := p.cbTiles(setBuf[:])
+	var segBuf [64]geom.Segment
+	segs := segBuf[:0]
+	// Per-injector (EIR or local router) load under the NI buffer-selection
+	// policy of §4.4, merged by tile: an illegal assignment may share EIRs.
+	type injLoad struct {
+		at    geom.Point
+		load2 int
 	}
-
-	// Per-injector (EIR or local router) injected load and hop totals, using
-	// the NI buffer-selection policy of §4.4.
-	load := map[geom.Point]float64{}
-	totalHops, totalFlows := 0.0, 0.0
-	var segs []geom.Segment
+	var injBuf [80]injLoad
+	injs := injBuf[:0]
+	var t totals
 	for ci, cb := range p.CBs {
-		var group Group
+		var group []geom.Point
 		if ci < len(a) {
 			group = a[ci]
 		}
-		// Direction → EIR lookup.
-		byDir := map[geom.Direction]geom.Point{}
+		ev, eirs := p.evalCB(cb, group, isCB)
+		t.add(&ev)
 		for _, e := range group {
-			for _, d := range geom.DirTowards(cb, e) {
-				byDir[d] = e
-			}
 			segs = append(segs, geom.Seg(cb, e))
-			ev.Links++
-			ev.LinkLength += geom.Manhattan(cb, e)
-			// An EIR inside its own CB's hot zone (DAZ) defeats the purpose:
-			// the first hop out of the CB is exactly what must be bypassed.
-			if geom.Chebyshev(e, cb) == 1 {
-				ev.HotEIRs++
-			}
 		}
-		for y := 0; y < p.Height; y++ {
-			for x := 0; x < p.Width; x++ {
-				dst := geom.Pt(x, y)
-				if dst == cb || isCB[dst] {
-					continue
+	merge:
+		for d, l := range ev.load2 {
+			if l == 0 {
+				continue
+			}
+			for i := range injs {
+				if injs[i].at == eirs[d] {
+					injs[i].load2 += int(l)
+					continue merge
 				}
-				totalFlows++
-				injs := p.injectorsFor(cb, byDir, dst)
-				w := 1.0 / float64(len(injs))
-				for _, inj := range injs {
-					load[inj] += w
-					hops := float64(geom.Manhattan(inj, dst))
-					if inj != cb {
-						// Interposer hop CB→EIR: a 2-hop-long RDL wire fits
-						// in one clock cycle; longer wires need an extra
-						// cycle (§4.3's repeaterless-length argument).
-						hops += float64((geom.Manhattan(cb, inj) + 1) / 2)
-					}
-					totalHops += w * hops
+			}
+			injs = append(injs, injLoad{eirs[d], int(l)})
+		}
+	}
+	for _, in := range injs {
+		t.addLoad(in.load2)
+	}
+	return p.finish(t, isCB, geom.CountCrossings(segs))
+}
+
+// evalCB computes one CB's share of the evaluation for the given group.
+func (p Problem) evalCB(cb geom.Point, group []geom.Point, isCB geom.TileSet) (ev cbEval, eirs eirsByDir) {
+	eirs = eirsByDir{cb, cb, cb, cb, cb}
+	var dirBuf [2]geom.Direction
+	for _, e := range group {
+		for _, d := range geom.AppendDirTowards(dirBuf[:0], cb, e) {
+			eirs[d] = e
+		}
+		ev.links++
+		ev.length += int32(geom.Manhattan(cb, e))
+		// An EIR inside its own CB's hot zone (DAZ) defeats the purpose:
+		// the first hop out of the CB is exactly what must be bypassed.
+		if geom.Chebyshev(e, cb) == 1 {
+			ev.hot++
+		}
+	}
+	id := -1
+	for y := 0; y < p.Height; y++ {
+		for x := 0; x < p.Width; x++ {
+			id++
+			if isCB.Has(id) {
+				continue
+			}
+			dst := geom.Pt(x, y)
+			injs, n := injectorsFor(cb, &eirs, dst)
+			w2 := 2 / n
+			for _, d := range injs[:n] {
+				inj := eirs[d]
+				ev.load2[d] += int32(w2)
+				hops := geom.Manhattan(inj, dst)
+				if d != geom.Local {
+					// Interposer hop CB→EIR: a 2-hop-long RDL wire fits
+					// in one clock cycle; longer wires need an extra
+					// cycle (§4.3's repeaterless-length argument).
+					hops += (geom.Manhattan(cb, inj) + 1) / 2
 				}
+				ev.hops2 += w2 * hops
 			}
 		}
 	}
+	return ev, eirs
+}
 
-	ev.Crossings = geom.CountCrossings(segs)
+// finish turns the summed per-CB shares and the crossing count into the
+// weighted Evaluation.
+func (p Problem) finish(t totals, isCB geom.TileSet, crossings int) Evaluation {
+	ev := Evaluation{Crossings: crossings, LinkLength: t.length, HotEIRs: t.hot, Links: t.links}
+	// Every CB sends one flow to every non-CB tile.
+	totalHops, totalFlows := float64(t.hops2)/2, float64(len(p.CBs)*(p.Width*p.Height-isCB.Len()))
 	if totalFlows > 0 {
 		ev.AvgHops = totalHops / totalFlows
 	}
-	maxL, sumL := 0.0, 0.0
-	for _, l := range load {
-		if l > maxL {
-			maxL = l
-		}
-		sumL += l
-	}
+	maxL, sumL := float64(t.maxLoad2)/2, float64(t.sumLoad2)/2
 	// The paper's first metric minimizes the *maximum absolute* traffic any
 	// single injector must handle, which both balances load and rewards
 	// having more injection points. Normalize against the architectural
@@ -267,42 +304,38 @@ func (p Problem) Evaluate(a Assignment) Evaluation {
 }
 
 // injectorsFor applies the Buffer Decision Policy (paper "Buffer Selection
-// 1") to list the shortest-path injection candidates for one destination:
-// the one on-axis EIR, the up-to-two quadrant EIRs (round-robin = equal
-// weight), or the local CB router when no EIR is on a shortest path.
-func (p Problem) injectorsFor(cb geom.Point, byDir map[geom.Direction]geom.Point, dst geom.Point) []geom.Point {
-	dirs := geom.DirTowards(cb, dst)
-	var cands []geom.Point
-	for _, d := range dirs {
-		e, ok := byDir[d]
-		if !ok {
+// 1") to list the shortest-path injection candidates for one destination,
+// as the directions they serve: the one on-axis EIR, the up-to-two quadrant
+// EIRs (round-robin = equal weight), or Local — the CB's own router — when
+// no EIR is on a shortest path.
+func injectorsFor(cb geom.Point, eirs *eirsByDir, dst geom.Point) (injs [2]geom.Direction, n int) {
+	var dirBuf [2]geom.Direction
+	for _, d := range geom.AppendDirTowards(dirBuf[:0], cb, dst) {
+		e, onPath := eirs[d], false
+		if e == cb {
 			continue
 		}
 		// The EIR must lie on a shortest path: its offset along the axis must
 		// not overshoot the destination on that axis.
 		switch d {
 		case geom.East:
-			if e.X-cb.X <= dst.X-cb.X {
-				cands = append(cands, e)
-			}
+			onPath = e.X-cb.X <= dst.X-cb.X
 		case geom.West:
-			if cb.X-e.X <= cb.X-dst.X {
-				cands = append(cands, e)
-			}
+			onPath = cb.X-e.X <= cb.X-dst.X
 		case geom.South:
-			if e.Y-cb.Y <= dst.Y-cb.Y {
-				cands = append(cands, e)
-			}
+			onPath = e.Y-cb.Y <= dst.Y-cb.Y
 		case geom.North:
-			if cb.Y-e.Y <= cb.Y-dst.Y {
-				cands = append(cands, e)
-			}
+			onPath = cb.Y-e.Y <= cb.Y-dst.Y
+		}
+		if onPath {
+			injs[n] = d
+			n++
 		}
 	}
-	if len(cands) == 0 {
-		return []geom.Point{cb}
+	if n == 0 {
+		return injs, 1 // injs[0] is Local
 	}
-	return cands
+	return injs, n
 }
 
 // Options controls the search effort.
@@ -312,8 +345,8 @@ type Options struct {
 	Seed               int64
 }
 
-// DefaultOptions is a seconds-scale budget that reliably reaches the
-// paper's reported design attributes on 8×8 (all-2-hop, crossing-free).
+// DefaultOptions is the default budget: it reliably reaches the paper's
+// reported design attributes on 8×8 (all-2-hop, crossing-free).
 func DefaultOptions() Options {
 	return Options{IterationsPerLevel: 400, ExplorationC: 1.0, Seed: 42}
 }
@@ -326,27 +359,43 @@ type Result struct {
 	Evaluated  int // rollout evaluations performed
 }
 
+// node is one tree node, addressed by its index in the level's slab. Its
+// untried groups are the legal entries of the next CB's static order from
+// next on, under the taken set of the path that leads here.
 type node struct {
-	group    Group // group assigned at this node (nil at root)
-	parent   *node
-	children []*node
-	untried  []Group
-	visits   int
-	value    float64 // accumulated reward
+	cand        int32 // this node's group, as an index into its CB's static order
+	parent      int32 // -1 at the root
+	first, last int32 // children in expansion order (-1: none)
+	sibling     int32 // the parent's next child (-1: none)
+	next        int32 // first untried group of the next CB (-1: none left)
+	visits      int
+	value       float64 // accumulated reward
+}
+
+func (n *node) mean() float64 {
+	if n.visits == 0 {
+		return 0
+	}
+	return n.value / float64(n.visits)
 }
 
 // Search runs the iterated MCTS of §4.3 and returns the selected assignment.
+// A non-positive IterationsPerLevel selects the DefaultOptions budget (and
+// its exploration constant, if that is zero too); the seed is always the
+// caller's.
 func Search(p Problem, opts Options) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
 	if opts.IterationsPerLevel <= 0 {
-		opts = DefaultOptions()
+		def := DefaultOptions()
+		opts.IterationsPerLevel = def.IterationsPerLevel
+		if opts.ExplorationC == 0 {
+			opts.ExplorationC = def.ExplorationC
+		}
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	var res Result
-	committed := Assignment{}
-	taken := map[geom.Point]bool{}
 
 	// Reward scaling: raw costs differ by only a few percent between good
 	// and bad assignments, which would vanish under UCB's O(1) exploration
@@ -357,54 +406,67 @@ func Search(p Problem, opts Options) (Result, error) {
 		refCost = g.Eval.Cost
 	}
 	const rewardTemp = 0.05
-	rewardOf := func(cost float64) float64 {
-		r := math.Exp((refCost - cost) / rewardTemp)
-		if r > 10 {
-			r = 10
-		}
-		return r
-	}
 
-	for level := 0; level < len(p.CBs); level++ {
-		root := &node{untried: p.candidateGroups(level, taken)}
-		if len(root.untried) == 0 {
-			committed = append(committed, nil)
-			continue
-		}
+	s := newSearch(p)
+	// Each iteration adds at most one node and the tree is rebuilt per
+	// level, so one slab serves the whole search.
+	nodes := make([]node, 0, opts.IterationsPerLevel+1)
+	path := geom.NewTileSet(p.Width * p.Height) // taken ∪ the groups on the current tree path and rollout
+	for level := range p.CBs {
+		nodes = append(nodes[:0], node{cand: -1, parent: -1, first: -1, last: -1, sibling: -1,
+			next: s.nextLegal(level, 0, s.taken)})
 		for it := 0; it < opts.IterationsPerLevel; it++ {
 			res.Iterations++
 			// (1) Selection.
-			n := root
-			depth := level
-			for len(n.untried) == 0 && len(n.children) > 0 {
-				n = selectUCB(n, opts.ExplorationC)
+			n, depth := int32(0), level
+			copy(path, s.taken)
+			for nodes[n].next < 0 && nodes[n].first >= 0 {
+				n = selectUCB(nodes, n, opts.ExplorationC)
+				s.choose(depth, nodes[n].cand, path)
 				depth++
 			}
-			// (2) Expansion: take the best untried candidate (the untried
-			// list is pre-sorted by the static heuristic).
-			if len(n.untried) > 0 && depth < len(p.CBs) {
-				g := n.untried[0]
-				n.untried = n.untried[1:]
-				child := &node{group: g, parent: n}
-				// Lazily enumerate the next level's candidates during rollout;
-				// children of child are enumerated if it is selected later.
-				n.children = append(n.children, child)
+			// (2) Expansion: take the best untried candidate (the static
+			// order is sorted by the heuristic). The child's own untried
+			// cursor is set under the path that now includes its group.
+			if k := nodes[n].next; k >= 0 {
+				nodes[n].next = s.nextLegal(depth, int(k)+1, path)
+				child := int32(len(nodes))
+				nodes = append(nodes, node{cand: k, parent: n, first: -1, last: -1, sibling: -1, next: -1})
+				if nodes[n].first < 0 {
+					nodes[n].first = child
+				} else {
+					nodes[nodes[n].last].sibling = child
+				}
+				nodes[n].last = child
 				n = child
+				s.choose(depth, k, path)
 				depth++
 				if depth < len(p.CBs) {
-					t2 := takenWithPath(taken, n)
-					n.untried = p.candidateGroups(depth, t2)
+					nodes[n].next = s.nextLegal(depth, 0, path)
 				}
 			}
-			// (3) Simulation: random rollout for remaining CBs.
-			full := rolloutAssignment(p, committed, n, level, rng)
-			ev := p.Evaluate(full)
+			// (3) Simulation: ε-greedy rollout for the remaining CBs. Mostly
+			// complete the assignment with the locally best group (largest,
+			// 2-hop, hot-zone-free: the first legal entry), occasionally
+			// explore a random one. A purely uniform rollout makes the value
+			// of the level-under-search group indistinguishable from noise.
+			for ci := depth; ci < len(p.CBs); ci++ {
+				if rng.Float64() < 0.15 {
+					s.choose(ci, s.kthLegal(ci, rng.Intn(s.countLegal(ci, path)), path), path)
+				} else {
+					s.choose(ci, s.nextLegal(ci, 0, path), path)
+				}
+			}
+			ev := s.evaluate()
 			res.Evaluated++
-			reward := rewardOf(ev.Cost)
+			reward := math.Exp((refCost - ev.Cost) / rewardTemp)
+			if reward > 10 {
+				reward = 10
+			}
 			// (4) Backpropagation.
-			for m := n; m != nil; m = m.parent {
-				m.visits++
-				m.value += reward
+			for m := n; m >= 0; m = nodes[m].parent {
+				nodes[m].visits++
+				nodes[m].value += reward
 			}
 		}
 		// Commit the best level-1 child: highest mean value among children
@@ -412,49 +474,47 @@ func Search(p Problem, opts Options) (Result, error) {
 		// accumulated value when nothing qualifies). The paper commits on
 		// accumulated score; with a CI-scale budget the visit-filtered mean
 		// is the noise-robust equivalent.
-		minVisits := 3
-		best := (*node)(nil)
-		for _, c := range root.children {
-			if c.visits < minVisits {
+		const minVisits = 3
+		cands := s.cands[level]
+		best := int32(-1)
+		for c := nodes[0].first; c >= 0; c = nodes[c].sibling {
+			if nodes[c].visits < minVisits {
 				continue
 			}
-			if best == nil || mean(c) > mean(best) ||
-				(mean(c) == mean(best) && groupLess(c.group, best.group)) {
+			if best < 0 || nodes[c].mean() > nodes[best].mean() ||
+				(nodes[c].mean() == nodes[best].mean() && candLess(&cands[nodes[c].cand], &cands[nodes[best].cand])) {
 				best = c
 			}
 		}
-		if best == nil {
-			best = root.children[0]
-			for _, c := range root.children[1:] {
-				if c.value > best.value ||
-					(c.value == best.value && groupLess(c.group, best.group)) {
+		if best < 0 {
+			best = nodes[0].first
+			for c := nodes[best].sibling; c >= 0; c = nodes[c].sibling {
+				if nodes[c].value > nodes[best].value ||
+					(nodes[c].value == nodes[best].value && candLess(&cands[nodes[c].cand], &cands[nodes[best].cand])) {
 					best = c
 				}
 			}
 		}
-		committed = append(committed, best.group)
-		for _, e := range best.group {
-			taken[e] = true
-		}
+		s.choose(level, nodes[best].cand, s.taken)
 	}
 
-	res.Assignment = committed
-	res.Eval = p.Evaluate(committed)
+	res.Assignment = s.assignment()
+	res.Eval = p.Evaluate(res.Assignment)
 	return res, nil
 }
 
 // selectUCB picks the child maximizing v_i + C·sqrt(ln N / n_i), the UCB
 // formula from the paper's footnote 2 (v_i is the mean value).
-func selectUCB(n *node, c float64) *node {
-	lnN := math.Log(float64(n.visits) + 1)
-	best := n.children[0]
+func selectUCB(nodes []node, n int32, c float64) int32 {
+	lnN := math.Log(float64(nodes[n].visits) + 1)
+	best := nodes[n].first
 	bestScore := math.Inf(-1)
-	for _, ch := range n.children {
+	for ch := nodes[n].first; ch >= 0; ch = nodes[ch].sibling {
 		var s float64
-		if ch.visits == 0 {
+		if v := nodes[ch].visits; v == 0 {
 			s = math.Inf(1)
 		} else {
-			s = ch.value/float64(ch.visits) + c*math.Sqrt(lnN/float64(ch.visits))
+			s = nodes[ch].value/float64(v) + c*math.Sqrt(lnN/float64(v))
 		}
 		if s > bestScore {
 			bestScore = s
@@ -462,128 +522,6 @@ func selectUCB(n *node, c float64) *node {
 		}
 	}
 	return best
-}
-
-// takenWithPath unions the committed taken-set with the EIRs chosen along
-// the current tree path.
-func takenWithPath(taken map[geom.Point]bool, n *node) map[geom.Point]bool {
-	t := make(map[geom.Point]bool, len(taken)+8)
-	for k := range taken {
-		t[k] = true
-	}
-	for m := n; m != nil; m = m.parent {
-		for _, e := range m.group {
-			t[e] = true
-		}
-	}
-	return t
-}
-
-// rolloutAssignment completes the partial assignment (committed + tree path
-// ending at n, which covers CBs [0, pathDepth]) with uniformly random legal
-// groups for the remaining CBs.
-func rolloutAssignment(p Problem, committed Assignment, n *node, level int, rng *rand.Rand) Assignment {
-	full := make(Assignment, 0, len(p.CBs))
-	full = append(full, committed...)
-	// Collect the path groups root→n (reverse of parent walk).
-	var path []Group
-	for m := n; m != nil && m.parent != nil || (m != nil && m.group != nil); m = m.parent {
-		if m.group != nil {
-			path = append(path, m.group)
-		}
-		if m.parent == nil {
-			break
-		}
-	}
-	for i := len(path) - 1; i >= 0; i-- {
-		full = append(full, path[i])
-	}
-	taken := map[geom.Point]bool{}
-	for _, g := range full {
-		for _, e := range g {
-			taken[e] = true
-		}
-	}
-	for ci := len(full); ci < len(p.CBs); ci++ {
-		cands := p.candidateGroups(ci, taken)
-		if len(cands) == 0 {
-			full = append(full, nil)
-			continue
-		}
-		// ε-greedy rollout policy: mostly complete the assignment with the
-		// locally best group (largest, 2-hop, hot-zone-free), occasionally
-		// explore a random one. A purely uniform rollout makes the value of
-		// the level-under-search group indistinguishable from noise.
-		var g Group
-		if rng.Float64() < 0.15 {
-			g = cands[rng.Intn(len(cands))]
-		} else {
-			g = p.bestHeuristicGroup(ci, cands)
-		}
-		full = append(full, g)
-		for _, e := range g {
-			taken[e] = true
-		}
-	}
-	return full
-}
-
-// bestHeuristicGroup ranks candidate groups by a cheap static preference:
-// more EIRs first, then fewer hot-zone EIRs, then distances closest to two
-// hops. Used only inside rollouts; the true evaluation still judges the
-// finished assignment.
-func (p Problem) bestHeuristicGroup(ci int, cands []Group) Group {
-	cb := p.CBs[ci]
-	best := cands[0]
-	bestKey := p.heuristicKey(cb, best)
-	for _, g := range cands[1:] {
-		if k := p.heuristicKey(cb, g); k < bestKey {
-			bestKey = k
-			best = g
-		}
-	}
-	return best
-}
-
-func (p Problem) heuristicKey(cb geom.Point, g Group) int {
-	hot, distPenalty := 0, 0
-	for _, e := range g {
-		if geom.Chebyshev(e, cb) == 1 {
-			hot++
-		}
-		d := geom.Manhattan(cb, e)
-		if d > 2 {
-			distPenalty += d - 2
-		} else {
-			distPenalty += 2 - d
-		}
-	}
-	// A hot-zone EIR is worse than a missing one (it draws injection traffic
-	// straight into the DAZ the design is trying to bypass); a missing EIR is
-	// worse than an off-2-hop distance.
-	return hot*300 + (p.MaxEIRsPerCB-len(g))*100 + distPenalty
-}
-
-func mean(n *node) float64 {
-	if n.visits == 0 {
-		return 0
-	}
-	return n.value / float64(n.visits)
-}
-
-func groupLess(a, b Group) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if a[i].Y != b[i].Y {
-			return a[i].Y < b[i].Y
-		}
-		if a[i].X != b[i].X {
-			return a[i].X < b[i].X
-		}
-	}
-	return len(a) < len(b)
 }
 
 // RandomSearch is the ablation baseline: sample complete random assignments
@@ -594,27 +532,17 @@ func RandomSearch(p Problem, samples int, seed int64) (Result, error) {
 		return Result{}, err
 	}
 	rng := rand.New(rand.NewSource(seed))
+	s := newSearch(p)
 	var best Assignment
 	bestEv := Evaluation{Cost: math.Inf(1)}
-	for s := 0; s < samples; s++ {
-		taken := map[geom.Point]bool{}
-		a := make(Assignment, 0, len(p.CBs))
+	for i := 0; i < samples; i++ {
+		clear(s.taken)
 		for ci := range p.CBs {
-			cands := p.candidateGroups(ci, taken)
-			if len(cands) == 0 {
-				a = append(a, nil)
-				continue
-			}
-			g := cands[rng.Intn(len(cands))]
-			a = append(a, g)
-			for _, e := range g {
-				taken[e] = true
-			}
+			s.choose(ci, s.kthLegal(ci, rng.Intn(s.countLegal(ci, s.taken)), s.taken), s.taken)
 		}
-		ev := p.Evaluate(a)
-		if ev.Cost < bestEv.Cost {
+		if ev := s.evaluate(); ev.Cost < bestEv.Cost {
 			bestEv = ev
-			best = a
+			best = s.assignment()
 		}
 	}
 	return Result{Assignment: best, Eval: bestEv, Evaluated: samples}, nil
@@ -629,52 +557,40 @@ func GreedyTwoHop(p Problem) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	isCB := map[geom.Point]bool{}
-	for _, c := range p.CBs {
-		isCB[c] = true
-	}
-	taken := map[geom.Point]bool{}
+	isCB := p.cbTiles(nil)
+	taken := geom.NewTileSet(p.Width * p.Height)
 	a := make(Assignment, len(p.CBs))
-	order := []geom.Direction{geom.East, geom.West, geom.South, geom.North}
 	for ci, cb := range p.CBs {
 		var g Group
-		for _, d := range order {
+		for _, d := range axisOrder {
 			if len(g) == p.MaxEIRsPerCB {
 				break
 			}
 			e := cb.Add(geom.Pt(d.Delta().X*2, d.Delta().Y*2))
-			if e.In(p.Width, p.Height) && !isCB[e] && !taken[e] {
+			if !e.In(p.Width, p.Height) {
+				continue
+			}
+			if id := e.ID(p.Width); !isCB.Has(id) && !taken.Has(id) {
 				g = append(g, e)
-				taken[e] = true
+				taken.Add(id)
 			}
 		}
-		sort.Slice(g, func(i, j int) bool {
-			if g[i].Y != g[j].Y {
-				return g[i].Y < g[j].Y
-			}
-			return g[i].X < g[j].X
-		})
+		slices.SortFunc(g, func(a, b geom.Point) int { return a.ID(p.Width) - b.ID(p.Width) })
 		a[ci] = g
 	}
 	return Result{Assignment: a, Eval: p.Evaluate(a)}, nil
 }
 
 // PureGreedyRollout completes an empty assignment with the rollout policy's
-// greedy choice for every CB (no randomness). Exported for diagnostics.
+// greedy choice for every CB (no randomness). Exported for diagnostics; it
+// returns nil for a Problem that does not validate.
 func PureGreedyRollout(p Problem) Assignment {
-	taken := map[geom.Point]bool{}
-	a := make(Assignment, 0, len(p.CBs))
-	for ci := range p.CBs {
-		cands := p.candidateGroups(ci, taken)
-		if len(cands) == 0 {
-			a = append(a, nil)
-			continue
-		}
-		g := p.bestHeuristicGroup(ci, cands)
-		a = append(a, g)
-		for _, e := range g {
-			taken[e] = true
-		}
+	if p.Validate() != nil {
+		return nil
 	}
-	return a
+	s := newSearch(p)
+	for ci := range p.CBs {
+		s.choose(ci, s.nextLegal(ci, 0, s.taken), s.taken)
+	}
+	return s.assignment()
 }

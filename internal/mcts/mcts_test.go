@@ -1,6 +1,7 @@
 package mcts
 
 import (
+	"reflect"
 	"testing"
 
 	"equinox/internal/geom"
@@ -41,31 +42,38 @@ func TestValidate(t *testing.T) {
 	if bad4.Validate() == nil {
 		t.Error("MaxEIRsPerCB > 4 accepted")
 	}
+	bad5 := p
+	bad5.CBs = []geom.Point{geom.Pt(1, 1), geom.Pt(2, 5), geom.Pt(1, 1)}
+	if bad5.Validate() == nil {
+		t.Error("duplicate CB accepted")
+	}
 }
 
 func TestCandidateGroups(t *testing.T) {
 	p := NewProblem(8, 8, []geom.Point{geom.Pt(4, 4)})
-	groups := p.candidateGroups(0, nil)
+	s := newSearch(p)
 	// 4 directions × (3 distances + none) = 4^4 = 256 combinations.
-	if len(groups) != 256 {
-		t.Errorf("got %d candidate groups, want 256", len(groups))
+	if got := s.countLegal(0, s.taken); got != 256 || len(s.cands[0]) != 256 {
+		t.Errorf("got %d legal of %d candidate groups, want 256", got, len(s.cands[0]))
 	}
 	// Corner CB: East and South have 3 options each, West/North none.
 	pc := NewProblem(8, 8, []geom.Point{geom.Pt(0, 0)})
-	gc := pc.candidateGroups(0, nil)
-	if len(gc) != 16 {
-		t.Errorf("corner CB: got %d groups, want 16", len(gc))
+	if got := len(newSearch(pc).cands[0]); got != 16 {
+		t.Errorf("corner CB: got %d groups, want 16", got)
 	}
 	// Taken positions are excluded.
-	taken := map[geom.Point]bool{geom.Pt(5, 4): true, geom.Pt(6, 4): true, geom.Pt(7, 4): true}
-	ge := p.candidateGroups(0, taken)
-	if len(ge) != 64 { // East direction now has no options: 1×4×4×4
-		t.Errorf("with taken east: got %d groups, want 64", len(ge))
+	taken := geom.NewTileSet(64)
+	for _, e := range []geom.Point{geom.Pt(5, 4), geom.Pt(6, 4), geom.Pt(7, 4)} {
+		taken.Add(e.ID(8))
 	}
-	for _, g := range ge {
-		for _, e := range g {
-			if taken[e] {
-				t.Fatalf("group %v uses taken EIR %v", g, e)
+	if got := s.countLegal(0, taken); got != 64 { // East direction now has no options: 1×4×4×4
+		t.Errorf("with taken east: got %d groups, want 64", got)
+	}
+	for k := s.nextLegal(0, 0, taken); k >= 0; k = s.nextLegal(0, int(k)+1, taken) {
+		c := &s.cands[0][k]
+		for _, e := range c.eirs[:c.n] {
+			if taken.Has(int(e.tile)) {
+				t.Fatalf("group %d uses taken EIR tile %d", k, e.tile)
 			}
 		}
 	}
@@ -73,9 +81,9 @@ func TestCandidateGroups(t *testing.T) {
 
 func TestCandidateGroupsExcludeCBs(t *testing.T) {
 	p := NewProblem(8, 8, []geom.Point{geom.Pt(4, 4), geom.Pt(6, 4)})
-	for _, g := range p.candidateGroups(0, nil) {
-		for _, e := range g {
-			if e == geom.Pt(6, 4) {
+	for _, c := range newSearch(p).cands[0] {
+		for _, e := range c.eirs[:c.n] {
+			if int(e.tile) == geom.Pt(6, 4).ID(8) {
 				t.Fatal("candidate group contains a CB tile")
 			}
 		}
@@ -151,32 +159,32 @@ func TestEvaluateCountsCrossings(t *testing.T) {
 
 func TestInjectorsForBufferPolicy(t *testing.T) {
 	cb := geom.Pt(4, 4)
-	p := NewProblem(8, 8, []geom.Point{cb})
-	byDir := map[geom.Direction]geom.Point{
+	eirs := eirsByDir{
+		geom.Local: cb,
 		geom.East:  geom.Pt(6, 4),
 		geom.West:  geom.Pt(2, 4),
 		geom.South: geom.Pt(4, 6),
 		geom.North: geom.Pt(4, 2),
 	}
 	// On-axis destination: exactly one EIR.
-	inj := p.injectorsFor(cb, byDir, geom.Pt(7, 4))
-	if len(inj) != 1 || inj[0] != geom.Pt(6, 4) {
-		t.Errorf("on-axis: got %v", inj)
+	inj, n := injectorsFor(cb, &eirs, geom.Pt(7, 4))
+	if n != 1 || eirs[inj[0]] != geom.Pt(6, 4) {
+		t.Errorf("on-axis: got %v", inj[:n])
 	}
 	// Quadrant destination: two candidates (round-robin).
-	inj = p.injectorsFor(cb, byDir, geom.Pt(7, 7))
-	if len(inj) != 2 {
-		t.Errorf("quadrant: got %v", inj)
+	inj, n = injectorsFor(cb, &eirs, geom.Pt(7, 7))
+	if n != 2 || inj[0] != geom.East || inj[1] != geom.South {
+		t.Errorf("quadrant: got %v", inj[:n])
 	}
 	// Destination nearer than the EIR offset: EIR overshoots, use local.
-	inj = p.injectorsFor(cb, byDir, geom.Pt(5, 4))
-	if len(inj) != 1 || inj[0] != cb {
-		t.Errorf("overshoot: got %v, want local", inj)
+	inj, n = injectorsFor(cb, &eirs, geom.Pt(5, 4))
+	if n != 1 || eirs[inj[0]] != cb {
+		t.Errorf("overshoot: got %v, want local", inj[:n])
 	}
 	// Quadrant destination at (5,5): both EIRs overshoot → local.
-	inj = p.injectorsFor(cb, byDir, geom.Pt(5, 5))
-	if len(inj) != 1 || inj[0] != cb {
-		t.Errorf("close quadrant: got %v, want local", inj)
+	inj, n = injectorsFor(cb, &eirs, geom.Pt(5, 5))
+	if n != 1 || eirs[inj[0]] != cb {
+		t.Errorf("close quadrant: got %v, want local", inj[:n])
 	}
 }
 
@@ -338,5 +346,65 @@ func TestDefaultOptionsAndPureGreedy(t *testing.T) {
 	ev := p.Evaluate(a)
 	if ev.Links == 0 || ev.Cost <= 0 {
 		t.Error("greedy rollout empty")
+	}
+}
+
+// TestSearchKeepsSeedWithDefaultBudget: a zero budget selects the default
+// budget (and exploration constant), not the default seed.
+func TestSearchKeepsSeedWithDefaultBudget(t *testing.T) {
+	p := NewProblem(6, 6, []geom.Point{geom.Pt(1, 0), geom.Pt(3, 1), geom.Pt(5, 2), geom.Pt(0, 3), geom.Pt(2, 4), geom.Pt(4, 5)})
+	def := DefaultOptions()
+	results := map[string]bool{}
+	for _, seed := range []int64{7, 8} {
+		got, err := Search(p, Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := def.IterationsPerLevel * len(p.CBs); got.Iterations != want {
+			t.Errorf("seed %d: %d iterations with a zero budget, want the default %d", seed, got.Iterations, want)
+		}
+		want, err := Search(p, Options{IterationsPerLevel: def.IterationsPerLevel, ExplorationC: def.ExplorationC, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: zero budget gave %+v, the explicit default budget with this seed gives %+v", seed, got, want)
+		}
+		results[fingerprint(got.Assignment)] = true
+	}
+	// A non-zero exploration constant survives the defaulting too.
+	got, _ := Search(p, Options{ExplorationC: 0.25, Seed: 7})
+	want, _ := Search(p, Options{IterationsPerLevel: def.IterationsPerLevel, ExplorationC: 0.25, Seed: 7})
+	if !reflect.DeepEqual(got, want) {
+		t.Error("zero budget overwrote the caller's exploration constant")
+	}
+	if len(results) != 2 {
+		t.Error("seeds 7 and 8 gave the same assignment: the seed is not reaching the search")
+	}
+}
+
+// TestAllocationPins: an evaluation allocates nothing, and a search only
+// its tables, scratch and one node slab — nothing per iteration.
+func TestAllocationPins(t *testing.T) {
+	p := paperProblem(t)
+	a := PureGreedyRollout(p)
+	if n := testing.AllocsPerRun(20, func() { p.Evaluate(a) }); n != 0 {
+		t.Errorf("Evaluate allocates %.0f times per 8×8 assignment, want 0", n)
+	}
+	searchAllocs := func(iters int) float64 {
+		return testing.AllocsPerRun(2, func() {
+			if _, err := Search(p, Options{IterationsPerLevel: iters, ExplorationC: 1, Seed: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	at400, at1600 := searchAllocs(400), searchAllocs(1600)
+	if at400 > 5000 {
+		t.Errorf("Search (8×8, 400/level) allocates %.0f times, want ≤ 5000", at400)
+	}
+	// The node slab is one allocation whatever its size; the committed
+	// groups (one allocation each when non-empty) may differ between budgets.
+	if at1600 > at400+float64(len(p.CBs)) {
+		t.Errorf("Search allocations grow with the budget: %.0f at 400/level, %.0f at 1600/level", at400, at1600)
 	}
 }

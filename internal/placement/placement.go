@@ -302,28 +302,37 @@ func ZoneOf(cb, p geom.Point) ZoneKind {
 	}
 }
 
-// OverlapMap returns, for each tile of the mesh, whether it is a hot-zone
-// overlap: a tile belonging to the hot zones (DAZ or CAZ) of two or more
-// distinct CBs.
-func OverlapMap(pl Placement) map[geom.Point]bool {
-	count := map[geom.Point]int{}
+// hotZoneCover counts, per tile (row-major), the CBs whose hot zone (DAZ or
+// CAZ) covers it, saturating at 2: a tile is a hot-zone overlap exactly when
+// its count is 2. It reuses grid's storage when that is large enough.
+func hotZoneCover(pl Placement, grid []uint8) []uint8 {
+	if n := pl.Width * pl.Height; n <= cap(grid) {
+		grid = grid[:n]
+		clear(grid)
+	} else {
+		grid = make([]uint8, n)
+	}
 	for _, cb := range pl.CBs {
 		for dy := -1; dy <= 1; dy++ {
 			for dx := -1; dx <= 1; dx++ {
-				if dx == 0 && dy == 0 {
-					continue
-				}
 				p := geom.Pt(cb.X+dx, cb.Y+dy)
-				if p.In(pl.Width, pl.Height) {
-					count[p]++
+				if (dx != 0 || dy != 0) && p.In(pl.Width, pl.Height) && grid[p.ID(pl.Width)] < 2 {
+					grid[p.ID(pl.Width)]++
 				}
 			}
 		}
 	}
+	return grid
+}
+
+// OverlapMap returns, for each tile of the mesh, whether it is a hot-zone
+// overlap: a tile belonging to the hot zones (DAZ or CAZ) of two or more
+// distinct CBs.
+func OverlapMap(pl Placement) map[geom.Point]bool {
 	overlaps := map[geom.Point]bool{}
-	for p, c := range count {
-		if c >= 2 {
-			overlaps[p] = true
+	for id, c := range hotZoneCover(pl, nil) {
+		if c == 2 {
+			overlaps[geom.FromID(id, pl.Width)] = true
 		}
 	}
 	return overlaps
@@ -334,21 +343,34 @@ func OverlapMap(pl Placement) map[geom.Point]bool {
 // the triangular penalty 1+2+…+m, reflecting the compounded delay of
 // multiple adjacent overlaps. Lower is better.
 func Score(pl Placement) int {
-	overlaps := OverlapMap(pl)
+	s, _ := score(pl, nil)
+	return s
+}
+
+// score is Score on a reusable hot-zone grid, which it returns.
+func score(pl Placement, grid []uint8) (int, []uint8) {
+	grid = hotZoneCover(pl, grid)
+	w, h := pl.Width, pl.Height
 	total := 0
-	for y := 0; y < pl.Height; y++ {
-		for x := 0; x < pl.Width; x++ {
-			m := 0
-			for _, d := range []geom.Direction{geom.East, geom.West, geom.South, geom.North} {
-				n := geom.Pt(x, y).Add(d.Delta())
-				if n.In(pl.Width, pl.Height) && overlaps[n] {
-					m++
-				}
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			id, m := y*w+x, 0
+			if x+1 < w && grid[id+1] == 2 {
+				m++
+			}
+			if x > 0 && grid[id-1] == 2 {
+				m++
+			}
+			if y+1 < h && grid[id+w] == 2 {
+				m++
+			}
+			if y > 0 && grid[id-w] == 2 {
+				m++
 			}
 			total += m * (m + 1) / 2
 		}
 	}
-	return total
+	return total, grid
 }
 
 // BestNQueen returns the lowest-scoring N-Queen placement of n CBs on a w×h
@@ -384,12 +406,14 @@ func BestNQueen(w, h, n int) (Placement, error) {
 	}
 	best := Placement{}
 	bestScore := int(^uint(0) >> 1)
+	var grid []uint8 // hot-zone scratch shared by every candidate's score
 	for _, sol := range sols {
 		full := FromQueenSolution(sol)
 		full.Width, full.Height = w, h
 		cands := prunedCandidates(full, n, rng)
 		for _, cand := range cands {
-			s := Score(cand)
+			var s int
+			s, grid = score(cand, grid)
 			if s < bestScore || (s == bestScore && lexLess(cand.CBs, best.CBs)) {
 				bestScore = s
 				best = cand

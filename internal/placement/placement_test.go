@@ -1,6 +1,8 @@
 package placement
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -297,5 +299,85 @@ func TestValidateErrors(t *testing.T) {
 	zero := Placement{}
 	if zero.Validate() == nil {
 		t.Error("zero mesh accepted")
+	}
+}
+
+// refOverlapMap and refScore are the map-based OverlapMap and Score that
+// shipped before the counter-grid rewrite, kept as its oracle.
+func refOverlapMap(pl Placement) map[geom.Point]bool {
+	count := map[geom.Point]int{}
+	for _, cb := range pl.CBs {
+		for dy := -1; dy <= 1; dy++ {
+			for dx := -1; dx <= 1; dx++ {
+				if dx == 0 && dy == 0 {
+					continue
+				}
+				p := geom.Pt(cb.X+dx, cb.Y+dy)
+				if p.In(pl.Width, pl.Height) {
+					count[p]++
+				}
+			}
+		}
+	}
+	overlaps := map[geom.Point]bool{}
+	for p, c := range count {
+		if c >= 2 {
+			overlaps[p] = true
+		}
+	}
+	return overlaps
+}
+
+func refScore(pl Placement) int {
+	overlaps := refOverlapMap(pl)
+	total := 0
+	for y := 0; y < pl.Height; y++ {
+		for x := 0; x < pl.Width; x++ {
+			m := 0
+			for _, d := range []geom.Direction{geom.East, geom.West, geom.South, geom.North} {
+				n := geom.Pt(x, y).Add(d.Delta())
+				if n.In(pl.Width, pl.Height) && overlaps[n] {
+					m++
+				}
+			}
+			total += m * (m + 1) / 2
+		}
+	}
+	return total
+}
+
+func TestScoreMatchesReference(t *testing.T) {
+	check := func(pl Placement) {
+		t.Helper()
+		if got, want := OverlapMap(pl), refOverlapMap(pl); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: OverlapMap = %v, reference %v", pl, got, want)
+		}
+		if got, want := Score(pl), refScore(pl); got != want {
+			t.Fatalf("%+v: Score = %d, reference %d", pl, got, want)
+		}
+	}
+	for side := 2; side <= 12; side++ {
+		for _, k := range append(Kinds(), KnightMove) {
+			pl, err := New(k, side, side+side%3, side)
+			if err != nil {
+				continue // no N-Queen solution on 2×2 and 3×3 boards
+			}
+			check(pl)
+		}
+	}
+	// Arbitrary CB sets: crowded, repeated, on the border and off the mesh.
+	rng := rand.New(rand.NewSource(1))
+	var grid []uint8
+	for trial := 0; trial < 500; trial++ {
+		pl := Placement{Width: 1 + rng.Intn(9), Height: 1 + rng.Intn(9)}
+		for i := rng.Intn(12); i > 0; i-- {
+			pl.CBs = append(pl.CBs, geom.Pt(rng.Intn(pl.Width+2)-1, rng.Intn(pl.Height+2)-1))
+		}
+		check(pl)
+		// The reused scratch grid of BestNQueen carries nothing over.
+		var s int
+		if s, grid = score(pl, grid); s != refScore(pl) {
+			t.Fatalf("%+v: score on a reused grid = %d, reference %d", pl, s, refScore(pl))
+		}
 	}
 }

@@ -21,11 +21,14 @@ race:
 
 # Race-detector pass over the deterministic parallel stepper: the serial-vs-
 # sharded equivalence tests, the worker-pool primitive, and the parallel
-# allocation pin, all with the detector watching the shard barriers.
+# allocation pin, all with the detector watching the shard barriers; then the
+# stepper-invariant test on its sharded half, where two bands' workers update
+# the per-phase router sets side by side.
 race-parallel:
 	$(GO) test -race -count=1 \
 		-run 'TestParallel|TestSharded|TestBarrier|TestRunExecutes|TestNested' \
 		./internal/sim ./internal/noc ./internal/par
+	$(GO) test -race -count=1 -run 'TestMasksMatchScan/.*/.*/shards2' ./internal/noc
 
 # Simulator-throughput regression record: per-scheme cycles/sec, ns/op, and
 # allocs/op written to BENCH_<date>.json (compare against a previous file

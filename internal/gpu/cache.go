@@ -13,12 +13,28 @@ type Cache struct {
 	ways      int
 	lineBytes int
 
-	tags         [][]uint64 // per set, MRU-first tag list
-	dirty        [][]bool   // parallel to tags
+	// Sets are lazy — most of a large L2 is never touched — and a touched
+	// set's lines are a ways-long row carved, in first-touch order, from
+	// slabs of setsPerSlab rows: no allocation per set, 8 bytes of
+	// bookkeeping per untouched one.
+	set   []setRef
+	tags  [][]uint64 // slabs of rows, each row MRU-first
+	dirty [][]bool   // parallel to tags
+	rows  int32      // rows carved so far
+
 	Hits, Misses int64
 	Evictions    int64
 	DirtyEvicts  int64
 }
+
+// setRef locates one set's lines: row-1 is its row number across the slabs
+// (0 until the set is first touched) and used the lines resident in it.
+type setRef struct {
+	row, used int32
+}
+
+// setsPerSlab is how many first-touched sets one slab serves.
+const setsPerSlab = 32
 
 // NewCache builds a cache of the given capacity.
 func NewCache(capacityBytes, ways, lineBytes int) (*Cache, error) {
@@ -30,10 +46,14 @@ func NewCache(capacityBytes, ways, lineBytes int) (*Cache, error) {
 		return nil, fmt.Errorf("gpu: capacity %dB too small for %d ways", capacityBytes, ways)
 	}
 	sets := lines / ways
-	c := &Cache{sets: sets, ways: ways, lineBytes: lineBytes}
-	c.tags = make([][]uint64, sets)
-	c.dirty = make([][]bool, sets)
-	return c, nil
+	return &Cache{sets: sets, ways: ways, lineBytes: lineBytes, set: make([]setRef, sets)}, nil
+}
+
+// lines returns the resident lines of a touched set, MRU first, with room
+// for the set's full associativity.
+func (c *Cache) lines(ref setRef) ([]uint64, []bool) {
+	slab, at := (ref.row-1)/setsPerSlab, int((ref.row-1)%setsPerSlab)*c.ways
+	return c.tags[slab][at : at+int(ref.used) : at+c.ways], c.dirty[slab][at : at+int(ref.used) : at+c.ways]
 }
 
 // Access looks up the line containing addr, filling it on a miss (evicting
@@ -50,9 +70,18 @@ func (c *Cache) Access(addr uint64) bool {
 // the write-back.
 func (c *Cache) Fill(addr uint64, markDirty bool) (hit bool, evicted uint64, evictedDirty bool) {
 	line := addr / uint64(c.lineBytes)
-	set := int(line % uint64(c.sets))
-	ts := c.tags[set]
-	ds := c.dirty[set]
+	ref := &c.set[line%uint64(c.sets)]
+	if ref.row == 0 {
+		// First touch: carve the set's row, from a new slab if the last is
+		// used up.
+		if c.rows%setsPerSlab == 0 {
+			c.tags = append(c.tags, make([]uint64, setsPerSlab*c.ways))
+			c.dirty = append(c.dirty, make([]bool, setsPerSlab*c.ways))
+		}
+		c.rows++
+		ref.row = c.rows
+	}
+	ts, ds := c.lines(*ref)
 	for i, t := range ts {
 		if t == line {
 			// Move to MRU.
@@ -66,14 +95,9 @@ func (c *Cache) Fill(addr uint64, markDirty bool) (hit bool, evicted uint64, evi
 		}
 	}
 	c.Misses++
-	if ts == nil {
-		// First touch: allocate the set at full associativity so it never
-		// regrows (sets stay lazy — most of a large L2 is never touched).
-		ts, ds = make([]uint64, 0, c.ways), make([]bool, 0, c.ways)
-	}
 	if len(ts) < c.ways {
-		ts = append(ts, 0)
-		ds = append(ds, false)
+		ts, ds = ts[:len(ts)+1], ds[:len(ds)+1]
+		ref.used++
 	} else {
 		// Evict LRU (the last entry).
 		evicted = ts[len(ts)-1]
@@ -87,8 +111,6 @@ func (c *Cache) Fill(addr uint64, markDirty bool) (hit bool, evicted uint64, evi
 	ts[0] = line
 	copy(ds[1:], ds)
 	ds[0] = markDirty
-	c.tags[set] = ts
-	c.dirty[set] = ds
 	return false, evicted, evictedDirty
 }
 
@@ -98,8 +120,12 @@ func (c *Cache) LineBytes() int { return c.lineBytes }
 // Probe reports whether the line is resident without updating state.
 func (c *Cache) Probe(addr uint64) bool {
 	line := addr / uint64(c.lineBytes)
-	set := int(line % uint64(c.sets))
-	for _, t := range c.tags[set] {
+	ref := c.set[line%uint64(c.sets)]
+	if ref.row == 0 {
+		return false
+	}
+	ts, _ := c.lines(ref)
+	for _, t := range ts {
 		if t == line {
 			return true
 		}

@@ -13,6 +13,26 @@ type Transaction struct {
 	Dependent bool // a consumer blocks on this load's data
 }
 
+// TxPool recycles Transactions. A system shares one between its PEs, which
+// draw a Transaction per L1 miss, and its reply endpoint, which puts each back
+// once PE.Complete has retired it — nothing reads a transaction after that. A
+// nil pool allocates. Not safe for concurrent use.
+type TxPool struct {
+	free []*Transaction
+}
+
+func (p *TxPool) get() *Transaction {
+	if p == nil || len(p.free) == 0 {
+		return new(Transaction)
+	}
+	tx := p.free[len(p.free)-1]
+	p.free = p.free[:len(p.free)-1]
+	return tx
+}
+
+// Put returns a retired transaction to the pool.
+func (p *TxPool) Put(tx *Transaction) { p.free = append(p.free, tx) }
+
 // PE models one processing element (an SM): an in-order issue engine with a
 // private L1, an MSHR file, and a bound on outstanding memory transactions.
 // GPUs tolerate latency through outstanding-request parallelism, so memory
@@ -21,6 +41,7 @@ type Transaction struct {
 type PE struct {
 	ID  int
 	L1  *Cache
+	Txs *TxPool // source of the PE's Transactions; nil allocates each one
 	gen *workloads.Generator
 
 	mshr           *MSHR
@@ -139,7 +160,8 @@ func (pe *PE) Step(inject func(*Transaction) bool) {
 		}
 		return
 	}
-	tx := &Transaction{PE: pe.ID, Addr: op.Addr, Write: op.Write, Line: line, Dependent: op.Dependent}
+	tx := pe.Txs.get()
+	*tx = Transaction{PE: pe.ID, Addr: op.Addr, Write: op.Write, Line: line, Dependent: op.Dependent}
 	if pe.mshr.Full() || pe.outstanding >= pe.maxOutstanding || !inject(tx) {
 		// Hold the transaction; retry next cycles. The MSHR entry is only
 		// allocated once the request actually enters the network.

@@ -2,7 +2,9 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -69,8 +71,8 @@ func schemeNetConfigs() []struct {
 	}
 }
 
-// scanMasks recomputes a router's occupancy masks from its buffers and links.
-func (r *Router) scanMasks() (needVA, ready, linkBusy uint64) {
+// scanMasks recomputes a router's occupancy masks from its buffers.
+func (r *Router) scanMasks() (needVA, ready uint64) {
 	for s := range r.vcs {
 		switch vb := &r.vcs[s]; {
 		case vb.empty():
@@ -80,22 +82,61 @@ func (r *Router) scanMasks() (needVA, ready, linkBusy uint64) {
 			ready |= 1 << uint(s)
 		}
 	}
-	for p := range r.out {
-		if l := r.out[p].link; l != nil && l.n > 0 {
-			linkBusy |= 1 << uint(p)
-		}
-	}
 	return
 }
 
-// checkMasks compares every router's maintained masks and head caches with
-// a naive scan.
+// linkFlits returns the network's arrival lists in delivery order: the serial
+// list, or the shards' lists in shard order.
+func (n *Network) linkFlits() []arrival {
+	all := append([]arrival(nil), n.arrivals...)
+	for _, sh := range n.shards {
+		all = append(all, sh.arrivals...)
+	}
+	return all
+}
+
+// arrivalCaps returns the capacity of every arrival list of the network.
+func (n *Network) arrivalCaps() []int {
+	caps := []int{cap(n.arrivals)}
+	for _, sh := range n.shards {
+		caps = append(caps, cap(sh.arrivals))
+	}
+	return caps
+}
+
+func popcount(set []uint64) (c int) {
+	for _, w := range set {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// checkMasks compares the state the stepper maintains incrementally with a
+// naive scan: every router's occupancy masks and head caches against its
+// buffers, the per-phase router sets against the masks, the NI set against
+// pending(), the held-node set against the ejection queues, and — with the
+// arrival list counted as in flight — credit conservation on every link VC.
 func checkMasks(n *Network) error {
+	onLink := map[[2]int32]int{} // (router, slot) → flits arriving there
+	for _, a := range n.linkFlits() {
+		onLink[[2]int32{a.to, a.slot}]++
+	}
+	inVA, inSA := 0, 0
 	for _, r := range n.Routers {
-		needVA, ready, linkBusy := r.scanMasks()
-		if r.needVA != needVA || r.ready != ready || r.linkBusy != linkBusy {
-			return fmt.Errorf("router %v: needVA %#x ready %#x linkBusy %#x, scan says %#x %#x %#x",
-				r.pos, r.needVA, r.ready, r.linkBusy, needVA, ready, linkBusy)
+		needVA, ready := r.scanMasks()
+		if r.needVA != needVA || r.ready != ready {
+			return fmt.Errorf("router %v: needVA %#x ready %#x, scan says %#x %#x",
+				r.pos, r.needVA, r.ready, needVA, ready)
+		}
+		if va, sa := *r.vaWord&r.bit != 0, *r.saWord&r.bit != 0; va != (needVA != 0) || sa != (ready != 0) {
+			return fmt.Errorf("router %v: in the VA set %v, in the SA set %v; masks are needVA %#x ready %#x",
+				r.pos, va, sa, needVA, ready)
+		}
+		if needVA != 0 {
+			inVA++
+		}
+		if ready != 0 {
+			inSA++
 		}
 		flits := 0
 		for s := range r.vcs {
@@ -109,15 +150,119 @@ func checkMasks(n *Network) error {
 		if flits != r.inFlits {
 			return fmt.Errorf("router %v: inFlits %d, buffers hold %d", r.pos, r.inFlits, flits)
 		}
+		for pi := range r.out {
+			op := &r.out[pi]
+			if op.to == noAlloc {
+				continue
+			}
+			for vc, credits := range op.credits {
+				slot := op.toSlot + int32(vc)
+				held := int(n.Routers[op.to].vcs[slot].n) + onLink[[2]int32{op.to, slot}]
+				if credits+held != n.Cfg.VCDepthFlits {
+					return fmt.Errorf("router %v out %d vc %d: %d credits + %d flits downstream or on the link != depth %d",
+						r.pos, pi, vc, credits, held, n.Cfg.VCDepthFlits)
+				}
+			}
+		}
+	}
+	// Each router's bit is right, so equal counts mean no stray bits.
+	if got := popcount(n.vaSet); got != inVA {
+		return fmt.Errorf("VA set holds %d routers, %d have needVA", got, inVA)
+	}
+	if got := popcount(n.saSet); got != inSA {
+		return fmt.Errorf("SA set holds %d routers, %d have ready", got, inSA)
+	}
+	for ix, ni := range n.nis {
+		if in := n.niSet[ix>>6]>>uint(ix&63)&1 != 0; in != ni.pending() {
+			return fmt.Errorf("NI %d: in the NI set %v, pending %v", ix, in, ni.pending())
+		}
+	}
+	for node := range n.Routers {
+		held := len(n.ejectQ[Request][node])+len(n.ejectQ[Reply][node]) > 0
+		if in := n.heldNodes[node>>6]>>uint(node&63)&1 != 0; in != held {
+			return fmt.Errorf("node %d: in the held set %v, holds a delivered packet %v", node, in, held)
+		}
 	}
 	return nil
 }
 
-// TestMasksMatchScan pins the occupancy-mask invariant the allocators rely
-// on: after every Step, on every router, needVA / ready / linkBusy equal what
-// a scan of the buffers and links finds. Covered: every router shape the
-// seven schemes build × {uniform, hotspot} traffic × 3 seeds, on the serial
-// and the sharded stepper, through injection, saturation and drain.
+// flitID identifies a flit in flight.
+type flitID struct {
+	pkt   *Packet
+	index int32
+}
+
+// headFlits snapshots the head flit of every non-empty input VC, per router.
+func headFlits(n *Network) [][]flitID {
+	heads := make([][]flitID, len(n.Routers))
+	for i, r := range n.Routers {
+		for s := range r.vcs {
+			if vb := &r.vcs[s]; !vb.empty() {
+				heads[i] = append(heads[i], flitID{vb.at(0).Pkt, vb.at(0).Index})
+			}
+		}
+	}
+	return heads
+}
+
+// checkArrivals compares the arrival list after a Step with the flits that
+// traversed a link in it, worked out from the buffers alone: a flit crossed a
+// link iff it headed an input VC of a router before the Step, is gone from
+// that router's heads after it, and was not at its destination (there it
+// ejected). The list must hold exactly those flits, grouped by router in
+// ascending order and by ascending output port within a router, each on a
+// link its router really has.
+func checkArrivals(n *Network, before [][]flitID) error {
+	after := headFlits(n)
+	list := n.linkFlits()
+	k := 0
+	for i, r := range n.Routers {
+		left := map[flitID]bool{}
+		for _, f := range before[i] {
+			if !slices.Contains(after[i], f) && f.pkt.Dst != r.id {
+				left[f] = true
+			}
+		}
+		lastPort := 0
+		for ; k < len(list); k++ {
+			a := &list[k]
+			from, port := n.linkSource(a)
+			if from != i {
+				break
+			}
+			f := flitID{a.f.Pkt, a.f.Index}
+			if !left[f] {
+				return fmt.Errorf("router %v: flit %d of packet %d is on the arrival list but did not leave the router", r.pos, f.index, f.pkt.ID)
+			}
+			delete(left, f)
+			if port <= lastPort {
+				return fmt.Errorf("router %v: arrival through port %d listed after port %d", r.pos, port, lastPort)
+			}
+			lastPort = port
+			if op := &r.out[port]; op.to != a.to || a.slot < op.toSlot || a.slot >= op.toSlot+int32(n.nvc) {
+				return fmt.Errorf("router %v port %d leads to router %d slots %d+, arrival says router %d slot %d",
+					r.pos, port, op.to, op.toSlot, a.to, a.slot)
+			}
+		}
+		if len(left) > 0 {
+			return fmt.Errorf("router %v: %d flits left on a link but are not on the arrival list", r.pos, len(left))
+		}
+	}
+	if k < len(list) {
+		from, _ := n.linkSource(&list[k])
+		return fmt.Errorf("arrival %d of %d, from router %d, is out of router order", k, len(list), from)
+	}
+	return nil
+}
+
+// TestMasksMatchScan pins the invariants the stepper relies on. After every
+// Step: on every router needVA / ready equal what a scan of the buffers
+// finds, the per-phase sets equal a scan of those masks, the arrival list
+// equals the flits that traversed a link in that Step in (router, output
+// port) order, and no arrival list's capacity ever changes. Covered: every
+// router shape the seven schemes build × {uniform, hotspot} traffic × 3
+// seeds, on the serial and the sharded stepper, through injection,
+// saturation and drain.
 func TestMasksMatchScan(t *testing.T) {
 	for _, nc := range schemeNetConfigs() {
 		for _, pattern := range []string{"uniform", "hotspot"} {
@@ -133,6 +278,14 @@ func TestMasksMatchScan(t *testing.T) {
 						}
 						if err := checkMasks(n); err != nil {
 							t.Fatalf("fresh network: %v", err)
+						}
+						caps := n.arrivalCaps()
+						links := 0
+						for _, c := range caps {
+							links += c
+						}
+						if want := 2 * ((cfg.Width-1)*cfg.Height + cfg.Width*(cfg.Height-1)); links != want {
+							t.Fatalf("arrival lists have room for %d flits, the mesh has %d links", links, want)
 						}
 						rng := rand.New(rand.NewSource(seed))
 						nodes := cfg.Nodes()
@@ -152,9 +305,16 @@ func TestMasksMatchScan(t *testing.T) {
 								}
 								n.TryInject(&Packet{Type: typ, Src: src, Dst: dst, Spoke: rng.Intn(4)}, n.Now())
 							}
+							heads := headFlits(n)
 							n.Step()
 							if err := checkMasks(n); err != nil {
 								t.Fatalf("seed %d cycle %d: %v", seed, cyc, err)
+							}
+							if err := checkArrivals(n, heads); err != nil {
+								t.Fatalf("seed %d cycle %d: %v", seed, cyc, err)
+							}
+							if got := n.arrivalCaps(); !slices.Equal(got, caps) {
+								t.Fatalf("seed %d cycle %d: arrival list capacities %v, were %v after New", seed, cyc, got, caps)
 							}
 							// Drain slowly at first so ejection queues back up.
 							if cyc%3 == 0 || cyc >= 300 {
@@ -171,6 +331,81 @@ func TestMasksMatchScan(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestNIsSerializeFlits pins how NIs cut a packet into flits now that they
+// build each flit as it streams: whatever the NI kind (standard, EquiNox with
+// its EIR and local buffers, MultiPort, concentration spokes), a packet's
+// flits enter the network with Index 0…Flits-1 in order, the first and only
+// the first marked head, the last and only the last marked tail. A flit
+// spends at least a cycle in the buffer it enters, so a look at every NI-fed
+// input port after each Step sees every flit.
+func TestNIsSerializeFlits(t *testing.T) {
+	for _, nc := range schemeNetConfigs() {
+		switch nc.cfg.Name {
+		case "SingleBase", "EquiNox/reply", "MultiPort/reply", "Interposer-CMesh/cmesh":
+		default:
+			continue
+		}
+		t.Run(strings.ReplaceAll(nc.cfg.Name, "/", "-"), func(t *testing.T) {
+			n, err := New(nc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(5))
+			nodes := nc.cfg.Nodes()
+			next := map[*Packet]int32{} // flits of the packet seen so far
+			injected, multiFlit := 0, 0
+			for cyc := 0; cyc < 3000 && (cyc < 400 || !n.Quiescent()); cyc++ {
+				for k := 0; k < 3 && cyc < 400; k++ {
+					// Out of the CBs, where the multi-buffer NIs sit.
+					src := nc.cfg.CBs[rng.Intn(len(nc.cfg.CBs))].ID(nc.cfg.Width)
+					p := &Packet{ID: int64(injected + 1), Type: nc.types[rng.Intn(len(nc.types))], Src: src, Dst: rng.Intn(nodes), Spoke: rng.Intn(4)}
+					if n.TryInject(p, n.Now()) {
+						injected++
+						if p.Flits > 1 {
+							multiFlit++
+						}
+					}
+				}
+				n.Step()
+				for _, r := range n.Routers {
+					for pi := range r.in {
+						if r.in[pi].upCredit != noAlloc {
+							continue // fed by a link, not an NI
+						}
+						for vc := range r.in[pi].vcs {
+							for _, f := range r.in[pi].vcs[vc].flits() {
+								if f.Index < next[f.Pkt] {
+									continue // seen on an earlier cycle
+								}
+								if f.Index != next[f.Pkt] {
+									t.Fatalf("packet %d: flit %d entered after flit %d", f.Pkt.ID, f.Index, next[f.Pkt]-1)
+								}
+								if f.IsHead != (f.Index == 0) || f.IsTail != (int(f.Index) == f.Pkt.Flits-1) {
+									t.Fatalf("packet %d flit %d of %d: head %v tail %v", f.Pkt.ID, f.Index, f.Pkt.Flits, f.IsHead, f.IsTail)
+								}
+								next[f.Pkt]++
+							}
+						}
+					}
+				}
+				for node := 0; node < nodes; node++ {
+					for p := n.PopDelivered(node); p != nil; p = n.PopDelivered(node) {
+						if int(next[p]) != p.Flits {
+							t.Fatalf("packet %d delivered after %d of its %d flits entered the network", p.ID, next[p], p.Flits)
+						}
+					}
+				}
+			}
+			if !n.Quiescent() {
+				t.Fatalf("network did not drain\n%s", n.DebugDump())
+			}
+			if len(next) != injected || multiFlit == 0 {
+				t.Fatalf("saw the flits of %d packets, injected %d (%d multi-flit)", len(next), injected, multiFlit)
+			}
+		})
 	}
 }
 

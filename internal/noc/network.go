@@ -2,7 +2,7 @@ package noc
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"equinox/internal/flight"
 	"equinox/internal/geom"
@@ -26,26 +26,24 @@ type Network struct {
 	now          int64
 	lastProgress int64
 
-	// Active-set scheduler state: Step only visits routers and NIs that hold
-	// work, so idle corners of the mesh cost nothing per cycle. The lists are
-	// kept sorted by index so arbitration order matches a full scan.
-	active   []int32 // router IDs with buffered or in-flight flits
-	newly    []int32 // routers activated since the last merge (unsorted)
-	mergeBuf []int32
-	activeNI []int32 // NI indices with pending packets or streaming flits
-	newNI    []int32
-	niMerge  []int32
-	niQueued []bool
+	// Stepper state: Step only visits what holds work, so idle corners of
+	// the mesh cost nothing per cycle. arrivals lists the flits that crossed a
+	// link in the last cycle's switch traversal, in (router, output port)
+	// order; its capacity is the number of links, so it never grows. vaSet and
+	// saSet are bitsets over router IDs — "has needVA" and "has ready" — and
+	// niSet one over NI indices — "pending". Walking set bits low to high
+	// visits routers and NIs in ascending index order, the arbitration order
+	// of a full scan. On a sharded network each band owns whole words of
+	// vaSet/saSet and its own arrival list (see shard.go).
+	arrivals     []arrival
+	vaSet, saSet []uint64
+	niSet        []uint64
 
 	// inflight counts packets between TryInject and PopDeliveredClass,
-	// making Quiescent O(1) instead of a full-network scan. delivered counts
-	// the subset sitting in ejection queues awaiting a Pop.
+	// making Quiescent O(1) instead of a full-network scan. heldNodes is the
+	// set of nodes whose ejection queues hold one of them, awaiting a Pop.
 	inflight  int64
-	delivered int
-
-	// flitPool recycles Flit structs from ejected packets back to the NIs so
-	// steady-state injection allocates nothing.
-	flitPool []*Flit
+	heldNodes []uint64
 
 	// creditSlab holds every output port's per-VC credit counters
 	// (outputPort.credits are windows of it). credits stages phase-4
@@ -62,7 +60,6 @@ type Network struct {
 
 	// Sharded-stepper state; empty/nil when Cfg.Shards <= 1.
 	shards   []*shardState
-	shardOf  []int32 // router ID → shard index
 	group    *par.Group
 	phaseFn  func(int) // bound runShardPhase, built once to avoid per-cycle closures
 	curPhase int
@@ -151,7 +148,7 @@ func New(cfg Config) (*Network, error) {
 	inPorts := make([]inputPort, totIn)
 	outPorts := make([]outputPort, totOut)
 	vcs := make([]vcBuf, totIn*nvc)
-	rings := make([]*Flit, totIn*nvc*depth)
+	rings := make([]Flit, totIn*nvc*depth)
 	n.creditSlab = make([]int, totOut*nvc)
 	owners := make([]int, totOut*nvc)
 	for i := range vcs {
@@ -165,6 +162,7 @@ func New(cfg Config) (*Network, error) {
 	}
 	for i := range outPorts {
 		outPorts[i] = outputPort{
+			to:         noAlloc,
 			credits:    n.creditSlab[i*nvc : (i+1)*nvc : (i+1)*nvc],
 			owner:      owners[i*nvc : (i+1)*nvc : (i+1)*nvc],
 			creditBase: i * nvc,
@@ -202,10 +200,10 @@ func New(cfg Config) (*Network, error) {
 		io += nIn[id]
 		oo += nOut[id]
 	}
-	// Mesh links (latency 1: the ring holds one flit).
-	const linkLatency = 1
-	links := make([]link, 0, 2*((cfg.Width-1)*cfg.Height+cfg.Width*(cfg.Height-1)))
-	linkRings := make([]flitInFlight, cap(links)*linkLatency)
+	// Mesh links. Every link has a latency of one cycle, which is what lets
+	// one arrival list stand in for per-link queues: each link carries at most
+	// one flit, always due next cycle. (A multi-cycle link would need one list
+	// per due cycle.) initBands sizes the list(s) to the link count.
 	for _, r := range n.Routers {
 		for _, d := range []geom.Direction{geom.East, geom.West, geom.South, geom.North} {
 			np := r.pos.Add(d.Delta())
@@ -214,14 +212,10 @@ func New(cfg Config) (*Network, error) {
 			}
 			nb := n.Routers[np.ID(cfg.Width)]
 			toPort := int(d.Opposite())
-			k := len(links)
-			links = append(links, link{
-				to: nb, toPort: toPort, toSlot: n.slot(toPort, 0), latency: linkLatency,
-				q: linkRings[k*linkLatency : (k+1)*linkLatency : (k+1)*linkLatency],
-			})
-			r.out[PortID(d)].link = &links[k]
+			op := &r.out[PortID(d)]
+			op.to, op.toSlot = int32(nb.id), int32(n.slot(toPort, 0))
 			r.dirOut[d] = int(d)
-			nb.in[toPort].upCredit = r.out[PortID(d)].creditBase
+			nb.in[toPort].upCredit = op.creditBase
 		}
 	}
 
@@ -229,6 +223,7 @@ func New(cfg Config) (*Network, error) {
 	// eject-ready check can let through: ejectCap-1 waiting plus one tail per
 	// ejection port in a cycle.
 	ejectSlots := n.ejectCap - 1 + max(cfg.EjectPortsPerCB, 1)
+	n.heldNodes = make([]uint64, (cfg.Nodes()+63)/64)
 	ejectSlab := make([]*Packet, int(NumClasses)*cfg.Nodes()*ejectSlots)
 	for c := range n.ejectQ {
 		n.ejectQ[c] = make([][]*Packet, cfg.Nodes())
@@ -262,64 +257,9 @@ func New(cfg Config) (*Network, error) {
 	for _, r := range n.Routers {
 		r.finalize()
 	}
-	n.niQueued = make([]bool, len(n.nis))
-	if cfg.Shards > 1 {
-		n.initShards()
-	}
+	n.niSet = make([]uint64, (len(n.nis)+63)/64)
+	n.initBands()
 	return n, nil
-}
-
-// markNIActive puts an NI on the active worklist; idempotent.
-func (n *Network) markNIActive(ix int) {
-	if !n.niQueued[ix] {
-		n.niQueued[ix] = true
-		n.newNI = append(n.newNI, int32(ix))
-	}
-}
-
-// mergeSorted merges the sorted worklist with newly activated indices
-// (disjoint by construction: the queued flag keeps an index out of both).
-func mergeSorted(active, newly, buf []int32) (merged, spare []int32) {
-	slices.Sort(newly)
-	merged = buf[:0]
-	i, j := 0, 0
-	for i < len(active) && j < len(newly) {
-		if active[i] < newly[j] {
-			merged = append(merged, active[i])
-			i++
-		} else {
-			merged = append(merged, newly[j])
-			j++
-		}
-	}
-	merged = append(merged, active[i:]...)
-	merged = append(merged, newly[j:]...)
-	return merged, active[:0]
-}
-
-func (n *Network) mergeActive() {
-	// Sharded networks collect activations per shard (markActive must not
-	// append to a shared list from concurrent phase workers); gather them
-	// here. mergeSorted sorts, so concatenation order is irrelevant.
-	for _, sh := range n.shards {
-		if len(sh.newly) > 0 {
-			n.newly = append(n.newly, sh.newly...)
-			sh.newly = sh.newly[:0]
-		}
-	}
-	if len(n.newly) == 0 {
-		return
-	}
-	n.active, n.mergeBuf = mergeSorted(n.active, n.newly, n.mergeBuf)
-	n.newly = n.newly[:0]
-}
-
-func (n *Network) mergeActiveNIs() {
-	if len(n.newNI) == 0 {
-		return
-	}
-	n.activeNI, n.niMerge = mergeSorted(n.activeNI, n.newNI, n.niMerge)
-	n.newNI = n.newNI[:0]
 }
 
 // Now returns the current cycle of this network's clock domain.
@@ -333,7 +273,7 @@ func (n *Network) TryInject(p *Packet, now int64) bool {
 	if n.nis[ix].tryEnqueue(p, now) {
 		p.Flits = SizeInFlits(p.Type, n.Cfg.FlitBytes, n.Cfg.LineBytes)
 		n.Stats.packetInjected(p, n.Cfg.FlitBytes)
-		n.markNIActive(ix)
+		n.niSet[ix>>6] |= 1 << uint(ix&63)
 		n.inflight++
 		if n.flight != nil {
 			n.flightRecord(now, p, flight.Created, p.Src, int32(ClassOf(p.Type)), noAlloc)
@@ -366,14 +306,28 @@ func (n *Network) PopDeliveredClass(node int, c Class) *Packet {
 	// Compact in place so the queue's backing array is reused forever.
 	copy(q, q[1:])
 	n.ejectQ[c][node] = q[:len(q)-1]
+	if len(q) == 1 && len(n.ejectQ[1-c][node]) == 0 {
+		n.heldNodes[node>>6] &^= 1 << uint(node&63)
+	}
 	n.inflight--
-	n.delivered--
 	return p
 }
 
-// DeliveredPending returns how many delivered packets are waiting to be
-// popped across all nodes; endpoint drains can skip the network when zero.
-func (n *Network) DeliveredPending() int { return n.delivered }
+// NextDelivered returns the lowest node at or after from whose ejection
+// queues hold a delivered packet of either class, or -1. Endpoint drains walk
+// it instead of peeking every node:
+//
+//	for node := n.NextDelivered(0); node >= 0; node = n.NextDelivered(node + 1)
+func (n *Network) NextDelivered(from int) int {
+	mask := ^uint64(0) << uint(from&63)
+	for w := from >> 6; w < len(n.heldNodes); w++ {
+		if m := n.heldNodes[w] & mask; m != 0 {
+			return w<<6 + bits.TrailingZeros64(m)
+		}
+		mask = ^uint64(0)
+	}
+	return -1
+}
 
 // PeekDeliveredClass returns the oldest delivered packet of a class at a
 // node without removing it.
@@ -390,137 +344,138 @@ func (n *Network) ejectReady(node int, c Class) bool {
 	return len(n.ejectQ[c][node]) < n.ejectCap
 }
 
-// ejectFlit consumes a flit at the ejection port; on the tail flit the
-// packet is delivered. When called from a shard worker (sh non-nil), every
-// effect that leaves the ejecting router — flight events, OnDeliver, flit
-// recycling, stats — is staged for the phase barrier; the ejection queue
+// ejectPacket delivers a packet whose tail flit left the ejection port of
+// its destination router. When called from a shard worker (sh non-nil), every
+// effect that leaves the ejecting router — flight events, OnDeliver, the
+// held-node set, stats — is staged for the phase barrier; the ejection queue
 // itself is per node and thus shard-local.
-func (n *Network) ejectFlit(node int, f *Flit, now int64, sh *shardState) {
-	if f.IsTail {
-		f.Pkt.DeliveredAt = now
-		c := ClassOf(f.Pkt.Type)
-		n.ejectQ[c][node] = append(n.ejectQ[c][node], f.Pkt)
-		if sh != nil {
-			sh.delivered++
-			sh.stats.packetDelivered(f.Pkt, n.Cfg)
-		} else {
-			n.delivered++
-			n.Stats.packetDelivered(f.Pkt, n.Cfg)
-		}
-		if fr := n.flight; fr != nil {
-			lat := now - f.Pkt.CreatedAt
-			sampled := fr.Hit(f.Pkt.ID)
-			ev := flight.Event{
-				Cycle: now, Pkt: f.Pkt.ID, Kind: flight.Ejected,
-				Type: uint8(f.Pkt.Type), Src: int32(f.Pkt.Src), Dst: int32(f.Pkt.Dst),
-				Router: int32(node), A: int32(lat),
-			}
-			if sh != nil {
-				sh.fops = append(sh.fops, stagedFlightOp{ev: ev, lat: lat, eject: true, sampled: sampled})
-			} else {
-				if sampled {
-					fr.Record(ev)
-				}
-				// Every ejection (sampled or not) feeds the watchdogs: the
-				// starvation detector must observe unsampled progress too.
-				fr.EjectObserved(now, f.Pkt.ID, lat, sampled)
-			}
-		}
-		if n.OnDeliver != nil {
-			if sh != nil {
-				sh.delivers = append(sh.delivers, f.Pkt)
-			} else {
-				n.OnDeliver(f.Pkt)
-			}
-		}
-	}
-	// The flit is dead: recycle it to the NI-side pool.
+func (n *Network) ejectPacket(p *Packet, now int64, sh *shardState) {
+	p.DeliveredAt = now
+	c := ClassOf(p.Type)
+	n.ejectQ[c][p.Dst] = append(n.ejectQ[c][p.Dst], p)
 	if sh != nil {
-		sh.frees = append(sh.frees, f)
+		sh.delivers = append(sh.delivers, p)
+		sh.stats.packetDelivered(p, n.Cfg)
 	} else {
-		n.flitPool = append(n.flitPool, f)
+		n.Stats.packetDelivered(p, n.Cfg)
 	}
-}
-
-// flitSlabSize is how many Flit structs the pool allocates at once when it
-// runs dry (a few packets' worth).
-const flitSlabSize = 64
-
-// makeFlits serializes a packet into buf (reused across packets), drawing
-// Flit structs from the recycle pool so steady-state injection is
-// allocation-free.
-func (n *Network) makeFlits(p *Packet, buf []*Flit) []*Flit {
-	buf = buf[:0]
-	for i := 0; i < p.Flits; i++ {
-		if len(n.flitPool) == 0 {
-			// Grow the pool a slab at a time, not a flit at a time.
-			slab := make([]Flit, flitSlabSize)
-			for j := range slab {
-				n.flitPool = append(n.flitPool, &slab[j])
+	if fr := n.flight; fr != nil {
+		lat := now - p.CreatedAt
+		sampled := fr.Hit(p.ID)
+		ev := flight.Event{
+			Cycle: now, Pkt: p.ID, Kind: flight.Ejected,
+			Type: uint8(p.Type), Src: int32(p.Src), Dst: int32(p.Dst),
+			Router: int32(p.Dst), A: int32(lat),
+		}
+		if sh != nil {
+			sh.fops = append(sh.fops, stagedFlightOp{ev: ev, lat: lat, eject: true, sampled: sampled})
+		} else {
+			if sampled {
+				fr.Record(ev)
 			}
+			// Every ejection (sampled or not) feeds the watchdogs: the
+			// starvation detector must observe unsampled progress too.
+			fr.EjectObserved(now, p.ID, lat, sampled)
 		}
-		k := len(n.flitPool) - 1
-		f := n.flitPool[k]
-		n.flitPool = n.flitPool[:k]
-		*f = Flit{
-			Pkt:    p,
-			Index:  i,
-			IsHead: i == 0,
-			IsTail: i == p.Flits-1,
-		}
-		buf = append(buf, f)
 	}
-	return buf
+	if sh == nil {
+		n.noteDelivered(p)
+	}
 }
 
-// Step advances the network by one cycle. Only routers and NIs on the
-// active worklists are visited; everything else is provably a no-op this
-// cycle, so low-load sweeps stop paying for the full mesh. Worklists are
-// iterated in ascending index order, which reproduces the arbitration
-// ordering of a full scan exactly (bit-identical results). With
-// Cfg.Shards > 1 the phases run band-parallel (see shard.go) with the same
-// guarantee.
+// noteDelivered makes a packet just appended to its ejection queue visible
+// to the endpoint: the held-node set and OnDeliver.
+func (n *Network) noteDelivered(p *Packet) {
+	n.heldNodes[p.Dst>>6] |= 1 << uint(p.Dst&63)
+	if n.OnDeliver != nil {
+		n.OnDeliver(p)
+	}
+}
+
+// Step advances the network by one cycle. Only routers and NIs in the
+// stepper's sets are visited; everything else is provably a no-op this cycle,
+// so low-load sweeps stop paying for the full mesh. Each phase walks its set
+// in ascending index order, which reproduces the arbitration ordering of a
+// full scan exactly (bit-identical results). With Cfg.Shards > 1 the same
+// phase kernels run band-parallel (see shard.go) with the same guarantee.
 func (n *Network) Step() {
 	if n.shards != nil {
 		n.stepSharded()
 		return
 	}
 	now := n.now
-	n.mergeActive()
-	// 1. Deliver link arrivals due this cycle.
-	for _, id := range n.active {
-		r := n.Routers[id]
-		if r.linkBusy != 0 {
-			r.deliverArrivals(now, nil)
-		}
-	}
+	// 1. Deliver the flits that crossed a link last cycle.
+	n.deliver(n.arrivals, now)
+	n.arrivals = n.arrivals[:0]
 	// 2. NI injection streams flits into router input buffers.
-	n.mergeActiveNIs()
-	for _, ix := range n.activeNI {
-		n.nis[ix].step(now)
-	}
-	// Routers that received their first flit in phases 1–2 must take part in
-	// this cycle's allocation, exactly as under a full scan.
-	n.mergeActive()
-	// 3. Routing + VC allocation.
-	for _, id := range n.active {
-		r := n.Routers[id]
-		if r.needVA != 0 {
-			r.vcAllocate(now, nil)
-		}
-	}
-	// 4. Switch allocation + traversal.
-	moved := 0
-	for _, id := range n.active {
-		r := n.Routers[id]
-		if r.ready != 0 {
-			moved += r.switchAllocate(now, nil)
-		}
-	}
+	n.stepNIs(now)
+	// 3. Routing + VC allocation, then 4. switch allocation + traversal. Two
+	// passes, not one per router: a cycle's VCAlloc flight events all precede
+	// its SAGrant events.
+	n.allocVCs(n.vaSet, 0, now, nil)
+	moved := n.allocSwitches(n.saSet, 0, now, nil)
 	// Deferred credit returns become visible between cycles, never within
 	// phase 4 — the serial stepper matches the sharded one exactly.
 	n.applyCredits(n.credits)
 	n.credits = n.credits[:0]
+	n.endCycle(moved)
+}
+
+// deliver is phase 1: it moves the flits of an arrival list into the input
+// buffers their links lead to. List order is the order a scan of routers and
+// their output ports would deliver in, so LinkTraverse flight events keep
+// their order.
+func (n *Network) deliver(list []arrival, now int64) {
+	for i := range list {
+		a := &list[i]
+		a.f.enteredRouter = now
+		if n.flight != nil && a.f.IsHead {
+			port := int32(n.slotPort[a.slot])
+			n.flightRecord(now, a.f.Pkt, flight.LinkTraverse, int(a.to), port, a.slot-port*int32(n.nvc))
+		}
+		n.Routers[a.to].accept(int(a.slot), a.f)
+	}
+}
+
+// stepNIs is phase 2: every NI holding a packet streams into its router(s);
+// an NI that drained leaves the set until the next TryInject.
+func (n *Network) stepNIs(now int64) {
+	for w, m := range n.niSet {
+		for ; m != 0; m &= m - 1 {
+			ni := n.nis[w<<6+bits.TrailingZeros64(m)]
+			ni.step(now)
+			if !ni.pending() {
+				n.niSet[w] &^= m & -m
+			}
+		}
+	}
+}
+
+// allocVCs is phase 3 over one window of vaSet, whose bit 0 is router lo.
+func (n *Network) allocVCs(set []uint64, lo int, now int64, sh *shardState) {
+	for w, m := range set {
+		for ; m != 0; m &= m - 1 {
+			n.Routers[lo+w<<6+bits.TrailingZeros64(m)].vcAllocate(now, sh)
+		}
+	}
+}
+
+// allocSwitches is phase 4 over one window of saSet, whose bit 0 is router
+// lo; it returns the number of flits moved.
+func (n *Network) allocSwitches(set []uint64, lo int, now int64, sh *shardState) int {
+	moved := 0
+	for w, m := range set {
+		for ; m != 0; m &= m - 1 {
+			moved += n.Routers[lo+w<<6+bits.TrailingZeros64(m)].switchAllocate(now, sh)
+		}
+	}
+	return moved
+}
+
+// endCycle closes a cycle once every phase effect has been applied: the
+// progress watchdog, the samplers and the clock.
+func (n *Network) endCycle(moved int) {
+	now := n.now
 	if moved > 0 {
 		n.lastProgress = now
 	}
@@ -530,34 +485,8 @@ func (n *Network) Step() {
 	if n.telem != nil && now%n.telem.every == 0 {
 		n.telem.tick(n, now)
 	}
-	n.pruneActive()
 	n.Stats.cycles++
 	n.now++
-}
-
-// pruneActive retires routers and NIs whose work drained this cycle.
-func (n *Network) pruneActive() {
-	w := 0
-	for _, id := range n.active {
-		r := n.Routers[id]
-		if r.needVA|r.ready|r.linkBusy != 0 {
-			n.active[w] = id
-			w++
-		} else {
-			r.queued = false
-		}
-	}
-	n.active = n.active[:w]
-	w = 0
-	for _, ix := range n.activeNI {
-		if n.nis[ix].pending() {
-			n.activeNI[w] = ix
-			w++
-		} else {
-			n.niQueued[ix] = false
-		}
-	}
-	n.activeNI = n.activeNI[:w]
 }
 
 // Quiescent reports whether no packet or flit remains anywhere in the
@@ -583,10 +512,13 @@ func (n *Network) quiescentScan() bool {
 				return false
 			}
 		}
-		for _, op := range r.out {
-			if op.link != nil && op.link.n > 0 {
-				return false
-			}
+	}
+	if len(n.arrivals) > 0 {
+		return false
+	}
+	for _, sh := range n.shards {
+		if len(sh.arrivals) > 0 {
+			return false
 		}
 	}
 	for c := range n.ejectQ {
@@ -630,8 +562,7 @@ type standardNI struct {
 	port   int // router input port this NI feeds
 	queues [NumClasses][]*Packet
 	cap    int
-	cur    *Packet
-	flits  []*Flit
+	cur    *Packet // packet being streamed; sent of its flits have entered the router
 	sent   int
 	curVC  int
 	rrCls  int
@@ -687,7 +618,7 @@ func (ni *standardNI) backlog(per []int64) {
 		}
 	}
 	if ni.cur != nil {
-		f += int64(len(ni.flits) - ni.sent)
+		f += int64(ni.cur.Flits - ni.sent)
 	}
 	per[ni.r.id] += f
 }
@@ -729,7 +660,6 @@ func (ni *standardNI) step(now int64) {
 				continue
 			}
 			ni.queues[c], ni.cur = popPacket(ni.queues[c])
-			ni.flits = ni.net.makeFlits(ni.cur, ni.flits)
 			ni.sent = 0
 			ni.curVC = vc
 			ni.cur.InjectedAt = now
@@ -757,21 +687,24 @@ func (ni *standardNI) step(now int64) {
 	}
 	// Stream one flit per cycle while buffer space remains.
 	slot := ni.net.slot(ni.port, ni.curVC)
-	if ni.r.vcs[slot].free() > 0 && ni.sent < len(ni.flits) {
-		f := ni.flits[ni.sent]
-		f.enteredRouter = now
-		ni.r.accept(slot, f)
+	if ni.r.vcs[slot].free() > 0 {
+		ni.r.accept(slot, nextFlit(ni.cur, ni.sent, now))
 		ni.sent++
 		if ni.net.flight != nil {
 			ni.stall.clear()
 		}
-		if ni.sent == len(ni.flits) {
-			// Keep the flits buffer for reuse; only drop the references.
-			ni.cur, ni.flits, ni.curVC = nil, ni.flits[:0], noAlloc
+		if ni.sent == ni.cur.Flits {
+			ni.cur, ni.curVC = nil, noAlloc
 		}
-	} else if ni.net.flight != nil && ni.cur != nil {
+	} else if ni.net.flight != nil {
 		ni.net.flightStall(&ni.stall, now, ni.cur, ni.r.id, flight.StallVCFull)
 	}
+}
+
+// nextFlit serializes the sent-th flit of a packet as it enters a router at
+// cycle now; NIs build flits one at a time while they stream.
+func nextFlit(p *Packet, sent int, now int64) Flit {
+	return Flit{Pkt: p, Index: int32(sent), IsHead: sent == 0, IsTail: sent == p.Flits-1, enteredRouter: now}
 }
 
 // popPacket removes the queue head, compacting in place so the backing

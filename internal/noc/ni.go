@@ -23,8 +23,7 @@ type injBuffer struct {
 	// East..North EIR buffer, MultiPort = port ordinal.
 	ix int32
 
-	pkt   *Packet
-	flits []*Flit
+	pkt   *Packet // loaded packet; sent of its flits have entered the router
 	sent  int
 	vc    int
 	stall stallNote
@@ -37,14 +36,13 @@ func (b *injBuffer) remaining() int64 {
 	if b.pkt == nil {
 		return 0
 	}
-	return int64(len(b.flits) - b.sent)
+	return int64(b.pkt.Flits - b.sent)
 }
 
 // load assigns a packet to the buffer. The VC is chosen at the first stream
 // attempt so a briefly full router buffer does not drop the assignment.
 func (b *injBuffer) load(n *Network, p *Packet, now int64) {
 	b.pkt = p
-	b.flits = n.makeFlits(p, b.flits)
 	b.sent = 0
 	b.vc = noAlloc
 	if n.flight != nil {
@@ -71,16 +69,14 @@ func (b *injBuffer) stream(n *Network, now int64) {
 		b.pkt.InjectedAt = now
 	}
 	slot := n.slot(b.port, b.vc)
-	if b.r.vcs[slot].free() > 0 && b.sent < len(b.flits) {
-		f := b.flits[b.sent]
-		f.enteredRouter = now
-		b.r.accept(slot, f)
+	if b.r.vcs[slot].free() > 0 {
+		b.r.accept(slot, nextFlit(b.pkt, b.sent, now))
 		b.sent++
 		if n.flight != nil {
 			b.stall.clear()
 		}
-		if b.sent == len(b.flits) {
-			b.pkt, b.flits, b.vc = nil, b.flits[:0], noAlloc
+		if b.sent == b.pkt.Flits {
+			b.pkt, b.vc = nil, noAlloc
 		}
 	} else if n.flight != nil {
 		n.flightStall(&b.stall, now, b.pkt, b.r.id, flight.StallVCFull)

@@ -95,10 +95,12 @@ func (p *Packet) NetworkLatency() int64 { return p.DeliveredAt - p.InjectedAt }
 // TotalLatency is the end-to-end NI-to-NI latency.
 func (p *Packet) TotalLatency() int64 { return p.DeliveredAt - p.CreatedAt }
 
-// Flit is one flow-control unit of a packet.
+// Flit is one flow-control unit of a packet. Flits are values: NIs build
+// them as they stream, and input buffers and the link arrival list hold them
+// in place.
 type Flit struct {
 	Pkt    *Packet
-	Index  int // 0-based position within the packet
+	Index  int32 // 0-based position within the packet
 	IsHead bool
 	IsTail bool
 

@@ -96,12 +96,10 @@ func (p *Probe) sample(n *Network) {
 	p.samples++
 	for i, r := range n.Routers {
 		p.scratch[i] = int64(r.inFlits)
-		base := i * meshLinks
-		for d := 1; d <= meshLinks; d++ {
-			if lnk := r.out[d].link; lnk != nil {
-				p.linkSum[base+d-1] += int64(lnk.n)
-			}
-		}
+	}
+	p.countLinkFlits(n, n.arrivals)
+	for _, sh := range n.shards {
+		p.countLinkFlits(n, sh.arrivals)
 	}
 	for _, ni := range n.nis {
 		ni.backlog(p.scratch)
@@ -111,6 +109,15 @@ func (p *Probe) sample(n *Network) {
 		if occ > p.occMax[i] {
 			p.occMax[i] = occ
 		}
+	}
+}
+
+// countLinkFlits adds the flits of an arrival list — the flits in flight on
+// links at the end of a cycle — to their links' sums.
+func (p *Probe) countLinkFlits(n *Network, list []arrival) {
+	for i := range list {
+		from, port := n.linkSource(&list[i])
+		p.linkSum[from*meshLinks+port-1]++
 	}
 }
 

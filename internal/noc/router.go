@@ -25,12 +25,12 @@ const (
 const noAlloc = -1
 
 // vcBuf is one virtual-channel buffer of an input port: a fixed-capacity
-// ring of VCDepthFlits slots carved from the network's flit slab, so pushes
-// never grow and pops never copy.
+// ring of VCDepthFlits flits carved from the network's flit slab, so pushes
+// never grow and pops never shift.
 type vcBuf struct {
-	q    []*Flit // ring storage; len(q) is the buffer's capacity
-	head int32   // index of the oldest flit
-	n    int32   // flits buffered
+	q    []Flit // ring storage; len(q) is the buffer's capacity
+	head int32  // index of the oldest flit
+	n    int32  // flits buffered
 
 	// Allocation state for the packet at the head of the buffer. credit and
 	// class are valid while outPort is set.
@@ -55,11 +55,11 @@ func (b *vcBuf) at(i int) *Flit {
 	if i >= len(b.q) {
 		i -= len(b.q)
 	}
-	return b.q[i]
+	return &b.q[i]
 }
 
 // push appends a flit; the caller has checked free() > 0.
-func (b *vcBuf) push(f *Flit) {
+func (b *vcBuf) push(f Flit) {
 	i := int(b.head + b.n)
 	if i >= len(b.q) {
 		i -= len(b.q)
@@ -72,7 +72,7 @@ func (b *vcBuf) push(f *Flit) {
 }
 
 // pop removes and returns the head flit and refreshes the head cache.
-func (b *vcBuf) pop() *Flit {
+func (b *vcBuf) pop() Flit {
 	f := b.q[b.head]
 	b.head++
 	if int(b.head) == len(b.q) {
@@ -100,7 +100,12 @@ type inputPort struct {
 // outputPort is one output port: a link to a downstream router input port,
 // or an ejection port delivering to the local node.
 type outputPort struct {
-	link *link // nil for ejection ports
+	// to is the downstream router's ID and toSlot the slot of (its input
+	// port, VC 0) there; to is noAlloc for ejection ports and for boundary
+	// ports without a neighbour. Every link has a latency of one cycle: a
+	// flit granted this cycle is in the downstream buffer for the next one
+	// (see arrival).
+	to, toSlot int32
 
 	// Downstream VC bookkeeping (links only), windows of the network slabs;
 	// credits[v] is Network.creditSlab[creditBase+v].
@@ -117,22 +122,21 @@ type outputPort struct {
 	grant, score int
 }
 
-// link carries flits in flight between routers with a fixed latency. At most
-// one flit enters per cycle and each leaves after latency cycles, so the
-// in-flight queue is a ring of latency slots in due order.
-type link struct {
-	to      *Router
-	toPort  int
-	toSlot  int // slot of (toPort, VC 0) at the downstream router
-	latency int64
-	q       []flitInFlight // ring storage, len == latency
-	head, n int
+// arrival is one flit crossing a link: switch traversal appends it to the
+// stepper's arrival list and phase 1 of the next cycle moves it into slot of
+// router to.
+type arrival struct {
+	to   int32 // downstream router ID
+	slot int32 // input slot there: the link's input port, the flit's VC
+	f    Flit
 }
 
-type flitInFlight struct {
-	f   *Flit
-	vc  int
-	due int64
+// linkSource names the link an arrival is crossing by its near end. The
+// arrival itself carries the far end: it enters input port d of router to, so
+// it left the neighbour on that side through the opposite output port.
+func (n *Network) linkSource(a *arrival) (router, port int) {
+	d := geom.Direction(n.slotPort[a.slot])
+	return n.Routers[a.to].pos.Add(d.Delta()).ID(n.Cfg.Width), int(d.Opposite())
 }
 
 // Router is one input-buffered VC router.
@@ -145,13 +149,16 @@ type Router struct {
 	//
 	// They change in three places only: accept (empty → non-empty), VC
 	// allocation success (needVA → ready), and the switch-traversal pop (the
-	// tail clears the allocation, or the buffer drains). linkBusy is the same
-	// idea over output ports: bit p set iff out[p]'s link has flits in flight.
+	// tail clears the allocation, or the buffer drains).
 	needVA, ready uint64
-	linkBusy      uint64
 
-	inFlits int  // flits buffered in this router's input VCs
-	queued  bool // on the network's active worklist
+	// The stepper's per-phase router sets (Network.vaSet, saSet) hold this
+	// router's bit — bit of *vaWord iff needVA != 0, of *saWord iff
+	// ready != 0 — and are updated at the same three places.
+	vaWord, saWord *uint64
+	bit            uint64
+
+	inFlits int // flits buffered in this router's input VCs
 
 	vcs []vcBuf // every input VC, indexed by slot
 	in  []inputPort
@@ -209,43 +216,25 @@ func (r *Router) finalize() {
 	r.net.scratch.fit(len(r.in), len(r.out), r.net.nvc)
 }
 
-// markActive puts the router on its network's active worklist; cheap and
-// idempotent, called whenever a flit lands in one of its input buffers. On
-// sharded networks activations collect per shard: flits only land in a
-// router from its own shard's phase worker (cross-shard deliveries are
-// staged and applied serially), so appending to the owning shard's list is
-// race-free.
-func (r *Router) markActive() {
-	if !r.queued {
-		r.queued = true
-		n := r.net
-		if n.shardOf != nil {
-			sh := n.shards[n.shardOf[r.id]]
-			sh.newly = append(sh.newly, int32(r.id))
-			return
-		}
-		n.newly = append(n.newly, int32(r.id))
-	}
-}
-
 // accept pushes a flit into input slot (port*VCsPerPort + vc), maintaining
-// the occupancy masks, flit counter and active-set membership. All flit
-// arrivals (links and NIs) go through here; the caller has set
+// the occupancy masks, the per-phase router sets and the flit counter. All
+// flit arrivals (links and NIs) go through here; the caller has set
 // f.enteredRouter and checked the buffer has room.
-func (r *Router) accept(slot int, f *Flit) {
+func (r *Router) accept(slot int, f Flit) {
 	vb := &r.vcs[slot]
 	if vb.n == 0 {
 		// Empty → non-empty: a buffer that drained mid-packet keeps its
 		// allocation and goes straight back to switch allocation.
 		if vb.outPort == noAlloc {
 			r.needVA |= 1 << uint(slot)
+			*r.vaWord |= r.bit
 		} else {
 			r.ready |= 1 << uint(slot)
+			*r.saWord |= r.bit
 		}
 	}
 	vb.push(f)
 	r.inFlits++
-	r.markActive()
 }
 
 // Pos returns the router's tile coordinate.
@@ -307,10 +296,10 @@ type routeCand struct {
 // routeCandidates lists the head packet's candidates in preference order
 // into the scratch buffer; the returned slice is valid until the next call
 // with the same scratch.
-func (r *Router) routeCandidates(f *Flit, sc *allocScratch) []routeCand {
+func (r *Router) routeCandidates(p *Packet, sc *allocScratch) []routeCand {
 	n := r.net
 	cands := sc.cands[:0]
-	dst := geom.FromID(f.Pkt.Dst, n.Cfg.Width)
+	dst := geom.FromID(p.Dst, n.Cfg.Width)
 	if dst == r.pos {
 		// Ejection. MultiPort CB routers may have several ejection ports.
 		for pi := range r.out {
@@ -321,7 +310,7 @@ func (r *Router) routeCandidates(f *Flit, sc *allocScratch) []routeCand {
 		return cands
 	}
 
-	cls := ClassOf(f.Pkt.Type)
+	cls := ClassOf(p.Type)
 	dirs := geom.AppendDirTowards(sc.dirs[:0], r.pos, dst)
 	xyDir := dirs[0] // X first: DirTowards emits the X direction first
 
@@ -385,12 +374,9 @@ var westOnly = []geom.Direction{geom.West}
 // is ascending slot order rotated to start at slot offset*VCsPerPort — the
 // mask is split there and each half walked low bit first. The offset is
 // derived from the cycle counter, not stored per router, so idle routers stay
-// skippable by the active-set scheduler.
+// out of the stepper's sets.
 func (r *Router) vcAllocate(now int64, sh *shardState) {
 	m := r.needVA
-	if m == 0 {
-		return
-	}
 	n := r.net
 	sc := &n.scratch
 	if sh != nil {
@@ -401,12 +387,12 @@ func (r *Router) vcAllocate(now int64, sh *shardState) {
 		for ; half != 0; half &= half - 1 {
 			slot := bits.TrailingZeros64(half)
 			vb := &r.vcs[slot]
-			head := vb.q[vb.head]
+			head := &vb.q[vb.head]
 			if !head.IsHead {
 				continue // mid-packet without allocation cannot happen, but be safe
 			}
 			cls := ClassOf(head.Pkt.Type)
-			for _, c := range r.routeCandidates(head, sc) {
+			for _, c := range r.routeCandidates(head.Pkt, sc) {
 				if c.port == noAlloc {
 					continue
 				}
@@ -449,6 +435,12 @@ func (r *Router) vcAllocate(now int64, sh *shardState) {
 			}
 		}
 	}
+	if r.needVA == 0 {
+		*r.vaWord &^= r.bit
+	}
+	if r.ready != 0 {
+		*r.saWord |= r.bit
+	}
 }
 
 // slot packs an (input port, VC) pair into the router-local index of the VC
@@ -465,17 +457,42 @@ type saReq struct {
 	credit int // Network.creditSlab index to return a credit to, or noAlloc
 }
 
+// sendable reports whether the head flit of a ready VC may traverse this
+// cycle: it has spent its cycle in the router pipeline, and the downstream
+// VC (or the node's ejection queue) has room for it.
+func (r *Router) sendable(vb *vcBuf, now int64) bool {
+	if vb.headEntered >= now {
+		return false
+	}
+	if vb.credit == noAlloc {
+		return r.net.ejectReady(r.node, vb.class)
+	}
+	return r.net.creditSlab[vb.credit] > 0
+}
+
+// creditFor returns the Network.creditSlab index a flit leaving the port's
+// VC vc returns a credit to; noAlloc on NI-fed ports.
+func (ip *inputPort) creditFor(vc int) int {
+	if ip.upCredit == noAlloc {
+		return noAlloc
+	}
+	return ip.upCredit + vc
+}
+
 // switchAllocate runs separable input-first switch allocation over the
-// ready mask and traverses the granted flits. Returns the number of flits
-// moved. The steady state allocates nothing. With sh non-nil the call runs
-// on a shard worker: upstream credit returns, flight events, stats, and
-// ejection side effects stage into the shard for the phase barrier
-// (everything else the phase touches is router-local).
+// ready mask and traverses the granted flits: a flit leaving on a link is
+// appended to the arrival list, which keeps (router, output port) order
+// because routers are visited ascending and grants traverse ascending.
+// Returns the number of flits moved. The steady state allocates nothing.
+// With sh non-nil the call runs on a shard worker: upstream credit returns,
+// flight events, stats, and ejection side effects stage into the shard for
+// the phase barrier, and arrivals go to the shard's own list (everything
+// else the phase touches is router-local).
 func (r *Router) switchAllocate(now int64, sh *shardState) int {
 	n := r.net
-	sc, st, credits := &n.scratch, &n.Stats, &n.credits
+	sc, st, credits, arrivals := &n.scratch, &n.Stats, &n.credits, &n.arrivals
 	if sh != nil {
-		sc, st, credits = &sh.scratch, &sh.stats, &sh.credits
+		sc, st, credits, arrivals = &sh.scratch, &sh.stats, &sh.credits, &sh.arrivals
 	}
 	nvc := n.nvc
 	vcMask := uint64(1)<<uint(nvc) - 1
@@ -486,7 +503,30 @@ func (r *Router) switchAllocate(now int64, sh *shardState) int {
 	// are port-major.
 	reqs := sc.reqs[:0]
 	var granted uint64 // output ports holding a grant
-	for m := r.ready; m != 0; {
+	m := r.ready
+	if m&(m-1) == 0 {
+		// A lone ready VC (the stepper only calls with ready non-zero) — the
+		// usual case, arbitration is rarely contested — is its port's nominee
+		// and its output's winner outright, so it skips the rotate and the
+		// scoring. The round-robin pointers move exactly as they would below.
+		slot := bits.TrailingZeros64(m)
+		vb := &r.vcs[slot]
+		if !r.sendable(vb, now) {
+			return 0
+		}
+		ipIx := int(n.slotPort[slot])
+		ip := &r.in[ipIx]
+		vi := slot - ipIx*nvc
+		granted = 1 << uint(vb.outPort)
+		r.out[vb.outPort].grant = 0
+		reqs = append(reqs, saReq{vb: vb, slot: slot, ipIx: ipIx, credit: ip.creditFor(vi)})
+		if vi++; vi == nvc {
+			vi = 0
+		}
+		ip.rrVC = vi
+		m = 0
+	}
+	for m != 0 {
 		ipIx := int(n.slotPort[bits.TrailingZeros64(m)])
 		base := ipIx * nvc
 		pm := m >> uint(base) & vcMask
@@ -500,14 +540,7 @@ func (r *Router) switchAllocate(now int64, sh *shardState) int {
 				vi -= nvc
 			}
 			vb := &r.vcs[base+vi]
-			if vb.headEntered >= now {
-				continue // one-cycle router pipeline
-			}
-			if vb.credit == noAlloc {
-				if !n.ejectReady(r.node, vb.class) {
-					continue
-				}
-			} else if n.creditSlab[vb.credit] <= 0 {
+			if !r.sendable(vb, now) {
 				continue
 			}
 			op := &r.out[vb.outPort]
@@ -528,11 +561,7 @@ func (r *Router) switchAllocate(now int64, sh *shardState) int {
 			} else if score < op.score {
 				op.grant, op.score = len(reqs), score
 			}
-			credit := noAlloc
-			if ip.upCredit != noAlloc {
-				credit = ip.upCredit + vi
-			}
-			reqs = append(reqs, saReq{vb: vb, slot: base + vi, ipIx: ipIx, credit: credit})
+			reqs = append(reqs, saReq{vb: vb, slot: base + vi, ipIx: ipIx, credit: ip.creditFor(vi)})
 			if vi++; vi == nvc {
 				vi = 0
 			}
@@ -568,17 +597,12 @@ func (r *Router) switchAllocate(now int64, sh *shardState) int {
 		tail := f.IsTail
 		if op.eject {
 			ejected++
-			n.ejectFlit(r.node, f, now, sh) // recycles f; do not touch it after
+			if tail {
+				n.ejectPacket(f.Pkt, now, sh)
+			}
 		} else {
 			op.credits[outVC]--
-			lnk := op.link
-			i := lnk.head + lnk.n
-			if i >= len(lnk.q) {
-				i -= len(lnk.q)
-			}
-			lnk.q[i] = flitInFlight{f: f, vc: int(outVC), due: now + lnk.latency}
-			lnk.n++
-			r.linkBusy |= 1 << uint(pi)
+			*arrivals = append(*arrivals, arrival{to: op.to, slot: op.toSlot + outVC, f: f})
 		}
 		// Mask maintenance: the tail releases the allocation (the next
 		// packet's head, if already buffered, now needs VA); a buffer that
@@ -598,43 +622,18 @@ func (r *Router) switchAllocate(now int64, sh *shardState) int {
 			r.ready &^= bit
 		}
 	}
+	if r.ready == 0 {
+		*r.saWord &^= r.bit
+	}
+	if r.needVA != 0 {
+		*r.vaWord |= r.bit
+	}
 	r.inFlits -= moved
 	r.flitsThrough += int64(moved)
 	st.FlitHops += int64(moved)
 	st.EjectFlits += int64(ejected)
 	st.LinkFlits += int64(moved - ejected)
 	return moved
-}
-
-// deliverArrivals moves due in-flight flits into downstream input buffers,
-// visiting only the output ports in linkBusy. On a shard worker (sh
-// non-nil), deliveries whose target router lies outside the shard are staged
-// and applied at the barrier; each input VC has a single upstream link, so
-// per-buffer FIFO order survives the detour.
-func (r *Router) deliverArrivals(now int64, sh *shardState) {
-	for m := r.linkBusy; m != 0; m &= m - 1 {
-		pi := bits.TrailingZeros64(m)
-		lnk := r.out[pi].link
-		for lnk.n > 0 && lnk.q[lnk.head].due <= now {
-			ff := lnk.q[lnk.head]
-			if lnk.head++; lnk.head == len(lnk.q) {
-				lnk.head = 0
-			}
-			lnk.n--
-			ff.f.enteredRouter = now
-			if r.net.flight != nil && ff.f.IsHead {
-				r.net.flightRecordSh(sh, now, ff.f.Pkt, flight.LinkTraverse, lnk.to.id, int32(lnk.toPort), int32(ff.vc))
-			}
-			if sh != nil && (int32(lnk.to.id) < sh.lo || int32(lnk.to.id) >= sh.hi) {
-				sh.arrivals = append(sh.arrivals, stagedArrival{to: lnk.to, slot: int32(lnk.toSlot + ff.vc), f: ff.f})
-			} else {
-				lnk.to.accept(lnk.toSlot+ff.vc, ff.f)
-			}
-		}
-		if lnk.n == 0 {
-			r.linkBusy &^= 1 << uint(pi)
-		}
-	}
 }
 
 // FlitsThrough returns the number of flits that traversed this router.

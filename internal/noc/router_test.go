@@ -47,10 +47,10 @@ func TestCreditConservation(t *testing.T) {
 	}
 	for _, r := range n.Routers {
 		for pi, op := range r.out {
-			if op.link == nil {
+			if op.to == noAlloc {
 				continue
 			}
-			down := op.link.to.in[op.link.toPort]
+			down := n.Routers[op.to].in[n.slotPort[op.toSlot]]
 			for vc, credits := range op.credits {
 				if free := down.vcs[vc].free(); credits != free {
 					t.Errorf("router %v out %d vc %d: credits %d != downstream free %d",
@@ -65,7 +65,7 @@ func TestCreditConservation(t *testing.T) {
 	// All VC allocations must be released.
 	for _, r := range n.Routers {
 		for _, op := range r.out {
-			if op.link == nil {
+			if op.to == noAlloc {
 				continue
 			}
 			for vc, owner := range op.owner {
@@ -94,8 +94,7 @@ func TestWestFirstTurnLegality(t *testing.T) {
 	src := geom.Pt(5, 5).ID(8)
 	dst := geom.Pt(1, 2).ID(8)
 	r := n.Routers[src]
-	f := &Flit{Pkt: &Packet{Type: ReadReply, Src: src, Dst: dst}, IsHead: true}
-	cands := r.routeCandidates(f, &n.scratch)
+	cands := r.routeCandidates(&Packet{Type: ReadReply, Src: src, Dst: dst}, &n.scratch)
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -106,9 +105,8 @@ func TestWestFirstTurnLegality(t *testing.T) {
 	}
 	// Eastbound from (1,2) to (5,5): both East and South must be offered.
 	r2 := n.Routers[dst]
-	f2 := &Flit{Pkt: &Packet{Type: ReadReply, Src: dst, Dst: src}, IsHead: true}
 	seen := map[int]bool{}
-	for _, c := range r2.routeCandidates(f2, &n.scratch) {
+	for _, c := range r2.routeCandidates(&Packet{Type: ReadReply, Src: dst, Dst: src}, &n.scratch) {
 		seen[c.port] = true
 	}
 	if !seen[int(geom.East)] || !seen[int(geom.South)] {
@@ -273,7 +271,7 @@ func TestFlitOrderingWithinPacket(t *testing.T) {
 		for _, r := range n.Routers {
 			for _, ip := range r.in {
 				for vc := range ip.vcs {
-					last := map[*Packet]int{}
+					last := map[*Packet]int32{}
 					for _, f := range ip.vcs[vc].flits() {
 						if prev, ok := last[f.Pkt]; ok && f.Index != prev+1 {
 							t.Fatalf("flit order broken: %d after %d", f.Index, prev)

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"equinox/internal/flight"
@@ -8,57 +9,50 @@ import (
 )
 
 // The sharded stepper partitions the mesh into Cfg.Shards contiguous row
-// bands and runs phases 1 (link delivery), 3 (VC allocation), and 4 (switch
-// allocation + traversal) band-parallel with a barrier per phase. Phase 2
-// (NI injection) stays serial: EquiNox NIs stream into remote EIR routers
-// across the whole mesh, and the phase is a small fraction of cycle time.
+// bands and runs the serial stepper's allocation kernels — phase 3 (VC
+// allocation) and phase 4 (switch allocation + traversal), nine tenths of a
+// cycle's work — band-parallel with a barrier per phase. Phase 1 (link
+// delivery) and phase 2 (NI injection) stay serial: a delivery is a flit copy
+// and a mask update, cheaper than the barrier that would parallelise it
+// (measured: no gain on 16×16), and EquiNox NIs stream into remote EIR
+// routers across the whole mesh.
 //
 // Determinism argument. The serial stepper visits routers in ascending ID
-// order; within a phase, the only effects that cross a router boundary are
-//
-//   - phase 1: a flit landing in a downstream input buffer (and its
-//     LinkTraverse flight event),
-//   - phase 4: the credit returned to the upstream output port, the
-//     flit recycled into the network-wide pool, flight events, OnDeliver
-//     callbacks, and the shared Stats counters.
+// order; within phases 3 and 4 the only effects that cross a router boundary
+// are phase 4's: the credit returned to the upstream output port, the flit
+// appended to the arrival list, flight events, OnDeliver callbacks, the
+// held-node set and the shared Stats counters.
 //
 // Every such effect is either commutative over a cycle (counters) or is
 // staged in per-shard queues and applied at the barrier in ascending shard
-// order — which, because shards are ascending ID ranges and each shard scans
-// its slice of the sorted active list in order, replays the exact serial
-// order. Credit returns are order-sensitive *within* phase 4 in the serial
-// stepper (a later router could observe a credit freed by an earlier one in
-// the same cycle), so both paths now defer them to an end-of-phase apply:
-// serial and sharded execution see identical credit state at every read.
-// Everything a phase reads (input buffers, own out-port credits/owners,
+// order — which, because shards are ascending ID ranges and each shard walks
+// its routers in ascending order, replays the exact serial order. In
+// particular the shards' arrival lists, concatenated in shard order, are the
+// serial arrival list. Credit returns are order-sensitive *within* phase 4 in
+// the serial stepper (a later router could observe a credit freed by an
+// earlier one in the same cycle), so both paths defer them to an end-of-phase
+// apply: serial and sharded execution see identical credit state at every
+// read. Everything a phase reads (input buffers, own out-port credits/owners,
 // round-robin pointers) is router-local and only written by barrier-separated
 // phases, so shard-parallel execution computes exactly the serial result.
+//
+// Word-sharing rule. Within phases 3 and 4 a router's bit in the per-phase
+// sets is written by whichever worker runs that router, and two bands of an
+// 8×8 mesh would share one 64-bit word — a data race (go 1.22 has no atomic
+// Or). So a band owns whole words: its window of vaSet/saSet starts on a word
+// boundary and bit b of the window is router lo+b (initBands wires each
+// router to its word).
 type shardState struct {
-	lo, hi int32 // router ID range [lo, hi)
+	lo       int       // the band's first router; it runs to the next band's
+	va, sa   []uint64  // this band's windows of Network.vaSet / saSet: bit 0 is router lo
+	arrivals []arrival // flits that left this band's routers on a link last cycle
 
-	// Slice bounds into n.active for the current cycle, refreshed after each
-	// active-list merge (phase 1 and phases 3/4 see different lists).
-	alo, ahi int
-
-	scratch   allocScratch    // this worker's allocator working memory
-	newly     []int32         // routers this shard activated (drained by mergeActive)
-	arrivals  []stagedArrival // phase-1 deliveries landing outside [lo, hi)
-	credits   []int32         // phase-4 upstream credit returns (creditSlab indices)
-	frees     []*Flit         // ejected flits to recycle into the network pool
-	fops      []stagedFlightOp
-	delivers  []*Packet // staged OnDeliver callbacks
-	stats     Stats     // phase-4 stat deltas, merged at the barrier
-	moved     int
-	delivered int
-}
-
-// stagedArrival is a phase-1 link delivery whose target router lives in a
-// different shard. Each input VC has exactly one upstream link, so arrivals
-// for one buffer always come from one shard and per-link FIFO order holds.
-type stagedArrival struct {
-	to   *Router
-	slot int32 // input slot at the target router
-	f    *Flit
+	scratch  allocScratch // this worker's allocator working memory
+	credits  []int32      // phase-4 upstream credit returns (creditSlab indices)
+	fops     []stagedFlightOp
+	delivers []*Packet // packets ejected this cycle, awaiting noteDelivered
+	stats    Stats     // phase-4 stat deltas, merged at the barrier
+	moved    int
 }
 
 // stagedFlightOp is a flight-recorder operation held until the phase
@@ -72,7 +66,10 @@ type stagedFlightOp struct {
 	sampled bool
 }
 
-// Step phases dispatched through runShardPhase.
+// Step phases as the barrier-wait metrics label them. phaseVC and phaseSA
+// dispatch through runShardPhase; phaseLink has run serially since the
+// arrival list replaced the per-link queues, so it never waits at a barrier —
+// the name stays so the metric series set does not change.
 const (
 	phaseLink = iota
 	phaseVC
@@ -80,10 +77,11 @@ const (
 	numPhases
 )
 
-// parMinActive gates the parallel path per cycle: below this many active
-// routers the sharded stepper runs its phases inline. Both paths defer
-// credits identically, so the choice is invisible in the results — it only
-// avoids paying barrier overhead on idle or draining networks.
+// parMinActive gates the parallel path per cycle: with fewer routers to
+// allocate, the shards run one after the other on the calling goroutine. The
+// phases stage their effects the same way either way, so the choice is
+// invisible in the results — it only avoids paying barrier overhead on idle
+// or draining networks.
 const parMinActive = 24
 
 // barrierSampleEvery is the sampling stride (in sharded cycles) for the
@@ -95,7 +93,8 @@ const barrierSampleEvery = 64
 var barrierObserver atomic.Value // of func(phase int, waitNS int64)
 
 // SetBarrierObserver installs a process-wide callback fed sampled per-phase
-// barrier wait times (phase is one of 0=link, 1=vc, 2=sa). The service layer
+// barrier wait times (phase is 1=vc or 2=sa; 0=link no longer has a barrier).
+// The service layer
 // uses it to expose shard-imbalance histograms; nil uninstalls.
 func SetBarrierObserver(fn func(phase int, waitNS int64)) {
 	barrierObserver.Store(fn)
@@ -113,42 +112,63 @@ func PhaseName(phase int) string {
 	}
 }
 
-// NumPhases is the number of barrier phases a sharded cycle runs.
+// NumPhases is the number of phase labels (see PhaseName).
 const NumPhases = numPhases
 
-// initShards builds the row-band partition. Called from New when
-// cfg.Shards > 1; the effective count is clamped to Height.
-func (n *Network) initShards() {
-	k := n.Cfg.Shards
-	if k > n.Cfg.Height {
-		k = n.Cfg.Height
-	}
+// initBands lays out the per-phase router sets and wires every router to
+// its bit. A serial network is one band over one run of words; with
+// cfg.Shards > 1 (clamped to Height) it also builds the row-band partition,
+// each band with its own words and its own arrival list.
+func (n *Network) initBands() {
+	k := min(n.Cfg.Shards, n.Cfg.Height)
 	if k <= 1 {
-		return
+		k = 1
 	}
-	n.shardOf = make([]int32, len(n.Routers))
-	rowLo := 0
+	bounds := make([]int, k+1)
+	words := 0
 	for s := 0; s < k; s++ {
 		// Spread Height rows over k bands, remainder to the front bands.
 		rows := n.Cfg.Height / k
 		if s < n.Cfg.Height%k {
 			rows++
 		}
-		sh := &shardState{
-			lo: int32(rowLo * n.Cfg.Width),
-			hi: int32((rowLo + rows) * n.Cfg.Width),
-		}
-		for _, r := range n.Routers[sh.lo:sh.hi] {
-			sh.scratch.fit(len(r.in), len(r.out), n.nvc)
-		}
-		for id := sh.lo; id < sh.hi; id++ {
-			n.shardOf[id] = int32(s)
-		}
-		n.shards = append(n.shards, sh)
-		rowLo += rows
+		bounds[s+1] = bounds[s] + rows*n.Cfg.Width
+		words += (rows*n.Cfg.Width + 63) / 64
 	}
-	n.group = par.NewGroup()
-	n.phaseFn = n.runShardPhase
+	n.vaSet, n.saSet = make([]uint64, words), make([]uint64, words)
+	off := 0
+	for s := 0; s < k; s++ {
+		lo, hi := bounds[s], bounds[s+1]
+		end := off + (hi-lo+63)/64
+		links := 0
+		for _, r := range n.Routers[lo:hi] {
+			w := off + (r.id-lo)>>6
+			r.vaWord, r.saWord, r.bit = &n.vaSet[w], &n.saSet[w], 1<<uint((r.id-lo)&63)
+			for i := range r.out {
+				if r.out[i].to != noAlloc {
+					links++
+				}
+			}
+		}
+		if k == 1 {
+			n.arrivals = make([]arrival, 0, links)
+		} else {
+			sh := &shardState{
+				lo: lo,
+				va: n.vaSet[off:end], sa: n.saSet[off:end],
+				arrivals: make([]arrival, 0, links),
+			}
+			for _, r := range n.Routers[lo:hi] {
+				sh.scratch.fit(len(r.in), len(r.out), n.nvc)
+			}
+			n.shards = append(n.shards, sh)
+		}
+		off = end
+	}
+	if k > 1 {
+		n.group = par.NewGroup()
+		n.phaseFn = n.runShardPhase
+	}
 }
 
 // Shards returns the effective shard count the network steps with (1 =
@@ -160,57 +180,32 @@ func (n *Network) Shards() int {
 	return len(n.shards)
 }
 
-// shardBounds slices the sorted active list into per-shard ranges. Linear in
-// len(active): the list and the shard boundaries are both ascending.
-func (n *Network) shardBounds() {
-	lo := 0
-	for _, sh := range n.shards {
-		hi := lo
-		for hi < len(n.active) && n.active[hi] < sh.hi {
-			hi++
-		}
-		sh.alo, sh.ahi = lo, hi
-		lo = hi
-	}
-}
-
-// runShardPhase executes the current phase over one shard's slice of the
-// active list. Invoked concurrently, one call per shard, via n.group.
+// runShardPhase executes the current phase over one shard's band. Invoked
+// once per shard, concurrently via n.group or in turn by runPhase.
 func (n *Network) runShardPhase(k int) {
 	sh := n.shards[k]
 	now := n.now
-	switch n.curPhase {
-	case phaseLink:
-		for _, id := range n.active[sh.alo:sh.ahi] {
-			r := n.Routers[id]
-			if r.linkBusy != 0 {
-				r.deliverArrivals(now, sh)
-			}
-		}
-	case phaseVC:
-		for _, id := range n.active[sh.alo:sh.ahi] {
-			r := n.Routers[id]
-			if r.needVA != 0 {
-				r.vcAllocate(now, sh)
-			}
-		}
-	default: // phaseSA
-		for _, id := range n.active[sh.alo:sh.ahi] {
-			r := n.Routers[id]
-			if r.ready != 0 {
-				sh.moved += r.switchAllocate(now, sh)
-			}
-		}
+	if n.curPhase == phaseVC {
+		n.allocVCs(sh.va, sh.lo, now, sh)
+	} else { // phaseSA
+		sh.moved = n.allocSwitches(sh.sa, sh.lo, now, sh)
 	}
 }
 
-// runPhasePar dispatches one phase across the shards and accounts the
-// barrier wait.
-func (n *Network) runPhasePar(phase int) {
+// runPhase runs one phase over every shard — across the pool when parallel —
+// and accounts the barrier wait. The wait is read after every parallel phase
+// and observed on sampled cycles, so a sample is one phase's wait.
+func (n *Network) runPhase(phase int, parallel bool) {
 	n.curPhase = phase
+	if !parallel {
+		for k := range n.shards {
+			n.runShardPhase(k)
+		}
+		return
+	}
 	n.group.Run(len(n.shards), n.phaseFn)
+	w := n.group.TakeWaitNS()
 	if n.Stats.cycles%barrierSampleEvery == 0 {
-		w := n.group.TakeWaitNS()
 		n.barrierWaitNS[phase] += w
 		if fn, ok := barrierObserver.Load().(func(int, int64)); ok && fn != nil {
 			fn(phase, w)
@@ -219,9 +214,10 @@ func (n *Network) runPhasePar(phase int) {
 }
 
 // BarrierWaitNS returns the cumulative sampled barrier wait for one phase
-// (0=link, 1=vc, 2=sa) since the network was built. Samples are taken every
-// barrierSampleEvery sharded cycles, so the value is an estimator of shard
-// imbalance, not a total — compare runs, don't sum into wall time.
+// (1=vc, 2=sa; always zero for 0=link) since the network was built. Samples
+// are taken every barrierSampleEvery sharded cycles, so the value is an
+// estimator of shard imbalance, not a total — compare runs, don't sum into
+// wall time.
 func (n *Network) BarrierWaitNS(phase int) int64 {
 	return n.barrierWaitNS[phase]
 }
@@ -266,92 +262,42 @@ func (n *Network) mergeShardStats(st *Stats) {
 	*st = Stats{}
 }
 
-// stepSharded is Step's parallel path (Cfg.Shards > 1). Phase effects that
-// cross shard boundaries are staged per shard and merged in ascending shard
-// order at each barrier; see the determinism argument at the top of the
-// file. Cycles with few active routers run the same phases inline instead —
-// identical results either way, since both paths defer credit returns.
+// stepSharded is Step's parallel path (Cfg.Shards > 1): the same phases over
+// the same kernels, one band per shard. Phase effects that cross shard
+// boundaries are staged per shard and applied in ascending shard order at
+// each barrier; see the determinism argument at the top of the file.
 func (n *Network) stepSharded() {
 	now := n.now
-	n.mergeActive()
-	// 1. Deliver link arrivals due this cycle.
-	if len(n.active) >= parMinActive {
-		n.shardBounds()
-		n.runPhasePar(phaseLink)
-		for _, sh := range n.shards {
-			n.flushFlightOps(sh)
-			for _, a := range sh.arrivals {
-				a.to.accept(int(a.slot), a.f)
-			}
-			sh.arrivals = sh.arrivals[:0]
-		}
-	} else {
-		for _, id := range n.active {
-			r := n.Routers[id]
-			if r.linkBusy != 0 {
-				r.deliverArrivals(now, nil)
-			}
-		}
+	// 1. Deliver the flits that crossed a link last cycle: the shards' lists
+	// in shard order are the serial list.
+	for _, sh := range n.shards {
+		n.deliver(sh.arrivals, now)
+		sh.arrivals = sh.arrivals[:0]
 	}
 	// 2. NI injection streams flits into router input buffers (serial).
-	n.mergeActiveNIs()
-	for _, ix := range n.activeNI {
-		n.nis[ix].step(now)
-	}
-	n.mergeActive()
+	n.stepNIs(now)
 	// 3+4. Allocation phases.
+	routers := 0
+	for i, w := range n.vaSet {
+		routers += bits.OnesCount64(w | n.saSet[i])
+	}
+	parallel := routers >= parMinActive
+	n.runPhase(phaseVC, parallel)
+	for _, sh := range n.shards {
+		n.flushFlightOps(sh)
+	}
+	n.runPhase(phaseSA, parallel)
 	moved := 0
-	if len(n.active) >= parMinActive {
-		n.shardBounds()
-		n.runPhasePar(phaseVC)
-		for _, sh := range n.shards {
-			n.flushFlightOps(sh)
+	for _, sh := range n.shards {
+		n.flushFlightOps(sh)
+		for _, p := range sh.delivers {
+			n.noteDelivered(p)
 		}
-		n.runPhasePar(phaseSA)
-		for _, sh := range n.shards {
-			n.flushFlightOps(sh)
-			for _, p := range sh.delivers {
-				n.OnDeliver(p)
-			}
-			sh.delivers = sh.delivers[:0]
-			n.applyCredits(sh.credits)
-			sh.credits = sh.credits[:0]
-			n.flitPool = append(n.flitPool, sh.frees...)
-			sh.frees = sh.frees[:0]
-			n.mergeShardStats(&sh.stats)
-			n.delivered += sh.delivered
-			sh.delivered = 0
-			moved += sh.moved
-			sh.moved = 0
-		}
-	} else {
-		for _, id := range n.active {
-			r := n.Routers[id]
-			if r.needVA != 0 {
-				r.vcAllocate(now, nil)
-			}
-		}
-		for _, id := range n.active {
-			r := n.Routers[id]
-			if r.ready != 0 {
-				moved += r.switchAllocate(now, nil)
-			}
-		}
+		sh.delivers = sh.delivers[:0]
+		n.applyCredits(sh.credits)
+		sh.credits = sh.credits[:0]
+		n.mergeShardStats(&sh.stats)
+		moved += sh.moved
 	}
-	// Deferred credit returns from the inline path (the parallel path applied
-	// its per-shard batches above); same end-of-phase-4 visibility either way.
-	n.applyCredits(n.credits)
-	n.credits = n.credits[:0]
-	if moved > 0 {
-		n.lastProgress = now
-	}
-	if n.probe != nil && now%n.probe.Every == 0 {
-		n.probe.sample(n)
-	}
-	if n.telem != nil && now%n.telem.every == 0 {
-		n.telem.tick(n, now)
-	}
-	n.pruneActive()
-	n.Stats.cycles++
-	n.now++
+	n.endCycle(moved)
 }

@@ -108,7 +108,8 @@ func TestShardedMatchesSerial(t *testing.T) {
 }
 
 // TestBarrierObserver checks that a sharded network above the inline-fallback
-// threshold reports per-phase barrier waits through the package observer.
+// threshold reports the barrier waits of its two parallel phases through the
+// package observer, and none for link delivery, which runs serially.
 func TestBarrierObserver(t *testing.T) {
 	var fired [NumPhases]atomic.Int64
 	SetBarrierObserver(func(phase int, waitNS int64) {
@@ -127,14 +128,56 @@ func TestBarrierObserver(t *testing.T) {
 	for cycle := 0; cycle < 4*barrierSampleEvery; cycle++ {
 		hp.tick()
 	}
-	for ph := 0; ph < NumPhases; ph++ {
+	for _, ph := range []int{phaseVC, phaseSA} {
 		if fired[ph].Load() == 0 {
 			t.Errorf("phase %q never observed", PhaseName(ph))
 		}
 	}
+	if got := fired[phaseLink].Load(); got != 0 {
+		t.Errorf("phase %q observed %d times, but it has no barrier", PhaseName(phaseLink), got)
+	}
 	if PhaseName(0) == "" || PhaseName(NumPhases-1) == "" {
 		t.Error("empty phase name")
 	}
+}
+
+// TestBarrierSamplesOnePhase pins what a barrier-wait sample is: the wait of
+// the one phase it is labelled with. par.Group accumulates its wait over every
+// Run, and runPhase once read it on sampled cycles only, so the first phase of
+// a sampled cycle was charged the previous 63 cycles' waits of every phase —
+// ≈190× its own. Wall-clock waits cannot be compared on a shared host (most
+// are zero: the caller finishes a small phase before a helper wakes), so the
+// pin is the accounting itself: after any Step the group holds no wait that a
+// later sample could be charged.
+func TestBarrierSamplesOnePhase(t *testing.T) {
+	var waited atomic.Int64
+	SetBarrierObserver(func(_ int, waitNS int64) {
+		if waitNS > 0 {
+			waited.Add(1)
+		}
+	})
+	defer SetBarrierObserver(nil)
+
+	// Multi-flit replies between every pair of rows keep all four bands busy,
+	// so most cycles take the parallel path and helpers join in.
+	cfg := DefaultConfig("t", 8, 8)
+	cfg.Shards = 4
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pairs [][2]int
+	for src := 0; src < 64; src++ {
+		pairs = append(pairs, [2]int{src, (src*37 + 11) % 64})
+	}
+	h := newAllocHarness(t, n, ReadReply, pairs, 2)
+	for cycle := 0; cycle < 64*barrierSampleEvery; cycle++ {
+		h.tick()
+		if left := n.group.TakeWaitNS(); left != 0 {
+			t.Fatalf("cycle %d: %d ns of barrier wait left in the group for a later sample", cycle, left)
+		}
+	}
+	t.Logf("%d of %d sampled phases waited at their barrier", waited.Load(), 2*64)
 }
 
 // TestShardedStepAllocs is the parallel counterpart of

@@ -55,9 +55,9 @@ type System struct {
 	prof workloads.Profile
 
 	cbs     []geom.Point
-	cbIndex []int           // tile ID → bank index, -1 for non-CB tiles
-	pes     map[int]*gpu.PE // node → PE
-	peList  []*gpu.PE       // deterministic iteration order
+	cbIndex []int     // tile ID → bank index, -1 for non-CB tiles
+	pes     []*gpu.PE // node → PE, nil at CB tiles
+	peList  []*gpu.PE // deterministic iteration order
 	banks   []*gpu.CB
 
 	nets     *networkSet
@@ -68,6 +68,7 @@ type System struct {
 	// evaluation, so per-cycle allocations are hoisted here.
 	servedBank []bool        // drainEjections per-cycle scratch
 	pktPool    []*noc.Packet // recycled packets (injection → delivery → pop)
+	txPool     gpu.TxPool    // recycled transactions (PE issue → reply retired)
 
 	// pktID numbers every packet the system creates (IDs start at 1), giving
 	// the flight recorder a stable identity that survives pooling.
@@ -127,7 +128,7 @@ func NewSystem(cfg Config, prof workloads.Profile) (*System, error) {
 		prof:       prof,
 		cbs:        cbs,
 		cbIndex:    make([]int, cfg.Width*cfg.Height),
-		pes:        map[int]*gpu.PE{},
+		pes:        make([]*gpu.PE, cfg.Width*cfg.Height),
 		nets:       nets,
 		servedBank: make([]bool, len(cbs)),
 	}
@@ -159,6 +160,7 @@ func NewSystem(cfg Config, prof workloads.Profile) (*System, error) {
 			if err != nil {
 				return nil, err
 			}
+			pe.Txs = &s.txPool
 			s.pes[node] = pe
 			s.peList = append(s.peList, pe)
 		}
@@ -317,34 +319,31 @@ func (s *System) injectReply(bank int, tx *gpu.Transaction) bool {
 }
 
 // drainEjections pops delivered packets from every network and hands them to
-// the right endpoint model. Each cache bank consumes at most one request per
-// core cycle (its single request pipeline), tracked across all networks —
-// under Interposer-CMesh a bank can receive from both the base mesh and the
-// CMesh in the same cycle.
+// the right endpoint model, visiting only the nodes that hold one. Each cache
+// bank consumes at most one request per core cycle (its single request
+// pipeline), tracked across all networks — under Interposer-CMesh a bank can
+// receive from both the base mesh and the CMesh in the same cycle.
 func (s *System) drainEjections() {
 	servedBank := s.servedBank
 	for i := range servedBank {
 		servedBank[i] = false
 	}
 	drainTile := func(net *noc.Network) {
-		if net.DeliveredPending() == 0 {
-			return
-		}
-		for node := 0; node < net.Cfg.Nodes(); node++ {
+		for node := net.NextDelivered(0); node >= 0; node = net.NextDelivered(node + 1) {
 			// Replies and write acks drain freely into the PEs.
 			for budget := 4; budget > 0; budget-- {
-				p := net.PeekDeliveredClass(node, noc.Reply)
+				p := net.PopDeliveredClass(node, noc.Reply)
 				if p == nil {
 					break
 				}
 				tx := p.Payload.(*gpu.Transaction)
 				// Read and write replies both retire the PE's outstanding
 				// transaction (writes are posted but still tracked for MSHR
-				// accounting).
-				if pe, ok := s.pes[tx.PE]; ok {
+				// accounting), and with it the transaction itself.
+				if pe := s.pes[tx.PE]; pe != nil {
 					pe.Complete(tx.Line)
 				}
-				net.PopDeliveredClass(node, noc.Reply)
+				s.txPool.Put(tx)
 				s.freePacket(p)
 			}
 			// Requests: a CMesh node aggregates several tiles, so keep

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-parallel bench bench-all eval serve fleet-smoke chaos-smoke saturation-sweep heatmap design cover clean
+.PHONY: all build vet test race eval serve fleet-smoke chaos-smoke saturation-sweep heatmap design cover clean
 
 all: build vet test
 
@@ -18,27 +18,6 @@ test:
 # Race-detector pass (the evaluation server's worker pool in particular).
 race:
 	$(GO) test -race ./...
-
-# Race-detector pass over the deterministic parallel stepper: the serial-vs-
-# sharded equivalence tests, the worker-pool primitive, and the parallel
-# allocation pin, all with the detector watching the shard barriers; then the
-# stepper-invariant test on its sharded half, where two bands' workers update
-# the per-phase router sets side by side.
-race-parallel:
-	$(GO) test -race -count=1 \
-		-run 'TestParallel|TestSharded|TestBarrier|TestRunExecutes|TestNested' \
-		./internal/sim ./internal/noc ./internal/par
-	$(GO) test -race -count=1 -run 'TestMasksMatchScan/.*/.*/shards2' ./internal/noc
-
-# Simulator-throughput regression record: per-scheme cycles/sec, ns/op, and
-# allocs/op written to BENCH_<date>.json (compare against a previous file
-# with `go run ./cmd/equinox-bench -baseline BENCH_<old>.json`).
-bench:
-	$(GO) run ./cmd/equinox-bench
-
-# Full benchmark harness: one benchmark per paper table/figure.
-bench-all:
-	$(GO) test -bench=. -benchmem
 
 # Regenerate the paper's evaluation (Figures 9/10/11, Table 1, §6.6).
 eval:

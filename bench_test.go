@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"equinox/internal/core"
-	"equinox/internal/flight"
 	"equinox/internal/mcts"
 	"equinox/internal/placement"
 	"equinox/internal/sim"
@@ -296,131 +295,6 @@ func BenchmarkAblationEIRCount(b *testing.B) {
 	}
 	b.ReportMetric(costs[0], "cost-1eir")
 	b.ReportMetric(costs[3], "cost-4eir")
-}
-
-// benchSchemeConfig returns a ready-to-run config for a scheme at benchmark
-// scale, wiring the EquiNox design inputs (N-Queen placement + greedy EIR
-// assignment, both deterministic) when the scheme needs them.
-func benchSchemeConfig(b *testing.B, scheme sim.SchemeKind) sim.Config {
-	b.Helper()
-	cfg := sim.DefaultConfig(scheme)
-	cfg.InstructionsPerPE = 300
-	if scheme == sim.EquiNox {
-		pl, err := placement.New(placement.NQueen, 8, 8, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		prob := mcts.NewProblem(8, 8, pl.CBs)
-		res, err := mcts.GreedyTwoHop(prob)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg.CBOverride = pl.CBs
-		cfg.EIRGroups = prob.Groups(res.Assignment)
-	}
-	return cfg
-}
-
-// BenchmarkSimulatorThroughput measures raw simulator speed — the enabling
-// metric for the whole harness — as one sub-benchmark per scheme. Each
-// reports simulated cycles per wall-clock second alongside the standard
-// ns/op and allocs/op, so `make bench` tracks both throughput and the
-// zero-allocation property per scheme.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	prof, err := workloads.ByName("hotspot")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, scheme := range sim.AllSchemes() {
-		b.Run(scheme.String(), func(b *testing.B) {
-			cfg := benchSchemeConfig(b, scheme)
-			var last, total int64
-			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(cfg, prof)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res.ExecCycles
-				total += res.ExecCycles
-			}
-			b.ReportMetric(float64(last), "sim-cycles")
-			if s := b.Elapsed().Seconds(); s > 0 {
-				b.ReportMetric(float64(total)/s, "cycles/sec")
-			}
-		})
-	}
-}
-
-// BenchmarkSimulatorThroughputProbed repeats the throughput measurement with
-// occupancy probes attached to every network at the default sampling period
-// (64 cycles). Compared against BenchmarkSimulatorThroughput (or a recorded
-// BENCH_*.json), it bounds the probes' overhead: sampling reads maintained
-// counters into preallocated arrays, so cycles/sec should stay within a few
-// percent of the unprobed run and allocs/op must not grow.
-func BenchmarkSimulatorThroughputProbed(b *testing.B) {
-	prof, err := workloads.ByName("hotspot")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, scheme := range sim.AllSchemes() {
-		b.Run(scheme.String(), func(b *testing.B) {
-			cfg := benchSchemeConfig(b, scheme)
-			var last, total int64
-			for i := 0; i < b.N; i++ {
-				sys, err := sim.NewSystem(cfg, prof)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sys.AttachProbes(64)
-				res, err := sys.RunToCompletion()
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res.ExecCycles
-				total += res.ExecCycles
-			}
-			b.ReportMetric(float64(last), "sim-cycles")
-			if s := b.Elapsed().Seconds(); s > 0 {
-				b.ReportMetric(float64(total)/s, "cycles/sec")
-			}
-		})
-	}
-}
-
-// BenchmarkSimulatorThroughputTraced repeats the throughput measurement with
-// the flight recorder attached to every network, tracing every packet into
-// the default 64K-event ring with both watchdogs armed. Compared against
-// BenchmarkSimulatorThroughput it bounds the tracing overhead: event capture
-// is a value copy into a preallocated ring, so allocs/op must not grow and
-// cycles/sec should stay within a few percent of the untraced run.
-func BenchmarkSimulatorThroughputTraced(b *testing.B) {
-	prof, err := workloads.ByName("hotspot")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, scheme := range sim.AllSchemes() {
-		b.Run(scheme.String(), func(b *testing.B) {
-			cfg := benchSchemeConfig(b, scheme)
-			var last, total int64
-			for i := 0; i < b.N; i++ {
-				sys, err := sim.NewSystem(cfg, prof)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sys.AttachFlight(flight.Options{})
-				res, err := sys.RunToCompletion()
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res.ExecCycles
-				total += res.ExecCycles
-			}
-			b.ReportMetric(float64(last), "sim-cycles")
-			if s := b.Elapsed().Seconds(); s > 0 {
-				b.ReportMetric(float64(total)/s, "cycles/sec")
-			}
-		})
-	}
 }
 
 // BenchmarkAblationPlacement isolates the §4.2 claim at system level:

@@ -51,6 +51,21 @@ import (
 	"equinox/internal/service"
 )
 
+// Connection time bounds of the production listener. There is deliberately
+// no WriteTimeout: SSE event streams, large result downloads and
+// /debug/pprof/profile write for as long as they need to.
+const (
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request headers, so stalled connections cannot pile up.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes keep-alive connections with no request in flight.
+	idleTimeout = 2 * time.Minute
+)
+
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("equinox-server: ")
@@ -58,7 +73,6 @@ func main() {
 		addr    = flag.String("addr", ":8080", "listen address")
 		workers = flag.Int("workers", 0, "concurrent local evaluations (0 = default)")
 		jobPar  = flag.Int("job-parallelism", 0, "per-evaluation simulation parallelism (0 = auto)")
-		simPar  = flag.Int("parallel", 0, "default per-simulation shard parallelism for jobs that don't set \"parallel\" (0 = serial stepper)")
 		cache   = flag.Int("cache", 0, "in-memory result cache entries (0 = default)")
 		cacheBy = flag.Int64("cache-bytes", 0, "in-memory result cache byte bound (0 = entries only)")
 		stDir   = flag.String("store-dir", "", "persistent result store directory (empty = memory only)")
@@ -112,7 +126,6 @@ func main() {
 	svc := service.New(service.Config{
 		Workers:        *workers,
 		JobParallelism: *jobPar,
-		SimParallel:    *simPar,
 		CacheEntries:   *cache,
 		CacheBytes:     *cacheBy,
 		QueueDepth:     *queue,
@@ -134,7 +147,7 @@ func main() {
 	mux.Handle("/", svc.Handler())
 	// net/http/pprof registers on the default mux; route its prefix there.
 	mux.Handle("/debug/pprof/", http.DefaultServeMux)
-	httpSrv := &http.Server{Handler: mux}
+	httpSrv := newHTTPServer(mux)
 
 	// Listen before announcing so "-addr :0" logs the real port —
 	// scripts (and the fleet smoke test) parse it to find the server.

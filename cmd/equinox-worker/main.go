@@ -56,7 +56,6 @@ func main() {
 		name        = flag.String("name", "", "stable worker name (default host-pid)")
 		parallel    = flag.Int("parallelism", 1, "units executed concurrently")
 		unitPar     = flag.Int("unit-parallelism", 0, "per-unit simulation parallelism (0 = GOMAXPROCS/parallelism)")
-		simPar      = flag.Int("parallel", 0, "per-simulation shard parallelism for units that don't set \"parallel\" themselves (0 = serial stepper; results are bit-identical either way)")
 		poll        = flag.Duration("poll", 500*time.Millisecond, "lease poll interval while idle")
 		heartbeat   = flag.Duration("heartbeat", 2*time.Second, "lease renewal interval (keep well under the coordinator's lease TTL)")
 		connectTO   = flag.Duration("connect-timeout", 2*time.Minute, "budget for the initial coordinator connection; retried with capped backoff, exit nonzero once it elapses")
@@ -126,7 +125,7 @@ func main() {
 		Logger:            logger,
 		Tracer:            trace.NewTracer(*name),
 		Run: func(ctx context.Context, u fleet.Unit) ([]byte, error) {
-			return service.RunSpecParallel(ctx, u.Spec, runPar, *simPar)
+			return service.RunSpec(ctx, u.Spec, runPar)
 		},
 	})
 	if err != nil {

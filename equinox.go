@@ -54,11 +54,6 @@ type RunConfig struct {
 	InstructionsPerPE int
 	Seed              int64
 
-	// Parallel enables the deterministic parallel stepper when > 1 (see
-	// sim.Config.Parallel): networks step concurrently and core-domain
-	// meshes shard row-wise, with results bit-identical to a serial run.
-	Parallel int
-
 	// Telemetry attaches the windowed telemetry time-series to the run
 	// (internal/telemetry): per-window throughput, latency quantiles, and
 	// occupancy, plus online steady-state and saturation detectors. Purely
@@ -156,7 +151,6 @@ func (rc RunConfig) simSetup() (sim.Config, workloads.Profile, error) {
 	if rc.Seed != 0 {
 		cfg.Seed = rc.Seed
 	}
-	cfg.Parallel = rc.Parallel
 	if rc.Scheme == sim.EquiNox {
 		cfg.CBOverride = rc.Design.CBs
 		cfg.EIRGroups = rc.Design.Groups

@@ -29,14 +29,6 @@ type EvalConfig struct {
 	Seed              int64
 	Parallelism       int // concurrent (scheme, benchmark) runs; zero = GOMAXPROCS
 
-	// Parallel enables the deterministic parallel stepper inside each
-	// simulation (sim.Config.Parallel): networks step concurrently and
-	// core-domain meshes shard row-wise, bit-identical to a serial run.
-	// Orthogonal to Parallelism, which runs whole simulations concurrently —
-	// use Parallel when the sweep is narrow (few runs, e.g. a single
-	// scheme × benchmark) and per-run latency matters.
-	Parallel int
-
 	// Design is the EquiNox design to evaluate; nil builds one with the
 	// fast greedy search.
 	Design *core.Design
@@ -55,8 +47,8 @@ type EvalConfig struct {
 	// Telemetry attaches the windowed telemetry time-series to every run of
 	// the sweep; summaries collect in Evaluation.Telemetry and export as the
 	// evaluation document's "telemetry" field. Purely observational: every
-	// Result is bit-identical to an uninstrumented run. Like Parallel it is
-	// execution advice, not sweep identity.
+	// Result is bit-identical to an uninstrumented run. It is execution
+	// advice, not sweep identity.
 	Telemetry bool
 
 	// TelemetryOptions tunes windowing and the detectors when Telemetry is
@@ -221,7 +213,6 @@ dispatch:
 				Design:            design,
 				InstructionsPerPE: cfg.InstructionsPerPE,
 				Seed:              cfg.Seed,
-				Parallel:          cfg.Parallel,
 			}
 			var (
 				res     sim.Result

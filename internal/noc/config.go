@@ -111,14 +111,6 @@ type Config struct {
 	// tile, the set of equivalent injection routers reachable over the
 	// interposer. Nil for non-EquiNox networks.
 	EIRGroups map[geom.Point][]geom.Point
-
-	// Shards splits the mesh into contiguous row bands whose routers are
-	// stepped by parallel workers inside Step, with a barrier per pipeline
-	// phase. 0 or 1 keeps today's serial path. Results are bit-identical for
-	// any value: cross-shard effects are staged per shard and merged in
-	// ascending router-index order at each barrier (see shard.go), and the
-	// effective count is clamped to Height (≥1 row per band).
-	Shards int
 }
 
 // DefaultConfig returns the paper's Table 1 configuration for one w×h mesh
@@ -164,9 +156,6 @@ func (c Config) Validate() error {
 	}
 	if c.InjQueuePackets < 1 {
 		return fmt.Errorf("noc: injection queue must hold ≥1 packet")
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("noc: negative shard count %d", c.Shards)
 	}
 	if c.ClockGHz <= 0 {
 		return fmt.Errorf("noc: clock must be positive")

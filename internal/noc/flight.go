@@ -65,32 +65,6 @@ func (n *Network) flightRecord(now int64, p *Packet, k flight.Kind, router int, 
 	})
 }
 
-// flightRecordSh is flightRecord for phase code that may run on a shard
-// worker: with sh non-nil the event stages into the shard's ordered op list
-// (the recorder ring is not safe for concurrent writers) and is replayed at
-// the phase barrier in ascending shard order — the serial recording order.
-func (n *Network) flightRecordSh(sh *shardState, now int64, p *Packet, k flight.Kind, router int, a, b int32) {
-	if sh == nil {
-		n.flightRecord(now, p, k, router, a, b)
-		return
-	}
-	fr := n.flight
-	if !fr.Hit(p.ID) {
-		return
-	}
-	sh.fops = append(sh.fops, stagedFlightOp{ev: flight.Event{
-		Cycle:  now,
-		Pkt:    p.ID,
-		Kind:   k,
-		Type:   uint8(p.Type),
-		Src:    int32(p.Src),
-		Dst:    int32(p.Dst),
-		Router: int32(router),
-		A:      a,
-		B:      b,
-	}})
-}
-
 // stallNote dedups InjectStall events: injection stalls persist for many
 // cycles, and recording each one would flood the ring with duplicates. One
 // event is recorded when a (packet, reason) episode starts; the episode

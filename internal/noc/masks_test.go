@@ -85,25 +85,6 @@ func (r *Router) scanMasks() (needVA, ready uint64) {
 	return
 }
 
-// linkFlits returns the network's arrival lists in delivery order: the serial
-// list, or the shards' lists in shard order.
-func (n *Network) linkFlits() []arrival {
-	all := append([]arrival(nil), n.arrivals...)
-	for _, sh := range n.shards {
-		all = append(all, sh.arrivals...)
-	}
-	return all
-}
-
-// arrivalCaps returns the capacity of every arrival list of the network.
-func (n *Network) arrivalCaps() []int {
-	caps := []int{cap(n.arrivals)}
-	for _, sh := range n.shards {
-		caps = append(caps, cap(sh.arrivals))
-	}
-	return caps
-}
-
 func popcount(set []uint64) (c int) {
 	for _, w := range set {
 		c += bits.OnesCount64(w)
@@ -118,7 +99,7 @@ func popcount(set []uint64) (c int) {
 // arrival list counted as in flight — credit conservation on every link VC.
 func checkMasks(n *Network) error {
 	onLink := map[[2]int32]int{} // (router, slot) → flits arriving there
-	for _, a := range n.linkFlits() {
+	for _, a := range n.arrivals {
 		onLink[[2]int32{a.to, a.slot}]++
 	}
 	inVA, inSA := 0, 0
@@ -214,7 +195,7 @@ func headFlits(n *Network) [][]flitID {
 // link its router really has.
 func checkArrivals(n *Network, before [][]flitID) error {
 	after := headFlits(n)
-	list := n.linkFlits()
+	list := n.arrivals
 	k := 0
 	for i, r := range n.Routers {
 		left := map[flitID]bool{}
@@ -259,77 +240,71 @@ func checkArrivals(n *Network, before [][]flitID) error {
 // Step: on every router needVA / ready equal what a scan of the buffers
 // finds, the per-phase sets equal a scan of those masks, the arrival list
 // equals the flits that traversed a link in that Step in (router, output
-// port) order, and no arrival list's capacity ever changes. Covered: every
+// port) order, and the arrival list's capacity never changes. Covered: every
 // router shape the seven schemes build × {uniform, hotspot} traffic × 3
-// seeds, on the serial and the sharded stepper, through injection,
-// saturation and drain.
+// seeds, through injection, saturation and drain.
 func TestMasksMatchScan(t *testing.T) {
 	for _, nc := range schemeNetConfigs() {
 		for _, pattern := range []string{"uniform", "hotspot"} {
-			for _, shards := range []int{0, 2} {
-				name := fmt.Sprintf("%s/%s/shards%d", strings.ReplaceAll(nc.cfg.Name, "/", "-"), pattern, shards)
-				t.Run(name, func(t *testing.T) {
-					for seed := int64(1); seed <= 3; seed++ {
-						cfg := nc.cfg
-						cfg.Shards = shards
-						n, err := New(cfg)
-						if err != nil {
-							t.Fatal(err)
+			// The "/shards0" suffix dates from a second, sharded half; it stays
+			// so the subtest IDs that test-history tooling keys on do not change.
+			name := fmt.Sprintf("%s/%s/shards0", strings.ReplaceAll(nc.cfg.Name, "/", "-"), pattern)
+			t.Run(name, func(t *testing.T) {
+				for seed := int64(1); seed <= 3; seed++ {
+					cfg := nc.cfg
+					n, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := checkMasks(n); err != nil {
+						t.Fatalf("fresh network: %v", err)
+					}
+					links := cap(n.arrivals)
+					if want := 2 * ((cfg.Width-1)*cfg.Height + cfg.Width*(cfg.Height-1)); links != want {
+						t.Fatalf("the arrival list has room for %d flits, the mesh has %d links", links, want)
+					}
+					rng := rand.New(rand.NewSource(seed))
+					nodes := cfg.Nodes()
+					for cyc := 0; cyc < 2500 && (cyc < 300 || !n.Quiescent()); cyc++ {
+						for k := 0; k < 6 && cyc < 300; k++ {
+							typ := nc.types[rng.Intn(len(nc.types))]
+							src, dst := rng.Intn(nodes), rng.Intn(nodes)
+							if pattern == "hotspot" {
+								// Few-to-many: requests converge on the CBs,
+								// replies fan out of them.
+								cb := cfg.CBs[rng.Intn(len(cfg.CBs))].ID(cfg.Width)
+								if ClassOf(typ) == Request {
+									dst = cb
+								} else {
+									src = cb
+								}
+							}
+							n.TryInject(&Packet{Type: typ, Src: src, Dst: dst, Spoke: rng.Intn(4)}, n.Now())
 						}
+						heads := headFlits(n)
+						n.Step()
 						if err := checkMasks(n); err != nil {
-							t.Fatalf("fresh network: %v", err)
+							t.Fatalf("seed %d cycle %d: %v", seed, cyc, err)
 						}
-						caps := n.arrivalCaps()
-						links := 0
-						for _, c := range caps {
-							links += c
+						if err := checkArrivals(n, heads); err != nil {
+							t.Fatalf("seed %d cycle %d: %v", seed, cyc, err)
 						}
-						if want := 2 * ((cfg.Width-1)*cfg.Height + cfg.Width*(cfg.Height-1)); links != want {
-							t.Fatalf("arrival lists have room for %d flits, the mesh has %d links", links, want)
+						if got := cap(n.arrivals); got != links {
+							t.Fatalf("seed %d cycle %d: arrival list capacity %d, was %d after New", seed, cyc, got, links)
 						}
-						rng := rand.New(rand.NewSource(seed))
-						nodes := cfg.Nodes()
-						for cyc := 0; cyc < 2500 && (cyc < 300 || !n.Quiescent()); cyc++ {
-							for k := 0; k < 6 && cyc < 300; k++ {
-								typ := nc.types[rng.Intn(len(nc.types))]
-								src, dst := rng.Intn(nodes), rng.Intn(nodes)
-								if pattern == "hotspot" {
-									// Few-to-many: requests converge on the CBs,
-									// replies fan out of them.
-									cb := cfg.CBs[rng.Intn(len(cfg.CBs))].ID(cfg.Width)
-									if ClassOf(typ) == Request {
-										dst = cb
-									} else {
-										src = cb
-									}
-								}
-								n.TryInject(&Packet{Type: typ, Src: src, Dst: dst, Spoke: rng.Intn(4)}, n.Now())
-							}
-							heads := headFlits(n)
-							n.Step()
-							if err := checkMasks(n); err != nil {
-								t.Fatalf("seed %d cycle %d: %v", seed, cyc, err)
-							}
-							if err := checkArrivals(n, heads); err != nil {
-								t.Fatalf("seed %d cycle %d: %v", seed, cyc, err)
-							}
-							if got := n.arrivalCaps(); !slices.Equal(got, caps) {
-								t.Fatalf("seed %d cycle %d: arrival list capacities %v, were %v after New", seed, cyc, got, caps)
-							}
-							// Drain slowly at first so ejection queues back up.
-							if cyc%3 == 0 || cyc >= 300 {
-								for node := 0; node < nodes; node++ {
-									for n.PopDelivered(node) != nil {
-									}
+						// Drain slowly at first so ejection queues back up.
+						if cyc%3 == 0 || cyc >= 300 {
+							for node := 0; node < nodes; node++ {
+								for n.PopDelivered(node) != nil {
 								}
 							}
-						}
-						if !n.Quiescent() {
-							t.Fatalf("seed %d: network did not drain\n%s", seed, n.DebugDump())
 						}
 					}
-				})
-			}
+					if !n.Quiescent() {
+						t.Fatalf("seed %d: network did not drain\n%s", seed, n.DebugDump())
+					}
+				}
+			})
 		}
 	}
 }

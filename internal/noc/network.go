@@ -6,7 +6,6 @@ import (
 
 	"equinox/internal/flight"
 	"equinox/internal/geom"
-	"equinox/internal/par"
 )
 
 // Network is one physical mesh network instance with its routers, links,
@@ -33,8 +32,7 @@ type Network struct {
 	// saSet are bitsets over router IDs — "has needVA" and "has ready" — and
 	// niSet one over NI indices — "pending". Walking set bits low to high
 	// visits routers and NIs in ascending index order, the arbitration order
-	// of a full scan. On a sharded network each band owns whole words of
-	// vaSet/saSet and its own arrival list (see shard.go).
+	// of a full scan.
 	arrivals     []arrival
 	vaSet, saSet []uint64
 	niSet        []uint64
@@ -46,28 +44,16 @@ type Network struct {
 	heldNodes []uint64
 
 	// creditSlab holds every output port's per-VC credit counters
-	// (outputPort.credits are windows of it). credits stages phase-4
-	// upstream credit returns, as creditSlab indices, for an end-of-phase
-	// apply. Deferral makes credit visibility independent of the order
-	// routers are scanned in, which is what lets the sharded stepper
-	// reproduce the serial results bit-for-bit (see shard.go).
+	// (outputPort.credits are windows of it). credits holds the creditSlab
+	// indices of the credits switch traversal returned upstream this cycle;
+	// Step applies them once the phase is over. This is a timing property of
+	// the router model: a buffer slot freed in cycle t is visible to the
+	// upstream router in cycle t+1, whatever order routers are visited in.
 	creditSlab []int
 	credits    []int32
 
-	// scratch is the serial stepper's allocator working memory (shard
-	// workers carry their own).
+	// scratch is the allocators' working memory, sized by Router.finalize.
 	scratch allocScratch
-
-	// Sharded-stepper state; empty/nil when Cfg.Shards <= 1.
-	shards   []*shardState
-	group    *par.Group
-	phaseFn  func(int) // bound runShardPhase, built once to avoid per-cycle closures
-	curPhase int
-
-	// barrierWaitNS accumulates the sampled per-phase barrier waits (one
-	// sample every barrierSampleEvery sharded cycles); BarrierWaitNS exposes
-	// it for per-run span attribution.
-	barrierWaitNS [numPhases]int64
 
 	// classVCList is the precomputed per-class downstream-VC preference
 	// order (see initClassVCs).
@@ -203,7 +189,7 @@ func New(cfg Config) (*Network, error) {
 	// Mesh links. Every link has a latency of one cycle, which is what lets
 	// one arrival list stand in for per-link queues: each link carries at most
 	// one flit, always due next cycle. (A multi-cycle link would need one list
-	// per due cycle.) initBands sizes the list(s) to the link count.
+	// per due cycle.) The list is sized to the link count below.
 	for _, r := range n.Routers {
 		for _, d := range []geom.Direction{geom.East, geom.West, geom.South, geom.North} {
 			np := r.pos.Add(d.Delta())
@@ -258,7 +244,18 @@ func New(cfg Config) (*Network, error) {
 		r.finalize()
 	}
 	n.niSet = make([]uint64, (len(n.nis)+63)/64)
-	n.initBands()
+	words := (len(n.Routers) + 63) / 64
+	n.vaSet, n.saSet = make([]uint64, words), make([]uint64, words)
+	links := 0
+	for _, r := range n.Routers {
+		r.vaWord, r.saWord, r.bit = &n.vaSet[r.id>>6], &n.saSet[r.id>>6], 1<<uint(r.id&63)
+		for i := range r.out {
+			if r.out[i].to != noAlloc {
+				links++
+			}
+		}
+	}
+	n.arrivals = make([]arrival, 0, links)
 	return n, nil
 }
 
@@ -345,47 +342,19 @@ func (n *Network) ejectReady(node int, c Class) bool {
 }
 
 // ejectPacket delivers a packet whose tail flit left the ejection port of
-// its destination router. When called from a shard worker (sh non-nil), every
-// effect that leaves the ejecting router — flight events, OnDeliver, the
-// held-node set, stats — is staged for the phase barrier; the ejection queue
-// itself is per node and thus shard-local.
-func (n *Network) ejectPacket(p *Packet, now int64, sh *shardState) {
+// its destination router.
+func (n *Network) ejectPacket(p *Packet, now int64) {
 	p.DeliveredAt = now
 	c := ClassOf(p.Type)
 	n.ejectQ[c][p.Dst] = append(n.ejectQ[c][p.Dst], p)
-	if sh != nil {
-		sh.delivers = append(sh.delivers, p)
-		sh.stats.packetDelivered(p, n.Cfg)
-	} else {
-		n.Stats.packetDelivered(p, n.Cfg)
-	}
+	n.Stats.packetDelivered(p, n.Cfg)
 	if fr := n.flight; fr != nil {
 		lat := now - p.CreatedAt
-		sampled := fr.Hit(p.ID)
-		ev := flight.Event{
-			Cycle: now, Pkt: p.ID, Kind: flight.Ejected,
-			Type: uint8(p.Type), Src: int32(p.Src), Dst: int32(p.Dst),
-			Router: int32(p.Dst), A: int32(lat),
-		}
-		if sh != nil {
-			sh.fops = append(sh.fops, stagedFlightOp{ev: ev, lat: lat, eject: true, sampled: sampled})
-		} else {
-			if sampled {
-				fr.Record(ev)
-			}
-			// Every ejection (sampled or not) feeds the watchdogs: the
-			// starvation detector must observe unsampled progress too.
-			fr.EjectObserved(now, p.ID, lat, sampled)
-		}
+		n.flightRecord(now, p, flight.Ejected, p.Dst, int32(lat), 0)
+		// Every ejection (sampled or not) feeds the watchdogs: the
+		// starvation detector must observe unsampled progress too.
+		fr.EjectObserved(now, p.ID, lat, fr.Hit(p.ID))
 	}
-	if sh == nil {
-		n.noteDelivered(p)
-	}
-}
-
-// noteDelivered makes a packet just appended to its ejection queue visible
-// to the endpoint: the held-node set and OnDeliver.
-func (n *Network) noteDelivered(p *Packet) {
 	n.heldNodes[p.Dst>>6] |= 1 << uint(p.Dst&63)
 	if n.OnDeliver != nil {
 		n.OnDeliver(p)
@@ -396,38 +365,14 @@ func (n *Network) noteDelivered(p *Packet) {
 // stepper's sets are visited; everything else is provably a no-op this cycle,
 // so low-load sweeps stop paying for the full mesh. Each phase walks its set
 // in ascending index order, which reproduces the arbitration ordering of a
-// full scan exactly (bit-identical results). With Cfg.Shards > 1 the same
-// phase kernels run band-parallel (see shard.go) with the same guarantee.
+// full scan exactly (bit-identical results).
 func (n *Network) Step() {
-	if n.shards != nil {
-		n.stepSharded()
-		return
-	}
 	now := n.now
-	// 1. Deliver the flits that crossed a link last cycle.
-	n.deliver(n.arrivals, now)
-	n.arrivals = n.arrivals[:0]
-	// 2. NI injection streams flits into router input buffers.
-	n.stepNIs(now)
-	// 3. Routing + VC allocation, then 4. switch allocation + traversal. Two
-	// passes, not one per router: a cycle's VCAlloc flight events all precede
-	// its SAGrant events.
-	n.allocVCs(n.vaSet, 0, now, nil)
-	moved := n.allocSwitches(n.saSet, 0, now, nil)
-	// Deferred credit returns become visible between cycles, never within
-	// phase 4 — the serial stepper matches the sharded one exactly.
-	n.applyCredits(n.credits)
-	n.credits = n.credits[:0]
-	n.endCycle(moved)
-}
-
-// deliver is phase 1: it moves the flits of an arrival list into the input
-// buffers their links lead to. List order is the order a scan of routers and
-// their output ports would deliver in, so LinkTraverse flight events keep
-// their order.
-func (n *Network) deliver(list []arrival, now int64) {
-	for i := range list {
-		a := &list[i]
+	// 1. Deliver the flits that crossed a link last cycle. List order is the
+	// order a scan of routers and their output ports would deliver in, so
+	// LinkTraverse flight events keep their order.
+	for i := range n.arrivals {
+		a := &n.arrivals[i]
 		a.f.enteredRouter = now
 		if n.flight != nil && a.f.IsHead {
 			port := int32(n.slotPort[a.slot])
@@ -435,11 +380,9 @@ func (n *Network) deliver(list []arrival, now int64) {
 		}
 		n.Routers[a.to].accept(int(a.slot), a.f)
 	}
-}
-
-// stepNIs is phase 2: every NI holding a packet streams into its router(s);
-// an NI that drained leaves the set until the next TryInject.
-func (n *Network) stepNIs(now int64) {
+	n.arrivals = n.arrivals[:0]
+	// 2. NI injection: every NI holding a packet streams into its router(s);
+	// an NI that drained leaves the set until the next TryInject.
 	for w, m := range n.niSet {
 		for ; m != 0; m &= m - 1 {
 			ni := n.nis[w<<6+bits.TrailingZeros64(m)]
@@ -449,33 +392,27 @@ func (n *Network) stepNIs(now int64) {
 			}
 		}
 	}
-}
-
-// allocVCs is phase 3 over one window of vaSet, whose bit 0 is router lo.
-func (n *Network) allocVCs(set []uint64, lo int, now int64, sh *shardState) {
-	for w, m := range set {
+	// 3. Routing + VC allocation, then 4. switch allocation + traversal. Two
+	// passes, not one per router: a cycle's VCAlloc flight events all precede
+	// its SAGrant events.
+	for w, m := range n.vaSet {
 		for ; m != 0; m &= m - 1 {
-			n.Routers[lo+w<<6+bits.TrailingZeros64(m)].vcAllocate(now, sh)
+			n.Routers[w<<6+bits.TrailingZeros64(m)].vcAllocate(now)
 		}
 	}
-}
-
-// allocSwitches is phase 4 over one window of saSet, whose bit 0 is router
-// lo; it returns the number of flits moved.
-func (n *Network) allocSwitches(set []uint64, lo int, now int64, sh *shardState) int {
 	moved := 0
-	for w, m := range set {
+	for w, m := range n.saSet {
 		for ; m != 0; m &= m - 1 {
-			moved += n.Routers[lo+w<<6+bits.TrailingZeros64(m)].switchAllocate(now, sh)
+			moved += n.Routers[w<<6+bits.TrailingZeros64(m)].switchAllocate(now)
 		}
 	}
-	return moved
-}
-
-// endCycle closes a cycle once every phase effect has been applied: the
-// progress watchdog, the samplers and the clock.
-func (n *Network) endCycle(moved int) {
-	now := n.now
+	// The credits phase 4 returned become visible now, for the next cycle
+	// (see Network.credits).
+	for _, ix := range n.credits {
+		n.creditSlab[ix]++
+	}
+	n.credits = n.credits[:0]
+	// Close the cycle: the progress watchdog, the samplers and the clock.
 	if moved > 0 {
 		n.lastProgress = now
 	}
@@ -515,11 +452,6 @@ func (n *Network) quiescentScan() bool {
 	}
 	if len(n.arrivals) > 0 {
 		return false
-	}
-	for _, sh := range n.shards {
-		if len(sh.arrivals) > 0 {
-			return false
-		}
 	}
 	for c := range n.ejectQ {
 		for _, q := range n.ejectQ[c] {

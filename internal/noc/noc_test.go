@@ -505,17 +505,6 @@ func TestStatsReplyBitShare(t *testing.T) {
 	}
 }
 
-func TestStatsMerge(t *testing.T) {
-	var a, b Stats
-	a.Injected[Reply] = 2
-	b.Injected[Reply] = 3
-	b.QueueCycles[Request] = 7
-	a.Merge(&b)
-	if a.Injected[Reply] != 5 || a.QueueCycles[Request] != 7 {
-		t.Error("merge wrong")
-	}
-}
-
 func TestEjectionBackpressure(t *testing.T) {
 	// If the endpoint never consumes, the ejection queue fills and the
 	// network must stall without losing packets.

@@ -97,9 +97,11 @@ func (p *Probe) sample(n *Network) {
 	for i, r := range n.Routers {
 		p.scratch[i] = int64(r.inFlits)
 	}
-	p.countLinkFlits(n, n.arrivals)
-	for _, sh := range n.shards {
-		p.countLinkFlits(n, sh.arrivals)
+	// The arrival list holds the flits in flight on links at the end of a
+	// cycle.
+	for i := range n.arrivals {
+		from, port := n.linkSource(&n.arrivals[i])
+		p.linkSum[from*meshLinks+port-1]++
 	}
 	for _, ni := range n.nis {
 		ni.backlog(p.scratch)
@@ -109,15 +111,6 @@ func (p *Probe) sample(n *Network) {
 		if occ > p.occMax[i] {
 			p.occMax[i] = occ
 		}
-	}
-}
-
-// countLinkFlits adds the flits of an arrival list — the flits in flight on
-// links at the end of a cycle — to their links' sums.
-func (p *Probe) countLinkFlits(n *Network, list []arrival) {
-	for i := range list {
-		from, port := n.linkSource(&list[i])
-		p.linkSum[from*meshLinks+port-1]++
 	}
 }
 

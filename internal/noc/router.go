@@ -180,8 +180,7 @@ type Router struct {
 }
 
 // allocScratch is the allocators' working memory, valid within one phase
-// call on one router. The serial stepper shares the network's; each shard
-// worker has its own.
+// call on one router; every router of a network shares Network.scratch.
 type allocScratch struct {
 	cands []routeCand
 	vcOrd []int
@@ -375,13 +374,10 @@ var westOnly = []geom.Direction{geom.West}
 // mask is split there and each half walked low bit first. The offset is
 // derived from the cycle counter, not stored per router, so idle routers stay
 // out of the stepper's sets.
-func (r *Router) vcAllocate(now int64, sh *shardState) {
+func (r *Router) vcAllocate(now int64) {
 	m := r.needVA
 	n := r.net
 	sc := &n.scratch
-	if sh != nil {
-		sc = &sh.scratch
-	}
 	below := uint64(1)<<uint(int(now%int64(len(r.in)))*n.nvc) - 1
 	for _, half := range [2]uint64{m &^ below, m & below} {
 		for ; half != 0; half &= half - 1 {
@@ -431,7 +427,7 @@ func (r *Router) vcAllocate(now int64, sh *shardState) {
 			r.needVA &^= bit
 			r.ready |= bit
 			if n.flight != nil {
-				n.flightRecordSh(sh, now, head.Pkt, flight.VCAlloc, r.id, vb.outPort, vb.outVC)
+				n.flightRecord(now, head.Pkt, flight.VCAlloc, r.id, vb.outPort, vb.outVC)
 			}
 		}
 	}
@@ -484,16 +480,8 @@ func (ip *inputPort) creditFor(vc int) int {
 // appended to the arrival list, which keeps (router, output port) order
 // because routers are visited ascending and grants traverse ascending.
 // Returns the number of flits moved. The steady state allocates nothing.
-// With sh non-nil the call runs on a shard worker: upstream credit returns,
-// flight events, stats, and ejection side effects stage into the shard for
-// the phase barrier, and arrivals go to the shard's own list (everything
-// else the phase touches is router-local).
-func (r *Router) switchAllocate(now int64, sh *shardState) int {
+func (r *Router) switchAllocate(now int64) int {
 	n := r.net
-	sc, st, credits, arrivals := &n.scratch, &n.Stats, &n.credits, &n.arrivals
-	if sh != nil {
-		sc, st, credits, arrivals = &sh.scratch, &sh.stats, &sh.credits, &sh.arrivals
-	}
 	nvc := n.nvc
 	vcMask := uint64(1)<<uint(nvc) - 1
 	nin := len(r.in)
@@ -501,7 +489,7 @@ func (r *Router) switchAllocate(now int64, sh *shardState) int {
 	// Input stage: each input port with a ready VC nominates one, round-robin
 	// from its rrVC pointer. Ports come up in ascending order because slots
 	// are port-major.
-	reqs := sc.reqs[:0]
+	reqs := n.scratch.reqs[:0]
 	var granted uint64 // output ports holding a grant
 	m := r.ready
 	if m&(m-1) == 0 {
@@ -585,24 +573,23 @@ func (r *Router) switchAllocate(now int64, sh *shardState) int {
 		r.occupancyCycles += now - vb.headEntered
 		f := vb.pop()
 		if n.flight != nil && f.IsHead {
-			n.flightRecordSh(sh, now, f.Pkt, flight.SAGrant, r.id, int32(pi), outVC)
+			n.flightRecord(now, f.Pkt, flight.SAGrant, r.id, int32(pi), outVC)
 		}
 		moved++
-		// Return a credit upstream — deferred to the end of phase 4 (both
-		// paths), so no router can observe a credit freed earlier in the same
-		// phase. NI-fed ports take no credits.
+		// Return a credit upstream, deferred to the end of the phase (see
+		// Network.credits). NI-fed ports take no credits.
 		if q.credit != noAlloc {
-			*credits = append(*credits, int32(q.credit))
+			n.credits = append(n.credits, int32(q.credit))
 		}
 		tail := f.IsTail
 		if op.eject {
 			ejected++
 			if tail {
-				n.ejectPacket(f.Pkt, now, sh)
+				n.ejectPacket(f.Pkt, now)
 			}
 		} else {
 			op.credits[outVC]--
-			*arrivals = append(*arrivals, arrival{to: op.to, slot: op.toSlot + outVC, f: f})
+			n.arrivals = append(n.arrivals, arrival{to: op.to, slot: op.toSlot + outVC, f: f})
 		}
 		// Mask maintenance: the tail releases the allocation (the next
 		// packet's head, if already buffered, now needs VA); a buffer that
@@ -630,9 +617,9 @@ func (r *Router) switchAllocate(now int64, sh *shardState) int {
 	}
 	r.inFlits -= moved
 	r.flitsThrough += int64(moved)
-	st.FlitHops += int64(moved)
-	st.EjectFlits += int64(ejected)
-	st.LinkFlits += int64(moved - ejected)
+	n.Stats.FlitHops += int64(moved)
+	n.Stats.EjectFlits += int64(ejected)
+	n.Stats.LinkFlits += int64(moved - ejected)
 	return moved
 }
 

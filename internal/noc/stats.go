@@ -73,14 +73,3 @@ func (s *Stats) ReplyBitShare() float64 {
 func (s *Stats) TotalDelivered() int64 {
 	return s.Delivered[Request] + s.Delivered[Reply]
 }
-
-// Merge adds other into s (used to aggregate DA2Mesh's subnets).
-func (s *Stats) Merge(o *Stats) {
-	for c := Class(0); c < NumClasses; c++ {
-		s.Injected[c] += o.Injected[c]
-		s.Delivered[c] += o.Delivered[c]
-		s.Bits[c] += o.Bits[c]
-		s.QueueCycles[c] += o.QueueCycles[c]
-		s.NetCycles[c] += o.NetCycles[c]
-	}
-}

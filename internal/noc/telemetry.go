@@ -23,9 +23,8 @@ type telemetrySampler struct {
 
 	// Window-start snapshots of the network's cumulative counters; deltas
 	// against them yield the per-window flit counts.
-	lastInjBits   int64
-	lastEject     int64
-	lastBarrierNS int64
+	lastInjBits int64
+	lastEject   int64
 }
 
 // AttachTelemetry builds a windowed time-series for this network, chains
@@ -53,10 +52,8 @@ func (n *Network) AttachTelemetry(opts telemetry.Options) *telemetry.Series {
 	return t.series
 }
 
-// tick runs on sampling cycles (now%every == 0) from Step/stepSharded,
-// after all phase effects — including the sharded path's barrier-ordered
-// OnDeliver replay and stats merge — have been applied, so serial and
-// sharded runs observe identical window contents. Must not allocate.
+// tick runs on sampling cycles (now%every == 0) at the end of Step, after
+// every phase effect of the cycle has been applied. Must not allocate.
 func (t *telemetrySampler) tick(n *Network, now int64) {
 	// Occupancy sample: router input buffers plus NI injection backlog,
 	// the same accounting as Probe.sample (see its comment for why the NI
@@ -86,12 +83,7 @@ func (t *telemetrySampler) tick(n *Network, now int64) {
 	flitBits := int64(n.Cfg.FlitBytes) * 8
 	inj := (injBits - t.lastInjBits) / flitBits
 	ej := n.Stats.EjectFlits - t.lastEject
-	var barNS int64
-	for ph := 0; ph < NumPhases; ph++ {
-		barNS += n.barrierWaitNS[ph]
-	}
-	t.series.Flush(now, inj, ej, barNS-t.lastBarrierNS)
+	t.series.Flush(now, inj, ej)
 	t.lastInjBits = injBits
 	t.lastEject = n.Stats.EjectFlits
-	t.lastBarrierNS = barNS
 }

@@ -16,15 +16,6 @@ import (
 // RunSpec yields exactly the bytes the coordinator's store and assembler
 // expect.
 func RunSpec(ctx context.Context, raw []byte, parallelism int) ([]byte, error) {
-	return RunSpecParallel(ctx, raw, parallelism, 0)
-}
-
-// RunSpecParallel is RunSpec with a default shard parallelism: specs that do
-// not set "parallel" themselves run with simParallel row-band shards per
-// simulation (sim.Config.Parallel). Workers use it to apply a fleet-wide
-// -parallel flag; results are bit-identical either way, so the setting never
-// affects unit identity.
-func RunSpecParallel(ctx context.Context, raw []byte, parallelism, simParallel int) ([]byte, error) {
 	var spec JobSpec
 	if err := json.Unmarshal(raw, &spec); err != nil {
 		return nil, fmt.Errorf("service: bad job spec: %w", err)
@@ -38,9 +29,6 @@ func RunSpecParallel(ctx context.Context, raw []byte, parallelism, simParallel i
 		return nil, err
 	}
 	cfg.Parallelism = parallelism
-	if cfg.Parallel == 0 {
-		cfg.Parallel = simParallel
-	}
 	ev, err := equinox.RunEvaluationContext(ctx, cfg)
 	if err != nil {
 		return nil, err

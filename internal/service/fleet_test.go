@@ -484,44 +484,103 @@ func TestPriorityExcludedFromKey(t *testing.T) {
 	}
 }
 
-// TestParallelExcludedFromKey: the parallel stepper is bit-identical to the
-// serial one, so the same sweep at any shard parallelism is one job (one
-// content key) — but the setting survives canonicalization so workers can
-// honor it, and a negative value is rejected.
+// TestParallelExcludedFromKey is the compatibility contract of the retired
+// "parallel" field. It once selected an intra-simulation parallel stepper;
+// old clients still send it and old journals still hold it, so it is
+// accepted and range-checked, never part of the job's identity, and gone
+// from every canonical and unit spec.
 func TestParallelExcludedFromKey(t *testing.T) {
+	want, err := smallSpec().Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	withParallel := func(spec JobSpec, parallel int) string {
+		raw, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]any
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		doc["parallel"] = parallel
+		if raw, err = json.Marshal(doc); err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+
+	_, ts := newTestServer(t, Config{Workers: 1})
+	post := func(body string) (SubmitResponse, int) {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out SubmitResponse
+		json.NewDecoder(resp.Body).Decode(&out)
+		return out, resp.StatusCode
+	}
+	sub, code := post(withParallel(smallSpec(), 4))
+	if code != http.StatusAccepted {
+		t.Fatalf(`"parallel": 4 over HTTP: %d, want 202`, code)
+	}
+	if sub.ID != want {
+		t.Fatalf("parallel changed the content key: %s vs %s", sub.ID, want)
+	}
+	if _, code := post(withParallel(smallSpec(), -1)); code != http.StatusBadRequest {
+		t.Errorf(`"parallel": -1 over HTTP: %d, want 400`, code)
+	}
+
 	a := smallSpec()
 	a.Parallel = 4
-	ka, err := a.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kb, err := smallSpec().Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ka != kb {
-		t.Fatalf("parallel changed the content key: %s vs %s", ka, kb)
-	}
 	canon, err := a.Canonicalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if canon.Parallel != 4 {
-		t.Errorf("canonicalization dropped Parallel: %d", canon.Parallel)
+	raw, err := json.Marshal(canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), `"parallel"`) {
+		t.Errorf("canonical spec still carries parallel: %s", raw)
 	}
 	units, err := unitsFor("job", canon)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, u := range units {
-		if !strings.Contains(string(u.Spec), `"parallel":4`) {
-			t.Errorf("unit spec lost the parallel setting: %s", u.Spec)
+		if strings.Contains(string(u.Spec), `"parallel"`) {
+			t.Errorf("unit spec still carries parallel: %s", u.Spec)
 		}
 	}
-	bad := smallSpec()
-	bad.Parallel = -1
-	if _, err := bad.Canonicalize(); err == nil {
-		t.Fatal("negative parallel accepted")
+
+	// A journal written before the field was retired: the pending job's
+	// canonical spec holds "parallel":4 and must replay to a finished job
+	// under its recorded id.
+	old := smallSpec()
+	old.Seed = 7
+	oldCanon, err := old.Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldKey, err := keyOf(oldCanon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	j1 := openTestJournal(t, dir)
+	j1.Submit(oldKey, json.RawMessage(withParallel(oldCanon, 4)))
+	if err := j1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, ts2 := newTestServer(t, Config{Workers: 1, Journal: openTestJournal(t, dir)})
+	waitFor(t, "journaled job replayed", func() bool {
+		st, code := getJob(t, ts2, oldKey)
+		return code == http.StatusOK && st.Status.Finished()
+	})
+	if st, _ := getJob(t, ts2, oldKey); st.Status != JobDone {
+		t.Fatalf("replayed job ended %s, want %s", st.Status, JobDone)
 	}
 }
 

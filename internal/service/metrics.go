@@ -1,7 +1,6 @@
 package service
 
 import (
-	"equinox/internal/noc"
 	"equinox/internal/obs"
 	"equinox/internal/telemetry"
 )
@@ -40,19 +39,12 @@ type metrics struct {
 	flightStalls *obs.Counter
 	flightTail   *obs.Counter
 
-	// simShards reports the shard parallelism of the most recently started
-	// job (0 = serial stepping).
-	simShards *obs.Gauge
 	// simSaturated and simWarmup report the saturation flag (0/1) and
 	// detected warmup length of the most recently completed telemetry-
 	// instrumented run — sweep-sweep dashboards watch the saturated gauge
 	// flip as an injection-rate sweep crosses the knee.
 	simSaturated *obs.Gauge
 	simWarmup    *obs.Gauge
-	// barrierWait records the parallel stepper's sampled per-phase barrier
-	// waits in seconds, labelled by noc phase ("link", "vc", "sa"). Shard
-	// imbalance shows up here before it shows up as lost throughput.
-	barrierWait [noc.NumPhases]obs.BoundHistogram
 }
 
 // newMetrics builds the registry. The workers / queue-depth / cache
@@ -101,18 +93,10 @@ func newMetrics(workers, queueDepth, cacheEntries, cacheBytes func() float64) *m
 		flightTail: reg.Counter("equinox_flight_tail_latency_total",
 			"Deliveries exceeding the flight recorder's latency bound across traced jobs."),
 	}
-	m.simShards = reg.Gauge("equinox_sim_shards",
-		"Shard parallelism of the most recently started job (0 = serial).")
 	m.simSaturated = reg.Gauge("equinox_sim_saturated",
 		"Whether the most recently completed telemetry-instrumented run saturated (1) or not (0).")
 	m.simWarmup = reg.Gauge("equinox_sim_warmup_cycles",
 		"Detected warmup length (cycles to steady state) of the most recently completed telemetry-instrumented run; 0 when no steady state was reached.")
-	bw := reg.HistogramVec("equinox_sim_barrier_wait_seconds",
-		"Sampled per-phase barrier waits of the parallel stepper.",
-		barrierWaitBuckets(), "phase")
-	for ph := 0; ph < noc.NumPhases; ph++ {
-		m.barrierWait[ph] = bw.With(noc.PhaseName(ph))
-	}
 
 	reg.GaugeFunc("equinox_workers", "Size of the evaluation worker pool.", workers)
 	reg.GaugeFunc("equinox_queue_depth", "Jobs waiting in the submission queue.", queueDepth)
@@ -120,12 +104,6 @@ func newMetrics(workers, queueDepth, cacheEntries, cacheBytes func() float64) *m
 	reg.GaugeFunc("equinox_cache_bytes", "Approximate bytes of cached result payloads.", cacheBytes)
 	obs.RegisterBuildInfo(reg)
 	return m
-}
-
-// barrierWaitBuckets spans the expected barrier-wait range: sub-microsecond
-// when shards are balanced up to milliseconds when one shard hogs a phase.
-func barrierWaitBuckets() []float64 {
-	return []float64{1e-7, 5e-7, 1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 1e-3, 1e-2}
 }
 
 // observeTelemetry exports one run's detector verdicts to the
@@ -137,16 +115,4 @@ func (m *metrics) observeTelemetry(sum telemetry.RunSummary) {
 		m.simSaturated.Set(0)
 	}
 	m.simWarmup.Set(float64(sum.WarmupCycles))
-}
-
-// observeBarrierWaits installs this metrics set as the process-wide barrier
-// observer (noc.SetBarrierObserver); the last server to install wins, which
-// is fine for the intended one-server-per-process deployment. Histogram
-// observation is atomic, so concurrent shard steppers can report freely.
-func (m *metrics) observeBarrierWaits() {
-	noc.SetBarrierObserver(func(phase int, waitNS int64) {
-		if phase >= 0 && phase < noc.NumPhases {
-			m.barrierWait[phase].Observe(float64(waitNS) / 1e9)
-		}
-	})
 }

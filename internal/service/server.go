@@ -32,11 +32,6 @@ type Config struct {
 	// (default GOMAXPROCS/Workers, minimum 1), so a fully busy pool uses
 	// about one goroutine per core.
 	JobParallelism int
-	// SimParallel is the default per-simulation shard parallelism
-	// (sim.Config.Parallel) applied to jobs whose spec does not set
-	// "parallel". 0 leaves unspecified jobs on the serial stepper, the
-	// right default when JobParallelism already saturates the cores.
-	SimParallel int
 	// CacheEntries bounds the in-memory result cache by entry count
 	// (default 128).
 	CacheEntries int
@@ -161,7 +156,6 @@ func New(cfg Config) *Server {
 		func() float64 { return float64(s.store.SizeBytes()) },
 	)
 	s.met.reg.SetOpenMetricsEOF(cfg.OpenMetrics)
-	s.met.observeBarrierWaits()
 	s.met.reg.CounterFunc("equinox_trace_spans_total",
 		"Trace spans started on this node (including ones later dropped at a per-trace cap).",
 		func() float64 { return float64(s.tracer.SpansTotal()) })
@@ -263,10 +257,6 @@ func (s *Server) run(j *job) {
 		return
 	}
 	cfg.Parallelism = s.cfg.JobParallelism
-	if cfg.Parallel == 0 {
-		cfg.Parallel = s.cfg.SimParallel
-	}
-	s.met.simShards.Set(float64(cfg.Parallel))
 	total := j.totalRuns
 	cfg.Progress = func(done, _ int) {
 		j.doneRuns.Store(int64(done))
@@ -871,15 +861,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.met.reg.WritePrometheus(w)
 }
 
-// keyOf hashes an already-canonical spec (see JobSpec.Key). Priority,
-// Parallel, and Telemetry are zeroed first: they are scheduling/execution
-// advice, and the same sweep at any priority, stepper parallelism, or
-// instrumentation setting shares one result (the parallel stepper is
-// bit-identical to the serial one by construction, and telemetry is purely
-// observational).
+// keyOf hashes an already-canonical spec (see JobSpec.Key). Priority and
+// Telemetry are zeroed first: they are scheduling/execution advice, and the
+// same sweep at any priority or instrumentation setting shares one result
+// (telemetry is purely observational).
 func keyOf(canon JobSpec) (string, error) {
 	canon.Priority = ""
-	canon.Parallel = 0
 	canon.Telemetry = false
 	raw, err := json.Marshal(canon)
 	if err != nil {

@@ -51,12 +51,10 @@ type JobSpec struct {
 	// carry, telemetry regardless of this flag).
 	Telemetry bool `json:"telemetry,omitempty"`
 
-	// Parallel enables the deterministic parallel stepper inside each
-	// simulation when > 1 (equinox.EvalConfig.Parallel): networks step
-	// concurrently and core-domain meshes shard row-wise, with results
-	// bit-identical to a serial run. Like Priority it is execution advice,
-	// not job identity — it is excluded from the content key, so a sweep
-	// run parallel and the same sweep run serial share one cached result.
+	// Parallel is accepted, range-checked and dropped by Canonicalize: it
+	// once selected an intra-simulation parallel stepper, and old clients
+	// and journals still send it (the submit decoder rejects unknown
+	// fields). It never was part of the content key.
 	Parallel int `json:"parallel,omitempty"`
 
 	// Priority selects the scheduling class: "interactive" for jobs a
@@ -136,6 +134,7 @@ func (s JobSpec) Canonicalize() (JobSpec, error) {
 	if c.Parallel < 0 {
 		return JobSpec{}, fmt.Errorf("service: negative parallel %d", c.Parallel)
 	}
+	c.Parallel = 0
 
 	cfg, err := c.evalConfig()
 	if err != nil {
@@ -180,7 +179,6 @@ func (s JobSpec) evalConfig() (equinox.EvalConfig, error) {
 		Benchmarks:        s.Benchmarks,
 		InstructionsPerPE: s.InstructionsPerPE,
 		Seed:              s.Seed,
-		Parallel:          s.Parallel,
 	}
 	for _, name := range s.Schemes {
 		k, err := equinox.ParseScheme(name)

@@ -208,15 +208,12 @@ func TestSpansEndpointStatusCodes(t *testing.T) {
 
 // TestMetricsExpositionLiveFull round-trips the full live /v1/metrics
 // document through the exposition validator with every subsystem exercised:
-// fleet sharding, the parallel stepper (barrier-wait histograms), and
-// distributed tracing.
+// fleet sharding and distributed tracing.
 func TestMetricsExpositionLiveFull(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	startTracedWorkers(t, s, ts, 2)
 
-	spec := shardSpec()
-	spec.Parallel = 2 // sharded stepper → barrier-wait histograms move
-	sub, code := submit(t, ts, spec)
+	sub, code := submit(t, ts, shardSpec())
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)
 	}

@@ -93,12 +93,11 @@ type Config struct {
 	// network when non-zero (ablation knob).
 	VCsPerPort int
 
-	// Parallel enables the deterministic parallel stepper when > 1: the
-	// scheme's networks step concurrently within each core cycle (they share
-	// no mutable state inside a cycle), and each core-domain mesh is split
-	// into min(Parallel, Height) row-band shards stepped phase-parallel
-	// (noc.Config.Shards). Results are bit-identical to the serial path for
-	// the same seeds. 0 or 1 keeps today's single-goroutine stepping.
+	// Parallel is validated (non-negative) and otherwise ignored: one run is
+	// single-threaded, and parallelism comes from running many runs at once.
+	//
+	// Deprecated: the field remains only because the frozen bench/ladder_sim.go
+	// assigns it; it goes when a benchmark PR retires par.speedup_p2.
 	Parallel int
 }
 
@@ -196,11 +195,6 @@ func (c Config) buildNetworks(cbs []geom.Point) (*networkSet, error) {
 		if c.VCsPerPort > 0 {
 			nc.VCsPerPort = c.VCsPerPort
 		}
-		// Core-domain meshes shard row-wise under the parallel stepper.
-		// DA2Mesh's narrow subnets stay serial inside (Shards left 1): the
-		// eight subnets already step concurrently as whole networks, and
-		// splitting each lightly-loaded subnet would be all barrier, no work.
-		nc.Shards = c.Parallel
 		return nc
 	}
 	switch c.Scheme {
@@ -220,7 +214,6 @@ func (c Config) buildNetworks(cbs []geom.Point) (*networkSet, error) {
 			cw, ch := (c.Width+1)/2, (c.Height+1)/2
 			cc := noc.DefaultConfig("cmesh", cw, ch)
 			cc.ClockGHz = c.CoreClockGHz
-			cc.Shards = c.Parallel
 			cc.FlitBytes = 32 // 256-bit interposer links
 			cc.Routing = noc.RoutingXY
 			cc.VCPolicy = noc.VCByClass
@@ -257,7 +250,6 @@ func (c Config) buildNetworks(cbs []geom.Point) (*networkSet, error) {
 		case DA2Mesh:
 			for i := 0; i < c.DA2MeshSubnets; i++ {
 				sn := mk(fmt.Sprintf("reply%d", i))
-				sn.Shards = 0                        // see mk: subnets parallelize as whole networks
 				sn.FlitBytes = 16 / c.DA2MeshSubnets // 1/8 flit size
 				if sn.FlitBytes < 1 {
 					sn.FlitBytes = 1

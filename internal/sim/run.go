@@ -10,7 +10,6 @@ import (
 	"equinox/internal/noc"
 	"equinox/internal/obs"
 	"equinox/internal/obs/trace"
-	"equinox/internal/par"
 	"equinox/internal/power"
 	"equinox/internal/workloads"
 )
@@ -73,16 +72,6 @@ type System struct {
 	// pktID numbers every packet the system creates (IDs start at 1), giving
 	// the flight recorder a stable identity that survives pooling.
 	pktID int64
-
-	// Parallel stepper state (cfg.Parallel > 1 and more than one network):
-	// netGroup fans the per-network step tasks in netFns over the shared
-	// helper pool; netFns is built once at construction so the cycle loop
-	// allocates nothing. subnetSteps is the DA2Mesh clock-crossing sub-step
-	// count for the current core cycle, computed serially before dispatch.
-	netGroup    *par.Group
-	netFns      []func()
-	netTask     func(int) // bound trampoline over netFns
-	subnetSteps int
 
 	// flight, when attached, bundles the per-network recorders; the cycle
 	// loop runs its watchdogs at the cancellation-check cadence.
@@ -165,43 +154,7 @@ func NewSystem(cfg Config, prof workloads.Profile) (*System, error) {
 			s.peList = append(s.peList, pe)
 		}
 	}
-	s.initParallel()
 	return s, nil
-}
-
-// initParallel builds the per-network step closures for the concurrent
-// network phase of Step. Networks share no mutable state within a cycle
-// (packets cross between them only through the serial system-side phases),
-// so whole networks are independent tasks; DA2Mesh subnets fold their
-// clock-ratio sub-steps into one task each, which is equivalent to the
-// serial interleaving because the subnets are mutually independent too.
-func (s *System) initParallel() {
-	if s.cfg.Parallel <= 1 {
-		return
-	}
-	s.netFns = append(s.netFns, s.nets.base.Step)
-	if s.nets.reply != nil {
-		s.netFns = append(s.netFns, s.nets.reply.Step)
-	}
-	if s.nets.cmesh != nil {
-		s.netFns = append(s.netFns, s.nets.cmesh.Step)
-	}
-	for _, sub := range s.nets.subnets {
-		sub := sub
-		s.netFns = append(s.netFns, func() {
-			for k := 0; k < s.subnetSteps; k++ {
-				sub.Step()
-			}
-		})
-	}
-	if len(s.netFns) < 2 {
-		// A single network gains nothing from the fan-out layer; its own
-		// intra-network shards (noc.Config.Shards) still apply.
-		s.netFns = nil
-		return
-	}
-	s.netGroup = par.NewGroup()
-	s.netTask = func(i int) { s.netFns[i]() }
 }
 
 // bankFor maps an address to its cache bank (line-interleaved, Table 1's
@@ -402,23 +355,7 @@ func (s *System) Step() {
 		pe.Step(s.injectRequest)
 	}
 	// 5. Advance networks: base + reply + cmesh in the core domain,
-	// DA2Mesh subnets in their faster domain. Under the parallel stepper the
-	// networks advance concurrently — each network's state is private for
-	// the duration of the phase, and the clock-crossing accumulator is
-	// resolved before dispatch so subnet tasks are pure k-step loops.
-	if s.netGroup != nil {
-		if s.nets.subnets != nil {
-			s.subnetSteps = 0
-			s.nets.subnetAcc += s.cfg.DA2MeshClockRatio
-			for s.nets.subnetAcc >= 1 {
-				s.subnetSteps++
-				s.nets.subnetAcc--
-			}
-		}
-		s.netGroup.Run(len(s.netFns), s.netTask)
-		s.now++
-		return
-	}
+	// DA2Mesh subnets in their faster domain.
 	s.nets.base.Step()
 	if s.nets.reply != nil {
 		s.nets.reply.Step()
@@ -572,15 +509,6 @@ func (s *System) finishSimSpan(sp *trace.Span, start, warmupEnd, measureEnd time
 	sp.SetAttr("scheme", s.cfg.Scheme.String())
 	sp.SetAttr("benchmark", s.prof.Name)
 	sp.SetAttrInt("cycles", s.now)
-	if s.nets.base.Shards() > 1 {
-		for ph := 0; ph < noc.NumPhases; ph++ {
-			var w int64
-			for _, n := range s.Networks() {
-				w += n.BarrierWaitNS(ph)
-			}
-			sp.SetAttrInt("barrierWaitNs/"+noc.PhaseName(ph), w)
-		}
-	}
 	sp.End()
 }
 

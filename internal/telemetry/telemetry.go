@@ -8,8 +8,8 @@
 //
 // The unit of collection is the Series: one per network, holding a bounded
 // ring of per-window samples (injected/ejected flit counts, accepted
-// throughput, latency quantiles from a fixed-size streaming sketch, buffer
-// occupancy, and barrier-wait time) plus two online detectors. All state is
+// throughput, latency quantiles from a fixed-size streaming sketch and buffer
+// occupancy) plus two online detectors. All state is
 // preallocated at construction and updated in place, so an attached series
 // adds zero steady-state allocations to the simulation hot loop (pinned by
 // noc's TestStepDoesNotAllocate).
@@ -89,11 +89,6 @@ type Window struct {
 	// peak single-router sample.
 	OccMean float64 `json:"occMean"`
 	OccMax  int64   `json:"occMax"`
-
-	// BarrierWaitNS is the sampled parallel-stepper barrier wait accumulated
-	// during the window. Wall-clock, so nonzero only under sharding and not
-	// reproducible across runs — determinism cross-checks must ignore it.
-	BarrierWaitNS int64 `json:"barrierWaitNs,omitempty"`
 }
 
 // sketch bucket layout: geometric bounds with ratio 2^(1/4), so a latency
@@ -336,10 +331,9 @@ func (s *Series) Occupancy(totalFlits, maxFlits int64) {
 }
 
 // Flush closes the current window at cycle end (exclusive) with the
-// window's injected/ejected flit deltas and barrier-wait delta, stores it
-// in the ring, feeds the detectors, and resets the accumulators. Must not
-// allocate.
-func (s *Series) Flush(end, injectedFlits, ejectedFlits, barrierWaitNS int64) {
+// window's injected/ejected flit deltas, stores it in the ring, feeds the
+// detectors, and resets the accumulators. Must not allocate.
+func (s *Series) Flush(end, injectedFlits, ejectedFlits int64) {
 	w := Window{
 		Start:         s.winStart,
 		End:           end,
@@ -350,7 +344,6 @@ func (s *Series) Flush(end, injectedFlits, ejectedFlits, barrierWaitNS int64) {
 		LatP95:        s.sk.quantile(0.95),
 		LatP99:        s.sk.quantile(0.99),
 		OccMax:        s.occMax,
-		BarrierWaitNS: barrierWaitNS,
 	}
 	if cycles := end - s.winStart; cycles > 0 && s.Nodes > 0 {
 		norm := float64(cycles) * float64(s.Nodes)
@@ -499,7 +492,7 @@ type RunSummary struct {
 
 // csvHeader is the flattened per-window CSV schema shared by WriteCSV and
 // equinox-trace -telemetry-csv.
-const csvHeader = "scheme,benchmark,network,window,start,end,injected_flits,ejected_flits,offered,accepted,lat_p50,lat_p95,lat_p99,lat_count,occ_mean,occ_max,barrier_wait_ns,saturated\n"
+const csvHeader = "scheme,benchmark,network,window,start,end,injected_flits,ejected_flits,offered,accepted,lat_p50,lat_p95,lat_p99,lat_count,occ_mean,occ_max,saturated\n"
 
 // WriteCSV flattens one or more run summaries into per-window CSV rows for
 // plotting: one row per (run, network, window).
@@ -510,7 +503,7 @@ func WriteCSV(w io.Writer, sums []RunSummary) error {
 	for _, sum := range sums {
 		for _, ns := range sum.Networks {
 			for i, win := range ns.Windows {
-				row := fmt.Sprintf("%s,%s,%s,%d,%d,%d,%d,%d,%s,%s,%s,%s,%s,%d,%s,%d,%d,%t\n",
+				row := fmt.Sprintf("%s,%s,%s,%d,%d,%d,%d,%d,%s,%s,%s,%s,%s,%d,%s,%d,%t\n",
 					sum.Scheme, sum.Benchmark, ns.Name, i+ns.DroppedWindows,
 					win.Start, win.End, win.InjectedFlits, win.EjectedFlits,
 					strconv.FormatFloat(win.Offered, 'f', 6, 64),
@@ -520,7 +513,7 @@ func WriteCSV(w io.Writer, sums []RunSummary) error {
 					strconv.FormatFloat(win.LatP99, 'f', 2, 64),
 					win.LatCount,
 					strconv.FormatFloat(win.OccMean, 'f', 4, 64),
-					win.OccMax, win.BarrierWaitNS, sum.Saturated)
+					win.OccMax, sum.Saturated)
 				if _, err := io.WriteString(w, row); err != nil {
 					return err
 				}

@@ -65,7 +65,7 @@ func TestSketchQuantileOrdering(t *testing.T) {
 func TestSeriesRingBounds(t *testing.T) {
 	s := NewSeries("net", 4, 1.0, Options{WindowCycles: 10, SampleEvery: 10, MaxWindows: 4})
 	for i := int64(1); i <= 10; i++ {
-		s.Flush(i*10, 100, 100, 0)
+		s.Flush(i*10, 100, 100)
 	}
 	wins := s.Windows()
 	if len(wins) != 4 {
@@ -88,7 +88,7 @@ func TestDetectorSteady(t *testing.T) {
 	rates := []int64{100, 125, 160, 200, 400, 405, 400, 402, 401, 400}
 	for i, r := range rates {
 		s.ObserveLatency(20)
-		s.Flush(int64(i+1)*100, r, r, 0)
+		s.Flush(int64(i+1)*100, r, r)
 	}
 	steady, warmup := s.Steady()
 	if !steady {
@@ -113,7 +113,7 @@ func TestDetectorSaturationKnee(t *testing.T) {
 		for k := 0; k < 50; k++ {
 			s.ObserveLatency(lat)
 		}
-		s.Flush(int64(i)*100, inj, ej, 0)
+		s.Flush(int64(i)*100, inj, ej)
 	}
 	// Light, fast windows establish the zero-load baseline …
 	for i := 1; i <= 3; i++ {
@@ -139,7 +139,7 @@ func TestDetectorIgnoresIdleWindows(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		// 10 flits per window is under the 64-flit floor; the 1-vs-10
 		// inject/eject imbalance would otherwise trip the tracking signal.
-		s.Flush(int64(i)*100, 10, 1, 0)
+		s.Flush(int64(i)*100, 10, 1)
 	}
 	if sat, _ := s.Saturated(); sat {
 		t.Fatal("idle windows latched saturation")
@@ -155,9 +155,9 @@ func TestCaptureSummaryAndCSV(t *testing.T) {
 	for i := int64(1); i <= 4; i++ {
 		a.ObserveLatency(16)
 		a.Occupancy(40, 20)
-		a.Flush(i*100, 400, 400, 0)
+		a.Flush(i*100, 400, 400)
 		b.ObserveLatency(32)
-		b.Flush(i*100, 400, 360, 7)
+		b.Flush(i*100, 400, 360)
 	}
 	c := &Capture{Scheme: "EquiNox", Benchmark: "kmeans", Series: []*Series{a, b}}
 	sum := c.Summary()

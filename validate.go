@@ -65,9 +65,6 @@ func (rc RunConfig) Validate() error {
 	if rc.Scheme == sim.EquiNox && rc.Design == nil {
 		return fmt.Errorf("equinox: EquiNox runs need a Design (see equinox.Design)")
 	}
-	if rc.Parallel < 0 {
-		return fmt.Errorf("equinox: negative Parallel %d", rc.Parallel)
-	}
 	return nil
 }
 
@@ -125,9 +122,6 @@ func (cfg EvalConfig) Validate() error {
 	}
 	if cfg.Parallelism < 0 {
 		return fmt.Errorf("equinox: negative Parallelism %d", cfg.Parallelism)
-	}
-	if cfg.Parallel < 0 {
-		return fmt.Errorf("equinox: negative Parallel %d", cfg.Parallel)
 	}
 	return nil
 }

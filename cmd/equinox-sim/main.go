@@ -14,21 +14,10 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"equinox"
-	"equinox/internal/core"
 	"equinox/internal/sim"
 )
-
-func schemeByName(name string) (sim.SchemeKind, bool) {
-	for _, s := range sim.AllSchemes() {
-		if strings.EqualFold(s.String(), name) {
-			return s, true
-		}
-	}
-	return 0, false
-}
 
 func main() {
 	log.SetFlags(0)
@@ -57,7 +46,7 @@ func main() {
 		return
 	}
 
-	s, ok := schemeByName(*scheme)
+	s, ok := sim.ParseScheme(*scheme)
 	if !ok {
 		log.Printf("unknown scheme %q (use -list)", *scheme)
 		os.Exit(2)
@@ -68,10 +57,7 @@ func main() {
 		InstructionsPerPE: *instr, Seed: *seed,
 	}
 	if s == sim.EquiNox {
-		dcfg := core.DefaultDesignConfig()
-		dcfg.Width, dcfg.Height, dcfg.NumCBs = *width, *height, *cbs
-		dcfg.Search = core.SearchGreedyTwoHop
-		d, err := core.BuildDesign(dcfg)
+		d, err := equinox.DesignForMesh(*width, *height, *cbs)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -52,7 +52,7 @@ import (
 	"os"
 	"strings"
 
-	"equinox/internal/core"
+	"equinox"
 	"equinox/internal/flight"
 	"equinox/internal/noc"
 	"equinox/internal/sim"
@@ -108,22 +108,15 @@ func main() {
 		return
 	}
 
-	var kind sim.SchemeKind = -1
-	for _, s := range sim.AllSchemes() {
-		if strings.EqualFold(s.String(), *scheme) {
-			kind = s
-		}
-	}
-	if kind < 0 {
+	kind, ok := sim.ParseScheme(*scheme)
+	if !ok {
 		log.Fatalf("unknown scheme %q", *scheme)
 	}
 	cfg := sim.DefaultConfig(kind)
 	cfg.InstructionsPerPE = *instr
 	cfg.Seed = *seed
 	if kind == sim.EquiNox {
-		dc := core.DefaultDesignConfig()
-		dc.Search = core.SearchGreedyTwoHop
-		d, err := core.BuildDesign(dc)
+		d, err := equinox.DesignForMesh(cfg.Width, cfg.Height, cfg.NumCBs)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -158,7 +151,6 @@ func main() {
 	}
 	// Probes cover every network of the scheme so occupancy is comparable
 	// across schemes regardless of how each splits traffic over meshes.
-	// They attach after the recorder: they chain its OnDeliver callback.
 	var probes []*noc.Probe
 	if *heatmap || *heatmapCSV != "" {
 		probes = sys.AttachProbes(*probeEvery)

@@ -53,14 +53,6 @@ type RunConfig struct {
 	// InstructionsPerPE scales simulation length (zero = default).
 	InstructionsPerPE int
 	Seed              int64
-
-	// Telemetry attaches the windowed telemetry time-series to the run
-	// (internal/telemetry): per-window throughput, latency quantiles, and
-	// occupancy, plus online steady-state and saturation detectors. Purely
-	// observational — the Result is bit-identical either way. Use
-	// RunBenchmarkTelemetryContext to receive the capture; the plain
-	// RunBenchmark* entry points honor the flag but discard it.
-	Telemetry bool
 }
 
 // RunBenchmark simulates one scheme on one benchmark and returns the full
@@ -72,10 +64,6 @@ func RunBenchmark(rc RunConfig) (sim.Result, error) {
 // RunBenchmarkContext is RunBenchmark with cancellation: the simulation's
 // cycle loop polls ctx and returns ctx.Err() when it is cancelled.
 func RunBenchmarkContext(ctx context.Context, rc RunConfig) (sim.Result, error) {
-	if rc.Telemetry {
-		res, _, err := RunBenchmarkTelemetryContext(ctx, rc, telemetry.Options{})
-		return res, err
-	}
 	cfg, prof, err := rc.simSetup()
 	if err != nil {
 		return sim.Result{}, err
@@ -83,27 +71,12 @@ func RunBenchmarkContext(ctx context.Context, rc RunConfig) (sim.Result, error) 
 	return sim.RunContext(ctx, cfg, prof)
 }
 
-// RunBenchmarkFlightContext is RunBenchmarkContext with the flight recorder
-// attached to every network. The capture is returned even when the run
-// fails — a starvation-watchdog diagnostic is exactly when the recorded
-// events matter most.
-func RunBenchmarkFlightContext(ctx context.Context, rc RunConfig, opts flight.Options) (sim.Result, *flight.Capture, error) {
-	res, fc, _, err := runInstrumented(ctx, rc, &opts, nil)
-	return res, fc, err
-}
-
-// RunBenchmarkTelemetryContext is RunBenchmarkContext with the windowed
-// telemetry time-series (internal/telemetry) attached to every network.
-// Telemetry is purely observational — the Result is bit-identical to an
-// uninstrumented run — and the capture is returned even when the run fails,
-// since a timeout's dynamics are exactly what the windows show.
-func RunBenchmarkTelemetryContext(ctx context.Context, rc RunConfig, opts telemetry.Options) (sim.Result, *telemetry.Capture, error) {
-	res, _, tc, err := runInstrumented(ctx, rc, nil, &opts)
-	return res, tc, err
-}
-
-// runInstrumented builds the system and attaches whichever observers are
-// requested (both may ride one run: a traced job with telemetry on).
+// runInstrumented is RunBenchmarkContext with whichever observers are
+// requested attached to every network (both may ride one run: a traced job
+// with telemetry on). Both are purely observational — the Result is
+// bit-identical to an uninstrumented run — and the captures are returned
+// even when the run fails: a starvation-watchdog diagnostic or a timeout is
+// exactly when the recorded events and windows matter most.
 func runInstrumented(ctx context.Context, rc RunConfig, fl *flight.Options, tel *telemetry.Options) (sim.Result, *flight.Capture, *telemetry.Capture, error) {
 	cfg, prof, err := rc.simSetup()
 	if err != nil {

@@ -91,11 +91,6 @@ type Config struct {
 	// Zero means 1.
 	InjectPortsPerCB int
 
-	// NIAssignsPerCycle is how many packets a multi-port NI may dispatch to
-	// free buffers per cycle. MultiPort CB NIs keep the single NI core of
-	// Figure 8 (one per cycle, the zero default).
-	NIAssignsPerCycle int
-
 	// SpokesPerNode attaches several fully independent NIs to every router
 	// (each with its own injection port), modelling concentration: each of
 	// the tiles sharing an Interposer-CMesh router keeps a dedicated spoke.

@@ -78,10 +78,16 @@ type Network struct {
 	// preallocated ring; nil costs one pointer compare per hook site.
 	flight *flight.Recorder
 
-	// OnDeliver, when non-nil, is invoked for every packet as its tail flit
-	// ejects (before the packet enters the delivery queue). Used by the
-	// trace package; must not retain the packet's payload beyond the call.
-	OnDeliver func(*Packet)
+	// onDelivered is the append-only list of delivery hooks (OnDelivered).
+	onDelivered []func(*Packet)
+}
+
+// OnDelivered registers fn to be called for every packet as its tail flit
+// ejects, once the delivery timestamp is set. Hooks are independent of one
+// another and run in registration order; fn must not retain the packet's
+// payload beyond the call.
+func (n *Network) OnDelivered(fn func(*Packet)) {
+	n.onDelivered = append(n.onDelivered, fn)
 }
 
 // injector is the per-node network interface seen by the simulator.
@@ -356,8 +362,8 @@ func (n *Network) ejectPacket(p *Packet, now int64) {
 		fr.EjectObserved(now, p.ID, lat, fr.Hit(p.ID))
 	}
 	n.heldNodes[p.Dst>>6] |= 1 << uint(p.Dst&63)
-	if n.OnDeliver != nil {
-		n.OnDeliver(p)
+	for _, fn := range n.onDelivered {
+		fn(p)
 	}
 }
 

@@ -269,25 +269,20 @@ var _ injector = (*equiNoxNI)(nil)
 // multiPortNI models the MultiPort scheme [2]: the NI owns several
 // single-packet buffers, each wired to its own injection port on the local
 // router, widening injection bandwidth without distributing it. Requests
-// and replies wait in separate FIFOs (see standardNI) — the CMesh overlay
-// reuses this NI for its concentration spokes, where both classes mix.
+// and replies wait in separate FIFOs (see standardNI).
 type multiPortNI struct {
-	net     *Network
-	r       *Router
-	queues  [NumClasses][]*Packet
-	cap     int
-	bufs    []*injBuffer
-	rr      int
-	rrCls   int
-	assigns int // packet dispatches per cycle
-	stall   stallNote
+	net    *Network
+	r      *Router
+	queues [NumClasses][]*Packet
+	cap    int
+	bufs   []*injBuffer
+	rr     int
+	rrCls  int
+	stall  stallNote
 }
 
 func newMultiPortNI(n *Network, r *Router, ports int) *multiPortNI {
-	ni := &multiPortNI{net: n, r: r, cap: n.Cfg.InjQueuePackets, assigns: 1}
-	if n.Cfg.NIAssignsPerCycle > 1 {
-		ni.assigns = n.Cfg.NIAssignsPerCycle
-	}
+	ni := &multiPortNI{net: n, r: r, cap: n.Cfg.InjQueuePackets}
 	ni.queues = newClassQueues(ni.cap)
 	ni.bufs = append(ni.bufs, &injBuffer{r: r, port: int(PortLocal), ix: 0, vc: noAlloc})
 	for k := 1; k < ports; k++ {
@@ -354,44 +349,35 @@ func (ni *multiPortNI) busyOf(c Class) int {
 }
 
 func (ni *multiPortNI) step(now int64) {
-	// Assign one head packet to a free buffer, alternating classes so a
-	// blocked class never starves the other. One class may never occupy
-	// every buffer: a backpressured request stream hogging all buffers
-	// would trap replies in the NI and close the M2F2M protocol loop.
-	anyAssigned := false
-	for a := 0; a < ni.assigns; a++ {
-		assigned := false
-		for k := 0; k < int(NumClasses); k++ {
-			c := Class((ni.rrCls + k) % int(NumClasses))
-			if len(ni.queues[c]) == 0 {
-				continue
-			}
-			if len(ni.bufs) > 1 && ni.busyOf(c) >= len(ni.bufs)-1 {
-				continue // leave one buffer for the other class
-			}
-			for j := 0; j < len(ni.bufs); j++ {
-				b := ni.bufs[(ni.rr+j)%len(ni.bufs)]
-				if !b.busy() {
-					var p *Packet
-					ni.queues[c], p = popPacket(ni.queues[c])
-					b.load(ni.net, p, now)
-					ni.rr = (ni.rr + j + 1) % len(ni.bufs)
-					assigned = true
-					break
-				}
-			}
-			if assigned {
+	// Assign one head packet to a free buffer — one dispatch per cycle is
+	// the single NI core of Figure 8 — alternating classes so a blocked
+	// class never starves the other. One class may never occupy every
+	// buffer: a backpressured request stream hogging all buffers would trap
+	// replies in the NI and close the M2F2M protocol loop.
+	assigned := false
+	for k := 0; k < int(NumClasses) && !assigned; k++ {
+		c := Class((ni.rrCls + k) % int(NumClasses))
+		if len(ni.queues[c]) == 0 {
+			continue
+		}
+		if len(ni.bufs) > 1 && ni.busyOf(c) >= len(ni.bufs)-1 {
+			continue // leave one buffer for the other class
+		}
+		for j := 0; j < len(ni.bufs); j++ {
+			b := ni.bufs[(ni.rr+j)%len(ni.bufs)]
+			if !b.busy() {
+				var p *Packet
+				ni.queues[c], p = popPacket(ni.queues[c])
+				b.load(ni.net, p, now)
+				ni.rr = (ni.rr + j + 1) % len(ni.bufs)
 				ni.rrCls = (int(c) + 1) % int(NumClasses)
+				assigned = true
 				break
 			}
 		}
-		if !assigned {
-			break
-		}
-		anyAssigned = true
 	}
 	if ni.net.flight != nil {
-		if anyAssigned {
+		if assigned {
 			ni.stall.clear()
 		} else {
 			for k := 0; k < int(NumClasses); k++ {

@@ -609,7 +609,7 @@ func TestSpokesRejectIncompatibleConfigs(t *testing.T) {
 func TestOnDeliverCallback(t *testing.T) {
 	n, _ := New(DefaultConfig("t", 4, 4))
 	var got []*Packet
-	n.OnDeliver = func(p *Packet) { got = append(got, p) }
+	n.OnDelivered(func(p *Packet) { got = append(got, p) })
 	p := &Packet{ID: 77, Type: ReadReply, Src: 0, Dst: 15}
 	n.TryInject(p, n.Now())
 	runUntilQuiescent(t, n, 500)

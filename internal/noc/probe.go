@@ -50,12 +50,8 @@ type Probe struct {
 	latSum    int64
 }
 
-// AttachProbe builds a probe sized for this network, chains it into the
-// OnDeliver path (preserving any previously installed callback), and starts
-// sampling every `every` cycles. Attach after installing OnDeliver
-// consumers that replace rather than chain the callback (trace.Attach
-// does): the probe preserves whatever it finds, but a later replacement
-// would silently disconnect the probe's latency histogram.
+// AttachProbe builds a probe sized for this network, registers its latency
+// histogram as a delivery hook, and starts sampling every `every` cycles.
 func (n *Network) AttachProbe(every int64) *Probe {
 	if every < 1 {
 		every = 1
@@ -72,13 +68,7 @@ func (n *Network) AttachProbe(every int64) *Probe {
 	}
 	p.latCounts = make([]int64, len(p.latBounds)+1)
 	n.probe = p
-	prev := n.OnDeliver
-	n.OnDeliver = func(pkt *Packet) {
-		p.observeLatency(pkt.DeliveredAt - pkt.CreatedAt)
-		if prev != nil {
-			prev(pkt)
-		}
-	}
+	n.OnDelivered(func(pkt *Packet) { p.observeLatency(pkt.DeliveredAt - pkt.CreatedAt) })
 	return p
 }
 

@@ -64,8 +64,8 @@ func TestProbeSamplingAndLatency(t *testing.T) {
 		t.Error("no link load recorded under sustained traffic")
 	}
 
-	// Latency histogram: fed from OnDeliver, so counts must equal deliveries
-	// and the bucket counts must sum to the total.
+	// Latency histogram: fed from a delivery hook, so counts must equal
+	// deliveries and the bucket counts must sum to the total.
 	if got, want := p.LatencyCount(), n.Stats.TotalDelivered(); got != want {
 		t.Errorf("LatencyCount = %d, want delivered %d", got, want)
 	}
@@ -92,7 +92,7 @@ func TestProbeChainsOnDeliver(t *testing.T) {
 		t.Fatal(err)
 	}
 	var prevCalls int
-	n.OnDeliver = func(*Packet) { prevCalls++ }
+	n.OnDelivered(func(*Packet) { prevCalls++ })
 	p := n.AttachProbe(8)
 
 	h := newAllocHarness(t, n, ReadReply, [][2]int{{0, 15}, {15, 0}}, 2)
@@ -100,10 +100,10 @@ func TestProbeChainsOnDeliver(t *testing.T) {
 		h.tick()
 	}
 	if prevCalls == 0 {
-		t.Error("previously installed OnDeliver was not chained")
+		t.Error("previously registered delivery hook was not called")
 	}
 	if int64(prevCalls) != p.LatencyCount() {
-		t.Errorf("chained callback saw %d packets, probe saw %d", prevCalls, p.LatencyCount())
+		t.Errorf("earlier hook saw %d packets, probe saw %d", prevCalls, p.LatencyCount())
 	}
 }
 

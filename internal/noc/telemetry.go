@@ -27,9 +27,8 @@ type telemetrySampler struct {
 	lastEject   int64
 }
 
-// AttachTelemetry builds a windowed time-series for this network, chains
-// its latency observer into the OnDeliver path (preserving any previously
-// installed callback, exactly like AttachProbe), and starts sampling. The
+// AttachTelemetry builds a windowed time-series for this network, registers
+// its latency observer as a delivery hook, and starts sampling. The
 // returned Series is live: read it during the run for online detector
 // verdicts, or Snapshot it after RunToCompletion.
 func (n *Network) AttachTelemetry(opts telemetry.Options) *telemetry.Series {
@@ -42,13 +41,7 @@ func (n *Network) AttachTelemetry(opts telemetry.Options) *telemetry.Series {
 		scratch: make([]int64, len(n.Routers)),
 	}
 	n.telem = t
-	prev := n.OnDeliver
-	n.OnDeliver = func(pkt *Packet) {
-		s.ObserveLatency(pkt.DeliveredAt - pkt.CreatedAt)
-		if prev != nil {
-			prev(pkt)
-		}
-	}
+	n.OnDelivered(func(pkt *Packet) { s.ObserveLatency(pkt.DeliveredAt - pkt.CreatedAt) })
 	return t.series
 }
 

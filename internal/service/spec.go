@@ -95,7 +95,7 @@ func (s JobSpec) Canonicalize() (JobSpec, error) {
 			if err != nil {
 				return JobSpec{}, err
 			}
-			kinds[name] = k
+			kinds[k.String()] = k // one entry per scheme however it was spelled
 		}
 		var names []string
 		for name := range kinds {

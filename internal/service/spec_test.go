@@ -37,7 +37,7 @@ func TestKeyCanonicalization(t *testing.T) {
 
 	permuted := JobSpec{
 		Benchmarks: []string{"kmeans", "bfs", "kmeans"},
-		Schemes:    []string{"SeparateBase", "EquiNox", "SeparateBase"},
+		Schemes:    []string{"SeparateBase", "EquiNox", "separatebase"},
 	}
 	straight := JobSpec{
 		Benchmarks: []string{"bfs", "kmeans"},

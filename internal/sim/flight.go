@@ -4,15 +4,7 @@ import (
 	"fmt"
 
 	"equinox/internal/flight"
-	"equinox/internal/noc"
 )
-
-// flightState pairs the capture with the networks it watches so the
-// watchdog sweep needs no per-check allocation.
-type flightState struct {
-	cap  *flight.Capture
-	nets []*noc.Network
-}
 
 // AttachFlight attaches a flight recorder to every network (Networks
 // order) and returns the capture bundling them. Call before the first
@@ -20,18 +12,16 @@ type flightState struct {
 // starvation watchdog at the cancellation-check cadence and fails the run
 // with a diagnostic dump when it fires.
 func (s *System) AttachFlight(opts flight.Options) *flight.Capture {
-	nets := s.Networks()
-	recs := make([]*flight.Recorder, len(nets))
-	for i, n := range nets {
+	recs := make([]*flight.Recorder, len(s.nets))
+	for i, n := range s.nets {
 		recs[i] = n.AttachFlight(opts)
 	}
-	c := &flight.Capture{
+	s.flight = &flight.Capture{
 		Scheme:    s.cfg.Scheme.String(),
 		Benchmark: s.prof.Name,
 		Recorders: recs,
 	}
-	s.flight = &flightState{cap: c, nets: nets}
-	return c
+	return s.flight
 }
 
 // flightDumpEvents bounds the last-window dump a starvation diagnostic
@@ -42,12 +32,12 @@ const flightDumpEvents = 200
 // network (each against its own clock domain) and, when one fires, returns
 // the failure with the recorder's last-window events formatted into it.
 func (s *System) checkFlightWatchdog() error {
-	for i, n := range s.flight.nets {
+	for i, n := range s.nets {
 		starved, fired := n.FlightStarved()
 		if !fired {
 			continue
 		}
-		rec := s.flight.cap.Recorders[i]
+		rec := s.flight.Recorders[i]
 		rec.NoteStarvation()
 		evs := rec.TailEvents(flightDumpEvents)
 		return fmt.Errorf("sim: starvation watchdog: network %q ejected nothing for %d cycles with %d packets in flight; last %d traced events:\n%s",

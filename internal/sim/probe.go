@@ -4,25 +4,10 @@ import "equinox/internal/noc"
 
 // AttachProbes attaches an occupancy/latency probe sampling every `every`
 // cycles to each of the system's networks (Networks order). Call before the
-// first Step, and after replace-style OnDeliver consumers such as
-// trace.Recorder — the probe chains whatever callback is already installed,
-// but a later replacement would disconnect the probe's latency histogram.
+// first Step.
 func (s *System) AttachProbes(every int64) []*noc.Probe {
-	nets := s.Networks()
-	probes := make([]*noc.Probe, len(nets))
-	for i, n := range nets {
-		probes[i] = n.AttachProbe(every)
-	}
-	return probes
-}
-
-// AttachReplyProbes probes only the reply-carrying networks
-// (ReplyNetworks order) — the side where the paper's Figure 4 hot zone
-// forms around the CBs.
-func (s *System) AttachReplyProbes(every int64) []*noc.Probe {
-	nets := s.ReplyNetworks()
-	probes := make([]*noc.Probe, len(nets))
-	for i, n := range nets {
+	probes := make([]*noc.Probe, len(s.nets))
+	for i, n := range s.nets {
 		probes[i] = n.AttachProbe(every)
 	}
 	return probes

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"equinox/internal/flight"
 	"equinox/internal/geom"
 	"equinox/internal/gpu"
 	"equinox/internal/noc"
@@ -59,9 +60,21 @@ type System struct {
 	peList  []*gpu.PE // deterministic iteration order
 	banks   []*gpu.CB
 
-	nets     *networkSet
-	subnetRR []int // per-bank round-robin over DA2Mesh subnets
-	now      int64
+	// nets is the scheme's network list, in the order its row declares
+	// (schemes.go says what that order pins). The fields after it are views
+	// of the list, filtered once at construction for the per-cycle paths.
+	nets     []network
+	all      []*noc.Network // every network (Networks)
+	request  *noc.Network   // the request carrier
+	carriers []*noc.Network // the reply carriers
+	overlay  *noc.Network   // the long-distance overlay; nil without one
+	replyRR  []int          // per-bank round-robin over carriers
+	// fastAcc accumulates the fast clock domain's fractional steps per core
+	// cycle. It is one accumulator for all fast networks: they step
+	// round-robin inside it, so their delivery hooks interleave per fast
+	// cycle rather than network by network.
+	fastAcc float64
+	now     int64
 
 	// Hot-loop scratch and pools: the cycle loop runs millions of times per
 	// evaluation, so per-cycle allocations are hoisted here.
@@ -73,9 +86,10 @@ type System struct {
 	// the flight recorder a stable identity that survives pooling.
 	pktID int64
 
-	// flight, when attached, bundles the per-network recorders; the cycle
-	// loop runs its watchdogs at the cancellation-check cadence.
-	flight *flightState
+	// flight, when attached, bundles the per-network recorders (nets
+	// order); the cycle loop runs its watchdogs at the cancellation-check
+	// cadence.
+	flight *flight.Capture
 }
 
 // newPacket draws a packet from the pool (or the heap on a cold start).
@@ -119,7 +133,20 @@ func NewSystem(cfg Config, prof workloads.Profile) (*System, error) {
 		cbIndex:    make([]int, cfg.Width*cfg.Height),
 		pes:        make([]*gpu.PE, cfg.Width*cfg.Height),
 		nets:       nets,
+		replyRR:    make([]int, len(cbs)),
 		servedBank: make([]bool, len(cbs)),
+	}
+	for _, n := range nets {
+		s.all = append(s.all, n.Network)
+		if n.role&requests != 0 {
+			s.request = n.Network
+		}
+		if n.role&replies != 0 {
+			s.carriers = append(s.carriers, n.Network)
+		}
+		if n.role&overlay != 0 {
+			s.overlay = n.Network
+		}
 	}
 	for i := range s.cbIndex {
 		s.cbIndex[i] = -1
@@ -132,7 +159,6 @@ func NewSystem(cfg Config, prof workloads.Profile) (*System, error) {
 		}
 		s.banks = append(s.banks, bank)
 	}
-	s.subnetRR = make([]int, len(cbs))
 	instr := prof.Instructions
 	if cfg.InstructionsPerPE > 0 {
 		instr = cfg.InstructionsPerPE
@@ -177,21 +203,30 @@ func (s *System) cmeshSpoke(tile int) int {
 	return (p.Y%2)*2 + p.X%2
 }
 
-// useCMesh reports whether a packet between two tiles takes the interposer
-// CMesh (long-distance traffic in the Interposer-CMesh scheme).
-func (s *System) useCMesh(src, dst int) bool {
-	if s.nets.cmesh == nil {
+// tryOverlay injects a long-distance packet — one whose tiles sit on
+// different overlay routers more than cmeshHopThreshold hops apart — into
+// the overlay, addressed in its concentrated coordinates. A refusal means
+// the source tile's spoke is busy; the caller falls back to the carriers,
+// which reach everywhere — the two inject in parallel, which is where the
+// extra network's capacity pays off at the reply bottleneck.
+func (s *System) tryOverlay(typ noc.PacketType, src, dst int, tx *gpu.Transaction) bool {
+	if s.overlay == nil || s.cmeshNode(src) == s.cmeshNode(dst) {
 		return false
 	}
-	a := geom.FromID(src, s.cfg.Width)
-	b := geom.FromID(dst, s.cfg.Width)
-	if geom.Manhattan(a, b) <= s.cfg.CMeshHopThreshold {
+	a, b := geom.FromID(src, s.cfg.Width), geom.FromID(dst, s.cfg.Width)
+	if geom.Manhattan(a, b) <= cmeshHopThreshold {
 		return false
 	}
-	return s.cmeshNode(src) != s.cmeshNode(dst)
+	p := s.newPacket(typ, s.cmeshNode(src), s.cmeshNode(dst), s.cmeshSpoke(src), tx)
+	if s.overlay.TryInject(p, s.overlay.Now()) {
+		return true
+	}
+	s.freePacket(p)
+	return false
 }
 
-// injectRequest routes a PE request transaction into the proper network.
+// injectRequest routes a PE request transaction into the overlay or the
+// request carrier.
 func (s *System) injectRequest(tx *gpu.Transaction) bool {
 	bank := s.bankFor(tx.Addr)
 	dst := s.cbs[bank].ID(s.cfg.Width)
@@ -199,89 +234,59 @@ func (s *System) injectRequest(tx *gpu.Transaction) bool {
 	if tx.Write {
 		typ = noc.WriteRequest
 	}
-	if s.useCMesh(tx.PE, dst) {
-		p := s.newPacket(typ, s.cmeshNode(tx.PE), s.cmeshNode(dst), s.cmeshSpoke(tx.PE), tx)
-		if s.nets.cmesh.TryInject(p, s.nets.cmesh.Now()) {
-			return true
-		}
-		// The base mesh reaches everywhere: fall through when the spoke is
-		// busy — the two networks inject in parallel.
-		s.freePacket(p)
-	}
-	pb := s.newPacket(typ, tx.PE, dst, 0, tx)
-	if s.nets.base.TryInject(pb, s.nets.base.Now()) {
+	if s.tryOverlay(typ, tx.PE, dst, tx) {
 		return true
 	}
-	s.freePacket(pb)
+	p := s.newPacket(typ, tx.PE, dst, 0, tx)
+	if s.request.TryInject(p, s.request.Now()) {
+		return true
+	}
+	s.freePacket(p)
 	return false
 }
 
-// injectReply routes a CB reply transaction into the proper network.
+// injectReply routes a CB reply transaction into the overlay or, round-robin
+// from the bank's last success, the reply carriers ([5] distributes packets
+// among DA2Mesh's subnetworks to use their aggregate injection bandwidth;
+// every other scheme has one carrier). One pooled packet serves every
+// carrier attempt; TryInject only retains it on success.
 func (s *System) injectReply(bank int, tx *gpu.Transaction) bool {
 	src := s.cbs[bank].ID(s.cfg.Width)
 	typ := noc.ReadReply
 	if tx.Write {
 		typ = noc.WriteReply
 	}
-	switch {
-	case s.nets.subnets != nil:
-		// Round-robin across the narrow subnets ([5] distributes packets
-		// among the subnetworks to use their aggregate injection bandwidth).
-		// One pooled packet serves every attempt; TryInject only retains it
-		// on success.
-		p := s.newPacket(typ, src, tx.PE, 0, tx)
-		for k := 0; k < len(s.nets.subnets); k++ {
-			sub := s.nets.subnets[(s.subnetRR[bank]+k)%len(s.nets.subnets)]
-			if sub.TryInject(p, sub.Now()) {
-				s.subnetRR[bank] = (s.subnetRR[bank] + k + 1) % len(s.nets.subnets)
-				return true
-			}
-		}
-		s.freePacket(p)
-		return false
-	case s.nets.reply != nil:
-		p := s.newPacket(typ, src, tx.PE, 0, tx)
-		if s.nets.reply.TryInject(p, s.nets.reply.Now()) {
-			return true
-		}
-		s.freePacket(p)
-		return false
-	case s.useCMesh(src, tx.PE):
-		p := s.newPacket(typ, s.cmeshNode(src), s.cmeshNode(tx.PE), s.cmeshSpoke(src), tx)
-		if s.nets.cmesh.TryInject(p, s.nets.cmesh.Now()) {
-			return true
-		}
-		s.freePacket(p)
-		// Fall back to the base mesh: the CB NI and its interposer spoke
-		// inject in parallel, which is where the extra network's capacity
-		// pays off at the reply bottleneck.
-		pb := s.newPacket(typ, src, tx.PE, 0, tx)
-		if s.nets.base.TryInject(pb, s.nets.base.Now()) {
-			return true
-		}
-		s.freePacket(pb)
-		return false
-	default:
-		p := s.newPacket(typ, src, tx.PE, 0, tx)
-		if s.nets.base.TryInject(p, s.nets.base.Now()) {
-			return true
-		}
-		s.freePacket(p)
-		return false
+	if s.tryOverlay(typ, src, tx.PE, tx) {
+		return true
 	}
+	p := s.newPacket(typ, src, tx.PE, 0, tx)
+	i := s.replyRR[bank]
+	for range s.carriers {
+		net := s.carriers[i]
+		if i++; i == len(s.carriers) {
+			i = 0
+		}
+		if net.TryInject(p, net.Now()) {
+			s.replyRR[bank] = i
+			return true
+		}
+	}
+	s.freePacket(p)
+	return false
 }
 
-// drainEjections pops delivered packets from every network and hands them to
-// the right endpoint model, visiting only the nodes that hold one. Each cache
-// bank consumes at most one request per core cycle (its single request
-// pipeline), tracked across all networks — under Interposer-CMesh a bank can
-// receive from both the base mesh and the CMesh in the same cycle.
+// drainEjections pops delivered packets from every network, in list order,
+// and hands them to the right endpoint model, visiting only the nodes that
+// hold one. Each cache bank consumes at most one request per core cycle (its
+// single request pipeline), tracked across all networks — under
+// Interposer-CMesh a bank can receive from both the base mesh and the CMesh
+// in the same cycle.
 func (s *System) drainEjections() {
 	servedBank := s.servedBank
 	for i := range servedBank {
 		servedBank[i] = false
 	}
-	drainTile := func(net *noc.Network) {
+	for _, net := range s.all {
 		for node := net.NextDelivered(0); node >= 0; node = net.NextDelivered(node + 1) {
 			// Replies and write acks drain freely into the PEs.
 			for budget := 4; budget > 0; budget-- {
@@ -320,16 +325,6 @@ func (s *System) drainEjections() {
 			}
 		}
 	}
-	drainTile(s.nets.base)
-	if s.nets.reply != nil {
-		drainTile(s.nets.reply)
-	}
-	for _, sub := range s.nets.subnets {
-		drainTile(sub)
-	}
-	if s.nets.cmesh != nil {
-		drainTile(s.nets.cmesh)
-	}
 }
 
 // Step advances the system one core cycle.
@@ -354,22 +349,19 @@ func (s *System) Step() {
 	for _, pe := range s.peList {
 		pe.Step(s.injectRequest)
 	}
-	// 5. Advance networks: base + reply + cmesh in the core domain,
-	// DA2Mesh subnets in their faster domain.
-	s.nets.base.Step()
-	if s.nets.reply != nil {
-		s.nets.reply.Step()
+	// 5. Advance networks: the core domain once, then the fast domain
+	// (DA2Mesh's subnets) as often as its accumulated ratio allows.
+	for i := range s.nets {
+		if !s.nets[i].fast {
+			s.nets[i].Step()
+		}
 	}
-	if s.nets.cmesh != nil {
-		s.nets.cmesh.Step()
-	}
-	if s.nets.subnets != nil {
-		s.nets.subnetAcc += s.cfg.DA2MeshClockRatio
-		for s.nets.subnetAcc >= 1 {
-			for _, sub := range s.nets.subnets {
-				sub.Step()
+	s.fastAcc += fastClockRatio
+	for ; s.fastAcc >= 1; s.fastAcc-- {
+		for i := range s.nets {
+			if s.nets[i].fast {
+				s.nets[i].Step()
 			}
-			s.nets.subnetAcc--
 		}
 	}
 	s.now++
@@ -475,10 +467,8 @@ func (s *System) pesFinished() bool {
 // deliveredTotal sums delivered packets across every network and class.
 func (s *System) deliveredTotal() int64 {
 	var t int64
-	for _, n := range s.Networks() {
-		for _, d := range n.Stats.Delivered {
-			t += d
-		}
+	for _, n := range s.all {
+		t += n.Stats.TotalDelivered()
 	}
 	return t
 }
@@ -527,19 +517,14 @@ func (s *System) collect() Result {
 		res.IPC = float64(res.Instructions) / float64(s.now)
 	}
 
-	// Latency breakdown in ns, weighted by delivered packets per network.
-	nets := []*noc.Network{s.nets.base}
-	if s.nets.reply != nil {
-		nets = append(nets, s.nets.reply)
-	}
-	nets = append(nets, s.nets.subnets...)
-	if s.nets.cmesh != nil {
-		nets = append(nets, s.nets.cmesh)
-	}
+	// Latency breakdown in ns, weighted by delivered packets per network,
+	// and each network's energy and area under its row's pricing — all
+	// summed in list order.
+	coef := power.Default28nm()
 	var reqN, repN float64
 	var reqQ, reqT, repQ, repT float64
 	var bitsReq, bitsRep float64
-	for _, n := range nets {
+	for _, n := range s.nets {
 		st := &n.Stats
 		ghz := n.Cfg.ClockGHz
 		dq := float64(st.Delivered[noc.Request])
@@ -552,6 +537,9 @@ func (s *System) collect() Result {
 		repT += float64(st.NetCycles[noc.Reply]) / ghz
 		bitsReq += float64(st.Bits[noc.Request])
 		bitsRep += float64(st.Bits[noc.Reply])
+		cost := coef.Evaluate(n.Network, n.power)
+		res.Energy.Add(cost.Energy)
+		res.AreaMM2 += cost.AreaMM2
 	}
 	if reqN > 0 {
 		res.ReqQueueNS = reqQ / reqN
@@ -563,25 +551,6 @@ func (s *System) collect() Result {
 	}
 	if bitsReq+bitsRep > 0 {
 		res.ReplyBitShare = bitsRep / (bitsReq + bitsRep)
-	}
-
-	// Energy and area.
-	coef := power.Default28nm()
-	for _, n := range nets {
-		opt := power.NetworkOptions{}
-		switch {
-		case n == s.nets.cmesh:
-			opt.LinksInInterposer = true
-			opt.LinkPitchMM = 2 * coef.TilePitchMM
-		case n == s.nets.reply && s.cfg.Scheme == EquiNox:
-			opt.ExtraNIBuffers = 4 * len(s.cbs)
-			opt.InterposerLinkMM = 2 * coef.TilePitchMM
-		case n == s.nets.reply && s.cfg.Scheme == MultiPort:
-			opt.ExtraNIBuffers = (s.cfg.MultiPortPorts - 1) * len(s.cbs)
-		}
-		cost := coef.Evaluate(n, opt)
-		res.Energy.Add(cost.Energy)
-		res.AreaMM2 += cost.AreaMM2
 	}
 
 	// Cache diagnostics.
@@ -603,92 +572,17 @@ func (s *System) collect() Result {
 	return res
 }
 
-// DebugState summarizes live counters for diagnosing stalls; exported for
-// the development harness and tests.
-func (s *System) DebugState() string {
-	finished, outst := 0, 0
-	stalled := 0
-	var instr int64
-	for _, pe := range s.peList {
-		if pe.Finished() {
-			finished++
-		}
-		outst += pe.Outstanding()
-		instr += pe.Instructions
-	}
-	_ = stalled
-	drained := 0
-	pend := 0
-	for _, cb := range s.banks {
-		if cb.Drained() {
-			drained++
-		}
-		pend += cb.MC.Pending()
-	}
-	bs := &s.nets.base.Stats
-	out := fmt.Sprintf("cyc=%d peFin=%d/%d outst=%d instr=%d cbDrained=%d mcPend=%d baseInj=%v baseDel=%v",
-		s.now, finished, len(s.peList), outst, instr, drained, pend, bs.Injected, bs.Delivered)
-	if s.nets.reply != nil {
-		rs := &s.nets.reply.Stats
-		out += fmt.Sprintf(" repInj=%v repDel=%v repStall=%d", rs.Injected, rs.Delivered, s.nets.reply.StalledFor())
-	}
-	out += fmt.Sprintf(" baseStall=%d", s.nets.base.StalledFor())
-	return out
-}
+// Networks lists the system's physical networks in list order: the request
+// carrier first, then the reply carriers, then the overlay. Exposed for
+// tracing and tooling; the slice is the system's own and must not be modified.
+func (s *System) Networks() []*noc.Network { return s.all }
 
-// DebugCMesh reports the CMesh network's stall state; diagnostic helper.
-func (s *System) DebugCMesh() string {
-	if s.nets.cmesh == nil {
-		return "no cmesh"
-	}
-	cs := &s.nets.cmesh.Stats
-	return fmt.Sprintf("cmeshInj=%v cmeshDel=%v cmeshStall=%d quiescent=%v",
-		cs.Injected, cs.Delivered, s.nets.cmesh.StalledFor(), s.nets.cmesh.Quiescent())
-}
-
-// DebugCMeshDump exposes the CMesh network's buffer state.
-func (s *System) DebugCMeshDump() string {
-	if s.nets.cmesh == nil {
-		return ""
-	}
-	return s.nets.cmesh.DebugDump()
-}
-
-// DebugBanks summarizes cache-bank stall counters.
-func (s *System) DebugBanks() string {
-	out := ""
-	for i, cb := range s.banks {
-		out += fmt.Sprintf("bank %d: req=%d hits=%d misses=%d writes=%d stallMC=%d stallOut=%d\n",
-			i, cb.Requests, cb.L2Hits, cb.L2Misses, cb.Writes, cb.StallOnMC, cb.StallOnOut)
-	}
-	return out
-}
-
-// Networks lists the system's physical networks in a stable order: the base
-// (request) network first, then the reply network / subnets / CMesh overlay
-// as the scheme defines them. Exposed for tracing and tooling.
-func (s *System) Networks() []*noc.Network {
-	nets := []*noc.Network{s.nets.base}
-	if s.nets.reply != nil {
-		nets = append(nets, s.nets.reply)
-	}
-	nets = append(nets, s.nets.subnets...)
-	if s.nets.cmesh != nil {
-		nets = append(nets, s.nets.cmesh)
+// ReplyNetworks lists only the networks that carry reply traffic, in list
+// order: the reply carriers, then the overlay.
+func (s *System) ReplyNetworks() []*noc.Network {
+	nets := append([]*noc.Network(nil), s.carriers...)
+	if s.overlay != nil {
+		nets = append(nets, s.overlay)
 	}
 	return nets
-}
-
-// ReplyNetworks lists only the networks that carry reply traffic.
-func (s *System) ReplyNetworks() []*noc.Network {
-	switch {
-	case s.nets.subnets != nil:
-		return append([]*noc.Network(nil), s.nets.subnets...)
-	case s.nets.reply != nil:
-		return []*noc.Network{s.nets.reply}
-	case s.nets.cmesh != nil:
-		return []*noc.Network{s.nets.base, s.nets.cmesh}
-	default:
-		return []*noc.Network{s.nets.base}
-	}
 }

@@ -213,10 +213,10 @@ func TestCMeshCarriesLongDistanceTraffic(t *testing.T) {
 	if _, err := s.RunToCompletion(); err != nil {
 		t.Fatal(err)
 	}
-	if s.nets.cmesh.Stats.TotalDelivered() == 0 {
+	if netByName(t, s, "cmesh").Stats.TotalDelivered() == 0 {
 		t.Error("CMesh carried no packets")
 	}
-	if s.nets.base.Stats.TotalDelivered() == 0 {
+	if netByName(t, s, "base").Stats.TotalDelivered() == 0 {
 		t.Error("base network carried no packets")
 	}
 }
@@ -231,7 +231,8 @@ func TestDA2MeshUsesAllSubnets(t *testing.T) {
 	if _, err := s.RunToCompletion(); err != nil {
 		t.Fatal(err)
 	}
-	for i, sub := range s.nets.subnets {
+	subnets := s.ReplyNetworks()
+	for i, sub := range subnets {
 		if sub.Stats.TotalDelivered() == 0 {
 			t.Errorf("subnet %d carried nothing", i)
 		}
@@ -240,8 +241,8 @@ func TestDA2MeshUsesAllSubnets(t *testing.T) {
 		}
 	}
 	// Subnets run 2.5× faster: their cycle counters should exceed the core's.
-	if s.nets.subnets[0].Now() <= s.now {
-		t.Errorf("subnet clock %d not ahead of core clock %d", s.nets.subnets[0].Now(), s.now)
+	if subnets[0].Now() <= s.now {
+		t.Errorf("subnet clock %d not ahead of core clock %d", subnets[0].Now(), s.now)
 	}
 }
 

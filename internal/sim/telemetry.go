@@ -5,9 +5,7 @@ import "equinox/internal/telemetry"
 // AttachTelemetry attaches a windowed telemetry time-series (with its
 // steady-state and saturation detectors) to each of the system's networks,
 // in Networks order, and returns the run's capture. Call before the first
-// Step, and after replace-style OnDeliver consumers such as trace.Recorder
-// — the series chains whatever delivery callback is already installed, but
-// a later replacement would disconnect its latency sketch.
+// Step.
 //
 // Attachment is observational only: Results are bit-identical with or
 // without telemetry (pinned by TestTelemetryMatchesSerial), and the
@@ -18,7 +16,7 @@ func (s *System) AttachTelemetry(opts telemetry.Options) *telemetry.Capture {
 		Scheme:    s.cfg.Scheme.String(),
 		Benchmark: s.prof.Name,
 	}
-	for _, n := range s.Networks() {
+	for _, n := range s.nets {
 		cap.Series = append(cap.Series, n.AttachTelemetry(opts))
 	}
 	return cap

@@ -86,9 +86,9 @@ func (rec *Recorder) EventsFor(r Record) []flight.Event {
 	return rec.flight.PacketEvents(r.ID)
 }
 
-// Attach hooks the recorder onto a network's delivery callback.
+// Attach registers the recorder as one of the network's delivery hooks.
 func (rec *Recorder) Attach(n *noc.Network) {
-	n.OnDeliver = func(p *noc.Packet) {
+	n.OnDelivered(func(p *noc.Packet) {
 		if rec.Cap > 0 && len(rec.Records) >= rec.Cap {
 			rec.Dropped++
 			if rec.dropCounter != nil {
@@ -113,7 +113,7 @@ func (rec *Recorder) Attach(n *noc.Network) {
 			DeliveredAt: p.DeliveredAt,
 			Traced:      rec.flight != nil && rec.flight.Hit(p.ID),
 		})
-	}
+	})
 }
 
 // WriteCSV emits the records with a header row.

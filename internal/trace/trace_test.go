@@ -12,6 +12,7 @@ import (
 	"equinox/internal/flight"
 	"equinox/internal/noc"
 	"equinox/internal/obs"
+	"equinox/internal/telemetry"
 )
 
 // runTraced drives a 4×4 network with n packets and returns the recorder.
@@ -322,5 +323,60 @@ func TestEventsForBackReference(t *testing.T) {
 	}
 	if traced == 0 || untraced == 0 {
 		t.Fatalf("sampling split degenerate: %d traced / %d untraced", traced, untraced)
+	}
+}
+
+// TestDeliveryHooksIndependentOfAttachOrder attaches a probe, a telemetry
+// series and a recorder to one network in both orders: every consumer must
+// see every delivery either way (the recorder used to replace the callback
+// the other two had chained into).
+func TestDeliveryHooksIndependentOfAttachOrder(t *testing.T) {
+	const pkts, window = 60, 64
+	for _, recorderLast := range []bool{true, false} {
+		n, err := noc.New(noc.DefaultConfig("t", 4, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &Recorder{}
+		var probe *noc.Probe
+		var series *telemetry.Series
+		topts := telemetry.Options{SampleEvery: 16, WindowCycles: window}
+		if recorderLast {
+			probe = n.AttachProbe(16)
+			series = n.AttachTelemetry(topts)
+			rec.Attach(n)
+		} else {
+			rec.Attach(n)
+			series = n.AttachTelemetry(topts)
+			probe = n.AttachProbe(16)
+		}
+		rng := rand.New(rand.NewSource(1))
+		sent := 0
+		// Run to quiescence, then on to the next window flush so the
+		// series' last deliveries are counted.
+		for cyc := 0; sent < pkts || !n.Quiescent() || n.Now()%window != 1; cyc++ {
+			if cyc > 5000 {
+				t.Fatal("network did not drain")
+			}
+			if sent < pkts {
+				p := &noc.Packet{ID: int64(sent), Type: noc.ReadReply, Src: rng.Intn(16), Dst: rng.Intn(16)}
+				if n.TryInject(p, n.Now()) {
+					sent++
+				}
+			}
+			for node := 0; node < 16; node++ {
+				for n.PopDelivered(node) != nil {
+				}
+			}
+			n.Step()
+		}
+		var windowed int64
+		for _, w := range series.Windows() {
+			windowed += w.LatCount
+		}
+		if len(rec.Records) != pkts || probe.LatencyCount() != pkts || windowed != pkts {
+			t.Errorf("recorder attached last=%v: recorder saw %d, probe %d, telemetry %d of %d deliveries",
+				recorderLast, len(rec.Records), probe.LatencyCount(), windowed, pkts)
+		}
 	}
 }

@@ -8,12 +8,11 @@ import (
 )
 
 // ParseScheme resolves a scheme by its display name ("EquiNox",
-// "SeparateBase", …). It is the inverse of sim.SchemeKind.String.
+// "SeparateBase", …), case-insensitively. It is the inverse of
+// sim.SchemeKind.String.
 func ParseScheme(name string) (sim.SchemeKind, error) {
-	for _, s := range sim.AllSchemes() {
-		if s.String() == name {
-			return s, nil
-		}
+	if s, ok := sim.ParseScheme(name); ok {
+		return s, nil
 	}
 	return 0, fmt.Errorf("equinox: unknown scheme %q (known: %v)", name, sim.AllSchemes())
 }

@@ -152,6 +152,26 @@ type trackedJob struct {
 	cbMu sync.Mutex
 }
 
+// event builds a progress event about the unit, stamped with the job's
+// current done/total counts. Callers hold the coordinator lock (or, in
+// SubmitJob, have not published the job yet).
+func (u *trackedUnit) event(typ, status string) Event {
+	j := u.job
+	return Event{
+		Type: typ, Status: status,
+		Scheme: u.Scheme, Benchmark: u.Benchmark, UnitKey: u.Key,
+		Done: len(j.units) - j.rem, Total: len(j.units),
+	}
+}
+
+// telemetryEvent is the "telemetry" frame carrying the unit's windowed
+// summary block, emitted just before its completed (or cache) event.
+func (u *trackedUnit) telemetryEvent(block []byte) Event {
+	ev := u.event("telemetry", "")
+	ev.Telemetry = block
+	return ev
+}
+
 // Circuit-breaker states, exported to the
 // equinox_worker_circuit_state{worker} gauge by numeric value.
 type breakerState int
@@ -188,7 +208,8 @@ type lease struct {
 	id       string
 	unit     *trackedUnit
 	worker   string
-	expires  time.Time
+	granted  time.Time // never renewed: lease age and unit duration count from here
+	expires  time.Time // pushed out by every heartbeat
 	canceled bool
 }
 
@@ -311,13 +332,12 @@ func (c *Coordinator) deliver(deliveries []delivery) {
 // ErrQueueFull (no unit queued) when the fleet queue cannot absorb the
 // job, letting the caller fall back to local execution.
 func (c *Coordinator) SubmitJob(id string, class Class, units []Unit, cb JobCallbacks) error {
-	j := &trackedJob{id: id, class: class, cb: cb, rem: len(units)}
+	j := &trackedJob{id: id, class: class, cb: cb, rem: len(units), units: make([]*trackedUnit, len(units))}
 	var pending []*trackedUnit
 	var events []Event
-	doneUnits := 0
-	for _, u := range units {
+	for i, u := range units {
 		tu := &trackedUnit{Unit: u, job: j}
-		j.units = append(j.units, tu)
+		j.units[i] = tu
 		tu.span = cb.Trace.Start(cb.Parent, "unit "+u.Scheme+"/"+u.Benchmark)
 		tu.span.SetAttr("scheme", u.Scheme)
 		tu.span.SetAttr("benchmark", u.Benchmark)
@@ -330,10 +350,12 @@ func (c *Coordinator) SubmitJob(id string, class Class, units []Unit, cb JobCall
 			lookup.SetAttr("hit", fmt.Sprintf("%v", ok))
 			lookup.End()
 			if ok {
+				// Not resolveLocked: the job is not registered (and must
+				// not unregister a live namesake), and a hit is counted as
+				// a cache hit, not a completion.
 				tu.state = unitDone
 				tu.result = res
 				j.rem--
-				doneUnits++
 				c.met.UnitCacheHits.Inc()
 				tu.span.SetAttr("cache", "hit")
 				tu.span.End()
@@ -342,18 +364,9 @@ func (c *Coordinator) SubmitJob(id string, class Class, units []Unit, cb JobCall
 				// windows; replay them so a cache-heavy job streams the
 				// same live frames as a freshly computed one.
 				if tel := extractTelemetry(res); len(tel) > 0 {
-					events = append(events, Event{
-						Type:   "telemetry",
-						Scheme: u.Scheme, Benchmark: u.Benchmark, UnitKey: u.Key,
-						Done: doneUnits, Total: len(units),
-						Telemetry: tel,
-					})
+					events = append(events, tu.telemetryEvent(tel))
 				}
-				events = append(events, Event{
-					Type: "cache", Status: "completed",
-					Scheme: u.Scheme, Benchmark: u.Benchmark, UnitKey: u.Key,
-					Done: doneUnits, Total: len(units),
-				})
+				events = append(events, tu.event("cache", "completed"))
 				continue
 			}
 		}
@@ -384,7 +397,7 @@ func (c *Coordinator) SubmitJob(id string, class Class, units []Unit, cb JobCall
 	c.met.JobsSharded.Inc()
 	c.log.Info("job sharded",
 		"jobId", id, "class", class.String(),
-		"units", len(units), "cacheHits", doneUnits)
+		"units", len(units), "cacheHits", len(units)-len(pending))
 	c.deliver([]delivery{{job: j, events: events, final: j.rem == 0}})
 	return nil
 }
@@ -446,6 +459,7 @@ func (c *Coordinator) Lease(worker string) (LeaseResponse, bool) {
 			id:      fmt.Sprintf("L%08d", c.leaseSeq),
 			unit:    u,
 			worker:  worker,
+			granted: now,
 			expires: now.Add(c.cfg.LeaseTTL),
 		}
 		u.state = unitLeased
@@ -473,12 +487,7 @@ func (c *Coordinator) Lease(worker string) (LeaseResponse, bool) {
 		// The traceparent rides the grant, not the spec: a tracing worker
 		// joins the unit span so its spans stitch under the job's trace.
 		resp.Unit.TraceParent = u.span.TraceParent()
-		j := u.job
-		d := delivery{job: j, events: []Event{{
-			Type: "unit", Status: "leased",
-			Scheme: u.Scheme, Benchmark: u.Benchmark, UnitKey: u.Key,
-			Done: len(j.units) - j.rem, Total: len(j.units),
-		}}}
+		d := delivery{job: u.job, events: []Event{u.event("unit", "leased")}}
 		c.mu.Unlock()
 		// The grant event feeds SSE progress and the job journal's
 		// unit-grant records; delivered outside the lock like all
@@ -513,47 +522,24 @@ func (c *Coordinator) Complete(leaseID string, result []byte, errMsg string, spa
 	}
 	c.stitchSpansLocked(u, l, now, spans)
 	var d delivery
-	var storePut bool
 	if errMsg != "" {
 		c.breakerFailureLocked(l.worker, now, errMsg)
 		d = c.retryUnitLocked(u, now, errMsg)
 	} else {
 		c.breakerSuccessLocked(l.worker)
-		u.state = unitDone
 		u.result = result
-		u.lease = nil
-		j.rem--
-		if j.rem == 0 {
-			delete(c.jobs, j.id) // finished: allow future re-submission
-		}
-		c.met.UnitsCompleted.Inc()
-		c.met.UnitDuration.With(u.Scheme).
-			Observe(now.Sub(l.expires.Add(-c.cfg.LeaseTTL)).Seconds())
+		c.met.UnitDuration.With(u.Scheme).Observe(now.Sub(l.granted).Seconds())
 		u.span.SetAttr("worker", l.worker)
-		u.span.SetAttrInt("attempts", int64(u.attempts))
-		u.span.End()
-		u.span = nil
-		storePut = c.cfg.Store != nil
-		d = delivery{job: j, final: j.rem == 0}
+		d = c.resolveLocked(u, unitDone)
 		if len(telemetry) > 0 {
-			d.events = append(d.events, Event{
-				Type:   "telemetry",
-				Scheme: u.Scheme, Benchmark: u.Benchmark, UnitKey: u.Key,
-				Done: len(j.units) - j.rem, Total: len(j.units),
-				Telemetry: telemetry,
-			})
+			d.events = append([]Event{u.telemetryEvent(telemetry)}, d.events...)
 		}
-		d.events = append(d.events, Event{
-			Type: "unit", Status: "completed",
-			Scheme: u.Scheme, Benchmark: u.Benchmark, UnitKey: u.Key,
-			Done: len(j.units) - j.rem, Total: len(j.units),
-		})
 		c.log.Info("unit completed",
 			"jobId", u.JobID, "unitKey", u.Key, "leaseId", leaseID,
 			"worker", l.worker, "resultBytes", len(result))
 	}
 	c.mu.Unlock()
-	if storePut {
+	if errMsg == "" && c.cfg.Store != nil {
 		c.cfg.Store.Put(u.Key, result)
 	}
 	c.deliver([]delivery{d})
@@ -612,29 +598,15 @@ func (c *Coordinator) stitchSpansLocked(u *trackedUnit, l *lease, now time.Time,
 // mark the unit failed. Returns the callback delivery to run after
 // unlocking.
 func (c *Coordinator) retryUnitLocked(u *trackedUnit, now time.Time, reason string) delivery {
-	j := u.job
 	u.lease = nil
 	u.errMsg = reason
 	if u.attempts >= c.cfg.MaxAttempts {
-		u.state = unitFailed
-		j.rem--
-		if j.rem == 0 {
-			delete(c.jobs, j.id) // finished: allow future re-submission
-		}
-		c.met.UnitsFailed.Inc()
 		u.errMsg = fmt.Sprintf("failed after %d attempts: %s", u.attempts, reason)
 		u.span.SetAttr("error", u.errMsg)
-		u.span.End()
-		u.span = nil
 		c.log.Warn("unit failed",
 			"jobId", u.JobID, "unitKey", u.Key,
 			"attempts", u.attempts, "error", reason)
-		return delivery{job: j, events: []Event{{
-			Type: "unit", Status: "failed",
-			Scheme: u.Scheme, Benchmark: u.Benchmark, UnitKey: u.Key,
-			Done: len(j.units) - j.rem, Total: len(j.units),
-			Err: u.errMsg,
-		}}, final: j.rem == 0}
+		return c.resolveLocked(u, unitFailed)
 	}
 	backoff := c.cfg.RetryBackoff << (u.attempts - 1)
 	if backoff > c.cfg.MaxBackoff {
@@ -650,12 +622,34 @@ func (c *Coordinator) retryUnitLocked(u *trackedUnit, now time.Time, reason stri
 	c.log.Warn("unit retrying",
 		"jobId", u.JobID, "unitKey", u.Key,
 		"attempt", u.attempts, "backoffMs", backoff.Milliseconds(), "error", reason)
-	return delivery{job: j, events: []Event{{
-		Type: "unit", Status: "retrying",
-		Scheme: u.Scheme, Benchmark: u.Benchmark, UnitKey: u.Key,
-		Done: len(j.units) - j.rem, Total: len(j.units),
-		Err: reason,
-	}}}
+	ev := u.event("unit", "retrying")
+	ev.Err = reason
+	return delivery{job: u.job, events: []Event{ev}}
+}
+
+// resolveLocked ends a unit in unitDone or unitFailed — the one place a
+// registered job's remaining count drops: it unregisters the job with its
+// last unit (allowing future re-submission), ends the unit span, counts
+// the outcome, and returns the unit's final event, marked as the job's
+// terminal delivery when no unit remains.
+func (c *Coordinator) resolveLocked(u *trackedUnit, to unitState) delivery {
+	j := u.job
+	u.state, u.lease = to, nil
+	j.rem--
+	if j.rem == 0 {
+		delete(c.jobs, j.id)
+	}
+	u.span.SetAttrInt("attempts", int64(u.attempts))
+	u.span.End()
+	u.span = nil
+	ev := u.event("unit", "completed")
+	if to == unitFailed {
+		ev.Status, ev.Err = "failed", u.errMsg
+		c.met.UnitsFailed.Inc()
+	} else {
+		c.met.UnitsCompleted.Inc()
+	}
+	return delivery{job: j, events: []Event{ev}, final: j.rem == 0}
 }
 
 // sweep advances time-driven state: expired leases, elapsed backoffs,
@@ -688,7 +682,7 @@ func (c *Coordinator) sweep(now time.Time) {
 		}
 		u.state = unitPending
 		if !c.queue.forcePush(u, u.job.class) {
-			return // queue closed: shutting down
+			break // queue closed: shutting down
 		}
 	}
 	for w, seen := range c.workers {
@@ -857,9 +851,7 @@ func (c *Coordinator) OldestLeaseAgeSeconds() float64 {
 	defer c.mu.Unlock()
 	var oldest float64
 	for _, l := range c.leases {
-		// Lease age = time since grant; expires-TTL recovers the grant time.
-		age := now.Sub(l.expires.Add(-c.cfg.LeaseTTL)).Seconds()
-		if age > oldest {
+		if age := now.Sub(l.granted).Seconds(); age > oldest {
 			oldest = age
 		}
 	}

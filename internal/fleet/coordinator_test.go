@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"equinox/internal/fleet/store"
+	"equinox/internal/obs"
 )
 
 // unitDocJSON fabricates a minimal single-run evaluation document.
@@ -248,6 +250,70 @@ func TestCoordinatorHeartbeatKeepsLeaseAlive(t *testing.T) {
 	}
 	if _, err := cl.wait(t); err != nil {
 		t.Fatal(err)
+	}
+
+	// Heartbeats renew a lease's expiry, never its grant time: lease age
+	// and unit duration are measured from the grant. On a skewed clock:
+	// lease, +10 s, heartbeat, +1 s.
+	var skewNS atomic.Int64
+	reg := obs.NewRegistry()
+	met := NewMetrics(reg)
+	c = fastCoordinator(t, Config{
+		LeaseTTL: time.Minute,
+		Now:      func() time.Time { return time.Now().Add(time.Duration(skewNS.Load())) },
+		Metrics:  met,
+	})
+	cl = newCollector()
+	if err := c.SubmitJob("jobG", Interactive, testUnits("jobG", 1), cl.callbacks()); err != nil {
+		t.Fatal(err)
+	}
+	if grant, ok = c.Lease("w1"); !ok {
+		t.Fatal("no unit")
+	}
+	skewNS.Add(int64(10 * time.Second))
+	if canceled := c.Heartbeat("w1", []string{grant.LeaseID}); len(canceled) != 0 {
+		t.Fatalf("lease canceled by heartbeat: %v", canceled)
+	}
+	skewNS.Add(int64(time.Second))
+	if age := c.OldestLeaseAgeSeconds(); age < 11 || age > 30 {
+		t.Errorf("oldest lease age = %.2fs after grant+11s, want ~11 (time since grant, not since the last heartbeat)", age)
+	}
+	if err := c.Complete(grant.LeaseID, unitDocJSON("Scheme0", "bench"), "", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.wait(t); err != nil {
+		t.Fatal(err)
+	}
+	if h := met.UnitDuration.With("Scheme0"); h.Count() != 1 || h.Sum() < 11 {
+		t.Errorf("unit duration: count %d sum %.2fs, want one grant-to-complete observation >= 11s", h.Count(), h.Sum())
+	}
+}
+
+// TestSweepAfterCloseReleasesLock: a sweep that finds the unit queue closed
+// (the coordinator is shutting down with a unit still backing off) must
+// still release the coordinator lock, or every later Lease, Complete,
+// Heartbeat, CancelJob and metrics gauge blocks forever.
+func TestSweepAfterCloseReleasesLock(t *testing.T) {
+	c := NewCoordinator(Config{LeaseTTL: time.Minute, SweepInterval: time.Hour})
+	cl := newCollector()
+	if err := c.SubmitJob("jobS", Interactive, testUnits("jobS", 1), cl.callbacks()); err != nil {
+		t.Fatal(err)
+	}
+	grant, ok := c.Lease("w1")
+	if !ok {
+		t.Fatal("no unit")
+	}
+	if err := c.Complete(grant.LeaseID, nil, "boom", nil, nil); err != nil { // unit → waiting
+		t.Fatal(err)
+	}
+	c.Close()
+	c.sweep(time.Now().Add(time.Minute)) // backoff elapsed: tries to requeue into the closed queue
+	pending := make(chan int, 1)
+	go func() { pending <- c.UnitsPending() }()
+	select {
+	case <-pending:
+	case <-time.After(2 * time.Second):
+		t.Fatal("UnitsPending blocked: sweep returned with the coordinator lock held")
 	}
 }
 

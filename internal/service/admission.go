@@ -60,30 +60,6 @@ func (s *Server) rejectSubmission(w http.ResponseWriter, class fleet.Class, retr
 	s.log.Warn("submission shed", "class", class.String(), "retryAfterSec", retryAfter)
 }
 
-// journalSubmit durably records a job's submission. It must run before
-// the job can reach a terminal state (i.e. before the queue Push or the
-// coordinator SubmitJob that makes it runnable), so the journal's
-// last-write-wins replay stays exact.
-func (s *Server) journalSubmit(j *job) {
-	if s.cfg.Journal == nil {
-		return
-	}
-	raw, err := json.Marshal(j.spec)
-	if err != nil {
-		s.log.Warn("journal: spec marshal failed", "jobId", j.id, "error", err.Error())
-		return
-	}
-	s.cfg.Journal.Submit(j.id, raw)
-}
-
-// journalTerminal records a job's terminal state (no-op without a
-// journal).
-func (s *Server) journalTerminal(id string, state JobState) {
-	if s.cfg.Journal != nil {
-		s.cfg.Journal.Terminal(id, state)
-	}
-}
-
 // recoverJournal re-queues every job the journal recorded as submitted
 // but never terminal. Recovered jobs run on the local pool — at
 // construction time no fleet worker has registered yet — which is
@@ -105,7 +81,7 @@ func (s *Server) recoverJournal() {
 		}
 		if err != nil {
 			s.log.Warn("journal: dropping unrecoverable job", "jobId", p.ID, "error", err.Error())
-			s.journalTerminal(p.ID, JobFailed)
+			s.cfg.Journal.Terminal(p.ID, JobFailed)
 			continue
 		}
 		if key != p.ID {
@@ -114,27 +90,20 @@ func (s *Server) recoverJournal() {
 			// strand the result under a different key.
 			s.log.Warn("journal: recorded spec no longer hashes to its job id; dropping",
 				"jobId", p.ID, "rehashed", key)
-			s.journalTerminal(p.ID, JobFailed)
+			s.cfg.Journal.Terminal(p.ID, JobFailed)
 			continue
 		}
 		if _, hit := s.store.Get(key); hit {
 			// The crashed run (or a peer sharing the store) finished it.
-			s.journalTerminal(key, JobDone)
+			s.cfg.Journal.Terminal(key, JobDone)
 			s.log.Info("journal: recovered job already complete in store", "jobId", key)
 			continue
 		}
 		s.mu.Lock()
 		j := s.newJobLocked(key, canon, "journal-recovery")
-		if qerr := s.queue.Push(j, canon.class()); qerr != nil {
-			delete(s.jobs, key)
-			s.mu.Unlock()
+		if _, qerr := s.dispatch(j, true); qerr != nil {
 			// Still pending in the journal; the next restart retries it.
 			s.log.Warn("journal: recovered job deferred, queue full", "jobId", key)
-			continue
 		}
-		s.mu.Unlock()
-		s.met.jobsSubmitted.Add(1)
-		s.met.jobsRecovered.Add(1)
-		j.log.Info("job recovered from journal", "state", JobQueued)
 	}
 }

@@ -14,7 +14,8 @@ import (
 type JobState string
 
 // The job lifecycle: queued → running → done | failed | cancelled.
-// Cancellation can also strike a job while it is still queued.
+// Cancellation can also strike a job while it is still queued. The full
+// edge table, and the only code that walks it, is in lifecycle.go.
 const (
 	JobQueued    JobState = "queued"
 	JobRunning   JobState = "running"
@@ -77,10 +78,6 @@ type job struct {
 	// events fans job progress out to SSE subscribers
 	// (GET /v1/jobs/{id}/events); closed after the terminal event.
 	events *eventHub
-
-	// sharded marks jobs executed by the fleet coordinator rather than
-	// the local worker pool.
-	sharded bool
 
 	doneRuns  atomic.Int64
 	totalRuns int

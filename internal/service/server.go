@@ -103,10 +103,10 @@ func (c Config) withDefaults() Config {
 
 // Server executes evaluation jobs and serves results from a
 // content-addressed store. Small jobs run on a bounded local worker pool;
-// when fleet workers are registered, multi-run sweeps are sharded into
-// per-(scheme, benchmark) units and fanned out to them, degrading back to
-// local execution when no workers are alive. Create one with New, mount
-// Handler on an http.Server, and drain it with Shutdown.
+// multi-run sweeps are sharded across fleet workers while any are alive.
+// A job's life is the edge table in lifecycle.go: dispatch starts it,
+// settle ends it. Create a Server with New, mount Handler on an
+// http.Server, and drain it with Shutdown.
 type Server struct {
 	cfg Config
 
@@ -237,11 +237,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // run executes one queued job on the calling worker.
 func (s *Server) run(j *job) {
 	s.mu.Lock()
-	if j.state != JobQueued { // cancelled while waiting in the queue
+	if !j.step(JobRunning) { // cancelled while waiting in the queue
 		s.mu.Unlock()
 		return
 	}
-	j.state = JobRunning
 	j.started = time.Now()
 	queueWait := j.started.Sub(j.submitted)
 	ctx := j.ctx
@@ -286,150 +285,47 @@ func (s *Server) run(j *job) {
 	s.finish(j, ev, err)
 }
 
-// durMS renders a duration as fractional milliseconds for log fields.
-func durMS(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
-// captureSpans finalizes a job's distributed trace: ends the job span,
-// applies tail sampling, renders the trace-event artifact, and stores it
-// on the job. Returns true when an artifact is now being served at
-// GET /v1/jobs/{id}/spans. Safe to call on untraced jobs.
-func (s *Server) captureSpans(j *job, status JobState, elapsed time.Duration) bool {
-	if j.tr == nil || j.span == nil {
-		return false
-	}
-	j.span.SetAttr("status", string(status))
-	j.span.End()
-	j.span = nil
-	if !s.keepTrace(j.id, elapsed) {
-		return false
-	}
-	var buf bytes.Buffer
-	if err := trace.WritePerfetto(&buf, j.tr.ID(), j.tr.Records()); err != nil {
-		j.log.Warn("span trace render failed", "error", err)
-		return false
-	}
-	s.mu.Lock()
-	j.spans = buf.Bytes()
-	s.mu.Unlock()
-	if dropped := j.tr.Dropped(); dropped > 0 {
-		j.log.Warn("span trace truncated", "droppedSpans", dropped)
-	}
-	j.log.Info("span trace captured",
-		"traceId", j.tr.ID(), "spanBytes", buf.Len())
-	return true
-}
-
-// keepTrace is the tail-sampling policy: every trace when TraceTail is
-// unset, always-keep for jobs slower than TraceTail, and a deterministic
-// 1-in-TraceSample of the fast ones (keyed on the job's content hash, so
-// re-runs of a spec sample consistently).
-func (s *Server) keepTrace(id string, elapsed time.Duration) bool {
-	if s.cfg.TraceTail <= 0 || elapsed >= s.cfg.TraceTail {
-		return true
-	}
-	n := s.cfg.TraceSample
-	if n <= 0 {
-		return false
-	}
-	var h uint32
-	for i := 0; i < len(id); i++ {
-		h = h*31 + uint32(id[i])
-	}
-	return h%uint32(n) == 0
-}
-
-// finish records a job's outcome and, on success, stores its result in the
-// store, dropping the bookkeeping of any entries the insert evicted.
+// finish ends a local run: it renders the evaluation document (and, for a
+// Trace-flagged job, the flight-recorder artifact) and settles the job.
 func (s *Server) finish(j *job, ev *equinox.Evaluation, err error) {
-	now := time.Now()
 	switch {
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.mu.Lock()
-		byShutdown := j.state != JobCancelled // DELETE already recorded the cancel
-		if byShutdown {
-			j.state = JobCancelled
-			j.finished = now
-		}
-		s.mu.Unlock()
-		if byShutdown {
-			// Deliberately NOT journaled as terminal: a shutdown-cancelled
-			// job stays pending in the journal so the next process recovers
-			// it. A client DELETE was journaled by handleCancel already.
-			s.met.jobsCancelled.Add(1)
-			hasSpans := s.captureSpans(j, JobCancelled, now.Sub(j.started))
-			j.log.Info("job cancelled", "state", JobCancelled, "runMs", durMS(now.Sub(j.started)))
-			j.events.publish(fleet.Event{Type: "job", Status: string(JobCancelled), Spans: hasSpans})
-		}
-	case err != nil:
-		s.mu.Lock()
-		j.state = JobFailed
-		j.errMsg = err.Error()
-		j.finished = now
-		s.mu.Unlock()
-		s.met.jobsFailed.Add(1)
-		s.journalTerminal(j.id, JobFailed)
-		hasSpans := s.captureSpans(j, JobFailed, now.Sub(j.started))
-		j.log.Error("job failed", "state", JobFailed, "error", err.Error(), "runMs", durMS(now.Sub(j.started)))
-		j.events.publish(fleet.Event{Type: "job", Status: string(JobFailed), Err: err.Error(), Spans: hasSpans})
-	default:
+		// The shutdown deadline cut the run short. (After a DELETE the job
+		// is already settled and this is refused.)
+		s.settle(j, JobCancelled, outcome{keepPending: true})
+		return
+	case err == nil:
 		var buf bytes.Buffer
-		werr := ev.WriteJSON(&buf)
-		var telBuf []byte
-		if werr == nil && j.spec.Telemetry {
-			telBuf = telemetryArtifact(buf.Bytes())
-		}
-		// Render the flight-recorder artifact outside the lock; surface the
-		// watchdog counters and a job-scoped summary line either way.
-		var traceBuf []byte
-		if j.spec.Trace && len(ev.Flights) > 0 {
-			capt := ev.Flights[0]
-			var tb bytes.Buffer
-			if terr := capt.WritePerfetto(&tb); terr == nil {
-				traceBuf = tb.Bytes()
-			}
-			s.met.flightStalls.Add(capt.StarvationFires())
-			s.met.flightTail.Add(capt.TailExceeded())
-			j.log.Info("job trace captured",
-				"scheme", capt.Scheme, "benchmark", capt.Benchmark,
-				"events", capt.TotalEvents(), "overwritten", capt.Overwritten(),
-				"starvationFires", capt.StarvationFires(),
-				"tailLatencyHits", capt.TailExceeded(),
-				"traceBytes", len(traceBuf))
-		}
-		s.mu.Lock()
-		switch {
-		case werr != nil:
-			j.state = JobFailed
-			j.errMsg = werr.Error()
-			j.finished = now
-			s.met.jobsFailed.Add(1)
-			s.mu.Unlock()
-			s.journalTerminal(j.id, JobFailed)
-			hasSpans := s.captureSpans(j, JobFailed, now.Sub(j.started))
-			j.log.Error("job failed", "state", JobFailed, "error", werr.Error(), "runMs", durMS(now.Sub(j.started)))
-			j.events.publish(fleet.Event{Type: "job", Status: string(JobFailed), Err: werr.Error(), Spans: hasSpans})
-		case j.state == JobCancelled:
-			// DELETE raced with completion; honor the cancellation. The
-			// hub closed when the DELETE landed.
-			s.mu.Unlock()
-		default:
-			j.state = JobDone
-			j.finished = now
-			j.trace = traceBuf
-			j.telemetry = telBuf
-			for _, k := range s.store.Put(j.id, buf.Bytes()) {
-				delete(s.jobs, k)
-			}
-			s.met.jobsCompleted.Add(1)
-			s.mu.Unlock()
-			s.journalTerminal(j.id, JobDone)
-			hasSpans := s.captureSpans(j, JobDone, now.Sub(j.started))
-			j.log.Info("job completed", "state", JobDone,
-				"runMs", durMS(now.Sub(j.started)), "resultBytes", buf.Len())
-			j.events.publish(fleet.Event{Type: "job", Status: string(JobDone), Spans: hasSpans})
+		if err = ev.WriteJSON(&buf); err == nil {
+			s.settle(j, JobDone, outcome{result: buf.Bytes(), flight: s.renderFlight(j, ev)})
+			return
 		}
 	}
-	j.events.close()
+	s.settle(j, JobFailed, outcome{err: err})
+}
+
+// renderFlight renders a Trace-flagged job's flight-recorder artifact and
+// surfaces the watchdog counters and a job-scoped summary line. Nil for
+// unflagged jobs and when rendering fails.
+func (s *Server) renderFlight(j *job, ev *equinox.Evaluation) []byte {
+	if !j.spec.Trace || len(ev.Flights) == 0 {
+		return nil
+	}
+	capt := ev.Flights[0]
+	var artifact []byte
+	var tb bytes.Buffer
+	if err := capt.WritePerfetto(&tb); err == nil {
+		artifact = tb.Bytes()
+	}
+	s.met.flightStalls.Add(capt.StarvationFires())
+	s.met.flightTail.Add(capt.TailExceeded())
+	j.log.Info("job trace captured",
+		"scheme", capt.Scheme, "benchmark", capt.Benchmark,
+		"events", capt.TotalEvents(), "overwritten", capt.Overwritten(),
+		"starvationFires", capt.StarvationFires(),
+		"tailLatencyHits", capt.TailExceeded(),
+		"traceBytes", len(artifact))
+	return artifact
 }
 
 // Handler returns the server's HTTP API:
@@ -437,10 +333,8 @@ func (s *Server) finish(j *job, ev *equinox.Evaluation, err error) {
 //	POST   /v1/jobs              submit a JobSpec; identical specs share one job ID
 //	GET    /v1/jobs/{id}         status, progress, and (when done) the result JSON
 //	GET    /v1/jobs/{id}/events  server-sent progress events until the job ends
-//	GET    /v1/jobs/{id}/trace   Perfetto trace artifact of a Trace-flagged job
-//	GET    /v1/jobs/{id}/spans   assembled distributed span trace (Perfetto JSON)
-//	GET    /v1/jobs/{id}/telemetry  assembled per-run telemetry time-series of a Telemetry-flagged job
-//	DELETE /v1/jobs/{id}         cancel a queued or running job
+//	GET    /v1/jobs/{id}/{trace,spans,telemetry}  a finished job's artifacts (see the artifacts table)
+//	DELETE /v1/jobs/{id}         cancel a queued or running job (the edge table's two → cancelled edges)
 //	GET    /v1/metrics           text-format counters and gauges
 //	GET    /v1/healthz           liveness probe
 //	POST   /v1/fleet/*           coordinator/worker protocol (lease, complete, heartbeat)
@@ -449,9 +343,11 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
-	mux.HandleFunc("GET /v1/jobs/{id}/spans", s.handleSpans)
-	mux.HandleFunc("GET /v1/jobs/{id}/telemetry", s.handleTelemetry)
+	for _, a := range artifacts {
+		mux.HandleFunc("GET /v1/jobs/{id}/"+a.suffix, func(w http.ResponseWriter, r *http.Request) {
+			s.handleArtifact(w, r, a)
+		})
+	}
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -470,15 +366,11 @@ func routeOf(r *http.Request) string {
 	switch {
 	case p == "/v1/jobs":
 		return "/v1/jobs"
-	case strings.HasPrefix(p, "/v1/jobs/") && strings.HasSuffix(p, "/trace"):
-		return "/v1/jobs/{id}/trace"
-	case strings.HasPrefix(p, "/v1/jobs/") && strings.HasSuffix(p, "/events"):
-		return "/v1/jobs/{id}/events"
-	case strings.HasPrefix(p, "/v1/jobs/") && strings.HasSuffix(p, "/spans"):
-		return "/v1/jobs/{id}/spans"
-	case strings.HasPrefix(p, "/v1/jobs/") && strings.HasSuffix(p, "/telemetry"):
-		return "/v1/jobs/{id}/telemetry"
 	case strings.HasPrefix(p, "/v1/jobs/"):
+		switch sub := p[strings.LastIndexByte(p, '/'):]; sub {
+		case "/events", "/trace", "/spans", "/telemetry":
+			return "/v1/jobs/{id}" + sub
+		}
 		return "/v1/jobs/{id}"
 	case p == "/v1/fleet/lease", p == "/v1/fleet/complete", p == "/v1/fleet/heartbeat":
 		return p
@@ -526,51 +418,40 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
-	if j, ok := s.jobs[key]; ok {
-		switch {
-		case j.state == JobDone:
-			if _, hit := s.store.Get(key); hit {
-				s.met.cacheHits.Add(1)
-				resp := SubmitResponse{ID: key, Status: JobDone, Cached: true, Runs: j.totalRuns}
-				s.mu.Unlock()
-				j.log.Info("job cache hit", "state", JobDone, "cache", "hit")
-				writeJSON(w, http.StatusOK, resp)
-				return
-			}
-			// Result evicted between Put and now; fall through to re-run.
-		case !j.state.Finished():
-			s.met.jobsDeduped.Add(1)
-			resp := SubmitResponse{ID: key, Status: j.state, Runs: j.totalRuns}
-			s.mu.Unlock()
-			j.log.Info("job deduped", "state", resp.Status)
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		// Failed or cancelled (or evicted): replace with a fresh attempt.
-	} else if _, hit := s.store.Get(key); hit {
-		// No live record but the store has the result — typically a
-		// previous process's job surviving in the persistent tier.
+	j, live := s.jobs[key]
+	if live && !j.state.Finished() {
+		s.met.jobsDeduped.Add(1)
+		resp := SubmitResponse{ID: key, Status: j.state, Runs: j.totalRuns}
+		s.mu.Unlock()
+		j.log.Info("job deduped", "state", resp.Status)
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	// A done job whose result is still stored answers from the cache, and so
+	// does a result with no live record — typically a previous process's job
+	// surviving in the persistent tier. Anything else (failed, cancelled,
+	// or evicted since) is replaced with a fresh attempt.
+	if _, hit := s.store.Get(key); hit && (!live || j.state == JobDone) {
 		s.met.cacheHits.Add(1)
 		s.mu.Unlock()
-		s.log.Info("job cache hit", "jobId", key, "state", JobDone, "cache", "hit")
+		if live {
+			j.log.Info("job cache hit", "state", JobDone, "cache", "hit")
+		} else {
+			s.log.Info("job cache hit", "jobId", key, "state", JobDone, "cache", "hit")
+		}
 		writeJSON(w, http.StatusOK, SubmitResponse{ID: key, Status: JobDone, Cached: true, Runs: canon.Runs()})
 		return
 	}
-	// Shard multi-run sweeps across the fleet while workers are alive.
-	// Trace-flagged jobs always run locally: the flight recorder's
-	// artifact is process-local state. (Workers behind an open circuit
-	// breaker don't count as alive.)
-	willShard := s.coord.ActiveWorkers() > 0 && !canon.Trace && canon.Runs() > 1
-	// Admission control guards the local queue; sharded jobs don't enter
-	// it (the coordinator has its own bound, enforced below on fallback).
-	if !willShard {
+	// Admission control guards the local queue; jobs bound for the fleet
+	// don't enter it (the queue's own bound is enforced on fallback).
+	if !s.shardable(canon) {
 		if retryAfter, ok := s.admitLocked(canon.class()); !ok {
 			s.mu.Unlock()
 			s.rejectSubmission(w, canon.class(), retryAfter)
 			return
 		}
 	}
-	j := s.newJobLocked(key, canon, obs.RequestIDFrom(r.Context()))
+	j = s.newJobLocked(key, canon, obs.RequestIDFrom(r.Context()))
 	// Adopt the submitting request's trace: the job span outlives the HTTP
 	// root span and collects every phase — queue wait, per-unit fleet
 	// spans, harness and simulator phases.
@@ -580,66 +461,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		j.span.SetAttr("jobId", key)
 		j.span.SetAttrInt("runs", int64(j.totalRuns))
 	}
-	if willShard {
-		j.sharded = true
-		j.state = JobRunning
-		j.started = time.Now()
-		s.met.jobsSubmitted.Add(1)
-		s.met.cacheMisses.Add(1)
-		resp := SubmitResponse{ID: key, Status: JobRunning, Runs: j.totalRuns}
-		s.mu.Unlock()
-		// Journal before the coordinator can run (and finish) the job, so
-		// the submit record always precedes its terminal record.
-		s.journalSubmit(j)
-		units, uerr := unitsFor(key, canon)
-		if uerr == nil {
-			uerr = s.submitSharded(j, units)
-		}
-		if uerr != nil {
-			// Fleet queue saturated (or unit derivation failed): degrade
-			// to the local pool.
-			s.mu.Lock()
-			j.sharded = false
-			j.state = JobQueued
-			j.started = time.Time{}
-			if qerr := s.queue.Push(j, canon.class()); qerr != nil {
-				delete(s.jobs, key)
-				s.mu.Unlock()
-				// Already journaled as submitted; close that record out so
-				// a restart doesn't resurrect a job the client saw rejected.
-				s.journalTerminal(key, JobCancelled)
-				s.rejectSubmission(w, canon.class(), s.retryAfterSeconds())
-				return
-			}
-			resp.Status = JobQueued
-			s.mu.Unlock()
-			j.log.Info("job submitted", "state", JobQueued, "cache", "miss",
-				"runs", j.totalRuns, "fleetFallback", uerr.Error())
-			writeJSON(w, http.StatusAccepted, resp)
-			return
-		}
-		j.log.Info("job submitted", "state", JobRunning, "cache", "miss",
-			"runs", j.totalRuns, "sharded", true)
-		writeJSON(w, http.StatusAccepted, resp)
-		return
-	}
-	// Journal before Push: once queued, a fast worker could finish the job
-	// before this handler resumes, and the submit record must land first.
-	s.journalSubmit(j)
-	if err := s.queue.Push(j, canon.class()); err != nil {
-		delete(s.jobs, key)
-		s.mu.Unlock()
-		s.journalTerminal(key, JobCancelled)
+	state, err := s.dispatch(j, false)
+	if err != nil {
 		s.rejectSubmission(w, canon.class(), s.retryAfterSeconds())
 		return
 	}
-	s.met.jobsSubmitted.Add(1)
-	s.met.cacheMisses.Add(1)
-	resp := SubmitResponse{ID: key, Status: JobQueued, Runs: j.totalRuns}
-	s.mu.Unlock()
-	j.log.Info("job submitted", "state", JobQueued, "cache", "miss",
-		"runs", j.totalRuns, "priority", canon.Priority)
-	writeJSON(w, http.StatusAccepted, resp)
+	writeJSON(w, http.StatusAccepted, SubmitResponse{ID: key, Status: state, Runs: j.totalRuns})
 }
 
 // newJobLocked registers a fresh job record; the caller holds s.mu. The
@@ -695,165 +522,33 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// handleTrace serves the Perfetto trace artifact of a Trace-flagged job.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok {
-		s.mu.Unlock()
-		httpError(w, http.StatusNotFound, "no such job (completed results expire from the cache)")
-		return
-	}
-	if !j.spec.Trace {
-		s.mu.Unlock()
-		httpError(w, http.StatusNotFound, "job was not submitted with trace: true")
-		return
-	}
-	if !j.state.Finished() {
-		st := j.state
-		s.mu.Unlock()
-		httpError(w, http.StatusConflict, fmt.Sprintf("job is %s; the trace artifact appears when it completes", st))
-		return
-	}
-	artifact := j.trace
-	s.mu.Unlock()
-	if artifact == nil {
-		httpError(w, http.StatusNotFound, "no trace artifact (job failed or was cancelled before capture)")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(artifact)
-}
-
-// handleSpans serves a job's assembled distributed span trace — the
-// coordinator's job/unit spans stitched with every worker's run spans,
-// rendered as Perfetto trace-event JSON.
-func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok {
-		s.mu.Unlock()
-		httpError(w, http.StatusNotFound, "no such job (span traces do not survive restarts)")
-		return
-	}
-	if !j.state.Finished() {
-		st := j.state
-		s.mu.Unlock()
-		httpError(w, http.StatusConflict, fmt.Sprintf("job is %s; the span trace appears when it completes", st))
-		return
-	}
-	spans := j.spans
-	s.mu.Unlock()
-	if spans == nil {
-		httpError(w, http.StatusNotFound, "no span trace (tail-sampled out, or the job was cancelled before assembly)")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(spans)
-}
-
-// handleTelemetry serves the assembled per-run telemetry time-series of a
-// Telemetry-flagged job: the JSON array of telemetry.RunSummary values the
-// sweep collected, one per (scheme, benchmark), sorted like the result's
-// runs.
-func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok {
-		s.mu.Unlock()
-		// Telemetry rides the result document, so a previous process's
-		// persisted result can still answer.
-		if res, hit := s.store.Get(id); hit {
-			if art := telemetryArtifact(res); art != nil {
-				w.Header().Set("Content-Type", "application/json")
-				w.Write(art)
-				return
-			}
-		}
-		httpError(w, http.StatusNotFound, "no such job (completed results expire from the cache)")
-		return
-	}
-	if !j.spec.Telemetry {
-		s.mu.Unlock()
-		httpError(w, http.StatusNotFound, "job was not submitted with telemetry: true")
-		return
-	}
-	if !j.state.Finished() {
-		st := j.state
-		s.mu.Unlock()
-		httpError(w, http.StatusConflict, fmt.Sprintf("job is %s; the telemetry artifact appears when it completes", st))
-		return
-	}
-	artifact := j.telemetry
-	s.mu.Unlock()
-	if artifact == nil {
-		httpError(w, http.StatusNotFound, "no telemetry artifact (the cached result was computed without telemetry, or the job failed before capture)")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(artifact)
-}
-
-// telemetryArtifact extracts the raw "telemetry" block from an evaluation
-// document, or nil when the document carries none.
-func telemetryArtifact(result []byte) []byte {
-	var doc struct {
-		Telemetry json.RawMessage `json:"telemetry"`
-	}
-	if err := json.Unmarshal(result, &doc); err != nil {
-		return nil
-	}
-	if len(doc.Telemetry) == 0 || bytes.Equal(doc.Telemetry, []byte("null")) {
-		return nil
-	}
-	return doc.Telemetry
-}
-
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
 	j, ok := s.jobs[id]
+	s.mu.Unlock()
 	if !ok {
-		s.mu.Unlock()
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	switch j.state {
-	case JobDone, JobFailed:
-		st := j.status()
-		s.mu.Unlock()
-		writeJSON(w, http.StatusConflict, st)
-		return
-	case JobCancelled: // idempotent
-		st := j.status()
-		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, st)
-		return
+	// Drop a queued job from the queue now, rather than letting a worker
+	// pop and discard it later, so the slot frees immediately.
+	dequeued := s.queue.Remove(func(q *job) bool { return q == j })
+	// Settle before stopping the run: were the context cancelled first, the
+	// unwinding run could settle the job as a shutdown-cancel and leave it
+	// pending in the journal.
+	if s.settle(j, JobCancelled, outcome{noSpans: true, logAttrs: []any{"via", "delete", "dequeued", dequeued}}) {
+		j.cancel()
+		s.coord.CancelJob(id) // no-op for a job the fleet never saw
 	}
-	wasQueued := j.state == JobQueued
-	sharded := j.sharded
-	j.cancel()
-	j.state = JobCancelled
-	j.finished = time.Now()
-	s.met.jobsCancelled.Add(1)
-	if wasQueued {
-		// Drop the job from the queue now, rather than letting a worker
-		// pop and discard it later, so the slot frees immediately.
-		s.queue.Remove(func(q *job) bool { return q == j })
-	}
+	s.mu.Lock()
 	st := j.status()
 	s.mu.Unlock()
-	if sharded {
-		s.coord.CancelJob(id)
+	code := http.StatusOK // cancelled just now, or already (idempotent)
+	if st.Status != JobCancelled {
+		code = http.StatusConflict // it finished first
 	}
-	s.journalTerminal(id, JobCancelled)
-	j.log.Info("job cancelled", "state", JobCancelled, "via", "delete", "dequeued", wasQueued)
-	j.events.publish(fleet.Event{Type: "job", Status: string(JobCancelled)})
-	j.events.close()
-	writeJSON(w, http.StatusOK, st)
+	writeJSON(w, code, st)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

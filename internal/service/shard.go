@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"time"
 
 	"equinox/internal/fleet"
 	"equinox/internal/telemetry"
@@ -41,11 +40,15 @@ func unitsFor(jobID string, canon JobSpec) ([]fleet.Unit, error) {
 	return units, nil
 }
 
-// submitSharded hands the job to the fleet coordinator. Called without
-// s.mu held (the coordinator may fire callbacks synchronously for
-// store-cached units). An error means nothing was enqueued and the caller
-// should fall back to local execution.
-func (s *Server) submitSharded(j *job, units []fleet.Unit) error {
+// submitSharded derives the job's units and hands them to the fleet
+// coordinator. Called without s.mu held (the coordinator may fire callbacks
+// synchronously for store-cached units). An error means nothing was
+// enqueued and the caller should fall back to local execution.
+func (s *Server) submitSharded(j *job) error {
+	units, err := unitsFor(j.id, j.spec)
+	if err != nil {
+		return err
+	}
 	cb := fleet.JobCallbacks{
 		OnEvent: func(ev fleet.Event) {
 			if ev.Type == "telemetry" {
@@ -67,55 +70,17 @@ func (s *Server) submitSharded(j *job, units []fleet.Unit) error {
 			}
 			j.events.publish(ev)
 		},
+		// The assembled canonical evaluation document, or an assembly
+		// failure.
 		OnDone: func(result []byte, err error) {
-			s.finishSharded(j, result, err)
+			if err != nil {
+				s.settle(j, JobFailed, outcome{err: err})
+				return
+			}
+			s.settle(j, JobDone, outcome{result: result, logAttrs: []any{"sharded", true}})
 		},
 		Trace:  j.tr,
 		Parent: j.span.ID(),
 	}
 	return s.coord.SubmitJob(j.id, j.spec.class(), units, cb)
-}
-
-// finishSharded records a sharded job's outcome: the assembled canonical
-// evaluation document, or an assembly failure.
-func (s *Server) finishSharded(j *job, result []byte, err error) {
-	now := time.Now()
-	s.mu.Lock()
-	if j.state == JobCancelled {
-		// DELETE raced with the last unit; the hub is already closed.
-		s.mu.Unlock()
-		return
-	}
-	if err != nil {
-		j.state = JobFailed
-		j.errMsg = err.Error()
-		j.finished = now
-		s.mu.Unlock()
-		s.met.jobsFailed.Add(1)
-		s.journalTerminal(j.id, JobFailed)
-		hasSpans := s.captureSpans(j, JobFailed, now.Sub(j.started))
-		j.log.Error("job failed", "state", JobFailed, "error", err.Error(),
-			"runMs", durMS(now.Sub(j.started)))
-		j.events.publish(fleet.Event{Type: "job", Status: string(JobFailed), Err: err.Error(), Spans: hasSpans})
-		j.events.close()
-		return
-	}
-	j.state = JobDone
-	j.finished = now
-	if j.spec.Telemetry {
-		// The assembled document carries every unit's telemetry block
-		// (units from telemetry-less cache entries contribute none).
-		j.telemetry = telemetryArtifact(result)
-	}
-	for _, k := range s.store.Put(j.id, result) {
-		delete(s.jobs, k)
-	}
-	s.mu.Unlock()
-	s.met.jobsCompleted.Add(1)
-	s.journalTerminal(j.id, JobDone)
-	hasSpans := s.captureSpans(j, JobDone, now.Sub(j.started))
-	j.log.Info("job completed", "state", JobDone, "sharded", true,
-		"runMs", durMS(now.Sub(j.started)), "resultBytes", len(result))
-	j.events.publish(fleet.Event{Type: "job", Status: string(JobDone), Spans: hasSpans})
-	j.events.close()
 }

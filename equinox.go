@@ -64,20 +64,18 @@ func RunBenchmark(rc RunConfig) (sim.Result, error) {
 // RunBenchmarkContext is RunBenchmark with cancellation: the simulation's
 // cycle loop polls ctx and returns ctx.Err() when it is cancelled.
 func RunBenchmarkContext(ctx context.Context, rc RunConfig) (sim.Result, error) {
-	cfg, prof, err := rc.simSetup()
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return sim.RunContext(ctx, cfg, prof)
+	res, _, _, err := runInstrumented(ctx, rc, false, false)
+	return res, err
 }
 
-// runInstrumented is RunBenchmarkContext with whichever observers are
-// requested attached to every network (both may ride one run: a traced job
-// with telemetry on). Both are purely observational — the Result is
-// bit-identical to an uninstrumented run — and the captures are returned
-// even when the run fails: a starvation-watchdog diagnostic or a timeout is
-// exactly when the recorded events and windows matter most.
-func runInstrumented(ctx context.Context, rc RunConfig, fl *flight.Options, tel *telemetry.Options) (sim.Result, *flight.Capture, *telemetry.Capture, error) {
+// runInstrumented is RunBenchmarkContext with the flight recorder and/or the
+// telemetry series attached to every network, at their default options (both
+// may ride one run: a traced job with telemetry on). Both are purely
+// observational — the Result is bit-identical to an uninstrumented run — and
+// the captures are returned even when the run fails: a starvation-watchdog
+// diagnostic or a timeout is exactly when the recorded events and windows
+// matter most.
+func runInstrumented(ctx context.Context, rc RunConfig, traced, telem bool) (sim.Result, *flight.Capture, *telemetry.Capture, error) {
 	cfg, prof, err := rc.simSetup()
 	if err != nil {
 		return sim.Result{}, nil, nil, err
@@ -88,11 +86,11 @@ func runInstrumented(ctx context.Context, rc RunConfig, fl *flight.Options, tel 
 	}
 	var fc *flight.Capture
 	var tc *telemetry.Capture
-	if fl != nil {
-		fc = sys.AttachFlight(*fl)
+	if traced {
+		fc = sys.AttachFlight(flight.Options{})
 	}
-	if tel != nil {
-		tc = sys.AttachTelemetry(*tel)
+	if telem {
+		tc = sys.AttachTelemetry(telemetry.Options{})
 	}
 	res, err := sys.RunToCompletionContext(ctx)
 	return res, fc, tc, err

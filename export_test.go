@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"equinox/internal/core"
+	"equinox/internal/geom"
+	"equinox/internal/noc"
 )
 
 func TestExportImportDesignRoundTrip(t *testing.T) {
@@ -67,6 +69,67 @@ func TestImportDesignErrors(t *testing.T) {
 	if _, err := ImportDesign(offAxis); err == nil {
 		t.Error("off-axis EIR accepted")
 	}
+	// The NI has one buffer per direction: a second East EIR would be a
+	// link that is listed, priced and never simulated.
+	twoEast := &ExportedDesign{
+		Width: 8, Height: 8,
+		CBs:    [][2]int{{2, 0}},
+		Groups: [][][2]int{{{4, 0}, {5, 0}}},
+	}
+	if _, err := ImportDesign(twoEast); err == nil || !strings.Contains(err.Error(), "(2,0)") {
+		t.Errorf("two EIRs of one CB in one direction: err = %v, want one naming the CB", err)
+	}
+	outside := &ExportedDesign{Width: 8, Height: 8, CBs: [][2]int{{8, 0}}, Groups: [][][2]int{nil}}
+	if _, err := ImportDesign(outside); err == nil {
+		t.Error("CB outside the mesh accepted")
+	}
+}
+
+// FuzzImportDesign: ImportDesign decodes outside bytes (a job spec's pinned
+// design), so whatever it accepts must be a design the simulator can wire —
+// noc.New builds it, and every listed EIR's router gained exactly one input
+// port, i.e. no listed link is silently dropped.
+func FuzzImportDesign(f *testing.F) {
+	d, err := DesignForMesh(8, 8, 8)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed, err := json.Marshal(ExportDesign(d))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"width":8,"height":8,"cbs":[[2,0]],"groups":[[[4,0],[5,0]]]}`))
+	f.Add([]byte(`{"width":8,"height":8,"cbs":[[1,1],[5,5]],"groups":[[[3,1],[1,3]],[[5,3]]]}`))
+	f.Add([]byte(`{"width":4,"height":4,"cbs":[[1,1],[1,1]],"groups":[[[3,1]],[[1,3]]]}`))
+	f.Add([]byte(`{"width":4,"height":4,"cbs":[[1,1]],"groups":[[[1,1],[2,2]]]}`))
+	f.Add([]byte(`{"width":-1,"height":0,"cbs":[[9,9]],"groups":[[]]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var e ExportedDesign
+		if json.Unmarshal(data, &e) != nil {
+			return
+		}
+		d, err := ImportDesign(&e)
+		if err != nil {
+			return
+		}
+		if d.Width > 32 || d.Height > 32 {
+			return // legal, but not worth building
+		}
+		cfg := noc.DefaultConfig("fuzz", d.Width, d.Height)
+		cfg.CBs, cfg.EIRGroups = d.CBs, d.Groups
+		n, err := noc.New(cfg)
+		if err != nil {
+			t.Fatalf("ImportDesign accepted a design noc.New rejects: %v\n%s", err, data)
+		}
+		for cb, eirs := range d.Groups {
+			for _, e := range eirs {
+				if got, want := n.RouterAt(e).NumInPorts(), int(geom.NumDirections)+1; got != want {
+					t.Fatalf("EIR %v of CB %v: router has %d input ports, want %d\n%s", e, cb, got, want, data)
+				}
+			}
+		}
+	})
 }
 
 func TestWriteJSON(t *testing.T) {

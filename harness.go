@@ -39,10 +39,11 @@ type EvalConfig struct {
 	// of the serialized configuration.
 	Progress func(done, total int) `json:"-"`
 
-	// Flight, when non-nil, attaches the cycle-accurate flight recorder
-	// (internal/flight) to one run of the sweep and collects its capture in
-	// Evaluation.Flights. It is not part of the serialized configuration.
-	Flight *FlightConfig `json:"-"`
+	// Flight attaches the cycle-accurate flight recorder (internal/flight) to
+	// the sweep's first run — first scheme × first benchmark — and collects
+	// its capture in Evaluation.Flights. It is not part of the serialized
+	// configuration.
+	Flight bool `json:"-"`
 
 	// Telemetry attaches the windowed telemetry time-series to every run of
 	// the sweep; summaries collect in Evaluation.Telemetry and export as the
@@ -51,25 +52,11 @@ type EvalConfig struct {
 	// advice, not sweep identity.
 	Telemetry bool
 
-	// TelemetryOptions tunes windowing and the detectors when Telemetry is
-	// on (zero = defaults). Not part of the serialized configuration.
-	TelemetryOptions telemetry.Options `json:"-"`
-
 	// TelemetryFrame, when non-nil, receives each run's telemetry summary
 	// as the run finishes — the live-streaming hook the job server uses for
 	// SSE "telemetry" frames. Calls are serialized; the callback must not
 	// block for long. Not part of the serialized configuration.
 	TelemetryFrame func(telemetry.RunSummary) `json:"-"`
-}
-
-// FlightConfig selects and configures the sweep's traced run.
-type FlightConfig struct {
-	// Options configures the recorders (zero = flight defaults).
-	Options flight.Options
-	// Scheme and Benchmark name the run to trace; empty selects the sweep's
-	// first scheme and first benchmark.
-	Scheme    string
-	Benchmark string
 }
 
 // DefaultEvalConfig returns the paper's main 8×8 sweep.
@@ -154,23 +141,6 @@ func RunEvaluationContext(ctx context.Context, cfg EvalConfig) (*Evaluation, err
 		ev.Results[s] = map[string]sim.Result{}
 	}
 
-	// Resolve which run (if any) carries the flight recorder.
-	traceScheme := sim.SchemeKind(-1)
-	traceBench := ""
-	if cfg.Flight != nil && len(schemes) > 0 && len(benches) > 0 {
-		traceScheme, traceBench = schemes[0], benches[0]
-		if cfg.Flight.Scheme != "" {
-			k, err := ParseScheme(cfg.Flight.Scheme)
-			if err != nil {
-				return nil, err
-			}
-			traceScheme = k
-		}
-		if cfg.Flight.Benchmark != "" {
-			traceBench = cfg.Flight.Benchmark
-		}
-	}
-
 	type job struct {
 		scheme sim.SchemeKind
 		bench  string
@@ -214,31 +184,12 @@ dispatch:
 				InstructionsPerPE: cfg.InstructionsPerPE,
 				Seed:              cfg.Seed,
 			}
-			var (
-				res     sim.Result
-				err     error
-				capture *flight.Capture
-				telCap  *telemetry.Capture
-			)
 			rsp := trace.StartChild(ctx, fmt.Sprintf("run %v/%s", j.scheme, j.bench))
 			rsp.SetAttr("scheme", fmt.Sprintf("%v", j.scheme))
 			rsp.SetAttr("benchmark", j.bench)
 			runCtx := trace.WithSpan(ctx, rsp)
-			var flOpts *flight.Options
-			if cfg.Flight != nil && j.scheme == traceScheme && j.bench == traceBench {
-				o := cfg.Flight.Options
-				flOpts = &o
-			}
-			var telOpts *telemetry.Options
-			if cfg.Telemetry {
-				o := cfg.TelemetryOptions
-				telOpts = &o
-			}
-			if flOpts != nil || telOpts != nil {
-				res, capture, telCap, err = runInstrumented(runCtx, rc, flOpts, telOpts)
-			} else {
-				res, err = RunBenchmarkContext(runCtx, rc)
-			}
+			traced := cfg.Flight && j.scheme == schemes[0] && j.bench == benches[0]
+			res, capture, telCap, err := runInstrumented(runCtx, rc, traced, cfg.Telemetry)
 			if err != nil {
 				rsp.SetAttr("error", err.Error())
 			}

@@ -260,12 +260,16 @@ func (d *Design) Validate() error {
 	used := map[geom.Point]int{}
 	isCB := map[geom.Point]bool{}
 	for _, cb := range d.CBs {
+		if !cb.In(d.Width, d.Height) {
+			return fmt.Errorf("core: CB %v outside the %dx%d mesh", cb, d.Width, d.Height)
+		}
 		isCB[cb] = true
 	}
 	for cb, eirs := range d.Groups {
 		if !isCB[cb] {
 			return fmt.Errorf("core: group for non-CB tile %v", cb)
 		}
+		var taken [geom.NumDirections]bool
 		for _, e := range eirs {
 			if !e.In(d.Width, d.Height) {
 				return fmt.Errorf("core: EIR %v outside mesh", e)
@@ -278,9 +282,16 @@ func (d *Design) Validate() error {
 				// §4.3: an EIR is never shared between CBs.
 				return fmt.Errorf("core: EIR %v shared by multiple CBs", e)
 			}
-			if dirs := geom.DirTowards(cb, e); len(dirs) != 1 {
+			dirs := geom.DirTowards(cb, e)
+			if len(dirs) != 1 {
 				return fmt.Errorf("core: EIR %v not on an axis of CB %v", e, cb)
 			}
+			// The NI has one injection buffer per direction (§4.4), so a
+			// second EIR the same way would be a link that carries nothing.
+			if taken[dirs[0]] {
+				return fmt.Errorf("core: CB %v has two EIRs to the %v (second: %v)", cb, dirs[0], e)
+			}
+			taken[dirs[0]] = true
 		}
 	}
 	// Links longer than the repeaterless budget are legal (the paper's

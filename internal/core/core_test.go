@@ -146,6 +146,39 @@ func TestDesignValidateCatchesSharing(t *testing.T) {
 	}
 }
 
+// TestDesignValidateOneEIRPerDirection: the NI has one injection buffer per
+// direction, so a group with two EIRs the same way lists a link that would
+// carry nothing — and a CB has to be on the mesh to have an NI at all.
+func TestDesignValidateOneEIRPerDirection(t *testing.T) {
+	cb := geom.Pt(2, 0)
+	cases := []struct {
+		name string
+		cbs  []geom.Point
+		eirs []geom.Point
+		want string // substring of the error; "" = valid
+	}{
+		{"one per direction", []geom.Point{cb}, []geom.Point{geom.Pt(4, 0), geom.Pt(0, 0), geom.Pt(2, 2)}, ""},
+		{"two to the East", []geom.Point{cb}, []geom.Point{geom.Pt(4, 0), geom.Pt(5, 0)}, "(2,0) has two EIRs to the East"},
+		{"two to the South", []geom.Point{cb}, []geom.Point{geom.Pt(2, 3), geom.Pt(0, 0), geom.Pt(2, 1)}, "(2,0) has two EIRs to the South"},
+		{"CB off the mesh", []geom.Point{cb, geom.Pt(8, 8)}, nil, "(8,8) outside"},
+	}
+	for _, tc := range cases {
+		d := &Design{
+			Width: 8, Height: 8,
+			CBs:    tc.cbs,
+			Groups: map[geom.Point][]geom.Point{cb: tc.eirs},
+			Plan:   interposer.NewPlan(nil),
+		}
+		err := d.Validate()
+		if tc.want == "" && err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		}
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: Validate() = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestDesignReportsActiveInterposer(t *testing.T) {
 	d := &Design{
 		Width: 8, Height: 8,

@@ -160,14 +160,36 @@ func (c Config) Validate() error {
 			return fmt.Errorf("noc: CB %v outside mesh", cb)
 		}
 	}
-	for cb := range c.EIRGroups {
+	// An EIR group is what the EquiNox NI wires: one buffer per direction, to
+	// an EIR on that axis of a CB. Anything else would be a listed link that
+	// is never simulated.
+	var isCB []bool
+	for cb, eirs := range c.EIRGroups {
 		if !cb.In(c.Width, c.Height) {
 			return fmt.Errorf("noc: EIR group CB %v outside mesh", cb)
 		}
-		for _, e := range c.EIRGroups[cb] {
+		if isCB == nil {
+			isCB = c.isCB()
+		}
+		if !isCB[cb.ID(c.Width)] {
+			return fmt.Errorf("noc: EIR group for non-CB tile %v", cb)
+		}
+		var taken [geom.NumDirections]bool
+		for _, e := range eirs {
 			if !e.In(c.Width, c.Height) {
 				return fmt.Errorf("noc: EIR %v outside mesh", e)
 			}
+			if e == cb {
+				return fmt.Errorf("noc: EIR %v is its CB's own tile", e)
+			}
+			dirs := geom.DirTowards(cb, e)
+			if len(dirs) != 1 {
+				return fmt.Errorf("noc: EIR %v not on an axis of CB %v", e, cb)
+			}
+			if taken[dirs[0]] {
+				return fmt.Errorf("noc: CB %v has two EIRs to the %v (second: %v)", cb, dirs[0], e)
+			}
+			taken[dirs[0]] = true
 		}
 	}
 	// The allocators track input VCs and output links in 64-bit occupancy
@@ -187,9 +209,9 @@ const maskBits = 64
 
 // portCounts returns, per router, the number of input and output ports New
 // builds: the five mesh ports plus concentration spokes, MultiPort CB
-// injection/ejection ports, and one EIR injection port per on-axis EIR
-// grouped under a CB tile. It must be called on a configuration whose CBs
-// and EIR groups lie inside the mesh.
+// injection/ejection ports, and one EIR injection port per EIR grouped under
+// a CB tile. It must be called on a configuration whose CBs and EIR groups
+// passed the checks in Validate.
 func (c Config) portCounts() (in, out []int) {
 	in, out = make([]int, c.Nodes()), make([]int, c.Nodes())
 	for id := range in {
@@ -205,11 +227,8 @@ func (c Config) portCounts() (in, out []int) {
 		switch {
 		case c.SpokesPerNode > 1:
 		case c.EIRGroups != nil:
-			pos := geom.FromID(id, c.Width)
-			for _, e := range c.EIRGroups[pos] {
-				if (e.X == pos.X) != (e.Y == pos.Y) { // on-axis, not the CB itself
-					in[e.ID(c.Width)]++
-				}
+			for _, e := range c.EIRGroups[geom.FromID(id, c.Width)] {
+				in[e.ID(c.Width)]++
 			}
 		case c.InjectPortsPerCB > 1:
 			in[id] += c.InjectPortsPerCB - 1

@@ -14,7 +14,7 @@ type Network struct {
 	Cfg     Config
 	Routers []*Router // index = node ID (row-major)
 
-	nis    []injector // nis[node*spokes+spoke]
+	nis    []ni // nis[node*spokes+spoke]
 	spokes int
 	// ejectQ is indexed [class][node]: requests and replies eject into
 	// separate NI buffers so a backpressured request can never trap replies
@@ -65,21 +65,20 @@ type Network struct {
 
 	Stats Stats
 
-	// probe, when attached, samples occupancy and link state every
-	// probe.Every cycles; nil costs one pointer compare per Step.
-	probe *Probe
-
-	// telem, when attached, feeds the windowed telemetry time-series
-	// (internal/telemetry) from the same seam; nil costs one pointer
-	// compare per Step.
-	telem *telemetrySampler
-
 	// flight, when attached, records per-packet lifecycle events into a
 	// preallocated ring; nil costs one pointer compare per hook site.
 	flight *flight.Recorder
 
-	// onDelivered is the append-only list of delivery hooks (OnDelivered).
+	// onDelivered and onCycle are the append-only hook lists (OnDelivered,
+	// OnCycle); the probe and the telemetry sampler are entries on both.
 	onDelivered []func(*Packet)
+	onCycle     []cycleHook
+}
+
+// cycleHook is one OnCycle registration.
+type cycleHook struct {
+	every int64
+	fn    func(now int64)
 }
 
 // OnDelivered registers fn to be called for every packet as its tail flit
@@ -90,20 +89,25 @@ func (n *Network) OnDelivered(fn func(*Packet)) {
 	n.onDelivered = append(n.onDelivered, fn)
 }
 
-// injector is the per-node network interface seen by the simulator.
-type injector interface {
-	// tryEnqueue accepts a packet into the NI queue if space remains.
-	tryEnqueue(p *Packet, now int64) bool
-	// queueSpace returns the number of free packet slots.
-	queueSpace() int
-	// step streams flits into the attached router(s).
-	step(now int64)
-	// pending reports whether the NI still holds any packet or flits.
-	pending() bool
-	// backlog adds the NI's held flits (queued packets plus unsent streaming
-	// remainders) into per, indexed by the ID of the router the flits are
-	// waiting to enter. Called from Probe.sample; must not allocate.
-	backlog(per []int64)
+// OnCycle registers fn to be called at the end of every cycle whose number is
+// a multiple of every (>= 1), once each phase effect of the cycle has been
+// applied and before the clock advances. Hooks run in registration order; fn
+// must not allocate if Step is to stay allocation-free.
+func (n *Network) OnCycle(every int64, fn func(now int64)) {
+	n.onCycle = append(n.onCycle, cycleHook{every, fn})
+}
+
+// occupancy fills per, indexed by router ID, with the flits each router holds:
+// those buffered in its input VCs plus the NI injection backlog waiting to
+// enter it. Both samplers read it; see Probe.sample for why the NI term
+// matters. Must not allocate.
+func (n *Network) occupancy(per []int64) {
+	for i, r := range n.Routers {
+		per[i] = int64(r.inFlits)
+	}
+	for i := range n.nis {
+		n.nis[i].backlog(per)
+	}
 }
 
 // New builds a network from a configuration. Router state is laid out flat:
@@ -225,23 +229,24 @@ func New(cfg Config) (*Network, error) {
 		}
 	}
 
-	// NIs. EquiNox CB NIs are created when EIR groups exist for the tile;
-	// MultiPort CB NIs when InjectPortsPerCB > 1; concentrated nodes get one
-	// independent NI per spoke; standard NIs otherwise.
+	// NIs, one per node and spoke: concentrated nodes get an independent
+	// baseline NI per spoke, CB tiles with an EIR group the EquiNox NI, CB
+	// tiles with InjectPortsPerCB > 1 the MultiPort NI, the rest the baseline.
 	isCB := cfg.isCB()
+	n.nis = make([]ni, 0, len(n.Routers)*n.spokes)
 	for _, r := range n.Routers {
 		switch {
 		case n.spokes > 1:
-			n.nis = append(n.nis, newStandardNI(n, r, int(PortLocal)))
+			n.nis = append(n.nis, newNI(n, r, int(PortLocal), 1))
 			for k := 1; k < n.spokes; k++ {
-				n.nis = append(n.nis, newStandardNI(n, r, addInjectionPort(r)))
+				n.nis = append(n.nis, newNI(n, r, addInjectionPort(r), 1))
 			}
 		case cfg.EIRGroups != nil && isCB[r.id]:
 			n.nis = append(n.nis, newEquiNoxNI(n, r, cfg.EIRGroups[r.pos]))
 		case cfg.InjectPortsPerCB > 1 && isCB[r.id]:
 			n.nis = append(n.nis, newMultiPortNI(n, r, cfg.InjectPortsPerCB))
 		default:
-			n.nis = append(n.nis, newStandardNI(n, r, int(PortLocal)))
+			n.nis = append(n.nis, newNI(n, r, int(PortLocal), 1))
 		}
 	}
 
@@ -273,7 +278,7 @@ func (n *Network) Now() int64 { return n.now }
 // packet's Flits field is set from the network's flit width.
 func (n *Network) TryInject(p *Packet, now int64) bool {
 	ix := p.Src*n.spokes + p.Spoke%n.spokes
-	if n.nis[ix].tryEnqueue(p, now) {
+	if n.nis[ix].enqueue(p, now) {
 		p.Flits = SizeInFlits(p.Type, n.Cfg.FlitBytes, n.Cfg.LineBytes)
 		n.Stats.packetInjected(p, n.Cfg.FlitBytes)
 		n.niSet[ix>>6] |= 1 << uint(ix&63)
@@ -287,7 +292,7 @@ func (n *Network) TryInject(p *Packet, now int64) bool {
 }
 
 // InjectSpace returns the free packet slots at a node's NI queue (spoke 0).
-func (n *Network) InjectSpace(node int) int { return n.nis[node*n.spokes].queueSpace() }
+func (n *Network) InjectSpace(node int) int { return n.nis[node*n.spokes].space() }
 
 // PopDelivered removes and returns the oldest fully-delivered packet at a
 // node, preferring replies, or nil.
@@ -391,7 +396,7 @@ func (n *Network) Step() {
 	// an NI that drained leaves the set until the next TryInject.
 	for w, m := range n.niSet {
 		for ; m != 0; m &= m - 1 {
-			ni := n.nis[w<<6+bits.TrailingZeros64(m)]
+			ni := &n.nis[w<<6+bits.TrailingZeros64(m)]
 			ni.step(now)
 			if !ni.pending() {
 				n.niSet[w] &^= m & -m
@@ -422,11 +427,10 @@ func (n *Network) Step() {
 	if moved > 0 {
 		n.lastProgress = now
 	}
-	if n.probe != nil && now%n.probe.Every == 0 {
-		n.probe.sample(n)
-	}
-	if n.telem != nil && now%n.telem.every == 0 {
-		n.telem.tick(n, now)
+	for i := range n.onCycle {
+		if h := &n.onCycle[i]; now%h.every == 0 {
+			h.fn(now)
+		}
 	}
 	n.Stats.cycles++
 	n.now++
@@ -441,8 +445,8 @@ func (n *Network) Quiescent() bool { return n.inflight == 0 }
 // quiescentScan is the full-network reference implementation of Quiescent,
 // kept for tests that cross-check the O(1) counter.
 func (n *Network) quiescentScan() bool {
-	for _, ni := range n.nis {
-		if ni.pending() {
+	for i := range n.nis {
+		if n.nis[i].pending() {
 			return false
 		}
 	}
@@ -489,171 +493,6 @@ func (n *Network) HeatMap() []float64 {
 	}
 	return h
 }
-
-// standardNI is the baseline network interface. Request and reply packets
-// wait in separate FIFOs (as in real NIs, where the two classes have
-// dedicated buffers): on a shared physical network a blocked request must
-// never trap a reply behind it, or the M2F2M protocol loop deadlocks.
-type standardNI struct {
-	net    *Network
-	r      *Router
-	port   int // router input port this NI feeds
-	queues [NumClasses][]*Packet
-	cap    int
-	cur    *Packet // packet being streamed; sent of its flits have entered the router
-	sent   int
-	curVC  int
-	rrCls  int
-	stall  stallNote
-}
-
-// newStandardNI builds a standard NI feeding the given input port (the
-// local port, or a concentration spoke's). NIs take no credits: they inspect
-// the router's buffer space directly.
-func newStandardNI(n *Network, r *Router, port int) *standardNI {
-	ni := &standardNI{net: n, r: r, port: port, cap: n.Cfg.InjQueuePackets, curVC: noAlloc}
-	ni.queues = newClassQueues(ni.cap)
-	return ni
-}
-
-// newClassQueues preallocates an NI's per-class packet FIFOs at capacity so
-// enqueues never grow them.
-func newClassQueues(capacity int) (qs [NumClasses][]*Packet) {
-	slab := make([]*Packet, int(NumClasses)*capacity)
-	for c := range qs {
-		qs[c] = slab[c*capacity : c*capacity : (c+1)*capacity]
-	}
-	return qs
-}
-
-func (ni *standardNI) tryEnqueue(p *Packet, now int64) bool {
-	c := ClassOf(p.Type)
-	if len(ni.queues[c]) >= ni.cap {
-		return false
-	}
-	p.CreatedAt = now
-	ni.queues[c] = append(ni.queues[c], p)
-	return true
-}
-
-func (ni *standardNI) queueSpace() int {
-	s := ni.cap - len(ni.queues[Request])
-	if r := ni.cap - len(ni.queues[Reply]); r < s {
-		s = r
-	}
-	return s
-}
-
-func (ni *standardNI) pending() bool {
-	return len(ni.queues[Request]) > 0 || len(ni.queues[Reply]) > 0 || ni.cur != nil
-}
-
-func (ni *standardNI) backlog(per []int64) {
-	var f int64
-	for _, q := range ni.queues {
-		for _, p := range q {
-			f += int64(p.Flits)
-		}
-	}
-	if ni.cur != nil {
-		f += int64(ni.cur.Flits - ni.sent)
-	}
-	per[ni.r.id] += f
-}
-
-// injectVC picks the input VC at the router's injection port with the most
-// free space that the packet's class may use; noAlloc when every allowed VC
-// is full. Packets stream back-to-back into the VC FIFO — each NI buffer is
-// the only writer of its port, so flits of one packet stay contiguous and
-// wormhole ordering holds without waiting for a full VC turnaround. A
-// borrowed VC (monopolization) must be completely empty, mirroring the
-// router-side rule: a borrowed reply must never queue behind a request.
-func injectVC(n *Network, ip *inputPort, cls Class) int {
-	best, bestFree := noAlloc, 0
-	for _, vc := range n.classVCs(cls) {
-		vb := &ip.vcs[vc]
-		if n.Cfg.VCPolicy != VCPrivate && vc != int(cls) && !vb.empty() {
-			continue
-		}
-		if f := vb.free(); f > bestFree {
-			best, bestFree = vc, f
-		}
-	}
-	return best
-}
-
-func (ni *standardNI) step(now int64) {
-	if ni.cur == nil {
-		// Pick a class whose head packet can enter a VC right now,
-		// round-robin between classes for fairness; a blocked class never
-		// prevents the other from injecting.
-		ip := &ni.r.in[ni.port]
-		for k := 0; k < int(NumClasses); k++ {
-			c := Class((ni.rrCls + k) % int(NumClasses))
-			if len(ni.queues[c]) == 0 {
-				continue
-			}
-			vc := injectVC(ni.net, ip, c)
-			if vc == noAlloc {
-				continue
-			}
-			ni.queues[c], ni.cur = popPacket(ni.queues[c])
-			ni.sent = 0
-			ni.curVC = vc
-			ni.cur.InjectedAt = now
-			ni.rrCls = (int(c) + 1) % int(NumClasses)
-			if ni.net.flight != nil {
-				ni.stall.clear()
-				ni.net.flightRecord(now, ni.cur, flight.BufferAssigned, ni.r.id, 0, int32(vc))
-			}
-			break
-		}
-		if ni.cur == nil {
-			if ni.net.flight != nil {
-				// The head of the first backlogged class (in this cycle's
-				// arbitration order) is the packet being stalled.
-				for k := 0; k < int(NumClasses); k++ {
-					c := Class((ni.rrCls + k) % int(NumClasses))
-					if len(ni.queues[c]) > 0 {
-						ni.net.flightStall(&ni.stall, now, ni.queues[c][0], ni.r.id, flight.StallNoVC)
-						break
-					}
-				}
-			}
-			return
-		}
-	}
-	// Stream one flit per cycle while buffer space remains.
-	slot := ni.net.slot(ni.port, ni.curVC)
-	if ni.r.vcs[slot].free() > 0 {
-		ni.r.accept(slot, nextFlit(ni.cur, ni.sent, now))
-		ni.sent++
-		if ni.net.flight != nil {
-			ni.stall.clear()
-		}
-		if ni.sent == ni.cur.Flits {
-			ni.cur, ni.curVC = nil, noAlloc
-		}
-	} else if ni.net.flight != nil {
-		ni.net.flightStall(&ni.stall, now, ni.cur, ni.r.id, flight.StallVCFull)
-	}
-}
-
-// nextFlit serializes the sent-th flit of a packet as it enters a router at
-// cycle now; NIs build flits one at a time while they stream.
-func nextFlit(p *Packet, sent int, now int64) Flit {
-	return Flit{Pkt: p, Index: int32(sent), IsHead: sent == 0, IsTail: sent == p.Flits-1, enteredRouter: now}
-}
-
-// popPacket removes the queue head, compacting in place so the backing
-// array is reused instead of walking forward allocation by allocation.
-func popPacket(q []*Packet) ([]*Packet, *Packet) {
-	p := q[0]
-	copy(q, q[1:])
-	return q[:len(q)-1], p
-}
-
-var _ injector = (*standardNI)(nil)
 
 func (n *Network) String() string {
 	return fmt.Sprintf("%s(%dx%d,%s,%s)", n.Cfg.Name, n.Cfg.Width, n.Cfg.Height, n.Cfg.Routing, n.Cfg.VCPolicy)

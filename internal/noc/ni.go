@@ -14,180 +14,243 @@ func addInjectionPort(r *Router) int {
 	return len(r.in) - 1
 }
 
-// injBuffer is one single-packet injection buffer of a multi-buffer NI,
-// streaming into a specific router input port.
-type injBuffer struct {
-	r    *Router
-	port int
-	// ix is the buffer's flight-recorder index: 0 = local, EquiNox 1..4 =
-	// East..North EIR buffer, MultiPort = port ordinal.
-	ix int32
+// ni is the network interface of §4.4, Figure 8, written once: a core-side
+// queue, a buffer selector, and single-packet injection buffers each wired to
+// one router input port. Every cycle the selector may move one queued packet
+// into a free buffer, and every buffer streams one flit into its router. The
+// schemes differ only in how many buffers there are and how the selector
+// picks one:
+//
+//   - baseline (and each concentration spoke): one buffer on the home router;
+//     a packet is dispatched only when an input VC can take it right now.
+//   - MultiPort: k buffers on the CB router, filled round-robin, one always
+//     left for the other class.
+//   - EquiNox: the local buffer plus one per EIR, reached over the interposer,
+//     chosen by the paper's Buffer Decision Policy.
+//
+// Request and reply packets wait in separate FIFOs (as in real NIs, where the
+// two classes have dedicated buffers): on a shared physical network a blocked
+// request must never trap a reply behind it, or the M2F2M protocol loop
+// deadlocks. The MultiPort and EquiNox NIs only ever sit on single-class
+// reply networks (all seven rows of sim/schemes.go), where per-class FIFOs
+// and a single FIFO order packets identically; the per-class form is kept
+// because it is the protocol-deadlock-safe one on any network.
+type ni struct {
+	net    *Network
+	r      *Router // home router
+	queues [NumClasses][]*Packet
+	cap    int
 
-	pkt   *Packet // loaded packet; sent of its flits have entered the router
-	sent  int
-	vc    int
-	stall stallNote
-}
+	// bufs[0] feeds the home router's local or spoke port; MultiPort appends
+	// one per extra injection port, EquiNox one per EIR in East..North order.
+	bufs   []injBuffer
+	choose selector
+	rrCls  int // class the next dispatch tries first
+	rr     int // selector state: MultiPort's next buffer, EquiNox's quadrant toggle
+	stall  stallNote
 
-func (b *injBuffer) busy() bool { return b.pkt != nil }
-
-// remaining is the number of loaded flits not yet streamed into the router.
-func (b *injBuffer) remaining() int64 {
-	if b.pkt == nil {
-		return 0
-	}
-	return int64(b.pkt.Flits - b.sent)
-}
-
-// load assigns a packet to the buffer. The VC is chosen at the first stream
-// attempt so a briefly full router buffer does not drop the assignment.
-func (b *injBuffer) load(n *Network, p *Packet, now int64) {
-	b.pkt = p
-	b.sent = 0
-	b.vc = noAlloc
-	if n.flight != nil {
-		b.stall.clear()
-		n.flightRecord(now, p, flight.BufferAssigned, b.r.id, b.ix, noAlloc)
-	}
-}
-
-// stream pushes up to one flit into the router input VC; returns true while
-// the buffer still holds unsent flits.
-func (b *injBuffer) stream(n *Network, now int64) {
-	if b.pkt == nil {
-		return
-	}
-	if b.vc == noAlloc {
-		vc := injectVC(n, &b.r.in[b.port], ClassOf(b.pkt.Type))
-		if vc == noAlloc {
-			if n.flight != nil {
-				n.flightStall(&b.stall, now, b.pkt, b.r.id, flight.StallNoVC)
-			}
-			return
-		}
-		b.vc = vc
-		b.pkt.InjectedAt = now
-	}
-	slot := n.slot(b.port, b.vc)
-	if b.r.vcs[slot].free() > 0 {
-		b.r.accept(slot, nextFlit(b.pkt, b.sent, now))
-		b.sent++
-		if n.flight != nil {
-			b.stall.clear()
-		}
-		if b.sent == b.pkt.Flits {
-			b.pkt, b.vc = nil, noAlloc
-		}
-	} else if n.flight != nil {
-		n.flightStall(&b.stall, now, b.pkt, b.r.id, flight.StallVCFull)
-	}
-}
-
-// equiNoxNI is the modified CB network interface of EquiNox (§4.4, Figure
-// 8): the injection buffer is split into five single-packet buffers — four
-// wired through the interposer to the CB's EIRs (one per axis direction) and
-// one to the local router. A buffer selector steers each packet to a
-// shortest-path EIR, to the local router when the preferred buffers are
-// busy, and retries otherwise.
-type equiNoxNI struct {
-	net   *Network
-	r     *Router // local CB router
-	cb    geom.Point
-	queue []*Packet
-	cap   int
-
-	local *injBuffer
-	// dir buffers indexed by geom.Direction (East..North); nil when the CB
-	// has no EIR in that direction.
-	dir [geom.NumDirections]*injBuffer
-	// eirOffset is the EIR's distance from the CB along its direction.
+	// EquiNox only: the EIR buffer per geom.Direction (nil when the CB has no
+	// EIR that way) and the EIR's distance from the CB along it.
+	dir       [geom.NumDirections]*injBuffer
 	eirOffset [geom.NumDirections]int
-
-	rrQuadrant int // round-robin for two-candidate quadrant selection
-	stall      stallNote
 }
 
-func newEquiNoxNI(n *Network, r *Router, eirs []geom.Point) *equiNoxNI {
-	ni := &equiNoxNI{
-		net:   n,
-		r:     r,
-		cb:    r.pos,
-		cap:   n.Cfg.InjQueuePackets,
-		local: &injBuffer{r: r, port: int(PortLocal), ix: 0, vc: noAlloc},
+// selector picks the injection buffer for the queue head p, plus the input VC
+// when it commits to one at dispatch time (noAlloc leaves the choice to the
+// buffer's first stream attempt). A nil buffer keeps p queued; why is then the
+// stall reason to record, or 0 when no dispatch was attempted.
+type selector func(ni *ni, p *Packet) (b *injBuffer, vc int, why int32)
+
+// newNI builds a baseline NI whose one buffer feeds the given input port of r
+// (the local port, or a concentration spoke's), with room for nbufs buffers.
+// NIs take no credits: they inspect the router's buffer space directly.
+func newNI(n *Network, r *Router, port, nbufs int) ni {
+	capacity := n.Cfg.InjQueuePackets
+	ni := ni{net: n, r: r, cap: capacity, choose: selectWhenVCFree}
+	// The FIFOs are preallocated at capacity so enqueues never grow them.
+	slab := make([]*Packet, int(NumClasses)*capacity)
+	for c := range ni.queues {
+		ni.queues[c] = slab[c*capacity : c*capacity : (c+1)*capacity]
 	}
-	for _, e := range eirs {
-		dirs := geom.DirTowards(ni.cb, e)
-		if len(dirs) != 1 {
-			continue // EIRs are on-axis by construction; ignore malformed ones
-		}
-		d := dirs[0]
-		er := n.RouterAt(e)
-		port := addInjectionPort(er)
-		ni.dir[d] = &injBuffer{r: er, port: port, ix: int32(d), vc: noAlloc}
-		ni.eirOffset[d] = geom.Manhattan(ni.cb, e)
+	ni.bufs = append(make([]injBuffer, 0, nbufs), injBuffer{r: r, port: port, vc: noAlloc})
+	return ni
+}
+
+// newMultiPortNI models the MultiPort scheme [2]: several buffers, each wired
+// to its own injection port on the CB router, widening injection bandwidth
+// without distributing it. ports is at least two.
+func newMultiPortNI(n *Network, r *Router, ports int) ni {
+	ni := newNI(n, r, int(PortLocal), ports)
+	ni.choose = selectRoundRobin
+	for k := 1; k < ports; k++ {
+		ni.bufs = append(ni.bufs, injBuffer{r: r, port: addInjectionPort(r), ix: int32(k), vc: noAlloc})
 	}
 	return ni
 }
 
-func (ni *equiNoxNI) tryEnqueue(p *Packet, now int64) bool {
-	if len(ni.queue) >= ni.cap {
+// newEquiNoxNI builds the modified CB network interface of EquiNox: the
+// injection buffer is split into the local buffer and one per EIR, wired
+// through the interposer to an extra input port of the EIR's router.
+// Config.Validate has checked that every EIR is on one of the CB's axes, off
+// its tile, and alone in its direction.
+func newEquiNoxNI(n *Network, r *Router, eirs []geom.Point) ni {
+	ni := newNI(n, r, int(PortLocal), 1+len(eirs))
+	ni.choose = selectEquiNox
+	var at [geom.NumDirections]*Router
+	for _, e := range eirs {
+		at[geom.DirTowards(r.pos, e)[0]] = n.RouterAt(e)
+	}
+	for d := geom.East; d < geom.NumDirections; d++ {
+		if er := at[d]; er != nil {
+			ni.bufs = append(ni.bufs, injBuffer{r: er, port: addInjectionPort(er), ix: int32(d), vc: noAlloc, interposer: true})
+			ni.dir[d] = &ni.bufs[len(ni.bufs)-1]
+			ni.eirOffset[d] = geom.Manhattan(r.pos, er.pos)
+		}
+	}
+	return ni
+}
+
+// enqueue accepts a packet into its class's FIFO if space remains.
+func (ni *ni) enqueue(p *Packet, now int64) bool {
+	c := ClassOf(p.Type)
+	if len(ni.queues[c]) >= ni.cap {
 		return false
 	}
 	p.CreatedAt = now
-	ni.queue = append(ni.queue, p)
+	ni.queues[c] = append(ni.queues[c], p)
 	return true
 }
 
-func (ni *equiNoxNI) queueSpace() int { return ni.cap - len(ni.queue) }
+// space returns the free packet slots of the fuller FIFO.
+func (ni *ni) space() int {
+	return ni.cap - max(len(ni.queues[Request]), len(ni.queues[Reply]))
+}
 
-func (ni *equiNoxNI) pending() bool {
-	if len(ni.queue) > 0 || ni.local.busy() {
+// pending reports whether the NI still holds any packet or flits.
+func (ni *ni) pending() bool {
+	if len(ni.queues[Request]) > 0 || len(ni.queues[Reply]) > 0 {
 		return true
 	}
-	for _, b := range ni.dir {
-		if b != nil && b.busy() {
+	for i := range ni.bufs {
+		if ni.bufs[i].busy() {
 			return true
 		}
 	}
 	return false
 }
 
-// backlog attributes the undispatched queue and the local buffer to the CB
-// router, and each direction buffer's remainder to its EIR router — that is
-// where those flits physically wait, and the dispersal the probe measures.
-func (ni *equiNoxNI) backlog(per []int64) {
+// backlog adds the NI's held flits into per, indexed by the ID of the router
+// the flits are waiting to enter: queued packets at the home router, each
+// buffer's unsent remainder at the router it feeds (an EIR's, for EquiNox —
+// that is where those flits physically wait, and the dispersal the probe
+// measures). Called on sampling cycles; must not allocate.
+func (ni *ni) backlog(per []int64) {
 	var f int64
-	for _, p := range ni.queue {
-		f += int64(p.Flits)
+	for _, q := range ni.queues {
+		for _, p := range q {
+			f += int64(p.Flits)
+		}
 	}
-	f += ni.local.remaining()
 	per[ni.r.id] += f
-	for _, b := range ni.dir {
-		if b != nil {
-			per[b.r.id] += b.remaining()
+	for i := range ni.bufs {
+		if b := &ni.bufs[i]; b.busy() {
+			per[b.r.id] += int64(b.pkt.Flits - b.sent)
 		}
 	}
 }
 
-// shortestPathBuffer returns the EIR buffer for direction d if that EIR lies
-// on a shortest path to a destination with axis delta `delta` (|offset| must
-// not overshoot |delta|).
-func (ni *equiNoxNI) shortestPathBuffer(d geom.Direction, delta int) *injBuffer {
-	b := ni.dir[d]
-	if b == nil {
-		return nil
+// step dispatches at most one queued packet — one dispatch per cycle is the
+// single NI core of Figure 8 — and then streams every buffer: the split
+// buffers are the whole point, up to len(bufs) flits leave the NI per cycle.
+// Classes take turns going first, and a class the selector turns down never
+// keeps the other from dispatching.
+func (ni *ni) step(now int64) {
+	n := ni.net
+	var stalled *Packet // head of the first backlogged class, in this cycle's order
+	var why int32
+	for k := 0; k < int(NumClasses); k++ {
+		c := (ni.rrCls + k) % int(NumClasses)
+		if len(ni.queues[c]) == 0 {
+			continue
+		}
+		p := ni.queues[c][0]
+		b, vc, w := ni.choose(ni, p)
+		if b == nil {
+			if stalled == nil {
+				stalled, why = p, w
+			}
+			continue
+		}
+		ni.queues[c] = popPacket(ni.queues[c])
+		b.load(n, p, vc, now)
+		ni.rrCls = (c + 1) % int(NumClasses)
+		stalled = nil
+		if n.flight != nil {
+			ni.stall.clear()
+		}
+		break
 	}
-	if ni.eirOffset[d] > delta {
-		return nil
+	if stalled != nil && why != 0 && n.flight != nil {
+		n.flightStall(&ni.stall, now, stalled, ni.r.id, why)
 	}
-	return b
+	for i := range ni.bufs {
+		ni.bufs[i].stream(n, now)
+	}
 }
 
-// selectBuffer implements the paper's Buffer Decision Policy ("Buffer
-// Selection 1"). It returns the chosen buffer, or nil to retry next cycle.
-func (ni *equiNoxNI) selectBuffer(dst geom.Point) *injBuffer {
-	dx := dst.X - ni.cb.X
-	dy := dst.Y - ni.cb.Y
+// popPacket removes the queue head, compacting in place so the backing
+// array is reused instead of walking forward allocation by allocation.
+func popPacket(q []*Packet) []*Packet {
+	copy(q, q[1:])
+	return q[:len(q)-1]
+}
+
+// selectWhenVCFree is the baseline selector: the one buffer takes the head
+// only when an input VC can accept its first flit this cycle, so a blocked
+// class never holds the buffer against the other. While the buffer streams,
+// no dispatch is attempted — which is why its stall note and the buffer's can
+// be two notes and still record the episodes one shared note would.
+func selectWhenVCFree(ni *ni, p *Packet) (*injBuffer, int, int32) {
+	b := &ni.bufs[0]
+	if b.busy() {
+		return nil, noAlloc, 0
+	}
+	vc := injectVC(ni.net, &b.r.in[b.port], ClassOf(p.Type))
+	if vc == noAlloc {
+		return nil, noAlloc, flight.StallNoVC
+	}
+	return b, vc, 0
+}
+
+// selectRoundRobin is MultiPort's selector: the next free buffer in
+// round-robin order. One class may never occupy every buffer: a backpressured
+// request stream hogging all of them would trap replies in the NI and close
+// the M2F2M protocol loop.
+func selectRoundRobin(ni *ni, p *Packet) (*injBuffer, int, int32) {
+	c, held := ClassOf(p.Type), 0
+	for i := range ni.bufs {
+		if b := &ni.bufs[i]; b.busy() && ClassOf(b.pkt.Type) == c {
+			held++
+		}
+	}
+	if k := len(ni.bufs); held < k-1 { // else leave one buffer for the other class
+		for j := 0; j < k; j++ {
+			if b := &ni.bufs[(ni.rr+j)%k]; !b.busy() {
+				ni.rr = (ni.rr + j + 1) % k
+				return b, noAlloc, 0
+			}
+		}
+	}
+	return nil, noAlloc, flight.StallBuffersBusy
+}
+
+// selectEquiNox implements the paper's Buffer Decision Policy ("Buffer
+// Selection 1"): steer the packet to a free EIR buffer on a shortest path to
+// its destination, to the local buffer when those are busy, and retry next
+// cycle otherwise.
+func selectEquiNox(ni *ni, p *Packet) (*injBuffer, int, int32) {
+	dst := geom.FromID(p.Dst, ni.net.Cfg.Width)
+	dx, dy := dst.X-ni.r.pos.X, dst.Y-ni.r.pos.Y
 	var xb, yb *injBuffer
 	if dx > 0 {
 		xb = ni.shortestPathBuffer(geom.East, dx)
@@ -199,199 +262,121 @@ func (ni *equiNoxNI) selectBuffer(dst geom.Point) *injBuffer {
 	} else if dy < 0 {
 		yb = ni.shortestPathBuffer(geom.North, -dy)
 	}
-
-	if dx == 0 || dy == 0 {
-		// On-axis destination: one and only one shortest-path EIR.
-		b := xb
-		if dx == 0 {
-			b = yb
-		}
-		if b != nil && !b.busy() {
-			return b
-		}
-		if !ni.local.busy() {
-			return ni.local
-		}
-		return nil
-	}
-	// Quadrant destination: up to two shortest-path EIRs.
-	xOK := xb != nil && !xb.busy()
-	yOK := yb != nil && !yb.busy()
 	switch {
-	case xOK && yOK:
-		if ni.rrQuadrant ^= 1; ni.rrQuadrant == 1 {
-			return yb
+	case xb != nil && yb != nil:
+		// Quadrant destination with both shortest-path EIRs free: alternate.
+		if ni.rr ^= 1; ni.rr == 1 {
+			return yb, noAlloc, 0
 		}
-		return xb
-	case xOK:
-		return xb
-	case yOK:
-		return yb
+		return xb, noAlloc, 0
+	case xb != nil:
+		return xb, noAlloc, 0
+	case yb != nil:
+		return yb, noAlloc, 0
+	case !ni.bufs[0].busy():
+		return &ni.bufs[0], noAlloc, 0
 	}
-	if !ni.local.busy() {
-		return ni.local
+	return nil, noAlloc, flight.StallBuffersBusy
+}
+
+// shortestPathBuffer returns the EIR buffer for direction d if it is free and
+// that EIR lies on a shortest path to a destination delta tiles away along d
+// (the EIR must not overshoot it).
+func (ni *ni) shortestPathBuffer(d geom.Direction, delta int) *injBuffer {
+	if b := ni.dir[d]; b != nil && !b.busy() && ni.eirOffset[d] <= delta {
+		return b
 	}
 	return nil
 }
 
-func (ni *equiNoxNI) step(now int64) {
-	// Dispatch the queue head to a buffer per the selection policy.
-	if len(ni.queue) > 0 {
-		p := ni.queue[0]
-		dst := geom.FromID(p.Dst, ni.net.Cfg.Width)
-		if b := ni.selectBuffer(dst); b != nil {
-			ni.queue, _ = popPacket(ni.queue)
-			b.load(ni.net, p, now)
-			if ni.net.flight != nil {
-				ni.stall.clear()
+// injBuffer is one single-packet injection buffer, streaming into a specific
+// router input port.
+type injBuffer struct {
+	r    *Router
+	port int
+	// ix is the buffer's flight-recorder index: 0 = local, EquiNox 1..4 =
+	// East..North EIR buffer, MultiPort = port ordinal.
+	ix int32
+	// interposer marks an EIR buffer: its flits cross an interposer wire.
+	interposer bool
+
+	pkt   *Packet // loaded packet; sent of its flits have entered the router
+	sent  int
+	vc    int
+	stall stallNote
+}
+
+func (b *injBuffer) busy() bool { return b.pkt != nil }
+
+// load assigns a packet to the buffer. With vc == noAlloc the VC is chosen at
+// the first stream attempt, so a briefly full router buffer does not drop the
+// assignment.
+func (b *injBuffer) load(n *Network, p *Packet, vc int, now int64) {
+	b.pkt, b.sent, b.vc = p, 0, vc
+	if vc != noAlloc {
+		p.InjectedAt = now
+	}
+	if n.flight != nil {
+		b.stall.clear()
+		n.flightRecord(now, p, flight.BufferAssigned, b.r.id, b.ix, int32(vc))
+	}
+}
+
+// stream pushes up to one flit of the loaded packet into the router input VC.
+// Flits are built one at a time as they enter the router.
+func (b *injBuffer) stream(n *Network, now int64) {
+	p := b.pkt
+	if p == nil {
+		return
+	}
+	if b.vc == noAlloc {
+		vc := injectVC(n, &b.r.in[b.port], ClassOf(p.Type))
+		if vc == noAlloc {
+			if n.flight != nil {
+				n.flightStall(&b.stall, now, p, b.r.id, flight.StallNoVC)
 			}
-		} else if ni.net.flight != nil {
-			ni.net.flightStall(&ni.stall, now, p, ni.r.id, flight.StallBuffersBusy)
+			return
 		}
+		b.vc = vc
+		p.InjectedAt = now
 	}
-	// All five buffers stream concurrently (the split buffers are the whole
-	// point: up to five flits leave the NI per cycle). Flits that go to an
-	// EIR buffer cross an interposer wire.
-	ni.local.stream(ni.net, now)
-	for d := geom.East; d < geom.NumDirections; d++ {
-		if b := ni.dir[d]; b != nil {
-			before := b.sent
-			b.stream(ni.net, now)
-			if b.sent > before {
-				ni.net.Stats.InterposerFlits++
-			}
+	slot := n.slot(b.port, b.vc)
+	if b.r.vcs[slot].free() <= 0 {
+		if n.flight != nil {
+			n.flightStall(&b.stall, now, p, b.r.id, flight.StallVCFull)
 		}
+		return
+	}
+	b.r.accept(slot, Flit{Pkt: p, Index: int32(b.sent), IsHead: b.sent == 0, IsTail: b.sent == p.Flits-1, enteredRouter: now})
+	b.sent++
+	if b.interposer {
+		n.Stats.InterposerFlits++
+	}
+	if n.flight != nil {
+		b.stall.clear()
+	}
+	if b.sent == p.Flits {
+		b.pkt, b.vc = nil, noAlloc
 	}
 }
 
-var _ injector = (*equiNoxNI)(nil)
-
-// multiPortNI models the MultiPort scheme [2]: the NI owns several
-// single-packet buffers, each wired to its own injection port on the local
-// router, widening injection bandwidth without distributing it. Requests
-// and replies wait in separate FIFOs (see standardNI).
-type multiPortNI struct {
-	net    *Network
-	r      *Router
-	queues [NumClasses][]*Packet
-	cap    int
-	bufs   []*injBuffer
-	rr     int
-	rrCls  int
-	stall  stallNote
-}
-
-func newMultiPortNI(n *Network, r *Router, ports int) *multiPortNI {
-	ni := &multiPortNI{net: n, r: r, cap: n.Cfg.InjQueuePackets}
-	ni.queues = newClassQueues(ni.cap)
-	ni.bufs = append(ni.bufs, &injBuffer{r: r, port: int(PortLocal), ix: 0, vc: noAlloc})
-	for k := 1; k < ports; k++ {
-		port := addInjectionPort(r)
-		ni.bufs = append(ni.bufs, &injBuffer{r: r, port: port, ix: int32(k), vc: noAlloc})
-	}
-	return ni
-}
-
-func (ni *multiPortNI) tryEnqueue(p *Packet, now int64) bool {
-	c := ClassOf(p.Type)
-	if len(ni.queues[c]) >= ni.cap {
-		return false
-	}
-	p.CreatedAt = now
-	ni.queues[c] = append(ni.queues[c], p)
-	return true
-}
-
-func (ni *multiPortNI) queueSpace() int {
-	s := ni.cap - len(ni.queues[Request])
-	if r := ni.cap - len(ni.queues[Reply]); r < s {
-		s = r
-	}
-	return s
-}
-
-func (ni *multiPortNI) pending() bool {
-	if len(ni.queues[Request]) > 0 || len(ni.queues[Reply]) > 0 {
-		return true
-	}
-	for _, b := range ni.bufs {
-		if b.busy() {
-			return true
-		}
-	}
-	return false
-}
-
-// backlog: every multi-port buffer feeds the same CB router.
-func (ni *multiPortNI) backlog(per []int64) {
-	var f int64
-	for _, q := range ni.queues {
-		for _, p := range q {
-			f += int64(p.Flits)
-		}
-	}
-	for _, b := range ni.bufs {
-		f += b.remaining()
-	}
-	per[ni.r.id] += f
-}
-
-// busyOf counts buffers currently streaming packets of a class (a method,
-// not a closure, to keep the per-cycle step allocation-free).
-func (ni *multiPortNI) busyOf(c Class) int {
-	n := 0
-	for _, b := range ni.bufs {
-		if b.busy() && ClassOf(b.pkt.Type) == c {
-			n++
-		}
-	}
-	return n
-}
-
-func (ni *multiPortNI) step(now int64) {
-	// Assign one head packet to a free buffer — one dispatch per cycle is
-	// the single NI core of Figure 8 — alternating classes so a blocked
-	// class never starves the other. One class may never occupy every
-	// buffer: a backpressured request stream hogging all buffers would trap
-	// replies in the NI and close the M2F2M protocol loop.
-	assigned := false
-	for k := 0; k < int(NumClasses) && !assigned; k++ {
-		c := Class((ni.rrCls + k) % int(NumClasses))
-		if len(ni.queues[c]) == 0 {
+// injectVC picks the input VC at the router's injection port with the most
+// free space that the packet's class may use; noAlloc when every allowed VC
+// is full. Packets stream back-to-back into the VC FIFO — each NI buffer is
+// the only writer of its port, so flits of one packet stay contiguous and
+// wormhole ordering holds without waiting for a full VC turnaround. A
+// borrowed VC (monopolization) must be completely empty, mirroring the
+// router-side rule: a borrowed reply must never queue behind a request.
+func injectVC(n *Network, ip *inputPort, cls Class) int {
+	best, bestFree := noAlloc, 0
+	for _, vc := range n.classVCs(cls) {
+		vb := &ip.vcs[vc]
+		if n.Cfg.VCPolicy != VCPrivate && vc != int(cls) && !vb.empty() {
 			continue
 		}
-		if len(ni.bufs) > 1 && ni.busyOf(c) >= len(ni.bufs)-1 {
-			continue // leave one buffer for the other class
-		}
-		for j := 0; j < len(ni.bufs); j++ {
-			b := ni.bufs[(ni.rr+j)%len(ni.bufs)]
-			if !b.busy() {
-				var p *Packet
-				ni.queues[c], p = popPacket(ni.queues[c])
-				b.load(ni.net, p, now)
-				ni.rr = (ni.rr + j + 1) % len(ni.bufs)
-				ni.rrCls = (int(c) + 1) % int(NumClasses)
-				assigned = true
-				break
-			}
+		if f := vb.free(); f > bestFree {
+			best, bestFree = vc, f
 		}
 	}
-	if ni.net.flight != nil {
-		if assigned {
-			ni.stall.clear()
-		} else {
-			for k := 0; k < int(NumClasses); k++ {
-				c := Class((ni.rrCls + k) % int(NumClasses))
-				if len(ni.queues[c]) > 0 {
-					ni.net.flightStall(&ni.stall, now, ni.queues[c][0], ni.r.id, flight.StallBuffersBusy)
-					break
-				}
-			}
-		}
-	}
-	for _, b := range ni.bufs {
-		b.stream(ni.net, now)
-	}
+	return best
 }
-
-var _ injector = (*multiPortNI)(nil)

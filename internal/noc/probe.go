@@ -19,14 +19,12 @@ func DefaultLatencyCycleBounds() []int64 {
 	return []int64{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 }
 
-// Probe samples a network's buffer and link state every Every cycles and
+// Probe samples a network's buffer and link state on an OnCycle stride and
 // accumulates a packet-latency histogram from the delivery path. All state
 // is preallocated at attach time and updated in place, so an attached probe
 // adds zero steady-state allocations to Network.Step (pinned by
-// TestStepDoesNotAllocate). A nil probe costs one pointer compare per Step.
+// TestStepDoesNotAllocate).
 type Probe struct {
-	Every int64 // sampling period in cycles (>= 1)
-
 	w, h    int
 	samples int64
 
@@ -57,7 +55,6 @@ func (n *Network) AttachProbe(every int64) *Probe {
 		every = 1
 	}
 	p := &Probe{
-		Every:     every,
 		w:         n.Cfg.Width,
 		h:         n.Cfg.Height,
 		occSum:    make([]int64, len(n.Routers)),
@@ -67,13 +64,13 @@ func (n *Network) AttachProbe(every int64) *Probe {
 		latBounds: DefaultLatencyCycleBounds(),
 	}
 	p.latCounts = make([]int64, len(p.latBounds)+1)
-	n.probe = p
+	n.OnCycle(every, func(int64) { p.sample(n) })
 	n.OnDelivered(func(pkt *Packet) { p.observeLatency(pkt.DeliveredAt - pkt.CreatedAt) })
 	return p
 }
 
-// sample reads the live occupancy counters; called from Network.Step on
-// sampling cycles. Must not allocate.
+// sample reads the live occupancy counters; an OnCycle hook, so it runs at the
+// end of Step on sampling cycles. Must not allocate.
 //
 // Occupancy counts both flits already buffered in a router's input VCs and
 // the NI injection backlog waiting to enter that router. Without the NI
@@ -84,17 +81,12 @@ func (n *Network) AttachProbe(every int64) *Probe {
 // hot spot.
 func (p *Probe) sample(n *Network) {
 	p.samples++
-	for i, r := range n.Routers {
-		p.scratch[i] = int64(r.inFlits)
-	}
+	n.occupancy(p.scratch)
 	// The arrival list holds the flits in flight on links at the end of a
 	// cycle.
 	for i := range n.arrivals {
 		from, port := n.linkSource(&n.arrivals[i])
 		p.linkSum[from*meshLinks+port-1]++
-	}
-	for _, ni := range n.nis {
-		ni.backlog(p.scratch)
 	}
 	for i, occ := range p.scratch {
 		p.occSum[i] += occ

@@ -6,14 +6,12 @@ import (
 
 // telemetrySampler drives one network's telemetry.Series from the cycle
 // loop. Like Probe, all of its state is preallocated at attach time and
-// every per-cycle path is allocation-free (pinned by TestStepDoesNotAllocate);
-// a nil sampler costs one pointer compare per Step.
+// every per-cycle path is allocation-free (pinned by TestStepDoesNotAllocate).
 //
-// Cadences: occupancy is sampled every `every` cycles (the stride of the
-// Step hook), and the window flushes every `window` cycles — a multiple of
+// Cadences: occupancy is sampled every SampleEvery cycles (the stride of the
+// OnCycle hook), and the window flushes every `window` cycles — a multiple of
 // the stride, so flush boundaries always land on sampling cycles.
 type telemetrySampler struct {
-	every  int64
 	window int64
 	series *telemetry.Series
 
@@ -35,28 +33,19 @@ func (n *Network) AttachTelemetry(opts telemetry.Options) *telemetry.Series {
 	opts = opts.WithDefaults()
 	s := telemetry.NewSeries(n.Cfg.Name, n.Cfg.Nodes(), n.Cfg.ClockGHz, opts)
 	t := &telemetrySampler{
-		every:   opts.SampleEvery,
 		window:  opts.WindowCycles,
 		series:  s,
 		scratch: make([]int64, len(n.Routers)),
 	}
-	n.telem = t
+	n.OnCycle(opts.SampleEvery, func(now int64) { t.tick(n, now) })
 	n.OnDelivered(func(pkt *Packet) { s.ObserveLatency(pkt.DeliveredAt - pkt.CreatedAt) })
 	return t.series
 }
 
-// tick runs on sampling cycles (now%every == 0) at the end of Step, after
-// every phase effect of the cycle has been applied. Must not allocate.
+// tick is the sampler's OnCycle hook. Must not allocate.
 func (t *telemetrySampler) tick(n *Network, now int64) {
-	// Occupancy sample: router input buffers plus NI injection backlog,
-	// the same accounting as Probe.sample (see its comment for why the NI
-	// term matters).
-	for i, r := range n.Routers {
-		t.scratch[i] = int64(r.inFlits)
-	}
-	for _, ni := range n.nis {
-		ni.backlog(t.scratch)
-	}
+	// Occupancy sample: the same accounting as Probe.sample.
+	n.occupancy(t.scratch)
 	var total, max int64
 	for _, occ := range t.scratch {
 		total += occ

@@ -198,9 +198,7 @@ func (s JobSpec) evalConfig() (equinox.EvalConfig, error) {
 		}
 		cfg.Design = d
 	}
-	if s.Trace {
-		cfg.Flight = &equinox.FlightConfig{}
-	}
+	cfg.Flight = s.Trace
 	cfg.Telemetry = s.Telemetry
 	return cfg, nil
 }

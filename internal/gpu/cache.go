@@ -145,60 +145,84 @@ func (c *Cache) HitRate() float64 {
 // MSHR tracks outstanding misses with merging: secondary misses on a line
 // already being fetched merge into the existing entry instead of consuming
 // a new slot or re-fetching.
+//
+// It is a fixed table scanned linearly, not a map: Table 1's files hold at
+// most 24 (PE) or 64 (bank) lines, so a scan of one slab of entries beats
+// hashing the line on every L1 and L2 miss. Live entries come first; a
+// completed one is swap-removed. The table is one slab allocated at the
+// first miss, so the 64 files every system builds cost nothing until used.
 type MSHR struct {
-	cap     int
-	entries map[uint64][]any // line → waiter contexts
-	free    [][]any          // waiter slices of completed entries, for reuse
+	size    int
+	entries []mshrEntry // len = outstanding lines; cap = size once allocated
+}
+
+// mshrEntry is one outstanding line and its waiters. A completed entry's
+// waiter slice stays in its slot, past the live ones, for the next Allocate.
+type mshrEntry struct {
+	line    uint64
+	waiters []any
 }
 
 // NewMSHR builds an MSHR file with the given number of entries.
 func NewMSHR(entries int) *MSHR {
-	return &MSHR{cap: entries, entries: map[uint64][]any{}}
+	return &MSHR{size: entries}
+}
+
+// find returns the live entry of line, or nil.
+func (m *MSHR) find(line uint64) *mshrEntry {
+	for i := range m.entries {
+		if m.entries[i].line == line {
+			return &m.entries[i]
+		}
+	}
+	return nil
 }
 
 // Lookup reports whether a fetch for the line is already outstanding.
-func (m *MSHR) Lookup(line uint64) bool {
-	_, ok := m.entries[line]
-	return ok
-}
+func (m *MSHR) Lookup(line uint64) bool { return m.find(line) != nil }
 
 // Full reports whether no new primary miss can be accepted.
-func (m *MSHR) Full() bool { return len(m.entries) >= m.cap }
+func (m *MSHR) Full() bool { return len(m.entries) >= m.size }
 
 // Allocate registers a primary miss; false when full.
 func (m *MSHR) Allocate(line uint64, waiter any) bool {
-	if _, ok := m.entries[line]; ok {
-		m.entries[line] = append(m.entries[line], waiter)
+	if e := m.find(line); e != nil {
+		e.waiters = append(e.waiters, waiter)
 		return true
 	}
 	if m.Full() {
 		return false
 	}
-	var ws []any
-	if k := len(m.free); k > 0 {
-		ws, m.free = m.free[k-1][:0], m.free[:k-1]
+	if m.entries == nil {
+		m.entries = make([]mshrEntry, 0, m.size)
 	}
-	m.entries[line] = append(ws, waiter)
+	m.entries = m.entries[:len(m.entries)+1]
+	e := &m.entries[len(m.entries)-1]
+	e.line, e.waiters = line, append(e.waiters[:0], waiter)
 	return true
 }
 
 // Merge appends a secondary miss waiter; false if no fetch is outstanding.
 func (m *MSHR) Merge(line uint64, waiter any) bool {
-	if _, ok := m.entries[line]; !ok {
+	e := m.find(line)
+	if e == nil {
 		return false
 	}
-	m.entries[line] = append(m.entries[line], waiter)
+	e.waiters = append(e.waiters, waiter)
 	return true
 }
 
 // Complete removes the entry and returns its waiters. The slice is recycled
 // into a later entry: it is valid until the next Allocate.
 func (m *MSHR) Complete(line uint64) []any {
-	ws, ok := m.entries[line]
-	if ok {
-		delete(m.entries, line)
-		m.free = append(m.free, ws)
+	e := m.find(line)
+	if e == nil {
+		return nil
 	}
+	last := &m.entries[len(m.entries)-1]
+	ws := e.waiters
+	*e, *last = *last, mshrEntry{waiters: ws}
+	m.entries = m.entries[:len(m.entries)-1]
 	return ws
 }
 

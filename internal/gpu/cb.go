@@ -15,7 +15,7 @@ type CB struct {
 	L2   *Cache
 	MC   *hbm.Controller
 
-	mshr       *MSHR
+	mshr       MSHR
 	pendingOut []*Transaction // replies waiting for reply-network space
 	maxPending int
 	writebacks []uint64       // dirty-evicted lines awaiting the HBM write queue
@@ -66,7 +66,7 @@ func NewCB(bank int, cfg CBConfig) (*CB, error) {
 		Bank:       bank,
 		L2:         l2,
 		MC:         mc,
-		mshr:       NewMSHR(cfg.MSHREntries),
+		mshr:       *NewMSHR(cfg.MSHREntries),
 		maxPending: cfg.MaxPending,
 	}, nil
 }

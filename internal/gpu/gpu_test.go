@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -123,6 +125,51 @@ func TestMSHRMergeAndComplete(t *testing.T) {
 	}
 	if m.Outstanding() != 1 {
 		t.Errorf("outstanding = %d, want 1", m.Outstanding())
+	}
+}
+
+// TestMSHRMatchesMap drives the fixed table and the map it replaced with the
+// same random operations: every result, and every completed waiter list in
+// order, must agree.
+func TestMSHRMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const size = 6
+	m := NewMSHR(size)
+	ref := map[uint64][]any{}
+	for i := 0; i < 20000; i++ {
+		line := uint64(rng.Intn(10))
+		switch op := rng.Intn(4); op {
+		case 0:
+			_, had := ref[line]
+			want := had || len(ref) < size
+			if want {
+				ref[line] = append(ref[line], i)
+			}
+			if got := m.Allocate(line, i); got != want {
+				t.Fatalf("op %d: Allocate(%d) = %v, want %v", i, line, got, want)
+			}
+		case 1:
+			_, want := ref[line]
+			if want {
+				ref[line] = append(ref[line], i)
+			}
+			if got := m.Merge(line, i); got != want {
+				t.Fatalf("op %d: Merge(%d) = %v, want %v", i, line, got, want)
+			}
+		case 2:
+			want := ref[line]
+			delete(ref, line)
+			if got := m.Complete(line); !reflect.DeepEqual(got, want) {
+				t.Fatalf("op %d: Complete(%d) = %v, want %v", i, line, got, want)
+			}
+		case 3:
+			if _, want := ref[line]; m.Lookup(line) != want {
+				t.Fatalf("op %d: Lookup(%d) = %v, want %v", i, line, !want, want)
+			}
+		}
+		if m.Outstanding() != len(ref) || m.Full() != (len(ref) >= size) {
+			t.Fatalf("op %d: %d outstanding (full %v), want %d", i, m.Outstanding(), m.Full(), len(ref))
+		}
 	}
 }
 

@@ -44,7 +44,7 @@ type PE struct {
 	Txs *TxPool // source of the PE's Transactions; nil allocates each one
 	gen *workloads.Generator
 
-	mshr           *MSHR
+	mshr           MSHR
 	maxOutstanding int
 	outstanding    int
 
@@ -89,7 +89,7 @@ func NewPE(id int, cfg PEConfig, gen *workloads.Generator) (*PE, error) {
 		ID:             id,
 		L1:             l1,
 		gen:            gen,
-		mshr:           NewMSHR(cfg.MSHREntries),
+		mshr:           *NewMSHR(cfg.MSHREntries),
 		maxOutstanding: cfg.MaxOutstanding,
 	}, nil
 }

@@ -149,6 +149,10 @@ func (c Config) Validate() error {
 	if c.FlitBytes < 1 || c.LineBytes < c.FlitBytes {
 		return fmt.Errorf("noc: bad flit/line bytes %d/%d", c.FlitBytes, c.LineBytes)
 	}
+	if f := SizeInFlits(ReadReply, c.FlitBytes, c.LineBytes); f > maxPacketFlits {
+		return fmt.Errorf("noc: %d-byte lines over %d-byte flits make %d-flit packets; at most %d are supported",
+			c.LineBytes, c.FlitBytes, f, maxPacketFlits)
+	}
 	if c.InjQueuePackets < 1 {
 		return fmt.Errorf("noc: injection queue must hold ≥1 packet")
 	}

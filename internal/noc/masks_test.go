@@ -123,9 +123,9 @@ func checkMasks(n *Network) error {
 		for s := range r.vcs {
 			vb := &r.vcs[s]
 			flits += int(vb.n)
-			if !vb.empty() && vb.headEntered != vb.at(0).enteredRouter {
+			if !vb.empty() && vb.headEntered != vb.at(n.flits, 0).enteredRouter {
 				return fmt.Errorf("router %v slot %d: cached head entry cycle %d, head flit says %d",
-					r.pos, s, vb.headEntered, vb.at(0).enteredRouter)
+					r.pos, s, vb.headEntered, vb.at(n.flits, 0).enteredRouter)
 			}
 		}
 		if flits != r.inFlits {
@@ -136,10 +136,10 @@ func checkMasks(n *Network) error {
 			if op.to == noAlloc {
 				continue
 			}
-			for vc, credits := range op.credits {
+			for vc, credits := range n.portCredits(op) {
 				slot := op.toSlot + int32(vc)
 				held := int(n.Routers[op.to].vcs[slot].n) + onLink[[2]int32{op.to, slot}]
-				if credits+held != n.Cfg.VCDepthFlits {
+				if int(credits)+held != n.Cfg.VCDepthFlits {
 					return fmt.Errorf("router %v out %d vc %d: %d credits + %d flits downstream or on the link != depth %d",
 						r.pos, pi, vc, credits, held, n.Cfg.VCDepthFlits)
 				}
@@ -164,13 +164,60 @@ func checkMasks(n *Network) error {
 			return fmt.Errorf("node %d: in the held set %v, holds a delivered packet %v", node, in, held)
 		}
 	}
+	return checkPacketTable(n)
+}
+
+// checkPacketTable checks the slots flits name their packets by: every flit
+// in a buffer or on a link names a live slot, every live slot is named by a
+// flit or a loaded NI buffer, and the free stack lists exactly the empty
+// slots.
+func checkPacketTable(n *Network) error {
+	named := make([]bool, len(n.pkts))
+	for _, r := range n.Routers {
+		for s := range r.vcs {
+			vb := &r.vcs[s]
+			for i := 0; i < int(vb.n); i++ {
+				named[vb.at(n.flits, i).pkt] = true
+			}
+		}
+	}
+	for i := range n.arrivals {
+		named[n.arrivals[i].f.pkt] = true
+	}
+	for i := range n.nis {
+		for _, b := range n.nis[i].bufs {
+			if b.busy() {
+				if n.pkts[b.h] != b.pkt {
+					return fmt.Errorf("NI %d: loaded packet %d is not in its slot %d", i, b.pkt.ID, b.h)
+				}
+				named[b.h] = true
+			}
+		}
+	}
+	live := 0
+	for h, p := range n.pkts {
+		if p != nil {
+			live++
+		}
+		if named[h] != (p != nil) {
+			return fmt.Errorf("packet table slot %d: named by a flit or buffer %v, holds a packet %v", h, named[h], p != nil)
+		}
+	}
+	if live+len(n.freePkts) != len(n.pkts) {
+		return fmt.Errorf("packet table: %d live slots and %d free of %d", live, len(n.freePkts), len(n.pkts))
+	}
+	for _, h := range n.freePkts {
+		if n.pkts[h] != nil {
+			return fmt.Errorf("packet table: free slot %d holds packet %d", h, n.pkts[h].ID)
+		}
+	}
 	return nil
 }
 
 // flitID identifies a flit in flight.
 type flitID struct {
 	pkt   *Packet
-	index int32
+	index int16
 }
 
 // headFlits snapshots the head flit of every non-empty input VC, per router.
@@ -179,7 +226,8 @@ func headFlits(n *Network) [][]flitID {
 	for i, r := range n.Routers {
 		for s := range r.vcs {
 			if vb := &r.vcs[s]; !vb.empty() {
-				heads[i] = append(heads[i], flitID{vb.at(0).Pkt, vb.at(0).Index})
+				f := vb.at(n.flits, 0)
+				heads[i] = append(heads[i], flitID{n.pkts[f.pkt], f.Index})
 			}
 		}
 	}
@@ -211,7 +259,7 @@ func checkArrivals(n *Network, before [][]flitID) error {
 			if from != i {
 				break
 			}
-			f := flitID{a.f.Pkt, a.f.Index}
+			f := flitID{n.pkts[a.f.pkt], a.f.Index}
 			if !left[f] {
 				return fmt.Errorf("router %v: flit %d of packet %d is on the arrival list but did not leave the router", r.pos, f.index, f.pkt.ID)
 			}
@@ -330,7 +378,7 @@ func TestNIsSerializeFlits(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(5))
 			nodes := nc.cfg.Nodes()
-			next := map[*Packet]int32{} // flits of the packet seen so far
+			next := map[*Packet]int16{} // flits of the packet seen so far
 			injected, multiFlit := 0, 0
 			for cyc := 0; cyc < 3000 && (cyc < 400 || !n.Quiescent()); cyc++ {
 				for k := 0; k < 3 && cyc < 400; k++ {
@@ -350,18 +398,19 @@ func TestNIsSerializeFlits(t *testing.T) {
 						if r.in[pi].upCredit != noAlloc {
 							continue // fed by a link, not an NI
 						}
-						for vc := range r.in[pi].vcs {
-							for _, f := range r.in[pi].vcs[vc].flits() {
-								if f.Index < next[f.Pkt] {
+						for vc := range r.portVCs(pi) {
+							for _, f := range n.bufFlits(&r.portVCs(pi)[vc]) {
+								p := f.Pkt
+								if f.Index < next[p] {
 									continue // seen on an earlier cycle
 								}
-								if f.Index != next[f.Pkt] {
-									t.Fatalf("packet %d: flit %d entered after flit %d", f.Pkt.ID, f.Index, next[f.Pkt]-1)
+								if f.Index != next[p] {
+									t.Fatalf("packet %d: flit %d entered after flit %d", p.ID, f.Index, next[p]-1)
 								}
-								if f.IsHead != (f.Index == 0) || f.IsTail != (int(f.Index) == f.Pkt.Flits-1) {
-									t.Fatalf("packet %d flit %d of %d: head %v tail %v", f.Pkt.ID, f.Index, f.Pkt.Flits, f.IsHead, f.IsTail)
+								if f.IsHead != (f.Index == 0) || f.IsTail != (int(f.Index) == p.Flits-1) {
+									t.Fatalf("packet %d flit %d of %d: head %v tail %v", p.ID, f.Index, p.Flits, f.IsHead, f.IsTail)
 								}
-								next[f.Pkt]++
+								next[p]++
 							}
 						}
 					}

@@ -43,13 +43,25 @@ type Network struct {
 	inflight  int64
 	heldNodes []uint64
 
-	// creditSlab holds every output port's per-VC credit counters
-	// (outputPort.credits are windows of it). credits holds the creditSlab
-	// indices of the credits switch traversal returned upstream this cycle;
-	// Step applies them once the phase is over. This is a timing property of
-	// the router model: a buffer slot freed in cycle t is visible to the
-	// upstream router in cycle t+1, whatever order routers are visited in.
-	creditSlab []int
+	// flits is every input VC's flit ring, depth flits per VC in the order
+	// of the VC buffers (vcBuf.base).
+	flits []Flit
+
+	// pkts is the packet table flits name their packet by (Flit.pkt): a
+	// packet takes a slot when an NI buffer loads it (admit) and gives it
+	// back when its tail flit ejects, onto the freePkts stack.
+	pkts     []*Packet
+	freePkts []int32
+
+	// creditSlab holds every output port's per-VC credit counters and owners
+	// the input slot owning each downstream VC, both indexed
+	// outputPort.creditBase + VC. credits holds the creditSlab indices of the
+	// credits switch traversal returned upstream this cycle; Step applies
+	// them once the phase is over. This is a timing property of the router
+	// model: a buffer slot freed in cycle t is visible to the upstream router
+	// in cycle t+1, whatever order routers are visited in.
+	creditSlab []int32
+	owners     []int32
 	credits    []int32
 
 	// scratch is the allocators' working memory, sized by Router.finalize.
@@ -111,9 +123,11 @@ func (n *Network) occupancy(per []int64) {
 }
 
 // New builds a network from a configuration. Router state is laid out flat:
-// routers, ports, VC buffers, their flit rings, credit/owner counters, links
-// and NI queues are windows of a handful of per-network slabs indexed
-// router × port × VC, not separate heap objects.
+// routers, ports, VC buffers, their flit rings, credit/owner counters, links,
+// NI queues and NI buffers are windows of a handful of per-network slabs
+// indexed router × port × VC, not separate heap objects. The big ones — the
+// flit rings, VC buffers, ports and counters — hold no pointers, so building
+// a network is mostly zeroing memory the collector will never scan.
 func New(cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -144,26 +158,20 @@ func New(cfg Config) (*Network, error) {
 	inPorts := make([]inputPort, totIn)
 	outPorts := make([]outputPort, totOut)
 	vcs := make([]vcBuf, totIn*nvc)
-	rings := make([]Flit, totIn*nvc*depth)
-	n.creditSlab = make([]int, totOut*nvc)
-	owners := make([]int, totOut*nvc)
+	n.flits = make([]Flit, totIn*nvc*depth)
+	counters := make([]int32, 2*totOut*nvc)
+	n.creditSlab, n.owners = counters[:totOut*nvc:totOut*nvc], counters[totOut*nvc:]
 	for i := range vcs {
-		vcs[i] = vcBuf{q: rings[i*depth : (i+1)*depth : (i+1)*depth], outPort: noAlloc, outVC: noAlloc, credit: noAlloc}
+		vcs[i] = vcBuf{base: int32(i * depth), depth: int32(depth), outPort: noAlloc, outVC: noAlloc, credit: noAlloc}
 	}
 	for i := range inPorts {
-		inPorts[i] = inputPort{vcs: vcs[i*nvc : (i+1)*nvc : (i+1)*nvc], upCredit: noAlloc}
+		inPorts[i].upCredit = noAlloc
 	}
 	for i := range n.creditSlab {
-		n.creditSlab[i], owners[i] = depth, noAlloc
+		n.creditSlab[i], n.owners[i] = int32(depth), noAlloc
 	}
 	for i := range outPorts {
-		outPorts[i] = outputPort{
-			to:         noAlloc,
-			credits:    n.creditSlab[i*nvc : (i+1)*nvc : (i+1)*nvc],
-			owner:      owners[i*nvc : (i+1)*nvc : (i+1)*nvc],
-			creditBase: i * nvc,
-			grant:      noAlloc,
-		}
+		outPorts[i] = outputPort{to: noAlloc, creditBase: i * nvc, grant: noAlloc}
 	}
 
 	// Routers. Base ports are local + four directions (ports exist even on
@@ -232,21 +240,31 @@ func New(cfg Config) (*Network, error) {
 	// NIs, one per node and spoke: concentrated nodes get an independent
 	// baseline NI per spoke, CB tiles with an EIR group the EquiNox NI, CB
 	// tiles with InjectPortsPerCB > 1 the MultiPort NI, the rest the baseline.
+	// Every injection port — a router's local port and the input ports past
+	// its four mesh ones — is fed by exactly one NI buffer, and every loaded
+	// buffer holds a packet-table slot, so the table starts at that size.
 	isCB := cfg.isCB()
-	n.nis = make([]ni, 0, len(n.Routers)*n.spokes)
+	nis := len(n.Routers) * n.spokes
+	bufs := totIn - (base-1)*len(n.Routers)
+	n.nis = make([]ni, 0, nis)
+	sl := &niSlab{
+		queues: make([]*Packet, nis*int(NumClasses)*cfg.InjQueuePackets),
+		bufs:   make([]injBuffer, bufs),
+	}
+	n.pkts, n.freePkts = make([]*Packet, 0, bufs), make([]int32, 0, bufs)
 	for _, r := range n.Routers {
 		switch {
 		case n.spokes > 1:
-			n.nis = append(n.nis, newNI(n, r, int(PortLocal), 1))
+			n.nis = append(n.nis, newNI(n, sl, r, int(PortLocal), 1))
 			for k := 1; k < n.spokes; k++ {
-				n.nis = append(n.nis, newNI(n, r, addInjectionPort(r), 1))
+				n.nis = append(n.nis, newNI(n, sl, r, addInjectionPort(r), 1))
 			}
 		case cfg.EIRGroups != nil && isCB[r.id]:
-			n.nis = append(n.nis, newEquiNoxNI(n, r, cfg.EIRGroups[r.pos]))
+			n.nis = append(n.nis, newEquiNoxNI(n, sl, r, cfg.EIRGroups[r.pos]))
 		case cfg.InjectPortsPerCB > 1 && isCB[r.id]:
-			n.nis = append(n.nis, newMultiPortNI(n, r, cfg.InjectPortsPerCB))
+			n.nis = append(n.nis, newMultiPortNI(n, sl, r, cfg.InjectPortsPerCB))
 		default:
-			n.nis = append(n.nis, newNI(n, r, int(PortLocal), 1))
+			n.nis = append(n.nis, newNI(n, sl, r, int(PortLocal), 1))
 		}
 	}
 
@@ -352,9 +370,25 @@ func (n *Network) ejectReady(node int, c Class) bool {
 	return len(n.ejectQ[c][node]) < n.ejectCap
 }
 
-// ejectPacket delivers a packet whose tail flit left the ejection port of
-// its destination router.
-func (n *Network) ejectPacket(p *Packet, now int64) {
+// admit gives p a packet-table slot for its flits to name it by.
+func (n *Network) admit(p *Packet) int32 {
+	if k := len(n.freePkts); k > 0 {
+		h := n.freePkts[k-1]
+		n.freePkts = n.freePkts[:k-1]
+		n.pkts[h] = p
+		return h
+	}
+	n.pkts = append(n.pkts, p)
+	return int32(len(n.pkts) - 1)
+}
+
+// ejectPacket delivers the packet in table slot h, whose tail flit left the
+// ejection port of its destination router, and frees the slot: no flit of
+// the packet remains in the network.
+func (n *Network) ejectPacket(h int32, now int64) {
+	p := n.pkts[h]
+	n.pkts[h] = nil
+	n.freePkts = append(n.freePkts, h)
 	p.DeliveredAt = now
 	c := ClassOf(p.Type)
 	n.ejectQ[c][p.Dst] = append(n.ejectQ[c][p.Dst], p)
@@ -387,7 +421,7 @@ func (n *Network) Step() {
 		a.f.enteredRouter = now
 		if n.flight != nil && a.f.IsHead {
 			port := int32(n.slotPort[a.slot])
-			n.flightRecord(now, a.f.Pkt, flight.LinkTraverse, int(a.to), port, a.slot-port*int32(n.nvc))
+			n.flightRecord(now, n.pkts[a.f.pkt], flight.LinkTraverse, int(a.to), port, a.slot-port*int32(n.nvc))
 		}
 		n.Routers[a.to].accept(int(a.slot), a.f)
 	}
@@ -507,8 +541,9 @@ func (n *Network) DebugDump() string {
 	for _, r := range n.Routers {
 		hdr := false
 		for pi := range r.in {
-			for vi := range r.in[pi].vcs {
-				vb := &r.in[pi].vcs[vi]
+			vcs := r.portVCs(pi)
+			for vi := range vcs {
+				vb := &vcs[vi]
 				if vb.empty() {
 					continue
 				}
@@ -516,26 +551,26 @@ func (n *Network) DebugDump() string {
 					add(fmt.Sprintf("router %v (node %d):\n", r.pos, r.node))
 					hdr = true
 				}
-				f := vb.at(0)
+				p := n.pkts[vb.at(n.flits, 0).pkt]
 				reason := "?"
 				if vb.outPort == noAlloc {
 					reason = "awaiting VC alloc"
 				} else {
 					op := &r.out[vb.outPort]
 					if op.eject {
-						if !n.ejectReady(r.node, ClassOf(f.Pkt.Type)) {
+						if !n.ejectReady(r.node, ClassOf(p.Type)) {
 							reason = "eject queue full"
 						} else {
 							reason = "eject ready"
 						}
-					} else if op.credits[vb.outVC] <= 0 {
+					} else if n.creditSlab[vb.credit] <= 0 {
 						reason = "no credits"
 					} else {
 						reason = "has credits"
 					}
 				}
 				add(fmt.Sprintf("  in[%d].vc[%d]: %d flits, head pkt %v %d->%d out=%d/%d (%s)\n",
-					pi, vi, vb.n, f.Pkt.Type, f.Pkt.Src, f.Pkt.Dst, vb.outPort, vb.outVC, reason))
+					pi, vi, vb.n, p.Type, p.Src, p.Dst, vb.outPort, vb.outVC, reason))
 			}
 		}
 	}

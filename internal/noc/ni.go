@@ -61,26 +61,40 @@ type ni struct {
 // stall reason to record, or 0 when no dispatch was attempted.
 type selector func(ni *ni, p *Packet) (b *injBuffer, vc int, why int32)
 
+// niSlab hands New's NIs their FIFOs and injection buffers as consecutive
+// windows of two per-network slabs, rather than two allocations per NI.
+type niSlab struct {
+	queues []*Packet
+	bufs   []injBuffer
+}
+
+// take carves the next NI's windows: nq FIFO slots and room for nb buffers.
+func (s *niSlab) take(nq, nb int) ([]*Packet, []injBuffer) {
+	q, b := s.queues[:nq:nq], s.bufs[:0:nb]
+	s.queues, s.bufs = s.queues[nq:], s.bufs[nb:]
+	return q, b
+}
+
 // newNI builds a baseline NI whose one buffer feeds the given input port of r
 // (the local port, or a concentration spoke's), with room for nbufs buffers.
 // NIs take no credits: they inspect the router's buffer space directly.
-func newNI(n *Network, r *Router, port, nbufs int) ni {
+func newNI(n *Network, sl *niSlab, r *Router, port, nbufs int) ni {
 	capacity := n.Cfg.InjQueuePackets
 	ni := ni{net: n, r: r, cap: capacity, choose: selectWhenVCFree}
 	// The FIFOs are preallocated at capacity so enqueues never grow them.
-	slab := make([]*Packet, int(NumClasses)*capacity)
+	q, bufs := sl.take(int(NumClasses)*capacity, nbufs)
 	for c := range ni.queues {
-		ni.queues[c] = slab[c*capacity : c*capacity : (c+1)*capacity]
+		ni.queues[c] = q[c*capacity : c*capacity : (c+1)*capacity]
 	}
-	ni.bufs = append(make([]injBuffer, 0, nbufs), injBuffer{r: r, port: port, vc: noAlloc})
+	ni.bufs = append(bufs, injBuffer{r: r, port: port, vc: noAlloc})
 	return ni
 }
 
 // newMultiPortNI models the MultiPort scheme [2]: several buffers, each wired
 // to its own injection port on the CB router, widening injection bandwidth
 // without distributing it. ports is at least two.
-func newMultiPortNI(n *Network, r *Router, ports int) ni {
-	ni := newNI(n, r, int(PortLocal), ports)
+func newMultiPortNI(n *Network, sl *niSlab, r *Router, ports int) ni {
+	ni := newNI(n, sl, r, int(PortLocal), ports)
 	ni.choose = selectRoundRobin
 	for k := 1; k < ports; k++ {
 		ni.bufs = append(ni.bufs, injBuffer{r: r, port: addInjectionPort(r), ix: int32(k), vc: noAlloc})
@@ -93,8 +107,8 @@ func newMultiPortNI(n *Network, r *Router, ports int) ni {
 // through the interposer to an extra input port of the EIR's router.
 // Config.Validate has checked that every EIR is on one of the CB's axes, off
 // its tile, and alone in its direction.
-func newEquiNoxNI(n *Network, r *Router, eirs []geom.Point) ni {
-	ni := newNI(n, r, int(PortLocal), 1+len(eirs))
+func newEquiNoxNI(n *Network, sl *niSlab, r *Router, eirs []geom.Point) ni {
+	ni := newNI(n, sl, r, int(PortLocal), 1+len(eirs))
 	ni.choose = selectEquiNox
 	var at [geom.NumDirections]*Router
 	for _, e := range eirs {
@@ -215,7 +229,7 @@ func selectWhenVCFree(ni *ni, p *Packet) (*injBuffer, int, int32) {
 	if b.busy() {
 		return nil, noAlloc, 0
 	}
-	vc := injectVC(ni.net, &b.r.in[b.port], ClassOf(p.Type))
+	vc := injectVC(ni.net, b.r.portVCs(b.port), ClassOf(p.Type))
 	if vc == noAlloc {
 		return nil, noAlloc, flight.StallNoVC
 	}
@@ -301,6 +315,7 @@ type injBuffer struct {
 	interposer bool
 
 	pkt   *Packet // loaded packet; sent of its flits have entered the router
+	h     int32   // pkt's packet-table slot
 	sent  int
 	vc    int
 	stall stallNote
@@ -312,7 +327,7 @@ func (b *injBuffer) busy() bool { return b.pkt != nil }
 // the first stream attempt, so a briefly full router buffer does not drop the
 // assignment.
 func (b *injBuffer) load(n *Network, p *Packet, vc int, now int64) {
-	b.pkt, b.sent, b.vc = p, 0, vc
+	b.pkt, b.h, b.sent, b.vc = p, n.admit(p), 0, vc
 	if vc != noAlloc {
 		p.InjectedAt = now
 	}
@@ -330,7 +345,7 @@ func (b *injBuffer) stream(n *Network, now int64) {
 		return
 	}
 	if b.vc == noAlloc {
-		vc := injectVC(n, &b.r.in[b.port], ClassOf(p.Type))
+		vc := injectVC(n, b.r.portVCs(b.port), ClassOf(p.Type))
 		if vc == noAlloc {
 			if n.flight != nil {
 				n.flightStall(&b.stall, now, p, b.r.id, flight.StallNoVC)
@@ -347,7 +362,7 @@ func (b *injBuffer) stream(n *Network, now int64) {
 		}
 		return
 	}
-	b.r.accept(slot, Flit{Pkt: p, Index: int32(b.sent), IsHead: b.sent == 0, IsTail: b.sent == p.Flits-1, enteredRouter: now})
+	b.r.accept(slot, Flit{pkt: b.h, Index: int16(b.sent), IsHead: b.sent == 0, IsTail: b.sent == p.Flits-1, enteredRouter: now})
 	b.sent++
 	if b.interposer {
 		n.Stats.InterposerFlits++
@@ -367,10 +382,10 @@ func (b *injBuffer) stream(n *Network, now int64) {
 // wormhole ordering holds without waiting for a full VC turnaround. A
 // borrowed VC (monopolization) must be completely empty, mirroring the
 // router-side rule: a borrowed reply must never queue behind a request.
-func injectVC(n *Network, ip *inputPort, cls Class) int {
+func injectVC(n *Network, vcs []vcBuf, cls Class) int {
 	best, bestFree := noAlloc, 0
 	for _, vc := range n.classVCs(cls) {
-		vb := &ip.vcs[vc]
+		vb := &vcs[vc]
 		if n.Cfg.VCPolicy != VCPrivate && vc != int(cls) && !vb.empty() {
 			continue
 		}

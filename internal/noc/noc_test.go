@@ -48,6 +48,17 @@ func TestConfigValidate(t *testing.T) {
 	if bad3.Validate() == nil {
 		t.Error("EIR CB outside mesh accepted")
 	}
+	// Flit.Index is 16 bits: the longest packet, a line plus its header,
+	// must fit.
+	long := cfg
+	long.FlitBytes, long.LineBytes = 1, maxPacketFlits-1
+	if err := long.Validate(); err != nil {
+		t.Errorf("%d-flit packets rejected: %v", maxPacketFlits, err)
+	}
+	long.LineBytes++
+	if long.Validate() == nil {
+		t.Errorf("%d-flit packets accepted", maxPacketFlits+1)
+	}
 }
 
 func TestPacketSizes(t *testing.T) {

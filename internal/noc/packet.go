@@ -97,10 +97,13 @@ func (p *Packet) TotalLatency() int64 { return p.DeliveredAt - p.CreatedAt }
 
 // Flit is one flow-control unit of a packet. Flits are values: NIs build
 // them as they stream, and input buffers and the link arrival list hold them
-// in place.
+// in place. A flit is 16 bytes and holds no pointer — it names its packet by
+// a slot of the network's packet table (Network.pkts) — so the flit rings,
+// the bulk of a network's memory, are cheap to allocate and never scanned by
+// the collector.
 type Flit struct {
-	Pkt    *Packet
-	Index  int32 // 0-based position within the packet
+	pkt    int32 // Network.pkts slot of the packet
+	Index  int16 // 0-based position within the packet (Config.Validate bounds it)
 	IsHead bool
 	IsTail bool
 
@@ -108,6 +111,9 @@ type Flit struct {
 	// it currently occupies; used for the Figure 4 heat maps.
 	enteredRouter int64
 }
+
+// maxPacketFlits bounds a packet's length so Flit.Index fits in 16 bits.
+const maxPacketFlits = 1<<15 - 1
 
 // SizeInFlits returns the length of a packet of the given type for a network
 // with the given flit width, assuming the paper's 128-byte cache lines and

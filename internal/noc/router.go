@@ -25,19 +25,22 @@ const (
 const noAlloc = -1
 
 // vcBuf is one virtual-channel buffer of an input port: a fixed-capacity
-// ring of VCDepthFlits flits carved from the network's flit slab, so pushes
-// never grow and pops never shift.
+// ring of depth flits at Network.flits[base:base+depth], so pushes never grow
+// and pops never shift. Neither it nor the flit slab holds a pointer, so a
+// network's buffer state is memory the collector never scans; the ring
+// methods take the slab, Network.flits, as an argument.
 type vcBuf struct {
-	q    []Flit // ring storage; len(q) is the buffer's capacity
-	head int32  // index of the oldest flit
-	n    int32  // flits buffered
+	base  int32 // Network.flits index of the ring's first slot
+	depth int32 // ring capacity, Config.VCDepthFlits
+	head  int32 // ring offset of the oldest flit
+	n     int32 // flits buffered
 
 	// Allocation state for the packet at the head of the buffer. credit and
 	// class are valid while outPort is set.
 	outPort int32 // allocated output port, noAlloc if none
 	outVC   int32 // allocated downstream VC, noAlloc if none
 	credit  int32 // Network.creditSlab index of (outPort, outVC); noAlloc when ejecting
-	class   Class // class of the allocated packet
+	class   int32 // Class of the allocated packet
 
 	// headEntered caches the head flit's enteredRouter. With credit and
 	// class it lets the switch allocator's input stage decide from the vcBuf
@@ -46,25 +49,25 @@ type vcBuf struct {
 	headEntered int64
 }
 
-func (b *vcBuf) free() int   { return len(b.q) - int(b.n) }
+func (b *vcBuf) free() int   { return int(b.depth - b.n) }
 func (b *vcBuf) empty() bool { return b.n == 0 }
 
 // at returns the i-th buffered flit, oldest first.
-func (b *vcBuf) at(i int) *Flit {
+func (b *vcBuf) at(flits []Flit, i int) *Flit {
 	i += int(b.head)
-	if i >= len(b.q) {
-		i -= len(b.q)
+	if i >= int(b.depth) {
+		i -= int(b.depth)
 	}
-	return &b.q[i]
+	return &flits[int(b.base)+i]
 }
 
 // push appends a flit; the caller has checked free() > 0.
-func (b *vcBuf) push(f Flit) {
-	i := int(b.head + b.n)
-	if i >= len(b.q) {
-		i -= len(b.q)
+func (b *vcBuf) push(flits []Flit, f Flit) {
+	i := b.head + b.n
+	if i >= b.depth {
+		i -= b.depth
 	}
-	b.q[i] = f
+	flits[b.base+i] = f
 	if b.n == 0 {
 		b.headEntered = f.enteredRouter
 	}
@@ -72,24 +75,22 @@ func (b *vcBuf) push(f Flit) {
 }
 
 // pop removes and returns the head flit and refreshes the head cache.
-func (b *vcBuf) pop() Flit {
-	f := b.q[b.head]
-	b.head++
-	if int(b.head) == len(b.q) {
+func (b *vcBuf) pop(flits []Flit) Flit {
+	f := flits[b.base+b.head]
+	if b.head++; b.head == b.depth {
 		b.head = 0
 	}
 	b.n--
 	if b.n > 0 {
-		b.headEntered = b.q[b.head].enteredRouter
+		b.headEntered = flits[b.base+b.head].enteredRouter
 	}
 	return f
 }
 
-// inputPort is one input port: a window of the router's VC buffers and the
-// upstream output port that receives its credits.
+// inputPort is one input port: the upstream output port that receives its
+// credits, and the switch-allocation pointer. Its VCs are a window of the
+// router's (Router.portVCs).
 type inputPort struct {
-	vcs []vcBuf // this port's VCs, a sub-slice of Router.vcs
-
 	// upCredit indexes the upstream router output port's VC-0 credit counter
 	// in Network.creditSlab; noAlloc for NI-fed ports, whose NIs inspect
 	// buffer space directly and take no credits.
@@ -107,10 +108,10 @@ type outputPort struct {
 	// (see arrival).
 	to, toSlot int32
 
-	// Downstream VC bookkeeping (links only), windows of the network slabs;
-	// credits[v] is Network.creditSlab[creditBase+v].
-	credits    []int // free downstream buffer slots per VC
-	owner      []int // owning input slot per downstream VC, noAlloc if free
+	// creditBase indexes the port's VC-0 entry in the per-VC downstream
+	// bookkeeping (links only): Network.creditSlab, the free downstream
+	// buffer slots, and Network.owners, the input slot owning each
+	// downstream VC or noAlloc.
 	creditBase int
 
 	eject bool
@@ -232,23 +233,35 @@ func (r *Router) accept(slot int, f Flit) {
 			*r.saWord |= r.bit
 		}
 	}
-	vb.push(f)
+	vb.push(r.net.flits, f)
 	r.inFlits++
 }
 
 // Pos returns the router's tile coordinate.
 func (r *Router) Pos() geom.Point { return r.pos }
 
-// vcOrderByCredit lists the output port's VCs most-free first, for adaptive
-// VC selection on single-class networks. The returned slice is scratch,
-// valid until the next call.
-func vcOrderByCredit(op *outputPort, sc *allocScratch) []int {
+// portVCs returns input port pi's VC buffers, a window of r.vcs.
+func (r *Router) portVCs(pi int) []vcBuf {
+	nvc := r.net.nvc
+	return r.vcs[pi*nvc : (pi+1)*nvc]
+}
+
+// portCredits returns the output port's per-VC downstream credit counters,
+// a window of n.creditSlab.
+func (n *Network) portCredits(op *outputPort) []int32 {
+	return n.creditSlab[op.creditBase : op.creditBase+n.nvc]
+}
+
+// vcOrderByCredit lists an output port's VCs most-free first, given its
+// credits, for adaptive VC selection on single-class networks. The returned
+// slice is scratch, valid until the next call.
+func vcOrderByCredit(credits []int32, sc *allocScratch) []int {
 	vcs := sc.vcOrd[:0]
-	for i := range op.credits {
+	for i := range credits {
 		vcs = append(vcs, i)
 	}
 	for i := 1; i < len(vcs); i++ {
-		for j := i; j > 0 && op.credits[vcs[j]] > op.credits[vcs[j-1]]; j-- {
+		for j := i; j > 0 && credits[vcs[j]] > credits[vcs[j-1]]; j-- {
 			vcs[j], vcs[j-1] = vcs[j-1], vcs[j]
 		}
 	}
@@ -341,8 +354,8 @@ func (r *Router) routeCandidates(p *Packet, sc *allocScratch) []routeCand {
 				continue
 			}
 			total := 0
-			for _, c := range r.out[op].credits {
-				total += c
+			for _, c := range n.portCredits(&r.out[op]) {
+				total += int(c)
 			}
 			adaptive[na] = scored{op, total}
 			na++
@@ -354,7 +367,7 @@ func (r *Router) routeCandidates(p *Packet, sc *allocScratch) []routeCand {
 			}
 		}
 		for _, s := range adaptive[:na] {
-			for _, vc := range vcOrderByCredit(&r.out[s.port], sc) {
+			for _, vc := range vcOrderByCredit(n.portCredits(&r.out[s.port]), sc) {
 				cands = append(cands, routeCand{port: s.port, vc: vc})
 			}
 		}
@@ -383,12 +396,13 @@ func (r *Router) vcAllocate(now int64) {
 		for ; half != 0; half &= half - 1 {
 			slot := bits.TrailingZeros64(half)
 			vb := &r.vcs[slot]
-			head := &vb.q[vb.head]
+			head := vb.at(n.flits, 0)
 			if !head.IsHead {
 				continue // mid-packet without allocation cannot happen, but be safe
 			}
-			cls := ClassOf(head.Pkt.Type)
-			for _, c := range r.routeCandidates(head.Pkt, sc) {
+			p := n.pkts[head.pkt]
+			cls := ClassOf(p.Type)
+			for _, c := range r.routeCandidates(p, sc) {
 				if c.port == noAlloc {
 					continue
 				}
@@ -397,7 +411,8 @@ func (r *Router) vcAllocate(now int64) {
 					vb.outPort, vb.outVC, vb.credit = int32(c.port), 0, noAlloc
 					break
 				}
-				if op.owner[c.vc] != noAlloc {
+				credit := op.creditBase + c.vc
+				if n.owners[credit] != noAlloc {
 					continue
 				}
 				// VC monopolization safety: borrowing the other class's VC
@@ -408,26 +423,26 @@ func (r *Router) vcAllocate(now int64) {
 				// injection, replies waiting behind requests — deadlocks.
 				if n.Cfg.VCPolicy == VCMonopolize &&
 					c.vc != int(cls) &&
-					op.credits[c.vc] < n.Cfg.VCDepthFlits {
+					int(n.creditSlab[credit]) < n.Cfg.VCDepthFlits {
 					continue
 				}
 				// Deadlock freedom: both routing modes (XY and west-first
 				// adaptive) have acyclic channel dependence graphs, so
 				// owner-free acquisition with ordinary wormhole flow control
 				// suffices.
-				op.owner[c.vc] = slot
-				vb.outPort, vb.outVC, vb.credit = int32(c.port), int32(c.vc), int32(op.creditBase+c.vc)
+				n.owners[credit] = int32(slot)
+				vb.outPort, vb.outVC, vb.credit = int32(c.port), int32(c.vc), int32(credit)
 				break
 			}
 			if vb.outPort == noAlloc {
 				continue
 			}
-			vb.class = cls
+			vb.class = int32(cls)
 			bit := uint64(1) << uint(slot)
 			r.needVA &^= bit
 			r.ready |= bit
 			if n.flight != nil {
-				n.flightRecord(now, head.Pkt, flight.VCAlloc, r.id, vb.outPort, vb.outVC)
+				n.flightRecord(now, p, flight.VCAlloc, r.id, vb.outPort, vb.outVC)
 			}
 		}
 	}
@@ -461,7 +476,7 @@ func (r *Router) sendable(vb *vcBuf, now int64) bool {
 		return false
 	}
 	if vb.credit == noAlloc {
-		return r.net.ejectReady(r.node, vb.class)
+		return r.net.ejectReady(r.node, Class(vb.class))
 	}
 	return r.net.creditSlab[vb.credit] > 0
 }
@@ -571,9 +586,9 @@ func (r *Router) switchAllocate(now int64) int {
 		vb := q.vb
 		outVC := vb.outVC
 		r.occupancyCycles += now - vb.headEntered
-		f := vb.pop()
+		f := vb.pop(n.flits)
 		if n.flight != nil && f.IsHead {
-			n.flightRecord(now, f.Pkt, flight.SAGrant, r.id, int32(pi), outVC)
+			n.flightRecord(now, n.pkts[f.pkt], flight.SAGrant, r.id, int32(pi), outVC)
 		}
 		moved++
 		// Return a credit upstream, deferred to the end of the phase (see
@@ -585,10 +600,10 @@ func (r *Router) switchAllocate(now int64) int {
 		if op.eject {
 			ejected++
 			if tail {
-				n.ejectPacket(f.Pkt, now)
+				n.ejectPacket(f.pkt, now)
 			}
 		} else {
-			op.credits[outVC]--
+			n.creditSlab[vb.credit]--
 			n.arrivals = append(n.arrivals, arrival{to: op.to, slot: op.toSlot + outVC, f: f})
 		}
 		// Mask maintenance: the tail releases the allocation (the next
@@ -598,7 +613,7 @@ func (r *Router) switchAllocate(now int64) int {
 		bit := uint64(1) << uint(q.slot)
 		if tail {
 			if !op.eject {
-				op.owner[outVC] = noAlloc
+				n.owners[vb.credit] = noAlloc
 			}
 			vb.outPort, vb.outVC = noAlloc, noAlloc
 			r.ready &^= bit

@@ -50,13 +50,13 @@ func TestCreditConservation(t *testing.T) {
 			if op.to == noAlloc {
 				continue
 			}
-			down := n.Routers[op.to].in[n.slotPort[op.toSlot]]
-			for vc, credits := range op.credits {
-				if free := down.vcs[vc].free(); credits != free {
+			down := n.Routers[op.to].portVCs(int(n.slotPort[op.toSlot]))
+			for vc, credits := range n.portCredits(&op) {
+				if free := down[vc].free(); int(credits) != free {
 					t.Errorf("router %v out %d vc %d: credits %d != downstream free %d",
 						r.pos, pi, vc, credits, free)
 				}
-				if credits > cfg.VCDepthFlits {
+				if int(credits) > cfg.VCDepthFlits {
 					t.Errorf("credits %d exceed depth", credits)
 				}
 			}
@@ -68,14 +68,14 @@ func TestCreditConservation(t *testing.T) {
 			if op.to == noAlloc {
 				continue
 			}
-			for vc, owner := range op.owner {
+			for vc, owner := range n.owners[op.creditBase : op.creditBase+n.nvc] {
 				if owner != noAlloc {
 					t.Errorf("router %v: VC %d still owned after drain", r.pos, vc)
 				}
 			}
 		}
-		for _, ip := range r.in {
-			for _, vb := range ip.vcs {
+		for pi := range r.in {
+			for _, vb := range r.portVCs(pi) {
 				if vb.outPort != noAlloc {
 					t.Errorf("router %v: input VC still allocated", r.pos)
 				}
@@ -156,9 +156,9 @@ func TestVCClassSeparation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	check := func() {
 		for _, r := range n.Routers {
-			for _, ip := range r.in {
-				for vc := range ip.vcs {
-					for _, f := range ip.vcs[vc].flits() {
+			for pi := range r.in {
+				for vc := range r.portVCs(pi) {
+					for _, f := range n.bufFlits(&r.portVCs(pi)[vc]) {
 						if int(ClassOf(f.Pkt.Type)) != vc {
 							t.Fatalf("class %v flit in VC %d", ClassOf(f.Pkt.Type), vc)
 						}
@@ -206,9 +206,9 @@ func TestMonopolizeOnlyIntoEmptyVC(t *testing.T) {
 		// Invariant: within VC0 (the request VC), a reply flit may only be
 		// preceded by flits of the same packet.
 		for _, r := range n.Routers {
-			for _, ip := range r.in {
+			for pi := range r.in {
 				var firstPkt *Packet
-				for _, f := range ip.vcs[int(Request)].flits() {
+				for _, f := range n.bufFlits(&r.portVCs(pi)[Request]) {
 					if firstPkt == nil {
 						firstPkt = f.Pkt
 					}
@@ -237,8 +237,8 @@ func TestRequestsNeverBorrowReplyVC(t *testing.T) {
 		}
 		n.Step()
 		for _, r := range n.Routers {
-			for _, ip := range r.in {
-				for _, f := range ip.vcs[int(Reply)].flits() {
+			for pi := range r.in {
+				for _, f := range n.bufFlits(&r.portVCs(pi)[Reply]) {
 					if ClassOf(f.Pkt.Type) == Request {
 						t.Fatal("request flit in the reply VC")
 					}
@@ -269,10 +269,10 @@ func TestFlitOrderingWithinPacket(t *testing.T) {
 		// In-buffer invariant: flit indices of the same packet appear in
 		// increasing order within each VC FIFO.
 		for _, r := range n.Routers {
-			for _, ip := range r.in {
-				for vc := range ip.vcs {
-					last := map[*Packet]int32{}
-					for _, f := range ip.vcs[vc].flits() {
+			for pi := range r.in {
+				for vc := range r.portVCs(pi) {
+					last := map[*Packet]int16{}
+					for _, f := range n.bufFlits(&r.portVCs(pi)[vc]) {
 						if prev, ok := last[f.Pkt]; ok && f.Index != prev+1 {
 							t.Fatalf("flit order broken: %d after %d", f.Index, prev)
 						}
@@ -315,8 +315,8 @@ func TestEIRInputPortOwnership(t *testing.T) {
 		if len(eir.in) != 6 {
 			t.Fatalf("EIR router has %d input ports", len(eir.in))
 		}
-		for vc := range eir.in[5].vcs {
-			for _, f := range eir.in[5].vcs[vc].flits() {
+		for vc := range eir.portVCs(5) {
+			for _, f := range n.bufFlits(&eir.portVCs(5)[vc]) {
 				if f.Pkt.Src != cb.ID(8) {
 					t.Fatalf("foreign packet (src %d) on CB %v's EIR port", f.Pkt.Src, cb)
 				}
@@ -383,12 +383,19 @@ func TestAdaptiveSpreadsLoad(t *testing.T) {
 	}
 }
 
-// flits returns the buffered flits oldest first (test helper: the ring has
-// no contiguous view).
-func (b *vcBuf) flits() []*Flit {
-	fl := make([]*Flit, b.n)
+// heldFlit is a buffered flit with its packet looked up (test helper).
+type heldFlit struct {
+	*Flit
+	Pkt *Packet
+}
+
+// bufFlits returns vb's buffered flits oldest first (test helper: the ring
+// has no contiguous view).
+func (n *Network) bufFlits(vb *vcBuf) []heldFlit {
+	fl := make([]heldFlit, vb.n)
 	for i := range fl {
-		fl[i] = b.at(i)
+		f := vb.at(n.flits, i)
+		fl[i] = heldFlit{f, n.pkts[f.pkt]}
 	}
 	return fl
 }

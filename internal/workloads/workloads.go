@@ -189,13 +189,25 @@ type Op struct {
 // Generator produces a deterministic instruction stream for one PE.
 type Generator struct {
 	p        Profile
-	rng      *rand.Rand
+	rng      *rand.Rand // draws from src
 	pe       int
 	lastLine uint64
 	issued   int
 	total    int
-	burst    []Op // pending divergent accesses, emitted before new ops
+
+	// burst holds the pending divergent accesses, burst[burstAt:burstN],
+	// emitted before new ops. A fixed array popped by index: bursts only
+	// start once the last one drained, and never reallocate.
+	burst           [maxDivergentExtra]Op
+	burstAt, burstN int
+
+	// src is the stream's state, inline and last: pointer-free, so the
+	// collector never scans its 4.9 KB.
+	src source
 }
+
+// maxDivergentExtra bounds the extra accesses of one divergent instruction.
+const maxDivergentExtra = 3
 
 // LineBytes is the cache line size of the generated address stream.
 const LineBytes = 128
@@ -204,14 +216,13 @@ const LineBytes = 128
 const sharedBase = uint64(1) << 40
 
 // NewGenerator builds a generator for PE pe with the given instruction
-// budget (use p.Instructions scaled by the harness).
+// budget (use p.Instructions scaled by the harness). Its stream is the one
+// rand.New(rand.NewSource(seed ^ pe·0x7F4A7C159E3779B9)) would draw.
 func (p Profile) NewGenerator(pe int, instructions int, seed int64) *Generator {
-	return &Generator{
-		p:     p,
-		rng:   rand.New(rand.NewSource(seed ^ int64(pe)*0x7F4A7C15_9E37_79B9)),
-		pe:    pe,
-		total: instructions,
-	}
+	g := &Generator{p: p, pe: pe, total: instructions}
+	g.src.Seed(seed ^ int64(pe)*0x7F4A7C15_9E37_79B9)
+	g.rng = rand.New(&g.src)
+	return g
 }
 
 // Remaining returns the number of instructions not yet generated.
@@ -223,9 +234,11 @@ func (g *Generator) Done() bool { return g.issued >= g.total }
 // Next produces the next instruction. Calling Next after Done returns pure
 // compute no-ops.
 func (g *Generator) Next() Op {
-	if len(g.burst) > 0 {
-		op := g.burst[0]
-		g.burst = g.burst[1:]
+	if g.burstAt < g.burstN {
+		op := g.burst[g.burstAt]
+		if g.burstAt++; g.burstAt == g.burstN {
+			g.burstAt, g.burstN = 0, 0
+		}
 		return op
 	}
 	if g.Done() {
@@ -267,7 +280,7 @@ func (g *Generator) Next() Op {
 	// extras as a zero-gap burst of additional same-kind accesses. Bursts
 	// ride on the same instruction budget slot (they model one instruction).
 	if g.p.DivergenceFrac > 0 && g.rng.Float64() < g.p.DivergenceFrac {
-		extra := 1 + g.rng.Intn(3)
+		extra := 1 + g.rng.Intn(maxDivergentExtra)
 		for k := 0; k < extra; k++ {
 			line := uint64(g.rng.Intn(g.p.FootprintLines))
 			var a uint64
@@ -276,7 +289,8 @@ func (g *Generator) Next() Op {
 			} else {
 				a = (uint64(g.pe+1) << 28) | (line * LineBytes)
 			}
-			g.burst = append(g.burst, Op{IsMem: true, Addr: a, Write: op.Write})
+			g.burst[g.burstN] = Op{IsMem: true, Addr: a, Write: op.Write}
+			g.burstN++
 		}
 	}
 	return op

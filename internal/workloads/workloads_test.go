@@ -204,7 +204,7 @@ func TestDivergenceBursts(t *testing.T) {
 		} else {
 			prevMem = false
 		}
-		if g.Done() && len(gBurst(g)) == 0 && i > 5000 {
+		if g.Done() && g.burstAt == g.burstN && i > 5000 {
 			break
 		}
 	}
@@ -215,9 +215,6 @@ func TestDivergenceBursts(t *testing.T) {
 		t.Fatal("no memory ops")
 	}
 }
-
-// gBurst exposes the pending burst length for the test above.
-func gBurst(g *Generator) []Op { return g.burst }
 
 func TestDivergenceValidation(t *testing.T) {
 	p, _ := ByName("bfs")
@@ -239,7 +236,7 @@ func TestNonDivergentProfileHasNoBursts(t *testing.T) {
 		if op.IsMem && prevMem && op.Gap == 0 {
 			// gaussian has Burstiness 0.05 so zero gaps are possible but rare;
 			// just ensure the burst queue is never used.
-			if len(g.burst) > 0 {
+			if g.burstN > 0 {
 				t.Fatal("burst queue used without divergence")
 			}
 		}

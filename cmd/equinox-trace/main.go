@@ -43,6 +43,7 @@
 package main
 
 import (
+	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -50,6 +51,8 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 
 	"equinox"
@@ -57,7 +60,6 @@ import (
 	"equinox/internal/noc"
 	"equinox/internal/sim"
 	"equinox/internal/telemetry"
-	"equinox/internal/trace"
 	"equinox/internal/viz"
 	"equinox/internal/workloads"
 )
@@ -65,52 +67,57 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("equinox-trace: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses args and executes one invocation, writing its report to
+// stdout. Files named by flags are written directly.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("equinox-trace", flag.ExitOnError)
 	var (
-		scheme  = flag.String("scheme", "EquiNox", "scheme to simulate")
-		bench   = flag.String("bench", "kmeans", "benchmark name")
-		instr   = flag.Int("instr", 600, "instructions per PE")
-		seed    = flag.Int64("seed", 1, "simulation seed")
-		csvOut  = flag.String("csv", "", "write the reply trace as CSV to this file")
-		jsonOut = flag.String("jsonout", "", "write the reply trace as JSON to this file")
+		scheme  = fs.String("scheme", "EquiNox", "scheme to simulate")
+		bench   = fs.String("bench", "kmeans", "benchmark name")
+		instr   = fs.Int("instr", 600, "instructions per PE")
+		seed    = fs.Int64("seed", 1, "simulation seed")
+		csvOut  = fs.String("csv", "", "write the reply trace as CSV to this file")
+		jsonOut = fs.String("jsonout", "", "write the reply trace as JSON to this file")
 
-		heatmap    = flag.Bool("heatmap", false, "print a per-router occupancy heat map across the scheme's networks")
-		heatmapCSV = flag.String("heatmap-csv", "", "write per-router probe data as CSV to this file")
-		probeEvery = flag.Int64("probe-every", 64, "probe sampling period in cycles (with -heatmap / -heatmap-csv)")
+		heatmap    = fs.Bool("heatmap", false, "print a per-router occupancy heat map across the scheme's networks")
+		heatmapCSV = fs.String("heatmap-csv", "", "write per-router probe data as CSV to this file")
+		probeEvery = fs.Int64("probe-every", 64, "probe sampling period in cycles (with -heatmap / -heatmap-csv)")
 
-		events     = flag.Bool("events", false, "attach the flight recorder: per-packet lifecycle events on every network")
-		perfetto   = flag.String("perfetto", "", "write flight events as Chrome trace-event JSON for Perfetto (implies -events)")
-		eventsCSV  = flag.String("events-csv", "", "write flight events as CSV (implies -events)")
-		sampleMod  = flag.Int64("sample", 1, "flight sampling: trace packets whose ID %% N == 0 (1 = every packet)")
-		tailBound  = flag.Int64("tail-latency", 0, "dump event history of packets delivered above N cycles (0 = off)")
-		flightCap  = flag.Int("flight-cap", 0, "flight ring capacity in events per network (0 = default 65536)")
-		stallLimit = flag.Int64("stall-limit", 0, "starvation watchdog window in cycles (0 = default 50000, <0 = off)")
+		events     = fs.Bool("events", false, "attach the flight recorder: per-packet lifecycle events on every network")
+		perfetto   = fs.String("perfetto", "", "write flight events as Chrome trace-event JSON for Perfetto (implies -events)")
+		eventsCSV  = fs.String("events-csv", "", "write flight events as CSV (implies -events)")
+		sampleMod  = fs.Int64("sample", 1, "flight sampling: trace packets whose ID %% N == 0 (1 = every packet)")
+		tailBound  = fs.Int64("tail-latency", 0, "dump event history of packets delivered above N cycles (0 = off)")
+		flightCap  = fs.Int("flight-cap", 0, "flight ring capacity in events per network (0 = default 65536)")
+		stallLimit = fs.Int64("stall-limit", 0, "starvation watchdog window in cycles (0 = default 50000, <0 = off)")
 
-		spansJob = flag.String("spans", "", "download a server job's distributed span trace instead of simulating (job ID)")
-		server   = flag.String("server", "http://localhost:8080", "equinox-server base URL (with -spans / -telemetry)")
-		spansOut = flag.String("spans-out", "", "write the downloaded span trace to this file (default stdout)")
+		spansJob = fs.String("spans", "", "download a server job's distributed span trace instead of simulating (job ID)")
+		server   = fs.String("server", "http://localhost:8080", "equinox-server base URL (with -spans / -telemetry)")
+		spansOut = fs.String("spans-out", "", "write the downloaded span trace to this file (default stdout)")
 
-		telemetryJob = flag.String("telemetry", "", "download a server job's windowed telemetry instead of simulating (job ID)")
-		telemetryOut = flag.String("telemetry-out", "", "write the downloaded telemetry JSON to this file (default stdout)")
-		telemetryCSV = flag.String("telemetry-csv", "", "flatten the downloaded telemetry into per-window CSV rows in this file (with -telemetry)")
+		telemetryJob = fs.String("telemetry", "", "download a server job's windowed telemetry instead of simulating (job ID)")
+		telemetryOut = fs.String("telemetry-out", "", "write the downloaded telemetry JSON to this file (default stdout)")
+		telemetryCSV = fs.String("telemetry-csv", "", "flatten the downloaded telemetry into per-window CSV rows in this file (with -telemetry)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *spansJob != "" {
-		if err := fetchArtifact(*server, *spansJob, "spans", *spansOut); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return fetchArtifact(stdout, *server, *spansJob, "spans", *spansOut)
 	}
 	if *telemetryJob != "" {
-		if err := fetchTelemetry(*server, *telemetryJob, *telemetryOut, *telemetryCSV); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return fetchTelemetry(stdout, *server, *telemetryJob, *telemetryOut, *telemetryCSV)
 	}
 
 	kind, ok := sim.ParseScheme(*scheme)
 	if !ok {
-		log.Fatalf("unknown scheme %q", *scheme)
+		return fmt.Errorf("unknown scheme %q", *scheme)
 	}
 	cfg := sim.DefaultConfig(kind)
 	cfg.InstructionsPerPE = *instr
@@ -118,18 +125,18 @@ func main() {
 	if kind == sim.EquiNox {
 		d, err := equinox.DesignForMesh(cfg.Width, cfg.Height, cfg.NumCBs)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		cfg.CBOverride = d.CBs
 		cfg.EIRGroups = d.Groups
 	}
 	prof, err := workloads.ByName(*bench)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sys, err := sim.NewSystem(cfg, prof)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var capture *flight.Capture
 	if *events || *perfetto != "" || *eventsCSV != "" {
@@ -140,14 +147,24 @@ func main() {
 			LatencyLimit: *tailBound,
 		})
 	}
-	rec := &trace.Recorder{}
-	for _, n := range sys.ReplyNetworks() {
-		rec.Attach(n)
-	}
-	if capture != nil {
-		if rn := sys.ReplyNetworks(); len(rn) > 0 {
-			rec.WithFlight(rn[0].FlightRecorder())
-		}
+	// The trace holds the reply networks' deliveries in delivery order; the
+	// heat map's mean latency counts every network's.
+	var trace []record
+	var latSum, delivered int64
+	replyNets := sys.ReplyNetworks()
+	for _, n := range sys.Networks() {
+		reply := slices.Contains(replyNets, n)
+		n.OnDelivered(func(p *noc.Packet) {
+			latSum += p.DeliveredAt - p.CreatedAt
+			delivered++
+			if reply {
+				trace = append(trace, record{
+					ID: p.ID, Type: p.Type.String(), Src: p.Src, Dst: p.Dst, Flits: p.Flits,
+					CreatedAt: p.CreatedAt, InjectedAt: p.InjectedAt, DeliveredAt: p.DeliveredAt,
+					Traced: capture != nil && capture.Recorders[0].Hit(p.ID),
+				})
+			}
+		})
 	}
 	// Probes cover every network of the scheme so occupancy is comparable
 	// across schemes regardless of how each splits traffic over meshes.
@@ -157,116 +174,159 @@ func main() {
 	}
 	res, runErr := sys.RunToCompletion()
 	if runErr != nil {
+		runErr = fmt.Errorf("run failed: %w", runErr)
 		// A starvation-watchdog abort is exactly when the flight dump is
-		// most useful, so write the requested exports before exiting.
-		log.Printf("run failed: %v", runErr)
+		// most useful, so write the requested exports before returning.
 		if capture == nil {
-			os.Exit(1)
+			return runErr
 		}
 	}
 
 	if runErr == nil {
-		fmt.Printf("%v / %s: %d cycles, %d packets traced on reply networks\n",
-			res.Scheme, res.Benchmark, res.ExecCycles, len(rec.Records))
+		fmt.Fprintf(stdout, "%v / %s: %d cycles, %d packets traced on reply networks\n",
+			res.Scheme, res.Benchmark, res.ExecCycles, len(trace))
+		if len(trace) == 0 {
+			return fmt.Errorf("no packets delivered on the reply networks")
+		}
+		lats := make([]int64, len(trace))
+		for i, r := range trace {
+			lats[i] = r.DeliveredAt - r.CreatedAt
+		}
+		slices.Sort(lats)
 		for _, p := range []float64{50, 90, 95, 99} {
-			v, err := rec.Percentile(p)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("  p%-4.0f latency: %5d cycles\n", p, v)
+			fmt.Fprintf(stdout, "  p%-4.0f latency: %5d cycles\n", p, percentile(lats, p))
 		}
-		h, err := rec.NewHistogram(10)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  max latency:  %5d cycles over %d bins\n", h.Max, len(h.Counts))
+		maxLat := lats[len(lats)-1]
+		fmt.Fprintf(stdout, "  max latency:  %5d cycles over %d bins\n", maxLat, maxLat/latencyBin+1)
 	}
 
 	if capture != nil {
-		fmt.Printf("flight: %d events (%d overwritten), %d starvation fire(s), %d tail-latency hit(s)\n",
+		fmt.Fprintf(stdout, "flight: %d events (%d overwritten), %d starvation fire(s), %d tail-latency hit(s)\n",
 			capture.TotalEvents(), capture.Overwritten(),
 			capture.StarvationFires(), capture.TailExceeded())
 		for _, fr := range capture.Recorders {
 			for _, d := range fr.TailDumps() {
-				fmt.Printf("  tail packet %d on %s: %d cycles, %d events\n%s",
+				fmt.Fprintf(stdout, "  tail packet %d on %s: %d cycles, %d events\n%s",
 					d.Pkt, fr.Name, d.Latency, len(d.Events), fr.FormatEvents(d.Events))
 			}
 		}
-		if *perfetto != "" {
-			f, err := os.Create(*perfetto)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			if err := capture.WritePerfetto(f); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println("wrote", *perfetto)
+		if err := writeFile(stdout, *perfetto, capture.WritePerfetto); err != nil {
+			return err
 		}
-		if *eventsCSV != "" {
-			f, err := os.Create(*eventsCSV)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			if err := capture.WriteCSV(f); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println("wrote", *eventsCSV)
+		if err := writeFile(stdout, *eventsCSV, capture.WriteCSV); err != nil {
+			return err
 		}
 	}
 	if runErr != nil {
-		os.Exit(1)
+		return runErr
 	}
 
 	if *heatmap {
 		heat := noc.CombineMeanOccupancy(probes)
 		title := fmt.Sprintf("%v NoC occupancy (buffered + NI-queued flits/router, sampled every %d cycles)",
 			res.Scheme, *probeEvery)
-		fmt.Print("\n", viz.ASCIIHeatmap(title, cfg.Width, cfg.Height, heat))
-		fmt.Printf("  hot-zone concentration (max/mean): %.2f\n", noc.MaxMeanRatio(heat))
-		fmt.Printf("  mean packet latency: %.1f cycles over %d deliveries\n",
-			meanLatency(probes), totalLatencyCount(probes))
-	}
-	if *heatmapCSV != "" {
-		f, err := os.Create(*heatmapCSV)
-		if err != nil {
-			log.Fatal(err)
+		fmt.Fprint(stdout, "\n", viz.ASCIIHeatmap(title, cfg.Width, cfg.Height, heat))
+		fmt.Fprintf(stdout, "  hot-zone concentration (max/mean): %.2f\n", noc.MaxMeanRatio(heat))
+		mean := 0.0
+		if delivered > 0 {
+			mean = float64(latSum) / float64(delivered)
 		}
-		defer f.Close()
+		fmt.Fprintf(stdout, "  mean packet latency: %.1f cycles over %d deliveries\n", mean, delivered)
+	}
+	err = writeFile(stdout, *heatmapCSV, func(w io.Writer) error {
 		for i, p := range probes {
 			if i > 0 {
-				fmt.Fprintln(f)
+				fmt.Fprintln(w)
 			}
-			fmt.Fprintf(f, "# network %d\n", i)
-			if err := p.WriteCSV(f); err != nil {
-				log.Fatal(err)
+			fmt.Fprintf(w, "# network %d\n", i)
+			if err := p.WriteCSV(w); err != nil {
+				return err
 			}
 		}
-		fmt.Println("wrote", *heatmapCSV)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	if *csvOut != "" {
-		f, err := os.Create(*csvOut)
+	if err := writeFile(stdout, *csvOut, func(w io.Writer) error { return writeCSV(w, trace) }); err != nil {
+		return err
+	}
+	return writeFile(stdout, *jsonOut, func(w io.Writer) error { return json.NewEncoder(w).Encode(trace) })
+}
+
+// latencyBin is the width, in cycles, of the latency histogram whose bin
+// count the report prints.
+const latencyBin = 10
+
+// record is one packet delivered on a reply network.
+type record struct {
+	ID          int64  `json:"id"`
+	Type        string `json:"type"`
+	Src         int    `json:"src"`
+	Dst         int    `json:"dst"`
+	Flits       int    `json:"flits"`
+	CreatedAt   int64  `json:"createdAt"`
+	InjectedAt  int64  `json:"injectedAt"`
+	DeliveredAt int64  `json:"deliveredAt"`
+	// Traced reports whether the flight recorder sampled the packet, i.e.
+	// whether its lifecycle events are in the -perfetto/-events-csv dumps.
+	Traced bool `json:"traced,omitempty"`
+}
+
+// percentile returns the pth percentile (0 < p ≤ 100) of a sorted,
+// non-empty slice: its element of rank ⌊p/100·n⌋, counted from 1 and at
+// least 1.
+func percentile(sorted []int64, p float64) int64 {
+	return sorted[max(int(p/100*float64(len(sorted)))-1, 0)]
+}
+
+// writeCSV emits the records with a header row and the queueing and
+// in-network split of each packet's latency.
+func writeCSV(w io.Writer, recs []record) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{
+		"id", "type", "src", "dst", "flits", "created", "injected", "delivered",
+		"queueCycles", "netCycles",
+	}); err != nil {
+		return err
+	}
+	for _, r := range recs {
+		err := cw.Write([]string{
+			strconv.FormatInt(r.ID, 10), r.Type,
+			strconv.Itoa(r.Src), strconv.Itoa(r.Dst), strconv.Itoa(r.Flits),
+			strconv.FormatInt(r.CreatedAt, 10),
+			strconv.FormatInt(r.InjectedAt, 10),
+			strconv.FormatInt(r.DeliveredAt, 10),
+			strconv.FormatInt(r.InjectedAt-r.CreatedAt, 10),
+			strconv.FormatInt(r.DeliveredAt-r.InjectedAt, 10),
+		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		defer f.Close()
-		if err := rec.WriteCSV(f); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("wrote", *csvOut)
 	}
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		if err := rec.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("wrote", *jsonOut)
+	cw.Flush()
+	return cw.Error()
+}
+
+// writeFile creates path, fills it with write and reports it on stdout. An
+// empty path (the output was not requested) writes nothing.
+func writeFile(stdout io.Writer, path string, write func(io.Writer) error) error {
+	if path == "" {
+		return nil
 	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintln(stdout, "wrote", path)
+	return nil
 }
 
 // getArtifact fetches one of a job's artifact endpoints and returns the
@@ -290,19 +350,19 @@ func getArtifact(server, jobID, endpoint string) ([]byte, error) {
 
 // fetchArtifact downloads a job artifact and writes it to out (stdout when
 // empty). The output file is only created after a successful fetch.
-func fetchArtifact(server, jobID, endpoint, out string) error {
+func fetchArtifact(stdout io.Writer, server, jobID, endpoint, out string) error {
 	body, err := getArtifact(server, jobID, endpoint)
 	if err != nil {
 		return err
 	}
 	if out == "" {
-		_, err := os.Stdout.Write(body)
+		_, err := stdout.Write(body)
 		return err
 	}
 	if err := os.WriteFile(out, body, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d bytes)\n", out, len(body))
+	fmt.Fprintf(stdout, "wrote %s (%d bytes)\n", out, len(body))
 	return nil
 }
 
@@ -310,7 +370,7 @@ func fetchArtifact(server, jobID, endpoint, out string) error {
 // (GET /v1/jobs/{id}/telemetry) and writes the raw JSON to jsonOut (stdout
 // when no CSV was requested either) and/or a flattened per-window CSV to
 // csvOut. Like fetchArtifact, nothing is written on a failed fetch.
-func fetchTelemetry(server, jobID, jsonOut, csvOut string) error {
+func fetchTelemetry(stdout io.Writer, server, jobID, jsonOut, csvOut string) error {
 	body, err := getArtifact(server, jobID, "telemetry")
 	if err != nil {
 		return err
@@ -327,44 +387,11 @@ func fetchTelemetry(server, jobID, jsonOut, csvOut string) error {
 		if err := os.WriteFile(jsonOut, body, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (%d bytes)\n", jsonOut, len(body))
+		fmt.Fprintf(stdout, "wrote %s (%d bytes)\n", jsonOut, len(body))
 	} else if csvOut == "" {
-		if _, err := os.Stdout.Write(body); err != nil {
+		if _, err := stdout.Write(body); err != nil {
 			return err
 		}
 	}
-	if csvOut != "" {
-		f, err := os.Create(csvOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := telemetry.WriteCSV(f, sums); err != nil {
-			return err
-		}
-		fmt.Println("wrote", csvOut)
-	}
-	return nil
-}
-
-// meanLatency is the delivery-weighted mean over all probes.
-func meanLatency(probes []*noc.Probe) float64 {
-	var sum, count float64
-	for _, p := range probes {
-		n := float64(p.LatencyCount())
-		sum += p.MeanLatency() * n
-		count += n
-	}
-	if count == 0 {
-		return 0
-	}
-	return sum / count
-}
-
-func totalLatencyCount(probes []*noc.Probe) int64 {
-	var n int64
-	for _, p := range probes {
-		n += p.LatencyCount()
-	}
-	return n
+	return writeFile(stdout, csvOut, func(w io.Writer) error { return telemetry.WriteCSV(w, sums) })
 }

@@ -144,8 +144,8 @@ func DesignForMesh(w, h, numCBs int) (*core.Design, error) {
 	return DesignForMeshContext(context.Background(), w, h, numCBs)
 }
 
-// DesignForMeshContext is DesignForMesh with the design-flow steps reported
-// as phase spans into the context's obs.Recorder (if any).
+// DesignForMeshContext is DesignForMesh with the design-flow steps recorded
+// as children of the context's span (if any).
 func DesignForMeshContext(ctx context.Context, w, h, numCBs int) (*core.Design, error) {
 	cfg := core.DefaultDesignConfig()
 	cfg.Width, cfg.Height, cfg.NumCBs = w, h, numCBs

@@ -74,9 +74,9 @@ type Evaluation struct {
 	Results map[sim.SchemeKind]map[string]sim.Result
 	// Errors collects failed runs (timeouts) without aborting the sweep.
 	Errors []error
-	// Phases aggregates the sweep's pipeline phase timings (placement, MCTS
-	// search, simulation). Under parallelism the summed durations can exceed
-	// wall-clock time.
+	// Phases aggregates the sweep's placement, MCTS search and simulation
+	// spans. Under parallelism the summed durations can exceed wall-clock
+	// time.
 	Phases []obs.Phase
 	// Flights holds the flight-recorder captures of traced runs (at most one
 	// per sweep today). A capture is kept even when its run failed — a
@@ -87,6 +87,10 @@ type Evaluation struct {
 	// a timeout's window series is its best diagnostic).
 	Telemetry []telemetry.RunSummary
 }
+
+// localTracer mints the trace a sweep records its phases in when its
+// context carries no span.
+var localTracer = trace.NewTracer("local")
 
 // RunEvaluation executes the sweep, parallelizing independent simulations.
 func RunEvaluation(cfg EvalConfig) (*Evaluation, error) {
@@ -104,13 +108,15 @@ func RunEvaluationContext(ctx context.Context, cfg EvalConfig) (*Evaluation, err
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Phase spans from the design flow and every simulation accumulate in a
-	// recorder; reuse the caller's if one is already on the context.
-	rec := obs.RecorderFrom(ctx)
-	if rec == nil {
-		rec = obs.NewRecorder()
-		ctx = obs.WithRecorder(ctx, rec)
+	// Every span of the sweep hangs under one root: a child of the caller's
+	// span, or the root of a local trace. Phases aggregate that subtree, so
+	// spans the caller's trace holds already never count.
+	root := trace.StartChild(ctx, "evaluation")
+	if root == nil {
+		root = localTracer.New().Start("", "evaluation")
 	}
+	defer root.End()
+	ctx = trace.WithSpan(ctx, root)
 	schemes := cfg.Schemes
 	benches := cfg.Benchmarks
 	design := cfg.Design
@@ -223,7 +229,7 @@ dispatch:
 	}
 	wg.Wait()
 	sort.Slice(ev.Errors, func(i, k int) bool { return ev.Errors[i].Error() < ev.Errors[k].Error() })
-	ev.Phases = rec.Phases()
+	ev.Phases = obs.PhasesUnder(root.Trace().Records(), root.ID(), "placement", "mcts", "sim")
 	if err := ctx.Err(); err != nil {
 		return ev, err
 	}

@@ -7,7 +7,10 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
+	"equinox/internal/obs"
+	"equinox/internal/obs/trace"
 	"equinox/internal/sim"
 )
 
@@ -162,32 +165,32 @@ func TestRunBenchmarkCancellation(t *testing.T) {
 
 // TestEvaluationPhases: the sweep reports aggregated phase spans — one sim
 // span per completed run, plus the design-flow phases when an EquiNox design
-// is built — and they survive JSON export.
+// is built — and they survive JSON export. Run under a caller's span whose
+// trace already holds unrelated sim spans, the sweep counts only its own.
 func TestEvaluationPhases(t *testing.T) {
-	ev, err := RunEvaluation(EvalConfig{
+	cfg := EvalConfig{
 		Width: 8, Height: 8, NumCBs: 8,
 		Schemes:           []sim.SchemeKind{sim.SingleBase, sim.EquiNox},
 		Benchmarks:        []string{"kmeans", "hotspot"},
 		InstructionsPerPE: 100,
-	})
+	}
+	ev, err := RunEvaluation(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]int64{}
-	for _, p := range ev.Phases {
-		if p.NS < 0 || p.Count <= 0 {
-			t.Errorf("phase %+v has non-positive totals", p)
-		}
-		byName[p.Name] = p.Count
+	checkPhases(t, ev.Phases, nil)
+
+	tr := trace.NewTracer("test").New()
+	job := tr.Start("", "job")
+	tr.Start("", "sim").End()
+	tr.Start(job.ID(), "sim").End()
+	tr.Observe(job.ID(), "mcts", time.Now(), time.Millisecond)
+	unrelated := len(tr.Records())
+	traced, err := RunEvaluationContext(trace.WithSpan(context.Background(), job), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := byName["sim"]; got != 4 {
-		t.Errorf("sim phase count = %d, want 4 (2 schemes x 2 benchmarks): %+v", got, ev.Phases)
-	}
-	for _, name := range []string{"placement", "mcts"} {
-		if byName[name] != 1 {
-			t.Errorf("%s phase count = %d, want 1 (one design build): %+v", name, byName[name], ev.Phases)
-		}
-	}
+	checkPhases(t, traced.Phases, tr.Records()[unrelated:])
 
 	var buf bytes.Buffer
 	if err := ev.WriteJSON(&buf); err != nil {
@@ -199,5 +202,41 @@ func TestEvaluationPhases(t *testing.T) {
 	}
 	if len(exported.Phases) != len(ev.Phases) {
 		t.Errorf("exported %d phases, want %d", len(exported.Phases), len(ev.Phases))
+	}
+}
+
+// checkPhases asserts the 2×2 sweep's phases: placement, mcts and sim in
+// first-seen order with one span per design step and per run, consistent
+// totals and, when the sweep's own span records are given, NS equal to the
+// summed durations of its spans of that name.
+func checkPhases(t *testing.T, phases []obs.Phase, sweep []trace.SpanRecord) {
+	t.Helper()
+	want := []struct {
+		name  string
+		count int64
+	}{{"placement", 1}, {"mcts", 1}, {"sim", 4}}
+	if len(phases) != len(want) {
+		t.Fatalf("phases = %+v, want placement, mcts, sim", phases)
+	}
+	for i, w := range want {
+		p := phases[i]
+		if p.Name != w.name || p.Count != w.count {
+			t.Errorf("phase %d = %+v, want %s with count %d", i, p, w.name, w.count)
+		}
+		if p.MinNS < 0 || p.MinNS > p.MaxNS || p.NS < p.MaxNS || p.MS != float64(p.NS)/1e6 {
+			t.Errorf("phase %+v has inconsistent totals", p)
+		}
+	}
+	if sweep == nil {
+		return
+	}
+	sums := map[string]int64{}
+	for _, r := range sweep {
+		sums[r.Name] += r.DurNS
+	}
+	for _, p := range phases {
+		if p.NS != sums[p.Name] {
+			t.Errorf("%s NS = %d, want %d (the sum of its spans' durations)", p.Name, p.NS, sums[p.Name])
+		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"equinox/internal/geom"
 	"equinox/internal/interposer"
 	"equinox/internal/mcts"
-	"equinox/internal/obs"
 	"equinox/internal/obs/trace"
 	"equinox/internal/placement"
 )
@@ -95,7 +94,7 @@ func BuildDesign(cfg DesignConfig) (*Design, error) {
 }
 
 // BuildDesignContext is BuildDesign with the placement and EIR-search steps
-// reported as phase spans into the context's obs.Recorder (if any).
+// recorded as "placement" and "mcts" children of the context's span (if any).
 func BuildDesignContext(ctx context.Context, cfg DesignConfig) (*Design, error) {
 	if cfg.Width <= 0 || cfg.Height <= 0 || cfg.NumCBs <= 0 {
 		return nil, fmt.Errorf("core: invalid design config %+v", cfg)
@@ -114,10 +113,8 @@ func BuildDesignContext(ctx context.Context, cfg DesignConfig) (*Design, error) 
 	if cfg.NumCBs > side {
 		kind = placement.KnightMove
 	}
-	plSpan := obs.Span(ctx, "placement")
-	plTrace := trace.StartChild(ctx, "placement")
+	plSpan := trace.StartChild(ctx, "placement")
 	pl, err := placement.New(kind, cfg.Width, cfg.Height, cfg.NumCBs)
-	plTrace.End()
 	plSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: placement: %w", err)
@@ -141,8 +138,7 @@ func BuildDesignContext(ctx context.Context, cfg DesignConfig) (*Design, error) 
 	if (prob.Weights == mcts.EvalWeights{}) {
 		prob.Weights = mcts.DefaultWeights()
 	}
-	searchSpan := obs.Span(ctx, "mcts")
-	searchTrace := trace.StartChild(ctx, "mcts")
+	searchSpan := trace.StartChild(ctx, "mcts")
 	var res mcts.Result
 	switch cfg.Search {
 	case SearchGreedyTwoHop:
@@ -156,7 +152,6 @@ func BuildDesignContext(ctx context.Context, cfg DesignConfig) (*Design, error) 
 	default:
 		res, err = mcts.Search(prob, cfg.MCTS)
 	}
-	searchTrace.End()
 	searchSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: EIR search: %w", err)

@@ -1,12 +1,11 @@
 // Package flight is the cycle-accurate flight recorder: a low-overhead,
 // ring-buffered tracer of per-packet lifecycle events recorded from inside
-// the simulator's hot loop. Where internal/trace captures one record per
-// delivered packet (created/injected/delivered) and internal/obs aggregates
-// counters, flight keeps the event-level story — which injection buffer a
-// packet was steered to, where and why its injection stalled, every VC
-// allocation, switch grant, and link traversal — so a run can be opened in
-// Perfetto/chrome://tracing and the paper's injection bottleneck watched as
-// it forms.
+// the simulator's hot loop. Where internal/obs aggregates counters and
+// internal/telemetry keeps per-window summaries, flight keeps the
+// event-level story — which injection buffer a packet was steered to, where
+// and why its injection stalled, every VC allocation, switch grant, and
+// link traversal — so a run can be opened in Perfetto/chrome://tracing and
+// the paper's injection bottleneck watched as it forms.
 //
 // The package is dependency-free by design: events carry plain integers, so
 // internal/noc can import it and record from the hot path without an import

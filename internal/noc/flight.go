@@ -18,9 +18,6 @@ func (n *Network) AttachFlight(opts flight.Options) *flight.Recorder {
 	return rec
 }
 
-// FlightRecorder returns the attached flight recorder, or nil.
-func (n *Network) FlightRecorder() *flight.Recorder { return n.flight }
-
 // InFlight returns the number of packets between TryInject and
 // PopDeliveredClass (the O(1) counter behind Quiescent).
 func (n *Network) InFlight() int64 { return n.inflight }

@@ -82,7 +82,8 @@ type Network struct {
 	flight *flight.Recorder
 
 	// onDelivered and onCycle are the append-only hook lists (OnDelivered,
-	// OnCycle); the probe and the telemetry sampler are entries on both.
+	// OnCycle). The probe samples on onCycle; the telemetry sampler is an
+	// entry on both.
 	onDelivered []func(*Packet)
 	onCycle     []cycleHook
 }

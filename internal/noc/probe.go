@@ -12,17 +12,9 @@ import (
 // non-local direction: East, West, South, North).
 const meshLinks = int(geom.NumDirections) - 1
 
-// DefaultLatencyCycleBounds are the packet-latency histogram bucket upper
-// bounds, in cycles. Powers of two from one router traversal up to a badly
-// congested crossing; anything slower lands in the implicit +Inf bucket.
-func DefaultLatencyCycleBounds() []int64 {
-	return []int64{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
-}
-
-// Probe samples a network's buffer and link state on an OnCycle stride and
-// accumulates a packet-latency histogram from the delivery path. All state
-// is preallocated at attach time and updated in place, so an attached probe
-// adds zero steady-state allocations to Network.Step (pinned by
+// Probe samples a network's buffer and link state on an OnCycle stride. All
+// state is preallocated at attach time and updated in place, so an attached
+// probe adds zero steady-state allocations to Network.Step (pinned by
 // TestStepDoesNotAllocate).
 type Probe struct {
 	w, h    int
@@ -40,32 +32,23 @@ type Probe struct {
 	// Per-directed-link in-flight flit counts, indexed
 	// [router*meshLinks + direction-1] (East, West, South, North).
 	linkSum []int64
-
-	// Packet latency histogram (delivery minus creation, in cycles).
-	latBounds []int64
-	latCounts []int64 // len(latBounds)+1; last bucket is +Inf
-	latCount  int64
-	latSum    int64
 }
 
-// AttachProbe builds a probe sized for this network, registers its latency
-// histogram as a delivery hook, and starts sampling every `every` cycles.
+// AttachProbe builds a probe sized for this network and starts sampling
+// every `every` cycles.
 func (n *Network) AttachProbe(every int64) *Probe {
 	if every < 1 {
 		every = 1
 	}
 	p := &Probe{
-		w:         n.Cfg.Width,
-		h:         n.Cfg.Height,
-		occSum:    make([]int64, len(n.Routers)),
-		occMax:    make([]int64, len(n.Routers)),
-		scratch:   make([]int64, len(n.Routers)),
-		linkSum:   make([]int64, len(n.Routers)*meshLinks),
-		latBounds: DefaultLatencyCycleBounds(),
+		w:       n.Cfg.Width,
+		h:       n.Cfg.Height,
+		occSum:  make([]int64, len(n.Routers)),
+		occMax:  make([]int64, len(n.Routers)),
+		scratch: make([]int64, len(n.Routers)),
+		linkSum: make([]int64, len(n.Routers)*meshLinks),
 	}
-	p.latCounts = make([]int64, len(p.latBounds)+1)
 	n.OnCycle(every, func(int64) { p.sample(n) })
-	n.OnDelivered(func(pkt *Packet) { p.observeLatency(pkt.DeliveredAt - pkt.CreatedAt) })
 	return p
 }
 
@@ -94,18 +77,6 @@ func (p *Probe) sample(n *Network) {
 			p.occMax[i] = occ
 		}
 	}
-}
-
-// observeLatency feeds one delivered packet's end-to-end cycle latency into
-// the fixed-bucket histogram. Linear scan over ~10 bounds; no allocation.
-func (p *Probe) observeLatency(cycles int64) {
-	i := 0
-	for i < len(p.latBounds) && cycles > p.latBounds[i] {
-		i++
-	}
-	p.latCounts[i]++
-	p.latCount++
-	p.latSum += cycles
 }
 
 // Samples returns how many sampling cycles have elapsed.
@@ -143,27 +114,6 @@ func (p *Probe) MeanLinkLoad() []float64 {
 		out[i] = float64(s) / float64(p.samples)
 	}
 	return out
-}
-
-// LatencyHistogram returns the bucket upper bounds (cycles) and counts; the
-// final count is the +Inf overflow bucket.
-func (p *Probe) LatencyHistogram() (bounds []int64, counts []int64) {
-	bounds = make([]int64, len(p.latBounds))
-	copy(bounds, p.latBounds)
-	counts = make([]int64, len(p.latCounts))
-	copy(counts, p.latCounts)
-	return bounds, counts
-}
-
-// LatencyCount returns the number of packets observed by the histogram.
-func (p *Probe) LatencyCount() int64 { return p.latCount }
-
-// MeanLatency returns the mean end-to-end packet latency in cycles.
-func (p *Probe) MeanLatency() float64 {
-	if p.latCount == 0 {
-		return 0
-	}
-	return float64(p.latSum) / float64(p.latCount)
 }
 
 // WriteCSV emits one row per router: id, x, y, mean and max input-buffer

@@ -3,8 +3,11 @@ package noc
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"equinox/internal/telemetry"
 )
 
 // runProbed drives a small network under sustained crossing traffic with a
@@ -27,7 +30,7 @@ func runProbed(t *testing.T, every int64, cycles int) (*Network, *Probe) {
 	return n, p
 }
 
-func TestProbeSamplingAndLatency(t *testing.T) {
+func TestProbeSampling(t *testing.T) {
 	n, p := runProbed(t, 4, 400)
 
 	if want := int64(100); p.Samples() != want {
@@ -63,47 +66,57 @@ func TestProbeSamplingAndLatency(t *testing.T) {
 	if linkTotal == 0 {
 		t.Error("no link load recorded under sustained traffic")
 	}
-
-	// Latency histogram: fed from a delivery hook, so counts must equal
-	// deliveries and the bucket counts must sum to the total.
-	if got, want := p.LatencyCount(), n.Stats.TotalDelivered(); got != want {
-		t.Errorf("LatencyCount = %d, want delivered %d", got, want)
-	}
-	bounds, counts := p.LatencyHistogram()
-	if len(counts) != len(bounds)+1 {
-		t.Fatalf("histogram has %d counts for %d bounds", len(counts), len(bounds))
-	}
-	var sum int64
-	for _, c := range counts {
-		sum += c
-	}
-	if sum != p.LatencyCount() {
-		t.Errorf("bucket counts sum to %d, want %d", sum, p.LatencyCount())
-	}
-	if p.MeanLatency() <= 0 {
-		t.Errorf("MeanLatency = %v, want > 0", p.MeanLatency())
-	}
 }
 
-func TestProbeChainsOnDeliver(t *testing.T) {
-	cfg := DefaultConfig("chain", 4, 4)
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prevCalls int
-	n.OnDelivered(func(*Packet) { prevCalls++ })
-	p := n.AttachProbe(8)
-
-	h := newAllocHarness(t, n, ReadReply, [][2]int{{0, 15}, {15, 0}}, 2)
-	for i := 0; i < 200; i++ {
-		h.tick()
-	}
-	if prevCalls == 0 {
-		t.Error("previously registered delivery hook was not called")
-	}
-	if int64(prevCalls) != p.LatencyCount() {
-		t.Errorf("earlier hook saw %d packets, probe saw %d", prevCalls, p.LatencyCount())
+// TestDeliveryHooksIndependentOfAttachOrder attaches a telemetry series and
+// a plain delivery hook to one network in both orders: each must see every
+// delivery either way (a later hook must never replace an earlier one).
+func TestDeliveryHooksIndependentOfAttachOrder(t *testing.T) {
+	const pkts, window = 60, 64
+	for _, hookLast := range []bool{true, false} {
+		n, err := New(DefaultConfig("t", 4, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hooked int
+		hook := func(*Packet) { hooked++ }
+		var series *telemetry.Series
+		topts := telemetry.Options{SampleEvery: 16, WindowCycles: window}
+		if hookLast {
+			series = n.AttachTelemetry(topts)
+			n.OnDelivered(hook)
+		} else {
+			n.OnDelivered(hook)
+			series = n.AttachTelemetry(topts)
+		}
+		rng := rand.New(rand.NewSource(1))
+		sent := 0
+		// Run to quiescence, then on to the next window flush so the
+		// series' last deliveries are counted.
+		for cyc := 0; sent < pkts || !n.Quiescent() || n.Now()%window != 1; cyc++ {
+			if cyc > 5000 {
+				t.Fatal("network did not drain")
+			}
+			if sent < pkts {
+				p := &Packet{ID: int64(sent), Type: ReadReply, Src: rng.Intn(16), Dst: rng.Intn(16)}
+				if n.TryInject(p, n.Now()) {
+					sent++
+				}
+			}
+			for node := 0; node < 16; node++ {
+				for n.PopDelivered(node) != nil {
+				}
+			}
+			n.Step()
+		}
+		var windowed int64
+		for _, w := range series.Windows() {
+			windowed += w.LatCount
+		}
+		if hooked != pkts || windowed != pkts {
+			t.Errorf("hook attached last=%v: hook saw %d, telemetry %d of %d deliveries",
+				hookLast, hooked, windowed, pkts)
+		}
 	}
 }
 

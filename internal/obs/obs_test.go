@@ -2,12 +2,11 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"equinox/internal/obs/trace"
 )
@@ -188,67 +187,31 @@ func TestRegistryPanics(t *testing.T) {
 	})
 }
 
-func TestSpanRecorder(t *testing.T) {
-	rec := NewRecorder()
-	ctx := WithRecorder(context.Background(), rec)
-
-	sp := Span(ctx, "mcts")
-	time.Sleep(time.Millisecond)
-	if d := sp.End(); d <= 0 {
-		t.Errorf("span duration = %v, want > 0", d)
+// TestPhasesUnder aggregates only the root's descendants, by name, in
+// first-seen order — spans outside the subtree, including a parent cycle
+// in imported records, never count.
+func TestPhasesUnder(t *testing.T) {
+	recs := []trace.SpanRecord{
+		{SpanID: "m", ParentID: "d", Name: "mcts", DurNS: 5},
+		{SpanID: "d", ParentID: "root", Name: "design", DurNS: 9},
+		{SpanID: "s1", ParentID: "run1", Name: "sim", DurNS: 30},
+		{SpanID: "stray", ParentID: "other", Name: "sim", DurNS: 1000},
+		{SpanID: "c1", ParentID: "c2", Name: "sim", DurNS: 1000},
+		{SpanID: "c2", ParentID: "c1", Name: "sim", DurNS: 1000},
+		{SpanID: "run1", ParentID: "root", Name: "run a"},
+		{SpanID: "s2", ParentID: "root", Name: "sim", DurNS: 10},
+		{SpanID: "root", Name: "sim", DurNS: 1000}, // the root itself is no descendant
 	}
-	Span(ctx, "sim").End()
-	Span(ctx, "sim").End()
-
-	phases := rec.Phases()
-	if len(phases) != 2 {
-		t.Fatalf("got %d phases, want 2: %+v", len(phases), phases)
+	got := PhasesUnder(recs, "root", "placement", "mcts", "sim")
+	want := []Phase{
+		{Name: "mcts", Count: 1, NS: 5, MS: 5e-6, MinNS: 5, MaxNS: 5},
+		{Name: "sim", Count: 2, NS: 40, MS: 40e-6, MinNS: 10, MaxNS: 30},
 	}
-	if phases[0].Name != "mcts" || phases[0].Count != 1 {
-		t.Errorf("phase[0] = %+v, want mcts count 1", phases[0])
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("PhasesUnder = %+v\nwant %+v", got, want)
 	}
-	if phases[1].Name != "sim" || phases[1].Count != 2 {
-		t.Errorf("phase[1] = %+v, want sim count 2", phases[1])
-	}
-	if phases[0].NS < int64(time.Millisecond) {
-		t.Errorf("mcts NS = %d, want >= 1ms", phases[0].NS)
-	}
-	if phases[0].MS != float64(phases[0].NS)/1e6 {
-		t.Errorf("MS %v inconsistent with NS %v", phases[0].MS, phases[0].NS)
-	}
-
-	// Without a recorder: still returns a duration, records nowhere.
-	if d := Span(context.Background(), "x").End(); d < 0 {
-		t.Errorf("recorder-less span duration = %v", d)
-	}
-	// Nil safety.
-	var nilSpan *ActiveSpan
-	nilSpan.End()
-	var nilRec *Recorder
-	nilRec.Record("x", time.Second)
-	if p := nilRec.Phases(); p != nil {
-		t.Errorf("nil recorder Phases = %v, want nil", p)
-	}
-}
-
-func TestSpanRecorderConcurrent(t *testing.T) {
-	rec := NewRecorder()
-	ctx := WithRecorder(context.Background(), rec)
-	done := make(chan struct{})
-	for i := 0; i < 8; i++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for j := 0; j < 100; j++ {
-				Span(ctx, "worker").End()
-			}
-		}()
-	}
-	for i := 0; i < 8; i++ {
-		<-done
-	}
-	phases := rec.Phases()
-	if len(phases) != 1 || phases[0].Count != 800 {
-		t.Fatalf("phases = %+v, want one phase with count 800", phases)
+	if got := PhasesUnder(recs, "nowhere", "sim"); got != nil {
+		t.Errorf("PhasesUnder of an absent root = %+v, want nil", got)
 	}
 }
 

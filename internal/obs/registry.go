@@ -1,7 +1,7 @@
 // Package obs is the repository's observability core: a dependency-free
 // metrics registry rendering Prometheus text exposition, slog-based
-// structured-logging helpers, a lightweight span/phase-timing API, and HTTP
-// server middleware. Everything lives on the stdlib so the simulator and
+// structured-logging helpers, phase totals summed from a span subtree, and
+// HTTP server middleware. Everything lives on the stdlib so the simulator and
 // the evaluation service can instrument themselves without pulling in a
 // metrics client.
 package obs

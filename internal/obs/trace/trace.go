@@ -1,10 +1,10 @@
 // Package trace is a dependency-free hierarchical span tracer: spans carry
 // a trace ID, span ID, parent ID, name, start/end times, and key/value
 // attributes, and traces stitch across processes over the W3C traceparent
-// header. It complements package obs's flat phase Recorder — the recorder
-// aggregates durations by name, a trace keeps the parent/child structure
-// and per-instance timings, so "where did job X's 40 seconds go?" has an
-// answer across coordinator and workers.
+// header. A trace keeps the parent/child structure and per-instance
+// timings, so "where did job X's 40 seconds go?" has an answer across
+// coordinator and workers; package obs sums a subtree's spans by name into
+// the evaluation's phase totals.
 //
 // The package lives below obs (stdlib-only, no obs import) so the obs HTTP
 // middleware can open root spans without an import cycle.
@@ -21,7 +21,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,15 +87,6 @@ func NewTracer(node string) *Tracer {
 		tracePrefix: binary.BigEndian.Uint64(b[:8]),
 		spanPrefix:  binary.BigEndian.Uint32(b[8:12]),
 	}
-}
-
-// SetMaxSpans overrides the per-trace span cap for traces minted after the
-// call (n <= 0 restores the default).
-func (t *Tracer) SetMaxSpans(n int) {
-	if n <= 0 {
-		n = DefaultMaxSpans
-	}
-	t.maxSpans = n
 }
 
 // Node returns the tracer's node name.
@@ -346,7 +336,12 @@ func (sp *Span) TraceParent() string {
 	if sp == nil || sp.tr == nil {
 		return ""
 	}
-	return fmt.Sprintf("00-%s-%s-01", sp.tr.id, sp.id)
+	return formatTraceParent(sp.tr.id, sp.id)
+}
+
+// formatTraceParent renders a version-00, sampled traceparent value.
+func formatTraceParent(traceID, spanID string) string {
+	return "00-" + traceID + "-" + spanID + "-01"
 }
 
 // TraceParentHeader is the W3C propagation header name.

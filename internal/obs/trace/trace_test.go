@@ -106,9 +106,33 @@ func TestParseTraceParentRejectsMalformed(t *testing.T) {
 	}
 }
 
+// FuzzParseTraceParent feeds the traceparent decoder arbitrary header
+// values: it must never panic, and whatever it accepts must survive the
+// render-and-parse round trip unchanged.
+func FuzzParseTraceParent(f *testing.F) {
+	f.Add("00-0123456789abcdef0123456789abcdef-0123456789abcdef-01")
+	f.Add("00-0123456789abcdef0123456789abcdef-0123456789abcdef-00")
+	f.Add("00-00000000000000000000000000000000-0123456789abcdef-01")
+	f.Add("01-0123456789abcdef0123456789abcdef-0123456789abcdef-01")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, v string) {
+		tid, sid, ok := ParseTraceParent(v)
+		if !ok {
+			return
+		}
+		r := formatTraceParent(tid, sid)
+		if r[:53] != v[:53] {
+			t.Fatalf("%q rendered as %q", v, r)
+		}
+		if tid2, sid2, ok := ParseTraceParent(r); !ok || tid2 != tid || sid2 != sid {
+			t.Fatalf("%q: render %q parsed as (%q, %q, %v), want (%q, %q)", v, r, tid2, sid2, ok, tid, sid)
+		}
+	})
+}
+
 func TestSpanCapCountsDrops(t *testing.T) {
 	tc := NewTracer("n")
-	tc.SetMaxSpans(2)
+	tc.maxSpans = 2
 	tr := tc.New()
 	a := tr.Start("", "a")
 	b := tr.Start(a.ID(), "b")

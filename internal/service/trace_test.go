@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -248,6 +250,11 @@ func TestMetricsExpositionLiveFull(t *testing.T) {
 			t.Errorf("live exposition is missing %s", want)
 		}
 	}
+	for _, want := range readmeMetrics(t) {
+		if !strings.Contains(doc, "# TYPE "+want+" ") {
+			t.Errorf("README's metrics table lists %s, but the live exposition has no such family", want)
+		}
+	}
 	m := getMetrics(t, ts)
 	if m["equinox_trace_spans_total"] < 10 {
 		t.Errorf("trace spans total = %d, want a stitched trace's worth", m["equinox_trace_spans_total"])
@@ -255,4 +262,28 @@ func TestMetricsExpositionLiveFull(t *testing.T) {
 	if m["equinox_trace_dropped_spans_total"] != 0 {
 		t.Errorf("dropped spans = %d, want 0", m["equinox_trace_dropped_spans_total"])
 	}
+}
+
+// readmeMetrics returns every full metric name in the first column of
+// README's metrics table, label lists stripped.
+func readmeMetrics(t *testing.T) []string {
+	t.Helper()
+	raw, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := regexp.MustCompile("`(equinox_[a-z_]+)")
+	var names []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		if !strings.HasPrefix(line, "| `equinox_") {
+			continue
+		}
+		for _, m := range name.FindAllStringSubmatch(strings.Split(line, "|")[1], -1) {
+			names = append(names, m[1])
+		}
+	}
+	if len(names) < 10 {
+		t.Fatalf("found only %d metric names in README's table: %v", len(names), names)
+	}
+	return names
 }

@@ -2,7 +2,7 @@ package sim
 
 import "equinox/internal/noc"
 
-// AttachProbes attaches an occupancy/latency probe sampling every `every`
+// AttachProbes attaches an occupancy and link-load probe sampling every `every`
 // cycles to each of the system's networks (Networks order). Call before the
 // first Step.
 func (s *System) AttachProbes(every int64) []*noc.Probe {

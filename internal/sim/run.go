@@ -9,7 +9,6 @@ import (
 	"equinox/internal/geom"
 	"equinox/internal/gpu"
 	"equinox/internal/noc"
-	"equinox/internal/obs"
 	"equinox/internal/obs/trace"
 	"equinox/internal/power"
 	"equinox/internal/workloads"
@@ -411,12 +410,10 @@ func (s *System) RunToCompletion() (Result, error) {
 }
 
 // RunToCompletionContext drives Step until the system finishes, hits
-// MaxCycles, or ctx is cancelled. The whole run is reported as one "sim"
-// phase span into the context's obs.Recorder (if any) and, when the context
-// carries a distributed-trace span, as a "sim" child span segmented into
-// warmup (to first delivery), measure (to PE retirement), and drain.
+// MaxCycles, or ctx is cancelled. When the context carries a span, the run
+// is recorded as its "sim" child, segmented into warmup (to first
+// delivery), measure (to PE retirement), and drain.
 func (s *System) RunToCompletionContext(ctx context.Context) (Result, error) {
-	defer obs.Span(ctx, "sim").End()
 	sp := trace.StartChild(ctx, "sim")
 	start := time.Now()
 	var warmupEnd, measureEnd time.Time

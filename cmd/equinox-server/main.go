@@ -16,6 +16,11 @@
 //	curl -s -X DELETE localhost:8080/v1/jobs/<id>
 //	curl -s localhost:8080/v1/metrics
 //
+// Responses are compact JSON. A finished job's "result" member is the
+// stored evaluation document verbatim (compacted once, when the job
+// completed), so read it with `curl -s localhost:8080/v1/jobs/<id> | jq
+// .result`.
+//
 // With -store-dir, completed results persist on disk and survive restarts;
 // coordinators sharing a directory share results. With -journal-dir,
 // accepted jobs survive a crash too: the next boot replays the journal,

@@ -57,6 +57,27 @@ func CanonicalResult(raw []byte) ([]byte, error) {
 	return marshalEval(&doc)
 }
 
+// checkResult vets a worker's unit document before it can reach the store
+// or the assembler: it must decode as an evaluation document carrying at
+// least one run or error (an empty body, null, an array or a bare value
+// would fail or silently drop the unit in every job that shares it). The
+// document comes back compacted, the form every stored result takes.
+func checkResult(raw []byte) ([]byte, error) {
+	var doc equinox.ExportedEvaluation
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadResult, err)
+	}
+	if len(doc.Runs) == 0 && len(doc.Errors) == 0 {
+		return nil, fmt.Errorf("%w: it carries no runs and no errors", ErrBadResult)
+	}
+	var buf bytes.Buffer
+	buf.Grow(len(raw))
+	if err := json.Compact(&buf, raw); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadResult, err)
+	}
+	return buf.Bytes(), nil
+}
+
 // extractTelemetry pulls the raw "telemetry" block out of an evaluation
 // document, or nil when absent. Workers use it to ship the block in
 // CompleteRequest; the coordinator uses it on cache hits.

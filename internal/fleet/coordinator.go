@@ -106,6 +106,10 @@ func (c Config) withDefaults() Config {
 var (
 	ErrUnknownLease = errors.New("fleet: unknown or expired lease")
 	ErrJobExists    = errors.New("fleet: job already submitted")
+	// ErrBadResult rejects a completion whose result is not an evaluation
+	// document carrying at least one run or error. Nothing is stored and
+	// the lease stays, so the unit expires into the normal retry.
+	ErrBadResult = errors.New("fleet: result is not an evaluation document")
 )
 
 // unit lifecycle states.
@@ -499,17 +503,30 @@ func (c *Coordinator) Lease(worker string) (LeaseResponse, bool) {
 
 // Complete records a unit's outcome. An unknown lease (expired and
 // re-granted, or from a cancelled job) returns ErrUnknownLease; the
-// worker discards the unit. spans, when present, are the worker's
+// worker discards the unit. A success whose result fails checkResult
+// returns ErrBadResult and changes nothing. The stored and assembled
+// result is the compacted document. spans, when present, are the worker's
 // finished spans for the unit, stitched into the job's trace. telemetry,
 // when present, is the unit's windowed telemetry summary block, delivered
 // as a "telemetry" event just before the completed event.
 func (c *Coordinator) Complete(leaseID string, result []byte, errMsg string, spans []trace.SpanRecord, telemetry []byte) error {
+	var bad error
+	if errMsg == "" {
+		result, bad = checkResult(result)
+	}
 	now := c.cfg.Now()
 	c.mu.Lock()
 	l, ok := c.leases[leaseID]
 	if !ok {
 		c.mu.Unlock()
 		return ErrUnknownLease
+	}
+	if bad != nil {
+		c.mu.Unlock()
+		c.log.Warn("unit result rejected",
+			"jobId", l.unit.JobID, "unitKey", l.unit.Key, "leaseId", leaseID,
+			"worker", l.worker, "error", bad.Error())
+		return bad
 	}
 	c.dropLeaseLocked(l)
 	u := l.unit

@@ -24,7 +24,7 @@ func RegisterHandlers(mux *http.ServeMux, c *Coordinator, log *slog.Logger) {
 			return
 		}
 		if req.Worker == "" {
-			protocolError(w, http.StatusBadRequest, "worker name is required")
+			obs.WriteError(w, http.StatusBadRequest, "worker name is required")
 			return
 		}
 		resp, ok := c.Lease(req.Worker)
@@ -32,7 +32,7 @@ func RegisterHandlers(mux *http.ServeMux, c *Coordinator, log *slog.Logger) {
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
-		respondJSON(w, http.StatusOK, resp, log)
+		obs.WriteJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("POST /v1/fleet/complete", func(w http.ResponseWriter, r *http.Request) {
 		var req CompleteRequest
@@ -40,18 +40,19 @@ func RegisterHandlers(mux *http.ServeMux, c *Coordinator, log *slog.Logger) {
 			return
 		}
 		if req.LeaseID == "" {
-			protocolError(w, http.StatusBadRequest, "leaseId is required")
+			obs.WriteError(w, http.StatusBadRequest, "leaseId is required")
 			return
 		}
-		if err := c.Complete(req.LeaseID, req.Result, req.Error, req.Spans, req.Telemetry); err != nil {
-			if errors.Is(err, ErrUnknownLease) {
-				protocolError(w, http.StatusGone, err.Error())
-				return
-			}
-			protocolError(w, http.StatusInternalServerError, err.Error())
-			return
+		switch err := c.Complete(req.LeaseID, req.Result, req.Error, req.Spans, req.Telemetry); {
+		case err == nil:
+			w.WriteHeader(http.StatusNoContent)
+		case errors.Is(err, ErrUnknownLease):
+			obs.WriteError(w, http.StatusGone, err.Error())
+		case errors.Is(err, ErrBadResult):
+			obs.WriteError(w, http.StatusBadRequest, err.Error())
+		default:
+			obs.WriteError(w, http.StatusInternalServerError, err.Error())
 		}
-		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("POST /v1/fleet/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req HeartbeatRequest
@@ -59,11 +60,11 @@ func RegisterHandlers(mux *http.ServeMux, c *Coordinator, log *slog.Logger) {
 			return
 		}
 		if req.Worker == "" {
-			protocolError(w, http.StatusBadRequest, "worker name is required")
+			obs.WriteError(w, http.StatusBadRequest, "worker name is required")
 			return
 		}
 		canceled := c.Heartbeat(req.Worker, req.LeaseIDs)
-		respondJSON(w, http.StatusOK, HeartbeatResponse{Canceled: canceled}, log)
+		obs.WriteJSON(w, http.StatusOK, HeartbeatResponse{Canceled: canceled})
 	})
 }
 
@@ -77,22 +78,8 @@ func decodeInto(w http.ResponseWriter, r *http.Request, v any, log *slog.Logger)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		log.Warn("fleet: bad protocol request", "path", r.URL.Path, "error", err)
-		protocolError(w, http.StatusBadRequest, "invalid request body: "+err.Error())
+		obs.WriteError(w, http.StatusBadRequest, "invalid request body: "+err.Error())
 		return false
 	}
 	return true
-}
-
-func respondJSON(w http.ResponseWriter, code int, v any, log *slog.Logger) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Warn("fleet: response write failed", "error", err)
-	}
-}
-
-func protocolError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg}) //nolint:errcheck
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -101,6 +102,31 @@ func WithRequestID(ctx context.Context, rid string) context.Context {
 func RequestIDFrom(ctx context.Context) string {
 	rid, _ := ctx.Value(ridKey{}).(string)
 	return rid
+}
+
+// WriteJSON answers with v as compact JSON. v is rendered before the status
+// line goes out, so a value that cannot be marshalled is answered with a
+// 500 and an error body, never with code and an empty body.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": "rendering the response: " + err.Error()}) // a string map always marshals
+	}
+	WriteJSONBody(w, code, append(body, '\n'))
+}
+
+// WriteError answers with {"error": msg}.
+func WriteError(w http.ResponseWriter, code int, msg string) {
+	WriteJSON(w, code, map[string]string{"error": msg})
+}
+
+// WriteJSONBody answers with body, an already rendered JSON document, as
+// it is.
+func WriteJSONBody(w http.ResponseWriter, code int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(body) //nolint:errcheck // the client went away; nothing left to tell it
 }
 
 // Middleware instruments an HTTP handler: per-route request counters and

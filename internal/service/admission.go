@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"equinox/internal/fleet"
+	"equinox/internal/obs"
 )
 
 // Admission control and journal recovery: the two halves of graceful
@@ -56,7 +57,7 @@ func (s *Server) retryAfterSeconds() int {
 func (s *Server) rejectSubmission(w http.ResponseWriter, class fleet.Class, retryAfter int) {
 	s.met.admissionRejected.With(class.String()).Inc()
 	w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-	httpError(w, http.StatusTooManyRequests, "job queue is saturated; retry after the indicated backoff")
+	obs.WriteError(w, http.StatusTooManyRequests, "job queue is saturated; retry after the indicated backoff")
 	s.log.Warn("submission shed", "class", class.String(), "retryAfterSec", retryAfter)
 }
 

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+
+	"equinox/internal/obs"
 )
 
 // artifact describes one per-job artifact endpoint,
@@ -68,21 +70,20 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request, a artifa
 			}
 		}
 		if body == nil {
-			httpError(w, http.StatusNotFound, a.unknown)
+			obs.WriteError(w, http.StatusNotFound, a.unknown)
 			return
 		}
 	case a.flag != nil && !a.flag(j.spec):
-		httpError(w, http.StatusNotFound, fmt.Sprintf("job was not submitted with %s: true", a.suffix))
+		obs.WriteError(w, http.StatusNotFound, fmt.Sprintf("job was not submitted with %s: true", a.suffix))
 		return
 	case !state.Finished():
-		httpError(w, http.StatusConflict, fmt.Sprintf("job is %s; the %s appears when it completes", state, a.noun))
+		obs.WriteError(w, http.StatusConflict, fmt.Sprintf("job is %s; the %s appears when it completes", state, a.noun))
 		return
 	case body == nil:
-		httpError(w, http.StatusNotFound, a.missing)
+		obs.WriteError(w, http.StatusNotFound, a.missing)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
+	obs.WriteJSONBody(w, http.StatusOK, body)
 }
 
 // telemetryArtifact extracts the raw "telemetry" block from an evaluation

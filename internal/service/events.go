@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"equinox/internal/fleet"
+	"equinox/internal/obs"
 )
 
 // sseEvent is one rendered server-sent event.
@@ -118,7 +119,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		// No live record: a job from a previous process whose result
 		// survived in the store still gets a terminal event.
 		if _, hit := s.store.Get(id); !hit {
-			httpError(w, http.StatusNotFound, "no such job")
+			obs.WriteError(w, http.StatusNotFound, "no such job")
 			return
 		}
 		hub = newEventHub()
@@ -128,7 +129,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	fl, canFlush := w.(http.Flusher)
 	if !canFlush {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
+		obs.WriteError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")

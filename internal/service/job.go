@@ -97,8 +97,10 @@ type JobStatus struct {
 	StartedAt   *time.Time `json:"startedAt,omitempty"`
 	FinishedAt  *time.Time `json:"finishedAt,omitempty"`
 
-	// Result is the evaluation JSON (Evaluation.WriteJSON) once the job is
-	// done and its result is still cached.
+	// Result is the evaluation JSON (Evaluation.WriteJSON's document,
+	// compacted) once the job is done and its result is still cached: the
+	// stored bytes as they are. The server splices them in after marshalling
+	// the other fields (writeStatus) and never sets this field itself.
 	Result json.RawMessage `json:"result,omitempty"`
 }
 

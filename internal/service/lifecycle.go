@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"slices"
 	"time"
@@ -119,7 +120,7 @@ func (s *Server) dispatch(j *job, recovered bool) (JobState, error) {
 // endings legitimately differ.
 type outcome struct {
 	err    error  // failed: the job's error, also sent on the terminal frame
-	result []byte // done: the evaluation document, stored under the job's id
+	result []byte // done: the evaluation document, stored compacted under the job's id
 	flight []byte // done: rendered flight-recorder artifact of a Trace-flagged job
 
 	// keepPending skips the terminal journal record. Set only by the
@@ -138,9 +139,22 @@ type outcome struct {
 // only), counter, journal record, span artifact, log line, terminal SSE
 // frame, hub close — exactly once, in that order. It returns false, having
 // changed nothing, when the edge table has no such edge: the job already
-// ended (a DELETE raced with completion, or the other way round).
+// ended (a DELETE raced with completion, or the other way round). A done
+// job's document is compacted before it is stored; one that is not JSON
+// ends the job failed instead.
 func (s *Server) settle(j *job, to JobState, o outcome) bool {
 	now := time.Now()
+	if to == JobDone {
+		// The stored document is what GET /v1/jobs/{id} serves verbatim, so
+		// it is rendered compact here, once, rather than on every request.
+		var buf bytes.Buffer
+		buf.Grow(len(o.result))
+		if err := json.Compact(&buf, o.result); err != nil {
+			to, o.err = JobFailed, fmt.Errorf("service: the evaluation document is not JSON: %w", err)
+		} else {
+			o.result = buf.Bytes()
+		}
+	}
 	var tel []byte
 	if to == JobDone && j.spec.Telemetry {
 		// The document carries every run's telemetry block (units answered

@@ -104,23 +104,28 @@ func TestJobTerminalEdges(t *testing.T) {
 			}},
 		{name: "failed/OnDone", want: JobFailed,
 			// An exhausted unit folds into a done document's error list;
-			// only an assembly failure reaches OnDone(nil, err). Play the
-			// worker and complete every unit with an unparsable document.
+			// only an assembly failure reaches OnDone(nil, err). Complete
+			// refuses unparsable documents, so the one way left is a bad
+			// entry already in the store (an older process wrote it): plant
+			// one under every unit's key and let the cache hits assemble.
 			drive: func(t *testing.T, s *Server, ts *httptest.Server) string {
+				canon, err := shardSpec().Canonicalize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				units, err := unitsFor("", canon)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, u := range units {
+					s.store.Put(u.Key, []byte("not json"))
+				}
 				s.coord.Lease("fake-worker") // registers: the fleet is alive
 				sub, _ := submit(t, ts, shardSpec())
 				if sub.Status != JobRunning {
 					t.Fatalf("sweep was not sharded: %+v", sub)
 				}
-				for {
-					grant, ok := s.coord.Lease("fake-worker")
-					if !ok {
-						return sub.ID
-					}
-					if err := s.coord.Complete(grant.LeaseID, []byte("not json"), "", nil, nil); err != nil {
-						t.Fatal(err)
-					}
-				}
+				return sub.ID
 			}},
 		{name: "cancelled/DELETE-queued", want: JobCancelled, unstarted: true,
 			drive: func(t *testing.T, s *Server, ts *httptest.Server) string {

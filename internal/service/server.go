@@ -398,24 +398,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad job spec: %v", err))
+		obs.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad job spec: %v", err))
 		return
 	}
 	canon, err := spec.Canonicalize()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		obs.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	key, err := keyOf(canon)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		obs.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		httpError(w, http.StatusServiceUnavailable, "server is shutting down")
+		obs.WriteError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
 	j, live := s.jobs[key]
@@ -424,7 +424,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		resp := SubmitResponse{ID: key, Status: j.state, Runs: j.totalRuns}
 		s.mu.Unlock()
 		j.log.Info("job deduped", "state", resp.Status)
-		writeJSON(w, http.StatusOK, resp)
+		obs.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 	// A done job whose result is still stored answers from the cache, and so
@@ -439,7 +439,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		} else {
 			s.log.Info("job cache hit", "jobId", key, "state", JobDone, "cache", "hit")
 		}
-		writeJSON(w, http.StatusOK, SubmitResponse{ID: key, Status: JobDone, Cached: true, Runs: canon.Runs()})
+		obs.WriteJSON(w, http.StatusOK, SubmitResponse{ID: key, Status: JobDone, Cached: true, Runs: canon.Runs()})
 		return
 	}
 	// Admission control guards the local queue; jobs bound for the fleet
@@ -466,7 +466,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.rejectSubmission(w, canon.class(), s.retryAfterSeconds())
 		return
 	}
-	writeJSON(w, http.StatusAccepted, SubmitResponse{ID: key, Status: state, Runs: j.totalRuns})
+	obs.WriteJSON(w, http.StatusAccepted, SubmitResponse{ID: key, Status: state, Runs: j.totalRuns})
 }
 
 // newJobLocked registers a fresh job record; the caller holds s.mu. The
@@ -502,24 +502,44 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		// A previous process's job may survive in the persistent store.
 		if res, hit := s.store.Get(id); hit {
-			writeJSON(w, http.StatusOK, JobStatus{
-				ID:     id,
-				Status: JobDone,
-				Result: json.RawMessage(res),
-			})
+			writeStatus(w, JobStatus{ID: id, Status: JobDone}, res)
 			return
 		}
-		httpError(w, http.StatusNotFound, "no such job (completed results expire from the cache)")
+		obs.WriteError(w, http.StatusNotFound, "no such job (completed results expire from the cache)")
 		return
 	}
 	st := j.status()
+	var res []byte
 	if j.state == JobDone {
-		if res, hit := s.store.Get(id); hit {
-			st.Result = json.RawMessage(res)
-		}
+		res, _ = s.store.Get(id)
 	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, st)
+	writeStatus(w, st, res)
+}
+
+// writeStatus answers GET /v1/jobs/{id}: st marshalled compactly, with the
+// stored result document, when there is one, spliced in as its "result"
+// member byte for byte. settle and fleet.Coordinator.Complete compact a
+// document once before storing it, so serving it is a copy, not a second
+// validation and encoding pass. (A disk-store entry an older version wrote
+// indented is served indented.)
+func writeStatus(w http.ResponseWriter, st JobStatus, result []byte) {
+	head, err := json.Marshal(st) // st.Result is nil: the header alone
+	if err != nil {
+		obs.WriteError(w, http.StatusInternalServerError, "rendering the job status: "+err.Error())
+		return
+	}
+	if len(result) == 0 {
+		obs.WriteJSONBody(w, http.StatusOK, append(head, '\n'))
+		return
+	}
+	const member = `,"result":`
+	body := make([]byte, 0, len(head)+len(member)+len(result)+2)
+	body = append(body, head[:len(head)-1]...) // drop the closing brace
+	body = append(body, member...)
+	body = append(body, result...)
+	body = append(body, "}\n"...)
+	obs.WriteJSONBody(w, http.StatusOK, body)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -528,7 +548,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs[id]
 	s.mu.Unlock()
 	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
+		obs.WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	// Drop a queued job from the queue now, rather than letting a worker
@@ -548,7 +568,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if st.Status != JobCancelled {
 		code = http.StatusConflict // it finished first
 	}
-	writeJSON(w, code, st)
+	obs.WriteJSON(w, code, st)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -569,16 +589,4 @@ func keyOf(canon JobSpec) (string, error) {
 	}
 	sum := sha256.Sum256(raw)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
 }

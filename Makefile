@@ -21,7 +21,7 @@ race:
 
 # Regenerate the paper's evaluation (Figures 9/10/11, Table 1, §6.6).
 eval:
-	$(GO) run ./cmd/equinox-eval
+	$(GO) run ./cmd/equinox eval
 
 # Evaluation-as-a-service: HTTP job server with result caching.
 serve:
@@ -57,11 +57,11 @@ saturation-sweep:
 
 # Figure 4 heat maps and the placement scoring table.
 heatmap:
-	$(GO) run ./cmd/equinox-heatmap
+	$(GO) run ./cmd/equinox heatmap
 
 # The §4 design flow.
 design:
-	$(GO) run ./cmd/equinox-design
+	$(GO) run ./cmd/equinox design
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

@@ -7,9 +7,10 @@ package equinox
 //
 // The full-suite sweeps are expensive; the benchmarks run them once (cached)
 // at a CI-friendly scale and then time the per-figure aggregation. The
-// cmd/equinox-eval tool runs the same figures at full scale.
+// `equinox eval` command runs the same figures at full scale.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -35,7 +36,7 @@ func sweep(b *testing.B) *Evaluation {
 		cfg := DefaultEvalConfig()
 		cfg.Benchmarks = []string{"kmeans", "bfs", "hotspot", "scan", "gaussian"}
 		cfg.InstructionsPerPE = 500
-		sweepEval, sweepErr = RunEvaluation(cfg)
+		sweepEval, sweepErr = RunEvaluationContext(context.Background(), cfg)
 	})
 	if sweepErr != nil {
 		b.Fatal(sweepErr)
@@ -189,30 +190,16 @@ func BenchmarkFig11Area(b *testing.B) {
 // and 12×12 (16×16 runs in examples/scalability) and reports the IPC
 // improvement ratios (paper: 1.23× and 1.31×).
 func BenchmarkFig12Scalability(b *testing.B) {
-	var ratios [2]float64
+	var pts []ScalabilityPoint
 	for i := 0; i < b.N; i++ {
-		for k, side := range []int{8, 12} {
-			design, err := DesignForMesh(side, side, 8)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var ipc [2]float64
-			for j, scheme := range []sim.SchemeKind{sim.SeparateBase, sim.EquiNox} {
-				res, err := RunBenchmark(RunConfig{
-					Scheme: scheme, Benchmark: "kmeans",
-					Width: side, Height: side, NumCBs: 8,
-					Design: design, InstructionsPerPE: 250,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ipc[j] = res.IPC
-			}
-			ratios[k] = ipc[1] / ipc[0]
+		var err error
+		pts, err = ScalabilityStudy(context.Background(), []int{8, 12}, []string{"kmeans"}, 250, 0)
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(ratios[0], "8x8-speedup")
-	b.ReportMetric(ratios[1], "12x12-speedup")
+	b.ReportMetric(pts[0].Improvement, "8x8-speedup")
+	b.ReportMetric(pts[1].Improvement, "12x12-speedup")
 }
 
 // BenchmarkUbumpArea regenerates the §6.6 µbump comparison (E11) and

@@ -56,9 +56,6 @@ func LoadEvalConfig(r io.Reader) (EvalConfig, error) {
 		Seed:              in.Seed,
 		Parallelism:       in.Parallelism,
 	}
-	if cfg.Width == 0 {
-		cfg.Width, cfg.Height, cfg.NumCBs = 8, 8, 8
-	}
 	for _, name := range in.Schemes {
 		s, err := ParseScheme(name)
 		if err != nil {
@@ -66,8 +63,12 @@ func LoadEvalConfig(r io.Reader) (EvalConfig, error) {
 		}
 		cfg.Schemes = append(cfg.Schemes, s)
 	}
-	if err := cfg.Normalize().Validate(); err != nil {
+	// The mesh comes back defaulted; empty scheme and benchmark lists stay
+	// empty, meaning "all".
+	norm := cfg.Normalize()
+	if err := norm.Validate(); err != nil {
 		return EvalConfig{}, err
 	}
+	cfg.Width, cfg.Height, cfg.NumCBs = norm.Width, norm.Height, norm.NumCBs
 	return cfg, nil
 }

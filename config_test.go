@@ -2,6 +2,7 @@ package equinox
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -55,5 +56,32 @@ func TestLoadEvalConfigDefaults(t *testing.T) {
 	}
 	if cfg.Width != 8 || cfg.Height != 8 || cfg.NumCBs != 8 {
 		t.Errorf("defaults not applied: %+v", cfg)
+	}
+}
+
+// TestMeshDefaultsPerField: each mesh field defaults on its own (width 8,
+// height = width, 8 CBs), so an explicit height or CB count survives an
+// omitted width, in Normalize and in LoadEvalConfig alike.
+func TestMeshDefaultsPerField(t *testing.T) {
+	cases := []struct{ in, want [3]int }{
+		{[3]int{0, 0, 0}, [3]int{8, 8, 8}},
+		{[3]int{0, 0, 4}, [3]int{8, 8, 4}},
+		{[3]int{0, 12, 0}, [3]int{8, 12, 8}},
+		{[3]int{12, 0, 0}, [3]int{12, 12, 8}},
+		{[3]int{6, 4, 2}, [3]int{6, 4, 2}},
+	}
+	for _, tc := range cases {
+		n := EvalConfig{Width: tc.in[0], Height: tc.in[1], NumCBs: tc.in[2]}.Normalize()
+		if got := [3]int{n.Width, n.Height, n.NumCBs}; got != tc.want {
+			t.Errorf("Normalize(%v) = %v, want %v", tc.in, got, tc.want)
+		}
+		doc := fmt.Sprintf(`{"width":%d,"height":%d,"numCBs":%d}`, tc.in[0], tc.in[1], tc.in[2])
+		cfg, err := LoadEvalConfig(strings.NewReader(doc))
+		if err != nil {
+			t.Fatalf("LoadEvalConfig(%s): %v", doc, err)
+		}
+		if got := [3]int{cfg.Width, cfg.Height, cfg.NumCBs}; got != tc.want {
+			t.Errorf("LoadEvalConfig(%s) mesh = %v, want %v", doc, got, tc.want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package equinox
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -28,28 +29,31 @@ func TestDesignAPI(t *testing.T) {
 	}
 }
 
-func TestRunBenchmarkNeedsDesignForEquiNox(t *testing.T) {
-	_, err := RunBenchmark(RunConfig{Scheme: sim.EquiNox, Benchmark: "bfs"})
-	if err == nil {
-		t.Fatal("EquiNox without design accepted")
-	}
-}
-
+// TestRunBenchmarkUnknownName: a one-cell run of a benchmark outside the
+// suite is refused before any simulation starts.
 func TestRunBenchmarkUnknownName(t *testing.T) {
-	if _, err := RunBenchmark(RunConfig{Scheme: sim.SingleBase, Benchmark: "nope"}); err == nil {
-		t.Fatal("unknown benchmark accepted")
+	_, err := RunEvaluationContext(context.Background(), EvalConfig{
+		Schemes:    []sim.SchemeKind{sim.SingleBase},
+		Benchmarks: []string{"nope"},
+	})
+	if err == nil || !strings.Contains(err.Error(), "unknown benchmark") {
+		t.Fatalf("unknown benchmark accepted (err %v)", err)
 	}
 }
 
-func TestRunBenchmarkSingle(t *testing.T) {
-	res, err := RunBenchmark(RunConfig{
-		Scheme: sim.SingleBase, Benchmark: "hotspot", InstructionsPerPE: 150,
+// TestOneCellEvaluation: a single run is a one-scheme, one-benchmark sweep.
+func TestOneCellEvaluation(t *testing.T) {
+	ev, err := RunEvaluationContext(context.Background(), EvalConfig{
+		Schemes:           []sim.SchemeKind{sim.SingleBase},
+		Benchmarks:        []string{"hotspot"},
+		InstructionsPerPE: 150,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ExecNS <= 0 || res.IPC <= 0 {
-		t.Errorf("bad result: %+v", res)
+	res, ok := ev.Result(sim.SingleBase, "hotspot")
+	if !ok || res.ExecNS <= 0 || res.IPC <= 0 {
+		t.Errorf("bad result: %+v (present %v)", res, ok)
 	}
 }
 
@@ -61,7 +65,7 @@ func miniEval(t *testing.T) *Evaluation {
 	// Large enough that the reply-injection bottleneck saturates — the
 	// regime the paper evaluates in; tiny runs stay latency-dominated.
 	cfg.InstructionsPerPE = 600
-	ev, err := RunEvaluation(cfg)
+	ev, err := RunEvaluationContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

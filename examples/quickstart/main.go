@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,17 +28,22 @@ func main() {
 	fmt.Printf("%d EIRs over %d interposer links, %d RDL crossings, %d µbumps\n\n",
 		rep.EIRs, rep.Links, rep.Crossings, rep.Bumps)
 
-	// 2. Simulate the kmeans benchmark on both schemes.
-	for _, scheme := range []sim.SchemeKind{sim.SeparateBase, sim.EquiNox} {
-		res, err := equinox.RunBenchmark(equinox.RunConfig{
-			Scheme:            scheme,
-			Benchmark:         "kmeans",
-			Design:            design,
-			InstructionsPerPE: 600,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
+	// 2. Simulate the kmeans benchmark on both schemes: a two-cell sweep.
+	schemes := []sim.SchemeKind{sim.SeparateBase, sim.EquiNox}
+	ev, err := equinox.RunEvaluationContext(context.Background(), equinox.EvalConfig{
+		Schemes:           schemes,
+		Benchmarks:        []string{"kmeans"},
+		Design:            design,
+		InstructionsPerPE: 600,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, e := range ev.Errors {
+		log.Fatal(e)
+	}
+	for _, scheme := range schemes {
+		res, _ := ev.Result(scheme, "kmeans")
 		fmt.Printf("%-14s exec %8.0f ns  IPC %5.2f  energy %8.0f pJ  EDP %.3e\n",
 			scheme, res.ExecNS, res.IPC, res.Energy.TotalPJ(), res.EDP())
 	}

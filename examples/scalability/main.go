@@ -3,9 +3,13 @@
 // average IPC of EquiNox against SeparateBase at each size. The paper finds
 // the improvement grows with network size (1.23× → 1.31× → 1.30×), because
 // larger networks have a more serious injection bottleneck.
+//
+// `go run ./cmd/equinox eval -fig12` runs the same study at 300
+// instructions per PE over the evaluation's benchmark subset.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,7 +19,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	benches := []string{"kmeans", "bfs", "streamcluster", "hotspot"}
-	pts, err := equinox.ScalabilityStudy([]int{8, 12, 16}, benches, 400, 1)
+	pts, err := equinox.ScalabilityStudy(context.Background(), []int{8, 12, 16}, benches, 400, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package equinox
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"equinox/internal/core"
 	"equinox/internal/geom"
 	"equinox/internal/noc"
+	"equinox/internal/sim"
 )
 
 func TestExportImportDesignRoundTrip(t *testing.T) {
@@ -41,13 +43,14 @@ func TestExportImportDesignRoundTrip(t *testing.T) {
 		t.Error("plan crossings changed")
 	}
 	// The imported design must be usable for simulation.
-	res, err := RunBenchmark(RunConfig{
-		Scheme: 6, Benchmark: "hotspot", Design: d2, InstructionsPerPE: 120,
+	ev, err := RunEvaluationContext(context.Background(), EvalConfig{
+		Schemes: []sim.SchemeKind{sim.EquiNox}, Benchmarks: []string{"hotspot"},
+		Design: d2, InstructionsPerPE: 120,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ExecCycles <= 0 {
+	if res, _ := ev.Result(sim.EquiNox, "hotspot"); res.ExecCycles <= 0 {
 		t.Error("imported design produced empty run")
 	}
 }
@@ -136,7 +139,7 @@ func TestWriteJSON(t *testing.T) {
 	cfg := DefaultEvalConfig()
 	cfg.Benchmarks = []string{"hotspot"}
 	cfg.InstructionsPerPE = 120
-	ev, err := RunEvaluation(cfg)
+	ev, err := RunEvaluationContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

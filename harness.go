@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -16,6 +17,7 @@ import (
 	"equinox/internal/sim"
 	"equinox/internal/stats"
 	"equinox/internal/telemetry"
+	"equinox/internal/workloads"
 )
 
 // EvalConfig configures a full §6 evaluation sweep.
@@ -92,12 +94,9 @@ type Evaluation struct {
 // context carries no span.
 var localTracer = trace.NewTracer("local")
 
-// RunEvaluation executes the sweep, parallelizing independent simulations.
-func RunEvaluation(cfg EvalConfig) (*Evaluation, error) {
-	return RunEvaluationContext(context.Background(), cfg)
-}
-
-// RunEvaluationContext executes the sweep under ctx: when the context is
+// RunEvaluationContext executes the sweep, parallelizing independent
+// simulations, and is the one way to run a simulation: a single run is a
+// one-scheme, one-benchmark sweep read back with Result. When ctx is
 // cancelled, in-flight simulations stop at their next cancellation check,
 // queued runs are abandoned, and the partial evaluation is returned
 // alongside ctx.Err(). Failed runs (timeouts, bad configs) are recorded in
@@ -120,16 +119,10 @@ func RunEvaluationContext(ctx context.Context, cfg EvalConfig) (*Evaluation, err
 	schemes := cfg.Schemes
 	benches := cfg.Benchmarks
 	design := cfg.Design
-	needEquiNox := false
-	for _, s := range schemes {
-		if s == sim.EquiNox {
-			needEquiNox = true
-		}
-	}
-	if needEquiNox && design == nil {
+	if design == nil && slices.Contains(schemes, sim.EquiNox) {
 		dsp := trace.StartChild(ctx, "design")
 		var err error
-		design, err = DesignForMeshContext(trace.WithSpan(ctx, dsp), cfg.Width, cfg.Height, cfg.NumCBs)
+		design, err = designForMesh(trace.WithSpan(ctx, dsp), cfg.Width, cfg.Height, cfg.NumCBs)
 		dsp.End()
 		if err != nil {
 			return nil, err
@@ -170,7 +163,6 @@ func RunEvaluationContext(ctx context.Context, cfg EvalConfig) (*Evaluation, err
 	total := len(jobs)
 dispatch:
 	for _, j := range jobs {
-		j := j
 		select {
 		case <-ctx.Done():
 			break dispatch
@@ -180,22 +172,12 @@ dispatch:
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			rc := RunConfig{
-				Scheme:            j.scheme,
-				Benchmark:         j.bench,
-				Width:             cfg.Width,
-				Height:            cfg.Height,
-				NumCBs:            cfg.NumCBs,
-				Design:            design,
-				InstructionsPerPE: cfg.InstructionsPerPE,
-				Seed:              cfg.Seed,
-			}
 			rsp := trace.StartChild(ctx, fmt.Sprintf("run %v/%s", j.scheme, j.bench))
 			rsp.SetAttr("scheme", fmt.Sprintf("%v", j.scheme))
 			rsp.SetAttr("benchmark", j.bench)
 			runCtx := trace.WithSpan(ctx, rsp)
 			traced := cfg.Flight && j.scheme == schemes[0] && j.bench == benches[0]
-			res, capture, telCap, err := runInstrumented(runCtx, rc, traced, cfg.Telemetry)
+			res, capture, telCap, err := runInstrumented(runCtx, cfg, design, j.scheme, j.bench, traced)
 			if err != nil {
 				rsp.SetAttr("error", err.Error())
 			}
@@ -230,10 +212,46 @@ dispatch:
 	wg.Wait()
 	sort.Slice(ev.Errors, func(i, k int) bool { return ev.Errors[i].Error() < ev.Errors[k].Error() })
 	ev.Phases = obs.PhasesUnder(root.Trace().Records(), root.ID(), "placement", "mcts", "sim")
-	if err := ctx.Err(); err != nil {
-		return ev, err
+	return ev, ctx.Err()
+}
+
+// runInstrumented simulates one (scheme, benchmark) cell of the normalized
+// sweep cfg, with the flight recorder attached when traced and the telemetry
+// series when cfg.Telemetry, both at their default options. Both are purely
+// observational — the Result is bit-identical to an uninstrumented run — and
+// the captures are returned even when the run fails: a starvation-watchdog
+// diagnostic or a timeout is exactly when the recorded events and windows
+// matter most.
+func runInstrumented(ctx context.Context, cfg EvalConfig, design *core.Design, scheme sim.SchemeKind, bench string, traced bool) (sim.Result, *flight.Capture, *telemetry.Capture, error) {
+	prof, err := workloads.ByName(bench)
+	if err != nil {
+		return sim.Result{}, nil, nil, err
 	}
-	return ev, nil
+	sc := sim.DefaultConfig(scheme)
+	sc.Width, sc.Height, sc.NumCBs = cfg.Width, cfg.Height, cfg.NumCBs
+	if cfg.InstructionsPerPE > 0 {
+		sc.InstructionsPerPE = cfg.InstructionsPerPE
+	}
+	if cfg.Seed != 0 {
+		sc.Seed = cfg.Seed
+	}
+	if scheme == sim.EquiNox {
+		sc.CBOverride, sc.EIRGroups = design.CBs, design.Groups
+	}
+	sys, err := sim.NewSystem(sc, prof)
+	if err != nil {
+		return sim.Result{}, nil, nil, err
+	}
+	var fc *flight.Capture
+	var tc *telemetry.Capture
+	if traced {
+		fc = sys.AttachFlight(flight.Options{})
+	}
+	if cfg.Telemetry {
+		tc = sys.AttachTelemetry(telemetry.Options{})
+	}
+	res, err := sys.RunToCompletionContext(ctx)
+	return res, fc, tc, err
 }
 
 // metric extracts one scalar per run.

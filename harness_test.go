@@ -15,7 +15,7 @@ import (
 )
 
 // evalWithHole builds a two-scheme, two-benchmark evaluation where one run
-// (EquiNox/bfs) failed and therefore has no entry — the state RunEvaluation
+// (EquiNox/bfs) failed and therefore has no entry — the state RunEvaluationContext
 // leaves behind after a timeout.
 func evalWithHole() *Evaluation {
 	mk := func(s sim.SchemeKind, b string, exec float64) sim.Result {
@@ -102,33 +102,22 @@ func TestEvalConfigValidation(t *testing.T) {
 	}{
 		{"negative dims", EvalConfig{Width: -8, Height: 8, NumCBs: 4}, "negative mesh"},
 		{"too many CBs", EvalConfig{Width: 4, Height: 4, NumCBs: 20}, "leave no PEs"},
+		// An explicit CB count survives a defaulted mesh.
+		{"CBs fill the default mesh", EvalConfig{NumCBs: 64}, "leave no PEs"},
 		{"unknown benchmark", EvalConfig{Width: 8, Height: 8, NumCBs: 8, Benchmarks: []string{"doom"}}, "unknown benchmark"},
 		{"unknown scheme", EvalConfig{Width: 8, Height: 8, NumCBs: 8, Schemes: []sim.SchemeKind{99}}, "unknown scheme"},
 		{"negative instructions", EvalConfig{Width: 8, Height: 8, NumCBs: 8, InstructionsPerPE: -5}, "InstructionsPerPE"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := RunEvaluation(tc.cfg)
+			_, err := RunEvaluationContext(context.Background(), tc.cfg)
 			if err == nil {
-				t.Fatalf("RunEvaluation(%+v) accepted", tc.cfg)
+				t.Fatalf("RunEvaluationContext(%+v) accepted", tc.cfg)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
-	}
-}
-
-// TestRunConfigValidation covers the single-run entry point.
-func TestRunConfigValidation(t *testing.T) {
-	if _, err := RunBenchmark(RunConfig{Scheme: 99, Benchmark: "kmeans"}); err == nil {
-		t.Error("unknown scheme accepted")
-	}
-	if _, err := RunBenchmark(RunConfig{Scheme: sim.SingleBase, Benchmark: "kmeans", NumCBs: 64}); err == nil {
-		t.Error("CB count filling the mesh accepted")
-	}
-	if _, err := RunBenchmark(RunConfig{Scheme: sim.SingleBase, Benchmark: "kmeans", Width: -1}); err == nil {
-		t.Error("negative width accepted")
 	}
 }
 
@@ -153,16 +142,6 @@ func TestRunEvaluationCancellation(t *testing.T) {
 	}
 }
 
-// TestRunBenchmarkCancellation: the simulator's cycle loop honors ctx.
-func TestRunBenchmarkCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := RunBenchmarkContext(ctx, RunConfig{Scheme: sim.SingleBase, Benchmark: "kmeans"})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
 // TestEvaluationPhases: the sweep reports aggregated phase spans — one sim
 // span per completed run, plus the design-flow phases when an EquiNox design
 // is built — and they survive JSON export. Run under a caller's span whose
@@ -174,7 +153,7 @@ func TestEvaluationPhases(t *testing.T) {
 		Benchmarks:        []string{"kmeans", "hotspot"},
 		InstructionsPerPE: 100,
 	}
-	ev, err := RunEvaluation(cfg)
+	ev, err := RunEvaluationContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

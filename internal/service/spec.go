@@ -17,8 +17,9 @@ import (
 )
 
 // JobSpec is the wire form of one evaluation job. The zero value of every
-// field means "the paper's default" (8×8 mesh, 8 CBs, all seven schemes,
-// the full 29-benchmark suite), mirroring equinox.EvalConfig.Normalize.
+// field means "the paper's default" (width 8, height = width, 8 CBs, all
+// seven schemes, the full 29-benchmark suite), as equinox.EvalConfig.Normalize
+// applies it.
 type JobSpec struct {
 	Width  int `json:"width,omitempty"`
 	Height int `json:"height,omitempty"`
@@ -73,16 +74,6 @@ type JobSpec struct {
 // content key.
 func (s JobSpec) Canonicalize() (JobSpec, error) {
 	c := s
-	if c.Width == 0 {
-		c.Width, c.Height, c.NumCBs = 8, 8, 8
-	}
-	if c.Height == 0 {
-		c.Height = c.Width
-	}
-	if c.NumCBs == 0 {
-		c.NumCBs = 8
-	}
-
 	if len(c.Schemes) == 0 {
 		c.Schemes = nil
 		for _, k := range sim.AllSchemes() {
@@ -143,6 +134,7 @@ func (s JobSpec) Canonicalize() (JobSpec, error) {
 	if err := cfg.Validate(); err != nil {
 		return JobSpec{}, err
 	}
+	c.Width, c.Height, c.NumCBs = cfg.Width, cfg.Height, cfg.NumCBs
 	return c, nil
 }
 
@@ -169,8 +161,9 @@ func (s JobSpec) Key() (string, error) {
 // spec executes.
 func (s JobSpec) Runs() int { return len(s.Schemes) * len(s.Benchmarks) }
 
-// evalConfig converts the spec to the harness configuration, importing the
-// pinned design when present.
+// evalConfig converts the spec to the normalized harness configuration —
+// the mesh defaults of a canonical spec are EvalConfig.Normalize's —
+// importing the pinned design when present.
 func (s JobSpec) evalConfig() (equinox.EvalConfig, error) {
 	cfg := equinox.EvalConfig{
 		Width:             s.Width,
@@ -187,14 +180,15 @@ func (s JobSpec) evalConfig() (equinox.EvalConfig, error) {
 		}
 		cfg.Schemes = append(cfg.Schemes, k)
 	}
+	cfg = cfg.Normalize()
 	if s.Design != nil {
 		d, err := equinox.ImportDesign(s.Design)
 		if err != nil {
 			return equinox.EvalConfig{}, fmt.Errorf("service: bad design: %w", err)
 		}
-		if d.Width != s.Width || d.Height != s.Height {
+		if d.Width != cfg.Width || d.Height != cfg.Height {
 			return equinox.EvalConfig{}, fmt.Errorf("service: design is %dx%d but the job mesh is %dx%d",
-				d.Width, d.Height, s.Width, s.Height)
+				d.Width, d.Height, cfg.Width, cfg.Height)
 		}
 		cfg.Design = d
 	}

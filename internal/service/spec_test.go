@@ -1,6 +1,9 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -110,4 +113,99 @@ func TestSpecValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCanonicalizeMeshDefaultsPerField: each mesh field defaults on its own
+// (width 8, height = width, 8 CBs), so a spec naming only a height or a CB
+// count keeps it and does not hash to the default job's key.
+func TestCanonicalizeMeshDefaultsPerField(t *testing.T) {
+	def, err := JobSpec{}.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		spec JobSpec
+		want [3]int
+	}{
+		{JobSpec{}, [3]int{8, 8, 8}},
+		{JobSpec{NumCBs: 4}, [3]int{8, 8, 4}},
+		{JobSpec{Height: 12}, [3]int{8, 12, 8}},
+		{JobSpec{Width: 12}, [3]int{12, 12, 8}},
+		{JobSpec{Width: 6, Height: 4, NumCBs: 2}, [3]int{6, 4, 2}},
+	}
+	for _, tc := range cases {
+		c, err := tc.spec.Canonicalize()
+		if err != nil {
+			t.Fatalf("Canonicalize(%+v): %v", tc.spec, err)
+		}
+		if got := [3]int{c.Width, c.Height, c.NumCBs}; got != tc.want {
+			t.Errorf("Canonicalize(%+v) mesh = %v, want %v", tc.spec, got, tc.want)
+		}
+		key, err := keyOf(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if isDefault := tc.want == [3]int{8, 8, 8}; (key == def) != isDefault {
+			t.Errorf("%+v: key %s, default key %s", tc.spec, key, def)
+		}
+	}
+}
+
+// FuzzJobSpec: the submit handler decodes outside bytes into a JobSpec
+// (unknown fields rejected) and canonicalizes it. Every spec it accepts must
+// be a fixed point of Canonicalize with a stable key that Priority and
+// Telemetry do not change, and must name at least one run; a failing input
+// is written to testdata/fuzz.
+func FuzzJobSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`{"numCBs":4}`,
+		`{"height":12}`,
+		`{"width":4,"height":4,"numCBs":2,"schemes":["SingleBase","equinox","singlebase"],` +
+			`"benchmarks":["kmeans","bfs","kmeans"],"instructionsPerPE":100,"seed":7,` +
+			`"trace":true,"telemetry":true,"parallel":3,"priority":"interactive"}`,
+		`{"width":8,"design":{"width":8,"height":8,"cbs":[[2,0]],"groups":[[[0,0]]]}}`,
+		`{"width":-1}`,
+		`{"bogus":1}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec JobSpec
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&spec) != nil {
+			return
+		}
+		canon, err := spec.Canonicalize()
+		if err != nil {
+			return
+		}
+		again, err := canon.Canonicalize()
+		if err != nil {
+			t.Fatalf("canonical spec rejected: %v\n%s", err, data)
+		}
+		if !reflect.DeepEqual(again, canon) {
+			t.Fatalf("Canonicalize is not idempotent:\n%+v\n%+v\n%s", canon, again, data)
+		}
+		key, err := keyOf(canon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k, err := spec.Key(); err != nil || k != key {
+			t.Fatalf("Key() = %q, %v; want %q\n%s", k, err, key, data)
+		}
+		advice := spec
+		advice.Telemetry = !spec.Telemetry
+		advice.Priority = "interactive"
+		if canon.Priority == "interactive" {
+			advice.Priority = "batch"
+		}
+		if k, err := advice.Key(); err != nil || k != key {
+			t.Fatalf("Priority/Telemetry moved the key: %q, %v; want %q\n%s", k, err, key, data)
+		}
+		if canon.Runs() <= 0 {
+			t.Fatalf("canonical spec has %d runs\n%s", canon.Runs(), data)
+		}
+	})
 }

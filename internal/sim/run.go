@@ -384,18 +384,11 @@ func (s *System) Finished() bool {
 
 // Run executes the simulation to completion and gathers the result.
 func Run(cfg Config, prof workloads.Profile) (Result, error) {
-	return RunContext(context.Background(), cfg, prof)
-}
-
-// RunContext executes the simulation to completion, honoring ctx: the cycle
-// loop checks for cancellation every cancelCheckCycles cycles and returns
-// the partially collected result with ctx.Err() when the context is done.
-func RunContext(ctx context.Context, cfg Config, prof workloads.Profile) (Result, error) {
 	s, err := NewSystem(cfg, prof)
 	if err != nil {
 		return Result{}, err
 	}
-	return s.RunToCompletionContext(ctx)
+	return s.RunToCompletion()
 }
 
 // cancelCheckCycles is how often the cycle loop polls ctx.Done(). At the

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"equinox/internal/core"
@@ -111,6 +113,23 @@ func TestDeterministicResults(t *testing.T) {
 	if a.ExecCycles != b.ExecCycles || a.Energy.TotalPJ() != b.Energy.TotalPJ() {
 		t.Errorf("nondeterministic: %d/%f vs %d/%f",
 			a.ExecCycles, a.Energy.TotalPJ(), b.ExecCycles, b.Energy.TotalPJ())
+	}
+}
+
+// TestRunToCompletionCancellation: the cycle loop honors ctx.
+func TestRunToCompletionCancellation(t *testing.T) {
+	prof, _ := workloads.ByName("kmeans")
+	sys, err := NewSystem(DefaultConfig(SingleBase), prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := sys.RunToCompletionContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if sys.Finished() {
+		t.Error("a cancelled run finished")
 	}
 }
 

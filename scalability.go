@@ -1,10 +1,10 @@
 package equinox
 
 import (
+	"context"
 	"fmt"
 
 	"equinox/internal/sim"
-	"equinox/internal/stats"
 )
 
 // ScalabilityPoint is one mesh size of the Figure 12 study.
@@ -18,33 +18,28 @@ type ScalabilityPoint struct {
 // ScalabilityStudy reproduces Figure 12: for each mesh side, run the same
 // design flow (N-Queen + EIR selection), then compare EquiNox's mean IPC
 // against SeparateBase over the given benchmarks. The paper reports the
-// improvement growing with network size (1.23× → 1.31× → 1.30×).
-func ScalabilityStudy(sides []int, benches []string, instrPerPE int, seed int64) ([]ScalabilityPoint, error) {
+// improvement growing with network size (1.23× → 1.31× → 1.30×). Each side
+// is one two-scheme sweep under ctx; the first failed run fails the study.
+func ScalabilityStudy(ctx context.Context, sides []int, benches []string, instrPerPE int, seed int64) ([]ScalabilityPoint, error) {
 	if len(sides) == 0 || len(benches) == 0 {
 		return nil, fmt.Errorf("equinox: empty scalability study")
 	}
 	var out []ScalabilityPoint
 	for _, side := range sides {
-		design, err := DesignForMesh(side, side, 8)
+		ev, err := RunEvaluationContext(ctx, EvalConfig{
+			Width: side, Height: side, NumCBs: 8,
+			Schemes:           []sim.SchemeKind{sim.SeparateBase, sim.EquiNox},
+			Benchmarks:        benches,
+			InstructionsPerPE: instrPerPE,
+			Seed:              seed,
+		})
+		if err == nil && len(ev.Errors) > 0 {
+			err = ev.Errors[0]
+		}
 		if err != nil {
-			return nil, fmt.Errorf("design %dx%d: %w", side, side, err)
+			return nil, fmt.Errorf("%dx%d: %w", side, side, err)
 		}
-		ipc := map[sim.SchemeKind]float64{}
-		for _, scheme := range []sim.SchemeKind{sim.SeparateBase, sim.EquiNox} {
-			var vals []float64
-			for _, b := range benches {
-				res, err := RunBenchmark(RunConfig{
-					Scheme: scheme, Benchmark: b,
-					Width: side, Height: side, NumCBs: 8,
-					Design: design, InstructionsPerPE: instrPerPE, Seed: seed,
-				})
-				if err != nil {
-					return nil, fmt.Errorf("%dx%d %v/%s: %w", side, side, scheme, b, err)
-				}
-				vals = append(vals, res.IPC)
-			}
-			ipc[scheme] = stats.Mean(vals)
-		}
+		ipc := ev.IPCSummary()
 		out = append(out, ScalabilityPoint{
 			Side:        side,
 			BaseIPC:     ipc[sim.SeparateBase],

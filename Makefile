@@ -15,7 +15,7 @@ vet:
 test:
 	$(GO) test ./...
 
-# Race-detector pass (the evaluation server's worker pool in particular).
+# Race-detector pass (the evaluation server's coordinator and executors in particular).
 race:
 	$(GO) test -race ./...
 

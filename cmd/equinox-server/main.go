@@ -1,9 +1,7 @@
 // Command equinox-server runs the evaluation-as-a-service HTTP server: it
-// accepts JSON sweep submissions, executes them on a bounded worker pool,
-// and answers repeated design-space queries from a content-addressed result
-// store. It is also the fleet coordinator: equinox-worker processes pull
-// work units from it over HTTP, and multi-run sweeps are sharded across
-// them whenever workers are registered.
+// accepts JSON sweep submissions, shards each into single-run work units
+// that -workers in-process executors and any equinox-worker processes
+// lease, and answers repeated queries from a content-addressed store.
 //
 // Usage:
 //
@@ -34,7 +32,8 @@
 //	go tool pprof http://localhost:8080/debug/pprof/heap
 //
 // SIGINT/SIGTERM trigger a graceful shutdown that drains in-flight jobs
-// (bounded by -drain).
+// (bounded by -drain); jobs still unfinished then stay pending in the
+// journal for the next boot.
 package main
 
 import (
@@ -76,13 +75,12 @@ func main() {
 	log.SetPrefix("equinox-server: ")
 	var (
 		addr    = flag.String("addr", ":8080", "listen address")
-		workers = flag.Int("workers", 0, "concurrent local evaluations (0 = default)")
-		jobPar  = flag.Int("job-parallelism", 0, "per-evaluation simulation parallelism (0 = auto)")
+		workers = flag.Int("workers", 0, "in-process unit executors (0 = GOMAXPROCS)")
 		cache   = flag.Int("cache", 0, "in-memory result cache entries (0 = default)")
 		cacheBy = flag.Int64("cache-bytes", 0, "in-memory result cache byte bound (0 = entries only)")
 		stDir   = flag.String("store-dir", "", "persistent result store directory (empty = memory only)")
-		queue   = flag.Int("queue", 0, "submission queue depth (0 = default)")
-		shed    = flag.Float64("shed-fraction", 0, "queue fill fraction past which batch submissions are shed with 429 (0 = default 0.75)")
+		queue   = flag.Int("queue", 0, "work-unit queue depth (0 = default 4096)")
+		shed    = flag.Float64("shed-fraction", 0, "unit-queue fill fraction past which batch submissions are shed with 429 (0 = default 0.75)")
 		jrnDir  = flag.String("journal-dir", "", "crash-safe job journal directory; on restart, unfinished jobs are re-queued (empty = no journal)")
 		drain   = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 
@@ -129,18 +127,17 @@ func main() {
 	}
 
 	svc := service.New(service.Config{
-		Workers:        *workers,
-		JobParallelism: *jobPar,
-		CacheEntries:   *cache,
-		CacheBytes:     *cacheBy,
-		QueueDepth:     *queue,
-		ShedFraction:   *shed,
-		Journal:        journal,
-		Store:          persist,
-		TraceTail:      *traceTail,
-		TraceSample:    *traceSample,
-		OpenMetrics:    *openMetrics,
+		Workers:      *workers,
+		CacheEntries: *cache,
+		CacheBytes:   *cacheBy,
+		ShedFraction: *shed,
+		Journal:      journal,
+		Store:        persist,
+		TraceTail:    *traceTail,
+		TraceSample:  *traceSample,
+		OpenMetrics:  *openMetrics,
 		Fleet: fleet.Config{
+			QueueDepth:       *queue,
 			LeaseTTL:         *leaseTTL,
 			MaxAttempts:      *attempts,
 			BreakerThreshold: *brkN,

@@ -1,8 +1,9 @@
-// Command equinox-worker is a fleet worker: it pulls evaluation work
-// units from an equinox-server coordinator over HTTP, executes them with
-// the ordinary simulation harness, and posts the results back. Run any
-// number of workers against one coordinator — on the same machine or
-// across a cluster — and multi-run sweeps shard across all of them.
+// Command equinox-worker is a remote fleet worker: it pulls evaluation
+// work units — one simulation each — from an equinox-server coordinator
+// over HTTP, executes them with the ordinary simulation harness, and posts
+// the results back. Run any number of workers against one coordinator — on
+// the same machine or across a cluster — and every job's units spread
+// across them and the coordinator's own in-process executors.
 //
 // Usage:
 //
@@ -38,7 +39,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof/ on http.DefaultServeMux
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -55,7 +55,6 @@ func main() {
 		coordinator = flag.String("coordinator", "http://localhost:8080", "coordinator base URL")
 		name        = flag.String("name", "", "stable worker name (default host-pid)")
 		parallel    = flag.Int("parallelism", 1, "units executed concurrently")
-		unitPar     = flag.Int("unit-parallelism", 0, "per-unit simulation parallelism (0 = GOMAXPROCS/parallelism)")
 		poll        = flag.Duration("poll", 500*time.Millisecond, "lease poll interval while idle")
 		heartbeat   = flag.Duration("heartbeat", 2*time.Second, "lease renewal interval (keep well under the coordinator's lease TTL)")
 		connectTO   = flag.Duration("connect-timeout", 2*time.Minute, "budget for the initial coordinator connection; retried with capped backoff, exit nonzero once it elapses")
@@ -80,13 +79,6 @@ func main() {
 	}
 	if *parallel < 1 {
 		*parallel = 1
-	}
-	runPar := *unitPar
-	if runPar <= 0 {
-		runPar = runtime.GOMAXPROCS(0) / *parallel
-		if runPar < 1 {
-			runPar = 1
-		}
 	}
 
 	if *pprofAddr != "" {
@@ -125,7 +117,7 @@ func main() {
 		Logger:            logger,
 		Tracer:            trace.NewTracer(*name),
 		Run: func(ctx context.Context, u fleet.Unit) ([]byte, error) {
-			return service.RunSpec(ctx, u.Spec, runPar)
+			return service.RunSpec(ctx, u.Spec, 1) // a unit is one run
 		},
 	})
 	if err != nil {
@@ -142,8 +134,7 @@ func main() {
 		}
 		log.Fatal(err)
 	}
-	log.Printf("worker %s pulling from %s (parallelism %d, unit parallelism %d)",
-		*name, *coordinator, *parallel, runPar)
+	log.Printf("worker %s pulling from %s (parallelism %d)", *name, *coordinator, *parallel)
 	if err := w.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
 		log.Fatal(err)
 	}

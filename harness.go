@@ -35,12 +35,6 @@ type EvalConfig struct {
 	// fast greedy search.
 	Design *core.Design
 
-	// Progress, when non-nil, is called after each (scheme, benchmark) run
-	// finishes with the number of completed runs and the sweep total. Calls
-	// are serialized; the callback must not block for long. It is not part
-	// of the serialized configuration.
-	Progress func(done, total int) `json:"-"`
-
 	// Flight attaches the cycle-accurate flight recorder (internal/flight) to
 	// the sweep's first run — first scheme × first benchmark — and collects
 	// its capture in Evaluation.Flights. It is not part of the serialized
@@ -53,12 +47,6 @@ type EvalConfig struct {
 	// Result is bit-identical to an uninstrumented run. It is execution
 	// advice, not sweep identity.
 	Telemetry bool
-
-	// TelemetryFrame, when non-nil, receives each run's telemetry summary
-	// as the run finishes — the live-streaming hook the job server uses for
-	// SSE "telemetry" frames. Calls are serialized; the callback must not
-	// block for long. Not part of the serialized configuration.
-	TelemetryFrame func(telemetry.RunSummary) `json:"-"`
 }
 
 // DefaultEvalConfig returns the paper's main 8×8 sweep.
@@ -155,12 +143,10 @@ func RunEvaluationContext(ctx context.Context, cfg EvalConfig) (*Evaluation, err
 		par = runtime.GOMAXPROCS(0)
 	}
 	var (
-		mu   sync.Mutex
-		wg   sync.WaitGroup
-		done int
+		mu sync.Mutex
+		wg sync.WaitGroup
 	)
 	sem := make(chan struct{}, par)
-	total := len(jobs)
 dispatch:
 	for _, j := range jobs {
 		select {
@@ -184,16 +170,11 @@ dispatch:
 			rsp.End()
 			mu.Lock()
 			defer mu.Unlock()
-			done++
 			if capture != nil {
 				ev.Flights = append(ev.Flights, capture)
 			}
 			if telCap != nil {
-				sum := telCap.Summary()
-				ev.Telemetry = append(ev.Telemetry, sum)
-				if cfg.TelemetryFrame != nil {
-					cfg.TelemetryFrame(sum)
-				}
+				ev.Telemetry = append(ev.Telemetry, telCap.Summary())
 			}
 			switch {
 			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
@@ -203,9 +184,6 @@ dispatch:
 				ev.Errors = append(ev.Errors, fmt.Errorf("%v/%s: %w", j.scheme, j.bench, err))
 			default:
 				ev.Results[j.scheme][j.bench] = res
-			}
-			if cfg.Progress != nil {
-				cfg.Progress(done, total)
 			}
 		}()
 	}

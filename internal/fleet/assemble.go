@@ -3,10 +3,12 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 
 	"equinox"
+	"equinox/internal/obs"
 )
 
 // marshalEval renders an evaluation document exactly the way
@@ -78,10 +80,9 @@ func checkResult(raw []byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// extractTelemetry pulls the raw "telemetry" block out of an evaluation
-// document, or nil when absent. Workers use it to ship the block in
-// CompleteRequest; the coordinator uses it on cache hits.
-func extractTelemetry(result []byte) json.RawMessage {
+// ExtractTelemetry pulls the raw "telemetry" block out of an evaluation
+// document, or nil when absent.
+func ExtractTelemetry(result []byte) []byte {
 	var doc struct {
 		Telemetry json.RawMessage `json:"telemetry"`
 	}
@@ -94,14 +95,43 @@ func extractTelemetry(result []byte) json.RawMessage {
 	return doc.Telemetry
 }
 
+// FlightPrefix opens the document of a traced unit whose RunFunc returned
+// a flight-recorder artifact: a leading "flight" member, which the worker
+// lifts into CompleteRequest.Flight without re-encoding the rest.
+const FlightPrefix = `{"flight":`
+
+// extractFlight splits a RunFunc's document into the evaluation document
+// and its leading "flight" member (nil when there is none).
+func extractFlight(result []byte) (doc []byte, flight json.RawMessage) {
+	if !bytes.HasPrefix(result, []byte(FlightPrefix)) {
+		return result, nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(result[len(FlightPrefix):]))
+	if err := dec.Decode(&flight); err != nil {
+		return result, nil
+	}
+	rest := bytes.TrimLeft(result[len(FlightPrefix)+int(dec.InputOffset()):], " \t\r\n")
+	if len(rest) == 0 || rest[0] != ',' {
+		return result, nil
+	}
+	return append([]byte{'{'}, rest[1:]...), flight
+}
+
 // assemble merges completed unit documents (and failed units' error
-// strings) into the job's canonical evaluation document. Unit documents
-// are full single-run evaluations: their runs are unioned, the design is
-// taken from the first unit that carries one (every EquiNox unit rebuilds
-// the same deterministic design), and per-run error strings are unioned —
-// the same "scheme/benchmark: message" entries a single-process sweep
-// records.
+// strings) into the job's compact evaluation document. A one-unit job's
+// document is its unit's, byte for byte, and a failed unit fails it.
+// Otherwise unit documents — full single-run evaluations — are merged:
+// their runs are unioned, the design is taken from the first unit that
+// carries one (every EquiNox unit rebuilds the same deterministic design),
+// phases are summed by name, and per-run error strings are unioned — the
+// same "scheme/benchmark: message" entries a single-process sweep records.
 func assemble(units []*trackedUnit) ([]byte, error) {
+	if len(units) == 1 {
+		if u := units[0]; u.state != unitDone {
+			return nil, errors.New(u.errMsg)
+		}
+		return units[0].result, nil
+	}
 	var out equinox.ExportedEvaluation
 	for _, u := range units {
 		switch u.state {
@@ -113,6 +143,7 @@ func assemble(units []*trackedUnit) ([]byte, error) {
 			out.Runs = append(out.Runs, doc.Runs...)
 			out.Errors = append(out.Errors, doc.Errors...)
 			out.Telemetry = append(out.Telemetry, doc.Telemetry...)
+			out.Phases = obs.AddPhases(out.Phases, doc.Phases...)
 			if out.Design == nil {
 				out.Design = doc.Design
 			}
@@ -124,5 +155,5 @@ func assemble(units []*trackedUnit) ([]byte, error) {
 		}
 	}
 	sortEval(&out)
-	return marshalEval(&out)
+	return json.Marshal(&out)
 }

@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,8 +20,7 @@ type Config struct {
 	// heartbeat before it is re-leased (default 15s).
 	LeaseTTL time.Duration
 	// WorkerTTL is how long a worker counts as registered after its last
-	// contact (default 2×LeaseTTL). With no active workers the job server
-	// falls back to single-process execution.
+	// contact (default 2×LeaseTTL).
 	WorkerTTL time.Duration
 	// MaxAttempts bounds how many times a unit is leased before it is
 	// marked failed (default 3). Failed attempts and expired leases both
@@ -47,7 +48,8 @@ type Config struct {
 	Now func() time.Time
 	// Store, when non-nil, enables unit-level result reuse: units whose
 	// content key is already stored complete without running, and every
-	// completed unit is written back.
+	// completed unit is written back, as is a multi-unit job's document,
+	// under the job's id (a one-unit job's document is its unit's).
 	Store store.Store
 	// Logger receives lease-lifecycle logs (nil discards).
 	Logger *slog.Logger
@@ -215,6 +217,9 @@ type lease struct {
 	granted  time.Time // never renewed: lease age and unit duration count from here
 	expires  time.Time // pushed out by every heartbeat
 	canceled bool
+	// owner is the in-process worker holding the lease, nil for a remote
+	// one. It is abandoned at once on cancel and feeds no circuit breaker.
+	owner *Worker
 }
 
 // JobCallbacks receive a sharded job's progress and final result. They
@@ -224,8 +229,8 @@ type JobCallbacks struct {
 	// OnEvent delivers unit-level progress (leased/completed/failed/
 	// retrying, cache hits).
 	OnEvent func(Event)
-	// OnDone delivers the assembled canonical evaluation document, or an
-	// assembly error. It is not invoked for cancelled jobs.
+	// OnDone delivers the job's compact evaluation document (assemble),
+	// or why there is none. It is not invoked for cancelled jobs.
 	OnDone func(result []byte, err error)
 	// Trace, when non-nil, collects the job's distributed spans: the
 	// coordinator opens a span per unit under Parent (the job span's ID),
@@ -252,6 +257,7 @@ type Coordinator struct {
 	workers      map[string]time.Time // last contact
 	workerLeases map[string]int
 	breakers     map[string]*breaker // per-worker failure circuits
+	idle         []*Worker           // in-process workers blocked in lease, oldest first
 	leaseSeq     int64
 
 	stop chan struct{}
@@ -306,11 +312,14 @@ func (c *Coordinator) sweepLoop() {
 	}
 }
 
-// delivery is a batch of callbacks to run outside the coordinator lock.
+// delivery is a batch of callbacks to run outside the coordinator lock,
+// then, for a unit handed to an idle in-process worker, its wake-up.
 type delivery struct {
 	job    *trackedJob
 	events []Event
 	final  bool
+	wake   *Worker
+	grant  LeaseResponse
 }
 
 // deliver runs the callbacks under the job's callback mutex so event
@@ -325,16 +334,22 @@ func (c *Coordinator) deliver(deliveries []delivery) {
 		}
 		if d.final && d.job.cb.OnDone != nil {
 			res, err := assemble(d.job.units)
+			if err == nil && len(d.job.units) > 1 && c.cfg.Store != nil {
+				c.cfg.Store.Put(d.job.id, res)
+			}
 			d.job.cb.OnDone(res, err)
 		}
 		d.job.cbMu.Unlock()
+		if d.wake != nil {
+			d.wake.grant <- d.grant
+		}
 	}
 }
 
 // SubmitJob shards a job's units into the fleet. Units whose content key
-// is already in the store complete immediately as cache hits. Returns
-// ErrQueueFull (no unit queued) when the fleet queue cannot absorb the
-// job, letting the caller fall back to local execution.
+// is already in the store complete immediately as cache hits, and idle
+// in-process workers are handed units (lease events delivered) before it
+// returns. Returns ErrQueueFull (no unit queued) when the queue is full.
 func (c *Coordinator) SubmitJob(id string, class Class, units []Unit, cb JobCallbacks) error {
 	j := &trackedJob{id: id, class: class, cb: cb, rem: len(units), units: make([]*trackedUnit, len(units))}
 	var pending []*trackedUnit
@@ -348,7 +363,7 @@ func (c *Coordinator) SubmitJob(id string, class Class, units []Unit, cb JobCall
 		tu.span.SetAttr("unitKey", u.Key)
 		// The store probe happens before the units are visible to any
 		// worker, so no lock is needed yet.
-		if c.cfg.Store != nil {
+		if c.cfg.Store != nil && !u.Rerun {
 			lookup := cb.Trace.Start(tu.span.ID(), "store lookup")
 			res, ok := c.cfg.Store.Get(u.Key)
 			lookup.SetAttr("hit", fmt.Sprintf("%v", ok))
@@ -367,7 +382,7 @@ func (c *Coordinator) SubmitJob(id string, class Class, units []Unit, cb JobCall
 				// A cached unit run with telemetry on still carries its
 				// windows; replay them so a cache-heavy job streams the
 				// same live frames as a freshly computed one.
-				if tel := extractTelemetry(res); len(tel) > 0 {
+				if tel := ExtractTelemetry(res); len(tel) > 0 {
 					events = append(events, tu.telemetryEvent(tel))
 				}
 				events = append(events, tu.event("cache", "completed"))
@@ -383,27 +398,43 @@ func (c *Coordinator) SubmitJob(id string, class Class, units []Unit, cb JobCall
 		c.mu.Unlock()
 		return ErrJobExists
 	}
+	if len(pending) > 0 {
+		if err := c.queue.PushAll(pending, class); err != nil {
+			c.mu.Unlock()
+			return err
+		}
+	}
 	// Fully-cached jobs never register: they finish before returning, and
 	// leaving a record would block a later re-submission.
 	if j.rem > 0 {
 		c.jobs[id] = j
 	}
+	handed := c.handOffLocked(c.cfg.Now())
 	c.mu.Unlock()
 
-	if len(pending) > 0 {
-		if err := c.queue.PushAll(pending, class); err != nil {
-			c.mu.Lock()
-			delete(c.jobs, id)
-			c.mu.Unlock()
-			return err
-		}
-	}
 	c.met.JobsSharded.Inc()
-	c.log.Info("job sharded",
+	c.log.Info("units queued",
 		"jobId", id, "class", class.String(),
 		"units", len(units), "cacheHits", len(units)-len(pending))
-	c.deliver([]delivery{{job: j, events: events, final: j.rem == 0}})
+	c.deliver(append([]delivery{{job: j, events: events, final: j.rem == 0}}, handed...))
 	return nil
+}
+
+// handOffLocked grants queued units to idle in-process workers, oldest
+// first, as deliveries that wake them.
+func (c *Coordinator) handOffLocked(now time.Time) []delivery {
+	var out []delivery
+	for len(c.idle) > 0 {
+		w := c.idle[0]
+		resp, d, ok := c.grantNextLocked(w.cfg.Name, w, now)
+		if !ok {
+			break
+		}
+		c.idle = slices.Delete(c.idle, 0, 1)
+		d.wake, d.grant = w, resp
+		out = append(out, d)
+	}
+	return out
 }
 
 // CancelJob withdraws a job: queued and waiting units are dropped
@@ -426,15 +457,18 @@ func (c *Coordinator) CancelJob(id string) {
 		case unitWaiting:
 			delete(c.waiting, u)
 		case unitLeased:
-			if u.lease != nil {
-				u.lease.canceled = true
+			if l := u.lease; l != nil {
+				l.canceled = true
+				if l.owner != nil {
+					l.owner.abandon(l.id)
+				}
 			}
 		}
 		if u.state != unitDone && u.state != unitFailed {
 			u.state = unitCanceled
 		}
 	}
-	c.log.Info("job units withdrawn", "jobId", id)
+	c.log.Info("units withdrawn", "jobId", id)
 }
 
 // Lease grants one queued unit to a worker, registering the worker as
@@ -449,11 +483,54 @@ func (c *Coordinator) Lease(worker string) (LeaseResponse, bool) {
 		c.mu.Unlock()
 		return LeaseResponse{}, false
 	}
+	resp, d, ok := c.grantNextLocked(worker, nil, now)
+	c.mu.Unlock()
+	if ok {
+		// The grant event feeds SSE progress and the job journal's
+		// unit-grant records; delivered outside the lock like all
+		// callbacks.
+		c.deliver([]delivery{d})
+	}
+	return resp, ok
+}
+
+// lease grants the in-process worker w the next queued unit, blocking
+// until SubmitJob or a requeue hands it one; ok is false once ctx ends.
+func (c *Coordinator) lease(ctx context.Context, w *Worker) (LeaseResponse, bool, error) {
+	now := c.cfg.Now()
+	c.mu.Lock()
+	c.touchWorkerLocked(w.cfg.Name, now)
+	if resp, d, ok := c.grantNextLocked(w.cfg.Name, w, now); ok {
+		c.mu.Unlock()
+		c.deliver([]delivery{d})
+		return resp, true, nil
+	}
+	c.idle = append(c.idle, w)
+	c.mu.Unlock()
+	select {
+	case resp := <-w.grant:
+		return resp, true, nil
+	case <-ctx.Done():
+	}
+	c.mu.Lock()
+	i := slices.Index(c.idle, w)
+	if i >= 0 {
+		c.idle = slices.Delete(c.idle, i, i+1)
+	}
+	c.mu.Unlock()
+	if i < 0 { // handed a unit as ctx ended: the lease is the worker's now
+		return <-w.grant, true, nil
+	}
+	return LeaseResponse{}, false, ctx.Err()
+}
+
+// grantNextLocked leases the next grantable queued unit to worker (owner:
+// see lease) and returns the grant and its lease event to deliver.
+func (c *Coordinator) grantNextLocked(worker string, owner *Worker, now time.Time) (LeaseResponse, delivery, bool) {
 	for {
 		u, ok := c.queue.TryPop()
 		if !ok {
-			c.mu.Unlock()
-			return LeaseResponse{}, false
+			return LeaseResponse{}, delivery{}, false
 		}
 		if u.state != unitPending || u.job.canceled {
 			continue // cancelled while queued
@@ -465,6 +542,7 @@ func (c *Coordinator) Lease(worker string) (LeaseResponse, bool) {
 			worker:  worker,
 			granted: now,
 			expires: now.Add(c.cfg.LeaseTTL),
+			owner:   owner,
 		}
 		u.state = unitLeased
 		u.attempts++
@@ -491,25 +569,24 @@ func (c *Coordinator) Lease(worker string) (LeaseResponse, bool) {
 		// The traceparent rides the grant, not the spec: a tracing worker
 		// joins the unit span so its spans stitch under the job's trace.
 		resp.Unit.TraceParent = u.span.TraceParent()
-		d := delivery{job: u.job, events: []Event{u.event("unit", "leased")}}
-		c.mu.Unlock()
-		// The grant event feeds SSE progress and the job journal's
-		// unit-grant records; delivered outside the lock like all
-		// callbacks.
-		c.deliver([]delivery{d})
-		return resp, true
+		return resp, delivery{job: u.job, events: []Event{u.event("unit", "leased")}}, true
 	}
 }
 
-// Complete records a unit's outcome. An unknown lease (expired and
-// re-granted, or from a cancelled job) returns ErrUnknownLease; the
-// worker discards the unit. A success whose result fails checkResult
-// returns ErrBadResult and changes nothing. The stored and assembled
-// result is the compacted document. spans, when present, are the worker's
-// finished spans for the unit, stitched into the job's trace. telemetry,
-// when present, is the unit's windowed telemetry summary block, delivered
-// as a "telemetry" event just before the completed event.
+// Complete records a unit's outcome from its parts; see complete.
 func (c *Coordinator) Complete(leaseID string, result []byte, errMsg string, spans []trace.SpanRecord, telemetry []byte) error {
+	return c.complete(context.Background(), CompleteRequest{LeaseID: leaseID, Result: result, Error: errMsg, Spans: spans, Telemetry: telemetry})
+}
+
+// complete records a unit's outcome: req.Result on success, req.Error on
+// failure. An unknown lease (expired and re-granted, or from a cancelled
+// job) returns ErrUnknownLease; the worker discards the unit. A success
+// whose result fails checkResult returns ErrBadResult and changes nothing.
+// The stored and assembled result is the compacted document. req.Spans
+// are stitched into the job's trace; req.Telemetry becomes a "telemetry"
+// event just before the completed event, which carries req.Flight.
+func (c *Coordinator) complete(_ context.Context, req CompleteRequest) error {
+	leaseID, result, errMsg := req.LeaseID, []byte(req.Result), req.Error
 	var bad error
 	if errMsg == "" {
 		result, bad = checkResult(result)
@@ -537,10 +614,12 @@ func (c *Coordinator) Complete(leaseID string, result []byte, errMsg string, spa
 		c.mu.Unlock()
 		return nil
 	}
-	c.stitchSpansLocked(u, l, now, spans)
+	c.stitchSpansLocked(u, l, now, req.Spans)
 	var d delivery
 	if errMsg != "" {
-		c.breakerFailureLocked(l.worker, now, errMsg)
+		if l.owner == nil {
+			c.breakerFailureLocked(l.worker, now, errMsg)
+		}
 		d = c.retryUnitLocked(u, now, errMsg)
 	} else {
 		c.breakerSuccessLocked(l.worker)
@@ -548,8 +627,9 @@ func (c *Coordinator) Complete(leaseID string, result []byte, errMsg string, spa
 		c.met.UnitDuration.With(u.Scheme).Observe(now.Sub(l.granted).Seconds())
 		u.span.SetAttr("worker", l.worker)
 		d = c.resolveLocked(u, unitDone)
-		if len(telemetry) > 0 {
-			d.events = append([]Event{u.telemetryEvent(telemetry)}, d.events...)
+		d.events[0].Flight = req.Flight
+		if len(req.Telemetry) > 0 {
+			d.events = append([]Event{u.telemetryEvent(req.Telemetry)}, d.events...)
 		}
 		c.log.Info("unit completed",
 			"jobId", u.JobID, "unitKey", u.Key, "leaseId", leaseID,
@@ -561,6 +641,11 @@ func (c *Coordinator) Complete(leaseID string, result []byte, errMsg string, spa
 	}
 	c.deliver([]delivery{d})
 	return nil
+}
+
+// heartbeat is Heartbeat for an in-process worker.
+func (c *Coordinator) heartbeat(_ context.Context, req HeartbeatRequest) (HeartbeatResponse, error) {
+	return HeartbeatResponse{Canceled: c.Heartbeat(req.Worker, req.LeaseIDs)}, nil
 }
 
 // Heartbeat marks the worker alive, renews the listed leases, and
@@ -686,7 +771,9 @@ func (c *Coordinator) sweep(now time.Time) {
 		c.log.Warn("lease expired",
 			"jobId", l.unit.JobID, "unitKey", l.unit.Key,
 			"leaseId", id, "worker", l.worker)
-		c.breakerFailureLocked(l.worker, now, "lease expired")
+		if l.owner == nil {
+			c.breakerFailureLocked(l.worker, now, "lease expired")
+		}
 		deliveries = append(deliveries, c.retryUnitLocked(l.unit, now, "lease expired (worker lost)"))
 	}
 	for u := range c.waiting {
@@ -708,6 +795,7 @@ func (c *Coordinator) sweep(now time.Time) {
 			c.log.Info("worker expired", "worker", w)
 		}
 	}
+	deliveries = append(deliveries, c.handOffLocked(now)...)
 	c.mu.Unlock()
 	c.deliver(deliveries)
 }
@@ -814,9 +902,7 @@ func (c *Coordinator) touchWorkerLocked(worker string, now time.Time) {
 }
 
 // ActiveWorkers counts workers seen within WorkerTTL whose circuit is
-// not open. The job server shards submissions only while this is
-// non-zero, so a fleet of quarantined workers degrades it gracefully
-// back to local execution.
+// not open, in-process workers included.
 func (c *Coordinator) ActiveWorkers() int {
 	now := c.cfg.Now()
 	c.mu.Lock()
@@ -859,6 +945,9 @@ func (c *Coordinator) UnitsRunning() int {
 func (c *Coordinator) QueueDepth() (interactive, batch int) {
 	return c.queue.ClassLen(Interactive), c.queue.ClassLen(Batch)
 }
+
+// QueueCap returns the unit queue's bound (Config.QueueDepth).
+func (c *Coordinator) QueueCap() int { return c.cfg.QueueDepth }
 
 // OldestLeaseAgeSeconds returns the age of the oldest outstanding lease,
 // 0 with none outstanding — a stuck-fleet indicator for dashboards.

@@ -1,17 +1,16 @@
-// Package fleet turns the evaluation job server into a horizontally
-// scalable coordinator/worker system.
-//
-// The coordinator shards a sweep into per-(scheme, benchmark) work units,
-// each itself a canonical single-run job spec with its own content key.
-// Workers — separate processes, typically cmd/equinox-worker — pull units
-// over HTTP (POST /v1/fleet/lease), execute them with the ordinary
-// evaluation harness, and post the result back (POST /v1/fleet/complete).
-// Leases carry a TTL renewed by heartbeats; a crashed worker's units are
-// re-leased after the TTL expires, and a unit that keeps failing is
-// retried with backoff a bounded number of times before it is marked
-// failed. Completed unit results are written to the shared
-// content-addressed store (package store), so a re-run of an overlapping
-// sweep — on any node — reuses every unit already computed.
+// Package fleet is the job server's one execution path: a coordinator that
+// shards every job into per-(scheme, benchmark) work units — each a
+// canonical single-run job spec with its own content key — and the workers
+// that lease and run them with the ordinary evaluation harness. Remote
+// workers (cmd/equinox-worker) speak HTTP (POST /v1/fleet/lease, /complete,
+// /heartbeat; see NewWorker); the job server's own executors call the
+// coordinator directly (Coordinator.LocalWorker) and, when idle, block
+// until a unit is queued instead of polling. Leases carry a TTL renewed by
+// heartbeats; a crashed worker's units are re-leased after the TTL
+// expires, and a unit that keeps failing is retried with backoff a bounded
+// number of times before it is marked failed. Completed unit results are
+// written to the shared content-addressed store (package store), so an
+// overlapping sweep — on any node — reuses every unit already computed.
 //
 // Because each unit runs the same simulator with the same seed as the
 // corresponding run of a single-process sweep, and the design search is
@@ -66,6 +65,9 @@ type Unit struct {
 	// trace. Empty when the job has no trace. Excluded from content keys
 	// (it rides the lease grant, not the spec).
 	TraceParent string `json:"traceParent,omitempty"`
+	// Rerun makes SubmitJob run the unit even when its result is stored:
+	// a traced unit's flight-recorder artifact exists only if it runs.
+	Rerun bool `json:"-"`
 }
 
 // Event is a job progress notification delivered to the coordinator's
@@ -94,6 +96,9 @@ type Event struct {
 	// "telemetry" events — the same block embedded in the unit's
 	// evaluation document.
 	Telemetry json.RawMessage `json:"telemetry,omitempty"`
+	// Flight is CompleteRequest.Flight on the unit's completed event, for
+	// the job's callbacks only: it is never streamed.
+	Flight json.RawMessage `json:"-"`
 }
 
 // Wire types of the coordinator/worker HTTP protocol.
@@ -128,6 +133,10 @@ type CompleteRequest struct {
 	// telemetry summaries), extracted by the worker so the coordinator can
 	// stream it as a live event without re-parsing the full document.
 	Telemetry json.RawMessage `json:"telemetry,omitempty"`
+	// Flight is the flight-recorder artifact of a traced unit, lifted by
+	// the worker out of the document the Run function returned (a leading
+	// "flight" member) so that it never reaches the store or the result.
+	Flight json.RawMessage `json:"flight,omitempty"`
 }
 
 // HeartbeatRequest renews a worker's leases and marks it alive.

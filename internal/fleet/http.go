@@ -43,7 +43,7 @@ func RegisterHandlers(mux *http.ServeMux, c *Coordinator, log *slog.Logger) {
 			obs.WriteError(w, http.StatusBadRequest, "leaseId is required")
 			return
 		}
-		switch err := c.Complete(req.LeaseID, req.Result, req.Error, req.Spans, req.Telemetry); {
+		switch err := c.complete(r.Context(), req); {
 		case err == nil:
 			w.WriteHeader(http.StatusNoContent)
 		case errors.Is(err, ErrUnknownLease):

@@ -11,14 +11,13 @@ var (
 	ErrQueueClosed = errors.New("fleet: queue is closed")
 )
 
-// FairQueue is a blocking two-class priority queue with weighted fair
-// dequeue. Within a class items come out FIFO; across classes the
-// dequeuer picks the non-empty class with the least service relative to
-// its weight (deficit round-robin), so interactive work keeps flowing at
-// a guaranteed share while a huge batch sweep drains.
+// FairQueue is a two-class priority queue with weighted fair dequeue.
+// Within a class items come out FIFO; across classes the dequeuer picks
+// the non-empty class with the least service relative to its weight
+// (deficit round-robin), so interactive work keeps flowing at a
+// guaranteed share while a huge batch sweep drains.
 type FairQueue[T any] struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
 	cap    int // total bound across classes; 0 = unbounded
 	closed bool
 
@@ -30,9 +29,7 @@ type FairQueue[T any] struct {
 // NewFairQueue returns a queue bounded to capacity items in total
 // (0 = unbounded).
 func NewFairQueue[T any](capacity int) *FairQueue[T] {
-	fq := &FairQueue[T]{cap: capacity}
-	fq.cond = sync.NewCond(&fq.mu)
-	return fq
+	return &FairQueue[T]{cap: capacity}
 }
 
 func (fq *FairQueue[T]) lenLocked() int {
@@ -41,11 +38,6 @@ func (fq *FairQueue[T]) lenLocked() int {
 		n += len(fq.q[c]) - fq.head[c]
 	}
 	return n
-}
-
-// Push enqueues one item, failing when the queue is full or closed.
-func (fq *FairQueue[T]) Push(item T, class Class) error {
-	return fq.PushAll([]T{item}, class)
 }
 
 // PushAll enqueues all items atomically — either every item is accepted
@@ -60,7 +52,6 @@ func (fq *FairQueue[T]) PushAll(items []T, class Class) error {
 		return ErrQueueFull
 	}
 	fq.q[class] = append(fq.q[class], items...)
-	fq.cond.Broadcast()
 	return nil
 }
 
@@ -74,7 +65,6 @@ func (fq *FairQueue[T]) forcePush(item T, class Class) bool {
 		return false
 	}
 	fq.q[class] = append(fq.q[class], item)
-	fq.cond.Broadcast()
 	return true
 }
 
@@ -108,25 +98,8 @@ func (fq *FairQueue[T]) popLocked(c Class) T {
 	return item
 }
 
-// Pop blocks until an item is available and returns it, or returns
-// ok=false once the queue is closed and drained.
-func (fq *FairQueue[T]) Pop() (item T, ok bool) {
-	fq.mu.Lock()
-	defer fq.mu.Unlock()
-	for {
-		if c, any := fq.pickLocked(); any {
-			return fq.popLocked(c), true
-		}
-		if fq.closed {
-			var zero T
-			return zero, false
-		}
-		fq.cond.Wait()
-	}
-}
-
-// TryPop returns an item without blocking, or ok=false when the queue is
-// empty (or closed and drained).
+// TryPop returns an item, or ok=false when the queue is empty. A closed
+// queue still drains.
 func (fq *FairQueue[T]) TryPop() (item T, ok bool) {
 	fq.mu.Lock()
 	defer fq.mu.Unlock()
@@ -168,11 +141,9 @@ func (fq *FairQueue[T]) ClassLen(c Class) int {
 	return len(fq.q[c]) - fq.head[c]
 }
 
-// Close stops accepting pushes; blocked and future Pops drain the
-// remaining items and then return ok=false.
+// Close stops accepting pushes.
 func (fq *FairQueue[T]) Close() {
 	fq.mu.Lock()
 	defer fq.mu.Unlock()
 	fq.closed = true
-	fq.cond.Broadcast()
 }

@@ -1,15 +1,11 @@
 package fleet
 
-import (
-	"sync"
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestFairQueueFIFOWithinClass(t *testing.T) {
 	q := NewFairQueue[int](0)
 	for i := 0; i < 5; i++ {
-		if err := q.Push(i, Batch); err != nil {
+		if err := q.PushAll([]int{i}, Batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -27,8 +23,8 @@ func TestFairQueueFIFOWithinClass(t *testing.T) {
 func TestFairQueueWeightedShare(t *testing.T) {
 	q := NewFairQueue[string](0)
 	for i := 0; i < 30; i++ {
-		q.Push("i", Interactive) //nolint:errcheck
-		q.Push("b", Batch)       //nolint:errcheck
+		q.PushAll([]string{"i"}, Interactive) //nolint:errcheck
+		q.PushAll([]string{"b"}, Batch)       //nolint:errcheck
 	}
 	// Over the first 8 dequeues with both classes backlogged, the 3:1
 	// weights guarantee batch is served but interactive dominates.
@@ -57,7 +53,7 @@ func TestFairQueueCapacityAllOrNothing(t *testing.T) {
 		t.Fatalf("failed PushAll must not enqueue anything, len=%d", q.Len())
 	}
 	// forcePush ignores the bound.
-	q.Push(3, Batch) //nolint:errcheck
+	q.PushAll([]int{3}, Batch) //nolint:errcheck
 	if !q.forcePush(4, Batch) {
 		t.Fatal("forcePush on open queue")
 	}
@@ -69,7 +65,7 @@ func TestFairQueueCapacityAllOrNothing(t *testing.T) {
 func TestFairQueueRemove(t *testing.T) {
 	q := NewFairQueue[int](0)
 	for i := 0; i < 4; i++ {
-		q.Push(i, Interactive) //nolint:errcheck
+		q.PushAll([]int{i}, Interactive) //nolint:errcheck
 	}
 	if !q.Remove(func(v int) bool { return v == 2 }) {
 		t.Fatal("remove existing")
@@ -96,41 +92,22 @@ func TestFairQueueRemove(t *testing.T) {
 	}
 }
 
-func TestFairQueuePopBlocksAndDrainsOnClose(t *testing.T) {
+// TestFairQueueDrainsAfterClose: a closed queue refuses pushes but still
+// hands out what it holds.
+func TestFairQueueDrainsAfterClose(t *testing.T) {
 	q := NewFairQueue[int](0)
-	var wg sync.WaitGroup
-	got := make(chan int, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		v, ok := q.Pop()
-		if ok {
-			got <- v
-		}
-		close(got)
-	}()
-	time.Sleep(10 * time.Millisecond)
-	q.Push(42, Batch) //nolint:errcheck
-	select {
-	case v := <-got:
-		if v != 42 {
-			t.Fatalf("got %d", v)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Pop did not wake")
-	}
-	wg.Wait()
-
-	// Closed queue: pending items drain, then Pop reports done.
-	q.Push(7, Batch) //nolint:errcheck
+	q.PushAll([]int{7}, Batch) //nolint:errcheck
 	q.Close()
-	if v, ok := q.Pop(); !ok || v != 7 {
+	if err := q.PushAll([]int{1}, Batch); err != ErrQueueClosed {
+		t.Fatalf("push after close: %v", err)
+	}
+	if q.forcePush(1, Batch) {
+		t.Fatal("forcePush after close succeeded")
+	}
+	if v, ok := q.TryPop(); !ok || v != 7 {
 		t.Fatalf("drain after close: %d %v", v, ok)
 	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("Pop after drain should report closed")
-	}
-	if err := q.Push(1, Batch); err != ErrQueueClosed {
-		t.Fatalf("push after close: %v", err)
+	if _, ok := q.TryPop(); ok {
+		t.Fatal("TryPop after drain found an item")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -20,7 +21,8 @@ import (
 // RunFunc executes one work unit's canonical spec and returns its
 // evaluation JSON. The context is cancelled when the coordinator
 // withdraws the lease (job cancelled, lease re-granted) or the worker
-// shuts down.
+// shuts down. A leading "flight" member (FlightPrefix) moves into
+// CompleteRequest.Flight.
 type RunFunc func(ctx context.Context, unit Unit) ([]byte, error)
 
 // WorkerConfig tunes a fleet worker.
@@ -39,7 +41,7 @@ type WorkerConfig struct {
 	// (default 500ms).
 	PollInterval time.Duration
 	// HeartbeatInterval paces lease renewal; it should be well under the
-	// coordinator's lease TTL (default 2s).
+	// coordinator's lease TTL (default 2s; LocalWorker: a third of it).
 	HeartbeatInterval time.Duration
 	// Logger receives worker logs (nil discards).
 	Logger *slog.Logger
@@ -55,15 +57,28 @@ type WorkerConfig struct {
 }
 
 // Worker pulls units from a coordinator and executes them. Create one
-// with NewWorker and drive it with Run.
+// with NewWorker or Coordinator.LocalWorker and drive it with Run.
 type Worker struct {
-	cfg WorkerConfig
-	log *slog.Logger
-	hc  *http.Client
-	jit *jitter
+	cfg   WorkerConfig
+	log   *slog.Logger
+	conn  conn
+	jit   *jitter
+	grant chan LeaseResponse // a LocalWorker's hand-offs, one slot per unit loop
 
 	mu     sync.Mutex
 	leases map[string]*workerLease
+}
+
+// conn is the worker's side of the lease protocol, its one seam between
+// the two transports: an httpConn speaks HTTP to a remote coordinator, and
+// an in-process worker's conn is its *Coordinator.
+type conn interface {
+	// lease asks for a unit for w; ok is false when none is granted.
+	lease(ctx context.Context, w *Worker) (resp LeaseResponse, ok bool, err error)
+	// complete reports an outcome. ErrUnknownLease and ErrBadResult are
+	// the coordinator's final answers; any other error may be transient.
+	complete(ctx context.Context, req CompleteRequest) error
+	heartbeat(ctx context.Context, req HeartbeatRequest) (HeartbeatResponse, error)
 }
 
 // jitter is the worker's seeded backoff randomizer. Seeding it from the
@@ -113,11 +128,35 @@ type workerLease struct {
 	abandoned bool // coordinator withdrew it: do not post a result
 }
 
-// NewWorker validates cfg and returns a worker.
+// NewWorker validates cfg and returns a worker that speaks HTTP to
+// cfg.Coordinator.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Coordinator == "" {
 		return nil, fmt.Errorf("fleet: worker needs a coordinator URL")
 	}
+	hc := cfg.Client
+	if hc == nil {
+		hc = &http.Client{Timeout: 30 * time.Second}
+	}
+	return newWorker(cfg, httpConn{base: cfg.Coordinator, hc: hc})
+}
+
+// LocalWorker returns a worker that calls c directly: no HTTP, no polling
+// (an idle one blocks until c hands it a unit), and a cancelled job's
+// unit stops at once.
+func (c *Coordinator) LocalWorker(cfg WorkerConfig) (*Worker, error) {
+	if cfg.HeartbeatInterval <= 0 {
+		cfg.HeartbeatInterval = c.cfg.LeaseTTL / 3
+	}
+	w, err := newWorker(cfg, c)
+	if err != nil {
+		return nil, err
+	}
+	w.grant = make(chan LeaseResponse, w.cfg.Parallelism)
+	return w, nil
+}
+
+func newWorker(cfg WorkerConfig, cn conn) (*Worker, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("fleet: worker needs a name")
 	}
@@ -136,14 +175,10 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
 	}
-	hc := cfg.Client
-	if hc == nil {
-		hc = &http.Client{Timeout: 30 * time.Second}
-	}
 	return &Worker{
 		cfg:    cfg,
 		log:    cfg.Logger,
-		hc:     hc,
+		conn:   cn,
 		jit:    newJitter(cfg.Name),
 		leases: map[string]*workerLease{},
 	}, nil
@@ -154,17 +189,21 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 // HTTP response — even an error status — counts as ready: the transport
 // is up and the protocol loops own per-request retries from there. It
 // returns the last connection error once budget elapses, or ctx.Err()
-// if the context ends first.
+// if the context ends first. A LocalWorker is always ready.
 func (w *Worker) WaitReady(ctx context.Context, budget time.Duration) error {
+	h, ok := w.conn.(httpConn)
+	if !ok {
+		return nil
+	}
 	deadline := time.Now().Add(budget)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-			w.cfg.Coordinator+"/v1/healthz", nil)
+			h.base+"/v1/healthz", nil)
 		if err != nil {
-			return fmt.Errorf("fleet: bad coordinator URL %q: %w", w.cfg.Coordinator, err)
+			return fmt.Errorf("fleet: bad coordinator URL %q: %w", h.base, err)
 		}
-		resp, err := w.hc.Do(req)
+		resp, err := h.hc.Do(req)
 		if err == nil {
 			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck
 			resp.Body.Close()
@@ -215,7 +254,7 @@ func (w *Worker) Run(ctx context.Context) error {
 
 func (w *Worker) unitLoop(ctx context.Context, slot int) {
 	for ctx.Err() == nil {
-		grant, ok, err := w.lease(ctx)
+		grant, ok, err := w.conn.lease(ctx, w)
 		if err != nil {
 			if ctx.Err() != nil {
 				return
@@ -286,8 +325,8 @@ func (w *Worker) execute(ctx context.Context, grant LeaseResponse) {
 		w.log.Warn("unit failed",
 			"leaseId", grant.LeaseID, "jobId", grant.Unit.JobID, "error", runErr)
 	} else {
-		req.Result = result
-		req.Telemetry = extractTelemetry(result)
+		req.Result, req.Flight = extractFlight(result)
+		req.Telemetry = ExtractTelemetry(req.Result)
 		w.log.Info("unit finished",
 			"leaseId", grant.LeaseID, "jobId", grant.Unit.JobID,
 			"resultBytes", len(result))
@@ -313,83 +352,104 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 			ids = append(ids, id)
 		}
 		w.mu.Unlock()
-		var resp HeartbeatResponse
-		err := w.post(ctx, "/v1/fleet/heartbeat",
-			HeartbeatRequest{Worker: w.cfg.Name, LeaseIDs: ids}, &resp)
+		resp, err := w.conn.heartbeat(ctx, HeartbeatRequest{Worker: w.cfg.Name, LeaseIDs: ids})
 		if err != nil {
 			if ctx.Err() == nil {
 				w.log.Warn("heartbeat failed", "error", err)
 			}
 			continue
 		}
-		if len(resp.Canceled) > 0 {
-			w.mu.Lock()
-			for _, id := range resp.Canceled {
-				if wl, ok := w.leases[id]; ok {
-					wl.abandoned = true
-					wl.cancel()
-				}
-			}
-			w.mu.Unlock()
+		w.abandon(resp.Canceled...)
+	}
+}
+
+// abandon withdraws in-flight units the coordinator no longer wants: they
+// stop at their next cancellation check and post no result.
+func (w *Worker) abandon(leaseIDs ...string) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, id := range leaseIDs {
+		if wl, ok := w.leases[id]; ok {
+			wl.abandoned = true
+			wl.cancel()
 		}
 	}
 }
 
-// lease asks for a unit; ok is false when the queue is empty.
-func (w *Worker) lease(ctx context.Context) (LeaseResponse, bool, error) {
-	var resp LeaseResponse
-	status, err := w.postStatus(ctx, "/v1/fleet/lease",
-		LeaseRequest{Worker: w.cfg.Name}, &resp)
-	if err != nil {
-		return LeaseResponse{}, false, err
+// complete delivers a unit outcome, retrying transient failures with
+// bounded full-jitter backoff so a network blip does not cost a finished
+// simulation. ErrUnknownLease (lease already gone) is success: the
+// coordinator no longer wants the result. ErrBadResult is deterministic —
+// the same body would be refused again — so the unit is reported failed
+// instead, once, and takes the coordinator's retry with backoff rather
+// than waiting out its lease.
+func (w *Worker) complete(ctx context.Context, req CompleteRequest) error {
+	for attempt := 0; ; attempt++ {
+		err := w.conn.complete(ctx, req)
+		switch {
+		case err == nil || errors.Is(err, ErrUnknownLease):
+			return nil
+		case errors.Is(err, ErrBadResult) && req.Error == "":
+			w.log.Warn("unit result rejected; reporting the unit failed",
+				"leaseId", req.LeaseID, "error", err)
+			req = CompleteRequest{LeaseID: req.LeaseID, Error: err.Error(), Spans: req.Spans}
+			continue
+		case errors.Is(err, ErrBadResult) || attempt == 3 || ctx.Err() != nil:
+			return err
+		}
+		sleepCtx(ctx, w.jit.backoff(200*time.Millisecond, 5*time.Second, attempt))
 	}
-	if status == http.StatusNoContent {
-		return LeaseResponse{}, false, nil
+}
+
+// httpConn is the remote transport: the protocol over HTTP.
+type httpConn struct {
+	base string // the coordinator's base URL
+	hc   *http.Client
+}
+
+// lease asks for a unit; ok is false when the queue is empty (204).
+func (h httpConn) lease(ctx context.Context, w *Worker) (LeaseResponse, bool, error) {
+	var resp LeaseResponse
+	status, err := h.post(ctx, "/v1/fleet/lease", LeaseRequest{Worker: w.cfg.Name}, &resp)
+	if err != nil || status == http.StatusNoContent {
+		return LeaseResponse{}, false, err
 	}
 	return resp, true, nil
 }
 
-// complete posts a unit outcome with bounded full-jitter retries, so a
-// transient network blip does not cost a finished simulation. A 410
-// (lease already gone) is success: the coordinator no longer wants the
-// result.
-func (w *Worker) complete(ctx context.Context, req CompleteRequest) error {
-	var lastErr error
-	for attempt := 0; attempt < 4; attempt++ {
-		if attempt > 0 {
-			sleepCtx(ctx, w.jit.backoff(200*time.Millisecond, 5*time.Second, attempt-1))
-		}
-		status, err := w.postStatus(ctx, "/v1/fleet/complete", req, nil)
-		if err == nil || status == http.StatusGone {
-			return nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
+// complete posts one outcome: a 410 is ErrUnknownLease and any other 4xx
+// wraps ErrBadResult.
+func (h httpConn) complete(ctx context.Context, req CompleteRequest) error {
+	status, err := h.post(ctx, "/v1/fleet/complete", req, nil)
+	switch {
+	case status == http.StatusGone:
+		return ErrUnknownLease
+	case status >= 400 && status < 500:
+		return fmt.Errorf("%w: %v", ErrBadResult, err)
 	}
-	return lastErr
-}
-
-func (w *Worker) post(ctx context.Context, path string, body, out any) error {
-	_, err := w.postStatus(ctx, path, body, out)
 	return err
 }
 
-// postStatus does one protocol POST. Status is returned for the
-// no-content and gone cases; 5xx/4xx other than those become errors.
-func (w *Worker) postStatus(ctx context.Context, path string, body, out any) (int, error) {
+func (h httpConn) heartbeat(ctx context.Context, req HeartbeatRequest) (HeartbeatResponse, error) {
+	var resp HeartbeatResponse
+	_, err := h.post(ctx, "/v1/fleet/heartbeat", req, &resp)
+	return resp, err
+}
+
+// post does one protocol POST. Status is returned for the no-content and
+// gone cases; 5xx/4xx other than those become errors.
+func (h httpConn) post(ctx context.Context, path string, body, out any) (int, error) {
 	payload, err := json.Marshal(body)
 	if err != nil {
 		return 0, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		w.cfg.Coordinator+path, bytes.NewReader(payload))
+		h.base+path, bytes.NewReader(payload))
 	if err != nil {
 		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.hc.Do(req)
+	resp, err := h.hc.Do(req)
 	if err != nil {
 		return 0, err
 	}

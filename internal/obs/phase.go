@@ -43,20 +43,28 @@ func PhasesUnder(recs []trace.SpanRecord, root string, names ...string) []Phase 
 	}
 	var out []Phase
 	for _, r := range recs {
-		if !slices.Contains(names, r.Name) || !under(r.ParentID) {
-			continue
+		if slices.Contains(names, r.Name) && under(r.ParentID) {
+			out = AddPhases(out, Phase{Name: r.Name, Count: 1, NS: r.DurNS, MinNS: r.DurNS, MaxNS: r.DurNS})
 		}
-		i := slices.IndexFunc(out, func(p Phase) bool { return p.Name == r.Name })
-		if i < 0 {
-			i = len(out)
-			out = append(out, Phase{Name: r.Name, MinNS: r.DurNS})
-		}
-		p := &out[i]
-		p.Count++
-		p.NS += r.DurNS
-		p.MS = float64(p.NS) / 1e6
-		p.MinNS = min(p.MinNS, r.DurNS)
-		p.MaxNS = max(p.MaxNS, r.DurNS)
 	}
 	return out
+}
+
+// AddPhases folds phases into sum by name, keeping first-seen order:
+// counts and durations add, and the extremes widen.
+func AddPhases(sum []Phase, phases ...Phase) []Phase {
+	for _, p := range phases {
+		i := slices.IndexFunc(sum, func(q Phase) bool { return q.Name == p.Name })
+		if i < 0 {
+			i = len(sum)
+			sum = append(sum, Phase{Name: p.Name, MinNS: p.MinNS})
+		}
+		q := &sum[i]
+		q.Count += p.Count
+		q.NS += p.NS
+		q.MS = float64(q.NS) / 1e6
+		q.MinNS = min(q.MinNS, p.MinNS)
+		q.MaxNS = max(q.MaxNS, p.MaxNS)
+	}
+	return sum
 }

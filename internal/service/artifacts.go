@@ -1,11 +1,10 @@
 package service
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
+	"equinox/internal/fleet"
 	"equinox/internal/obs"
 )
 
@@ -46,7 +45,7 @@ var artifacts = []artifact{{
 	suffix: "telemetry", noun: "telemetry artifact",
 	flag:    func(s JobSpec) bool { return s.Telemetry },
 	get:     func(j *job) []byte { return j.telemetry },
-	stored:  telemetryArtifact,
+	stored:  fleet.ExtractTelemetry,
 	unknown: "no such job (completed results expire from the cache)",
 	missing: "no telemetry artifact (the cached result was computed without telemetry, or the job failed before capture)",
 }}
@@ -84,19 +83,4 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request, a artifa
 		return
 	}
 	obs.WriteJSONBody(w, http.StatusOK, body)
-}
-
-// telemetryArtifact extracts the raw "telemetry" block from an evaluation
-// document, or nil when the document carries none.
-func telemetryArtifact(result []byte) []byte {
-	var doc struct {
-		Telemetry json.RawMessage `json:"telemetry"`
-	}
-	if err := json.Unmarshal(result, &doc); err != nil {
-		return nil
-	}
-	if len(doc.Telemetry) == 0 || bytes.Equal(doc.Telemetry, []byte("null")) {
-		return nil
-	}
-	return doc.Telemetry
 }

@@ -12,7 +12,7 @@ import (
 
 // sseEvent is one rendered server-sent event.
 type sseEvent struct {
-	name string // SSE event name: unit, cache, progress, job
+	name string // SSE event name: unit, cache, telemetry, job
 	data []byte // one-line JSON payload
 }
 
@@ -104,9 +104,10 @@ func (h *eventHub) unsubscribe(ch chan sseEvent) {
 }
 
 // handleEvents streams a job's progress as server-sent events
-// (GET /v1/jobs/{id}/events): unit completions and retries, unit-level
-// cache hits, local run progress, and a terminal "job" event, after which
-// the stream ends. Subscribing to a finished job replays its history.
+// (GET /v1/jobs/{id}/events): unit grants, completions and retries,
+// unit-level cache hits, telemetry frames, and a terminal "job" event,
+// after which the stream ends. Subscribing to a finished job replays its
+// history.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()

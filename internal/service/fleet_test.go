@@ -177,9 +177,6 @@ func TestWorkerCrashRecovery(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)
 	}
-	if sub.Status != JobRunning {
-		t.Fatalf("submit status %s, want running (sharded)", sub.Status)
-	}
 
 	lease, err := json.Marshal(fleet.LeaseRequest{Worker: "crashy"})
 	if err != nil {
@@ -310,8 +307,9 @@ func TestSSEStreamsShardedJob(t *testing.T) {
 	}
 }
 
-// TestSSEStreamsLocalJob: without fleet workers, the stream carries local
-// progress events and the terminal event.
+// TestSSEStreamsLocalJob: a job run by the in-process executor streams the
+// same unit events a sharded one does — its unit's grant and completion —
+// and then the terminal event.
 func TestSSEStreamsLocalJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	sub, code := submit(t, ts, smallSpec())
@@ -319,23 +317,15 @@ func TestSSEStreamsLocalJob(t *testing.T) {
 		t.Fatalf("submit: %d", code)
 	}
 	events := readSSE(t, ts, sub.ID)
-	var progress, terminal int
+	var names []string
 	for _, e := range events {
-		switch e.name {
-		case "progress":
-			progress++
-		case "job":
-			terminal++
-			if e.ev.Status != string(JobDone) {
-				t.Errorf("terminal status %s", e.ev.Status)
-			}
+		names = append(names, e.name+"/"+e.ev.Status)
+		if e.name == "unit" && (e.ev.Total != 1 || e.ev.UnitKey != sub.ID) {
+			t.Errorf("unit event %+v, want the job's one unit, keyed by the job's id", e.ev)
 		}
 	}
-	if progress < 1 {
-		t.Error("no progress events on local job stream")
-	}
-	if terminal != 1 {
-		t.Errorf("terminal events = %d, want 1", terminal)
+	if got, want := strings.Join(names, " "), "unit/leased unit/completed job/done"; got != want {
+		t.Errorf("events %q, want %q", got, want)
 	}
 }
 
@@ -406,37 +396,37 @@ func TestRestartServedFromDiskStore(t *testing.T) {
 	}
 }
 
-// TestCancelQueuedRemovesFromQueue: DELETE on a queued job frees its queue
-// slot immediately and logs the cancellation.
+// TestCancelQueuedRemovesFromQueue: DELETE on a queued job frees its unit
+// queue slot immediately and logs the cancellation.
 func TestCancelQueuedRemovesFromQueue(t *testing.T) {
 	var buf syncBuffer
 	logger, err := obs.NewLogger(&buf, "info", "json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, ts := newTestServer(t, Config{Workers: 1, JobParallelism: 1, Logger: logger})
+	s, ts := newTestServer(t, Config{Workers: 1, Logger: logger})
 
-	// Occupy the only worker, then queue a second job behind it.
-	running, _ := submit(t, ts, slowSpec())
+	// Occupy the only executor, then queue a second job behind it.
+	running, _ := submit(t, ts, longSpec())
 	waitFor(t, "first job running", func() bool {
 		st, _ := getJob(t, ts, running.ID)
 		return st.Status == JobRunning
 	})
 	queued, code := submit(t, ts, smallSpec())
-	if code != http.StatusAccepted {
-		t.Fatalf("second submit: %d", code)
+	if code != http.StatusAccepted || queued.Status != JobQueued {
+		t.Fatalf("second submit: %d %+v, want 202 queued", code, queued)
 	}
-	if n := s.queue.Len(); n != 1 {
-		t.Fatalf("queue length = %d, want 1", n)
+	if n := s.queuedUnits(); n != 1 {
+		t.Fatalf("queued units = %d, want 1", n)
 	}
 
 	st, code := cancelJob(t, ts, queued.ID)
 	if code != http.StatusOK || st.Status != JobCancelled {
 		t.Fatalf("cancel queued: %d %+v", code, st)
 	}
-	// Gone from the queue right now — not when a worker eventually pops it.
-	if n := s.queue.Len(); n != 0 {
-		t.Fatalf("queue length after cancel = %d, want 0", n)
+	// Gone from the queue right now — not when an executor reaches it.
+	if n := s.queuedUnits(); n != 0 {
+		t.Fatalf("queued units after cancel = %d, want 0", n)
 	}
 	if !strings.Contains(buf.String(), `"msg":"job cancelled"`) {
 		t.Error("no 'job cancelled' log line")

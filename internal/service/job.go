@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"log/slog"
 	"sync/atomic"
@@ -13,9 +12,10 @@ import (
 // JobState is a job's lifecycle stage.
 type JobState string
 
-// The job lifecycle: queued → running → done | failed | cancelled.
-// Cancellation can also strike a job while it is still queued. The full
-// edge table, and the only code that walks it, is in lifecycle.go.
+// The job lifecycle: queued → running → done | failed | cancelled. A job
+// runs once its first unit is leased or answered from the store;
+// cancellation can also strike it while it is still queued. The full edge
+// table, and the only code that walks it, is in lifecycle.go.
 const (
 	JobQueued    JobState = "queued"
 	JobRunning   JobState = "running"
@@ -30,8 +30,8 @@ func (s JobState) Finished() bool {
 }
 
 // job is the server-side record of one submission. Every field except
-// doneRuns is guarded by the server's mutex; doneRuns is written by the
-// harness's progress callback while the server reads it for status.
+// doneRuns is guarded by the server's mutex; doneRuns is written from the
+// job's unit events while the server reads it for status.
 type job struct {
 	id   string // content key of the canonical spec
 	spec JobSpec
@@ -43,9 +43,6 @@ type job struct {
 	started   time.Time
 	finished  time.Time
 
-	ctx    context.Context
-	cancel context.CancelFunc
-
 	// log is the job-scoped logger, pre-bound with the job ID (the spec
 	// hash), the submitting request's ID, schemes, and benchmark count;
 	// every lifecycle transition logs through it.
@@ -55,8 +52,9 @@ type job struct {
 	// correlating the job's whole lifecycle with the client's request.
 	requestID string
 
-	// trace is the rendered Perfetto artifact of a Trace-flagged job
-	// (GET /v1/jobs/{id}/trace); nil until the job completes.
+	// trace is the Perfetto artifact of a Trace-flagged job
+	// (GET /v1/jobs/{id}/trace), carried by its traced unit's completion;
+	// nil until then.
 	trace []byte
 
 	// telemetry is the assembled per-run telemetry summary array of a
@@ -75,7 +73,7 @@ type job struct {
 	span  *obstrace.Span
 	spans []byte
 
-	// events fans job progress out to SSE subscribers
+	// events fans the job's unit events out to SSE subscribers
 	// (GET /v1/jobs/{id}/events); closed after the terminal event.
 	events *eventHub
 

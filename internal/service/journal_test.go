@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"equinox/internal/fleet"
 	"equinox/internal/fleet/store"
 )
 
@@ -192,20 +193,19 @@ func submitRaw(t *testing.T, ts *httptest.Server, spec JobSpec) *http.Response {
 }
 
 // TestAdmissionShedsBatchBeforeInteractive pins graceful degradation
-// under queue pressure: batch submissions are shed with 429 +
-// Retry-After once the queue passes the shed fraction, interactive ones
-// are admitted until the queue is hard-full, and both rejections are
-// counted by class.
+// under pressure on the coordinator's unit queue: batch submissions are
+// shed with 429 + Retry-After once the queue passes the shed fraction,
+// interactive ones are admitted until their units no longer fit, and both
+// rejections are counted by class.
 func TestAdmissionShedsBatchBeforeInteractive(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		Workers:        1,
-		JobParallelism: 1,
-		QueueDepth:     4,
-		ShedFraction:   0.5, // batch shed once 2 of 4 slots are used
+		Workers:      1,
+		ShedFraction: 0.5, // batch shed once 2 of 4 slots are used
+		Fleet:        fleet.Config{QueueDepth: 4},
 	})
 
-	// Occupy the only worker so everything after queues.
-	running, _ := submit(t, ts, slowSpec())
+	// Occupy the only executor so everything after queues.
+	running, _ := submit(t, ts, longSpec())
 	waitFor(t, "occupier running", func() bool {
 		st, _ := getJob(t, ts, running.ID)
 		return st.Status == JobRunning

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"log/slog"
 	"slices"
 	"time"
@@ -14,22 +13,23 @@ import (
 )
 
 // edges is the job state machine, state → legal successors. This file owns
-// it: step is the only assignment to a job's state, dispatch the one way a
-// job becomes runnable, settle the one way it ends.
+// it: step is the only assignment to a job's state, dispatch the one way in
+// (every job becomes fleet units), start the one way a job begins, and
+// settle — driven by the coordinator's OnDone, a DELETE or Shutdown — the
+// one way it ends.
 //
-//	queued  → running    a local worker popped it (run), or dispatch handed it to the fleet
-//	queued  → cancelled  DELETE before any worker got to it
-//	running → done       finish (local run) or the coordinator's OnDone (sharded)
-//	running → failed     likewise, with an error
-//	running → cancelled  DELETE, or the shutdown deadline cutting the run short
-//	running → queued     dispatch only: the fleet refused the hand-off, so the
-//	                     job falls back to the local pool
+//	queued  → running    start: its first unit was leased or answered from the store
+//	queued  → cancelled  DELETE or the shutdown deadline before any unit started, or
+//	                     dispatch when the unit queue refuses the job (uncounted)
+//	running → done       OnDone with the job's document
+//	running → failed     OnDone with an error: assembly failed, or a one-unit job's unit failed
+//	running → cancelled  DELETE, or the shutdown deadline cutting the job short
 //
 // Terminal states have no successors, which makes every ending exactly-once:
 // the second of two racing endings finds no edge.
 var edges = map[JobState][]JobState{
 	JobQueued:  {JobRunning, JobCancelled},
-	JobRunning: {JobDone, JobFailed, JobCancelled, JobQueued},
+	JobRunning: {JobDone, JobFailed, JobCancelled},
 }
 
 // step moves the job along one edge and reports whether that edge exists
@@ -43,22 +43,14 @@ func (j *job) step(to JobState) bool {
 	return true
 }
 
-// shardable reports whether a fresh job goes to the fleet rather than the
-// local pool: multi-run sweeps while workers are alive (workers behind an
-// open circuit breaker don't count). Trace-flagged jobs always run
-// locally — the flight recorder's artifact is process-local state.
-func (s *Server) shardable(spec JobSpec) bool {
-	return !spec.Trace && spec.Runs() > 1 && s.coord.ActiveWorkers() > 0
-}
-
-// dispatch is the one way in: it makes a freshly registered job runnable.
-// The caller registered j under s.mu and still holds it; dispatch releases
-// it. Shardable jobs go to the coordinator and fall back to the local queue
-// when it refuses them. Returns the state the job was accepted in, or — the
-// local queue refused it too — unregisters the job and returns the error.
-// Only accepted jobs are counted.
+// dispatch is the one way in: it hands a freshly registered job's units to
+// the coordinator. The caller registered j under s.mu and still holds it;
+// dispatch releases it. Returns the job's state once the coordinator took
+// it (running if an idle executor or the store already started it), or —
+// the unit queue refused it — unregisters the uncounted job and returns
+// the error.
 func (s *Server) dispatch(j *job, recovered bool) (JobState, error) {
-	// The submit record lands before any worker can run (and finish) the
+	// The submit record lands before any unit can run (and finish) the
 	// job, so it always precedes the terminal record. A recovered job's is
 	// in the journal already.
 	if s.cfg.Journal != nil && !recovered {
@@ -68,51 +60,73 @@ func (s *Server) dispatch(j *job, recovered bool) (JobState, error) {
 			s.cfg.Journal.Submit(j.id, raw)
 		}
 	}
-	state, how := JobQueued, []any{"priority", j.spec.Priority}
-	if s.shardable(j.spec) {
-		j.step(JobRunning)
-		j.started = time.Now()
-		// The coordinator fires callbacks synchronously for store-cached
-		// units, and a fully cached job settles before SubmitJob returns.
-		s.mu.Unlock()
-		ferr := s.submitSharded(j)
-		s.mu.Lock()
-		switch {
-		case ferr == nil:
-			state, how = JobRunning, []any{"sharded", true}
-		case j.step(JobQueued):
-			// Fleet queue saturated (or unit derivation failed): degrade
-			// to the local pool.
-			j.started = time.Time{}
-			how = []any{"fleetFallback", ferr.Error()}
-		default:
-			// A DELETE landed during the hand-off; it stands.
-			state = j.state
-		}
+	s.mu.Unlock()
+	msg := "job submitted"
+	if recovered {
+		msg = "job recovered from journal"
 	}
-	if state == JobQueued {
-		if err := s.queue.Push(j, j.spec.class()); err != nil {
-			delete(s.jobs, j.id)
-			s.mu.Unlock()
-			if !recovered {
-				// Close the submit record out, or a restart would resurrect
-				// a job the client saw rejected. (A recovered job stays
-				// pending instead: the next restart retries it.)
-				s.cfg.Journal.Terminal(j.id, JobCancelled)
-			}
-			return "", err
-		}
+	// Logged before the hand-off, which may already start the job.
+	j.log.Info(msg, "state", JobQueued, "cache", "miss", "runs", j.totalRuns, "priority", j.spec.Priority)
+	units, err := unitsFor(j.id, j.spec)
+	if err == nil {
+		// The coordinator fires callbacks synchronously for units the
+		// store answers and for units it hands to idle executors.
+		err = s.coord.SubmitJob(j.id, j.spec.class(), units, fleet.JobCallbacks{
+			OnEvent: func(ev fleet.Event) { s.unitEvent(j, ev) },
+			OnDone: func(result []byte, err error) {
+				if err != nil {
+					s.settle(j, JobFailed, outcome{err: err})
+					return
+				}
+				s.settle(j, JobDone, outcome{result: result})
+			},
+			Trace:  j.tr,
+			Parent: j.span.ID(),
+		})
+	}
+	s.mu.Lock()
+	state := j.state
+	// The refusal ends the job unless a shutdown deadline already has.
+	refused := err != nil && j.step(JobCancelled)
+	if refused {
+		delete(s.jobs, j.id)
 	}
 	s.mu.Unlock()
+	if err != nil {
+		if refused {
+			j.events.close()
+			s.live.Done()
+		}
+		if !recovered {
+			// Close the submit record out, or a restart would resurrect a
+			// job the client saw rejected. (A recovered job stays pending
+			// instead: the next restart retries it.)
+			s.cfg.Journal.Terminal(j.id, JobCancelled)
+		}
+		return "", err
+	}
 	s.met.jobsSubmitted.Add(1)
 	if recovered {
 		s.met.jobsRecovered.Add(1)
-		j.log.Info("job recovered from journal", "state", state)
-		return state, nil
+	} else {
+		s.met.cacheMisses.Add(1)
 	}
-	s.met.cacheMisses.Add(1)
-	j.log.Info("job submitted", append([]any{"state", state, "cache", "miss", "runs", j.totalRuns}, how...)...)
 	return state, nil
+}
+
+// start moves a queued job to running when its first unit is leased or
+// answered from the store; later units find it running already.
+func (s *Server) start(j *job) {
+	s.mu.Lock()
+	if !j.step(JobRunning) {
+		s.mu.Unlock()
+		return
+	}
+	j.started = time.Now()
+	wait := j.started.Sub(j.submitted)
+	s.mu.Unlock()
+	s.met.queueWait.Observe(wait.Seconds())
+	j.log.Info("job started", "state", JobRunning, "queueWaitMs", durMS(wait))
 }
 
 // outcome is what a terminal edge carries besides its target state. The
@@ -120,8 +134,7 @@ func (s *Server) dispatch(j *job, recovered bool) (JobState, error) {
 // endings legitimately differ.
 type outcome struct {
 	err    error  // failed: the job's error, also sent on the terminal frame
-	result []byte // done: the evaluation document, stored compacted under the job's id
-	flight []byte // done: rendered flight-recorder artifact of a Trace-flagged job
+	result []byte // done: the evaluation document (see settle)
 
 	// keepPending skips the terminal journal record. Set only by the
 	// shutdown-cancel: the job stays pending in the journal so the next
@@ -135,31 +148,19 @@ type outcome struct {
 }
 
 // settle is the one way out: it moves j to the terminal state `to` and
-// runs the terminal sequence — state and finish time, result store (done
-// only), counter, journal record, span artifact, log line, terminal SSE
-// frame, hub close — exactly once, in that order. It returns false, having
+// runs the terminal sequence — state and finish time, counter, journal
+// record, span artifact, log line, terminal SSE frame, hub close — exactly
+// once, in that order. It returns false, having
 // changed nothing, when the edge table has no such edge: the job already
-// ended (a DELETE raced with completion, or the other way round). A done
-// job's document is compacted before it is stored; one that is not JSON
-// ends the job failed instead.
+// ended (a DELETE raced with completion, or the other way round). The
+// coordinator stored the done job's document under its id beforehand.
 func (s *Server) settle(j *job, to JobState, o outcome) bool {
 	now := time.Now()
-	if to == JobDone {
-		// The stored document is what GET /v1/jobs/{id} serves verbatim, so
-		// it is rendered compact here, once, rather than on every request.
-		var buf bytes.Buffer
-		buf.Grow(len(o.result))
-		if err := json.Compact(&buf, o.result); err != nil {
-			to, o.err = JobFailed, fmt.Errorf("service: the evaluation document is not JSON: %w", err)
-		} else {
-			o.result = buf.Bytes()
-		}
-	}
 	var tel []byte
 	if to == JobDone && j.spec.Telemetry {
 		// The document carries every run's telemetry block (units answered
 		// from telemetry-less cache entries contribute none).
-		tel = telemetryArtifact(o.result)
+		tel = fleet.ExtractTelemetry(o.result)
 	}
 	var errMsg string
 	if o.err != nil {
@@ -175,12 +176,10 @@ func (s *Server) settle(j *job, to JobState, o outcome) bool {
 	ran := !j.started.IsZero() // false for a job cancelled while queued
 	elapsed := now.Sub(j.started)
 	if to == JobDone {
-		j.trace, j.telemetry = o.flight, tel
-		for _, k := range s.store.Put(j.id, o.result) {
-			delete(s.jobs, k) // evicted results take their job records along
-		}
+		j.telemetry = tel
 	}
 	s.mu.Unlock()
+	s.live.Done()
 
 	count, level, msg := s.met.jobsCancelled, slog.LevelInfo, "job cancelled"
 	switch to {

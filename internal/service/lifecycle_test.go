@@ -27,7 +27,8 @@ func jobRecord(t *testing.T, s *Server, id string) *job {
 	return j
 }
 
-// submitRunning submits the slow sweep and waits until a worker runs it.
+// submitRunning submits the slow sweep and waits until an executor runs
+// its first unit; the rest stay queued behind it.
 func submitRunning(t *testing.T, ts *httptest.Server) string {
 	t.Helper()
 	sub, code := submit(t, ts, slowSpec())
@@ -87,20 +88,17 @@ func TestJobTerminalEdges(t *testing.T) {
 			drive: func(t *testing.T, s *Server, ts *httptest.Server) string {
 				startFleetWorkers(t, s, ts, 2)
 				sub, _ := submit(t, ts, shardSpec())
-				if sub.Status != JobRunning {
-					t.Fatalf("sweep was not sharded: %+v", sub)
-				}
 				return sub.ID
 			}},
-		{name: "failed/finish", want: JobFailed,
-			// A canonicalized spec cannot fail a local run, so fail it from
-			// inside: the worker's real run then loses the race.
+		{name: "failed/unit", want: JobFailed,
+			// A one-unit job's document is its unit's, so a unit that fails
+			// its every attempt (one, here) fails the job.
 			drive: func(t *testing.T, s *Server, ts *httptest.Server) string {
-				id := submitRunning(t, ts)
-				j := jobRecord(t, s, id)
-				s.finish(j, nil, errors.New("boom"))
-				j.cancel()
-				return id
+				sub, code := submit(t, ts, unrunnableSpec())
+				if code != http.StatusAccepted {
+					t.Fatalf("submit: %d", code)
+				}
+				return sub.ID
 			}},
 		{name: "failed/OnDone", want: JobFailed,
 			// An exhausted unit folds into a done document's error list;
@@ -120,10 +118,9 @@ func TestJobTerminalEdges(t *testing.T) {
 				for _, u := range units {
 					s.store.Put(u.Key, []byte("not json"))
 				}
-				s.coord.Lease("fake-worker") // registers: the fleet is alive
 				sub, _ := submit(t, ts, shardSpec())
-				if sub.Status != JobRunning {
-					t.Fatalf("sweep was not sharded: %+v", sub)
+				if sub.Status != JobFailed {
+					t.Fatalf("a sweep the store answered in full is %s at submission, want failed", sub.Status)
 				}
 				return sub.ID
 			}},
@@ -145,21 +142,27 @@ func TestJobTerminalEdges(t *testing.T) {
 				return id
 			}},
 		{name: "cancelled/shutdown", want: JobCancelled, pending: true,
+			// A multi-unit job: units running on the executor and a remote
+			// worker, the rest queued behind them.
 			drive: func(t *testing.T, s *Server, ts *httptest.Server) string {
+				startFleetWorkers(t, s, ts, 1)
 				id := submitRunning(t, ts)
-				ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-				defer cancel()
-				if err := s.Shutdown(ctx); err == nil {
-					t.Error("shutdown returned nil despite expiring deadline")
-				}
+				shutdownExpired(t, s)
 				return id
+			}},
+		{name: "cancelled/shutdown-queued", want: JobCancelled, unstarted: true, pending: true,
+			drive: func(t *testing.T, s *Server, ts *httptest.Server) string {
+				occupyExecutor(t, s, ts)
+				sub, _ := submit(t, ts, smallSpec())
+				shutdownExpired(t, s)
+				return sub.ID
 			}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			jr := openTestJournal(t, dir)
-			s, ts := newTestServer(t, Config{Workers: 1, JobParallelism: 1, Journal: jr})
+			s, ts := newTestServer(t, Config{Workers: 1, Journal: jr, Fleet: fleet.Config{MaxAttempts: 1}})
 
 			id := tc.drive(t, s, ts)
 			events := readSSE(t, ts, id) // returns only once the hub closes
@@ -262,27 +265,22 @@ func TestJobTerminalEdges(t *testing.T) {
 	}
 }
 
-// TestRejectedFallbackNotCounted: a submission the fleet refuses (its unit
-// queue is full) and the local queue then refuses too was never accepted:
-// it answers 429 and is not counted as submitted or as a cache miss.
-func TestRejectedFallbackNotCounted(t *testing.T) {
-	s, ts := newTestServer(t, Config{
-		Workers: 1, JobParallelism: 1, QueueDepth: 1,
-		Fleet: fleet.Config{QueueDepth: 1}, // a 4-unit sweep never fits
+// TestRejectedSubmissionNotCounted: a submission whose units the
+// coordinator's queue cannot hold was never accepted: it answers 429 and is
+// not counted as submitted or as a cache miss, nor registered.
+func TestRejectedSubmissionNotCounted(t *testing.T) {
+	_, ts := newTestServer(t, Config{
+		Workers: 1,
+		Fleet:   fleet.Config{QueueDepth: 1}, // a 4-unit sweep never fits
 	})
-	submitRunning(t, ts) // occupies the only worker
-	spec := smallSpec()
-	spec.InstructionsPerPE = 101
-	if _, code := submit(t, ts, spec); code != http.StatusAccepted { // fills the local queue
-		t.Fatalf("queue filler: %d", code)
-	}
 	before := getMetrics(t, ts)
-	s.coord.Lease("fake-worker") // registers: the fleet is alive, sweeps shard
-
 	resp := submitRaw(t, ts, shardSpec())
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("rejected fallback: %d, want 429", resp.StatusCode)
+		t.Fatalf("sweep on a full unit queue: %d, want 429", resp.StatusCode)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra == "" {
+		t.Error("429 carries no Retry-After header")
 	}
 	after := getMetrics(t, ts)
 	for _, name := range []string{"equinox_jobs_submitted_total", "equinox_cache_misses_total"} {
@@ -296,5 +294,49 @@ func TestRejectedFallbackNotCounted(t *testing.T) {
 	}
 	if _, code := getJob(t, ts, key); code != http.StatusNotFound {
 		t.Errorf("rejected job still registered: GET %d", code)
+	}
+	if sub, code := submit(t, ts, smallSpec()); code != http.StatusAccepted {
+		t.Errorf("a one-unit job after the rejection: %d %+v, want 202", code, sub)
+	}
+}
+
+// occupyExecutor keeps the only executor busy with a unit submitted to the
+// coordinator directly, so no job record (and no job counter) comes of it.
+func occupyExecutor(t *testing.T, s *Server, ts *httptest.Server) {
+	t.Helper()
+	canon, err := longSpec().Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	units, err := unitsFor("occupier", canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.coord.SubmitJob("occupier", fleet.Batch, units, fleet.JobCallbacks{}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "executor busy", func() bool {
+		return getMetrics(t, ts)["equinox_workers_busy"] == 1
+	})
+}
+
+// shutdownExpired shuts s down with a deadline that expires first.
+func shutdownExpired(t *testing.T, s *Server) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := s.Shutdown(ctx); err == nil {
+		t.Error("shutdown returned nil despite expiring deadline")
+	}
+}
+
+// unrunnableSpec canonicalizes but cannot run: no N-Queen placement of two
+// cache banks exists on a 2×2 mesh, so building its EquiNox design fails.
+func unrunnableSpec() JobSpec {
+	return JobSpec{
+		Width: 2, Height: 2, NumCBs: 2,
+		Schemes:           []string{"EquiNox"},
+		Benchmarks:        []string{"kmeans"},
+		InstructionsPerPE: 10,
 	}
 }

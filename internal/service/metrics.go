@@ -31,8 +31,8 @@ type metrics struct {
 
 	workersBusy *obs.Gauge
 
-	// queueWait tracks how long jobs sat queued before a worker picked them
-	// up, in seconds.
+	// queueWait tracks how long jobs sat queued before their first unit
+	// was leased or answered from the store, in seconds.
 	queueWait obs.BoundHistogram
 
 	// Flight-recorder anomaly counters, aggregated from Trace-flagged jobs.
@@ -82,10 +82,10 @@ func newMetrics(workers, queueDepth, cacheEntries, cacheBytes func() float64) *m
 			"Submissions that had to run simulations."),
 
 		workersBusy: reg.Gauge("equinox_workers_busy",
-			"Workers currently executing a job."),
+			"In-process executors currently running a unit."),
 
 		queueWait: reg.Histogram("equinox_job_queue_wait_seconds",
-			"Time jobs spent queued before a worker picked them up.",
+			"Time jobs spent queued before their first unit was leased or answered from the store.",
 			obs.DefaultLatencyBuckets()),
 
 		flightStalls: reg.Counter("equinox_flight_stall_total",
@@ -98,8 +98,8 @@ func newMetrics(workers, queueDepth, cacheEntries, cacheBytes func() float64) *m
 	m.simWarmup = reg.Gauge("equinox_sim_warmup_cycles",
 		"Detected warmup length (cycles to steady state) of the most recently completed telemetry-instrumented run; 0 when no steady state was reached.")
 
-	reg.GaugeFunc("equinox_workers", "Size of the evaluation worker pool.", workers)
-	reg.GaugeFunc("equinox_queue_depth", "Jobs waiting in the submission queue.", queueDepth)
+	reg.GaugeFunc("equinox_workers", "In-process unit executors.", workers)
+	reg.GaugeFunc("equinox_queue_depth", "Work units waiting in the coordinator's queue.", queueDepth)
 	reg.GaugeFunc("equinox_cache_entries", "Entries in the result cache.", cacheEntries)
 	reg.GaugeFunc("equinox_cache_bytes", "Approximate bytes of cached result payloads.", cacheBytes)
 	obs.RegisterBuildInfo(reg)

@@ -1,12 +1,10 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -15,22 +13,21 @@ import (
 	"sync"
 	"time"
 
-	"equinox"
 	"equinox/internal/chaos"
 	"equinox/internal/fleet"
 	"equinox/internal/fleet/store"
 	"equinox/internal/obs"
 	"equinox/internal/obs/trace"
-	"equinox/internal/telemetry"
 )
 
 // Config sizes the server.
 type Config struct {
-	// Workers is the number of concurrent local evaluations (default 2).
+	// Workers is the number of in-process unit executors: fleet workers
+	// that lease from the server's own coordinator by direct call, each
+	// running one unit — one simulation — at a time (default GOMAXPROCS).
 	Workers int
-	// JobParallelism is each evaluation's internal simulation parallelism
-	// (default GOMAXPROCS/Workers, minimum 1), so a fully busy pool uses
-	// about one goroutine per core.
+	// JobParallelism is ignored: a unit is one run, so there is nothing
+	// left for it to bound. It remains for callers that still set it.
 	JobParallelism int
 	// CacheEntries bounds the in-memory result cache by entry count
 	// (default 128).
@@ -38,12 +35,10 @@ type Config struct {
 	// CacheBytes additionally bounds the in-memory result cache by
 	// approximate payload bytes (0 = entry bound only).
 	CacheBytes int64
-	// QueueDepth bounds the submission queue; submissions beyond it are
-	// rejected with 429 and a Retry-After hint (default 256).
-	QueueDepth int
-	// ShedFraction is the queue fill fraction past which batch submissions
-	// are shed with 429 while interactive ones are still admitted, so
-	// load-shedding degrades bulk sweeps before humans (default 0.75).
+	// ShedFraction is the unit-queue (Fleet.QueueDepth) fill fraction past
+	// which batch submissions are shed with 429 while interactive ones are
+	// admitted until their units no longer fit, so load-shedding degrades
+	// bulk sweeps before humans (default 0.75).
 	ShedFraction float64
 	// Journal, when set, records every submission and terminal state in a
 	// crash-safe log; on construction the server replays it and re-queues
@@ -61,8 +56,9 @@ type Config struct {
 	// restarts; processes sharing a directory share results. The server
 	// does not close it.
 	Store store.Store
-	// Fleet tunes the coordinator (lease TTL, retry budget, ...). Its
-	// Store, Logger, and Metrics fields are supplied by the server.
+	// Fleet tunes the coordinator (lease TTL, retry budget, unit queue
+	// depth, ...). Its Store, Logger, and Metrics fields are supplied by
+	// the server.
 	Fleet fleet.Config
 	// Logger receives structured access and job-lifecycle logs; nil discards
 	// them (the right default for embedded and test servers).
@@ -84,36 +80,23 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
-		c.Workers = 2
-	}
-	if c.JobParallelism <= 0 {
-		c.JobParallelism = runtime.GOMAXPROCS(0) / c.Workers
-		if c.JobParallelism < 1 {
-			c.JobParallelism = 1
-		}
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 128
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
 	}
 	return c
 }
 
 // Server executes evaluation jobs and serves results from a
-// content-addressed store. Small jobs run on a bounded local worker pool;
-// multi-run sweeps are sharded across fleet workers while any are alive.
-// A job's life is the edge table in lifecycle.go: dispatch starts it,
-// settle ends it. Create a Server with New, mount Handler on an
-// http.Server, and drain it with Shutdown.
+// content-addressed store. Every job runs as single-run work units on the
+// server's fleet coordinator, leased by cfg.Workers in-process executors
+// and any remote workers; its life is the edge table in lifecycle.go.
+// Create a Server with New, mount Handler on an http.Server, and drain it
+// with Shutdown.
 type Server struct {
 	cfg Config
 
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-
-	queue  *fleet.FairQueue[*job]
 	coord  *fleet.Coordinator
 	met    *metrics
 	log    *slog.Logger
@@ -124,26 +107,24 @@ type Server struct {
 	jobs   map[string]*job
 	store  store.Store
 
-	wg sync.WaitGroup
+	live        sync.WaitGroup // jobs not yet terminal: Shutdown drains them
+	executors   sync.WaitGroup
+	stopExecute context.CancelFunc
 }
 
-// New starts a server with cfg.Workers local evaluation workers and a
-// fleet coordinator awaiting remote ones.
+// New starts a server: a fleet coordinator with cfg.Workers in-process
+// executors, awaiting remote workers too.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	ctx, cancel := context.WithCancel(context.Background())
 	var st store.Store = store.NewMemory(cfg.CacheEntries, cfg.CacheBytes)
 	if cfg.Store != nil {
 		st = store.NewTiered(st, cfg.Store)
 	}
 	s := &Server{
-		cfg:        cfg,
-		baseCtx:    ctx,
-		baseCancel: cancel,
-		queue:      fleet.NewFairQueue[*job](cfg.QueueDepth),
-		jobs:       map[string]*job{},
-		store:      st,
-		log:        cfg.Logger,
+		cfg:   cfg,
+		jobs:  map[string]*job{},
+		store: st,
+		log:   cfg.Logger,
 	}
 	if s.log == nil {
 		s.log = obs.NopLogger()
@@ -151,7 +132,7 @@ func New(cfg Config) *Server {
 	s.tracer = trace.NewTracer("coordinator")
 	s.met = newMetrics(
 		func() float64 { return float64(cfg.Workers) },
-		func() float64 { return float64(s.queue.Len()) },
+		func() float64 { return float64(s.queuedUnits()) },
 		func() float64 { return float64(s.store.Len()) },
 		func() float64 { return float64(s.store.SizeBytes()) },
 	)
@@ -164,7 +145,7 @@ func New(cfg Config) *Server {
 		func() float64 { return float64(s.tracer.DroppedTotal()) })
 
 	fcfg := cfg.Fleet
-	fcfg.Store = s.store
+	fcfg.Store = unitStore{Store: s.store, s: s}
 	fcfg.Logger = s.log
 	fcfg.Metrics = fleet.NewMetrics(s.met.reg)
 	s.coord = fleet.NewCoordinator(fcfg)
@@ -186,17 +167,26 @@ func New(cfg Config) *Server {
 		cfg.Chaos.SetHook(func(kind string) { inj.With(kind).Inc() })
 	}
 
+	var ctx context.Context
+	ctx, s.stopExecute = context.WithCancel(context.Background())
 	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
+		w, err := s.coord.LocalWorker(fleet.WorkerConfig{
+			Name:   fmt.Sprintf("local-%d", i),
+			Logger: s.log,
+			Tracer: s.tracer,
+			Run: func(ctx context.Context, u fleet.Unit) ([]byte, error) {
+				s.met.workersBusy.Add(1)
+				defer s.met.workersBusy.Add(-1)
+				return RunSpec(ctx, u.Spec, 1)
+			},
+		})
+		if err != nil {
+			panic(err) // unreachable: the name and Run are set
+		}
+		s.executors.Add(1)
 		go func() {
-			defer s.wg.Done()
-			for {
-				j, ok := s.queue.Pop()
-				if !ok {
-					return
-				}
-				s.run(j)
-			}
+			defer s.executors.Done()
+			w.Run(ctx) //nolint:errcheck // always ctx.Err()
 		}()
 	}
 	if cfg.Journal != nil {
@@ -205,134 +195,86 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Shutdown stops accepting submissions and drains in-flight local jobs.
-// If ctx expires first, the remaining jobs are cancelled and Shutdown
-// returns ctx.Err() once the workers exit. The fleet coordinator stops
-// either way; sharded jobs still in flight do not survive the process.
+// Shutdown stops accepting submissions and waits for every job to end. If
+// ctx expires first, the rest are cancelled, left pending in the journal
+// for the next process, and it returns ctx.Err(). Either way, when it
+// returns every job is terminal and every event stream closed.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		s.queue.Close()
-	}
+	s.closed = true
 	s.mu.Unlock()
-	done := make(chan struct{})
+	drained := make(chan struct{})
 	go func() {
-		s.wg.Wait()
-		close(done)
+		s.live.Wait()
+		close(drained)
 	}()
 	var err error
 	select {
-	case <-done:
-		s.baseCancel()
+	case <-drained:
 	case <-ctx.Done():
-		s.baseCancel()
-		<-done
 		err = ctx.Err()
+		s.mu.Lock()
+		var left []*job
+		for _, j := range s.jobs {
+			if !j.state.Finished() {
+				left = append(left, j)
+			}
+		}
+		s.mu.Unlock()
+		for _, j := range left {
+			s.coord.CancelJob(j.id)
+			s.settle(j, JobCancelled, outcome{keepPending: true})
+		}
 	}
+	s.stopExecute()
+	s.executors.Wait()
 	s.coord.Close()
 	return err
 }
 
-// run executes one queued job on the calling worker.
-func (s *Server) run(j *job) {
+// unitStore is the result store as the coordinator, its one writer, sees
+// it: evicted results take their finished job records along.
+type unitStore struct {
+	store.Store
+	s *Server
+}
+
+func (u unitStore) Put(key string, val []byte) []string {
+	evicted := u.Store.Put(key, val)
+	u.s.mu.Lock()
+	defer u.s.mu.Unlock()
+	for _, k := range evicted {
+		if j, ok := u.s.jobs[k]; ok && j.state.Finished() {
+			delete(u.s.jobs, k)
+		}
+	}
+	return evicted
+}
+
+// captureFlight keeps a traced job's flight-recorder artifact, which its
+// traced unit's completion carried (see RunSpec), and surfaces the
+// watchdog counters and a job-scoped summary line.
+func (s *Server) captureFlight(j *job, ev fleet.Event) {
+	var f flightMember
+	if err := json.Unmarshal(ev.Flight, &f); err != nil {
+		j.log.Warn("job trace unreadable", "error", err)
+		return
+	}
+	s.met.flightStalls.Add(f.StarvationFires)
+	s.met.flightTail.Add(f.TailLatencyHits)
 	s.mu.Lock()
-	if !j.step(JobRunning) { // cancelled while waiting in the queue
-		s.mu.Unlock()
-		return
-	}
-	j.started = time.Now()
-	queueWait := j.started.Sub(j.submitted)
-	ctx := j.ctx
-	cfg, err := j.spec.evalConfig()
+	j.trace = f.Perfetto
 	s.mu.Unlock()
-	s.met.queueWait.Observe(queueWait.Seconds())
-	j.tr.Observe(j.span.ID(), "queue wait", j.submitted, queueWait)
-	ctx = trace.WithSpan(ctx, j.span)
-	j.log.Info("job started", "state", JobRunning, "queueWaitMs", durMS(queueWait))
-	if err != nil {
-		// Canonicalization already validated the spec; this is a backstop.
-		s.finish(j, nil, err)
-		return
-	}
-	cfg.Parallelism = s.cfg.JobParallelism
-	total := j.totalRuns
-	cfg.Progress = func(done, _ int) {
-		j.doneRuns.Store(int64(done))
-		j.events.publish(fleet.Event{Type: "progress", Done: done, Total: total})
-	}
-	if j.spec.Telemetry {
-		// Each run's windowed summary streams out as a live "telemetry"
-		// SSE frame as soon as the harness collects it, and feeds the
-		// saturation/warmup gauges.
-		cfg.TelemetryFrame = func(sum telemetry.RunSummary) {
-			s.met.observeTelemetry(sum)
-			raw, err := json.Marshal([]telemetry.RunSummary{sum})
-			if err != nil {
-				return
-			}
-			j.events.publish(fleet.Event{
-				Type:   "telemetry",
-				Scheme: sum.Scheme, Benchmark: sum.Benchmark,
-				Done: int(j.doneRuns.Load()), Total: total,
-				Telemetry: raw,
-			})
-		}
-	}
-	s.met.workersBusy.Add(1)
-	ev, err := equinox.RunEvaluationContext(ctx, cfg)
-	s.met.workersBusy.Add(-1)
-	s.finish(j, ev, err)
-}
-
-// finish ends a local run: it renders the evaluation document (and, for a
-// Trace-flagged job, the flight-recorder artifact) and settles the job.
-func (s *Server) finish(j *job, ev *equinox.Evaluation, err error) {
-	switch {
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		// The shutdown deadline cut the run short. (After a DELETE the job
-		// is already settled and this is refused.)
-		s.settle(j, JobCancelled, outcome{keepPending: true})
-		return
-	case err == nil:
-		var buf bytes.Buffer
-		if err = ev.WriteJSON(&buf); err == nil {
-			s.settle(j, JobDone, outcome{result: buf.Bytes(), flight: s.renderFlight(j, ev)})
-			return
-		}
-	}
-	s.settle(j, JobFailed, outcome{err: err})
-}
-
-// renderFlight renders a Trace-flagged job's flight-recorder artifact and
-// surfaces the watchdog counters and a job-scoped summary line. Nil for
-// unflagged jobs and when rendering fails.
-func (s *Server) renderFlight(j *job, ev *equinox.Evaluation) []byte {
-	if !j.spec.Trace || len(ev.Flights) == 0 {
-		return nil
-	}
-	capt := ev.Flights[0]
-	var artifact []byte
-	var tb bytes.Buffer
-	if err := capt.WritePerfetto(&tb); err == nil {
-		artifact = tb.Bytes()
-	}
-	s.met.flightStalls.Add(capt.StarvationFires())
-	s.met.flightTail.Add(capt.TailExceeded())
-	j.log.Info("job trace captured",
-		"scheme", capt.Scheme, "benchmark", capt.Benchmark,
-		"events", capt.TotalEvents(), "overwritten", capt.Overwritten(),
-		"starvationFires", capt.StarvationFires(),
-		"tailLatencyHits", capt.TailExceeded(),
-		"traceBytes", len(artifact))
-	return artifact
+	j.log.Info("job trace captured", "scheme", ev.Scheme, "benchmark", ev.Benchmark,
+		"starvationFires", f.StarvationFires, "tailLatencyHits", f.TailLatencyHits,
+		"traceBytes", len(f.Perfetto))
 }
 
 // Handler returns the server's HTTP API:
 //
 //	POST   /v1/jobs              submit a JobSpec; identical specs share one job ID
 //	GET    /v1/jobs/{id}         status, progress, and (when done) the result JSON
-//	GET    /v1/jobs/{id}/events  server-sent progress events until the job ends
+//	GET    /v1/jobs/{id}/events  server-sent unit events until the job ends
 //	GET    /v1/jobs/{id}/{trace,spans,telemetry}  a finished job's artifacts (see the artifacts table)
 //	DELETE /v1/jobs/{id}         cancel a queued or running job (the edge table's two → cancelled edges)
 //	GET    /v1/metrics           text-format counters and gauges
@@ -442,18 +384,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		obs.WriteJSON(w, http.StatusOK, SubmitResponse{ID: key, Status: JobDone, Cached: true, Runs: canon.Runs()})
 		return
 	}
-	// Admission control guards the local queue; jobs bound for the fleet
-	// don't enter it (the queue's own bound is enforced on fallback).
-	if !s.shardable(canon) {
-		if retryAfter, ok := s.admitLocked(canon.class()); !ok {
-			s.mu.Unlock()
-			s.rejectSubmission(w, canon.class(), retryAfter)
-			return
-		}
+	if retryAfter, ok := s.admitLocked(canon.class()); !ok {
+		s.mu.Unlock()
+		s.rejectSubmission(w, canon.class(), retryAfter)
+		return
 	}
 	j = s.newJobLocked(key, canon, obs.RequestIDFrom(r.Context()))
 	// Adopt the submitting request's trace: the job span outlives the HTTP
-	// root span and collects every phase — queue wait, per-unit fleet
+	// root span and collects every phase — per-unit lease waits and fleet
 	// spans, harness and simulator phases.
 	if sp := trace.SpanFrom(r.Context()); sp != nil {
 		j.tr = sp.Trace()
@@ -473,14 +411,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // submitting request's ID is bound into the job logger so every lifecycle
 // line correlates back to the client request that created the job.
 func (s *Server) newJobLocked(key string, canon JobSpec, requestID string) *job {
-	ctx, cancel := context.WithCancel(s.baseCtx)
 	j := &job{
 		id:        key,
 		spec:      canon,
 		state:     JobQueued,
 		submitted: time.Now(),
-		ctx:       ctx,
-		cancel:    cancel,
 		requestID: requestID,
 		totalRuns: canon.Runs(),
 		events:    newEventHub(),
@@ -491,6 +426,7 @@ func (s *Server) newJobLocked(key string, canon JobSpec, requestID string) *job 
 			"benchmarks", len(canon.Benchmarks)),
 	}
 	s.jobs[key] = j
+	s.live.Add(1)
 	return j
 }
 
@@ -551,15 +487,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		obs.WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	// Drop a queued job from the queue now, rather than letting a worker
-	// pop and discard it later, so the slot frees immediately.
-	dequeued := s.queue.Remove(func(q *job) bool { return q == j })
-	// Settle before stopping the run: were the context cancelled first, the
-	// unwinding run could settle the job as a shutdown-cancel and leave it
-	// pending in the journal.
-	if s.settle(j, JobCancelled, outcome{noSpans: true, logAttrs: []any{"via", "delete", "dequeued", dequeued}}) {
-		j.cancel()
-		s.coord.CancelJob(id) // no-op for a job the fleet never saw
+	// Settle first: a unit finishing meanwhile then finds the job ended.
+	// Withdrawing the units frees their queue slots at once and stops
+	// in-process executors mid-run.
+	if s.settle(j, JobCancelled, outcome{noSpans: true, logAttrs: []any{"via", "delete"}}) {
+		s.coord.CancelJob(id)
 	}
 	s.mu.Lock()
 	st := j.status()

@@ -21,10 +21,11 @@ import (
 
 // TestFleetSmoke is the end-to-end fleet check `make fleet-smoke` runs:
 // it builds the real equinox-server and equinox-worker binaries, starts a
-// coordinator with a disk store plus two worker processes, shards the
-// smoke sweep across them, and compares the assembled result byte for
-// byte against the committed single-process golden. Gated behind
-// FLEET_SMOKE=1 because it builds binaries and forks processes.
+// coordinator with a disk store and one in-process executor plus two
+// worker processes, keeps the executor busy so the smoke sweep's units go
+// to the workers, and compares the assembled result byte for byte against
+// the committed single-process golden. Gated behind FLEET_SMOKE=1 because
+// it builds binaries and forks processes.
 //
 // Set FLEET_SMOKE_STORE_DIR to pin the coordinator's store directory
 // (CI points it at a workspace path and uploads it on failure).
@@ -65,6 +66,7 @@ func TestFleetSmoke(t *testing.T) {
 	// which.
 	server := exec.CommandContext(ctx, serverBin,
 		"-addr", "127.0.0.1:0",
+		"-workers", "1",
 		"-store-dir", storeDir,
 		"-lease-ttl", "5s",
 		"-log-format", "json")
@@ -130,29 +132,25 @@ func TestFleetSmoke(t *testing.T) {
 		}()
 	}
 	waitSmoke(t, "workers registered", func() bool {
-		return smokeMetric(t, base, "equinox_fleet_workers") >= 2
+		return smokeMetric(t, base, "equinox_fleet_workers") >= 3 // local-0 and both processes
 	})
 
+	// Keep the in-process executor busy for seconds with one long run, so
+	// the sweep's units go to the worker processes; cancelled afterwards.
+	occupier := JobSpec{Schemes: []string{"SingleBase"}, Benchmarks: []string{"kmeans"}, InstructionsPerPE: 20000}
+	occ := smokeSubmit(t, base, occupier)
+	waitSmoke(t, "executor busy", func() bool {
+		return smokeMetric(t, base, "equinox_workers_busy") == 1
+	})
+	defer func() {
+		req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+occ.ID, nil)
+		if r, err := http.DefaultClient.Do(req); err == nil {
+			r.Body.Close()
+		}
+	}()
+
 	// Shard the smoke sweep and poll to completion.
-	spec, err := json.Marshal(shardSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sub SubmitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d (%+v)", resp.StatusCode, sub)
-	}
-	if sub.Status != JobRunning {
-		t.Fatalf("submit status %s, want running — the job was not sharded", sub.Status)
-	}
+	sub := smokeSubmit(t, base, shardSpec())
 
 	var status JobStatus
 	waitSmoke(t, "sharded job done", func() bool {
@@ -260,6 +258,28 @@ func TestFleetSmoke(t *testing.T) {
 	if runs < 4 {
 		t.Errorf("worker run spans = %d, want >= 4 (one per unit, plus retries)", runs)
 	}
+}
+
+// smokeSubmit posts spec and expects it accepted.
+func smokeSubmit(t *testing.T, base string, spec JobSpec) SubmitResponse {
+	t.Helper()
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sub SubmitResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d (%+v)", resp.StatusCode, sub)
+	}
+	return sub
 }
 
 func waitSmoke(t *testing.T, what string, cond func() bool) {

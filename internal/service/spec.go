@@ -1,7 +1,7 @@
 // Package service is the evaluation-as-a-service layer: a long-running job
-// server that accepts JSON sweep submissions over HTTP, executes them on a
-// bounded worker pool, and serves results from a content-addressed LRU
-// cache. Design-space exploration loops (learning-based search, Pareto
+// server that accepts JSON sweep submissions over HTTP, runs every one as
+// fleet work units (on in-process executors and any remote workers), and
+// serves results from a content-addressed LRU cache. Design-space exploration loops (learning-based search, Pareto
 // optimization) submit thousands of near-duplicate configurations; keying
 // results by a canonical hash of the job specification makes every repeat
 // query free.

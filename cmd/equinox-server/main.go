@@ -76,8 +76,8 @@ func main() {
 	var (
 		addr    = flag.String("addr", ":8080", "listen address")
 		workers = flag.Int("workers", 0, "in-process unit executors (0 = GOMAXPROCS)")
-		cache   = flag.Int("cache", 0, "in-memory result cache entries (0 = default)")
-		cacheBy = flag.Int64("cache-bytes", 0, "in-memory result cache byte bound (0 = entries only)")
+		cache   = flag.Int("cache", 0, "in-memory result cache entries, for job documents and sweep units each (0 = default 128)")
+		cacheBy = flag.Int64("cache-bytes", 0, "in-memory result cache byte bound, for each of the two (0 = entries only)")
 		stDir   = flag.String("store-dir", "", "persistent result store directory (empty = memory only)")
 		queue   = flag.Int("queue", 0, "work-unit queue depth (0 = default 4096)")
 		shed    = flag.Float64("shed-fraction", 0, "unit-queue fill fraction past which batch submissions are shed with 429 (0 = default 0.75)")

@@ -579,7 +579,7 @@ func (c *Coordinator) Complete(leaseID string, result []byte, errMsg string, spa
 }
 
 // complete records a unit's outcome: req.Result on success, req.Error on
-// failure. An unknown lease (expired and re-granted, or from a cancelled
+// failure (retried with backoff unless req.Final). An unknown lease (expired and re-granted, or from a cancelled
 // job) returns ErrUnknownLease; the worker discards the unit. A success
 // whose result fails checkResult returns ErrBadResult and changes nothing.
 // The stored and assembled result is the compacted document. req.Spans
@@ -616,12 +616,16 @@ func (c *Coordinator) complete(_ context.Context, req CompleteRequest) error {
 	}
 	c.stitchSpansLocked(u, l, now, req.Spans)
 	var d delivery
-	if errMsg != "" {
+	switch {
+	case req.Final && errMsg != "":
+		// The spec's fault, not the worker's: no retry, no breaker failure.
+		d = c.failUnitLocked(u, errMsg)
+	case errMsg != "":
 		if l.owner == nil {
 			c.breakerFailureLocked(l.worker, now, errMsg)
 		}
 		d = c.retryUnitLocked(u, now, errMsg)
-	} else {
+	default:
 		c.breakerSuccessLocked(l.worker)
 		u.result = result
 		c.met.UnitDuration.With(u.Scheme).Observe(now.Sub(l.granted).Seconds())
@@ -700,16 +704,11 @@ func (c *Coordinator) stitchSpansLocked(u *trackedUnit, l *lease, now time.Time,
 // mark the unit failed. Returns the callback delivery to run after
 // unlocking.
 func (c *Coordinator) retryUnitLocked(u *trackedUnit, now time.Time, reason string) delivery {
+	if u.attempts >= c.cfg.MaxAttempts {
+		return c.failUnitLocked(u, fmt.Sprintf("failed after %d attempts: %s", u.attempts, reason))
+	}
 	u.lease = nil
 	u.errMsg = reason
-	if u.attempts >= c.cfg.MaxAttempts {
-		u.errMsg = fmt.Sprintf("failed after %d attempts: %s", u.attempts, reason)
-		u.span.SetAttr("error", u.errMsg)
-		c.log.Warn("unit failed",
-			"jobId", u.JobID, "unitKey", u.Key,
-			"attempts", u.attempts, "error", reason)
-		return c.resolveLocked(u, unitFailed)
-	}
 	backoff := c.cfg.RetryBackoff << (u.attempts - 1)
 	if backoff > c.cfg.MaxBackoff {
 		backoff = c.cfg.MaxBackoff
@@ -727,6 +726,16 @@ func (c *Coordinator) retryUnitLocked(u *trackedUnit, now time.Time, reason stri
 	ev := u.event("unit", "retrying")
 	ev.Err = reason
 	return delivery{job: u.job, events: []Event{ev}}
+}
+
+// failUnitLocked ends a unit failed with msg, the job's error for it.
+func (c *Coordinator) failUnitLocked(u *trackedUnit, msg string) delivery {
+	u.errMsg = msg
+	u.span.SetAttr("error", msg)
+	c.log.Warn("unit failed",
+		"jobId", u.JobID, "unitKey", u.Key,
+		"attempts", u.attempts, "error", msg)
+	return c.resolveLocked(u, unitFailed)
 }
 
 // resolveLocked ends a unit in unitDone or unitFailed — the one place a

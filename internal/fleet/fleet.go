@@ -125,6 +125,9 @@ type CompleteRequest struct {
 	LeaseID string          `json:"leaseId"`
 	Result  json.RawMessage `json:"result,omitempty"`
 	Error   string          `json:"error,omitempty"`
+	// Final marks Error as one every attempt would repeat (the RunFunc
+	// returned a Permanent error): the unit fails without a retry.
+	Final bool `json:"final,omitempty"`
 	// Spans carries the worker's finished spans for the unit (present only
 	// when the lease carried a TraceParent and the worker traces); the
 	// coordinator stitches them into the job's trace.

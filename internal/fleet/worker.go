@@ -22,8 +22,17 @@ import (
 // evaluation JSON. The context is cancelled when the coordinator
 // withdraws the lease (job cancelled, lease re-granted) or the worker
 // shuts down. A leading "flight" member (FlightPrefix) moves into
-// CompleteRequest.Flight.
+// CompleteRequest.Flight. An error marked Permanent fails the unit at once.
 type RunFunc func(ctx context.Context, unit Unit) ([]byte, error)
+
+// Permanent marks a RunFunc error that every attempt on every worker would
+// repeat — the unit's spec or design cannot be built — so the coordinator
+// fails the unit at once instead of retrying it. The message is err's.
+func Permanent(err error) error { return permanentError{err} }
+
+type permanentError struct{ error }
+
+func (e permanentError) Unwrap() error { return e.error }
 
 // WorkerConfig tunes a fleet worker.
 type WorkerConfig struct {
@@ -285,6 +294,15 @@ func (w *Worker) execute(ctx context.Context, grant LeaseResponse) {
 		delete(w.leases, grant.LeaseID)
 		w.mu.Unlock()
 	}()
+	if w.grant != nil {
+		// In process: a CancelJob between the hand-off and the line above
+		// found no lease here to abandon. Ask once, rather than run until the
+		// next heartbeat.
+		if hb, err := w.conn.heartbeat(ctx, HeartbeatRequest{Worker: w.cfg.Name, LeaseIDs: []string{grant.LeaseID}}); err == nil && len(hb.Canceled) > 0 {
+			w.log.Info("unit abandoned (lease withdrawn)", "leaseId", grant.LeaseID)
+			return
+		}
+	}
 
 	w.log.Info("unit started",
 		"leaseId", grant.LeaseID, "jobId", grant.Unit.JobID,
@@ -322,6 +340,7 @@ func (w *Worker) execute(ctx context.Context, grant LeaseResponse) {
 	req := CompleteRequest{LeaseID: grant.LeaseID, Spans: tr.Records()}
 	if runErr != nil {
 		req.Error = runErr.Error()
+		req.Final = errors.As(runErr, new(permanentError))
 		w.log.Warn("unit failed",
 			"leaseId", grant.LeaseID, "jobId", grant.Unit.JobID, "error", runErr)
 	} else {

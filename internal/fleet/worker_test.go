@@ -3,10 +3,12 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -138,6 +140,83 @@ func TestLocalWorkerNeitherPollsNorWaitsForHeartbeats(t *testing.T) {
 			t.Fatal("the cancelled unit is still running")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestLocalWorkerSkipsUnitCancelledAtHandOff: a job cancelled after its
+// unit was handed to an in-process worker but before the worker recorded
+// the lease (so CancelJob found nothing to abandon) is not run.
+func TestLocalWorkerSkipsUnitCancelledAtHandOff(t *testing.T) {
+	c := fastCoordinator(t, Config{})
+	var runs atomic.Int64
+	w, err := c.LocalWorker(WorkerConfig{
+		Name: "local-0", HeartbeatInterval: time.Hour,
+		Run: func(ctx context.Context, u Unit) ([]byte, error) {
+			runs.Add(1)
+			return unitDocJSON(u.Scheme, u.Benchmark), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SubmitJob("j", Interactive, testUnits("j", 1), JobCallbacks{}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	grant, ok, err := c.lease(ctx, w) // the hand-off, not yet in w.leases
+	if !ok || err != nil {
+		t.Fatalf("lease: ok=%v err=%v", ok, err)
+	}
+	c.CancelJob("j")
+	w.execute(ctx, grant)
+	if n := runs.Load(); n != 0 {
+		t.Errorf("the cancelled unit ran %d times, want 0", n)
+	}
+	if n := c.UnitsRunning(); n != 0 {
+		t.Errorf("units running = %d, want 0", n)
+	}
+}
+
+// TestPermanentRunErrorFailsUnitOnce: a Run error marked Permanent reaches
+// the coordinator over HTTP as a final failure: the unit fails on its first
+// attempt with the error's message, and no circuit breaker counts it.
+func TestPermanentRunErrorFailsUnitOnce(t *testing.T) {
+	c := fastCoordinator(t, Config{MaxAttempts: 3, RetryBackoff: time.Millisecond, BreakerThreshold: 1})
+	mux := http.NewServeMux()
+	RegisterHandlers(mux, c, nil)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	var runs atomic.Int64
+	w, err := NewWorker(WorkerConfig{
+		Coordinator: ts.URL, Name: "w", PollInterval: 5 * time.Millisecond,
+		Run: func(ctx context.Context, u Unit) ([]byte, error) {
+			runs.Add(1)
+			return nil, Permanent(errors.New("no design"))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { w.Run(ctx); close(done) }() //nolint:errcheck
+	defer func() { cancel(); <-done }()
+
+	cl := newCollector()
+	if err := c.SubmitJob("bad", Interactive, testUnits("bad", 1), cl.callbacks()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.wait(t); err == nil || err.Error() != "no design" {
+		t.Fatalf("job error %v, want the run's own message", err)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Errorf("runs = %d, want 1", n)
+	}
+	if n := cl.eventCount("unit", "retrying"); n != 0 {
+		t.Errorf("retrying events = %d, want 0", n)
+	}
+	if st := c.WorkerCircuitState("w"); st != int(breakerClosed) {
+		t.Errorf("worker circuit %d, want closed", st)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,11 +48,14 @@ func chaosFleetConfig() fleet.Config {
 }
 
 // startChaosWorkers runs n in-process fleet workers whose protocol
-// traffic flows through the given (typically fault-injecting) client.
-func startChaosWorkers(t *testing.T, s *Server, ts *httptest.Server, n int, client *http.Client) {
+// traffic flows through the given (typically fault-injecting) client and
+// blocks until the coordinator sees them beside its own executors. The
+// returned counter counts the units they ran.
+func startChaosWorkers(t *testing.T, s *Server, ts *httptest.Server, n int, client *http.Client) *atomic.Int64 {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
+	var ran atomic.Int64
 	for i := 0; i < n; i++ {
 		w, err := fleet.NewWorker(fleet.WorkerConfig{
 			Coordinator:       ts.URL,
@@ -60,6 +64,7 @@ func startChaosWorkers(t *testing.T, s *Server, ts *httptest.Server, n int, clie
 			HeartbeatInterval: 25 * time.Millisecond,
 			Client:            client,
 			Run: func(ctx context.Context, u fleet.Unit) ([]byte, error) {
+				ran.Add(1)
 				return RunSpec(ctx, u.Spec, 1)
 			},
 		})
@@ -69,8 +74,19 @@ func startChaosWorkers(t *testing.T, s *Server, ts *httptest.Server, n int, clie
 		go w.Run(ctx) //nolint:errcheck
 	}
 	waitFor(t, "chaos workers registered", func() bool {
-		return s.coord.ActiveWorkers() >= 1
+		return s.coord.ActiveWorkers() >= s.cfg.Workers+n
 	})
+	return &ran
+}
+
+// checkRemoteRan fails the scenario unless the chaos workers ran every
+// unit of chaosSpec at least once: the server's executors were stopped, so
+// the faults sat on the only path.
+func checkRemoteRan(t *testing.T, ran *atomic.Int64) {
+	t.Helper()
+	if n := ran.Load(); n < 2 {
+		t.Errorf("chaos workers ran %d units, want >= 2", n)
+	}
 }
 
 // chaosArtifact is the per-scenario record written to CHAOS_ARTIFACT_DIR
@@ -175,13 +191,15 @@ func chaosStoreErrorScenario(t *testing.T, seed int64) ([]byte, chaosArtifact) {
 	s, ts := newTestServer(t, Config{
 		Workers: 1, Store: faulty, Chaos: inj, Fleet: chaosFleetConfig(),
 	})
-	startChaosWorkers(t, s, ts, 1, nil)
+	remoteOnly(t, s)
+	ran := startChaosWorkers(t, s, ts, 1, nil)
 
 	sub, code := submit(t, ts, chaosSpec())
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)
 	}
 	got := fetchResult(t, ts, sub.ID)
+	checkRemoteRan(t, ran)
 
 	m := getMetrics(t, ts)
 	for kind, n := range inj.Counts() {
@@ -211,13 +229,15 @@ func chaosNetworkScenario(t *testing.T, seed int64) ([]byte, chaosArtifact) {
 	s, ts := newTestServer(t, Config{
 		Workers: 1, Chaos: inj, Fleet: chaosFleetConfig(),
 	})
-	startChaosWorkers(t, s, ts, 2, client)
+	remoteOnly(t, s)
+	ran := startChaosWorkers(t, s, ts, 2, client)
 
 	sub, code := submit(t, ts, chaosSpec())
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)
 	}
 	got := fetchResult(t, ts, sub.ID)
+	checkRemoteRan(t, ran)
 	return got, chaosArtifact{Faults: inj.Counts(), Events: eventLog(t, ts, sub.ID)}
 }
 
@@ -230,8 +250,9 @@ func chaosWorkerKillScenario(t *testing.T, seed int64) ([]byte, chaosArtifact) {
 	s, ts := newTestServer(t, Config{
 		Workers: 1, Chaos: inj, Fleet: chaosFleetConfig(),
 	})
+	remoteOnly(t, s)
 
-	// Register the doomed worker so the submission shards.
+	// Register the doomed worker.
 	hb, err := json.Marshal(fleet.HeartbeatRequest{Worker: "doomed"})
 	if err != nil {
 		t.Fatal(err)
@@ -261,8 +282,9 @@ func chaosWorkerKillScenario(t *testing.T, seed int64) ([]byte, chaosArtifact) {
 		t.Fatalf("doomed lease: %d", resp.StatusCode)
 	}
 
-	startChaosWorkers(t, s, ts, 1, nil)
+	ran := startChaosWorkers(t, s, ts, 1, nil)
 	got := fetchResult(t, ts, sub.ID)
+	checkRemoteRan(t, ran) // the unit the doomed worker left, and the other
 
 	if n := getMetrics(t, ts)["equinox_fleet_leases_expired_total"]; n < 1 {
 		t.Errorf("leases expired = %d, want >= 1", n)

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,12 +48,26 @@ func singleProcessCanonical(t *testing.T, spec JobSpec) []byte {
 	return canon
 }
 
-// startFleetWorkers runs n in-process fleet workers against the server
-// and blocks until the coordinator sees them. The returned cancel stops
-// them (abruptly — they do not finish in-flight units).
-func startFleetWorkers(t *testing.T, s *Server, ts *httptest.Server, n int) context.CancelFunc {
+// remoteOnly stops the server's in-process executors once they have
+// registered, so every unit queued from then on goes to remote workers and
+// crosses the HTTP protocol. Call it before any remote worker registers.
+func remoteOnly(t *testing.T, s *Server) {
+	t.Helper()
+	waitFor(t, "executors registered", func() bool {
+		return s.coord.ActiveWorkers() >= s.cfg.Workers
+	})
+	s.stopExecute()
+	s.executors.Wait()
+}
+
+// startFleetWorkers runs n in-process fleet workers that lease from the
+// server over HTTP and blocks until the coordinator sees them beside its
+// own executors. The returned counter counts the units they ran.
+func startFleetWorkers(t *testing.T, s *Server, ts *httptest.Server, n int) *atomic.Int64 {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	var ran atomic.Int64
 	for i := 0; i < n; i++ {
 		w, err := fleet.NewWorker(fleet.WorkerConfig{
 			Coordinator:       ts.URL,
@@ -60,20 +75,19 @@ func startFleetWorkers(t *testing.T, s *Server, ts *httptest.Server, n int) cont
 			PollInterval:      10 * time.Millisecond,
 			HeartbeatInterval: 25 * time.Millisecond,
 			Run: func(ctx context.Context, u fleet.Unit) ([]byte, error) {
+				ran.Add(1)
 				return RunSpec(ctx, u.Spec, 1)
 			},
 		})
 		if err != nil {
-			cancel()
 			t.Fatal(err)
 		}
 		go w.Run(ctx) //nolint:errcheck
 	}
 	waitFor(t, "fleet workers registered", func() bool {
-		return s.coord.ActiveWorkers() >= n
+		return s.coord.ActiveWorkers() >= s.cfg.Workers+n
 	})
-	t.Cleanup(cancel)
-	return cancel
+	return &ran
 }
 
 // fetchResult polls the job to completion and returns its canonical
@@ -105,18 +119,23 @@ func TestShardedSweepMatchesSingleProcess(t *testing.T) {
 	want := singleProcessCanonical(t, shardSpec())
 
 	s, ts := newTestServer(t, Config{Workers: 1})
-	startFleetWorkers(t, s, ts, 2)
+	remoteOnly(t, s)
+	ran := startFleetWorkers(t, s, ts, 2)
 
 	sub, code := submit(t, ts, shardSpec())
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)
 	}
-	if sub.Status != JobRunning {
-		t.Fatalf("sharded submit status %s, want running", sub.Status)
+	// Queued until a polling worker leases the first unit.
+	if sub.Status != JobQueued && sub.Status != JobRunning {
+		t.Fatalf("sharded submit status %s, want queued or running", sub.Status)
 	}
 	got := fetchResult(t, ts, sub.ID)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("sharded result differs from single-process run:\n--- sharded ---\n%s\n--- single ---\n%s", got, want)
+	}
+	if n := ran.Load(); n != 4 {
+		t.Errorf("remote workers ran %d units, want 4", n)
 	}
 
 	m := getMetrics(t, ts)
@@ -160,6 +179,7 @@ func TestWorkerCrashRecovery(t *testing.T) {
 			RetryBackoff:  10 * time.Millisecond,
 		},
 	})
+	remoteOnly(t, s)
 
 	// The "crashy" worker registers, leases one unit, and dies without
 	// completing or heartbeating.
@@ -197,11 +217,14 @@ func TestWorkerCrashRecovery(t *testing.T) {
 
 	// Healthy workers pick up the rest — and, after the TTL, the
 	// crashed worker's unit.
-	startFleetWorkers(t, s, ts, 2)
+	ran := startFleetWorkers(t, s, ts, 2)
 
 	got := fetchResult(t, ts, sub.ID)
 	if !bytes.Equal(got, want) {
 		t.Fatal("post-crash result differs from single-process run")
+	}
+	if n := ran.Load(); n < 4 {
+		t.Errorf("healthy workers ran %d units, want >= 4 (three fresh, one re-leased)", n)
 	}
 	m := getMetrics(t, ts)
 	if m["equinox_fleet_leases_expired_total"] < 1 {
@@ -269,6 +292,7 @@ func readSSE(t *testing.T, ts *httptest.Server, id string) []sseEventRecord {
 // ends.
 func TestSSEStreamsShardedJob(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
+	remoteOnly(t, s)
 	startFleetWorkers(t, s, ts, 1)
 
 	sub, code := submit(t, ts, shardSpec())
@@ -571,6 +595,21 @@ func TestParallelExcludedFromKey(t *testing.T) {
 	})
 	if st, _ := getJob(t, ts2, oldKey); st.Status != JobDone {
 		t.Fatalf("replayed job ended %s, want %s", st.Status, JobDone)
+	}
+}
+
+// TestSweepUnitsKeepJobDocuments: a memory-only server keeps a sweep's unit
+// results apart from job documents, so a sweep with more units than
+// CacheEntries does not evict an earlier job (whose GET would then 404).
+func TestSweepUnitsKeepJobDocuments(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, CacheEntries: 2})
+	first, _ := submit(t, ts, smallSpec())
+	fetchResult(t, ts, first.ID)
+	sweep, _ := submit(t, ts, shardSpec()) // 4 units
+	fetchResult(t, ts, sweep.ID)
+	if st, code := getJob(t, ts, first.ID); code != http.StatusOK || st.Status != JobDone || len(st.Result) == 0 {
+		t.Fatalf("first job after a 4-unit sweep: %d %s (result %d bytes), want 200 done with its result",
+			code, st.Status, len(st.Result))
 	}
 }
 

@@ -92,6 +92,11 @@ func (s *Server) dispatch(j *job, recovered bool) (JobState, error) {
 		delete(s.jobs, j.id)
 	}
 	s.mu.Unlock()
+	if err == nil && state == JobCancelled {
+		// A DELETE or the shutdown deadline settled the job before its units
+		// were registered, so its CancelJob found none: withdraw them now.
+		s.coord.CancelJob(j.id)
+	}
 	if err != nil {
 		if refused {
 			j.events.close()

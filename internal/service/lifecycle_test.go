@@ -91,12 +91,20 @@ func TestJobTerminalEdges(t *testing.T) {
 				return sub.ID
 			}},
 		{name: "failed/unit", want: JobFailed,
-			// A one-unit job's document is its unit's, so a unit that fails
-			// its every attempt (one, here) fails the job.
+			// A one-unit job's document is its unit's, so a failed unit fails
+			// the job — on its first attempt: a design that cannot be built
+			// is a permanent error, not retried.
 			drive: func(t *testing.T, s *Server, ts *httptest.Server) string {
 				sub, code := submit(t, ts, unrunnableSpec())
 				if code != http.StatusAccepted {
 					t.Fatalf("submit: %d", code)
+				}
+				waitFor(t, "job failed", func() bool {
+					st, _ := getJob(t, ts, sub.ID)
+					return st.Status.Finished()
+				})
+				if n := getMetrics(t, ts)["equinox_fleet_units_retried_total"]; n != 0 {
+					t.Errorf("units retried = %d, want 0", n)
 				}
 				return sub.ID
 			}},
@@ -162,7 +170,7 @@ func TestJobTerminalEdges(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			jr := openTestJournal(t, dir)
-			s, ts := newTestServer(t, Config{Workers: 1, Journal: jr, Fleet: fleet.Config{MaxAttempts: 1}})
+			s, ts := newTestServer(t, Config{Workers: 1, Journal: jr})
 
 			id := tc.drive(t, s, ts)
 			events := readSSE(t, ts, id) // returns only once the hub closes
@@ -262,6 +270,42 @@ func TestJobTerminalEdges(t *testing.T) {
 				t.Errorf("pending in journal after the edge = %v, want %v", pending, tc.pending)
 			}
 		})
+	}
+}
+
+// TestCancelBeforeUnitsRegistered: a DELETE (or the shutdown deadline)
+// that settles a job after dispatch released the server lock but before
+// the coordinator registered its units leaves no units behind, and the
+// same spec can be submitted again at once.
+func TestCancelBeforeUnitsRegistered(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	occupyExecutor(t, s, ts) // the unit would otherwise run at once
+	canon, err := smallSpec().Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := keyOf(canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	j := s.newJobLocked(key, canon, "")
+	s.mu.Unlock()
+	// The DELETE lands first: it settles the job, and its CancelJob finds
+	// no units yet.
+	if !s.settle(j, JobCancelled, outcome{noSpans: true}) {
+		t.Fatal("settle refused the queued job")
+	}
+	s.coord.CancelJob(key)
+	s.mu.Lock()
+	if _, err := s.dispatch(j, false); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.coord.UnitsPending(); n != 0 {
+		t.Errorf("units pending = %d, want 0: the ended job's unit is still queued", n)
+	}
+	if _, code := submit(t, ts, smallSpec()); code != http.StatusAccepted {
+		t.Errorf("resubmitting the cancelled spec: %d, want 202", code)
 	}
 }
 

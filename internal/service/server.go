@@ -30,10 +30,11 @@ type Config struct {
 	// left for it to bound. It remains for callers that still set it.
 	JobParallelism int
 	// CacheEntries bounds the in-memory result cache by entry count
-	// (default 128).
+	// (default 128), job documents and the unit results of multi-unit jobs
+	// each on their own.
 	CacheEntries int
-	// CacheBytes additionally bounds the in-memory result cache by
-	// approximate payload bytes (0 = entry bound only).
+	// CacheBytes additionally bounds each half of the in-memory result
+	// cache by approximate payload bytes (0 = entry bound only).
 	CacheBytes int64
 	// ShedFraction is the unit-queue (Fleet.QueueDepth) fill fraction past
 	// which batch submissions are shed with 429 while interactive ones are
@@ -105,7 +106,7 @@ type Server struct {
 	mu     sync.Mutex
 	closed bool
 	jobs   map[string]*job
-	store  store.Store
+	store  *results
 
 	live        sync.WaitGroup // jobs not yet terminal: Shutdown drains them
 	executors   sync.WaitGroup
@@ -116,15 +117,20 @@ type Server struct {
 // executors, awaiting remote workers too.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	var st store.Store = store.NewMemory(cfg.CacheEntries, cfg.CacheBytes)
-	if cfg.Store != nil {
-		st = store.NewTiered(st, cfg.Store)
-	}
 	s := &Server{
-		cfg:   cfg,
-		jobs:  map[string]*job{},
-		store: st,
-		log:   cfg.Logger,
+		cfg:  cfg,
+		jobs: map[string]*job{},
+		log:  cfg.Logger,
+	}
+	s.store = &results{
+		Store: store.NewMemory(cfg.CacheEntries, cfg.CacheBytes),
+		units: store.NewMemory(cfg.CacheEntries, cfg.CacheBytes),
+		s:     s,
+	}
+	if cfg.Store != nil {
+		// The disk keeps whatever memory evicts, so one tier serves both.
+		s.store.Store = store.NewTiered(s.store.Store, cfg.Store)
+		s.store.units = s.store.Store
 	}
 	if s.log == nil {
 		s.log = obs.NopLogger()
@@ -145,7 +151,7 @@ func New(cfg Config) *Server {
 		func() float64 { return float64(s.tracer.DroppedTotal()) })
 
 	fcfg := cfg.Fleet
-	fcfg.Store = unitStore{Store: s.store, s: s}
+	fcfg.Store = s.store
 	fcfg.Logger = s.log
 	fcfg.Metrics = fleet.NewMetrics(s.met.reg)
 	s.coord = fleet.NewCoordinator(fcfg)
@@ -232,23 +238,54 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// unitStore is the result store as the coordinator, its one writer, sees
-// it: evicted results take their finished job records along.
-type unitStore struct {
-	store.Store
-	s *Server
+// results is the result store the server reads and the coordinator, its
+// one writer, fills. Job documents (a one-unit job's id is its unit's key)
+// and the unit results of multi-unit jobs sit in separate memory LRUs, so
+// a sweep's units never evict an earlier job's document, and with it the
+// finished job.
+type results struct {
+	store.Store             // job documents
+	units       store.Store // unit results; the same tier over a disk store
+	s           *Server
 }
 
-func (u unitStore) Put(key string, val []byte) []string {
-	evicted := u.Store.Put(key, val)
-	u.s.mu.Lock()
-	defer u.s.mu.Unlock()
+func (r *results) Get(key string) ([]byte, bool) {
+	if v, ok := r.Store.Get(key); ok || r.units == r.Store {
+		return v, ok
+	}
+	return r.units.Get(key)
+}
+
+func (r *results) Put(key string, val []byte) []string {
+	r.s.mu.Lock()
+	_, isJob := r.s.jobs[key]
+	r.s.mu.Unlock()
+	if !isJob {
+		return r.units.Put(key, val)
+	}
+	evicted := r.Store.Put(key, val)
+	r.s.mu.Lock()
+	defer r.s.mu.Unlock()
 	for _, k := range evicted {
-		if j, ok := u.s.jobs[k]; ok && j.state.Finished() {
-			delete(u.s.jobs, k)
+		if j, ok := r.s.jobs[k]; ok && j.state.Finished() {
+			delete(r.s.jobs, k)
 		}
 	}
 	return evicted
+}
+
+func (r *results) Len() int {
+	if r.units == r.Store {
+		return r.Store.Len()
+	}
+	return r.Store.Len() + r.units.Len()
+}
+
+func (r *results) SizeBytes() int64 {
+	if r.units == r.Store {
+		return r.Store.SizeBytes()
+	}
+	return r.Store.SizeBytes() + r.units.SizeBytes()
 }
 
 // captureFlight keeps a traced job's flight-recorder artifact, which its

@@ -122,6 +122,7 @@ func TestTelemetrySharded(t *testing.T) {
 	want := singleProcessCanonical(t, shardSpec())
 
 	s, ts := newTestServer(t, Config{Workers: 1})
+	remoteOnly(t, s)
 	startFleetWorkers(t, s, ts, 2)
 
 	spec := shardSpec()

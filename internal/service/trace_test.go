@@ -42,7 +42,7 @@ func startTracedWorkers(t *testing.T, s *Server, ts *httptest.Server, n int) {
 		go w.Run(ctx) //nolint:errcheck
 	}
 	waitFor(t, "traced fleet workers registered", func() bool {
-		return s.coord.ActiveWorkers() >= n
+		return s.coord.ActiveWorkers() >= s.cfg.Workers+n
 	})
 	t.Cleanup(cancel)
 }
@@ -94,6 +94,7 @@ func fetchSpans(t *testing.T, ts *httptest.Server, id string) spanEnvelope {
 // spans under one trace ID.
 func TestSSEAnnouncesSpansAndServesStitchedTrace(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
+	remoteOnly(t, s)
 	startTracedWorkers(t, s, ts, 2)
 
 	sub, code := submit(t, ts, shardSpec())

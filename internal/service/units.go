@@ -80,22 +80,27 @@ func (s *Server) unitEvent(j *job, ev fleet.Event) {
 // canonical single-run JobSpec. parallelism bounds concurrent runs (zero
 // = GOMAXPROCS). A Trace-flagged spec's document opens with a "flight"
 // member (flightMember), which fleet.Worker lifts into its completion.
+// A spec or design that cannot be built is a fleet.Permanent error: every
+// attempt would fail alike (a failed run is an entry in the document).
 func RunSpec(ctx context.Context, raw []byte, parallelism int) ([]byte, error) {
 	var spec JobSpec
 	if err := json.Unmarshal(raw, &spec); err != nil {
-		return nil, fmt.Errorf("service: bad job spec: %w", err)
+		return nil, fleet.Permanent(fmt.Errorf("service: bad job spec: %w", err))
 	}
 	canon, err := spec.Canonicalize()
 	if err != nil {
-		return nil, err
+		return nil, fleet.Permanent(err)
 	}
 	cfg, err := canon.evalConfig()
 	if err != nil {
-		return nil, err
+		return nil, fleet.Permanent(err)
 	}
 	cfg.Parallelism = parallelism
 	ev, err := equinox.RunEvaluationContext(ctx, cfg)
 	if err != nil {
+		if ctx.Err() == nil {
+			err = fleet.Permanent(err)
+		}
 		return nil, err
 	}
 	var doc bytes.Buffer

@@ -44,8 +44,9 @@ func Benchmarks() []string {
 	return names
 }
 
-// DesignForMesh builds (or reuses) an EquiNox design sized for a mesh,
-// using the fast greedy search — the right default for large sweeps.
+// DesignForMesh builds an EquiNox design sized for a mesh with the fast
+// greedy two-hop search — the right default for large sweeps. Every call
+// builds a new design; nothing is cached between calls.
 func DesignForMesh(w, h, numCBs int) (*core.Design, error) {
 	return designForMesh(context.Background(), w, h, numCBs)
 }

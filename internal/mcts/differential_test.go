@@ -18,7 +18,7 @@ import (
 var altWeights = EvalWeights{Load: 0.7, Hops: 2.1, Crossings: 1.3, Length: 0.9, HotZone: 0.4}
 
 // diffProblems returns the problem grid of the differential tests: mesh
-// side × three placements × HopLimit 1–3 × MaxEIRsPerCB 0–4, alternating
+// side × three placements × HopLimit 1–4 × MaxEIRsPerCB 0–4, alternating
 // default and non-default weights.
 func diffProblems(t testing.TB, sides ...int) []Problem {
 	t.Helper()
@@ -29,7 +29,7 @@ func diffProblems(t testing.TB, sides ...int) []Problem {
 			if err != nil {
 				t.Fatalf("%v %dx%d: %v", kind, side, side, err)
 			}
-			for hop := 1; hop <= 3; hop++ {
+			for hop := 1; hop <= 4; hop++ {
 				for maxEIRs := 0; maxEIRs <= 4; maxEIRs++ {
 					p := NewProblem(side, side, pl.CBs)
 					p.HopLimit, p.MaxEIRsPerCB = hop, maxEIRs
@@ -111,6 +111,36 @@ func randomLegalAssignment(p Problem, rng *rand.Rand) Assignment {
 		}
 	}
 	return a
+}
+
+// TestShareTablesMatchEvalCB holds every candidate group of every CB — not
+// only those a rollout visits — to the reference kernel: the evaluation
+// share newSearch builds from the separable tables must equal evalCB's.
+func TestShareTablesMatchEvalCB(t *testing.T) {
+	checked := 0
+	for _, p := range diffProblems(t, 4, 7, 8, 12) {
+		s := newSearch(p)
+		for ci, cb := range p.CBs {
+			for k := range s.cands[ci] {
+				c := &s.cands[ci][k]
+				want, _ := p.evalCB(cb, groupAt(s, ci, int32(k)), s.isCB)
+				if c.ev != want {
+					t.Fatalf("%s: CB %v group %v: table share %+v, evalCB %+v", describe(p), cb, groupAt(s, ci, int32(k)), c.ev, want)
+				}
+				var maxL, sumL int32
+				for _, l := range want.load2 {
+					maxL, sumL = max(maxL, l), sumL+l
+				}
+				if c.maxLoad2 != maxL || c.sumLoad2 != sumL {
+					t.Fatalf("%s: CB %v group %v: load summary (%d, %d), want (%d, %d)", describe(p), cb, groupAt(s, ci, int32(k)), c.maxLoad2, c.sumLoad2, maxL, sumL)
+				}
+				checked++
+			}
+		}
+	}
+	if checked < 75000 {
+		t.Errorf("only %d groups checked, want ≥ 75000", checked)
+	}
 }
 
 func TestEvaluateMatchesReference(t *testing.T) {
@@ -260,6 +290,9 @@ func FuzzSearchMatchesReference(f *testing.F) {
 	f.Add(uint8(4), []byte{0, 5, 10, 15}, uint8(1), uint8(2), int64(7), uint8(40))
 	f.Add(uint8(3), []byte{4}, uint8(9), uint8(0), int64(-1), uint8(1))
 	f.Add(uint8(7), []byte{0, 1, 2, 3, 4, 80, 79, 55, 45}, uint8(2), uint8(3), int64(1), uint8(7))
+	f.Add(uint8(7), []byte{40, 10, 70, 4, 76}, uint8(3), uint8(4), int64(3), uint8(25)) // 9×9, HopLimit 4: five options per direction
+	f.Add(uint8(0), []byte{0, 3}, uint8(1), uint8(4), int64(5), uint8(12))              // 2×2, two CBs: one option each
+	f.Add(uint8(0), []byte{0, 1, 2, 3}, uint8(3), uint8(4), int64(2), uint8(3))         // 2×2, every tile a CB: no options at all
 	f.Fuzz(func(t *testing.T, side uint8, tiles []byte, hop, maxEIRs uint8, seed int64, budget uint8) {
 		w := 2 + int(side)%8 // 2…9
 		var cbs []geom.Point

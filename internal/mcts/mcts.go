@@ -64,6 +64,9 @@ func NewProblem(w, h int, cbs []geom.Point) Problem {
 	}
 }
 
+// maxHopLimit is the largest HopLimit Validate accepts.
+const maxHopLimit = 16
+
 // Validate reports configuration errors.
 func (p Problem) Validate() error {
 	if p.Width <= 0 || p.Height <= 0 {
@@ -77,6 +80,11 @@ func (p Problem) Validate() error {
 	}
 	if p.HopLimit < 1 {
 		return fmt.Errorf("mcts: HopLimit %d < 1", p.HopLimit)
+	}
+	// A CB has at most 4·HopLimit candidate EIR tiles, one bit each in the
+	// searches' 64-bit legality masks.
+	if p.HopLimit > maxHopLimit {
+		return fmt.Errorf("mcts: HopLimit %d > %d (a CB's 4·HopLimit candidate EIRs must fit a 64-bit mask)", p.HopLimit, maxHopLimit)
 	}
 	for i, cb := range p.CBs {
 		if !cb.In(p.Width, p.Height) {
@@ -232,13 +240,7 @@ func (p Problem) evalCB(cb geom.Point, group []geom.Point, isCB geom.TileSet) (e
 		for _, d := range geom.AppendDirTowards(dirBuf[:0], cb, e) {
 			eirs[d] = e
 		}
-		ev.links++
-		ev.length += int32(geom.Manhattan(cb, e))
-		// An EIR inside its own CB's hot zone (DAZ) defeats the purpose:
-		// the first hop out of the CB is exactly what must be bypassed.
-		if geom.Chebyshev(e, cb) == 1 {
-			ev.hot++
-		}
+		ev.addLink(cb, e)
 	}
 	id := -1
 	for y := 0; y < p.Height; y++ {
@@ -247,24 +249,48 @@ func (p Problem) evalCB(cb geom.Point, group []geom.Point, isCB geom.TileSet) (e
 			if isCB.Has(id) {
 				continue
 			}
-			dst := geom.Pt(x, y)
-			injs, n := injectorsFor(cb, &eirs, dst)
-			w2 := 2 / n
-			for _, d := range injs[:n] {
-				inj := eirs[d]
-				ev.load2[d] += int32(w2)
-				hops := geom.Manhattan(inj, dst)
-				if d != geom.Local {
-					// Interposer hop CB→EIR: a 2-hop-long RDL wire fits
-					// in one clock cycle; longer wires need an extra
-					// cycle (§4.3's repeaterless-length argument).
-					hops += (geom.Manhattan(cb, inj) + 1) / 2
-				}
-				ev.hops2 += w2 * hops
-			}
+			ev.addDest(cb, &eirs, geom.Pt(x, y))
 		}
 	}
 	return ev, eirs
+}
+
+// addLink adds the CB→EIR link to e: its length and hot-zone count.
+func (ev *cbEval) addLink(cb, e geom.Point) {
+	ev.links++
+	ev.length += int32(geom.Manhattan(cb, e))
+	// An EIR inside its own CB's hot zone (DAZ) defeats the purpose: the
+	// first hop out of the CB is exactly what must be bypassed.
+	if geom.Chebyshev(e, cb) == 1 {
+		ev.hot++
+	}
+}
+
+// addDest adds the CB's flow to dst: its hops and injector loads under the
+// group eirs.
+func (ev *cbEval) addDest(cb geom.Point, eirs *eirsByDir, dst geom.Point) {
+	injs, n := injectorsFor(cb, eirs, dst)
+	w2 := 2 / n
+	for _, d := range injs[:n] {
+		inj := eirs[d]
+		ev.load2[d] += int32(w2)
+		hops := geom.Manhattan(inj, dst)
+		if d != geom.Local {
+			// Interposer hop CB→EIR: a 2-hop-long RDL wire fits in one
+			// clock cycle; longer wires need an extra cycle (§4.3's
+			// repeaterless-length argument).
+			hops += (geom.Manhattan(cb, inj) + 1) / 2
+		}
+		ev.hops2 += w2 * hops
+	}
+}
+
+// addShare adds a class share's hops and loads to ev (see shareTables).
+func (ev *cbEval) addShare(sh *cbEval) {
+	ev.hops2 += sh.hops2
+	for d, l := range sh.load2 {
+		ev.load2[d] += l
+	}
 }
 
 // finish turns the summed per-CB shares and the crossing count into the
@@ -370,13 +396,7 @@ type node struct {
 	next        int32 // first untried group of the next CB (-1: none left)
 	visits      int
 	value       float64 // accumulated reward
-}
-
-func (n *node) mean() float64 {
-	if n.visits == 0 {
-		return 0
-	}
-	return n.value / float64(n.visits)
+	mean        float64 // value/visits, refreshed by backpropagation (0 unvisited)
 }
 
 // Search runs the iterated MCTS of §4.3 and returns the selected assignment.
@@ -467,6 +487,7 @@ func Search(p Problem, opts Options) (Result, error) {
 			for m := n; m >= 0; m = nodes[m].parent {
 				nodes[m].visits++
 				nodes[m].value += reward
+				nodes[m].mean = nodes[m].value / float64(nodes[m].visits)
 			}
 		}
 		// Commit the best level-1 child: highest mean value among children
@@ -481,8 +502,8 @@ func Search(p Problem, opts Options) (Result, error) {
 			if nodes[c].visits < minVisits {
 				continue
 			}
-			if best < 0 || nodes[c].mean() > nodes[best].mean() ||
-				(nodes[c].mean() == nodes[best].mean() && candLess(&cands[nodes[c].cand], &cands[nodes[best].cand])) {
+			if best < 0 || nodes[c].mean > nodes[best].mean ||
+				(nodes[c].mean == nodes[best].mean && candLess(&cands[nodes[c].cand], &cands[nodes[best].cand])) {
 				best = c
 			}
 		}
@@ -514,7 +535,7 @@ func selectUCB(nodes []node, n int32, c float64) int32 {
 		if v := nodes[ch].visits; v == 0 {
 			s = math.Inf(1)
 		} else {
-			s = nodes[ch].value/float64(v) + c*math.Sqrt(lnN/float64(v))
+			s = nodes[ch].mean + c*math.Sqrt(lnN/float64(v))
 		}
 		if s > bestScore {
 			bestScore = s

@@ -2,6 +2,7 @@ package mcts
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"equinox/internal/geom"
@@ -46,6 +47,19 @@ func TestValidate(t *testing.T) {
 	bad5.CBs = []geom.Point{geom.Pt(1, 1), geom.Pt(2, 5), geom.Pt(1, 1)}
 	if bad5.Validate() == nil {
 		t.Error("duplicate CB accepted")
+	}
+	// 4·HopLimit candidate EIRs per CB must fit the 64-bit legality mask.
+	wide := NewProblem(40, 40, []geom.Point{geom.Pt(20, 20)})
+	wide.HopLimit = 16
+	if err := wide.Validate(); err != nil {
+		t.Errorf("HopLimit 16 rejected: %v", err)
+	}
+	if _, err := Search(wide, Options{IterationsPerLevel: 5, ExplorationC: 1, Seed: 1}); err != nil {
+		t.Errorf("HopLimit 16 search: %v", err)
+	}
+	wide.HopLimit = 17
+	if err := wide.Validate(); err == nil || !strings.Contains(err.Error(), "16") {
+		t.Errorf("HopLimit 17: Validate = %v, want an error naming the bound 16", err)
 	}
 }
 
@@ -384,7 +398,8 @@ func TestSearchKeepsSeedWithDefaultBudget(t *testing.T) {
 }
 
 // TestAllocationPins: an evaluation allocates nothing, and a search only
-// its tables, scratch and one node slab — nothing per iteration.
+// its tables (groups, legality masks, share-table scratch, crossing
+// matrix), scratch and one node slab — nothing per iteration.
 func TestAllocationPins(t *testing.T) {
 	p := paperProblem(t)
 	a := PureGreedyRollout(p)

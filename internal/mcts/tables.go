@@ -20,23 +20,13 @@ type eir struct {
 // cand is one EIR group of a CB — at most one EIR per axis direction, each
 // within HopLimit hops and not on a CB tile (the paper's simplifications,
 // matching the NI's four per-direction buffers) — with its share of the
-// evaluation memoised on first use.
+// evaluation, built from the CB's share tables in newSearch.
 type cand struct {
-	eirs [4]eir // in axisOrder
-	n    int8
-	done bool  // ev is filled
-	key  int32 // static preference, lower first (see newSearch)
-	ev   cbEval
-}
-
-// legal reports whether none of the group's EIRs is taken by another CB.
-func (c *cand) legal(taken geom.TileSet) bool {
-	for _, e := range c.eirs[:c.n] {
-		if taken.Has(int(e.tile)) {
-			return false
-		}
-	}
-	return true
+	eirs               [4]eir // in axisOrder
+	n                  int8
+	key                int32 // static preference, lower first (see newSearch)
+	maxLoad2, sumLoad2 int32 // max and sum of ev.load2
+	ev                 cbEval
 }
 
 // candLess orders groups by their EIR tiles, row-major, shorter first on a
@@ -67,13 +57,16 @@ type search struct {
 	p     Problem
 	isCB  geom.TileSet
 	cands [][]cand
+	masks [][]uint64 // masks[ci][k]: bit j says group k of CB ci uses link segBase[ci]+j
 
-	// RDL crossings: every candidate EIR's CB→EIR link has an index (eir.seg),
-	// and bit j of row i of cross (segWords words per row) says whether links
-	// i and j properly cross. An assignment's crossings are the set bits of
-	// cross restricted to its links, halved.
-	cross    []uint64
-	segWords int
+	// Every candidate EIR's CB→EIR link has an index (eir.seg): CB ci's are
+	// segBase[ci] up to segBase[ci+1], and optTile holds their EIR tiles.
+	optTile []int32
+	segBase []int32
+
+	// RDL crossings: bit j of row i of cross (len(present) words per row)
+	// says whether links i and j properly cross.
+	cross []uint64
 
 	taken   geom.TileSet // EIRs of the groups chosen so far
 	choice  []int32      // per CB: the chosen group, as an index into cands
@@ -82,18 +75,21 @@ type search struct {
 
 func newSearch(p Problem) *search {
 	s := &search{
-		p:      p,
-		isCB:   p.cbTiles(nil),
-		cands:  make([][]cand, len(p.CBs)),
-		taken:  geom.NewTileSet(p.Width * p.Height),
-		choice: make([]int32, len(p.CBs)),
+		p:       p,
+		isCB:    p.cbTiles(nil),
+		cands:   make([][]cand, len(p.CBs)),
+		masks:   make([][]uint64, len(p.CBs)),
+		segBase: make([]int32, len(p.CBs)+1),
+		taken:   geom.NewTileSet(p.Width * p.Height),
+		choice:  make([]int32, len(p.CBs)),
 	}
-	var opts [4][]eirOption
+	var t shareTables
 	var segs []geom.Segment
 	for ci, cb := range p.CBs {
+		t.cb = cb
 		groups := 1
 		for i, d := range axisOrder {
-			opts[i] = opts[i][:0]
+			t.opts[i] = t.opts[i][:0]
 			for dist := 1; dist <= p.HopLimit; dist++ {
 				e := cb.Add(geom.Pt(d.Delta().X*dist, d.Delta().Y*dist))
 				if !e.In(p.Width, p.Height) {
@@ -110,28 +106,38 @@ func newSearch(p Problem) *search {
 				if geom.Chebyshev(e, cb) == 1 {
 					key += 300
 				}
-				opts[i] = append(opts[i], eirOption{eir{int32(e.ID(p.Width)), int32(len(segs))}, int32(key)})
+				tile := int32(e.ID(p.Width))
+				t.opts[i] = append(t.opts[i], eirOption{eir{tile, int32(len(segs))}, e, int32(key)})
+				s.optTile = append(s.optTile, tile)
 				segs = append(segs, geom.Seg(cb, e))
 			}
-			groups *= 1 + len(opts[i])
+			groups *= 1 + len(t.opts[i])
 		}
+		s.segBase[ci+1] = int32(len(segs))
+		t.fill(p, s.isCB)
 		// Informed expansion order: statically promising groups first, so
 		// MCTS spends its visit budget discriminating among strong
 		// candidates instead of warming up weak ones. The rollout evaluation
 		// remains the judge.
-		s.cands[ci] = s.enumerate(&opts, 0, cand{key: int32(100 * p.MaxEIRsPerCB)}, make([]cand, 0, groups))
-		slices.SortStableFunc(s.cands[ci], func(a, b cand) int { return int(a.key - b.key) })
+		t.groups = t.enumerate(p.MaxEIRsPerCB, 0, [4]int{}, cand{key: int32(100 * p.MaxEIRsPerCB)}, slices.Grow(t.groups[:0], groups))
+		s.cands[ci] = t.sortByKey()
+		s.masks[ci] = make([]uint64, len(s.cands[ci]))
+		for k, c := range s.cands[ci] {
+			for _, e := range c.eirs[:c.n] {
+				s.masks[ci][k] |= 1 << uint(e.seg-s.segBase[ci])
+			}
+		}
 	}
 
 	n := len(segs)
-	s.segWords = (n + 63) / 64
-	s.cross = make([]uint64, n*s.segWords)
-	s.present = make([]uint64, s.segWords)
+	words := (n + 63) / 64
+	s.cross = make([]uint64, n*words)
+	s.present = make([]uint64, words)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if geom.ProperCrossing(segs[i], segs[j]) {
-				s.cross[i*s.segWords+j>>6] |= 1 << (uint(j) & 63)
-				s.cross[j*s.segWords+i>>6] |= 1 << (uint(i) & 63)
+				s.cross[i*words+j>>6] |= 1 << (uint(j) & 63)
+				s.cross[j*words+i>>6] |= 1 << (uint(i) & 63)
 			}
 		}
 	}
@@ -142,35 +148,180 @@ func newSearch(p Problem) *search {
 // the group's static preference key.
 type eirOption struct {
 	eir
+	at  geom.Point
 	key int32
 }
 
-// enumerate appends to out every extension of cur by one option (or none)
-// per remaining direction, none first, that respects MaxEIRsPerCB.
-func (s *search) enumerate(opts *[4][]eirOption, dim int, cur cand, out []cand) []cand {
-	if dim == len(opts) {
-		if int(cur.n) <= s.p.MaxEIRsPerCB {
-			out = append(out, cur)
-		}
-		return out
+// shareTables is one CB's separable share tables, the scratch newSearch
+// builds the CB's groups from.
+//
+// injectorsFor makes a destination's injectors depend only on the EIRs of
+// the one or two directions toward it, so the non-CB destinations fall into
+// eight classes — the four axes and the four quadrants around the CB — and
+// a class's hops and loads depend only on the options taken in its
+// directions. A group's cbEval is the sum of its eight class entries plus
+// its own links; all integers, so exactly what evalCB computes.
+type shareTables struct {
+	cb   geom.Point
+	opts [4][]eirOption // per direction in axisOrder, nearest first
+	m    int            // 1 + the most options of any direction
+	axis []cbEval       // [a*m+o]: axis a's share when direction a takes option o (0: none, i: opts[a][i-1])
+	quad []cbEval       // [quadAt(h, v, oh, ov)]: quadrant (h, v)'s share when h takes oh and v takes ov
+
+	groups []cand  // the CB's groups in enumeration order
+	slot   []int32 // scratch of sortByKey
+}
+
+// quadAt indexes the quadrant between directions h (East or West: axisOrder
+// index 0 or 1) and v (South or North: 2 or 3) with options oh and ov.
+func (t *shareTables) quadAt(h, v, oh, ov int) int {
+	return ((2*h+v-2)*t.m+oh)*t.m + ov
+}
+
+// point returns direction a's option o; option 0 (none) is the CB itself.
+func (t *shareTables) point(a, o int) geom.Point {
+	if o == 0 {
+		return t.cb
 	}
-	out = s.enumerate(opts, dim+1, cur, out)
-	for _, o := range opts[dim] {
+	return t.opts[a][o-1].at
+}
+
+// fill computes every class's share for every combination of options.
+func (t *shareTables) fill(p Problem, isCB geom.TileSet) {
+	t.m = 1
+	for _, o := range t.opts {
+		t.m = max(t.m, 1+len(o))
+	}
+	t.axis = resize(t.axis, 4*t.m)
+	t.quad = resize(t.quad, 4*t.m*t.m)
+	cb := t.cb
+	id := -1
+	for y := 0; y < p.Height; y++ {
+		for x := 0; x < p.Width; x++ {
+			id++
+			if isCB.Has(id) {
+				continue
+			}
+			dst := geom.Pt(x, y)
+			// The directions toward dst, as axisOrder indices (-1: none).
+			h, v := -1, -1
+			if x > cb.X {
+				h = 0
+			} else if x < cb.X {
+				h = 1
+			}
+			if y > cb.Y {
+				v = 2
+			} else if y < cb.Y {
+				v = 3
+			}
+			eirs := eirsByDir{cb, cb, cb, cb, cb}
+			if h < 0 || v < 0 {
+				a := max(h, v)
+				for o := range len(t.opts[a]) + 1 {
+					eirs[axisOrder[a]] = t.point(a, o)
+					t.axis[a*t.m+o].addDest(cb, &eirs, dst)
+				}
+				continue
+			}
+			for oh := range len(t.opts[h]) + 1 {
+				eirs[axisOrder[h]] = t.point(h, oh)
+				for ov := range len(t.opts[v]) + 1 {
+					eirs[axisOrder[v]] = t.point(v, ov)
+					t.quad[t.quadAt(h, v, oh, ov)].addDest(cb, &eirs, dst)
+				}
+			}
+		}
+	}
+}
+
+// resize returns buf with length n, zeroed.
+func resize(buf []cbEval, n int) []cbEval {
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	return buf
+}
+
+// enumerate appends to out every extension of cur by one option (or none)
+// per remaining direction, none first, that respects maxEIRs, each with its
+// evaluation share. at[a] is the option direction a took (0: none).
+func (t *shareTables) enumerate(maxEIRs, dim int, at [4]int, cur cand, out []cand) []cand {
+	if dim == len(t.opts) {
+		if int(cur.n) > maxEIRs {
+			return out
+		}
+		for a := range at {
+			cur.ev.addShare(&t.axis[a*t.m+at[a]])
+		}
+		for h := 0; h < 2; h++ {
+			for v := 2; v < 4; v++ {
+				cur.ev.addShare(&t.quad[t.quadAt(h, v, at[h], at[v])])
+			}
+		}
+		for _, l := range cur.ev.load2 {
+			cur.maxLoad2 = max(cur.maxLoad2, l)
+			cur.sumLoad2 += l
+		}
+		return append(out, cur)
+	}
+	out = t.enumerate(maxEIRs, dim+1, at, cur, out)
+	for i, o := range t.opts[dim] {
 		next := cur
 		next.eirs[next.n] = o.eir
 		next.n++
 		next.key += o.key
-		out = s.enumerate(opts, dim+1, next, out)
+		next.ev.addLink(t.cb, o.at)
+		at[dim] = i + 1
+		out = t.enumerate(maxEIRs, dim+1, at, next, out)
 	}
 	return out
+}
+
+// sortByKey returns the enumerated groups stable-sorted by their static
+// preference key, in a new slice. It is a counting sort: the keys span a
+// few hundred values, and a comparison sort would spend its time moving
+// whole groups.
+func (t *shareTables) sortByKey() []cand {
+	lo, hi := t.groups[0].key, t.groups[0].key
+	for _, c := range t.groups {
+		lo, hi = min(lo, c.key), max(hi, c.key)
+	}
+	t.slot = slices.Grow(t.slot[:0], int(hi-lo)+1)[:hi-lo+1]
+	clear(t.slot)
+	for _, c := range t.groups {
+		t.slot[c.key-lo]++
+	}
+	next := int32(0)
+	for k, n := range t.slot {
+		t.slot[k], next = next, next+n
+	}
+	out := make([]cand, len(t.groups))
+	for _, c := range t.groups {
+		out[t.slot[c.key-lo]] = c
+		t.slot[c.key-lo]++
+	}
+	return out
+}
+
+// takenMask returns the option tiles of CB ci that taken holds, as bits of
+// masks[ci]: a group is legal under taken iff its mask and this are disjoint.
+func (s *search) takenMask(ci int, taken geom.TileSet) uint64 {
+	var m uint64
+	for j, tile := range s.optTile[s.segBase[ci]:s.segBase[ci+1]] {
+		if taken.Has(int(tile)) {
+			m |= 1 << uint(j)
+		}
+	}
+	return m
 }
 
 // nextLegal returns the first group of CB ci at or after from in the static
 // order that is legal under taken, or -1.
 func (s *search) nextLegal(ci, from int, taken geom.TileSet) int32 {
-	cands := s.cands[ci]
-	for k := from; k < len(cands); k++ {
-		if cands[k].legal(taken) {
+	m := s.takenMask(ci, taken)
+	masks := s.masks[ci]
+	for k := from; k < len(masks); k++ {
+		if masks[k]&m == 0 {
 			return int32(k)
 		}
 	}
@@ -179,22 +330,28 @@ func (s *search) nextLegal(ci, from int, taken geom.TileSet) int32 {
 
 // countLegal returns how many groups of CB ci are legal under taken.
 func (s *search) countLegal(ci int, taken geom.TileSet) int {
+	m := s.takenMask(ci, taken)
 	n := 0
-	for k := range s.cands[ci] {
-		if s.cands[ci][k].legal(taken) {
+	for _, mask := range s.masks[ci] {
+		if mask&m == 0 {
 			n++
 		}
 	}
 	return n
 }
 
-// kthLegal returns the k-th (from 0) group of CB ci legal under taken.
+// kthLegal returns the k-th (from 0) group of CB ci legal under taken, or -1.
 func (s *search) kthLegal(ci, k int, taken geom.TileSet) int32 {
-	at := s.nextLegal(ci, 0, taken)
-	for ; k > 0; k-- {
-		at = s.nextLegal(ci, int(at)+1, taken)
+	m := s.takenMask(ci, taken)
+	for i, mask := range s.masks[ci] {
+		if mask&m == 0 {
+			if k == 0 {
+				return int32(i)
+			}
+			k--
+		}
 	}
-	return at
+	return -1
 }
 
 // choose records group k as CB ci's and marks its EIRs in taken.
@@ -206,37 +363,38 @@ func (s *search) choose(ci int, k int32, taken geom.TileSet) {
 	}
 }
 
-// evaluate scores the assignment in choice: a sum of memoised per-(CB,
-// group) shares, plus the crossings among its links.
+// evaluate scores the assignment in choice: a sum of per-(CB, group)
+// shares, plus the crossings among its links. Each crossing is counted once,
+// by the later CB's link against the links of the CBs before it, which all
+// lie in the first ⌈segBase[ci]/64⌉ words of present; no two links of one
+// group cross (they only share the CB's end).
 func (s *search) evaluate() Evaluation {
 	var t totals
-	clear(s.present)
-	for ci, k := range s.choice {
-		c := &s.cands[ci][k]
-		if !c.done {
-			var buf [4]geom.Point
-			c.ev, _ = s.p.evalCB(s.p.CBs[ci], s.points(c, buf[:0]), s.isCB)
-			c.done = true
-		}
-		t.add(&c.ev)
-		for _, l := range c.ev.load2 {
-			t.addLoad(int(l))
-		}
-		for _, e := range c.eirs[:c.n] {
-			s.present[e.seg>>6] |= 1 << (uint(e.seg) & 63)
-		}
-	}
+	present := s.present
+	clear(present)
+	words := len(present)
 	crossings := 0
 	for ci, k := range s.choice {
 		c := &s.cands[ci][k]
+		t.add(&c.ev)
+		t.maxLoad2 = max(t.maxLoad2, int(c.maxLoad2))
+		t.sumLoad2 += int(c.sumLoad2)
+		base := uint(s.segBase[ci])
+		before := present[:(base+63)>>6]
 		for _, e := range c.eirs[:c.n] {
-			row := s.cross[int(e.seg)*s.segWords:][:s.segWords]
-			for w, m := range s.present {
+			row := s.cross[int(e.seg)*words:][:len(before)]
+			for w, m := range before {
 				crossings += bits.OnesCount64(row[w] & m)
 			}
 		}
+		if mask := s.masks[ci][k]; mask != 0 {
+			present[base>>6] |= mask << (base & 63)
+			if w := base>>6 + 1; int(w) < words {
+				present[w] |= mask >> (64 - base&63)
+			}
+		}
 	}
-	return s.p.finish(t, s.isCB, crossings/2)
+	return s.p.finish(t, s.isCB, crossings)
 }
 
 // points appends the group's EIRs to buf as mesh coordinates.

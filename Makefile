@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race eval serve fleet-smoke chaos-smoke saturation-sweep heatmap design cover clean
+.PHONY: all build vet test race eval serve fleet-smoke chaos-smoke saturation-sweep heatmap design cover kernel-bench clean
 
 all: build vet test
 
@@ -54,6 +54,12 @@ TELEMETRY_SWEEP_CSV ?= telemetry-sweep.csv
 saturation-sweep:
 	TELEMETRY_SWEEP_CSV=$(TELEMETRY_SWEEP_CSV) $(GO) test -count=1 -v \
 		-run TestSaturationSweep ./internal/sim
+
+# Kernel benchmark: the cycle loop alone, one sub-benchmark per scheme
+# (8x8, kmeans, 200 instr/PE, seed 1), reporting cycles/s and flit-hops/s.
+# README's "Kernel benchmark" shows how to A/B two builds with it.
+kernel-bench:
+	$(GO) test -run '^$$' -bench BenchmarkRunToCompletion -benchtime 5x ./internal/sim
 
 # Figure 4 heat maps and the placement scoring table.
 heatmap:

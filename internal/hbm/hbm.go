@@ -11,6 +11,7 @@ package hbm
 
 import (
 	"fmt"
+	"math"
 )
 
 // Config describes one HBM stack and its controller.
@@ -116,6 +117,11 @@ type Controller struct {
 	done  []*Request // Step's result buffer, reused every call
 	chans []channel
 
+	// wake is the earliest cycle Step can do anything: retire a request,
+	// issue one, or start a refresh. Step returns at once before it, and
+	// Enqueue pulls it down to the enqueue cycle.
+	wake int64
+
 	// Stats.
 	Served     int64
 	RowHits    int64
@@ -160,6 +166,7 @@ func (c *Controller) Enqueue(r *Request, now int64) bool {
 	r.arrived, r.doneAt, r.scheduled = now, 0, false
 	r.ch, r.bk, r.row = c.mapAddr(r.Addr)
 	c.queue = append(c.queue, r)
+	c.wake = min(c.wake, now)
 	return true
 }
 
@@ -184,16 +191,28 @@ func (c *Controller) mapAddr(addr uint64) (ch, bk int, row int64) {
 //
 // The returned slice is the controller's own buffer, overwritten by the next
 // Step: callers consume it before stepping again and do not retain it.
+//
+// Before the wake cycle nothing can happen, so Step returns at once. The
+// caller may skip cycles (gpu.CB freezes the controller while its reply
+// buffer is full); a Step at or past the wake cycle then does what it would
+// have done without the wake time.
 func (c *Controller) Step(now int64) []*Request {
+	if now < c.wake {
+		return c.done[:0]
+	}
+	// wake is recomputed below as the minimum over everything pending.
+	wake := int64(math.MaxInt64)
 	// All-bank refresh: closes every row and blocks the channel's banks for
 	// TRFC cycles.
 	if c.cfg.TREFI > 0 {
 		for chIx := range c.chans {
 			ch := &c.chans[chIx]
 			if now < ch.nextRefresh {
+				wake = min(wake, ch.nextRefresh)
 				continue
 			}
 			ch.nextRefresh = now + int64(c.cfg.TREFI)
+			wake = min(wake, ch.nextRefresh)
 			c.Refreshes++
 			till := now + int64(c.cfg.TRFC)
 			for b := range ch.banks {
@@ -212,6 +231,12 @@ func (c *Controller) Step(now int64) []*Request {
 	// pick is the per-channel scan, run for every channel at once. A request
 	// issued this cycle completes at least TBurst ≥ 1 cycles later, so
 	// retiring before issuing loses nothing.
+	//
+	// The same pass bounds the wake cycle: a queued issued request's
+	// completion, and for one not issued its bank's free cycle (next cycle
+	// if it is free now, as it may lose to its channel's pick). An issue
+	// below only moves a bank's free cycle later, so these bounds stay
+	// early, never late.
 	done := c.done[:0]
 	w := 0
 	for _, r := range c.queue {
@@ -222,10 +247,14 @@ func (c *Controller) Step(now int64) []*Request {
 				c.TotalWait += r.doneAt - r.arrived
 				continue
 			}
-		} else if ch := &c.chans[r.ch]; !ch.bestHit {
+			wake = min(wake, r.doneAt)
+		} else {
+			ch := &c.chans[r.ch]
+			b := &ch.banks[r.bk]
+			wake = min(wake, max(b.busyTill, now+1))
 			// Issue needs a free bank; the data burst may queue behind the
 			// channel bus (bank-level parallelism hides access latency).
-			if b := &ch.banks[r.bk]; b.busyTill <= now {
+			if !ch.bestHit && b.busyTill <= now {
 				if b.openRow == r.row {
 					ch.best, ch.bestHit = r, true // FR: first ready row hit wins
 				} else if ch.best == nil {
@@ -271,7 +300,9 @@ func (c *Controller) Step(now int64) []*Request {
 		b.busyTill = r.doneAt
 		r.scheduled = true
 		c.BusyCycles += burst
+		wake = min(wake, r.doneAt)
 	}
+	c.wake = wake
 	return done
 }
 

@@ -119,7 +119,11 @@ func (rc *refController) step(now int64) []*Request {
 // decode reference with one random request stream and requires, every cycle,
 // the same acceptances, the same requests issued with the same completion
 // cycle, and the same completions in the same order — across timing and
-// geometry variants, refresh on and off, and recycled Request structs.
+// geometry variants, refresh on and off, and recycled Request structs. Like
+// gpu.CB while its reply buffer is full, both controllers are frozen — not
+// stepped, though requests still arrive — for random runs of cycles, some
+// chosen to span a due refresh, so the controller's wake time is checked
+// against a reference that has none.
 func TestCachedDecodeMatchesReference(t *testing.T) {
 	variants := map[string]func(*Config){
 		"Default":   func(*Config) {},
@@ -149,6 +153,9 @@ func TestCachedDecodeMatchesReference(t *testing.T) {
 			}
 			ref := newRefController(t, cfg)
 			rng := rand.New(rand.NewSource(int64(len(name))))
+			freeze := rand.New(rand.NewSource(int64(len(name)) + 1))
+			var frozenUntil int64
+			frozen, refreshFrozen := 0, 0
 
 			// id → the pair of twin requests in flight, one per controller.
 			type twin struct{ got, want *Request }
@@ -192,6 +199,21 @@ func TestCachedDecodeMatchesReference(t *testing.T) {
 					t.Fatalf("cycle %d: queue holds %d, reference %d", now, mc.Pending(), len(ref.queue))
 				}
 
+				if now >= frozenUntil {
+					due := nextRefresh(mc)
+					switch {
+					case cfg.TREFI > 0 && due > now && due <= now+8 && freeze.Intn(2) == 0:
+						frozenUntil = due + 1 + int64(freeze.Intn(30))
+						refreshFrozen++
+					case freeze.Intn(40) == 0:
+						frozenUntil = now + 1 + int64(freeze.Intn(40))
+					}
+				}
+				if now < frozenUntil {
+					frozen++
+					continue
+				}
+
 				got, want := mc.Step(now), ref.step(now)
 				if len(got) != len(want) {
 					t.Fatalf("cycle %d: %d completions, reference %d", now, len(got), len(want))
@@ -226,6 +248,19 @@ func TestCachedDecodeMatchesReference(t *testing.T) {
 			if (cfg.TREFI > 0) != (mc.Refreshes > 0) {
 				t.Errorf("refreshes = %d with TREFI %d", mc.Refreshes, cfg.TREFI)
 			}
+			if frozen == 0 || (cfg.TREFI > 0) != (refreshFrozen > 0) {
+				t.Errorf("%d frozen cycles, %d freezes across a due refresh, with TREFI %d", frozen, refreshFrozen, cfg.TREFI)
+			}
 		})
 	}
+}
+
+// nextRefresh returns the earliest cycle any of the controller's channels is
+// due to refresh.
+func nextRefresh(c *Controller) int64 {
+	due := c.chans[0].nextRefresh
+	for i := range c.chans {
+		due = min(due, c.chans[i].nextRefresh)
+	}
+	return due
 }

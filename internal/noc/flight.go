@@ -15,6 +15,8 @@ func (n *Network) AttachFlight(opts flight.Options) *flight.Recorder {
 	rec.W, rec.H = n.Cfg.Width, n.Cfg.Height
 	rec.TypeNames = pktNames[:]
 	n.flight = rec
+	// At most one head flit crosses each mesh link per cycle.
+	n.linkEvents = make([]flight.Event, 0, len(n.Routers)*meshLinks)
 	return rec
 }
 
@@ -45,11 +47,36 @@ func (n *Network) FlightStarved() (starved int64, fired bool) {
 // must guard with `n.flight != nil` before calling so the detached cost
 // stays a single pointer compare.
 func (n *Network) flightRecord(now int64, p *Packet, k flight.Kind, router int, a, b int32) {
-	fr := n.flight
-	if !fr.Hit(p.ID) {
-		return
+	if n.flight.Hit(p.ID) {
+		n.flight.Record(event(now, p, k, router, a, b))
 	}
-	fr.Record(flight.Event{
+}
+
+// flightLink notes a sampled head flit crossing a link into input slot of
+// router to. Traversal deposited the flit downstream already, but it is on
+// the link until the next cycle, so the LinkTraverse event is stamped now+1
+// and held until the next Step records it ahead of that cycle's other events
+// (flightLinkFlush) — the cycle and ring order of a link stage that runs
+// first in each cycle. Callers guard with `n.flight != nil`.
+func (n *Network) flightLink(now int64, p *Packet, to, slot int32) {
+	if n.flight.Hit(p.ID) {
+		port := int32(n.slotPort[slot])
+		n.linkEvents = append(n.linkEvents, event(now+1, p, flight.LinkTraverse, int(to), port, slot-port*int32(n.nvc)))
+	}
+}
+
+// flightLinkFlush records the held LinkTraverse events, in the (router,
+// output port) order traversal produced them.
+func (n *Network) flightLinkFlush() {
+	for i := range n.linkEvents {
+		n.flight.Record(n.linkEvents[i])
+	}
+	n.linkEvents = n.linkEvents[:0]
+}
+
+// event builds one lifecycle event of packet p.
+func event(now int64, p *Packet, k flight.Kind, router int, a, b int32) flight.Event {
+	return flight.Event{
 		Cycle:  now,
 		Pkt:    p.ID,
 		Kind:   k,
@@ -59,7 +86,7 @@ func (n *Network) flightRecord(now int64, p *Packet, k flight.Kind, router int, 
 		Router: int32(router),
 		A:      a,
 		B:      b,
-	})
+	}
 }
 
 // stallNote dedups InjectStall events: injection stalls persist for many

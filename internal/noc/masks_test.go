@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -8,36 +9,49 @@ import (
 	"strings"
 	"testing"
 
+	"equinox/internal/flight"
 	"equinox/internal/geom"
+	"equinox/internal/placement"
 )
 
-// schemeNetConfigs returns one network configuration per distinct router
-// shape the seven evaluated schemes build (internal/sim's buildNetworks):
-// the shared base mesh of SingleBase / VC-Mono / Interposer-CMesh, the
-// concentrated CMesh overlay, the separate request and reply meshes, a
-// narrow DA2Mesh subnet, MultiPort's widened request and reply meshes, and
-// EquiNox's reply mesh with EIR injection ports. types lists the packet
-// types the network carries.
-func schemeNetConfigs() []struct {
+// schemeNet is one network configuration of schemeNetConfigs and the packet
+// types it carries.
+type schemeNet struct {
 	cfg   Config
 	types []PacketType
-} {
+}
+
+// schemeNetConfigs returns, for a size×size mesh with size CBs, one network
+// configuration per distinct router shape the seven evaluated schemes build
+// (internal/sim's buildNetworks): the shared base mesh of SingleBase /
+// VC-Mono / Interposer-CMesh, the concentrated CMesh overlay, the separate
+// request and reply meshes, a narrow DA2Mesh subnet, MultiPort's widened
+// request and reply meshes, and EquiNox's reply mesh with EIR injection
+// ports.
+func schemeNetConfigs(t testing.TB, size int) []schemeNet {
 	// An N-Queen CB placement, and per CB the on-axis routers two hops out
 	// as its EIR group — several routers serve two CBs, so port counts vary.
 	cbs := []geom.Point{
 		geom.Pt(0, 3), geom.Pt(1, 6), geom.Pt(2, 0), geom.Pt(3, 7),
 		geom.Pt(4, 4), geom.Pt(5, 1), geom.Pt(6, 5), geom.Pt(7, 2),
 	}
+	if size != 8 {
+		pl, err := placement.New(placement.NQueen, size, size, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cbs = pl.CBs
+	}
 	eirs := map[geom.Point][]geom.Point{}
 	for _, cb := range cbs {
 		for _, d := range []geom.Point{{X: 2}, {X: -2}, {Y: 2}, {Y: -2}} {
-			if e := geom.Pt(cb.X+d.X, cb.Y+d.Y); e.In(8, 8) {
+			if e := geom.Pt(cb.X+d.X, cb.Y+d.Y); e.In(size, size) {
 				eirs[cb] = append(eirs[cb], e)
 			}
 		}
 	}
 	mk := func(name string, edit func(*Config)) Config {
-		c := DefaultConfig(name, 8, 8)
+		c := DefaultConfig(name, size, size)
 		c.CBs = cbs
 		edit(&c)
 		return c
@@ -46,19 +60,17 @@ func schemeNetConfigs() []struct {
 	reqs := []PacketType{ReadRequest, WriteRequest}
 	reps := []PacketType{ReadReply, WriteReply}
 
-	cmesh := DefaultConfig("Interposer-CMesh/cmesh", 4, 4)
+	half := size / 2
+	cmesh := DefaultConfig("Interposer-CMesh/cmesh", half, half)
 	cmesh.FlitBytes = 32
 	cmesh.Routing, cmesh.VCPolicy = RoutingXY, VCByClass
 	cmesh.VCDepthFlits = SizeInFlits(ReadReply, cmesh.FlitBytes, cmesh.LineBytes)
-	for id := 0; id < 16; id++ {
-		cmesh.CBs = append(cmesh.CBs, geom.FromID(id, 4))
+	for id := 0; id < half*half; id++ {
+		cmesh.CBs = append(cmesh.CBs, geom.FromID(id, half))
 	}
 	cmesh.SpokesPerNode, cmesh.EjectPortsPerCB = 4, 4
 
-	return []struct {
-		cfg   Config
-		types []PacketType
-	}{
+	return []schemeNet{
 		{mk("SingleBase", func(c *Config) { c.Routing, c.VCPolicy = RoutingXY, VCByClass }), both},
 		{mk("VC-Mono", func(c *Config) { c.Routing, c.VCPolicy = RoutingXY, VCMonopolize }), both},
 		{cmesh, both},
@@ -68,6 +80,48 @@ func schemeNetConfigs() []struct {
 		{mk("MultiPort/request", func(c *Config) { c.EjectPortsPerCB = 4 }), reqs},
 		{mk("MultiPort/reply", func(c *Config) { c.InjectPortsPerCB = 4 }), reps},
 		{mk("EquiNox/reply", func(c *Config) { c.EIRGroups = eirs }), reps},
+	}
+}
+
+// driveTraffic runs one seeded traffic pattern through n: six packets a
+// cycle for 300 cycles — "uniform" between random nodes, or "hotspot",
+// requests converging on the CBs and replies fanning out of them — then
+// runs until the network drains, failing if it does not within maxCycles.
+// Delivered packets are popped slowly at first, so ejection queues back up.
+// step is called in place of every Step, with the cycle and the flits of
+// every packet injected so far; it must call n.Step.
+func driveTraffic(t *testing.T, n *Network, nc schemeNet, pattern string, seed int64, maxCycles int, step func(cyc int, injectedFlits int64)) {
+	t.Helper()
+	cfg := nc.cfg
+	rng := rand.New(rand.NewSource(seed))
+	nodes := cfg.Nodes()
+	var injected int64
+	for cyc := 0; cyc < maxCycles && (cyc < 300 || !n.Quiescent()); cyc++ {
+		for k := 0; k < 6 && cyc < 300; k++ {
+			typ := nc.types[rng.Intn(len(nc.types))]
+			src, dst := rng.Intn(nodes), rng.Intn(nodes)
+			if pattern == "hotspot" {
+				cb := cfg.CBs[rng.Intn(len(cfg.CBs))].ID(cfg.Width)
+				if ClassOf(typ) == Request {
+					dst = cb
+				} else {
+					src = cb
+				}
+			}
+			if p := (&Packet{Type: typ, Src: src, Dst: dst, Spoke: rng.Intn(4)}); n.TryInject(p, n.Now()) {
+				injected += int64(p.Flits)
+			}
+		}
+		step(cyc, injected)
+		if cyc%3 == 0 || cyc >= 300 {
+			for node := 0; node < nodes; node++ {
+				for n.PopDelivered(node) != nil {
+				}
+			}
+		}
+	}
+	if !n.Quiescent() {
+		t.Fatalf("seed %d: network did not drain\n%s", seed, n.DebugDump())
 	}
 }
 
@@ -95,13 +149,9 @@ func popcount(set []uint64) (c int) {
 // checkMasks compares the state the stepper maintains incrementally with a
 // naive scan: every router's occupancy masks and head caches against its
 // buffers, the per-phase router sets against the masks, the NI set against
-// pending(), the held-node set against the ejection queues, and — with the
-// arrival list counted as in flight — credit conservation on every link VC.
+// pending(), and the held-node set against the ejection queues. It then
+// checks conservation (checkConservation) and the packet table.
 func checkMasks(n *Network) error {
-	onLink := map[[2]int32]int{} // (router, slot) → flits arriving there
-	for _, a := range n.arrivals {
-		onLink[[2]int32{a.to, a.slot}]++
-	}
 	inVA, inSA := 0, 0
 	for _, r := range n.Routers {
 		needVA, ready := r.scanMasks()
@@ -131,20 +181,6 @@ func checkMasks(n *Network) error {
 		if flits != r.inFlits {
 			return fmt.Errorf("router %v: inFlits %d, buffers hold %d", r.pos, r.inFlits, flits)
 		}
-		for pi := range r.out {
-			op := &r.out[pi]
-			if op.to == noAlloc {
-				continue
-			}
-			for vc, credits := range n.portCredits(op) {
-				slot := op.toSlot + int32(vc)
-				held := int(n.Routers[op.to].vcs[slot].n) + onLink[[2]int32{op.to, slot}]
-				if int(credits)+held != n.Cfg.VCDepthFlits {
-					return fmt.Errorf("router %v out %d vc %d: %d credits + %d flits downstream or on the link != depth %d",
-						r.pos, pi, vc, credits, held, n.Cfg.VCDepthFlits)
-				}
-			}
-		}
 	}
 	// Each router's bit is right, so equal counts mean no stray bits.
 	if got := popcount(n.vaSet); got != inVA {
@@ -167,10 +203,48 @@ func checkMasks(n *Network) error {
 	return checkPacketTable(n)
 }
 
-// checkPacketTable checks the slots flits name their packets by: every flit
-// in a buffer or on a link names a live slot, every live slot is named by a
-// flit or a loaded NI buffer, and the free stack lists exactly the empty
-// slots.
+// checkConservation checks, between Steps, the two conservation laws of
+// direct link deposit. Credits: on every link VC the upstream credit counter
+// plus the flits buffered downstream equals VCDepthFlits — a deposited flit
+// is in the downstream buffer at once, and credits a traversal returns are
+// applied before Step ends, so nothing is unaccounted in between. Flits:
+// every flit the NIs have streamed (injectedFlits less what the NIs still
+// hold) is buffered in some router or has ejected.
+func checkConservation(n *Network, injectedFlits int64) error {
+	var buffered int64
+	for _, r := range n.Routers {
+		buffered += int64(r.inFlits)
+		for pi := range r.out {
+			op := &r.out[pi]
+			if op.to == noAlloc {
+				continue
+			}
+			down := n.Routers[op.to].vcs[op.toSlot : op.toSlot+int32(n.nvc)]
+			for vc, credits := range n.portCredits(op) {
+				if int(credits)+int(down[vc].n) != n.Cfg.VCDepthFlits {
+					return fmt.Errorf("router %v out %d vc %d: %d credits + %d flits downstream != depth %d",
+						r.pos, pi, vc, credits, down[vc].n, n.Cfg.VCDepthFlits)
+				}
+			}
+		}
+	}
+	backlog := make([]int64, len(n.Routers))
+	for i := range n.nis {
+		n.nis[i].backlog(backlog)
+	}
+	streamed := injectedFlits
+	for _, f := range backlog {
+		streamed -= f
+	}
+	if ejected := n.Stats.EjectFlits; streamed != buffered+ejected {
+		return fmt.Errorf("NIs streamed %d flits, routers buffer %d and %d ejected", streamed, buffered, ejected)
+	}
+	return nil
+}
+
+// checkPacketTable checks the slots flits name their packets by: every
+// buffered flit names a live slot, every live slot is named by a flit or a
+// loaded NI buffer, and the free stack lists exactly the empty slots.
 func checkPacketTable(n *Network) error {
 	named := make([]bool, len(n.pkts))
 	for _, r := range n.Routers {
@@ -180,9 +254,6 @@ func checkPacketTable(n *Network) error {
 				named[vb.at(n.flits, i).pkt] = true
 			}
 		}
-	}
-	for i := range n.arrivals {
-		named[n.arrivals[i].f.pkt] = true
 	}
 	for i := range n.nis {
 		for _, b := range n.nis[i].bufs {
@@ -220,139 +291,232 @@ type flitID struct {
 	index int16
 }
 
-// headFlits snapshots the head flit of every non-empty input VC, per router.
-func headFlits(n *Network) [][]flitID {
-	heads := make([][]flitID, len(n.Routers))
-	for i, r := range n.Routers {
-		for s := range r.vcs {
-			if vb := &r.vcs[s]; !vb.empty() {
-				f := vb.at(n.flits, 0)
-				heads[i] = append(heads[i], flitID{n.pkts[f.pkt], f.Index})
-			}
-		}
-	}
-	return heads
+// buffers is a snapshot of every router's input VCs: the head flit of each
+// non-empty one, and the flits each holds, by slot.
+type buffers struct {
+	heads [][]flitID
+	held  [][]int32
 }
 
-// checkArrivals compares the arrival list after a Step with the flits that
-// traversed a link in it, worked out from the buffers alone: a flit crossed a
-// link iff it headed an input VC of a router before the Step, is gone from
-// that router's heads after it, and was not at its destination (there it
-// ejected). The list must hold exactly those flits, grouped by router in
-// ascending order and by ascending output port within a router, each on a
-// link its router really has.
-func checkArrivals(n *Network, before [][]flitID) error {
-	after := headFlits(n)
-	list := n.arrivals
-	k := 0
+// snapshot takes a buffers snapshot of n.
+func snapshot(n *Network) buffers {
+	b := buffers{make([][]flitID, len(n.Routers)), make([][]int32, len(n.Routers))}
 	for i, r := range n.Routers {
-		left := map[flitID]bool{}
-		for _, f := range before[i] {
-			if !slices.Contains(after[i], f) && f.pkt.Dst != r.id {
-				left[f] = true
+		b.held[i] = make([]int32, len(r.vcs))
+		for s := range r.vcs {
+			vb := &r.vcs[s]
+			b.held[i][s] = vb.n
+			if !vb.empty() {
+				f := vb.at(n.flits, 0)
+				b.heads[i] = append(b.heads[i], flitID{n.pkts[f.pkt], f.Index})
 			}
-		}
-		lastPort := 0
-		for ; k < len(list); k++ {
-			a := &list[k]
-			from, port := n.linkSource(a)
-			if from != i {
-				break
-			}
-			f := flitID{n.pkts[a.f.pkt], a.f.Index}
-			if !left[f] {
-				return fmt.Errorf("router %v: flit %d of packet %d is on the arrival list but did not leave the router", r.pos, f.index, f.pkt.ID)
-			}
-			delete(left, f)
-			if port <= lastPort {
-				return fmt.Errorf("router %v: arrival through port %d listed after port %d", r.pos, port, lastPort)
-			}
-			lastPort = port
-			if op := &r.out[port]; op.to != a.to || a.slot < op.toSlot || a.slot >= op.toSlot+int32(n.nvc) {
-				return fmt.Errorf("router %v port %d leads to router %d slots %d+, arrival says router %d slot %d",
-					r.pos, port, op.to, op.toSlot, a.to, a.slot)
-			}
-		}
-		if len(left) > 0 {
-			return fmt.Errorf("router %v: %d flits left on a link but are not on the arrival list", r.pos, len(left))
 		}
 	}
-	if k < len(list) {
-		from, _ := n.linkSource(&list[k])
-		return fmt.Errorf("arrival %d of %d, from router %d, is out of router order", k, len(list), from)
+	return b
+}
+
+// linkSource names the link into input slot of router to by its near end:
+// the flit entered input port d, so it left the neighbour on that side
+// through the opposite output port.
+func (n *Network) linkSource(to, slot int32) (router, port int) {
+	d := geom.Direction(n.slotPort[slot])
+	return n.Routers[to].pos.Add(d.Delta()).ID(n.Cfg.Width), int(d.Opposite())
+}
+
+// deposit is one flit switch traversal left in a downstream buffer.
+type deposit struct {
+	to, slot   int32 // downstream router and input slot
+	from, port int   // the link's near end
+	f          flitID
+}
+
+// checkDeposits compares the flits the last Step deposited over links with
+// the flits that traversed a link in it, worked out from the buffers alone.
+// A deposit is the newest flit of a link-fed input VC stamped as entering
+// next cycle (n.Now() after the Step); a flit traversed a link iff it headed
+// an input VC of a router before the Step, is gone from that router's heads
+// after it, and was not at its destination (there it ejected). The two sets
+// must be equal, each on a link its router really has, and a link must read
+// busy (lastSent) exactly when it carried one of them. No flit may land in a
+// VC that was full when the Step began: the upstream router had no credit
+// for it, as a credit returned in a cycle is only usable in the next. With a
+// flight
+// recorder attached, the held LinkTraverse events must name the deposited
+// head flits in (router, output port) order, the order they are recorded in.
+func checkDeposits(n *Network, before buffers) error {
+	now := n.Now()
+	var deps []deposit
+	for _, r := range n.Routers {
+		for pi := range r.in {
+			if r.in[pi].upCredit == noAlloc {
+				continue // fed by an NI, not a link
+			}
+			for vc := 0; vc < n.nvc; vc++ {
+				slot := int32(n.slot(pi, vc))
+				vb := &r.vcs[slot]
+				if vb.empty() {
+					continue
+				}
+				f := vb.at(n.flits, int(vb.n)-1)
+				if f.enteredRouter > now {
+					return fmt.Errorf("router %v slot %d: flit stamped %d, after next cycle %d", r.pos, slot, f.enteredRouter, now)
+				}
+				if f.enteredRouter == now {
+					from, port := n.linkSource(int32(r.id), slot)
+					deps = append(deps, deposit{int32(r.id), slot, from, port, flitID{n.pkts[f.pkt], f.Index}})
+				}
+			}
+		}
+	}
+	after := snapshot(n).heads
+	left := make([]map[flitID]bool, len(n.Routers))
+	for i, r := range n.Routers {
+		left[i] = map[flitID]bool{}
+		for _, f := range before.heads[i] {
+			if !slices.Contains(after[i], f) && f.pkt.Dst != r.id {
+				left[i][f] = true
+			}
+		}
+	}
+	sent := map[[2]int]bool{}
+	for _, d := range deps {
+		r := n.Routers[d.from]
+		if !left[d.from][d.f] {
+			return fmt.Errorf("router %v: flit %d of packet %d was deposited downstream but did not leave the router", r.pos, d.f.index, d.f.pkt.ID)
+		}
+		delete(left[d.from], d.f)
+		if before.held[d.to][d.slot] >= int32(n.Cfg.VCDepthFlits) {
+			return fmt.Errorf("router %v port %d: flit deposited into router %d slot %d, full when the cycle began", r.pos, d.port, d.to, d.slot)
+		}
+		if sent[[2]int{d.from, d.port}] {
+			return fmt.Errorf("router %v port %d: two flits deposited over one link in a cycle", r.pos, d.port)
+		}
+		sent[[2]int{d.from, d.port}] = true
+		if op := &r.out[d.port]; op.to != d.to || d.slot < op.toSlot || d.slot >= op.toSlot+int32(n.nvc) {
+			return fmt.Errorf("router %v port %d leads to router %d slots %d+, deposit is in router %d slot %d",
+				r.pos, d.port, op.to, op.toSlot, d.to, d.slot)
+		}
+	}
+	for i, r := range n.Routers {
+		if len(left[i]) > 0 {
+			return fmt.Errorf("router %v: %d flits left on a link but were not deposited downstream", r.pos, len(left[i]))
+		}
+		for pi := PortEast; pi <= PortNorth; pi++ {
+			if busy := r.out[pi].lastSent == now-1; busy != sent[[2]int{i, int(pi)}] {
+				return fmt.Errorf("router %v port %d: link busy %v, carried a flit %v", r.pos, pi, busy, !busy)
+			}
+		}
+	}
+	if n.flight == nil {
+		return nil
+	}
+	slices.SortFunc(deps, func(a, b deposit) int {
+		if c := cmp.Compare(a.from, b.from); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.port, b.port)
+	})
+	k := 0
+	for _, d := range deps {
+		if d.f.index != 0 {
+			continue
+		}
+		if k == len(n.linkEvents) {
+			return fmt.Errorf("router %d port %d: head flit of packet %d crossed a link with no LinkTraverse event", d.from, d.port, d.f.pkt.ID)
+		}
+		ev := n.linkEvents[k]
+		port := int32(n.slotPort[d.slot])
+		if ev.Pkt != d.f.pkt.ID || ev.Cycle != now || ev.Kind != flight.LinkTraverse || ev.Router != d.to || ev.A != port || ev.B != d.slot-port*int32(n.nvc) {
+			return fmt.Errorf("LinkTraverse event %d is %+v, want packet %d entering router %d slot %d at cycle %d (from router %d port %d)",
+				k, ev, d.f.pkt.ID, d.to, d.slot, now, d.from, d.port)
+		}
+		k++
+	}
+	if k != len(n.linkEvents) {
+		return fmt.Errorf("%d LinkTraverse events held, %d head flits crossed a link", len(n.linkEvents), k)
 	}
 	return nil
 }
 
 // TestMasksMatchScan pins the invariants the stepper relies on. After every
 // Step: on every router needVA / ready equal what a scan of the buffers
-// finds, the per-phase sets equal a scan of those masks, the arrival list
-// equals the flits that traversed a link in that Step in (router, output
-// port) order, and the arrival list's capacity never changes. Covered: every
-// router shape the seven schemes build × {uniform, hotspot} traffic × 3
-// seeds, through injection, saturation and drain.
+// finds, the per-phase sets equal a scan of those masks, conservation holds,
+// the flits deposited over links equal the flits that traversed a link in
+// that Step, and the held LinkTraverse events name them in (router, output
+// port) order, in a list whose capacity never changes. Covered: every router
+// shape the seven schemes build × {uniform, hotspot} traffic × 3 seeds,
+// through injection, saturation and drain, with a flight recorder attached.
 func TestMasksMatchScan(t *testing.T) {
-	for _, nc := range schemeNetConfigs() {
+	for _, nc := range schemeNetConfigs(t, 8) {
 		for _, pattern := range []string{"uniform", "hotspot"} {
 			// The "/shards0" suffix dates from a second, sharded half; it stays
 			// so the subtest IDs that test-history tooling keys on do not change.
 			name := fmt.Sprintf("%s/%s/shards0", strings.ReplaceAll(nc.cfg.Name, "/", "-"), pattern)
 			t.Run(name, func(t *testing.T) {
 				for seed := int64(1); seed <= 3; seed++ {
-					cfg := nc.cfg
-					n, err := New(cfg)
+					n, err := New(nc.cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
+					n.AttachFlight(flight.Options{BufferCap: 1024})
 					if err := checkMasks(n); err != nil {
 						t.Fatalf("fresh network: %v", err)
 					}
-					links := cap(n.arrivals)
-					if want := 2 * ((cfg.Width-1)*cfg.Height + cfg.Width*(cfg.Height-1)); links != want {
-						t.Fatalf("the arrival list has room for %d flits, the mesh has %d links", links, want)
+					links := cap(n.linkEvents)
+					if links < 2*((n.Cfg.Width-1)*n.Cfg.Height+n.Cfg.Width*(n.Cfg.Height-1)) {
+						t.Fatalf("the LinkTraverse list has room for %d events, fewer than the mesh's links", links)
 					}
-					rng := rand.New(rand.NewSource(seed))
-					nodes := cfg.Nodes()
-					for cyc := 0; cyc < 2500 && (cyc < 300 || !n.Quiescent()); cyc++ {
-						for k := 0; k < 6 && cyc < 300; k++ {
-							typ := nc.types[rng.Intn(len(nc.types))]
-							src, dst := rng.Intn(nodes), rng.Intn(nodes)
-							if pattern == "hotspot" {
-								// Few-to-many: requests converge on the CBs,
-								// replies fan out of them.
-								cb := cfg.CBs[rng.Intn(len(cfg.CBs))].ID(cfg.Width)
-								if ClassOf(typ) == Request {
-									dst = cb
-								} else {
-									src = cb
-								}
-							}
-							n.TryInject(&Packet{Type: typ, Src: src, Dst: dst, Spoke: rng.Intn(4)}, n.Now())
-						}
-						heads := headFlits(n)
+					driveTraffic(t, n, nc, pattern, seed, 2500, func(cyc int, injected int64) {
+						before := snapshot(n)
 						n.Step()
 						if err := checkMasks(n); err != nil {
 							t.Fatalf("seed %d cycle %d: %v", seed, cyc, err)
 						}
-						if err := checkArrivals(n, heads); err != nil {
+						if err := checkConservation(n, injected); err != nil {
 							t.Fatalf("seed %d cycle %d: %v", seed, cyc, err)
 						}
-						if got := cap(n.arrivals); got != links {
-							t.Fatalf("seed %d cycle %d: arrival list capacity %d, was %d after New", seed, cyc, got, links)
+						if err := checkDeposits(n, before); err != nil {
+							t.Fatalf("seed %d cycle %d: %v", seed, cyc, err)
 						}
-						// Drain slowly at first so ejection queues back up.
-						if cyc%3 == 0 || cyc >= 300 {
-							for node := 0; node < nodes; node++ {
-								for n.PopDelivered(node) != nil {
-								}
-							}
+						if got := cap(n.linkEvents); got != links {
+							t.Fatalf("seed %d cycle %d: LinkTraverse list capacity %d, was %d after AttachFlight", seed, cyc, got, links)
 						}
-					}
-					if !n.Quiescent() {
-						t.Fatalf("seed %d: network did not drain\n%s", seed, n.DebugDump())
-					}
+					})
 				}
 			})
+		}
+	}
+}
+
+// TestConservation checks after every Step that credits plus downstream
+// buffered flits fill every link VC exactly, and that every flit the NIs
+// streamed is buffered or ejected (checkConservation), over every router
+// shape the seven schemes build, uniform and hotspot traffic, on 8×8 and
+// 16×16 meshes. At 16×16 the stepper's router sets span four words, so a
+// flit can be deposited into a router the same switch-allocation walk has
+// yet to visit; the deposit checks run there too.
+func TestConservation(t *testing.T) {
+	for _, size := range []int{8, 16} {
+		for _, nc := range schemeNetConfigs(t, size) {
+			for _, pattern := range []string{"uniform", "hotspot"} {
+				name := fmt.Sprintf("%dx%d/%s/%s", size, size, strings.ReplaceAll(nc.cfg.Name, "/", "-"), pattern)
+				t.Run(name, func(t *testing.T) {
+					n, err := New(nc.cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					driveTraffic(t, n, nc, pattern, 11, 20000, func(cyc int, injected int64) {
+						before := snapshot(n)
+						n.Step()
+						if err := checkConservation(n, injected); err != nil {
+							t.Fatalf("cycle %d: %v", cyc, err)
+						}
+						if err := checkDeposits(n, before); err != nil {
+							t.Fatalf("cycle %d: %v", cyc, err)
+						}
+					})
+				})
+			}
 		}
 	}
 }
@@ -365,7 +529,7 @@ func TestMasksMatchScan(t *testing.T) {
 // spends at least a cycle in the buffer it enters, so a look at every NI-fed
 // input port after each Step sees every flit.
 func TestNIsSerializeFlits(t *testing.T) {
-	for _, nc := range schemeNetConfigs() {
+	for _, nc := range schemeNetConfigs(t, 8) {
 		switch nc.cfg.Name {
 		case "SingleBase", "EquiNox/reply", "MultiPort/reply", "Interposer-CMesh/cmesh":
 		default:

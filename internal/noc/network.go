@@ -26,14 +26,10 @@ type Network struct {
 	lastProgress int64
 
 	// Stepper state: Step only visits what holds work, so idle corners of
-	// the mesh cost nothing per cycle. arrivals lists the flits that crossed a
-	// link in the last cycle's switch traversal, in (router, output port)
-	// order; its capacity is the number of links, so it never grows. vaSet and
-	// saSet are bitsets over router IDs — "has needVA" and "has ready" — and
-	// niSet one over NI indices — "pending". Walking set bits low to high
-	// visits routers and NIs in ascending index order, the arbitration order
-	// of a full scan.
-	arrivals     []arrival
+	// the mesh cost nothing per cycle. vaSet and saSet are bitsets over
+	// router IDs — "has needVA" and "has ready" — and niSet one over NI
+	// indices — "pending". Walking set bits low to high visits routers and
+	// NIs in ascending index order, the arbitration order of a full scan.
 	vaSet, saSet []uint64
 	niSet        []uint64
 
@@ -79,7 +75,10 @@ type Network struct {
 
 	// flight, when attached, records per-packet lifecycle events into a
 	// preallocated ring; nil costs one pointer compare per hook site.
-	flight *flight.Recorder
+	// linkEvents holds the LinkTraverse events of this cycle's switch
+	// traversal until the next Step records them (see flightLink).
+	flight     *flight.Recorder
+	linkEvents []flight.Event
 
 	// onDelivered and onCycle are the append-only hook lists (OnDelivered,
 	// OnCycle). The probe samples on onCycle; the telemetry sampler is an
@@ -110,17 +109,33 @@ func (n *Network) OnCycle(every int64, fn func(now int64)) {
 	n.onCycle = append(n.onCycle, cycleHook{every, fn})
 }
 
-// occupancy fills per, indexed by router ID, with the flits each router holds:
-// those buffered in its input VCs plus the NI injection backlog waiting to
-// enter it. Both samplers read it; see Probe.sample for why the NI term
-// matters. Must not allocate.
+// occupancy fills per, indexed by router ID, with the flits each router holds
+// at the end of the cycle: those buffered in its input VCs plus the NI
+// injection backlog waiting to enter it. A flit deposited downstream this
+// cycle is still on its link (linkBusy) and counts toward no router yet. Both
+// samplers read it; see Probe.sample for why the NI term matters. Must not
+// allocate.
 func (n *Network) occupancy(per []int64) {
 	for i, r := range n.Routers {
 		per[i] = int64(r.inFlits)
 	}
+	for _, r := range n.Routers {
+		for pi := PortEast; pi <= PortNorth; pi++ {
+			if n.linkBusy(r, pi) {
+				per[r.out[pi].to]--
+			}
+		}
+	}
 	for i := range n.nis {
 		n.nis[i].backlog(per)
 	}
+}
+
+// linkBusy reports whether the mesh link leaving r through output port pi
+// (East..North) holds a flit at the end of the current cycle: one left
+// through it this cycle and enters the downstream router next cycle.
+func (n *Network) linkBusy(r *Router, pi PortID) bool {
+	return r.out[pi].lastSent == n.now
 }
 
 // New builds a network from a configuration. Router state is laid out flat:
@@ -172,7 +187,7 @@ func New(cfg Config) (*Network, error) {
 		n.creditSlab[i], n.owners[i] = int32(depth), noAlloc
 	}
 	for i := range outPorts {
-		outPorts[i] = outputPort{to: noAlloc, creditBase: i * nvc, grant: noAlloc}
+		outPorts[i] = outputPort{to: noAlloc, creditBase: i * nvc, lastSent: -1, grant: noAlloc}
 	}
 
 	// Routers. Base ports are local + four directions (ports exist even on
@@ -206,9 +221,10 @@ func New(cfg Config) (*Network, error) {
 		oo += nOut[id]
 	}
 	// Mesh links. Every link has a latency of one cycle, which is what lets
-	// one arrival list stand in for per-link queues: each link carries at most
-	// one flit, always due next cycle. (A multi-cycle link would need one list
-	// per due cycle.) The list is sized to the link count below.
+	// switch traversal deposit a flit straight into the downstream buffer,
+	// stamped as entering it next cycle, instead of queueing it on the link:
+	// each link carries at most one flit, always due next cycle. (A
+	// multi-cycle link would need a per-link queue.)
 	for _, r := range n.Routers {
 		for _, d := range []geom.Direction{geom.East, geom.West, geom.South, geom.North} {
 			np := r.pos.Add(d.Delta())
@@ -276,16 +292,9 @@ func New(cfg Config) (*Network, error) {
 	n.niSet = make([]uint64, (len(n.nis)+63)/64)
 	words := (len(n.Routers) + 63) / 64
 	n.vaSet, n.saSet = make([]uint64, words), make([]uint64, words)
-	links := 0
 	for _, r := range n.Routers {
 		r.vaWord, r.saWord, r.bit = &n.vaSet[r.id>>6], &n.saSet[r.id>>6], 1<<uint(r.id&63)
-		for i := range r.out {
-			if r.out[i].to != noAlloc {
-				links++
-			}
-		}
 	}
-	n.arrivals = make([]arrival, 0, links)
 	return n, nil
 }
 
@@ -414,19 +423,13 @@ func (n *Network) ejectPacket(h int32, now int64) {
 // full scan exactly (bit-identical results).
 func (n *Network) Step() {
 	now := n.now
-	// 1. Deliver the flits that crossed a link last cycle. List order is the
-	// order a scan of routers and their output ports would deliver in, so
-	// LinkTraverse flight events keep their order.
-	for i := range n.arrivals {
-		a := &n.arrivals[i]
-		a.f.enteredRouter = now
-		if n.flight != nil && a.f.IsHead {
-			port := int32(n.slotPort[a.slot])
-			n.flightRecord(now, n.pkts[a.f.pkt], flight.LinkTraverse, int(a.to), port, a.slot-port*int32(n.nvc))
-		}
-		n.Routers[a.to].accept(int(a.slot), a.f)
+	// 1. Link traversal needs no phase of its own: last cycle's switch
+	// traversal already deposited every flit, stamped for this cycle, into
+	// its downstream buffer. Only the flight recorder records its
+	// LinkTraverse events here, first in the cycle.
+	if n.flight != nil {
+		n.flightLinkFlush()
 	}
-	n.arrivals = n.arrivals[:0]
 	// 2. NI injection: every NI holding a packet streams into its router(s);
 	// an NI that drained leaves the set until the next TryInject.
 	for w, m := range n.niSet {
@@ -440,7 +443,9 @@ func (n *Network) Step() {
 	}
 	// 3. Routing + VC allocation, then 4. switch allocation + traversal. Two
 	// passes, not one per router: a cycle's VCAlloc flight events all precede
-	// its SAGrant events.
+	// its SAGrant events. A flit traversal deposits downstream can set the
+	// SA bit of a router this walk has yet to reach; visiting it is a no-op,
+	// as the flit's own stamp keeps it from leaving before next cycle.
 	for w, m := range n.vaSet {
 		for ; m != 0; m &= m - 1 {
 			n.Routers[w<<6+bits.TrailingZeros64(m)].vcAllocate(now)
@@ -494,9 +499,6 @@ func (n *Network) quiescentScan() bool {
 				return false
 			}
 		}
-	}
-	if len(n.arrivals) > 0 {
-		return false
 	}
 	for c := range n.ejectQ {
 		for _, q := range n.ejectQ[c] {

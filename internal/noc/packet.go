@@ -96,11 +96,11 @@ func (p *Packet) NetworkLatency() int64 { return p.DeliveredAt - p.InjectedAt }
 func (p *Packet) TotalLatency() int64 { return p.DeliveredAt - p.CreatedAt }
 
 // Flit is one flow-control unit of a packet. Flits are values: NIs build
-// them as they stream, and input buffers and the link arrival list hold them
-// in place. A flit is 16 bytes and holds no pointer — it names its packet by
-// a slot of the network's packet table (Network.pkts) — so the flit rings,
-// the bulk of a network's memory, are cheap to allocate and never scanned by
-// the collector.
+// them as they stream, and input buffers hold them in place. A flit is 16
+// bytes and holds no pointer — it names its packet by a slot of the
+// network's packet table (Network.pkts) — so the flit rings, the bulk of a
+// network's memory, are cheap to allocate and never scanned by the
+// collector.
 type Flit struct {
 	pkt    int32 // Network.pkts slot of the packet
 	Index  int16 // 0-based position within the packet (Config.Validate bounds it)
@@ -108,7 +108,8 @@ type Flit struct {
 	IsTail bool
 
 	// enteredRouter is the cycle the flit entered the buffer of the router
-	// it currently occupies; used for the Figure 4 heat maps.
+	// it currently occupies — for a flit deposited over a link this cycle,
+	// the next cycle — used for the Figure 4 heat maps.
 	enteredRouter int64
 }
 

@@ -65,11 +65,12 @@ func (n *Network) AttachProbe(every int64) *Probe {
 func (p *Probe) sample(n *Network) {
 	p.samples++
 	n.occupancy(p.scratch)
-	// The arrival list holds the flits in flight on links at the end of a
-	// cycle.
-	for i := range n.arrivals {
-		from, port := n.linkSource(&n.arrivals[i])
-		p.linkSum[from*meshLinks+port-1]++
+	for id, r := range n.Routers {
+		for pi := PortEast; pi <= PortNorth; pi++ {
+			if n.linkBusy(r, pi) {
+				p.linkSum[id*meshLinks+int(pi)-1]++
+			}
+		}
 	}
 	for i, occ := range p.scratch {
 		p.occSum[i] += occ

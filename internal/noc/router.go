@@ -103,9 +103,9 @@ type inputPort struct {
 type outputPort struct {
 	// to is the downstream router's ID and toSlot the slot of (its input
 	// port, VC 0) there; to is noAlloc for ejection ports and for boundary
-	// ports without a neighbour. Every link has a latency of one cycle: a
-	// flit granted this cycle is in the downstream buffer for the next one
-	// (see arrival).
+	// ports without a neighbour. Every link has a latency of one cycle:
+	// switch traversal deposits a flit granted in cycle t straight into the
+	// downstream buffer, stamped as entering it in t+1 (see traverse).
 	to, toSlot int32
 
 	// creditBase indexes the port's VC-0 entry in the per-VC downstream
@@ -114,30 +114,20 @@ type outputPort struct {
 	// downstream VC or noAlloc.
 	creditBase int
 
+	// lastSent is the last cycle a flit left through this port onto its
+	// link (links only; -1 before the first). A flit deposited in cycle t
+	// is on the link until t+1 begins, so lastSent == now at the end of a
+	// cycle means the link holds one flit, which the downstream router's
+	// occupancy does not count yet (Network.linkBusy).
+	lastSent int64
+
 	eject bool
 	rrIn  int // round-robin pointer for output arbitration
 
 	// Output-arbitration scratch, valid within one switchAllocate call:
-	// the winning nomination and its round-robin distance. grant is noAlloc
-	// between calls.
+	// the winning nomination's input slot and its round-robin distance.
+	// grant is noAlloc between calls.
 	grant, score int
-}
-
-// arrival is one flit crossing a link: switch traversal appends it to the
-// stepper's arrival list and phase 1 of the next cycle moves it into slot of
-// router to.
-type arrival struct {
-	to   int32 // downstream router ID
-	slot int32 // input slot there: the link's input port, the flit's VC
-	f    Flit
-}
-
-// linkSource names the link an arrival is crossing by its near end. The
-// arrival itself carries the far end: it enters input port d of router to, so
-// it left the neighbour on that side through the opposite output port.
-func (n *Network) linkSource(a *arrival) (router, port int) {
-	d := geom.Direction(n.slotPort[a.slot])
-	return n.Routers[a.to].pos.Add(d.Delta()).ID(n.Cfg.Width), int(d.Opposite())
 }
 
 // Router is one input-buffered VC router.
@@ -186,14 +176,10 @@ type allocScratch struct {
 	cands []routeCand
 	vcOrd []int
 	dirs  []geom.Direction
-	reqs  []saReq
 }
 
 // fit grows the scratch to serve a router with the given port counts.
-func (sc *allocScratch) fit(nin, nout, nvc int) {
-	if cap(sc.reqs) < nin {
-		sc.reqs = make([]saReq, 0, nin)
-	}
+func (sc *allocScratch) fit(nout, nvc int) {
 	if cap(sc.cands) < nout*nvc {
 		sc.cands = make([]routeCand, 0, nout*nvc)
 	}
@@ -213,12 +199,12 @@ func (r *Router) finalize() {
 	if len(r.in) != cap(r.in) || len(r.in)*r.net.nvc != len(r.vcs) {
 		panic(fmt.Sprintf("noc: router %d has %d input ports, planned %d", r.id, len(r.in), cap(r.in)))
 	}
-	r.net.scratch.fit(len(r.in), len(r.out), r.net.nvc)
+	r.net.scratch.fit(len(r.out), r.net.nvc)
 }
 
 // accept pushes a flit into input slot (port*VCsPerPort + vc), maintaining
 // the occupancy masks, the per-phase router sets and the flit counter. All
-// flit arrivals (links and NIs) go through here; the caller has set
+// flit arrivals (link deposits and NIs) go through here; the caller has set
 // f.enteredRouter and checked the buffer has room.
 func (r *Router) accept(slot int, f Flit) {
 	vb := &r.vcs[slot]
@@ -460,14 +446,6 @@ func (r *Router) vcAllocate(now int64) {
 // below 64.
 func (n *Network) slot(inPort, vc int) int { return inPort*n.nvc + vc }
 
-// saReq is one input port's switch-allocation nomination.
-type saReq struct {
-	vb     *vcBuf
-	slot   int
-	ipIx   int
-	credit int // Network.creditSlab index to return a credit to, or noAlloc
-}
-
 // sendable reports whether the head flit of a ready VC may traverse this
 // cycle: it has spent its cycle in the router pipeline, and the downstream
 // VC (or the node's ejection queue) has room for it.
@@ -481,31 +459,14 @@ func (r *Router) sendable(vb *vcBuf, now int64) bool {
 	return r.net.creditSlab[vb.credit] > 0
 }
 
-// creditFor returns the Network.creditSlab index a flit leaving the port's
-// VC vc returns a credit to; noAlloc on NI-fed ports.
-func (ip *inputPort) creditFor(vc int) int {
-	if ip.upCredit == noAlloc {
-		return noAlloc
-	}
-	return ip.upCredit + vc
-}
-
 // switchAllocate runs separable input-first switch allocation over the
-// ready mask and traverses the granted flits: a flit leaving on a link is
-// appended to the arrival list, which keeps (router, output port) order
-// because routers are visited ascending and grants traverse ascending.
-// Returns the number of flits moved. The steady state allocates nothing.
+// ready mask and traverses the granted flits, in ascending output port
+// order; routers are visited ascending, so flits leave the mesh's routers in
+// (router, output port) order. Returns the number of flits moved. The steady
+// state allocates nothing.
 func (r *Router) switchAllocate(now int64) int {
 	n := r.net
 	nvc := n.nvc
-	vcMask := uint64(1)<<uint(nvc) - 1
-	nin := len(r.in)
-
-	// Input stage: each input port with a ready VC nominates one, round-robin
-	// from its rrVC pointer. Ports come up in ascending order because slots
-	// are port-major.
-	reqs := n.scratch.reqs[:0]
-	var granted uint64 // output ports holding a grant
 	m := r.ready
 	if m&(m-1) == 0 {
 		// A lone ready VC (the stepper only calls with ready non-zero) — the
@@ -513,22 +474,24 @@ func (r *Router) switchAllocate(now int64) int {
 		// and its output's winner outright, so it skips the rotate and the
 		// scoring. The round-robin pointers move exactly as they would below.
 		slot := bits.TrailingZeros64(m)
-		vb := &r.vcs[slot]
-		if !r.sendable(vb, now) {
+		if !r.sendable(&r.vcs[slot], now) {
 			return 0
 		}
 		ipIx := int(n.slotPort[slot])
 		ip := &r.in[ipIx]
-		vi := slot - ipIx*nvc
-		granted = 1 << uint(vb.outPort)
-		r.out[vb.outPort].grant = 0
-		reqs = append(reqs, saReq{vb: vb, slot: slot, ipIx: ipIx, credit: ip.creditFor(vi)})
-		if vi++; vi == nvc {
-			vi = 0
+		if ip.rrVC = slot - ipIx*nvc + 1; ip.rrVC == nvc {
+			ip.rrVC = 0
 		}
-		ip.rrVC = vi
-		m = 0
+		r.traverse(slot, now)
+		return 1
 	}
+	vcMask := uint64(1)<<uint(nvc) - 1
+	nin := len(r.in)
+
+	// Input stage: each input port with a ready VC nominates one, round-robin
+	// from its rrVC pointer. Ports come up in ascending order because slots
+	// are port-major.
+	var granted uint64 // output ports holding a grant
 	for m != 0 {
 		ipIx := int(n.slotPort[bits.TrailingZeros64(m)])
 		base := ipIx * nvc
@@ -549,22 +512,20 @@ func (r *Router) switchAllocate(now int64) int {
 			op := &r.out[vb.outPort]
 			// Output stage, folded into the same walk: each output port
 			// grants the requester nearest its round-robin pointer. The
-			// pointers only move in the traversal below, so bucketing
-			// nominations as they appear picks the same winner as scanning
-			// all of them per port. Input-first allocation nominates at most
-			// one VC per input port, so a per-output grant cannot
-			// double-grant an input.
+			// pointers only move in traverse, so bucketing nominations as
+			// they appear picks the same winner as scanning all of them per
+			// port. Input-first allocation nominates at most one VC per input
+			// port, so a per-output grant cannot double-grant an input.
 			score := ipIx - op.rrIn
 			if score < 0 {
 				score += nin
 			}
 			if op.grant == noAlloc {
 				granted |= 1 << uint(vb.outPort)
-				op.grant, op.score = len(reqs), score
+				op.grant, op.score = base+vi, score
 			} else if score < op.score {
-				op.grant, op.score = len(reqs), score
+				op.grant, op.score = base+vi, score
 			}
-			reqs = append(reqs, saReq{vb: vb, slot: base + vi, ipIx: ipIx, credit: ip.creditFor(vi)})
 			if vi++; vi == nvc {
 				vi = 0
 			}
@@ -574,68 +535,83 @@ func (r *Router) switchAllocate(now int64) int {
 	}
 
 	// Switch traversal (ascending output port, for determinism).
-	moved, ejected := 0, 0
+	moved := bits.OnesCount64(granted)
 	for ; granted != 0; granted &= granted - 1 {
-		pi := bits.TrailingZeros64(granted)
-		op := &r.out[pi]
-		q := &reqs[op.grant]
+		op := &r.out[bits.TrailingZeros64(granted)]
+		slot := op.grant
 		op.grant = noAlloc
-		if op.rrIn = q.ipIx + 1; op.rrIn == nin {
-			op.rrIn = 0
+		r.traverse(slot, now)
+	}
+	return moved
+}
+
+// traverse moves the head flit of the granted VC in slot through the
+// crossbar and out of its allocated port: into the node's ejection queue, or
+// across the link straight into the downstream input buffer. A deposited flit
+// is stamped as entering that buffer next cycle — the link's one-cycle
+// latency — so it cannot move again this cycle, whichever order routers are
+// visited in. traverse also returns the credit upstream, advances the
+// output's round-robin pointer past the winning input port, and keeps the
+// masks, router sets and counters.
+func (r *Router) traverse(slot int, now int64) {
+	n := r.net
+	ipIx := int(n.slotPort[slot])
+	vb := &r.vcs[slot]
+	pi, outVC := vb.outPort, vb.outVC
+	op := &r.out[pi]
+	if op.rrIn = ipIx + 1; op.rrIn == len(r.in) {
+		op.rrIn = 0
+	}
+	r.occupancyCycles += now - vb.headEntered
+	f := vb.pop(n.flits)
+	if n.flight != nil && f.IsHead {
+		n.flightRecord(now, n.pkts[f.pkt], flight.SAGrant, r.id, pi, outVC)
+	}
+	// Return a credit upstream, deferred to the end of the phase (see
+	// Network.credits). NI-fed ports take no credits.
+	if up := r.in[ipIx].upCredit; up != noAlloc {
+		n.credits = append(n.credits, int32(up+slot-ipIx*n.nvc))
+	}
+	if op.eject {
+		n.Stats.EjectFlits++
+		if f.IsTail {
+			n.ejectPacket(f.pkt, now)
 		}
-		vb := q.vb
-		outVC := vb.outVC
-		r.occupancyCycles += now - vb.headEntered
-		f := vb.pop(n.flits)
+	} else {
+		n.creditSlab[vb.credit]--
+		n.Stats.LinkFlits++
+		op.lastSent = now
+		f.enteredRouter = now + 1
+		to := op.toSlot + outVC
 		if n.flight != nil && f.IsHead {
-			n.flightRecord(now, n.pkts[f.pkt], flight.SAGrant, r.id, int32(pi), outVC)
+			n.flightLink(now, n.pkts[f.pkt], op.to, to)
 		}
-		moved++
-		// Return a credit upstream, deferred to the end of the phase (see
-		// Network.credits). NI-fed ports take no credits.
-		if q.credit != noAlloc {
-			n.credits = append(n.credits, int32(q.credit))
+		n.Routers[op.to].accept(int(to), f)
+	}
+	// Mask maintenance: the tail releases the allocation (the next packet's
+	// head, if already buffered, now needs VA); a buffer that drains
+	// mid-packet keeps its allocation but leaves the ready set until accept
+	// refills it.
+	bit := uint64(1) << uint(slot)
+	if f.IsTail {
+		if !op.eject {
+			n.owners[vb.credit] = noAlloc
 		}
-		tail := f.IsTail
-		if op.eject {
-			ejected++
-			if tail {
-				n.ejectPacket(f.pkt, now)
-			}
-		} else {
-			n.creditSlab[vb.credit]--
-			n.arrivals = append(n.arrivals, arrival{to: op.to, slot: op.toSlot + outVC, f: f})
+		vb.outPort, vb.outVC = noAlloc, noAlloc
+		r.ready &^= bit
+		if vb.n > 0 {
+			r.needVA |= bit
+			*r.vaWord |= r.bit
 		}
-		// Mask maintenance: the tail releases the allocation (the next
-		// packet's head, if already buffered, now needs VA); a buffer that
-		// drains mid-packet keeps its allocation but leaves the ready set
-		// until accept refills it.
-		bit := uint64(1) << uint(q.slot)
-		if tail {
-			if !op.eject {
-				n.owners[vb.credit] = noAlloc
-			}
-			vb.outPort, vb.outVC = noAlloc, noAlloc
-			r.ready &^= bit
-			if vb.n > 0 {
-				r.needVA |= bit
-			}
-		} else if vb.n == 0 {
-			r.ready &^= bit
-		}
+	} else if vb.n == 0 {
+		r.ready &^= bit
 	}
 	if r.ready == 0 {
 		*r.saWord &^= r.bit
 	}
-	if r.needVA != 0 {
-		*r.vaWord |= r.bit
-	}
-	r.inFlits -= moved
-	r.flitsThrough += int64(moved)
-	n.Stats.FlitHops += int64(moved)
-	n.Stats.EjectFlits += int64(ejected)
-	n.Stats.LinkFlits += int64(moved - ejected)
-	return moved
+	r.inFlits--
+	r.flitsThrough++
+	n.Stats.FlitHops++
 }
 
 // FlitsThrough returns the number of flits that traversed this router.

@@ -53,6 +53,13 @@ var instrumentedPins = map[string]string{
 	"EquiNox/hotspot/7":          "2f5d97a4a22671269e1c3d4853b838a90229984dc14e75fd70360095cdbbd64e",
 }
 
+// instrumentedPin16 pins the same exports for one EquiNox kmeans run on a
+// 16×16 mesh with 16 CBs. There the stepper's router sets span four words, so
+// a flit switch traversal deposits downstream can land in a router the same
+// switch-allocation walk has yet to visit; the 8×8 rows, whose sets fit one
+// word, never see that order.
+const instrumentedPin16 = "e67388641ea74857334df297ea1d2829995ccaa08dd6d602237d6eca4d7b1fff"
+
 // TestInstrumentedExportsPinned runs each pinned (scheme, benchmark, seed)
 // with flight, telemetry and probes attached and compares the hash of
 // everything they export with instrumentedPins.
@@ -63,16 +70,24 @@ func TestInstrumentedExportsPinned(t *testing.T) {
 				key := fmt.Sprintf("%v/%s/%d", s, bench, seed)
 				t.Run(key, func(t *testing.T) {
 					t.Parallel()
-					if got := instrumentedHash(t, s, bench, seed); got != instrumentedPins[key] {
+					if got := instrumentedHash(t, s, bench, seed, 8); got != instrumentedPins[key] {
 						t.Errorf("instrumented exports changed:\n got %s\nwant %s", got, instrumentedPins[key])
 					}
 				})
 			}
 		}
 	}
+	t.Run("EquiNox/kmeans/1/16x16", func(t *testing.T) {
+		t.Parallel()
+		if got := instrumentedHash(t, EquiNox, "kmeans", 1, 16); got != instrumentedPin16 {
+			t.Errorf("instrumented exports changed:\n got %s\nwant %s", got, instrumentedPin16)
+		}
+	})
 }
 
-func instrumentedHash(t *testing.T, s SchemeKind, bench string, seed int64) string {
+// instrumentedHash runs one pinned configuration on a mesh×mesh mesh with
+// mesh CBs and hashes its exports.
+func instrumentedHash(t *testing.T, s SchemeKind, bench string, seed int64, mesh int) string {
 	prof, err := workloads.ByName(bench)
 	if err != nil {
 		t.Fatal(err)
@@ -80,11 +95,17 @@ func instrumentedHash(t *testing.T, s SchemeKind, bench string, seed int64) stri
 	cfg := smallConfig(s, t)
 	cfg.InstructionsPerPE = 40
 	cfg.Seed = seed
+	if mesh != cfg.Width {
+		cfg.Width, cfg.Height, cfg.NumCBs = mesh, mesh, mesh
+		if s == EquiNox {
+			cfg.CBOverride, cfg.EIRGroups = designGroups(t, mesh, mesh, mesh)
+		}
+	}
 	sys, err := NewSystem(cfg, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := sys.AttachFlight(flight.Options{SampleMod: 1, BufferCap: 1 << 17})
+	fl := sys.AttachFlight(flight.Options{SampleMod: 1, BufferCap: 1 << 17 * (mesh / 8) * (mesh / 8)})
 	tel := sys.AttachTelemetry(telemetry.Options{SampleEvery: 16, WindowCycles: 128, MaxWindows: 512})
 	probes := sys.AttachProbes(8)
 	res, err := sys.RunToCompletion()

@@ -25,7 +25,7 @@ eval:
 
 # Evaluation-as-a-service: HTTP job server with result caching.
 serve:
-	$(GO) run ./cmd/equinox-server
+	$(GO) run ./cmd/equinox serve
 
 # End-to-end fleet check: builds the real server and worker binaries,
 # shards a sweep across a coordinator plus two workers, and compares the

@@ -1,4 +1,5 @@
-// Command equinox regenerates the paper's experiments from one binary:
+// Command equinox regenerates the paper's experiments, and serves them,
+// from one binary:
 //
 //	equinox sim      one full-system simulation and its measurement set (§5)
 //	equinox eval     the §6 evaluation sweep: Table 1, Figures 9–12, §6.6
@@ -6,10 +7,21 @@
 //	equinox heatmap  Figure 4's placement heat maps and hot-zone scores
 //	equinox sweep    open-loop load–latency curves under synthetic traffic
 //	equinox viz      the floor plan and Figure 4 heat maps as SVG
+//	equinox trace    per-packet tail latencies, flight events, job artifacts
+//	equinox serve    the evaluation-as-a-service HTTP server
+//	equinox worker   a remote fleet worker for a serve coordinator
 //
-// Every command takes -width and -height, all but sweep take -cbs, and
+// The six experiment commands, sim through viz, take -width and -height,
+// and all of them but sweep take -cbs; trace simulates the paper's 8×8
+// point, and serve and worker take their mesh from each job's spec.
 // `equinox <command> -h` lists the rest, e.g. `equinox eval -fig9a
 // -benchmarks kmeans,bfs` or `equinox sim -list`.
+//
+// The first SIGINT or SIGTERM cancels the command's context: sim, eval and
+// trace stop at the next simulator cancellation check, serve drains its
+// in-flight jobs, and worker abandons its leased units. A second one kills
+// the process; design, heatmap, sweep and viz never check the context, so
+// they need it.
 package main
 
 import (
@@ -23,6 +35,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -38,8 +51,8 @@ import (
 )
 
 // A command defines its flags on fs and returns the action that runs once
-// they are parsed.
-type command func(fs *flag.FlagSet) func(stdout io.Writer) error
+// they are parsed. The action's context is cancelled by SIGINT/SIGTERM.
+type command func(fs *flag.FlagSet) func(ctx context.Context, stdout io.Writer) error
 
 var commands = map[string]command{
 	"sim":     simCommand,
@@ -48,6 +61,9 @@ var commands = map[string]command{
 	"heatmap": heatmapCommand,
 	"sweep":   sweepCommand,
 	"viz":     vizCommand,
+	"trace":   traceCommand,
+	"serve":   serveCommand,
+	"worker":  workerCommand,
 }
 
 // errUsage reports an invocation that has already been rejected on stderr;
@@ -57,7 +73,10 @@ var errUsage = errors.New("usage")
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("equinox: ")
-	err := run(os.Args[1:], os.Stdout)
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop) // the next signal gets the default handling
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
 	if errors.Is(err, errUsage) {
 		os.Exit(2)
 	}
@@ -69,16 +88,26 @@ func main() {
 // run parses args — a command name and its flags — and executes one
 // invocation, writing its report to stdout. Files named by flags are written
 // directly; progress is logged with the prefix "equinox <command>: ".
-func run(args []string, stdout io.Writer) error {
+func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if len(args) == 0 || commands[args[0]] == nil {
-		fmt.Fprintln(os.Stderr, "usage: equinox sim|eval|design|heatmap|sweep|viz [flags]")
+		fmt.Fprintf(os.Stderr, "usage: equinox %s [flags]\n", strings.Join(commandNames(), "|"))
 		return errUsage
 	}
 	fs := flag.NewFlagSet("equinox "+args[0], flag.ExitOnError)
 	action := commands[args[0]](fs)
 	fs.Parse(args[1:]) // ExitOnError: -h exits 0, a bad flag 2
 	log.SetPrefix(fs.Name() + ": ")
-	return action(stdout)
+	return action(ctx, stdout)
+}
+
+// commandNames returns the names of the commands, sorted.
+func commandNames() []string {
+	names := make([]string, 0, len(commands))
+	for name := range commands {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }
 
 // meshFlags defines -width, -height and -cbs at the paper's 8×8/8 point.
@@ -105,7 +134,7 @@ func parseSearch(fs *flag.FlagSet, name string) (core.SearchStrategy, error) {
 
 // simCommand simulates one scheme on one benchmark — a one-cell sweep — and
 // prints the complete measurement set.
-func simCommand(fs *flag.FlagSet) func(io.Writer) error {
+func simCommand(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 	var (
 		scheme             = fs.String("scheme", "EquiNox", "scheme to simulate")
 		bench              = fs.String("bench", "kmeans", "benchmark name")
@@ -114,7 +143,7 @@ func simCommand(fs *flag.FlagSet) func(io.Writer) error {
 		seed               = fs.Int64("seed", 1, "simulation seed")
 		list               = fs.Bool("list", false, "list schemes and benchmarks")
 	)
-	return func(stdout io.Writer) error {
+	return func(ctx context.Context, stdout io.Writer) error {
 		if *list {
 			fmt.Fprintln(stdout, "Schemes:")
 			for _, s := range sim.AllSchemes() {
@@ -131,7 +160,7 @@ func simCommand(fs *flag.FlagSet) func(io.Writer) error {
 			log.Printf("unknown scheme %q (use -list)", *scheme)
 			return errUsage
 		}
-		ev, err := equinox.RunEvaluationContext(context.Background(), equinox.EvalConfig{
+		ev, err := equinox.RunEvaluationContext(ctx, equinox.EvalConfig{
 			Width: *width, Height: *height, NumCBs: *cbs,
 			Schemes:           []sim.SchemeKind{s},
 			Benchmarks:        []string{*bench},
@@ -163,7 +192,7 @@ func simCommand(fs *flag.FlagSet) func(io.Writer) error {
 // evalCommand runs the §6 sweep — all seven schemes over the suite — and
 // prints Table 1, Figures 9(a/b/c), 10 and 11, the §6.6 µbump comparison
 // and the energy breakdown, or only the ones selected.
-func evalCommand(fs *flag.FlagSet) func(io.Writer) error {
+func evalCommand(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 	var (
 		width, height, cbs = meshFlags(fs)
 		instr              = fs.Int("instr", 0, "instructions per PE (0 = default scale)")
@@ -183,7 +212,7 @@ func evalCommand(fs *flag.FlagSet) func(io.Writer) error {
 		asMD   = fs.String("report", "", "also write a markdown report to this file")
 		cfgIn  = fs.String("config", "", "load the evaluation configuration from this JSON file")
 	)
-	return func(stdout io.Writer) error {
+	return func(ctx context.Context, stdout io.Writer) error {
 		cfg := equinox.DefaultEvalConfig()
 		if *cfgIn != "" {
 			f, err := os.Open(*cfgIn)
@@ -211,11 +240,6 @@ func evalCommand(fs *flag.FlagSet) func(io.Writer) error {
 			fmt.Fprintln(stdout, equinox.Table1(cfg))
 			return nil
 		}
-
-		// Ctrl-C cancels the sweep (and the scalability study) at the next
-		// simulator cancellation check instead of killing mid-write.
-		ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-		defer stop()
 
 		norm := cfg.Normalize()
 		log.Printf("running %d schemes × %d benchmarks …", len(norm.Schemes), len(norm.Benchmarks))
@@ -298,14 +322,14 @@ func benchSubset(benches []string) []string {
 // designCommand runs the §4 design flow — N-Queen CB placement, EIR search,
 // interposer wiring plan — and prints the floor plan and the Figure 7 / §6.6
 // style report.
-func designCommand(fs *flag.FlagSet) func(io.Writer) error {
+func designCommand(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 	var (
 		width, height, cbs = meshFlags(fs)
 		search             = fs.String("search", "mcts", "EIR search: mcts, greedy, random")
 		iters              = fs.Int("iters", 400, "MCTS iterations per tree level")
 		seed               = fs.Int64("seed", 42, "search seed")
 	)
-	return func(stdout io.Writer) error {
+	return func(_ context.Context, stdout io.Writer) error {
 		cfg := core.DefaultDesignConfig()
 		cfg.Width, cfg.Height, cfg.NumCBs = *width, *height, *cbs
 		cfg.MCTS.IterationsPerLevel = *iters
@@ -340,13 +364,13 @@ func designCommand(fs *flag.FlagSet) func(io.Writer) error {
 // heatmapCommand regenerates Figure 4 — per-router heat maps and variance
 // of the five CB placements under few-to-many reply traffic — and the §4.2
 // hot-zone penalty scores.
-func heatmapCommand(fs *flag.FlagSet) func(io.Writer) error {
+func heatmapCommand(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 	var (
 		width, height, cbs = meshFlags(fs)
 		cycles             = fs.Int("cycles", 4000, "traffic cycles per placement")
 		seed               = fs.Int64("seed", 1, "traffic seed")
 	)
-	return func(stdout io.Writer) error {
+	return func(_ context.Context, stdout io.Writer) error {
 		out, err := equinox.Figure4(*width, *height, *cbs, *cycles, *seed)
 		if err != nil {
 			return err
@@ -364,7 +388,7 @@ func heatmapCommand(fs *flag.FlagSet) func(io.Writer) error {
 // sweepCommand measures open-loop load–latency curves of the mesh NoC under
 // synthetic patterns; the few-to-many saturation point is the injection
 // bottleneck the paper attacks.
-func sweepCommand(fs *flag.FlagSet) func(io.Writer) error {
+func sweepCommand(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 	var (
 		width   = fs.Int("width", 8, "mesh width")
 		height  = fs.Int("height", 8, "mesh height")
@@ -373,7 +397,7 @@ func sweepCommand(fs *flag.FlagSet) func(io.Writer) error {
 		cycles  = fs.Int("cycles", 3000, "measured cycles per load point")
 		seed    = fs.Int64("seed", 1, "traffic seed")
 	)
-	return func(stdout io.Writer) error {
+	return func(_ context.Context, stdout io.Writer) error {
 		var ls []float64
 		for _, s := range strings.Split(*loads, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
@@ -427,14 +451,14 @@ func sweepCommand(fs *flag.FlagSet) func(io.Writer) error {
 
 // vizCommand writes design.svg, the design's floor plan (Figure 7 style),
 // and heatmaps.svg, the Figure 4 placement heat maps, into -out.
-func vizCommand(fs *flag.FlagSet) func(io.Writer) error {
+func vizCommand(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 	var (
 		out                = fs.String("out", ".", "output directory")
 		width, height, cbs = meshFlags(fs)
 		search             = fs.String("search", "greedy", "design search: mcts or greedy")
 		cycles             = fs.Int("cycles", 3000, "heat map traffic cycles")
 	)
-	return func(stdout io.Writer) error {
+	return func(_ context.Context, stdout io.Writer) error {
 		cfg := core.DefaultDesignConfig()
 		cfg.Width, cfg.Height, cfg.NumCBs = *width, *height, *cbs
 		var err error
@@ -456,12 +480,35 @@ func vizCommand(fs *flag.FlagSet) func(io.Writer) error {
 			{"design.svg", viz.DesignSVG(design)},
 			{"heatmaps.svg", viz.HeatmapsSVG(rs)},
 		} {
-			path := filepath.Join(*out, f.name)
-			if err := os.WriteFile(path, []byte(f.svg), 0o644); err != nil {
+			err := writeFile(stdout, filepath.Join(*out, f.name), func(w io.Writer) error {
+				_, err := io.WriteString(w, f.svg)
+				return err
+			})
+			if err != nil {
 				return err
 			}
-			fmt.Fprintln(stdout, "wrote", path)
 		}
 		return nil
 	}
+}
+
+// writeFile creates path, fills it with write and reports it on stdout. An
+// empty path (the output was not requested) writes nothing.
+func writeFile(stdout io.Writer, path string, write func(io.Writer) error) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintln(stdout, "wrote", path)
+	return nil
 }

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,8 +19,10 @@ import (
 
 // goldenCases pin each command's stdout, and every file it writes, byte for
 // byte. The goldens were recorded from the single-purpose tools (equinox-sim,
-// equinox-eval, …) these commands replaced, so a drift is a behaviour change.
-// "$DIR" in args is a per-test temp dir. Regenerate deliberately with
+// equinox-eval, equinox-trace, …) these commands replaced, so a drift is a
+// behaviour change. DA2Mesh spreads replies over eight subnets, so its trace
+// records interleave deliveries from several networks. "$DIR" in args is a
+// per-test temp dir. Regenerate deliberately with
 // GOLDEN_UPDATE=1 go test ./cmd/equinox.
 var goldenCases = []struct {
 	name  string
@@ -37,6 +42,14 @@ var goldenCases = []struct {
 	{"sweep-f2m", []string{"sweep", "-pattern", "f2m"}, nil},
 	{"viz", []string{"viz", "-out", "$DIR"},
 		map[string]string{"design.svg": "design.svg", "heatmaps.svg": "heatmaps.svg"}},
+	{"trace-equinox-kmeans", []string{"trace", "-instr", "10", "-scheme", "EquiNox", "-bench", "kmeans",
+		"-csv", "$DIR/csv", "-jsonout", "$DIR/json"}, map[string]string{"csv": "csv", "json": "json"}},
+	{"trace-da2mesh-hotspot", []string{"trace", "-instr", "10", "-scheme", "DA2Mesh", "-bench", "hotspot", "-heatmap",
+		"-csv", "$DIR/csv", "-jsonout", "$DIR/json"}, map[string]string{"csv": "csv", "json": "json"}},
+	{"trace-events", []string{"trace", "-instr", "10", "-events", "-sample", "2", "-jsonout", "$DIR/json"},
+		map[string]string{"json": "json"}},
+	{"trace-heatmap", []string{"trace", "-instr", "10", "-heatmap", "-heatmap-csv", "$DIR/occ.csv"},
+		map[string]string{"occ.csv": "occ.csv"}},
 }
 
 func TestGoldenOutputs(t *testing.T) {
@@ -49,7 +62,7 @@ func TestGoldenOutputs(t *testing.T) {
 				args = append(args, strings.ReplaceAll(a, "$DIR", dir))
 			}
 			var stdout bytes.Buffer
-			if err := run(args, &stdout); err != nil {
+			if err := run(context.Background(), args, &stdout); err != nil {
 				t.Fatal(err)
 			}
 			got := map[string][]byte{"stdout": []byte(strings.ReplaceAll(stdout.String(), dir, "$DIR"))}
@@ -58,7 +71,7 @@ func TestGoldenOutputs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ext == "json" {
+				if tc.args[0] == "eval" {
 					data = withoutPhases(t, data)
 				}
 				got[ext] = data
@@ -140,7 +153,7 @@ func TestParseSearch(t *testing.T) {
 		{"viz", "-search", "Greedy", "-out", dir},
 	} {
 		var stdout bytes.Buffer
-		if err := run(args, &stdout); !errors.Is(err, errUsage) {
+		if err := run(context.Background(), args, &stdout); !errors.Is(err, errUsage) {
 			t.Errorf("%v: err = %v, want errUsage", args, err)
 		}
 		if stdout.Len() > 0 {
@@ -149,5 +162,27 @@ func TestParseSearch(t *testing.T) {
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Errorf("viz with an unknown search created %s (%v)", dir, err)
+	}
+}
+
+// TestReadmeNamesEveryCommand: README's "Command-line tools" section shows
+// `go run ./cmd/equinox <command>` for exactly the commands run dispatches.
+func TestReadmeNamesEveryCommand(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "\n## Command-line tools\n")
+	if !ok {
+		t.Fatal(`README has no "## Command-line tools" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var named []string
+	for _, m := range regexp.MustCompile(`go run \./cmd/equinox (\w+)`).FindAllStringSubmatch(section, -1) {
+		named = append(named, m[1])
+	}
+	slices.Sort(named)
+	if got, want := slices.Compact(named), commandNames(); !slices.Equal(got, want) {
+		t.Errorf("README's CLI section names %v, want exactly the commands %v", got, want)
 	}
 }

@@ -2,7 +2,7 @@
 // shards every job into per-(scheme, benchmark) work units — each a
 // canonical single-run job spec with its own content key — and the workers
 // that lease and run them with the ordinary evaluation harness. Remote
-// workers (cmd/equinox-worker) speak HTTP (POST /v1/fleet/lease, /complete,
+// workers (`equinox worker`) speak HTTP (POST /v1/fleet/lease, /complete,
 // /heartbeat; see NewWorker); the job server's own executors call the
 // coordinator directly (Coordinator.LocalWorker) and, when idle, block
 // until a unit is queued instead of polling. Leases carry a TTL renewed by

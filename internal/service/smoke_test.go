@@ -20,12 +20,12 @@ import (
 )
 
 // TestFleetSmoke is the end-to-end fleet check `make fleet-smoke` runs:
-// it builds the real equinox-server and equinox-worker binaries, starts a
+// it builds the real equinox binary once, starts `equinox serve` as a
 // coordinator with a disk store and one in-process executor plus two
-// worker processes, keeps the executor busy so the smoke sweep's units go
+// `equinox worker` processes, keeps the executor busy so the smoke sweep's units go
 // to the workers, and compares the assembled result byte for byte against
 // the committed single-process golden. Gated behind FLEET_SMOKE=1 because
-// it builds binaries and forks processes.
+// it builds a binary and forks processes.
 //
 // Set FLEET_SMOKE_STORE_DIR to pin the coordinator's store directory
 // (CI points it at a workspace path and uploads it on failure).
@@ -38,18 +38,11 @@ func TestFleetSmoke(t *testing.T) {
 		t.Fatalf("%v (regenerate with GOLDEN_UPDATE=1)", err)
 	}
 
-	bin := t.TempDir()
-	serverBin := filepath.Join(bin, "equinox-server")
-	workerBin := filepath.Join(bin, "equinox-worker")
-	for target, out := range map[string]string{
-		"equinox/cmd/equinox-server": serverBin,
-		"equinox/cmd/equinox-worker": workerBin,
-	} {
-		cmd := exec.Command("go", "build", "-o", out, target)
-		cmd.Dir = "../.." // module root
-		if msg, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("go build %s: %v\n%s", target, err, msg)
-		}
+	bin := filepath.Join(t.TempDir(), "equinox")
+	build := exec.Command("go", "build", "-o", bin, "equinox/cmd/equinox")
+	build.Dir = "../.." // module root
+	if msg, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build equinox/cmd/equinox: %v\n%s", err, msg)
 	}
 
 	storeDir := os.Getenv("FLEET_SMOKE_STORE_DIR")
@@ -64,7 +57,7 @@ func TestFleetSmoke(t *testing.T) {
 
 	// Coordinator on an ephemeral port; its "listening on" line tells us
 	// which.
-	server := exec.CommandContext(ctx, serverBin,
+	server := exec.CommandContext(ctx, bin, "serve",
 		"-addr", "127.0.0.1:0",
 		"-workers", "1",
 		"-store-dir", storeDir,
@@ -116,7 +109,7 @@ func TestFleetSmoke(t *testing.T) {
 
 	// Two workers against the coordinator.
 	for i := 0; i < 2; i++ {
-		w := exec.CommandContext(ctx, workerBin,
+		w := exec.CommandContext(ctx, bin, "worker",
 			"-coordinator", base,
 			"-name", fmt.Sprintf("smoke-%d", i),
 			"-poll", "50ms",

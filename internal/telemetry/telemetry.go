@@ -491,7 +491,7 @@ type RunSummary struct {
 }
 
 // csvHeader is the flattened per-window CSV schema shared by WriteCSV and
-// equinox-trace -telemetry-csv.
+// `equinox trace -telemetry-csv`.
 const csvHeader = "scheme,benchmark,network,window,start,end,injected_flits,ejected_flits,offered,accepted,lat_p50,lat_p95,lat_p99,lat_count,occ_mean,occ_max,saturated\n"
 
 // WriteCSV flattens one or more run summaries into per-window CSV rows for

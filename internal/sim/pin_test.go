@@ -136,3 +136,69 @@ func instrumentedHash(t *testing.T, s SchemeKind, bench string, seed int64, mesh
 	sum := sha256.Sum256(buf.Bytes())
 	return hex.EncodeToString(sum[:])
 }
+
+// sampledFlightPins are the SHA-256 hashes of a sampled flight recorder's
+// exports — the flight CSV, every recorder's formatted tail-latency dumps and
+// the TailExceeded count — for every scheme on hotspot, seed 1, at 40
+// instructions per PE. instrumentedPins trace every packet with no latency
+// bound, so they cannot see the sampling filter's effect on the stall dedup
+// or the tail-dump path; these rows can.
+var sampledFlightPins = map[string]string{
+	"SingleBase/hotspot/1":       "36a8bca791ae24a169769bbeb006778ace473cd443db19e739158589451b5fda",
+	"VC-Mono/hotspot/1":          "39bbbe7265d5780fd148604050b2a1d18893c2ad2af626f41753a8c7290bf093",
+	"Interposer-CMesh/hotspot/1": "7639c564aa08d2168cfe4303e030d8e708c16507dade50f77932b5e28635ec19",
+	"SeparateBase/hotspot/1":     "bc8ae8852fc6c4d605261a707c5db8d8d39063bbc1165b4cf669381547f6bd1c",
+	"DA2Mesh/hotspot/1":          "d6b81cb0301f1b46051ce7310a52e68c57bff5488d95ebb2adf9fb9a6a2809cd",
+	"MultiPort/hotspot/1":        "cc16de92ffadde1e48bb83e06cb29fdfa9cff075b0a0df4b2e62eca2949859cb",
+	"EquiNox/hotspot/1":          "69163e403cf6ff464505251dbd6650c70df833cd90e2d31aa83b30e497e763a1",
+}
+
+// sampledFlightLatency is low enough that every scheme's hotspot run
+// delivers packets over it, so tail dumps fire.
+const sampledFlightLatency = 60
+
+// TestSampledFlightPinned runs each scheme with a sampled, latency-bounded
+// flight recorder and compares the hash of its exports with
+// sampledFlightPins.
+func TestSampledFlightPinned(t *testing.T) {
+	for _, s := range AllSchemes() {
+		key := fmt.Sprintf("%v/hotspot/1", s)
+		t.Run(key, func(t *testing.T) {
+			t.Parallel()
+			prof, err := workloads.ByName("hotspot")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := smallConfig(s, t)
+			cfg.InstructionsPerPE = 40
+			cfg.Seed = 1
+			sys, err := NewSystem(cfg, prof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fl := sys.AttachFlight(flight.Options{SampleMod: 3, LatencyLimit: sampledFlightLatency})
+			if _, err := sys.RunToCompletion(); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := fl.WriteCSV(&buf); err != nil {
+				t.Fatal(err)
+			}
+			dumps := 0
+			for _, rec := range fl.Recorders {
+				for _, d := range rec.TailDumps() {
+					fmt.Fprintf(&buf, "%d %d\n%s", d.Pkt, d.Latency, rec.FormatEvents(d.Events))
+					dumps++
+				}
+			}
+			fmt.Fprintf(&buf, "%d\n", fl.TailExceeded())
+			if dumps == 0 {
+				t.Fatal("no tail dumps fired; lower sampledFlightLatency")
+			}
+			sum := sha256.Sum256(buf.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != sampledFlightPins[key] {
+				t.Errorf("sampled flight exports changed (%d tail dumps, %d over the bound):\n got %s\nwant %s", dumps, fl.TailExceeded(), got, sampledFlightPins[key])
+			}
+		})
+	}
+}

@@ -84,7 +84,7 @@ func traceCommand(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 		stallLimit = fs.Int64("stall-limit", 0, "starvation watchdog window in cycles (0 = default 50000, <0 = off)")
 
 		spansJob = fs.String("spans", "", "download a server job's distributed span trace instead of simulating (job ID)")
-		server   = fs.String("server", "http://localhost:8080", "equinox-server base URL (with -spans / -telemetry)")
+		server   = fs.String("server", "http://localhost:8080", "equinox serve base URL (with -spans / -telemetry)")
 		spansOut = fs.String("spans-out", "", "write the downloaded span trace to this file (default stdout)")
 
 		telemetryJob = fs.String("telemetry", "", "download a server job's windowed telemetry instead of simulating (job ID)")
@@ -135,24 +135,10 @@ func traceCommand(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 				LatencyLimit: *tailBound,
 			})
 		}
-		// The trace holds the reply networks' deliveries in delivery order;
-		// the heat map's mean latency counts every network's.
-		var trace []record
-		var latSum, delivered int64
+		dl := &deliveryLog{capture: capture}
 		replyNets := sys.ReplyNetworks()
 		for _, n := range sys.Networks() {
-			reply := slices.Contains(replyNets, n)
-			n.OnDelivered(func(p *noc.Packet) {
-				latSum += p.DeliveredAt - p.CreatedAt
-				delivered++
-				if reply {
-					trace = append(trace, record{
-						ID: p.ID, Type: p.Type.String(), Src: p.Src, Dst: p.Dst, Flits: p.Flits,
-						CreatedAt: p.CreatedAt, InjectedAt: p.InjectedAt, DeliveredAt: p.DeliveredAt,
-						Traced: capture != nil && capture.Recorders[0].Hit(p.ID),
-					})
-				}
-			})
+			n.Observe(deliveries{dl, slices.Contains(replyNets, n)})
 		}
 		// Probes cover every network of the scheme so occupancy is
 		// comparable across schemes regardless of how each splits traffic
@@ -162,6 +148,7 @@ func traceCommand(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 			probes = sys.AttachProbes(*probeEvery)
 		}
 		res, runErr := sys.RunToCompletionContext(ctx)
+		trace := dl.trace
 		if runErr != nil {
 			runErr = fmt.Errorf("run failed: %w", runErr)
 			// A starvation-watchdog abort is exactly when the flight dump
@@ -218,10 +205,10 @@ func traceCommand(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 			fmt.Fprint(stdout, "\n", viz.ASCIIHeatmap(title, cfg.Width, cfg.Height, heat))
 			fmt.Fprintf(stdout, "  hot-zone concentration (max/mean): %.2f\n", noc.MaxMeanRatio(heat))
 			mean := 0.0
-			if delivered > 0 {
-				mean = float64(latSum) / float64(delivered)
+			if dl.delivered > 0 {
+				mean = float64(dl.latSum) / float64(dl.delivered)
 			}
-			fmt.Fprintf(stdout, "  mean packet latency: %.1f cycles over %d deliveries\n", mean, delivered)
+			fmt.Fprintf(stdout, "  mean packet latency: %.1f cycles over %d deliveries\n", mean, dl.delivered)
 		}
 		err = writeFile(stdout, *heatmapCSV, func(w io.Writer) error {
 			for i, p := range probes {
@@ -248,6 +235,38 @@ func traceCommand(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 // latencyBin is the width, in cycles, of the latency histogram whose bin
 // count the report prints.
 const latencyBin = 10
+
+// deliveryLog collects a run's deliveries: the trace holds the reply
+// networks' in delivery order, the heat map's mean latency counts every
+// network's.
+type deliveryLog struct {
+	trace             []record
+	latSum, delivered int64
+	capture           *flight.Capture // nil unless the flight recorder is on
+}
+
+// deliveries is the observer feeding one network's deliveries to a log.
+type deliveries struct {
+	*deliveryLog
+	reply bool
+}
+
+func (d deliveries) Packet(_ int64, p *noc.Packet, k flight.Kind, _ int, latency, _ int32) {
+	if k != flight.Ejected {
+		return
+	}
+	d.latSum += int64(latency)
+	d.delivered++
+	if d.reply {
+		d.trace = append(d.trace, record{
+			ID: p.ID, Type: p.Type.String(), Src: p.Src, Dst: p.Dst, Flits: p.Flits,
+			CreatedAt: p.CreatedAt, InjectedAt: p.InjectedAt, DeliveredAt: p.DeliveredAt,
+			Traced: d.capture != nil && d.capture.Recorders[0].Hit(p.ID),
+		})
+	}
+}
+
+func (deliveries) EndCycle(int64) {}
 
 // record is one packet delivered on a reply network.
 type record struct {

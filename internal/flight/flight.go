@@ -9,10 +9,10 @@
 //
 // The package is dependency-free by design: events carry plain integers, so
 // internal/noc can import it and record from the hot path without an import
-// cycle. Cost discipline mirrors internal/noc's probes: a detached recorder
-// is one nil pointer compare; an attached one filters by packet ID
-// (ID % SampleMod) and writes fixed-size events into a preallocated ring,
-// so the steady state allocates nothing.
+// cycle. A recorder is fed by a noc.Observer, so a network without one pays
+// the observer list's one length compare per hook site; an attached one
+// filters by packet ID (ID % SampleMod) and writes fixed-size events into a
+// preallocated ring, so the steady state allocates nothing.
 package flight
 
 import (

@@ -64,9 +64,10 @@ func TestFlightLifecycleEvents(t *testing.T) {
 
 // TestFlightStarvationWatchdog wedges a network on purpose — endpoint 15
 // never consumes its deliveries, so the two-entry eject queue fills and
-// backpressure freezes everything behind it — and checks the starvation
-// detector notices: packets in flight, no ejection for longer than the
-// stall limit, and a non-empty last-window event dump to diagnose with.
+// backpressure freezes everything behind it — and checks the recorder's
+// starvation clock, fed by every ejection, notices: packets in flight, no
+// ejection for longer than the stall limit, and a non-empty last-window
+// event dump to diagnose with.
 func TestFlightStarvationWatchdog(t *testing.T) {
 	n, err := New(DefaultConfig("t", 4, 4))
 	if err != nil {
@@ -74,21 +75,15 @@ func TestFlightStarvationWatchdog(t *testing.T) {
 	}
 	fr := n.AttachFlight(flight.Options{StallLimit: 300})
 	id := int64(1)
-	fired := false
-	for i := 0; i < 1500 && !fired; i++ {
+	for i := 0; i < 1500 && fr.StarvedFor(n.Now()) <= fr.StallLimit(); i++ {
 		p := &Packet{ID: id, Type: ReadReply, Src: 0, Dst: 15}
 		if n.TryInject(p, n.Now()) {
 			id++
 		}
 		n.Step()
-		_, fired = n.FlightStarved()
 	}
-	if !fired {
-		t.Fatal("starvation watchdog never fired on a wedged network")
-	}
-	starved, _ := n.FlightStarved()
-	if starved < 300 {
-		t.Errorf("StarvedFor = %d, want >= the 300-cycle limit", starved)
+	if starved := fr.StarvedFor(n.Now()); starved <= 300 {
+		t.Fatalf("StarvedFor = %d on a wedged network, want over the 300-cycle limit", starved)
 	}
 	if n.InFlight() == 0 {
 		t.Error("watchdog fired with nothing in flight")

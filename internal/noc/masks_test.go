@@ -108,7 +108,7 @@ func driveTraffic(t *testing.T, n *Network, nc schemeNet, pattern string, seed i
 					src = cb
 				}
 			}
-			if p := (&Packet{Type: typ, Src: src, Dst: dst, Spoke: rng.Intn(4)}); n.TryInject(p, n.Now()) {
+			if p := (&Packet{ID: int64(6*cyc + k + 1), Type: typ, Src: src, Dst: dst, Spoke: rng.Intn(4)}); n.TryInject(p, n.Now()) {
 				injected += int64(p.Flits)
 			}
 		}
@@ -407,7 +407,8 @@ func checkDeposits(n *Network, before buffers) error {
 			}
 		}
 	}
-	if n.flight == nil {
+	fo := flightObserverOf(n)
+	if fo == nil {
 		return nil
 	}
 	slices.SortFunc(deps, func(a, b deposit) int {
@@ -421,10 +422,10 @@ func checkDeposits(n *Network, before buffers) error {
 		if d.f.index != 0 {
 			continue
 		}
-		if k == len(n.linkEvents) {
+		if k == len(fo.held) {
 			return fmt.Errorf("router %d port %d: head flit of packet %d crossed a link with no LinkTraverse event", d.from, d.port, d.f.pkt.ID)
 		}
-		ev := n.linkEvents[k]
+		ev := fo.held[k]
 		port := int32(n.slotPort[d.slot])
 		if ev.Pkt != d.f.pkt.ID || ev.Cycle != now || ev.Kind != flight.LinkTraverse || ev.Router != d.to || ev.A != port || ev.B != d.slot-port*int32(n.nvc) {
 			return fmt.Errorf("LinkTraverse event %d is %+v, want packet %d entering router %d slot %d at cycle %d (from router %d port %d)",
@@ -432,8 +433,18 @@ func checkDeposits(n *Network, before buffers) error {
 		}
 		k++
 	}
-	if k != len(n.linkEvents) {
-		return fmt.Errorf("%d LinkTraverse events held, %d head flits crossed a link", len(n.linkEvents), k)
+	if k != len(fo.held) {
+		return fmt.Errorf("%d LinkTraverse events held, %d head flits crossed a link", len(fo.held), k)
+	}
+	return nil
+}
+
+// flightObserverOf returns the network's attached flight observer, or nil.
+func flightObserverOf(n *Network) *flightObserver {
+	for _, o := range n.obs {
+		if fo, ok := o.(*flightObserver); ok {
+			return fo
+		}
 	}
 	return nil
 }
@@ -462,7 +473,8 @@ func TestMasksMatchScan(t *testing.T) {
 					if err := checkMasks(n); err != nil {
 						t.Fatalf("fresh network: %v", err)
 					}
-					links := cap(n.linkEvents)
+					fo := flightObserverOf(n)
+					links := cap(fo.held)
 					if links < 2*((n.Cfg.Width-1)*n.Cfg.Height+n.Cfg.Width*(n.Cfg.Height-1)) {
 						t.Fatalf("the LinkTraverse list has room for %d events, fewer than the mesh's links", links)
 					}
@@ -478,7 +490,7 @@ func TestMasksMatchScan(t *testing.T) {
 						if err := checkDeposits(n, before); err != nil {
 							t.Fatalf("seed %d cycle %d: %v", seed, cyc, err)
 						}
-						if got := cap(n.linkEvents); got != links {
+						if got := cap(fo.held); got != links {
 							t.Fatalf("seed %d cycle %d: LinkTraverse list capacity %d, was %d after AttachFlight", seed, cyc, got, links)
 						}
 					})

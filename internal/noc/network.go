@@ -22,8 +22,7 @@ type Network struct {
 	ejectQ   [NumClasses][][]*Packet
 	ejectCap int
 
-	now          int64
-	lastProgress int64
+	now int64
 
 	// Stepper state: Step only visits what holds work, so idle corners of
 	// the mesh cost nothing per cycle. vaSet and saSet are bitsets over
@@ -73,47 +72,43 @@ type Network struct {
 
 	Stats Stats
 
-	// flight, when attached, records per-packet lifecycle events into a
-	// preallocated ring; nil costs one pointer compare per hook site.
-	// linkEvents holds the LinkTraverse events of this cycle's switch
-	// traversal until the next Step records them (see flightLink).
-	flight     *flight.Recorder
-	linkEvents []flight.Event
-
-	// onDelivered and onCycle are the append-only hook lists (OnDelivered,
-	// OnCycle). The probe samples on onCycle; the telemetry sampler is an
-	// entry on both.
-	onDelivered []func(*Packet)
-	onCycle     []cycleHook
+	// obs are the attached observers (Observe). Every hook site tests
+	// len(n.obs) first, so a network without one pays a single compare.
+	obs []Observer
 }
 
-// cycleHook is one OnCycle registration.
-type cycleHook struct {
-	every int64
-	fn    func(now int64)
+// Observer watches a network run: the probe, the telemetry sampler and the
+// flight recorder are observers. Observers are independent of one another
+// and of attach order; neither method may allocate if Step is to stay
+// allocation-free, nor retain p beyond the call.
+type Observer interface {
+	// Packet reports one lifecycle event of packet p at router, unfiltered,
+	// with flight.Kind's arguments a and b (Ejected: a is the latency, and
+	// p.DeliveredAt is set). Created fires from TryInject at the caller's
+	// cycle, every other kind inside Step. LinkTraverse fires as the head
+	// flit leaves; it enters router in cycle now+1.
+	Packet(now int64, p *Packet, k flight.Kind, router int, a, b int32)
+	// EndCycle runs after every phase of cycle now, before the clock
+	// advances.
+	EndCycle(now int64)
 }
 
-// OnDelivered registers fn to be called for every packet as its tail flit
-// ejects, once the delivery timestamp is set. Hooks are independent of one
-// another and run in registration order; fn must not retain the packet's
-// payload beyond the call.
-func (n *Network) OnDelivered(fn func(*Packet)) {
-	n.onDelivered = append(n.onDelivered, fn)
-}
+// Observe attaches o to the network. Call before the first Step.
+func (n *Network) Observe(o Observer) { n.obs = append(n.obs, o) }
 
-// OnCycle registers fn to be called at the end of every cycle whose number is
-// a multiple of every (>= 1), once each phase effect of the cycle has been
-// applied and before the clock advances. Hooks run in registration order; fn
-// must not allocate if Step is to stay allocation-free.
-func (n *Network) OnCycle(every int64, fn func(now int64)) {
-	n.onCycle = append(n.onCycle, cycleHook{every, fn})
+// emit reports one lifecycle event to every observer. Callers guard it with
+// len(n.obs) != 0.
+func (n *Network) emit(now int64, p *Packet, k flight.Kind, router int, a, b int32) {
+	for _, o := range n.obs {
+		o.Packet(now, p, k, router, a, b)
+	}
 }
 
 // occupancy fills per, indexed by router ID, with the flits each router holds
 // at the end of the cycle: those buffered in its input VCs plus the NI
 // injection backlog waiting to enter it. A flit deposited downstream this
 // cycle is still on its link (linkBusy) and counts toward no router yet. Both
-// samplers read it; see Probe.sample for why the NI term matters. Must not
+// samplers read it; see Probe.EndCycle for why the NI term matters. Must not
 // allocate.
 func (n *Network) occupancy(per []int64) {
 	for i, r := range n.Routers {
@@ -311,8 +306,8 @@ func (n *Network) TryInject(p *Packet, now int64) bool {
 		n.Stats.packetInjected(p, n.Cfg.FlitBytes)
 		n.niSet[ix>>6] |= 1 << uint(ix&63)
 		n.inflight++
-		if n.flight != nil {
-			n.flightRecord(now, p, flight.Created, p.Src, int32(ClassOf(p.Type)), noAlloc)
+		if len(n.obs) != 0 {
+			n.emit(now, p, flight.Created, p.Src, int32(ClassOf(p.Type)), noAlloc)
 		}
 		return true
 	}
@@ -403,16 +398,9 @@ func (n *Network) ejectPacket(h int32, now int64) {
 	c := ClassOf(p.Type)
 	n.ejectQ[c][p.Dst] = append(n.ejectQ[c][p.Dst], p)
 	n.Stats.packetDelivered(p, n.Cfg)
-	if fr := n.flight; fr != nil {
-		lat := now - p.CreatedAt
-		n.flightRecord(now, p, flight.Ejected, p.Dst, int32(lat), 0)
-		// Every ejection (sampled or not) feeds the watchdogs: the
-		// starvation detector must observe unsampled progress too.
-		fr.EjectObserved(now, p.ID, lat, fr.Hit(p.ID))
-	}
 	n.heldNodes[p.Dst>>6] |= 1 << uint(p.Dst&63)
-	for _, fn := range n.onDelivered {
-		fn(p)
+	if len(n.obs) != 0 {
+		n.emit(now, p, flight.Ejected, p.Dst, int32(now-p.CreatedAt), 0)
 	}
 }
 
@@ -425,11 +413,7 @@ func (n *Network) Step() {
 	now := n.now
 	// 1. Link traversal needs no phase of its own: last cycle's switch
 	// traversal already deposited every flit, stamped for this cycle, into
-	// its downstream buffer. Only the flight recorder records its
-	// LinkTraverse events here, first in the cycle.
-	if n.flight != nil {
-		n.flightLinkFlush()
-	}
+	// its downstream buffer.
 	// 2. NI injection: every NI holding a packet streams into its router(s);
 	// an NI that drained leaves the set until the next TryInject.
 	for w, m := range n.niSet {
@@ -451,10 +435,9 @@ func (n *Network) Step() {
 			n.Routers[w<<6+bits.TrailingZeros64(m)].vcAllocate(now)
 		}
 	}
-	moved := 0
 	for w, m := range n.saSet {
 		for ; m != 0; m &= m - 1 {
-			moved += n.Routers[w<<6+bits.TrailingZeros64(m)].switchAllocate(now)
+			n.Routers[w<<6+bits.TrailingZeros64(m)].switchAllocate(now)
 		}
 	}
 	// The credits phase 4 returned become visible now, for the next cycle
@@ -463,14 +446,9 @@ func (n *Network) Step() {
 		n.creditSlab[ix]++
 	}
 	n.credits = n.credits[:0]
-	// Close the cycle: the progress watchdog, the samplers and the clock.
-	if moved > 0 {
-		n.lastProgress = now
-	}
-	for i := range n.onCycle {
-		if h := &n.onCycle[i]; now%h.every == 0 {
-			h.fn(now)
-		}
+	// Close the cycle: the observers, then the clock (linkBusy reads it).
+	for _, o := range n.obs {
+		o.EndCycle(now)
 	}
 	n.Stats.cycles++
 	n.now++
@@ -481,6 +459,10 @@ func (n *Network) Step() {
 // counter tracks every packet from TryInject to PopDeliveredClass, and no
 // flit can outlive its packet's stay in the network.
 func (n *Network) Quiescent() bool { return n.inflight == 0 }
+
+// InFlight returns the number of packets between TryInject and
+// PopDeliveredClass (the counter behind Quiescent).
+func (n *Network) InFlight() int64 { return n.inflight }
 
 // quiescentScan is the full-network reference implementation of Quiescent,
 // kept for tests that cross-check the O(1) counter.
@@ -509,10 +491,6 @@ func (n *Network) quiescentScan() bool {
 	}
 	return true
 }
-
-// StalledFor returns how many cycles have elapsed without any flit movement;
-// tests use it as a deadlock watchdog.
-func (n *Network) StalledFor() int64 { return n.now - n.lastProgress }
 
 // RouterAt returns the router at a tile position.
 func (n *Network) RouterAt(p geom.Point) *Router {

@@ -199,13 +199,11 @@ func (ni *ni) step(now int64) {
 		b.load(n, p, vc, now)
 		ni.rrCls = (c + 1) % int(NumClasses)
 		stalled = nil
-		if n.flight != nil {
-			ni.stall.clear()
-		}
+		ni.stall = stallNote{}
 		break
 	}
-	if stalled != nil && why != 0 && n.flight != nil {
-		n.flightStall(&ni.stall, now, stalled, ni.r.id, why)
+	if stalled != nil && why != 0 && len(n.obs) != 0 {
+		n.stall(&ni.stall, now, stalled, ni.r.id, why)
 	}
 	for i := range ni.bufs {
 		ni.bufs[i].stream(n, now)
@@ -331,9 +329,9 @@ func (b *injBuffer) load(n *Network, p *Packet, vc int, now int64) {
 	if vc != noAlloc {
 		p.InjectedAt = now
 	}
-	if n.flight != nil {
-		b.stall.clear()
-		n.flightRecord(now, p, flight.BufferAssigned, b.r.id, b.ix, int32(vc))
+	b.stall = stallNote{}
+	if len(n.obs) != 0 {
+		n.emit(now, p, flight.BufferAssigned, b.r.id, b.ix, int32(vc))
 	}
 }
 
@@ -347,8 +345,8 @@ func (b *injBuffer) stream(n *Network, now int64) {
 	if b.vc == noAlloc {
 		vc := injectVC(n, b.r.portVCs(b.port), ClassOf(p.Type))
 		if vc == noAlloc {
-			if n.flight != nil {
-				n.flightStall(&b.stall, now, p, b.r.id, flight.StallNoVC)
+			if len(n.obs) != 0 {
+				n.stall(&b.stall, now, p, b.r.id, flight.StallNoVC)
 			}
 			return
 		}
@@ -357,8 +355,8 @@ func (b *injBuffer) stream(n *Network, now int64) {
 	}
 	slot := n.slot(b.port, b.vc)
 	if b.r.vcs[slot].free() <= 0 {
-		if n.flight != nil {
-			n.flightStall(&b.stall, now, p, b.r.id, flight.StallVCFull)
+		if len(n.obs) != 0 {
+			n.stall(&b.stall, now, p, b.r.id, flight.StallVCFull)
 		}
 		return
 	}
@@ -367,9 +365,7 @@ func (b *injBuffer) stream(n *Network, now int64) {
 	if b.interposer {
 		n.Stats.InterposerFlits++
 	}
-	if n.flight != nil {
-		b.stall.clear()
-	}
+	b.stall = stallNote{}
 	if b.sent == p.Flits {
 		b.pkt, b.vc = nil, noAlloc
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"strconv"
 
+	"equinox/internal/flight"
 	"equinox/internal/geom"
 )
 
@@ -12,11 +13,13 @@ import (
 // non-local direction: East, West, South, North).
 const meshLinks = int(geom.NumDirections) - 1
 
-// Probe samples a network's buffer and link state on an OnCycle stride. All
-// state is preallocated at attach time and updated in place, so an attached
-// probe adds zero steady-state allocations to Network.Step (pinned by
-// TestStepDoesNotAllocate).
+// Probe is an observer sampling a network's buffer and link state every
+// `every` cycles. All state is preallocated at attach time and updated in
+// place, so an attached probe adds zero steady-state allocations to
+// Network.Step (pinned by TestStepDoesNotAllocate).
 type Probe struct {
+	net     *Network
+	every   int64
 	w, h    int
 	samples int64
 
@@ -41,6 +44,8 @@ func (n *Network) AttachProbe(every int64) *Probe {
 		every = 1
 	}
 	p := &Probe{
+		net:     n,
+		every:   every,
 		w:       n.Cfg.Width,
 		h:       n.Cfg.Height,
 		occSum:  make([]int64, len(n.Routers)),
@@ -48,12 +53,15 @@ func (n *Network) AttachProbe(every int64) *Probe {
 		scratch: make([]int64, len(n.Routers)),
 		linkSum: make([]int64, len(n.Routers)*meshLinks),
 	}
-	n.OnCycle(every, func(int64) { p.sample(n) })
+	n.Observe(p)
 	return p
 }
 
-// sample reads the live occupancy counters; an OnCycle hook, so it runs at the
-// end of Step on sampling cycles. Must not allocate.
+// Packet ignores lifecycle events: the probe only samples state.
+func (p *Probe) Packet(int64, *Packet, flight.Kind, int, int32, int32) {}
+
+// EndCycle reads the live occupancy counters on every `every`-th cycle.
+// Must not allocate.
 //
 // Occupancy counts both flits already buffered in a router's input VCs and
 // the NI injection backlog waiting to enter that router. Without the NI
@@ -62,7 +70,11 @@ func (n *Network) AttachProbe(every int64) *Probe {
 // occupancy), while a baseline CB's backlog piles up inside its NI queue —
 // invisible to the routers even though it is exactly the paper's Figure 4
 // hot spot.
-func (p *Probe) sample(n *Network) {
+func (p *Probe) EndCycle(now int64) {
+	if now%p.every != 0 {
+		return
+	}
+	n := p.net
 	p.samples++
 	n.occupancy(p.scratch)
 	for id, r := range n.Routers {

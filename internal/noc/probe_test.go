@@ -3,10 +3,10 @@ package noc
 import (
 	"bytes"
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 
+	"equinox/internal/flight"
 	"equinox/internal/telemetry"
 )
 
@@ -68,54 +68,85 @@ func TestProbeSampling(t *testing.T) {
 	}
 }
 
-// TestDeliveryHooksIndependentOfAttachOrder attaches a telemetry series and
-// a plain delivery hook to one network in both orders: each must see every
-// delivery either way (a later hook must never replace an earlier one).
-func TestDeliveryHooksIndependentOfAttachOrder(t *testing.T) {
-	const pkts, window = 60, 64
-	for _, hookLast := range []bool{true, false} {
-		n, err := New(DefaultConfig("t", 4, 4))
+// deliveryCheck is a test observer counting deliveries; each must arrive
+// with its delivery timestamp set and its latency as the event argument.
+type deliveryCheck struct {
+	t         *testing.T
+	delivered int64
+}
+
+func (d *deliveryCheck) Packet(now int64, p *Packet, k flight.Kind, _ int, a, _ int32) {
+	if k != flight.Ejected {
+		return
+	}
+	d.delivered++
+	if p.DeliveredAt != now || int64(a) != now-p.CreatedAt {
+		d.t.Errorf("packet %d ejected at cycle %d with DeliveredAt %d and latency %d", p.ID, now, p.DeliveredAt, a)
+	}
+}
+
+func (*deliveryCheck) EndCycle(int64) {}
+
+// TestObserversIndependentOfAttachOrder runs one EquiNox 8×8 hotspot run for
+// each attach order of the probe, the telemetry sampler and the flight
+// recorder, and requires byte-identical exports: no observer may see, or
+// change, another's effect. A test observer, attached first or last, must see
+// every delivery with its timestamp set.
+func TestObserversIndependentOfAttachOrder(t *testing.T) {
+	var nc schemeNet
+	for _, c := range schemeNetConfigs(t, 8) {
+		if c.cfg.Name == "EquiNox/reply" {
+			nc = c
+		}
+	}
+	var want []byte
+	for i, order := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		n, err := New(nc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var hooked int
-		hook := func(*Packet) { hooked++ }
+		check := &deliveryCheck{t: t}
+		if i%2 == 0 {
+			n.Observe(check)
+		}
+		var probe *Probe
 		var series *telemetry.Series
-		topts := telemetry.Options{SampleEvery: 16, WindowCycles: window}
-		if hookLast {
-			series = n.AttachTelemetry(topts)
-			n.OnDelivered(hook)
-		} else {
-			n.OnDelivered(hook)
-			series = n.AttachTelemetry(topts)
-		}
-		rng := rand.New(rand.NewSource(1))
-		sent := 0
-		// Run to quiescence, then on to the next window flush so the
-		// series' last deliveries are counted.
-		for cyc := 0; sent < pkts || !n.Quiescent() || n.Now()%window != 1; cyc++ {
-			if cyc > 5000 {
-				t.Fatal("network did not drain")
+		var rec *flight.Recorder
+		for _, o := range order {
+			switch o {
+			case 0:
+				probe = n.AttachProbe(8)
+			case 1:
+				series = n.AttachTelemetry(telemetry.Options{SampleEvery: 16, WindowCycles: 64, MaxWindows: 512})
+			case 2:
+				rec = n.AttachFlight(flight.Options{BufferCap: 1 << 17})
 			}
-			if sent < pkts {
-				p := &Packet{ID: int64(sent), Type: ReadReply, Src: rng.Intn(16), Dst: rng.Intn(16)}
-				if n.TryInject(p, n.Now()) {
-					sent++
-				}
-			}
-			for node := 0; node < 16; node++ {
-				for n.PopDelivered(node) != nil {
-				}
-			}
-			n.Step()
 		}
-		var windowed int64
-		for _, w := range series.Windows() {
-			windowed += w.LatCount
+		if i%2 == 1 {
+			n.Observe(check)
 		}
-		if hooked != pkts || windowed != pkts {
-			t.Errorf("hook attached last=%v: hook saw %d, telemetry %d of %d deliveries",
-				hookLast, hooked, windowed, pkts)
+		driveTraffic(t, n, nc, "hotspot", 1, 5000, func(int, int64) { n.Step() })
+		if check.delivered != n.Stats.TotalDelivered() {
+			t.Errorf("order %v: the test observer saw %d of %d deliveries", order, check.delivered, n.Stats.TotalDelivered())
+		}
+		if rec.Overwritten() != 0 {
+			t.Fatalf("flight ring overwrote %d events", rec.Overwritten())
+		}
+		var buf bytes.Buffer
+		if err := probe.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		tel := &telemetry.Capture{Series: []*telemetry.Series{series}}
+		if err := telemetry.WriteCSV(&buf, []telemetry.RunSummary{tel.Summary()}); err != nil {
+			t.Fatal(err)
+		}
+		if err := (&flight.Capture{Recorders: []*flight.Recorder{rec}}).WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("attach order %v changed the exports", order)
 		}
 	}
 }

@@ -427,8 +427,8 @@ func (r *Router) vcAllocate(now int64) {
 			bit := uint64(1) << uint(slot)
 			r.needVA &^= bit
 			r.ready |= bit
-			if n.flight != nil {
-				n.flightRecord(now, p, flight.VCAlloc, r.id, vb.outPort, vb.outVC)
+			if len(n.obs) != 0 {
+				n.emit(now, p, flight.VCAlloc, r.id, vb.outPort, vb.outVC)
 			}
 		}
 	}
@@ -462,9 +462,8 @@ func (r *Router) sendable(vb *vcBuf, now int64) bool {
 // switchAllocate runs separable input-first switch allocation over the
 // ready mask and traverses the granted flits, in ascending output port
 // order; routers are visited ascending, so flits leave the mesh's routers in
-// (router, output port) order. Returns the number of flits moved. The steady
-// state allocates nothing.
-func (r *Router) switchAllocate(now int64) int {
+// (router, output port) order. The steady state allocates nothing.
+func (r *Router) switchAllocate(now int64) {
 	n := r.net
 	nvc := n.nvc
 	m := r.ready
@@ -475,7 +474,7 @@ func (r *Router) switchAllocate(now int64) int {
 		// scoring. The round-robin pointers move exactly as they would below.
 		slot := bits.TrailingZeros64(m)
 		if !r.sendable(&r.vcs[slot], now) {
-			return 0
+			return
 		}
 		ipIx := int(n.slotPort[slot])
 		ip := &r.in[ipIx]
@@ -483,7 +482,7 @@ func (r *Router) switchAllocate(now int64) int {
 			ip.rrVC = 0
 		}
 		r.traverse(slot, now)
-		return 1
+		return
 	}
 	vcMask := uint64(1)<<uint(nvc) - 1
 	nin := len(r.in)
@@ -535,14 +534,12 @@ func (r *Router) switchAllocate(now int64) int {
 	}
 
 	// Switch traversal (ascending output port, for determinism).
-	moved := bits.OnesCount64(granted)
 	for ; granted != 0; granted &= granted - 1 {
 		op := &r.out[bits.TrailingZeros64(granted)]
 		slot := op.grant
 		op.grant = noAlloc
 		r.traverse(slot, now)
 	}
-	return moved
 }
 
 // traverse moves the head flit of the granted VC in slot through the
@@ -564,8 +561,8 @@ func (r *Router) traverse(slot int, now int64) {
 	}
 	r.occupancyCycles += now - vb.headEntered
 	f := vb.pop(n.flits)
-	if n.flight != nil && f.IsHead {
-		n.flightRecord(now, n.pkts[f.pkt], flight.SAGrant, r.id, pi, outVC)
+	if len(n.obs) != 0 && f.IsHead {
+		n.emit(now, n.pkts[f.pkt], flight.SAGrant, r.id, pi, outVC)
 	}
 	// Return a credit upstream, deferred to the end of the phase (see
 	// Network.credits). NI-fed ports take no credits.
@@ -583,8 +580,9 @@ func (r *Router) traverse(slot int, now int64) {
 		op.lastSent = now
 		f.enteredRouter = now + 1
 		to := op.toSlot + outVC
-		if n.flight != nil && f.IsHead {
-			n.flightLink(now, n.pkts[f.pkt], op.to, to)
+		if len(n.obs) != 0 && f.IsHead {
+			port := int32(n.slotPort[to])
+			n.emit(now, n.pkts[f.pkt], flight.LinkTraverse, int(op.to), port, to-port*int32(n.nvc))
 		}
 		n.Routers[op.to].accept(int(to), f)
 	}

@@ -1,19 +1,22 @@
 package noc
 
 import (
+	"equinox/internal/flight"
 	"equinox/internal/telemetry"
 )
 
-// telemetrySampler drives one network's telemetry.Series from the cycle
-// loop. Like Probe, all of its state is preallocated at attach time and
-// every per-cycle path is allocation-free (pinned by TestStepDoesNotAllocate).
+// telemetrySampler is the observer driving one network's telemetry.Series:
+// latencies from Ejected events, occupancy and flit counts from EndCycle.
+// Like Probe, all of its state is preallocated at attach time and every
+// per-cycle path is allocation-free (pinned by TestStepDoesNotAllocate).
 //
-// Cadences: occupancy is sampled every SampleEvery cycles (the stride of the
-// OnCycle hook), and the window flushes every `window` cycles — a multiple of
-// the stride, so flush boundaries always land on sampling cycles.
+// Cadences: occupancy is sampled every `every` (SampleEvery) cycles, and the
+// window flushes every `window` cycles — a multiple of the stride, so flush
+// boundaries always land on sampling cycles.
 type telemetrySampler struct {
-	window int64
-	series *telemetry.Series
+	net           *Network
+	every, window int64
+	series        *telemetry.Series
 
 	// scratch holds one sample's per-router occupancy totals (input VC
 	// flits plus NI injection backlog), reused across samples.
@@ -25,26 +28,36 @@ type telemetrySampler struct {
 	lastEject   int64
 }
 
-// AttachTelemetry builds a windowed time-series for this network, registers
-// its latency observer as a delivery hook, and starts sampling. The
-// returned Series is live: read it during the run for online detector
-// verdicts, or Snapshot it after RunToCompletion.
+// AttachTelemetry builds a windowed time-series for this network and
+// attaches its sampler. The returned Series is live: read it during the run
+// for online detector verdicts, or Snapshot it after RunToCompletion.
 func (n *Network) AttachTelemetry(opts telemetry.Options) *telemetry.Series {
 	opts = opts.WithDefaults()
 	s := telemetry.NewSeries(n.Cfg.Name, n.Cfg.Nodes(), n.Cfg.ClockGHz, opts)
 	t := &telemetrySampler{
+		net:     n,
+		every:   opts.SampleEvery,
 		window:  opts.WindowCycles,
 		series:  s,
 		scratch: make([]int64, len(n.Routers)),
 	}
-	n.OnCycle(opts.SampleEvery, func(now int64) { t.tick(n, now) })
-	n.OnDelivered(func(pkt *Packet) { s.ObserveLatency(pkt.DeliveredAt - pkt.CreatedAt) })
+	n.Observe(t)
 	return t.series
 }
 
-// tick is the sampler's OnCycle hook. Must not allocate.
-func (t *telemetrySampler) tick(n *Network, now int64) {
-	// Occupancy sample: the same accounting as Probe.sample.
+func (t *telemetrySampler) Packet(_ int64, _ *Packet, k flight.Kind, _ int, a, _ int32) {
+	if k == flight.Ejected {
+		t.series.ObserveLatency(int64(a))
+	}
+}
+
+// EndCycle samples on every `every`-th cycle. Must not allocate.
+func (t *telemetrySampler) EndCycle(now int64) {
+	if now%t.every != 0 {
+		return
+	}
+	n := t.net
+	// Occupancy sample: the same accounting as Probe.EndCycle.
 	n.occupancy(t.scratch)
 	var total, max int64
 	for _, occ := range t.scratch {

@@ -29,15 +29,22 @@ func (s *System) AttachFlight(opts flight.Options) *flight.Capture {
 const flightDumpEvents = 200
 
 // checkFlightWatchdog sweeps the starvation watchdog over every traced
-// network (each against its own clock domain) and, when one fires, returns
-// the failure with the recorder's last-window events formatted into it.
+// network (each against its own clock domain): it fires when a network has
+// held packets in flight without ejecting any for longer than the recorder's
+// stall limit. A quiescent network re-arms the baseline instead, so idle
+// stretches never read as starvation. When one fires, the failure carries
+// the recorder's last-window events.
 func (s *System) checkFlightWatchdog() error {
 	for i, n := range s.nets {
-		starved, fired := n.FlightStarved()
-		if !fired {
+		rec := s.flight.Recorders[i]
+		if n.Quiescent() {
+			rec.Arm(n.Now())
 			continue
 		}
-		rec := s.flight.Recorders[i]
+		starved := rec.StarvedFor(n.Now())
+		if rec.StallLimit() < 0 || starved <= rec.StallLimit() {
+			continue
+		}
 		rec.NoteStarvation()
 		evs := rec.TailEvents(flightDumpEvents)
 		return fmt.Errorf("sim: starvation watchdog: network %q ejected nothing for %d cycles with %d packets in flight; last %d traced events:\n%s",

@@ -70,8 +70,8 @@ type System struct {
 	replyRR  []int          // per-bank round-robin over carriers
 	// fastAcc accumulates the fast clock domain's fractional steps per core
 	// cycle. It is one accumulator for all fast networks: they step
-	// round-robin inside it, so their delivery hooks interleave per fast
-	// cycle rather than network by network.
+	// round-robin inside it, so their deliveries reach observers interleaved
+	// per fast cycle rather than network by network.
 	fastAcc float64
 	now     int64
 

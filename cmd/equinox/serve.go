@@ -118,7 +118,6 @@ func serveCommand(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 			if err != nil {
 				return err
 			}
-			defer disk.Close()
 			persist = disk
 			log.Printf("persistent result store at %s (%d entries, %d bytes)",
 				*stDir, disk.Len(), disk.SizeBytes())

@@ -92,7 +92,5 @@ func (s *faultStore) tearWrite(key string, val []byte) {
 	os.WriteFile(filepath.Join(dir, key), torn, 0o644) //nolint:errcheck
 }
 
-func (s *faultStore) Remove(key string) { s.inner.Remove(key) }
-func (s *faultStore) Len() int          { return s.inner.Len() }
-func (s *faultStore) SizeBytes() int64  { return s.inner.SizeBytes() }
-func (s *faultStore) Close() error      { return s.inner.Close() }
+func (s *faultStore) Len() int         { return s.inner.Len() }
+func (s *faultStore) SizeBytes() int64 { return s.inner.SizeBytes() }

@@ -1,15 +1,12 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"log/slog"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 
 	"equinox/internal/obs"
@@ -20,14 +17,15 @@ import (
 //
 //	objects/<key[:2]>/<key>   one file per entry: header + payload
 //	tmp/                      scratch files for atomic writes
-//	index.log                 append-only fsync'd index of puts/removes
 //
-// Writes are atomic: the entry is written to tmp/, fsync'd, then renamed
-// into objects/ (rename within one filesystem is atomic, so readers see
-// either the old entry or the new one, never a torn write), and finally
-// recorded in index.log with an fsync. Because the store is
-// content-addressed, two nodes racing to write one key are writing
-// equivalent values and last-rename-wins is correct.
+// The object files are the store's only record. A Put is one WriteAtomic:
+// the entry is written to tmp/, fsync'd, renamed into objects/ (rename
+// within one filesystem is atomic, so readers see either the old entry or
+// the new one, never a torn write), and the directory is fsync'd. Because
+// the store is content-addressed, two nodes racing to write one key are
+// writing equivalent values and last-rename-wins is correct. Any other
+// file in the root (such as an index.log an older version kept) is
+// ignored.
 //
 // Each entry file carries a magic, the payload length, and a CRC32 of the
 // payload, so a truncated or corrupted entry is detected on reload (and on
@@ -35,12 +33,6 @@ import (
 const (
 	diskMagic     = "EQNXST1\n"
 	diskHeaderLen = len(diskMagic) + 8 + 4 // magic + length + crc32
-)
-
-// Index record operations.
-const (
-	indexPut = "put"
-	indexDel = "del"
 )
 
 // Disk is a persistent content-addressed store rooted at a directory. It
@@ -53,15 +45,14 @@ type Disk struct {
 	log *slog.Logger
 
 	mu    sync.Mutex
-	index *os.File // index.log, opened O_APPEND
 	sizes map[string]int64
 	bytes int64
 }
 
 // OpenDisk opens (creating if needed) a disk store rooted at dir. Corrupt
-// or missing entries found during reload are skipped with a warning on
-// logger (nil discards); reload never fails on bad entries, only on an
-// unusable directory.
+// entries found during reload are skipped with a warning on logger (nil
+// discards); reload never fails on bad entries, only on an unusable
+// directory.
 func OpenDisk(dir string, logger *slog.Logger) (*Disk, error) {
 	if logger == nil {
 		logger = obs.NopLogger()
@@ -75,15 +66,8 @@ func OpenDisk(dir string, logger *slog.Logger) (*Disk, error) {
 	if err := d.reload(); err != nil {
 		return nil, err
 	}
-	idx, err := os.OpenFile(d.indexPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	d.index = idx
 	return d, nil
 }
-
-func (d *Disk) indexPath() string { return filepath.Join(d.dir, "index.log") }
 
 func (d *Disk) objectPath(key string) string {
 	prefix := key
@@ -93,33 +77,9 @@ func (d *Disk) objectPath(key string) string {
 	return filepath.Join(d.dir, "objects", prefix, key)
 }
 
-// reload rebuilds the in-memory index: replay index.log (tolerating a
-// truncated tail and unknown lines), then sweep the objects tree for
-// entries the index missed (a crash between rename and index append, or
-// another process's writes). Every surviving entry is validated; corrupt
-// ones are skipped with a warning.
+// reload rebuilds the in-memory index by sweeping the objects tree and
+// validating every entry; corrupt ones are skipped with a warning.
 func (d *Disk) reload() error {
-	if f, err := os.Open(d.indexPath()); err == nil {
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 4096), 1<<20)
-		for sc.Scan() {
-			fields := strings.Fields(sc.Text())
-			if len(fields) < 2 {
-				continue // truncated or foreign line
-			}
-			switch fields[0] {
-			case indexPut:
-				d.sizes[fields[1]] = -1 // size learned during validation
-			case indexDel:
-				delete(d.sizes, fields[1])
-			}
-		}
-		f.Close()
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("store: %w", err)
-	}
-
-	// Union with the directory contents.
 	prefixes, err := os.ReadDir(filepath.Join(d.dir, "objects"))
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -136,22 +96,15 @@ func (d *Disk) reload() error {
 			if !e.Type().IsRegular() {
 				continue
 			}
-			if _, ok := d.sizes[e.Name()]; !ok {
-				d.sizes[e.Name()] = -1
+			key := e.Name()
+			payload, err := d.readEntry(key)
+			if err != nil {
+				d.log.Warn("store: skipping corrupt entry on reload", "key", key, "error", err.Error())
+				continue
 			}
+			d.sizes[key] = int64(len(payload))
+			d.bytes += int64(len(payload))
 		}
-	}
-
-	// Validate what we believe we have.
-	for key := range d.sizes {
-		payload, err := d.readEntry(key)
-		if err != nil {
-			d.log.Warn("store: skipping corrupt entry on reload", "key", key, "error", err.Error())
-			delete(d.sizes, key)
-			continue
-		}
-		d.sizes[key] = int64(len(payload))
-		d.bytes += int64(len(payload))
 	}
 	return nil
 }
@@ -191,7 +144,10 @@ func (d *Disk) Get(key string) ([]byte, bool) {
 				d.log.Warn("store: dropping unreadable entry", "key", key, "error", err.Error())
 			}
 			d.mu.Lock()
-			d.dropLocked(key)
+			if prev, ok := d.sizes[key]; ok {
+				d.bytes -= prev
+				delete(d.sizes, key)
+			}
 			d.mu.Unlock()
 		}
 		return nil, false
@@ -207,12 +163,15 @@ func (d *Disk) Get(key string) ([]byte, bool) {
 	return payload, true
 }
 
-// Put writes the entry atomically (temp file, fsync, rename) and appends
-// an fsync'd index record. Persistent stores never evict, so it always
-// returns nil; a write failure is logged and the entry simply stays
-// absent.
+// Put writes the entry with WriteAtomic. Persistent stores never evict,
+// so it always returns nil; a write failure is logged and the entry simply
+// stays absent.
 func (d *Disk) Put(key string, val []byte) []string {
-	if err := d.writeEntry(key, val); err != nil {
+	header := make([]byte, diskHeaderLen)
+	copy(header, diskMagic)
+	binary.BigEndian.PutUint64(header[len(diskMagic):], uint64(len(val)))
+	binary.BigEndian.PutUint32(header[len(diskMagic)+8:], crc32.ChecksumIEEE(val))
+	if err := WriteAtomic(filepath.Join(d.dir, "tmp"), d.objectPath(key), header, val); err != nil {
 		d.log.Warn("store: put failed", "key", key, "error", err.Error())
 		return nil
 	}
@@ -223,74 +182,7 @@ func (d *Disk) Put(key string, val []byte) []string {
 	}
 	d.sizes[key] = int64(len(val))
 	d.bytes += int64(len(val))
-	if d.index != nil {
-		line := indexPut + " " + key + " " + strconv.Itoa(len(val)) + "\n"
-		if _, err := d.index.WriteString(line); err == nil {
-			d.index.Sync()
-		}
-	}
 	return nil
-}
-
-func (d *Disk) writeEntry(key string, val []byte) error {
-	tmp, err := os.CreateTemp(filepath.Join(d.dir, "tmp"), key+".*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	header := make([]byte, diskHeaderLen)
-	copy(header, diskMagic)
-	binary.BigEndian.PutUint64(header[len(diskMagic):], uint64(len(val)))
-	binary.BigEndian.PutUint32(header[len(diskMagic)+8:], crc32.ChecksumIEEE(val))
-	if _, err := tmp.Write(header); err != nil {
-		tmp.Close()
-		return err
-	}
-	if _, err := tmp.Write(val); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	dst := d.objectPath(key)
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		return err
-	}
-	// Persist the rename itself; best-effort (some filesystems reject
-	// directory fsync).
-	if dirf, err := os.Open(filepath.Dir(dst)); err == nil {
-		dirf.Sync()
-		dirf.Close()
-	}
-	return nil
-}
-
-// Remove deletes the entry file and records a tombstone in the index.
-func (d *Disk) Remove(key string) {
-	os.Remove(d.objectPath(key))
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.dropLocked(key)
-	if d.index != nil {
-		if _, err := d.index.WriteString(indexDel + " " + key + "\n"); err == nil {
-			d.index.Sync()
-		}
-	}
-}
-
-func (d *Disk) dropLocked(key string) {
-	if prev, ok := d.sizes[key]; ok {
-		d.bytes -= prev
-		delete(d.sizes, key)
-	}
 }
 
 // Len returns the number of entries believed present.
@@ -307,14 +199,5 @@ func (d *Disk) SizeBytes() int64 {
 	return d.bytes
 }
 
-// Close closes the index file handle.
-func (d *Disk) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.index == nil {
-		return nil
-	}
-	err := d.index.Close()
-	d.index = nil
-	return err
-}
+// Close returns nil: a Disk holds no open files between calls.
+func (d *Disk) Close() error { return nil }

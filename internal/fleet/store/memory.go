@@ -75,17 +75,6 @@ func (m *Memory) Put(key string, val []byte) (evicted []string) {
 	return evicted
 }
 
-// Remove drops an entry if present.
-func (m *Memory) Remove(key string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if el, ok := m.items[key]; ok {
-		m.ll.Remove(el)
-		delete(m.items, key)
-		m.bytes -= int64(len(el.Value.(*memEntry).val))
-	}
-}
-
 // Len returns the number of cached entries.
 func (m *Memory) Len() int {
 	m.mu.Lock()
@@ -99,6 +88,3 @@ func (m *Memory) SizeBytes() int64 {
 	defer m.mu.Unlock()
 	return m.bytes
 }
-
-// Close is a no-op for the in-memory store.
-func (m *Memory) Close() error { return nil }

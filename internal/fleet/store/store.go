@@ -10,12 +10,17 @@
 //
 //   - Memory: a bounded in-process LRU (entry-count and approximate-byte
 //     limits) — the pre-fleet single-process cache.
-//   - Disk: a persistent on-disk store (atomic write-temp-rename, fsync'd
-//     append-only index, corruption-tolerant reload) safe for concurrent
-//     writers on one directory.
+//   - Disk: a persistent on-disk store (one CRC-framed object file per
+//     entry, written by atomic write-temp-rename, validated on every read
+//     and on reload) safe for concurrent writers on one directory.
 //   - Tiered: a Memory read-through layer over a Disk (or any) backing
 //     store.
 package store
+
+import (
+	"os"
+	"path/filepath"
+)
 
 // Store is a content-addressed blob store. All implementations are safe
 // for concurrent use.
@@ -29,16 +34,47 @@ type Store interface {
 	// bookkeeping for evicted results.
 	Put(key string, val []byte) (evicted []string)
 
-	// Remove drops an entry if present.
-	Remove(key string)
-
 	// Len returns the number of retrievable entries.
 	Len() int
 
 	// SizeBytes returns the approximate total payload bytes held.
 	SizeBytes() int64
+}
 
-	// Close releases resources (file handles); the store is unusable
-	// afterwards. Memory stores treat it as a no-op.
-	Close() error
+// WriteAtomic replaces dst with the concatenated chunks so that a crash
+// leaves either the old file or the new one, never a torn write: the bytes
+// go to a temp file in tmpDir (which must share dst's filesystem), are
+// fsync'd, and the file is renamed onto dst, whose directory is created if
+// needed and then fsync'd to persist the rename.
+func WriteAtomic(tmpDir, dst string, chunks ...[]byte) error {
+	tmp, err := os.CreateTemp(tmpDir, filepath.Base(dst)+".*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	for _, c := range chunks {
+		if _, err := tmp.Write(c); err != nil {
+			tmp.Close()
+			return err
+		}
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp.Name(), dst); err != nil {
+		return err
+	}
+	// Best-effort: some filesystems reject directory fsync.
+	if dirf, err := os.Open(filepath.Dir(dst)); err == nil {
+		dirf.Sync()
+		dirf.Close()
+	}
+	return nil
 }

@@ -36,23 +36,8 @@ func (t *Tiered) Put(key string, val []byte) []string {
 	return nil
 }
 
-// Remove drops the entry from both tiers.
-func (t *Tiered) Remove(key string) {
-	t.front.Remove(key)
-	t.back.Remove(key)
-}
-
 // Len counts the durable tier's entries.
 func (t *Tiered) Len() int { return t.back.Len() }
 
 // SizeBytes reports the durable tier's payload bytes.
 func (t *Tiered) SizeBytes() int64 { return t.back.SizeBytes() }
-
-// Close closes both tiers.
-func (t *Tiered) Close() error {
-	ferr := t.front.Close()
-	if berr := t.back.Close(); berr != nil {
-		return berr
-	}
-	return ferr
-}

@@ -613,6 +613,38 @@ func TestSweepUnitsKeepJobDocuments(t *testing.T) {
 	}
 }
 
+// TestJobRecordsBoundedWithDiskStore: with a persistent tier, evicting a
+// job document from memory still forgets the finished job, so job records
+// (with their artifacts and event history) stay bounded by CacheEntries,
+// while a forgotten job's GET still answers 200 from the disk.
+func TestJobRecordsBoundedWithDiskStore(t *testing.T) {
+	disk, err := store.OpenDisk(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{Workers: 1, CacheEntries: 2, Store: disk})
+	var ids []string
+	for seed := int64(1); seed <= 6; seed++ {
+		spec := smallSpec()
+		spec.Seed = seed
+		sub, _ := submit(t, ts, spec)
+		fetchResult(t, ts, sub.ID)
+		ids = append(ids, sub.ID)
+	}
+	s.mu.Lock()
+	records := len(s.jobs)
+	s.mu.Unlock()
+	if records != 2 {
+		t.Errorf("%d job records after 6 finished jobs, want 2 (CacheEntries)", records)
+	}
+	if st, code := getJob(t, ts, ids[0]); code != http.StatusOK || st.Status != JobDone || len(st.Result) == 0 {
+		t.Fatalf("forgotten job: %d %s (result %d bytes), want 200 done from disk", code, st.Status, len(st.Result))
+	}
+	if m := getMetrics(t, ts); m["equinox_cache_entries"] != 6 {
+		t.Errorf("equinox_cache_entries = %d, want 6 (the disk tier)", m["equinox_cache_entries"])
+	}
+}
+
 // TestCacheBytesExported: the byte-size gauge reflects stored results.
 func TestCacheBytesExported(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -10,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"equinox/internal/fleet/store"
 	"equinox/internal/obs"
 )
 
@@ -22,10 +24,11 @@ import (
 // through the store.
 //
 // The format borrows the store's machinery: appends of durable records
-// (submissions and terminals) are fsync'd like index.log appends, replay
-// tolerates a truncated tail and unknown lines, and compaction — which
-// drops finished jobs on open — rewrites the file with the store's
-// tmp-fsync-rename idiom so a crash mid-compaction loses nothing.
+// (submissions and terminals) are fsync'd, replay tolerates a truncated
+// tail and unknown lines like the store's reload tolerates corrupt
+// objects, and compaction — which drops finished jobs on open — rewrites
+// the file with the store's WriteAtomic so a crash mid-compaction loses
+// nothing.
 //
 // Records, one JSON object per line:
 //
@@ -97,9 +100,6 @@ func OpenJournal(dir string, logger *slog.Logger) (*Journal, error) {
 
 func (j *Journal) path() string { return filepath.Join(j.dir, journalName) }
 
-// Dir returns the journal's directory.
-func (j *Journal) Dir() string { return j.dir }
-
 // replay scans the journal, tolerating a truncated tail and foreign
 // lines, and returns the jobs whose last state is still pending plus
 // the count of finished jobs compaction will drop. Submit records
@@ -160,38 +160,19 @@ func (j *Journal) replay() (pending []PendingJob, dropped int, err error) {
 	return pending, dropped, nil
 }
 
-// compact rewrites the journal to hold only the pending submissions,
-// atomically: write to a temp file in the journal dir, fsync, rename
-// over journal.log.
+// compact atomically rewrites the journal to hold only the pending
+// submissions.
 func (j *Journal) compact(pending []PendingJob) error {
-	tmp, err := os.CreateTemp(j.dir, journalName+".*")
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	enc := json.NewEncoder(tmp)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	for _, p := range pending {
 		rec := journalRecord{Op: "submit", ID: p.ID, Spec: p.Spec, T: time.Now().UTC()}
 		if err := enc.Encode(rec); err != nil {
-			tmp.Close()
 			return fmt.Errorf("journal: %w", err)
 		}
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
+	if err := store.WriteAtomic(j.dir, j.path(), buf.Bytes()); err != nil {
 		return fmt.Errorf("journal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), j.path()); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	// Persist the rename itself; best-effort (some filesystems reject
-	// directory fsync).
-	if dirf, err := os.Open(j.dir); err == nil {
-		dirf.Sync()
-		dirf.Close()
 	}
 	return nil
 }

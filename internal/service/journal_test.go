@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"equinox/internal/fleet"
@@ -66,6 +67,79 @@ func TestJournalReplayAndCompaction(t *testing.T) {
 	if p := openTestJournal(t, dir).Pending(); len(p) != 0 {
 		t.Fatalf("pending after terminal = %+v, want none", p)
 	}
+}
+
+// FuzzJournalReplay plants arbitrary bytes as journal.log. OpenJournal
+// must accept them, every pending job must come from a submit record, and
+// compaction must be a fixed point: reopening the compacted journal yields
+// the same jobs with the same specs (re-encoded compactly, so compared as
+// JSON values), and a second compaction changes nothing at all.
+func FuzzJournalReplay(f *testing.F) {
+	for _, seed := range []string{
+		`{"op":"submit","id":"a","spec":{"schemes":["SingleBase"]},"t":"2026-01-01T00:00:00Z"}` + "\n" +
+			`{"op":"terminal","id":"a","sta`,
+		`{"op":"submit","id":"a","spec":{"width":4}}` + "\n" + `{"op":"rewind","id":"a"}` + "\n" +
+			`{"op":"submit","id":"b","spec":{ "width" : 8 }}` + "\n" + `{"op":"terminal","id":"b","state":"done"}`,
+		`{"op":"submit","id":"a"}` + "\n" + `{"op":"unit","id":"a","key":"u1","status":"leased"}` + "\n" +
+			`{"op":"unit","id":"a","key":"u1","status":"completed"}` + "\n",
+		"not json\n\n{}\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, journalName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		open := func() []PendingJob {
+			j, err := OpenJournal(dir, nil)
+			if err != nil {
+				t.Fatalf("OpenJournal: %v", err)
+			}
+			defer j.Close()
+			return j.Pending()
+		}
+		first, second, third := open(), open(), open()
+
+		submitted := map[string]bool{}
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			var rec journalRecord
+			if json.Unmarshal(line, &rec) == nil && rec.Op == "submit" {
+				submitted[rec.ID] = true
+			}
+		}
+		for _, p := range first {
+			if !submitted[p.ID] {
+				t.Fatalf("pending job %q has no submit record", p.ID)
+			}
+		}
+		if len(second) != len(first) {
+			t.Fatalf("compaction changed pending jobs: %d -> %d", len(first), len(second))
+		}
+		for i := range first {
+			if second[i].ID != first[i].ID || !sameJSON(second[i].Spec, first[i].Spec) {
+				t.Fatalf("pending[%d] = %q %s after compaction, want %q %s",
+					i, second[i].ID, second[i].Spec, first[i].ID, first[i].Spec)
+			}
+		}
+		if !reflect.DeepEqual(third, second) {
+			t.Fatalf("compaction is not a fixed point:\n%+v\n%+v", second, third)
+		}
+	})
+}
+
+// sameJSON reports whether a and b are byte-equal or decode to equal
+// values (numbers compared by their text).
+func sameJSON(a, b json.RawMessage) bool {
+	decode := func(raw json.RawMessage) (v any, err error) {
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.UseNumber()
+		err = dec.Decode(&v)
+		return v, err
+	}
+	va, ea := decode(a)
+	vb, eb := decode(b)
+	return bytes.Equal(a, b) || (ea == nil && eb == nil && reflect.DeepEqual(va, vb))
 }
 
 // TestJournalTolerantsTruncatedTail simulates a crash mid-append: a

@@ -123,14 +123,10 @@ func New(cfg Config) *Server {
 		log:  cfg.Logger,
 	}
 	s.store = &results{
-		Store: store.NewMemory(cfg.CacheEntries, cfg.CacheBytes),
+		jobs:  store.NewMemory(cfg.CacheEntries, cfg.CacheBytes),
 		units: store.NewMemory(cfg.CacheEntries, cfg.CacheBytes),
+		disk:  cfg.Store,
 		s:     s,
-	}
-	if cfg.Store != nil {
-		// The disk keeps whatever memory evicts, so one tier serves both.
-		s.store.Store = store.NewTiered(s.store.Store, cfg.Store)
-		s.store.units = s.store.Store
 	}
 	if s.log == nil {
 		s.log = obs.NopLogger()
@@ -241,51 +237,65 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // results is the result store the server reads and the coordinator, its
 // one writer, fills. Job documents (a one-unit job's id is its unit's key)
 // and the unit results of multi-unit jobs sit in separate memory LRUs, so
-// a sweep's units never evict an earlier job's document, and with it the
-// finished job.
+// a sweep's units never evict an earlier job's document. Evicting a
+// document forgets its finished job, disk tier or not, which bounds the
+// job records; the optional disk tier behind both LRUs keeps every result.
 type results struct {
-	store.Store             // job documents
-	units       store.Store // unit results; the same tier over a disk store
+	jobs, units *store.Memory
+	disk        store.Store // Config.Store; nil without a persistent tier
 	s           *Server
 }
 
 func (r *results) Get(key string) ([]byte, bool) {
-	if v, ok := r.Store.Get(key); ok || r.units == r.Store {
+	if v, ok := r.jobs.Get(key); ok {
+		return v, true
+	}
+	if v, ok := r.units.Get(key); ok || r.disk == nil {
 		return v, ok
 	}
-	return r.units.Get(key)
+	v, ok := r.disk.Get(key)
+	if ok {
+		// Callers may hold s.mu, so a promotion must not evict job records.
+		r.units.Put(key, v)
+	}
+	return v, ok
 }
 
-func (r *results) Put(key string, val []byte) []string {
-	r.s.mu.Lock()
-	_, isJob := r.s.jobs[key]
-	r.s.mu.Unlock()
-	if !isJob {
-		return r.units.Put(key, val)
+func (r *results) Put(key string, val []byte) (evicted []string) {
+	if r.disk != nil {
+		r.disk.Put(key, val)
 	}
-	evicted := r.Store.Put(key, val)
 	r.s.mu.Lock()
 	defer r.s.mu.Unlock()
-	for _, k := range evicted {
-		if j, ok := r.s.jobs[k]; ok && j.state.Finished() {
-			delete(r.s.jobs, k)
+	if _, isJob := r.s.jobs[key]; !isJob {
+		evicted = r.units.Put(key, val)
+	} else {
+		evicted = r.jobs.Put(key, val)
+		for _, k := range evicted {
+			if j, ok := r.s.jobs[k]; ok && j.state.Finished() {
+				delete(r.s.jobs, k)
+			}
 		}
+	}
+	if r.disk != nil {
+		return nil // the disk tier still holds whatever memory evicted
 	}
 	return evicted
 }
 
+// Len and SizeBytes count the disk tier when there is one, else both LRUs.
 func (r *results) Len() int {
-	if r.units == r.Store {
-		return r.Store.Len()
+	if r.disk != nil {
+		return r.disk.Len()
 	}
-	return r.Store.Len() + r.units.Len()
+	return r.jobs.Len() + r.units.Len()
 }
 
 func (r *results) SizeBytes() int64 {
-	if r.units == r.Store {
-		return r.Store.SizeBytes()
+	if r.disk != nil {
+		return r.disk.SizeBytes()
 	}
-	return r.Store.SizeBytes() + r.units.SizeBytes()
+	return r.jobs.SizeBytes() + r.units.SizeBytes()
 }
 
 // captureFlight keeps a traced job's flight-recorder artifact, which its

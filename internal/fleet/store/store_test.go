@@ -263,16 +263,16 @@ func TestDiskCorruptEntrySkippedOnReload(t *testing.T) {
 		t.Fatalf("reload with corrupt entries must not fail: %v", err)
 	}
 	defer d2.Close()
-	if got, ok := d.Get("good"); !ok || string(got) != "fine" {
+	if got, ok := d2.Get("good"); !ok || string(got) != "fine" {
 		t.Errorf("good entry lost: %q %v", got, ok)
 	}
 	for _, key := range []string{"truncated", "garbage"} {
-		if _, ok := d.Get(key); ok {
+		if _, ok := d2.Get(key); ok {
 			t.Errorf("%s entry served despite corruption", key)
 		}
 	}
-	if d.Len() != 1 {
-		t.Errorf("len = %d, want 1", d.Len())
+	if d2.Len() != 1 {
+		t.Errorf("len = %d, want 1", d2.Len())
 	}
 	if n := strings.Count(logBuf.String(), "skipping corrupt entry"); n != 2 {
 		t.Errorf("warnings = %d, want 2\n%s", n, logBuf.String())

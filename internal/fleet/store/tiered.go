@@ -4,7 +4,9 @@ package store
 // store (typically Disk). Reads hit the front first and promote back-store
 // hits; writes go to both. Because the back store retains everything, a
 // front-tier eviction never makes a key unretrievable, so Put reports no
-// evictions to the owner.
+// evictions to the owner. No program code uses it: the service's result
+// store reads and writes through its disk tier itself. It is kept only for
+// bench/'s store.tiered_miss_us rung.
 type Tiered struct {
 	front Store
 	back  Store

@@ -277,9 +277,6 @@ func (r *results) Put(key string, val []byte) (evicted []string) {
 			}
 		}
 	}
-	if r.disk != nil {
-		return nil // the disk tier still holds whatever memory evicted
-	}
 	return evicted
 }
 

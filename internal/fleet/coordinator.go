@@ -486,9 +486,8 @@ func (c *Coordinator) Lease(worker string) (LeaseResponse, bool) {
 	resp, d, ok := c.grantNextLocked(worker, nil, now)
 	c.mu.Unlock()
 	if ok {
-		// The grant event feeds SSE progress and the job journal's
-		// unit-grant records; delivered outside the lock like all
-		// callbacks.
+		// The grant event feeds SSE progress; delivered outside the lock
+		// like all callbacks.
 		c.deliver([]delivery{d})
 	}
 	return resp, ok
@@ -652,8 +651,9 @@ func (c *Coordinator) heartbeat(_ context.Context, req HeartbeatRequest) (Heartb
 	return HeartbeatResponse{Canceled: c.Heartbeat(req.Worker, req.LeaseIDs)}, nil
 }
 
-// Heartbeat marks the worker alive, renews the listed leases, and
-// returns the ones the worker should abandon.
+// Heartbeat marks the worker alive, renews the listed leases it holds,
+// and returns the ones it should abandon. A lease another worker holds is
+// returned too but left as it is, so it expires if its holder died.
 func (c *Coordinator) Heartbeat(worker string, leaseIDs []string) (canceled []string) {
 	now := c.cfg.Now()
 	c.mu.Lock()
@@ -661,6 +661,10 @@ func (c *Coordinator) Heartbeat(worker string, leaseIDs []string) (canceled []st
 	c.touchWorkerLocked(worker, now)
 	for _, id := range leaseIDs {
 		l, ok := c.leases[id]
+		if ok && l.worker != worker {
+			canceled = append(canceled, id)
+			continue
+		}
 		if !ok || l.canceled || l.unit.state != unitLeased {
 			canceled = append(canceled, id)
 			if ok {
@@ -801,7 +805,21 @@ func (c *Coordinator) sweep(now time.Time) {
 	for w, seen := range c.workers {
 		if now.Sub(seen) > c.cfg.WorkerTTL {
 			delete(c.workers, w)
+			c.met.WorkerLastSeen.Delete(w)
+			c.met.WorkerBusy.Delete(w)
 			c.log.Info("worker expired", "worker", w)
+		}
+	}
+	// An expired worker's circuit gauge goes with it. Its breaker outlives
+	// it only while open, so a restart under the same name still serves
+	// the quarantine.
+	for w, b := range c.breakers {
+		if _, live := c.workers[w]; live {
+			continue
+		}
+		c.met.WorkerCircuit.Delete(w)
+		if b.state != breakerOpen || !now.Before(b.openUntil) {
+			delete(c.breakers, w)
 		}
 	}
 	deliveries = append(deliveries, c.handOffLocked(now)...)
@@ -820,7 +838,11 @@ func (c *Coordinator) dropLeaseLocked(l *lease) {
 		c.workerLeases[l.worker] = n
 	} else {
 		delete(c.workerLeases, l.worker)
-		c.met.WorkerBusy.With(l.worker).Set(0)
+		if _, live := c.workers[l.worker]; live {
+			c.met.WorkerBusy.With(l.worker).Set(0)
+		} else {
+			c.met.WorkerBusy.Delete(l.worker) // it expired holding the lease
+		}
 	}
 }
 

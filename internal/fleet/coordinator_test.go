@@ -416,3 +416,122 @@ func TestCoordinatorDuplicateSubmitRejected(t *testing.T) {
 		t.Fatalf("duplicate submit: %v", err)
 	}
 }
+
+// fakeClock is a coordinator clock that moves only when told to.
+type fakeClock struct{ ns atomic.Int64 }
+
+func newFakeClock() *fakeClock {
+	clk := &fakeClock{}
+	clk.ns.Store(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano())
+	return clk
+}
+
+func (clk *fakeClock) now() time.Time          { return time.Unix(0, clk.ns.Load()) }
+func (clk *fakeClock) advance(d time.Duration) { clk.ns.Add(int64(d)) }
+
+// TestHeartbeatRenewsOnlyOwnLeases: a heartbeat naming another worker's
+// lease is told to abandon it and neither renews nor drops it, so the
+// lease of a worker that died still expires and its unit is retried.
+func TestHeartbeatRenewsOnlyOwnLeases(t *testing.T) {
+	clk := newFakeClock()
+	c := NewCoordinator(Config{LeaseTTL: 10 * time.Second, SweepInterval: time.Hour, Now: clk.now})
+	t.Cleanup(c.Close)
+	if err := c.SubmitJob("jobR", Interactive, testUnits("jobR", 1), JobCallbacks{}); err != nil {
+		t.Fatal(err)
+	}
+	grant, ok := c.Lease("a")
+	if !ok {
+		t.Fatal("no unit")
+	}
+	// a dies; b heartbeats a's lease for two TTLs.
+	for i := 0; i < 5; i++ {
+		clk.advance(4 * time.Second)
+		if canceled := c.Heartbeat("b", []string{grant.LeaseID}); len(canceled) != 1 || canceled[0] != grant.LeaseID {
+			t.Fatalf("b's heartbeat for a's lease returned %v, want [%s]", canceled, grant.LeaseID)
+		}
+		if n := c.UnitsRunning(); n != 1 {
+			t.Fatalf("units running after b's heartbeat = %d, want 1 (the lease stays a's)", n)
+		}
+	}
+	c.sweep(clk.now())
+	if running, pending := c.UnitsRunning(), c.UnitsPending(); running != 0 || pending != 1 {
+		t.Fatalf("after the sweep: %d running, %d pending; want a's lease expired and its unit retried", running, pending)
+	}
+	clk.advance(time.Minute) // past the retry backoff
+	c.sweep(clk.now())
+	if again, ok := c.Lease("b"); !ok || again.Unit.Key != grant.Unit.Key {
+		t.Fatalf("re-lease = %+v (ok=%v), want unit %s back in the queue", again, ok, grant.Unit.Key)
+	}
+}
+
+// TestExpiredWorkerLeavesNoSeries: once a worker expires, its last-seen,
+// busy and circuit-state series leave the exposition — also when it held
+// a lease that expires after it, or a circuit still open — and its breaker
+// goes once the circuit is no longer open. Worker restarts under fresh
+// names therefore do not grow /v1/metrics or the breaker map.
+func TestExpiredWorkerLeavesNoSeries(t *testing.T) {
+	clk := newFakeClock()
+	reg := obs.NewRegistry()
+	c := NewCoordinator(Config{
+		LeaseTTL:         10 * time.Second,
+		WorkerTTL:        5 * time.Second,
+		SweepInterval:    time.Hour,
+		MaxAttempts:      10,
+		BreakerThreshold: 1,
+		BreakerCooldown:  30 * time.Second,
+		Now:              clk.now,
+		Metrics:          NewMetrics(reg),
+	})
+	t.Cleanup(c.Close)
+	if err := c.SubmitJob("jobW", Interactive, testUnits("jobW", 2), JobCallbacks{}); err != nil {
+		t.Fatal(err)
+	}
+	g, ok := c.Lease("flaky")
+	if !ok {
+		t.Fatal("no unit for flaky")
+	}
+	if err := c.Complete(g.LeaseID, nil, "boom", nil, nil); err != nil { // opens flaky's circuit
+		t.Fatal(err)
+	}
+	if _, ok := c.Lease("holder"); !ok { // holder then goes silent
+		t.Fatal("no unit for holder")
+	}
+	c.Heartbeat("live", nil)
+
+	expo := func() string {
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	if e := expo(); !strings.Contains(e, `worker="flaky"`) || !strings.Contains(e, `worker="holder"`) {
+		t.Fatalf("exposition lacks the workers' series before expiry:\n%s", e)
+	}
+	breakers := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.breakers)
+	}
+	// +6 s: flaky and holder expire (holder's lease has 4 s left); +11 s:
+	// the lease expires too, opening holder's circuit; +42 s: both
+	// cooldowns are over.
+	for _, step := range []struct {
+		d        time.Duration
+		breakers int
+	}{{6 * time.Second, 1}, {5 * time.Second, 2}, {31 * time.Second, 0}} {
+		clk.advance(step.d)
+		c.Heartbeat("live", nil)
+		c.sweep(clk.now())
+		e := expo()
+		if strings.Contains(e, `worker="flaky"`) || strings.Contains(e, `worker="holder"`) {
+			t.Fatalf("expired workers still exposed:\n%s", e)
+		}
+		if !strings.Contains(e, `equinox_fleet_worker_last_seen_timestamp_seconds{worker="live"}`) {
+			t.Fatalf("live worker's series missing:\n%s", e)
+		}
+		if n := breakers(); n != step.breakers {
+			t.Fatalf("breakers after +%v = %d, want %d", step.d, n, step.breakers)
+		}
+	}
+}

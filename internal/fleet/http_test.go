@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -131,6 +132,82 @@ func FuzzFleetComplete(f *testing.F) {
 		}
 		if len(doc.Runs) == 0 && len(doc.Errors) == 0 {
 			t.Fatalf("stored entry %q carries no runs and no errors", raw)
+		}
+	})
+}
+
+// FuzzFleetLeaseHeartbeat posts arbitrary bodies to POST /v1/fleet/heartbeat
+// and then POST /v1/fleet/lease, with one unit leased to w1 and one
+// queued. Neither handler may panic or answer other than 200, 204 or 400;
+// a lease goes only to a named worker; and a heartbeat neither changes how
+// many units are pending or running nor renews a lease its worker does
+// not hold.
+func FuzzFleetLeaseHeartbeat(f *testing.F) {
+	f.Add(`{"worker":"w1","leaseIds":["` + firstLease + `"]}`)
+	f.Add(`{"worker":"w2","leaseIds":["` + firstLease + `","L00000002"]}`)
+	f.Add(`{"worker":"w2"}`)
+	f.Add(`{"worker":""}`)
+	f.Add(`{"worker":"w1","extra":1}`)
+	f.Add(`not json`)
+	f.Add(``)
+	f.Fuzz(func(t *testing.T, body string) {
+		clk := newFakeClock()
+		c := NewCoordinator(Config{LeaseTTL: time.Minute, SweepInterval: time.Hour, Now: clk.now})
+		t.Cleanup(c.Close)
+		if err := c.SubmitJob("job", Interactive, testUnits("job", 2), JobCallbacks{}); err != nil {
+			t.Fatal(err)
+		}
+		if grant, ok := c.Lease("w1"); !ok || grant.LeaseID != firstLease {
+			t.Fatalf("lease %+v (ok=%v), want %s", grant, ok, firstLease)
+		}
+		mux := http.NewServeMux()
+		RegisterHandlers(mux, c, nil)
+		post := func(path string) int {
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+			switch rec.Code {
+			case http.StatusOK, http.StatusNoContent, http.StatusBadRequest:
+			default:
+				t.Fatalf("%s answered %d for body %q", path, rec.Code, body)
+			}
+			return rec.Code
+		}
+		expiries := func() map[string]time.Time {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			m := map[string]time.Time{}
+			for id, l := range c.leases {
+				m[id] = l.expires
+			}
+			return m
+		}
+
+		units, before := c.UnitsPending()+c.UnitsRunning(), expiries()
+		clk.advance(time.Second) // so a renewal moves an expiry
+		post("/v1/fleet/heartbeat")
+		if n := c.UnitsPending() + c.UnitsRunning(); n != units {
+			t.Fatalf("heartbeat moved pending+running from %d to %d", units, n)
+		}
+		var req HeartbeatRequest
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.DisallowUnknownFields()
+		_ = dec.Decode(&req)
+		for id, exp := range expiries() {
+			c.mu.Lock()
+			holder := c.leases[id].worker
+			c.mu.Unlock()
+			if !exp.Equal(before[id]) && holder != req.Worker {
+				t.Fatalf("heartbeat from %q renewed %s, held by %q", req.Worker, id, holder)
+			}
+		}
+
+		post("/v1/fleet/lease")
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for id, l := range c.leases {
+			if l.worker == "" {
+				t.Fatalf("lease %s granted to an empty worker name", id)
+			}
 		}
 	})
 }

@@ -5,7 +5,8 @@ import "equinox/internal/obs"
 // Metrics are the coordinator's instruments, registered on the server's
 // shared registry so they appear on GET /v1/metrics next to the job
 // counters. Worker-labelled families stay bounded because fleet sizes
-// are: one child per registered worker name.
+// are: one child per live worker name. An expired worker's children go
+// with it, so worker restarts under new names do not grow them.
 type Metrics struct {
 	JobsSharded    *obs.Counter
 	UnitsCompleted *obs.Counter

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"equinox/internal/obs"
@@ -183,6 +184,30 @@ func (d *Disk) Put(key string, val []byte) []string {
 	d.sizes[key] = int64(len(val))
 	d.bytes += int64(len(val))
 	return nil
+}
+
+// Delete unlinks key's object without an fsync: a crash may bring the
+// entry back, which a content-addressed store tolerates.
+func (d *Disk) Delete(key string) {
+	if err := os.Remove(d.objectPath(key)); err != nil && !os.IsNotExist(err) {
+		d.log.Warn("store: delete failed", "key", key, "error", err.Error())
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.bytes -= d.sizes[key]
+	delete(d.sizes, key)
+}
+
+// Keys returns the keys of the entries believed present, sorted.
+func (d *Disk) Keys() []string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	keys := make([]string, 0, len(d.sizes))
+	for k := range d.sizes {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // Len returns the number of entries believed present.

@@ -12,7 +12,9 @@
 //     limits) — the pre-fleet single-process cache.
 //   - Disk: a persistent on-disk store (one CRC-framed object file per
 //     entry, written by atomic write-temp-rename, validated on every read
-//     and on reload) safe for concurrent writers on one directory.
+//     and on reload) safe for concurrent writers on one directory. Beyond
+//     Store it offers Delete (an unlink, not fsync'd) and Keys (sorted),
+//     with which the job server keeps its journal of unfinished jobs.
 //   - Tiered: a Memory read-through layer over a Disk (or any) backing
 //     store.
 package store

@@ -91,6 +91,38 @@ func TestDiskRoundTripAndReopen(t *testing.T) {
 	}
 }
 
+// TestDiskDeleteAndKeys: Keys lists the entries sorted, Delete unlinks one
+// and its accounting (a second Delete is harmless), and a reopened store
+// sweeps only what is left.
+func TestDiskDeleteAndKeys(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDisk(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"cc03", "aa01", "bb02"} {
+		d.Put(k, []byte(k))
+	}
+	if got := d.Keys(); strings.Join(got, ",") != "aa01,bb02,cc03" {
+		t.Fatalf("keys = %v, want sorted aa01,bb02,cc03", got)
+	}
+	d.Delete("bb02")
+	d.Delete("bb02")
+	if _, ok := d.Get("bb02"); ok {
+		t.Fatal("deleted entry still served")
+	}
+	if d.Len() != 2 || d.SizeBytes() != 8 {
+		t.Errorf("len = %d bytes = %d after delete, want 2 and 8", d.Len(), d.SizeBytes())
+	}
+	d2, err := OpenDisk(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d2.Keys(); strings.Join(got, ",") != "aa01,cc03" {
+		t.Fatalf("reopened keys = %v, want aa01,cc03", got)
+	}
+}
+
 // TestDiskObjectFormat pins the object file byte for byte against a frame
 // built by hand, so stores written by any version open unchanged.
 func TestDiskObjectFormat(t *testing.T) {

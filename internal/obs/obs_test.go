@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -164,6 +165,41 @@ func TestLabelEscaping(t *testing.T) {
 	if err := ValidateExposition(buf.String()); err != nil {
 		t.Errorf("escaped exposition did not validate: %v", err)
 	}
+}
+
+// FuzzValidateExposition: ValidateExposition reads documents from
+// outside, so arbitrary text must never panic it; and whatever label value,
+// help text and sample value a registry is given, the exposition it
+// renders must validate — with a deleted gauge child gone from it.
+func FuzzValidateExposition(f *testing.F) {
+	f.Add("worker-1", "Help text.", 1.5)
+	f.Add("a\"b\\c\nd", "back\\slash\nnewline", -0.0)
+	f.Add("x,le=", "", math.Inf(1))
+	f.Add(`}{"`, "# TYPE x counter", math.NaN())
+	f.Add("# EOF\n", "\n\n", 1e300)
+	f.Fuzz(func(t *testing.T, label, help string, v float64) {
+		_ = ValidateExposition(label + "\n" + help) // must not panic
+
+		reg := NewRegistry()
+		reg.CounterVec("fuzz_requests_total", help, "path").With(label).Add(3)
+		gauges := reg.GaugeVec("fuzz_temperature", help, "sensor")
+		gauges.With(label).Set(v)
+		gauges.With("deleted").Set(1)
+		gauges.Delete("deleted")
+		hist := reg.HistogramVec("fuzz_latency_seconds", help, []float64{0.1, 1, 10}, "scheme")
+		hist.With(label).Observe(v)
+		hist.With("base").Observe(0.5)
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := ValidateExposition(buf.String()); err != nil {
+			t.Fatalf("rendered exposition does not validate: %v\n%s", err, buf.String())
+		}
+		if label != "deleted" && strings.Contains(buf.String(), `sensor="deleted"`) {
+			t.Fatalf("deleted gauge child still rendered:\n%s", buf.String())
+		}
+	})
 }
 
 func TestRegistryPanics(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -95,13 +96,18 @@ func (r *Registry) family(name, help string, typ MetricType, labelNames []string
 	return f
 }
 
-// child fetches or creates the labelled child built by mk.
-func (f *family) child(labelValues []string, mk func() metric) metric {
+// key renders the child key for the label values.
+func (f *family) key(labelValues []string) string {
 	if len(labelValues) != len(f.labelNames) {
 		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d",
 			f.name, len(f.labelNames), len(labelValues)))
 	}
-	key := renderLabels(f.labelNames, labelValues)
+	return renderLabels(f.labelNames, labelValues)
+}
+
+// child fetches or creates the labelled child built by mk.
+func (f *family) child(labelValues []string, mk func() metric) metric {
+	key := f.key(labelValues)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if m, ok := f.children[key]; ok {
@@ -299,6 +305,18 @@ type GaugeVec struct{ f *family }
 // registration's label names).
 func (v *GaugeVec) With(labelValues ...string) *Gauge {
 	return v.f.child(labelValues, func() metric { return &Gauge{} }).(*Gauge)
+}
+
+// Delete drops the child for the label values, if there is one, so
+// expositions stop carrying it; a later With starts it afresh at zero.
+func (v *GaugeVec) Delete(labelValues ...string) {
+	key := v.f.key(labelValues)
+	v.f.mu.Lock()
+	defer v.f.mu.Unlock()
+	if _, ok := v.f.children[key]; ok {
+		delete(v.f.children, key)
+		v.f.order = slices.DeleteFunc(v.f.order, func(k string) bool { return k == key })
+	}
 }
 
 // counterFunc is a scrape-time callback counter.

@@ -12,8 +12,8 @@ import (
 // Admission control and journal recovery: the two halves of graceful
 // degradation. Under load the server sheds batch work early (429 with a
 // Retry-After hint) so interactive submissions keep landing until the
-// coordinator's unit queue is truly full; after a crash it replays the
-// journal so accepted work survives the process.
+// coordinator's unit queue is truly full; after a crash it re-queues the
+// jobs the journal holds so accepted work survives the process.
 
 // defaultShedFraction is the queue fill fraction past which batch
 // submissions are shed while interactive ones are still admitted.

@@ -96,7 +96,7 @@ type chaosArtifact struct {
 	Seed     int64            `json:"seed"`
 	Faults   map[string]int64 `json:"faults"`
 	Events   []fleet.Event    `json:"events,omitempty"`
-	Journal  string           `json:"journal,omitempty"`
+	Pending  []string         `json:"pending,omitempty"` // job ids the restarted journal held
 }
 
 func writeChaosArtifact(t *testing.T, a chaosArtifact) {
@@ -345,10 +345,13 @@ func chaosRestartScenario(t *testing.T, seed int64) ([]byte, chaosArtifact) {
 	_, ts2 := newTestServer(t, Config{Workers: 1, Journal: j2, Store: disk2, Chaos: inj})
 	got := fetchResult(t, ts2, sub.ID)
 
-	journalRaw, _ := os.ReadFile(filepath.Join(journalDir, "journal.log"))
+	var pending []string
+	for _, p := range j2.Pending() {
+		pending = append(pending, p.ID)
+	}
 	return got, chaosArtifact{
 		Faults:  inj.Counts(),
 		Events:  eventLog(t, ts2, sub.ID),
-		Journal: string(journalRaw),
+		Pending: pending,
 	}
 }

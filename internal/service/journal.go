@@ -2,246 +2,147 @@ package service
 
 import (
 	"bufio"
-	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sync"
-	"time"
 
 	"equinox/internal/fleet/store"
 	"equinox/internal/obs"
 )
 
-// Journal is the server's crash-safe job log: an append-only JSON-lines
-// file recording job submissions (with their canonical specs), unit
-// grants/completions, and terminal states. A server restarted mid-sweep
-// replays it and re-queues every job that never reached a terminal
-// state; determinism then guarantees the re-run converges to the same
-// bytes, and any unit results the crashed run persisted are reused
-// through the store.
+// Journal is the server's crash-safe record of accepted jobs: a disk
+// store rooted at the journal directory holding one CRC-framed object per
+// job that was accepted but has not finished, keyed by job id, with the
+// canonical spec as its payload. A server restarted mid-sweep re-queues
+// every job the journal still holds; determinism then guarantees the
+// re-run converges to the same bytes, and any unit results the crashed
+// run persisted are reused through the result store.
 //
-// The format borrows the store's machinery: appends of durable records
-// (submissions and terminals) are fsync'd, replay tolerates a truncated
-// tail and unknown lines like the store's reload tolerates corrupt
-// objects, and compaction — which drops finished jobs on open — rewrites
-// the file with the store's WriteAtomic so a crash mid-compaction loses
-// nothing.
-//
-// Records, one JSON object per line:
-//
-//	{"op":"submit","id":<key>,"spec":<canonical spec>,"t":...}
-//	{"op":"unit","id":<key>,"key":<unit key>,"status":"leased|completed|failed|retrying","t":...}
-//	{"op":"terminal","id":<key>,"state":"done|failed|cancelled","t":...}
-//
-// Unit records are advisory (recovery forensics and progress); they are
-// written without fsync. Submit records are always appended before the
-// job can run, so a terminal record never precedes its submission.
+// Submit is the store's Put — a temp file, fsync, rename and directory
+// fsync — so an accepted job is durable before it can run. Terminal
+// unlinks the object without an fsync: a finished job that a crash brings
+// back re-runs as result-store hits and converges to the same bytes. The
+// directory must not be the result store's, whose entries share job ids.
 type Journal struct {
-	dir string
-	log *slog.Logger
-
-	mu      sync.Mutex
-	f       *os.File
+	disk    *store.Disk
 	pending []PendingJob
 }
 
 // PendingJob is one job the journal recorded as submitted but not
-// terminal — the replay output recovery re-queues.
+// terminal — what recovery re-queues.
 type PendingJob struct {
 	ID   string
 	Spec json.RawMessage
 }
 
-type journalRecord struct {
-	Op     string          `json:"op"`
-	ID     string          `json:"id"`
-	Spec   json.RawMessage `json:"spec,omitempty"`
-	State  string          `json:"state,omitempty"`
-	Key    string          `json:"key,omitempty"`
-	Status string          `json:"status,omitempty"`
-	T      time.Time       `json:"t"`
-}
+// legacyJournal is the JSON-lines log older versions kept in the journal
+// directory; OpenJournal imports it once and renames it to
+// legacyJournal+".imported".
+const legacyJournal = "journal.log"
 
-const journalName = "journal.log"
-
-// OpenJournal opens (creating if needed) the journal under dir, replays
-// it, compacts finished jobs away, and reopens for appending. The jobs
-// still pending are available from Pending until handed to recovery.
+// OpenJournal opens (creating if needed) the journal under dir. The jobs
+// it finds pending are available from Pending until handed to recovery.
 func OpenJournal(dir string, logger *slog.Logger) (*Journal, error) {
 	if logger == nil {
 		logger = obs.NopLogger()
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	j := &Journal{dir: dir, log: logger}
-	pending, dropped, err := j.replay()
-	if err != nil {
-		return nil, err
-	}
-	j.pending = pending
-	if err := j.compact(pending); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(j.path(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	disk, err := store.OpenDisk(dir, logger)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	j.f = f
-	if len(pending) > 0 || dropped > 0 {
-		logger.Info("journal replayed",
-			"dir", dir, "pendingJobs", len(pending), "finishedDropped", dropped)
+	j := &Journal{disk: disk}
+	if err := j.importLegacy(filepath.Join(dir, legacyJournal), logger); err != nil {
+		return nil, err
+	}
+	for _, id := range disk.Keys() {
+		if spec, ok := disk.Get(id); ok {
+			j.pending = append(j.pending, PendingJob{ID: id, Spec: spec})
+		}
 	}
 	return j, nil
 }
 
-func (j *Journal) path() string { return filepath.Join(j.dir, journalName) }
-
-// replay scans the journal, tolerating a truncated tail and foreign
-// lines, and returns the jobs whose last state is still pending plus
-// the count of finished jobs compaction will drop. Submit records
-// always precede their terminals (see the append ordering contract), so
-// a last-write-wins scan is exact.
-func (j *Journal) replay() (pending []PendingJob, dropped int, err error) {
-	f, err := os.Open(j.path())
+// importLegacy moves the jobs an older version's journal.log left pending
+// — its submit records minus its terminal ones, last record winning — into
+// the store, then renames the log so the import runs once. Unreadable
+// lines (a torn tail) and other records are skipped, as are ids that are
+// not job keys (64 hex digits), which no job could have. A crash before
+// the rename repeats the import, which rewrites the same objects; a job
+// the store could not take fails the open and keeps the log.
+func (j *Journal) importLegacy(path string, logger *slog.Logger) error {
+	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return nil, 0, nil
+		return nil
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("journal: %w", err)
+		return fmt.Errorf("journal: %w", err)
 	}
 	defer f.Close()
-	state := map[string]string{}
-	specs := map[string]json.RawMessage{}
-	var order []string
+	pending := map[string]json.RawMessage{}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 64<<10), 16<<20)
 	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+		var rec struct {
+			Op   string          `json:"op"`
+			ID   string          `json:"id"`
+			Spec json.RawMessage `json:"spec"`
 		}
-		var rec journalRecord
-		if uerr := json.Unmarshal(line, &rec); uerr != nil {
-			j.log.Warn("journal: skipping unreadable record (truncated tail?)", "error", uerr.Error())
+		if json.Unmarshal(sc.Bytes(), &rec) != nil {
 			continue
 		}
 		switch rec.Op {
 		case "submit":
-			if _, seen := state[rec.ID]; !seen {
-				order = append(order, rec.ID)
-			}
-			state[rec.ID] = "pending"
-			specs[rec.ID] = append(json.RawMessage(nil), rec.Spec...)
+			pending[rec.ID] = rec.Spec
 		case "terminal":
-			if _, seen := state[rec.ID]; !seen {
-				order = append(order, rec.ID)
-			}
-			state[rec.ID] = rec.State
-		case "unit":
-			// advisory only
-		default:
-			// foreign record from a newer version: ignore
+			delete(pending, rec.ID)
 		}
 	}
-	if serr := sc.Err(); serr != nil {
-		j.log.Warn("journal: scan stopped early", "error", serr.Error())
+	if err := sc.Err(); err != nil {
+		logger.Warn("journal: legacy log scan stopped early", "error", err.Error())
 	}
-	for _, id := range order {
-		if state[id] == "pending" {
-			pending = append(pending, PendingJob{ID: id, Spec: specs[id]})
-		} else {
-			dropped++
+	for id, spec := range pending {
+		if _, err := hex.DecodeString(id); err != nil || len(id) != 2*sha256.Size {
+			continue
+		}
+		j.disk.Put(id, spec)
+		if _, ok := j.disk.Get(id); !ok {
+			return fmt.Errorf("journal: could not import job %s from %s", id, path)
 		}
 	}
-	return pending, dropped, nil
-}
-
-// compact atomically rewrites the journal to hold only the pending
-// submissions.
-func (j *Journal) compact(pending []PendingJob) error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, p := range pending {
-		rec := journalRecord{Op: "submit", ID: p.ID, Spec: p.Spec, T: time.Now().UTC()}
-		if err := enc.Encode(rec); err != nil {
-			return fmt.Errorf("journal: %w", err)
-		}
-	}
-	if err := store.WriteAtomic(j.dir, j.path(), buf.Bytes()); err != nil {
+	if err := os.Rename(path, path+".imported"); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
+	logger.Info("journal: imported legacy log", "path", path)
 	return nil
 }
 
-// Pending returns the jobs replay found incomplete, in submission order.
-func (j *Journal) Pending() []PendingJob {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.pending
-}
+// Pending returns the jobs the journal held when opened, sorted by id.
+func (j *Journal) Pending() []PendingJob { return j.pending }
 
-// append writes one record, fsyncing durable ops.
-func (j *Journal) append(rec journalRecord, durable bool) {
-	rec.T = time.Now().UTC()
-	line, err := json.Marshal(rec)
-	if err != nil {
-		j.log.Warn("journal: marshal failed", "op", rec.Op, "error", err.Error())
-		return
-	}
-	line = append(line, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return
-	}
-	if _, err := j.f.Write(line); err != nil {
-		j.log.Warn("journal: append failed", "op", rec.Op, "error", err.Error())
-		return
-	}
-	if durable {
-		j.f.Sync() //nolint:errcheck
-	}
-}
-
-// Submit records a job submission with its canonical spec. It must be
-// called before the job can reach a terminal state, so replay's
-// last-write-wins scan stays exact.
+// Submit records a job submission with its canonical spec; it returns
+// once the record is durable (the store logs a write that failed).
 func (j *Journal) Submit(id string, spec json.RawMessage) {
 	if j == nil {
 		return
 	}
-	j.append(journalRecord{Op: "submit", ID: id, Spec: spec}, true)
+	j.disk.Put(id, spec)
 }
 
-// Unit records a unit-level grant/completion event (advisory, not
-// fsync'd: a crash loses at most forensics, never job state).
-func (j *Journal) Unit(id, unitKey, status string) {
-	if j == nil {
-		return
-	}
-	j.append(journalRecord{Op: "unit", ID: id, Key: unitKey, Status: status}, false)
-}
+// Unit does nothing: unit progress is not journaled. It remains for
+// callers of the method set.
+func (j *Journal) Unit(id, unitKey, status string) {}
 
-// Terminal records a job's terminal state.
+// Terminal removes a finished job's record.
 func (j *Journal) Terminal(id string, state JobState) {
 	if j == nil {
 		return
 	}
-	j.append(journalRecord{Op: "terminal", ID: id, State: string(state)}, true)
+	j.disk.Delete(id)
 }
 
-// Close closes the journal file; further appends are dropped.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
-}
+// Close returns nil: the journal holds no open files between calls.
+func (j *Journal) Close() error { return nil }

@@ -50,9 +50,9 @@ func (j *job) step(to JobState) bool {
 // the unit queue refused it — unregisters the uncounted job and returns
 // the error.
 func (s *Server) dispatch(j *job, recovered bool) (JobState, error) {
-	// The submit record lands before any unit can run (and finish) the
-	// job, so it always precedes the terminal record. A recovered job's is
-	// in the journal already.
+	// The submit record is durable before any unit can run (and finish)
+	// the job, so the terminal state's removal always follows it. A
+	// recovered job's is in the journal already.
 	if s.cfg.Journal != nil && !recovered {
 		if raw, err := json.Marshal(j.spec); err != nil {
 			s.log.Warn("journal: spec marshal failed", "jobId", j.id, "error", err.Error())
@@ -141,7 +141,7 @@ type outcome struct {
 	err    error  // failed: the job's error, also sent on the terminal frame
 	result []byte // done: the evaluation document (see settle)
 
-	// keepPending skips the terminal journal record. Set only by the
+	// keepPending keeps the job's journal record. Set only by the
 	// shutdown-cancel: the job stays pending in the journal so the next
 	// process recovers it.
 	keepPending bool
@@ -154,8 +154,8 @@ type outcome struct {
 
 // settle is the one way out: it moves j to the terminal state `to` and
 // runs the terminal sequence — state and finish time, counter, journal
-// record, span artifact, log line, terminal SSE frame, hub close — exactly
-// once, in that order. It returns false, having
+// record removal, span artifact, log line, terminal SSE frame, hub close —
+// exactly once, in that order. It returns false, having
 // changed nothing, when the edge table has no such edge: the job already
 // ended (a DELETE raced with completion, or the other way round). The
 // coordinator stored the done job's document under its id beforehand.

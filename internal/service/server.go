@@ -41,10 +41,9 @@ type Config struct {
 	// admitted until their units no longer fit, so load-shedding degrades
 	// bulk sweeps before humans (default 0.75).
 	ShedFraction float64
-	// Journal, when set, records every submission and terminal state in a
-	// crash-safe log; on construction the server replays it and re-queues
-	// jobs a previous process accepted but never finished. Open one with
-	// OpenJournal. The server does not close it.
+	// Journal, when set, holds every accepted job durably until it
+	// finishes; on construction the server re-queues the jobs a previous
+	// process accepted but never finished. Open one with OpenJournal.
 	Journal *Journal
 	// Chaos, when set, is the fault injector whose faults this server
 	// should count (exported as equinox_chaos_injected_total). The server

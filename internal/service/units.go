@@ -49,11 +49,10 @@ func unitsFor(jobID string, canon JobSpec) ([]fleet.Unit, error) {
 
 // unitEvent is the one source of a job's progress: it starts the job on
 // its first lease or cache hit, keeps a traced unit's flight artifact,
-// counts finished units, journals unit grants and completions, and relays
-// the event to SSE subscribers.
+// counts finished units, and relays the event to SSE subscribers.
 func (s *Server) unitEvent(j *job, ev fleet.Event) {
 	if ev.Type == "telemetry" {
-		// Not a lifecycle event: no progress or journal update.
+		// Not a lifecycle event: no progress update.
 		var sums []telemetry.RunSummary
 		if err := json.Unmarshal(ev.Telemetry, &sums); err == nil {
 			for _, sum := range sums {
@@ -70,7 +69,6 @@ func (s *Server) unitEvent(j *job, ev fleet.Event) {
 		s.captureFlight(j, ev)
 	}
 	j.doneRuns.Store(int64(ev.Done))
-	s.cfg.Journal.Unit(j.id, ev.UnitKey, ev.Status) // no-op without a journal
 	j.events.publish(ev)
 }
 

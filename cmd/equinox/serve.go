@@ -12,7 +12,6 @@ import (
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/ on http.DefaultServeMux
 	"os"
-	"path/filepath"
 	"time"
 
 	"equinox/internal/fleet"
@@ -70,11 +69,11 @@ func logFlags(fs *flag.FlagSet) func() (*slog.Logger, error) {
 // .result`.
 //
 // With -store-dir, completed results persist on disk and survive restarts;
-// coordinators sharing a directory share results. With -journal-dir (a
-// directory other than -store-dir), accepted jobs survive a crash too: each
-// is one durable object there until it finishes, and the next boot
-// re-queues every unfinished job and converges to the identical result
-// bytes (kill -9 mid-sweep loses nothing but time).
+// coordinators sharing a directory share results. With -journal-dir,
+// accepted jobs survive a crash too: each is one durable object there until
+// it finishes, and the next boot re-queues every unfinished job and
+// converges to the identical result bytes (kill -9 mid-sweep loses nothing
+// but time).
 //
 // Runtime profiling is exposed under /debug/pprof/ (CPU, heap, goroutine,
 // …), so a loaded server can be profiled in place:
@@ -127,9 +126,6 @@ func serveCommand(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 
 		var journal *service.Journal
 		if *jrnDir != "" {
-			if *stDir != "" && filepath.Clean(*jrnDir) == filepath.Clean(*stDir) {
-				return errors.New("-journal-dir and -store-dir must differ: both key their entries by job id")
-			}
 			journal, err = service.OpenJournal(*jrnDir, logger)
 			if err != nil {
 				return err

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"os"
 	"regexp"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -183,19 +182,4 @@ func TestServeAndWorker(t *testing.T) {
 	cancel()
 	returnsNil(t, "worker", workerErr, drain)
 	returnsNil(t, "serve", serveErr, drain)
-}
-
-// TestServeRefusesSharedJournalDir: the journal and the result store both
-// key their entries by job id, so serve refuses to put them in one
-// directory rather than let a finished job's unlink delete its result.
-func TestServeRefusesSharedJournalDir(t *testing.T) {
-	captureLog(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // a serve that started anyway returns at once
-	dir := t.TempDir()
-	err := run(ctx, []string{"serve", "-addr", "127.0.0.1:0", "-log-level", "error",
-		"-store-dir", dir, "-journal-dir", dir + "/."}, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "must differ") {
-		t.Fatalf("serve with one directory for both = %v, want a must-differ error", err)
-	}
 }

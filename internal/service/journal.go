@@ -15,9 +15,9 @@ import (
 )
 
 // Journal is the server's crash-safe record of accepted jobs: a disk
-// store rooted at the journal directory holding one CRC-framed object per
-// job that was accepted but has not finished, keyed by job id, with the
-// canonical spec as its payload. A server restarted mid-sweep re-queues
+// store in the journal directory's pending/ subdirectory holding one
+// CRC-framed object per job that was accepted but has not finished, keyed
+// by job id, with the canonical spec as its payload. A server restarted mid-sweep re-queues
 // every job the journal still holds; determinism then guarantees the
 // re-run converges to the same bytes, and any unit results the crashed
 // run persisted are reused through the result store.
@@ -26,7 +26,8 @@ import (
 // fsync — so an accepted job is durable before it can run. Terminal
 // unlinks the object without an fsync: a finished job that a crash brings
 // back re-runs as result-store hits and converges to the same bytes. The
-// directory must not be the result store's, whose entries share job ids.
+// subdirectory keeps the journal's objects apart from a result store's, so
+// one directory can serve as both.
 type Journal struct {
 	disk    *store.Disk
 	pending []PendingJob
@@ -50,7 +51,7 @@ func OpenJournal(dir string, logger *slog.Logger) (*Journal, error) {
 	if logger == nil {
 		logger = obs.NopLogger()
 	}
-	disk, err := store.OpenDisk(dir, logger)
+	disk, err := store.OpenDisk(filepath.Join(dir, "pending"), logger)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}

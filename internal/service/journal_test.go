@@ -242,6 +242,43 @@ func TestServerRecoversJournaledJobs(t *testing.T) {
 	}
 }
 
+// TestJournalSharesStoreDir: one directory may hold both the result store
+// and the journal, which keeps its objects under pending/. A finished job's
+// terminal state leaves its stored result alone, and after a restart the
+// journal recovers none of the store's entries and the result is still
+// served.
+func TestJournalSharesStoreDir(t *testing.T) {
+	dir := t.TempDir()
+	boot := func() (*httptest.Server, *Journal) {
+		disk, err := store.OpenDisk(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := openTestJournal(t, dir)
+		_, ts := newTestServer(t, Config{Workers: 1, Journal: j, Store: disk})
+		return ts, j
+	}
+
+	ts1, _ := boot()
+	sub, code := submit(t, ts1, smallSpec())
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d", code)
+	}
+	want := fetchResult(t, ts1, sub.ID)
+	ts1.Close()
+
+	ts2, j2 := boot()
+	if p := j2.Pending(); len(p) != 0 {
+		t.Fatalf("journal pending after restart = %+v, want none", p)
+	}
+	if st, code := getJob(t, ts2, sub.ID); code != http.StatusOK || st.Status != JobDone {
+		t.Fatalf("job after restart: %d %s, want 200 done", code, st.Status)
+	}
+	if got := fetchResult(t, ts2, sub.ID); !bytes.Equal(got, want) {
+		t.Fatalf("result after restart differs:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // submitRaw posts a spec and returns the raw response (for status codes
 // and headers the SubmitResponse decoding helpers hide).
 func submitRaw(t *testing.T, ts *httptest.Server, spec JobSpec) *http.Response {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -63,7 +64,7 @@ func OpenDisk(dir string, logger *slog.Logger) (*Disk, error) {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 	}
-	d := &Disk{dir: dir, log: logger, sizes: map[string]int64{}}
+	d := &Disk{dir: dir, log: logger}
 	if err := d.reload(); err != nil {
 		return nil, err
 	}
@@ -79,26 +80,38 @@ func (d *Disk) objectPath(key string) string {
 }
 
 // reload rebuilds the in-memory index by sweeping the objects tree and
-// validating every entry; corrupt ones are skipped with a warning.
+// validating every entry; corrupt ones are skipped with a warning. Each
+// object is opened once and read into one buffer reused across the sweep,
+// and only its payload size is kept.
 func (d *Disk) reload() error {
-	prefixes, err := os.ReadDir(filepath.Join(d.dir, "objects"))
+	objects := filepath.Join(d.dir, "objects")
+	prefixes, err := os.ReadDir(objects)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	var listings [][]os.DirEntry
+	total := 0
 	for _, p := range prefixes {
 		if !p.IsDir() {
 			continue
 		}
-		entries, err := os.ReadDir(filepath.Join(d.dir, "objects", p.Name()))
+		entries, err := os.ReadDir(filepath.Join(objects, p.Name()))
 		if err != nil {
 			continue
 		}
+		listings = append(listings, entries)
+		total += len(entries)
+	}
+	d.sizes = make(map[string]int64, total)
+	var buf []byte
+	for _, entries := range listings {
 		for _, e := range entries {
 			if !e.Type().IsRegular() {
 				continue
 			}
 			key := e.Name()
-			payload, err := d.readEntry(key)
+			var payload []byte
+			payload, buf, err = readObject(d.objectPath(key), buf)
 			if err != nil {
 				d.log.Warn("store: skipping corrupt entry on reload", "key", key, "error", err.Error())
 				continue
@@ -110,35 +123,58 @@ func (d *Disk) reload() error {
 	return nil
 }
 
-// readEntry reads and validates one entry file, returning its payload.
-func (d *Disk) readEntry(key string) ([]byte, error) {
-	raw, err := os.ReadFile(d.objectPath(key))
+// readObject reads the object file at path into buf, growing it as needed,
+// and validates the frame: the magic, the declared length against the bytes
+// actually there (none missing, none trailing) and the payload's CRC. It
+// returns the payload, which aliases the returned buffer, and that buffer
+// for the caller to reuse. The file is read to EOF rather than sized with
+// a stat, so one open and two reads cover an object that fits.
+func readObject(path string, buf []byte) (payload, grown []byte, err error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, buf, err
 	}
-	if len(raw) < diskHeaderLen || string(raw[:len(diskMagic)]) != diskMagic {
-		return nil, fmt.Errorf("bad magic or truncated header (%d bytes)", len(raw))
+	defer f.Close() // read-only: a Close error loses nothing
+	buf = buf[:0]
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, max(512, len(buf)))
+		}
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, buf, err
+		}
 	}
-	n := binary.BigEndian.Uint64(raw[len(diskMagic):])
-	sum := binary.BigEndian.Uint32(raw[len(diskMagic)+8:])
-	payload := raw[diskHeaderLen:]
+	if len(buf) < diskHeaderLen || string(buf[:len(diskMagic)]) != diskMagic {
+		return nil, buf, fmt.Errorf("bad magic or truncated header (%d bytes)", len(buf))
+	}
+	n := binary.BigEndian.Uint64(buf[len(diskMagic):])
+	sum := binary.BigEndian.Uint32(buf[len(diskMagic)+8:])
+	payload = buf[diskHeaderLen:]
 	if uint64(len(payload)) != n {
-		return nil, fmt.Errorf("payload is %d bytes, header says %d", len(payload), n)
+		return nil, buf, fmt.Errorf("payload is %d bytes, header says %d", len(payload), n)
 	}
 	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, fmt.Errorf("payload CRC mismatch")
+		return nil, buf, fmt.Errorf("payload CRC mismatch")
 	}
-	return payload, nil
+	return payload, buf, nil
 }
 
-// Get returns the entry's payload. A key absent from the in-memory index
-// is probed on disk before reporting a miss, so entries written by other
+// Get returns the entry's payload, freshly read and validated, with a
+// capacity equal to its length. A key absent from the in-memory index is
+// probed on disk before reporting a miss, so entries written by other
 // processes sharing the directory are found.
 func (d *Disk) Get(key string) ([]byte, bool) {
 	d.mu.Lock()
-	_, known := d.sizes[key]
+	size, known := d.sizes[key]
 	d.mu.Unlock()
-	payload, err := d.readEntry(key)
+	// An indexed entry's size lets one read fill the buffer; the spare byte
+	// is where the read that finds EOF lands.
+	payload, _, err := readObject(d.objectPath(key), make([]byte, 0, diskHeaderLen+int(size)+1))
 	if err != nil {
 		if known {
 			if !os.IsNotExist(err) {
@@ -161,7 +197,7 @@ func (d *Disk) Get(key string) ([]byte, bool) {
 		}
 		d.mu.Unlock()
 	}
-	return payload, true
+	return payload[:len(payload):len(payload)], true
 }
 
 // Put writes the entry with WriteAtomic. Persistent stores never evict,

@@ -48,29 +48,32 @@ type Store interface {
 // go to a temp file in tmpDir (which must share dst's filesystem), are
 // fsync'd, and the file is renamed onto dst, whose directory is created if
 // needed and then fsync'd to persist the rename.
-func WriteAtomic(tmpDir, dst string, chunks ...[]byte) error {
+func WriteAtomic(tmpDir, dst string, chunks ...[]byte) (err error) {
 	tmp, err := os.CreateTemp(tmpDir, filepath.Base(dst)+".*")
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	defer func() {
+		if err != nil { // after a successful rename the name is dst's
+			tmp.Close() // a second Close only returns an error
+			os.Remove(tmp.Name())
+		}
+	}()
 	for _, c := range chunks {
-		if _, err := tmp.Write(c); err != nil {
-			tmp.Close()
+		if _, err = tmp.Write(c); err != nil {
 			return err
 		}
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
+	if err = tmp.Sync(); err != nil {
 		return err
 	}
-	if err := tmp.Close(); err != nil {
+	if err = tmp.Close(); err != nil {
 		return err
 	}
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+	if err = os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
+	if err = os.Rename(tmp.Name(), dst); err != nil {
 		return err
 	}
 	// Best-effort: some filesystems reject directory fsync.

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -206,34 +207,25 @@ func TestDiskIgnoresLegacyIndex(t *testing.T) {
 	}
 }
 
-// FuzzDiskObject plants arbitrary bytes as an object file next to a valid
-// hand-framed one. OpenDisk must accept the directory, and the store must serve, count
-// and size the planted entry exactly when it is a valid frame: magic,
-// length and CRC all matching.
+// FuzzDiskObject plants arbitrary bytes as two object files, one sorting
+// before a valid hand-framed neighbour and one after it. OpenDisk must
+// accept the directory, and the store must serve, count and size each
+// planted entry exactly when it is a valid frame: magic, length and CRC all
+// matching. Reload reads every object into one reused buffer, so the
+// neighbour must also never be read with a stale tail of the fuzzed bytes,
+// nor the second fuzzed copy with the neighbour's.
 func FuzzDiskObject(f *testing.F) {
-	frame := func(payload []byte) []byte {
-		h := make([]byte, 20, 20+len(payload))
-		copy(h, "EQNXST1\n")
-		binary.BigEndian.PutUint64(h[8:], uint64(len(payload)))
-		binary.BigEndian.PutUint32(h[16:], crc32.ChecksumIEEE(payload))
-		return append(h, payload...)
-	}
 	valid := frame([]byte(`{"runs":[]}`))
 	badCRC := append([]byte(nil), valid...)
 	badCRC[16] ^= 0xff
-	for _, seed := range [][]byte{valid, frame(nil), valid[:len(valid)-3], valid[:10], badCRC, nil, []byte("not a store entry")} {
+	trailing := append(frame([]byte("fi")), "ne"...)
+	for _, seed := range [][]byte{valid, frame(nil), valid[:len(valid)-3], valid[:10], badCRC, nil, []byte("not a store entry"), trailing} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		for key, raw := range map[string][]byte{"good": frame([]byte("fine")), "fuzzed": data} {
-			sub := filepath.Join(dir, "objects", key[:2])
-			if err := os.MkdirAll(sub, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(sub, key), raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		for key, raw := range map[string][]byte{"aa-fuzzed": data, "good": frame([]byte("fine")), "zz-fuzzed": data} {
+			plant(t, dir, key, raw)
 		}
 		var payload []byte
 		ok := len(data) >= 20 && string(data[:8]) == "EQNXST1\n" &&
@@ -249,19 +241,43 @@ func FuzzDiskObject(f *testing.F) {
 		}
 		n, size := 1, int64(4)
 		if ok {
-			n, size = 2, 4+int64(len(payload))
+			n, size = 3, 4+2*int64(len(payload))
 		}
 		if d.Len() != n || d.SizeBytes() != size {
 			t.Fatalf("len = %d bytes = %d, want %d and %d (valid frame: %v)", d.Len(), d.SizeBytes(), n, size, ok)
 		}
-		got, served := d.Get("fuzzed")
-		if served != ok || !bytes.Equal(got, payload) {
-			t.Fatalf("Get = %q %v, want %q %v", got, served, payload, ok)
+		for _, key := range []string{"aa-fuzzed", "zz-fuzzed"} {
+			got, served := d.Get(key)
+			if served != ok || !bytes.Equal(got, payload) {
+				t.Fatalf("Get(%s) = %q %v, want %q %v", key, got, served, payload, ok)
+			}
 		}
 		if got, served := d.Get("good"); !served || string(got) != "fine" {
 			t.Fatalf("valid neighbour lost: %q %v", got, served)
 		}
 	})
+}
+
+// frame builds an object file by hand: magic, big-endian payload length,
+// big-endian CRC-32 (IEEE) of the payload, then the payload.
+func frame(payload []byte) []byte {
+	h := make([]byte, 20, 20+len(payload))
+	copy(h, "EQNXST1\n")
+	binary.BigEndian.PutUint64(h[8:], uint64(len(payload)))
+	binary.BigEndian.PutUint32(h[16:], crc32.ChecksumIEEE(payload))
+	return append(h, payload...)
+}
+
+// plant writes raw as key's object file under the store rooted at dir.
+func plant(t *testing.T, dir, key string, raw []byte) {
+	t.Helper()
+	sub := filepath.Join(dir, "objects", key[:2])
+	if err := os.MkdirAll(sub, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(sub, key), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestDiskCorruptEntrySkippedOnReload(t *testing.T) {
@@ -287,6 +303,14 @@ func TestDiskCorruptEntrySkippedOnReload(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "objects", "ga", "garbage"), []byte("not a store entry"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A valid frame with bytes past its declared length; an empty payload;
+	// and a payload larger than 64 KB read just before a small valid object,
+	// which must not pick up the larger one's tail.
+	plant(t, dir, "trailing", append(frame([]byte("fine")), "extra"...))
+	plant(t, dir, "empty", frame(nil))
+	large := bytes.Repeat([]byte("0123456789abcdef"), 5000)
+	plant(t, dir, "la-large", frame(large))
+	plant(t, dir, "lb-small", frame([]byte("small")))
 
 	var logBuf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&logBuf, nil))
@@ -298,16 +322,22 @@ func TestDiskCorruptEntrySkippedOnReload(t *testing.T) {
 	if got, ok := d2.Get("good"); !ok || string(got) != "fine" {
 		t.Errorf("good entry lost: %q %v", got, ok)
 	}
-	for _, key := range []string{"truncated", "garbage"} {
+	for _, key := range []string{"truncated", "garbage", "trailing"} {
 		if _, ok := d2.Get(key); ok {
 			t.Errorf("%s entry served despite corruption", key)
 		}
 	}
-	if d2.Len() != 1 {
-		t.Errorf("len = %d, want 1", d2.Len())
+	for key, want := range map[string][]byte{"empty": {}, "la-large": large, "lb-small": []byte("small")} {
+		got, ok := d2.Get(key)
+		if !ok || !bytes.Equal(got, want) || cap(got) != len(want) {
+			t.Errorf("Get(%s) = %d bytes (cap %d) %v, want exactly the %d stored", key, len(got), cap(got), ok, len(want))
+		}
 	}
-	if n := strings.Count(logBuf.String(), "skipping corrupt entry"); n != 2 {
-		t.Errorf("warnings = %d, want 2\n%s", n, logBuf.String())
+	if want := int64(4 + len(large) + 5); d2.Len() != 4 || d2.SizeBytes() != want {
+		t.Errorf("len = %d bytes = %d, want 4 and %d", d2.Len(), d2.SizeBytes(), want)
+	}
+	if n := strings.Count(logBuf.String(), "skipping corrupt entry"); n != 3 {
+		t.Errorf("warnings = %d, want 3\n%s", n, logBuf.String())
 	}
 }
 
@@ -394,5 +424,85 @@ func TestTieredPromotesAndAbsorbsEvictions(t *testing.T) {
 	}
 	if ti.Len() != 2 {
 		t.Errorf("len = %d, want 2 (durable tier)", ti.Len())
+	}
+}
+
+// TestWriteAtomicFailureLeavesNoTemp: a write that fails after its temp
+// file exists (here MkdirAll, because the destination's parent is a
+// regular file) removes the temp file, so tmp/ stays empty.
+func TestWriteAtomicFailureLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	tmpDir := filepath.Join(dir, "tmp")
+	if err := os.Mkdir(tmpDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	notDir := filepath.Join(dir, "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteAtomic(tmpDir, filepath.Join(notDir, "sub", "dst"), []byte("payload")); err == nil {
+		t.Fatal("WriteAtomic under a regular file succeeded")
+	}
+	if left, _ := os.ReadDir(tmpDir); len(left) != 0 {
+		t.Errorf("tmp/ holds %d leftover files after a failed write", len(left))
+	}
+}
+
+// restartObjects and restartPayload are the shape of a job server's
+// restart: 256 stored results of 8 KB each.
+const (
+	restartObjects = 256
+	restartPayload = 8 << 10
+)
+
+// restartStore fills a fresh directory with the restart-shaped store.
+func restartStore(tb testing.TB) string {
+	tb.Helper()
+	dir := tb.TempDir()
+	d, err := OpenDisk(dir, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("x"), restartPayload)
+	for i := 0; i < restartObjects; i++ {
+		d.Put(fmt.Sprintf("%064x", i), payload)
+	}
+	return dir
+}
+
+// BenchmarkOpenDisk times a reopen of the restart-shaped store: the sweep
+// that reads and validates every object before a server serves.
+func BenchmarkOpenDisk(b *testing.B) {
+	dir := restartStore(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := OpenDisk(dir, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if d.Len() != restartObjects {
+			b.Fatalf("len = %d, want %d", d.Len(), restartObjects)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
+}
+
+// TestOpenDiskAllocs pins what a reopen of the restart-shaped store
+// allocates: the sweep reuses one read buffer, so the total stays far below
+// the 2 MB of payload it validates.
+func TestOpenDiskAllocs(t *testing.T) {
+	dir := restartStore(t)
+	const opens, limit = 5, 256 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < opens; i++ {
+		if _, err := OpenDisk(dir, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / opens; per > limit {
+		t.Errorf("OpenDisk allocates %d bytes per open of %d × %d B objects, want at most %d", per, restartObjects, restartPayload, limit)
 	}
 }

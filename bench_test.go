@@ -321,27 +321,3 @@ func BenchmarkAblationPlacement(b *testing.B) {
 	b.ReportMetric(nq, "nqueen-ns")
 	b.ReportMetric(dia, "diamond-ns")
 }
-
-// BenchmarkAblationVCCount sweeps the per-port VC count on SeparateBase —
-// the buffering side of Table 1's "2 VC/port" choice.
-func BenchmarkAblationVCCount(b *testing.B) {
-	prof, err := workloads.ByName("kmeans")
-	if err != nil {
-		b.Fatal(err)
-	}
-	var ns [2]float64
-	for i := 0; i < b.N; i++ {
-		for k, vcs := range []int{2, 4} {
-			cfg := sim.DefaultConfig(sim.SeparateBase)
-			cfg.InstructionsPerPE = 300
-			cfg.VCsPerPort = vcs
-			r, err := sim.Run(cfg, prof)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ns[k] = r.ExecNS
-		}
-	}
-	b.ReportMetric(ns[0], "2vc-ns")
-	b.ReportMetric(ns[1], "4vc-ns")
-}

@@ -3,6 +3,7 @@ package equinox
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"equinox/internal/core"
@@ -57,22 +58,31 @@ func TestOneCellEvaluation(t *testing.T) {
 	}
 }
 
-// miniEval runs a 3-benchmark sweep shared by the shape tests.
+var (
+	miniOnce sync.Once
+	miniEv   *Evaluation
+	miniErr  error
+)
+
+// miniEval runs a 3-benchmark sweep once and shares it with the shape
+// tests, which only read it.
 func miniEval(t *testing.T) *Evaluation {
 	t.Helper()
-	cfg := DefaultEvalConfig()
-	cfg.Benchmarks = []string{"kmeans", "hotspot", "monteCarlo"}
-	// Large enough that the reply-injection bottleneck saturates — the
-	// regime the paper evaluates in; tiny runs stay latency-dominated.
-	cfg.InstructionsPerPE = 600
-	ev, err := RunEvaluationContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
+	miniOnce.Do(func() {
+		cfg := DefaultEvalConfig()
+		cfg.Benchmarks = []string{"kmeans", "hotspot", "monteCarlo"}
+		// Large enough that the reply-injection bottleneck saturates — the
+		// regime the paper evaluates in; tiny runs stay latency-dominated.
+		cfg.InstructionsPerPE = 600
+		miniEv, miniErr = RunEvaluationContext(context.Background(), cfg)
+	})
+	if miniErr != nil {
+		t.Fatal(miniErr)
 	}
-	for _, e := range ev.Errors {
+	for _, e := range miniEv.Errors {
 		t.Fatalf("run error: %v", e)
 	}
-	return ev
+	return miniEv
 }
 
 func TestEvaluationShapes(t *testing.T) {

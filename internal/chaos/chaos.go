@@ -18,7 +18,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Injector is a seeded source of fault decisions shared by the store,
@@ -29,10 +28,6 @@ type Injector struct {
 	mu     sync.Mutex
 	rng    *rand.Rand
 	counts map[string]int64
-
-	// hook holds a func(kind string) invoked on every injected fault;
-	// the job server points it at equinox_chaos_injected_total{kind}.
-	hook atomic.Value
 }
 
 // New returns an injector whose fault decisions derive from seed.
@@ -47,22 +42,13 @@ func New(seed int64) *Injector {
 // Seed returns the seed the injector was created with.
 func (in *Injector) Seed() int64 { return in.seed }
 
-// SetHook installs fn to observe every injected fault by kind. Safe to
-// call concurrently with injection; a nil fn removes the hook.
-func (in *Injector) SetHook(fn func(kind string)) {
-	in.hook.Store(fn)
-}
-
-// Fault records one injected fault of the given kind and notifies the
-// hook. The wrappers call it; tests may call it directly to record
-// out-of-band faults such as process kills.
+// Fault records one injected fault of the given kind. The wrappers call
+// it; tests may call it directly to record out-of-band faults such as
+// process kills.
 func (in *Injector) Fault(kind string) {
 	in.mu.Lock()
 	in.counts[kind]++
 	in.mu.Unlock()
-	if fn, ok := in.hook.Load().(func(string)); ok && fn != nil {
-		fn(kind)
-	}
 }
 
 // Counts returns a snapshot of injected-fault counts by kind.

@@ -26,9 +26,6 @@ type DesignConfig struct {
 	MaxEIRsPerCB int
 	HopLimit     int
 
-	// LinkBits is the width of each EIR interposer link (128 in the paper).
-	LinkBits int
-
 	// Search selects the EIR search strategy.
 	Search SearchStrategy
 	// MCTS controls the tree search when Search == SearchMCTS.
@@ -68,10 +65,9 @@ func DefaultDesignConfig() DesignConfig {
 	return DesignConfig{
 		Width: 8, Height: 8, NumCBs: 8,
 		MaxEIRsPerCB: 4, HopLimit: 3,
-		LinkBits: 128,
-		Search:   SearchMCTS,
-		MCTS:     mcts.DefaultOptions(),
-		Weights:  mcts.DefaultWeights(),
+		Search:  SearchMCTS,
+		MCTS:    mcts.DefaultOptions(),
+		Weights: mcts.DefaultWeights(),
 	}
 }
 
@@ -99,10 +95,6 @@ func BuildDesignContext(ctx context.Context, cfg DesignConfig) (*Design, error) 
 	if cfg.Width <= 0 || cfg.Height <= 0 || cfg.NumCBs <= 0 {
 		return nil, fmt.Errorf("core: invalid design config %+v", cfg)
 	}
-	if cfg.LinkBits <= 0 {
-		cfg.LinkBits = 128
-	}
-
 	// Step 1: contention-aware CB placement (§4.2). N-Queen when the CB
 	// count fits the board; knight-move otherwise (§6.8).
 	side := cfg.Width
@@ -170,7 +162,7 @@ func BuildDesignContext(ctx context.Context, cfg DesignConfig) (*Design, error) 
 
 	// Step 3: interposer plan.
 	groups := prob.Groups(res.Assignment)
-	plan := interposer.EIRPlan(groups, cfg.LinkBits)
+	plan := PlanFor(groups)
 
 	d := &Design{
 		Width: cfg.Width, Height: cfg.Height,
@@ -187,10 +179,14 @@ func BuildDesignContext(ctx context.Context, cfg DesignConfig) (*Design, error) 
 	return d, nil
 }
 
-// PlanFor rebuilds the interposer wiring plan implied by an EIR assignment
-// (used when reconstructing designs from serialized form).
+// linkBits is the width of each EIR interposer link (128 in the paper).
+const linkBits = 128
+
+// PlanFor builds the interposer wiring plan implied by an EIR assignment,
+// both for a freshly searched design and when reconstructing one from
+// serialized form.
 func PlanFor(groups map[geom.Point][]geom.Point) *interposer.Plan {
-	return interposer.EIRPlan(groups, 128)
+	return interposer.EIRPlan(groups, linkBits)
 }
 
 // refineTwoHop enforces the repeaterless link-length budget: every EIR more

@@ -33,7 +33,7 @@ func TestBuildDesignDefault(t *testing.T) {
 	if d.Plan.NeedsActiveInterposer() {
 		t.Error("design needs an active interposer")
 	}
-	if r.Bumps != r.Links*cfg.LinkBits*2 {
+	if r.Bumps != r.Links*linkBits*2 {
 		t.Errorf("bump accounting: %d vs %d links", r.Bumps, r.Links)
 	}
 }

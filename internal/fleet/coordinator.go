@@ -14,6 +14,9 @@ import (
 	"equinox/internal/obs/trace"
 )
 
+// maxBackoff caps a failed unit's doubling retry delay.
+const maxBackoff = 30 * time.Second
+
 // Config tunes the coordinator.
 type Config struct {
 	// LeaseTTL is how long a granted unit may go without completion or a
@@ -27,9 +30,8 @@ type Config struct {
 	// consume the budget.
 	MaxAttempts int
 	// RetryBackoff is the base delay before a failed unit is re-queued;
-	// it doubles per attempt up to MaxBackoff (defaults 1s and 30s).
+	// it doubles per attempt up to maxBackoff (default 1s).
 	RetryBackoff time.Duration
-	MaxBackoff   time.Duration
 	// SweepInterval paces the lease-expiry/backoff scan (default
 	// LeaseTTL/4, clamped to [25ms, 1s]).
 	SweepInterval time.Duration
@@ -70,9 +72,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = time.Second
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 30 * time.Second
 	}
 	if c.SweepInterval <= 0 {
 		c.SweepInterval = c.LeaseTTL / 4
@@ -146,12 +145,11 @@ type trackedUnit struct {
 
 // trackedJob is the coordinator's record of one sharded job.
 type trackedJob struct {
-	id       string
-	class    Class
-	units    []*trackedUnit
-	rem      int // units not yet done/failed
-	canceled bool
-	cb       JobCallbacks
+	id    string
+	class Class
+	units []*trackedUnit
+	rem   int // units not yet done/failed
+	cb    JobCallbacks
 
 	// cbMu serializes callback delivery so unit events never trail the
 	// terminal delivery.
@@ -211,12 +209,11 @@ type breaker struct {
 
 // lease is one granted unit.
 type lease struct {
-	id       string
-	unit     *trackedUnit
-	worker   string
-	granted  time.Time // never renewed: lease age and unit duration count from here
-	expires  time.Time // pushed out by every heartbeat
-	canceled bool
+	id      string
+	unit    *trackedUnit
+	worker  string
+	granted time.Time // never renewed: lease age and unit duration count from here
+	expires time.Time // pushed out by every heartbeat
 	// owner is the in-process worker holding the lease, nil for a remote
 	// one. It is abandoned at once on cancel and feeds no circuit breaker.
 	owner *Worker
@@ -448,7 +445,6 @@ func (c *Coordinator) CancelJob(id string) {
 	if !ok {
 		return
 	}
-	j.canceled = true
 	delete(c.jobs, id)
 	for _, u := range j.units {
 		switch u.state {
@@ -457,11 +453,8 @@ func (c *Coordinator) CancelJob(id string) {
 		case unitWaiting:
 			delete(c.waiting, u)
 		case unitLeased:
-			if l := u.lease; l != nil {
-				l.canceled = true
-				if l.owner != nil {
-					l.owner.abandon(l.id)
-				}
+			if l := u.lease; l != nil && l.owner != nil {
+				l.owner.abandon(l.id)
 			}
 		}
 		if u.state != unitDone && u.state != unitFailed {
@@ -531,7 +524,7 @@ func (c *Coordinator) grantNextLocked(worker string, owner *Worker, now time.Tim
 		if !ok {
 			return LeaseResponse{}, delivery{}, false
 		}
-		if u.state != unitPending || u.job.canceled {
+		if u.state != unitPending {
 			continue // cancelled while queued
 		}
 		c.leaseSeq++
@@ -606,8 +599,7 @@ func (c *Coordinator) complete(_ context.Context, req CompleteRequest) error {
 	}
 	c.dropLeaseLocked(l)
 	u := l.unit
-	j := u.job
-	if u.state != unitLeased || j.canceled {
+	if u.state != unitLeased {
 		// Cancelled (or already resolved by an expiry race): the result
 		// is unwanted.
 		c.mu.Unlock()
@@ -665,7 +657,7 @@ func (c *Coordinator) Heartbeat(worker string, leaseIDs []string) (canceled []st
 			canceled = append(canceled, id)
 			continue
 		}
-		if !ok || l.canceled || l.unit.state != unitLeased {
+		if !ok || l.unit.state != unitLeased {
 			canceled = append(canceled, id)
 			if ok {
 				c.dropLeaseLocked(l)
@@ -714,8 +706,8 @@ func (c *Coordinator) retryUnitLocked(u *trackedUnit, now time.Time, reason stri
 	u.lease = nil
 	u.errMsg = reason
 	backoff := c.cfg.RetryBackoff << (u.attempts - 1)
-	if backoff > c.cfg.MaxBackoff {
-		backoff = c.cfg.MaxBackoff
+	if backoff > maxBackoff {
+		backoff = maxBackoff
 	}
 	u.state = unitWaiting
 	u.readyAt = now.Add(backoff)
@@ -777,7 +769,7 @@ func (c *Coordinator) sweep(now time.Time) {
 			continue
 		}
 		c.dropLeaseLocked(l)
-		if l.canceled || l.unit.state != unitLeased {
+		if l.unit.state != unitLeased {
 			continue
 		}
 		c.met.LeasesExpired.Inc()
@@ -794,7 +786,7 @@ func (c *Coordinator) sweep(now time.Time) {
 			continue
 		}
 		delete(c.waiting, u)
-		if u.state != unitWaiting || u.job.canceled {
+		if u.state != unitWaiting {
 			continue
 		}
 		u.state = unitPending
@@ -965,7 +957,7 @@ func (c *Coordinator) UnitsRunning() int {
 	defer c.mu.Unlock()
 	n := 0
 	for _, l := range c.leases {
-		if !l.canceled {
+		if l.unit.state == unitLeased {
 			n++
 		}
 	}

@@ -15,7 +15,8 @@ var (
 // Within a class items come out FIFO; across classes the dequeuer picks
 // the non-empty class with the least service relative to its weight
 // (deficit round-robin), so interactive work keeps flowing at a
-// guaranteed share while a huge batch sweep drains.
+// guaranteed share while a huge batch sweep drains. Service history is
+// forgotten whenever only one class is queued.
 type FairQueue[T any] struct {
 	mu     sync.Mutex
 	cap    int // total bound across classes; 0 = unbounded
@@ -69,18 +70,25 @@ func (fq *FairQueue[T]) forcePush(item T, class Class) bool {
 }
 
 // pickLocked chooses the next class to serve: the non-empty class with
-// the least service per unit of weight.
+// the least service per unit of weight. Service counts only while classes
+// compete: when one class alone is queued both counters restart, so a
+// class cannot bank credit while the other is idle and then starve it.
 func (fq *FairQueue[T]) pickLocked() (Class, bool) {
 	best := Class(-1)
 	var bestScore float64
+	contenders := 0
 	for c := Class(0); c < numClasses; c++ {
 		if len(fq.q[c])-fq.head[c] == 0 {
 			continue
 		}
+		contenders++
 		score := float64(fq.served[c]) / float64(classWeights[c])
 		if best < 0 || score < bestScore {
 			best, bestScore = c, score
 		}
+	}
+	if contenders == 1 {
+		fq.served = [numClasses]int64{}
 	}
 	return best, best >= 0
 }

@@ -111,3 +111,54 @@ func TestFairQueueDrainsAfterClose(t *testing.T) {
 		t.Fatal("TryPop after drain found an item")
 	}
 }
+
+// TestFairQueueIdleClassBanksNoCredit: service a class received while it
+// was the only one queued must not count against it once the other class
+// competes again, in either direction.
+func TestFairQueueIdleClassBanksNoCredit(t *testing.T) {
+	// popsUntil pops from q until want comes out and returns that pop's
+	// 1-based index (0 when q empties first).
+	popsUntil := func(q *FairQueue[string], want string) int {
+		for n := 1; ; n++ {
+			v, ok := q.TryPop()
+			if !ok {
+				return 0
+			}
+			if v == want {
+				return n
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name          string
+		history, wait Class
+		limit         int
+	}{
+		// Interactive holds a weight of 3 against batch's 1, so a lone
+		// interactive unit behind a batch sweep is the second pop, and a
+		// batch unit behind an interactive burst is served within five.
+		{"interactive after interactive-only history", Interactive, Interactive, 2},
+		{"batch after batch-only history", Batch, Batch, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := NewFairQueue[string](0)
+			for i := 0; i < 3000; i++ {
+				q.PushAll([]string{"old"}, tc.history) //nolint:errcheck
+			}
+			for q.Len() > 0 {
+				q.TryPop()
+			}
+			other := Batch
+			if tc.wait == Batch {
+				other = Interactive
+			}
+			for i := 0; i < 1000; i++ {
+				q.PushAll([]string{"other"}, other) //nolint:errcheck
+			}
+			q.PushAll([]string{"target"}, tc.wait) //nolint:errcheck
+			if n := popsUntil(q, "target"); n < 1 || n > tc.limit {
+				t.Fatalf("target came out at pop %d, want within %d", n, tc.limit)
+			}
+		})
+	}
+}

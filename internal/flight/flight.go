@@ -114,10 +114,11 @@ type Options struct {
 	// end-to-end latency above the bound gets its event history dumped
 	// (0 disables).
 	LatencyLimit int64
-	// MaxTailDumps bounds how many tail-latency packet histories are kept
-	// (default 8); the trigger keeps counting after the cap.
-	MaxTailDumps int
 }
+
+// maxTailDumps bounds how many tail-latency packet histories a Recorder
+// keeps; the trigger keeps counting after the cap.
+const maxTailDumps = 8
 
 // DefaultStallLimit is the starvation watchdog's default window in cycles.
 const DefaultStallLimit = 50000
@@ -132,9 +133,6 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.StallLimit == 0 {
 		o.StallLimit = DefaultStallLimit
-	}
-	if o.MaxTailDumps <= 0 {
-		o.MaxTailDumps = 8
 	}
 	return o
 }
@@ -263,7 +261,7 @@ func (r *Recorder) EjectObserved(now, pkt, latency int64, sampled bool) {
 	r.lastEject = now
 	if r.opts.LatencyLimit > 0 && latency > r.opts.LatencyLimit {
 		r.tailExceeded++
-		if sampled && len(r.tailDumps) < r.opts.MaxTailDumps {
+		if sampled && len(r.tailDumps) < maxTailDumps {
 			r.tailDumps = append(r.tailDumps, TailDump{
 				Pkt: pkt, Latency: latency, Events: r.PacketEvents(pkt),
 			})

@@ -19,9 +19,6 @@ func TestOptionsWithDefaults(t *testing.T) {
 	if o.StallLimit != DefaultStallLimit {
 		t.Errorf("StallLimit = %d, want %d", o.StallLimit, DefaultStallLimit)
 	}
-	if o.MaxTailDumps != 8 {
-		t.Errorf("MaxTailDumps = %d, want 8", o.MaxTailDumps)
-	}
 	// Explicitly disabling the watchdog survives defaulting.
 	if got := (Options{StallLimit: -1}.WithDefaults()).StallLimit; got != -1 {
 		t.Errorf("disabled StallLimit = %d, want -1", got)
@@ -129,22 +126,28 @@ func TestStarvationWindow(t *testing.T) {
 }
 
 func TestTailLatencyTrigger(t *testing.T) {
-	r := NewRecorder(Options{LatencyLimit: 100, MaxTailDumps: 2})
+	r := NewRecorder(Options{LatencyLimit: 100})
 	r.Record(Event{Cycle: 1, Pkt: 5, Kind: Created})
 	r.Record(Event{Cycle: 150, Pkt: 5, Kind: Ejected, A: 149})
 
 	r.EjectObserved(50, 1, 40, true) // under the bound: no dump
 	r.EjectObserved(150, 5, 149, true)
 	r.EjectObserved(160, 6, 130, false) // over, but unsampled: counted only
-	r.EjectObserved(170, 7, 130, true)
-	r.EjectObserved(180, 8, 130, true) // over MaxTailDumps: counted only
+	// Eight more sampled over-limit deliveries: the ninth sampled one
+	// (pkt 14) is over maxTailDumps, so it is counted only.
+	for pkt := int64(7); pkt <= 14; pkt++ {
+		r.EjectObserved(160+pkt, pkt, 130, true)
+	}
 
-	if r.TailExceeded() != 4 {
-		t.Errorf("TailExceeded = %d, want 4", r.TailExceeded())
+	if r.TailExceeded() != 10 {
+		t.Errorf("TailExceeded = %d, want 10", r.TailExceeded())
 	}
 	dumps := r.TailDumps()
-	if len(dumps) != 2 {
-		t.Fatalf("TailDumps len = %d, want 2 (capped)", len(dumps))
+	if len(dumps) != maxTailDumps {
+		t.Fatalf("TailDumps len = %d, want %d (capped)", len(dumps), maxTailDumps)
+	}
+	if last := dumps[len(dumps)-1].Pkt; last != 13 {
+		t.Errorf("last dump is pkt %d, want 13", last)
 	}
 	if dumps[0].Pkt != 5 || dumps[0].Latency != 149 {
 		t.Errorf("dump[0] = pkt %d latency %d, want pkt 5 latency 149", dumps[0].Pkt, dumps[0].Latency)

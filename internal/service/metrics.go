@@ -20,11 +20,8 @@ type metrics struct {
 	jobsRecovered *obs.Counter // re-queued from the journal after a restart
 
 	// admissionRejected counts submissions shed with 429, by priority
-	// class; chaosInjected counts faults fired by an attached chaos
-	// injector, by fault kind (zero outside chaos runs, but the family is
-	// always exported so dashboards can pin it).
+	// class.
 	admissionRejected *obs.CounterVec
-	chaosInjected     *obs.CounterVec
 
 	cacheHits   *obs.Counter // submissions answered from the result cache
 	cacheMisses *obs.Counter // submissions that had to simulate
@@ -72,9 +69,6 @@ func newMetrics(workers, queueDepth, cacheEntries, cacheBytes func() float64) *m
 		admissionRejected: reg.CounterVec("equinox_admission_rejected_total",
 			"Submissions rejected with 429 by admission control, by priority class.",
 			"class"),
-		chaosInjected: reg.CounterVec("equinox_chaos_injected_total",
-			"Faults fired by the attached chaos injector, by fault kind.",
-			"kind"),
 
 		cacheHits: reg.Counter("equinox_cache_hits_total",
 			"Submissions answered from the content-addressed result cache."),

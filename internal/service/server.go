@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"equinox/internal/chaos"
 	"equinox/internal/fleet"
 	"equinox/internal/fleet/store"
 	"equinox/internal/obs"
@@ -45,11 +44,6 @@ type Config struct {
 	// finishes; on construction the server re-queues the jobs a previous
 	// process accepted but never finished. Open one with OpenJournal.
 	Journal *Journal
-	// Chaos, when set, is the fault injector whose faults this server
-	// should count (exported as equinox_chaos_injected_total). The server
-	// installs the injector's hook; it does not inject faults itself —
-	// wiring wrapped stores or transports is the caller's business.
-	Chaos *chaos.Injector
 	// Store is an optional persistent result tier (typically
 	// store.OpenDisk). Completed results — whole sweeps and fleet work
 	// units — are written through to it and served from it after
@@ -162,11 +156,6 @@ func New(cfg Config) *Server {
 	s.met.reg.GaugeFunc("equinox_fleet_oldest_lease_age_seconds",
 		"Age of the oldest outstanding lease (stuck-fleet indicator).",
 		func() float64 { return s.coord.OldestLeaseAgeSeconds() })
-
-	if cfg.Chaos != nil {
-		inj := s.met.chaosInjected
-		cfg.Chaos.SetHook(func(kind string) { inj.With(kind).Inc() })
-	}
 
 	var ctx context.Context
 	ctx, s.stopExecute = context.WithCancel(context.Background())

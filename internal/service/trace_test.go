@@ -243,7 +243,6 @@ func TestMetricsExpositionLiveFull(t *testing.T) {
 		"equinox_trace_dropped_spans_total",
 		"equinox_fleet_unit_duration_seconds_bucket",
 		"equinox_fleet_units_completed_total",
-		"equinox_chaos_injected_total",
 		"equinox_admission_rejected_total",
 		"equinox_worker_circuit_state",
 	} {

@@ -41,10 +41,6 @@ type Config struct {
 	// CoreClockGHz is the PE/base-network clock (Table 1: 1.126 GHz).
 	CoreClockGHz float64
 
-	// VCsPerPort overrides Table 1's two virtual channels per port on every
-	// network when non-zero (ablation knob).
-	VCsPerPort int
-
 	// Parallel is validated (non-negative) and otherwise ignored: one run is
 	// single-threaded, and parallelism comes from running many runs at once.
 	//

@@ -62,7 +62,7 @@ type netRow struct {
 	// tiles, each through its own injection spoke (independent NI + input
 	// port) — with four ejection ports, the "2× more ports than a basic
 	// router" routers of §6.5 — and a VC holds one packet at the network's
-	// own flit width. Config.VCsPerPort does not reach it.
+	// own flit width.
 	concentrated bool
 
 	// power prices the network. Here its link lengths are in tile pitches
@@ -218,9 +218,6 @@ func (c *Config) buildNetworks(cbs []geom.Point) ([]network, error) {
 				nc.SpokesPerNode = 4
 			} else {
 				nc.CBs = cbs
-				if c.VCsPerPort > 0 {
-					nc.VCsPerPort = c.VCsPerPort
-				}
 			}
 			n, err := noc.New(nc)
 			if err != nil {

@@ -22,8 +22,7 @@ import (
 	"strconv"
 )
 
-// Options sizes a Series and configures its detectors. The zero value means
-// "the defaults" everywhere.
+// Options sizes a Series. The zero value means "the defaults" everywhere.
 type Options struct {
 	// SampleEvery is the occupancy sampling stride in cycles (default 64).
 	// Latency and flit counts are exact regardless; only buffer occupancy is
@@ -38,8 +37,6 @@ type Options struct {
 	// detectors run online, so convergence and saturation verdicts are
 	// unaffected by rolloff.
 	MaxWindows int
-	// Detector tunes the steady-state and saturation detectors.
-	Detector DetectorConfig
 }
 
 // WithDefaults fills zero fields with the default sizing.
@@ -56,7 +53,6 @@ func (o Options) WithDefaults() Options {
 	if o.MaxWindows < 1 {
 		o.MaxWindows = 256
 	}
-	o.Detector = o.Detector.withDefaults()
 	return o
 }
 
@@ -170,58 +166,33 @@ func (s *sketch) reset() {
 	s.total = 0
 }
 
-// DetectorConfig tunes the online detectors. Zero fields take the defaults
-// documented per field; see DESIGN.md for how the thresholds were chosen.
-type DetectorConfig struct {
-	// StableWindows is how many consecutive windows the accepted-throughput
-	// mean must stay within StabilityTol of its predecessor before the run
-	// is declared steady (warmup over). Default 3.
-	StableWindows int
-	// StabilityTol is the relative window-to-window accepted-rate change
-	// tolerated inside a stable run. Default 0.05.
-	StabilityTol float64
-	// TrackingRatio flags a window as saturating when its ejected flits
-	// fall below TrackingRatio × injected flits — ejection has stopped
-	// tracking injection and buffers are filling. Default 0.9.
-	TrackingRatio float64
-	// KneeFactor flags a window as saturating when its p50 latency exceeds
-	// KneeFactor × the run's minimum windowed p50 (the run's own zero-load
-	// proxy: the earliest, lightest windows). Default 3.0.
-	KneeFactor float64
-	// SatWindows is how many consecutive saturating windows latch the
-	// saturated verdict. Default 2.
-	SatWindows int
-	// MinWindowFlits ignores near-idle windows (ramp-in, drain) in both
-	// detectors. Default 64.
-	MinWindowFlits int64
-}
-
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.StableWindows < 1 {
-		c.StableWindows = 3
-	}
-	if c.StabilityTol <= 0 {
-		c.StabilityTol = 0.05
-	}
-	if c.TrackingRatio <= 0 {
-		c.TrackingRatio = 0.9
-	}
-	if c.KneeFactor <= 0 {
-		c.KneeFactor = 3.0
-	}
-	if c.SatWindows < 1 {
-		c.SatWindows = 2
-	}
-	if c.MinWindowFlits < 1 {
-		c.MinWindowFlits = 64
-	}
-	return c
-}
+// Detector thresholds; see DESIGN.md for how they were chosen.
+const (
+	// stableWindows is how many consecutive windows the accepted-throughput
+	// mean must stay within stabilityTol of its predecessor before the run
+	// is declared steady (warmup over).
+	stableWindows = 3
+	// stabilityTol is the relative window-to-window accepted-rate change
+	// tolerated inside a stable run.
+	stabilityTol = 0.05
+	// trackingRatio flags a window as saturating when its ejected flits
+	// fall below trackingRatio × injected flits — ejection has stopped
+	// tracking injection and buffers are filling.
+	trackingRatio = 0.9
+	// kneeFactor flags a window as saturating when its p50 latency exceeds
+	// kneeFactor × the run's minimum windowed p50 (the run's own zero-load
+	// proxy: the earliest, lightest windows).
+	kneeFactor = 3.0
+	// satWindows is how many consecutive saturating windows latch the
+	// saturated verdict.
+	satWindows = 2
+	// minWindowFlits ignores near-idle windows (ramp-in, drain) in both
+	// detectors.
+	minWindowFlits = 64
+)
 
 // detector runs the two online verdicts over the flushed window stream.
 type detector struct {
-	cfg DetectorConfig
-
 	prevAccepted float64
 	havePrev     bool
 	stableRun    int
@@ -235,7 +206,7 @@ type detector struct {
 }
 
 func (d *detector) observe(w Window) {
-	if w.InjectedFlits+w.EjectedFlits < d.cfg.MinWindowFlits {
+	if w.InjectedFlits+w.EjectedFlits < minWindowFlits {
 		// Idle window (ramp-in or drain): break any in-progress runs but
 		// don't let zero-traffic windows fake stability or saturation.
 		d.stableRun = 0
@@ -247,12 +218,12 @@ func (d *detector) observe(w Window) {
 	}
 	if !d.steady {
 		if d.havePrev && d.prevAccepted > 0 &&
-			math.Abs(w.Accepted-d.prevAccepted) <= d.cfg.StabilityTol*d.prevAccepted {
+			math.Abs(w.Accepted-d.prevAccepted) <= stabilityTol*d.prevAccepted {
 			d.stableRun++
 		} else {
 			d.stableRun = 0
 		}
-		if d.stableRun >= d.cfg.StableWindows {
+		if d.stableRun >= stableWindows {
 			d.steady = true
 			d.warmupCycles = w.End
 		}
@@ -260,14 +231,14 @@ func (d *detector) observe(w Window) {
 	d.prevAccepted = w.Accepted
 	d.havePrev = true
 
-	tracking := float64(w.EjectedFlits) < d.cfg.TrackingRatio*float64(w.InjectedFlits)
-	knee := w.LatCount > 0 && d.baseP50 > 0 && w.LatP50 >= d.cfg.KneeFactor*d.baseP50
+	tracking := float64(w.EjectedFlits) < trackingRatio*float64(w.InjectedFlits)
+	knee := w.LatCount > 0 && d.baseP50 > 0 && w.LatP50 >= kneeFactor*d.baseP50
 	if tracking || knee {
 		d.satRun++
 	} else {
 		d.satRun = 0
 	}
-	if !d.saturated && d.satRun >= d.cfg.SatWindows {
+	if !d.saturated && d.satRun >= satWindows {
 		d.saturated = true
 		d.saturatedAt = w.End
 	}
@@ -312,7 +283,6 @@ func NewSeries(name string, nodes int, clockGHz float64, opts Options) *Series {
 		WindowCycles: opts.WindowCycles,
 		SampleEvery:  opts.SampleEvery,
 		ring:         make([]Window, opts.MaxWindows),
-		det:          detector{cfg: opts.Detector},
 	}
 }
 

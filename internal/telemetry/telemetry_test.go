@@ -20,10 +20,6 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.WindowCycles != 100 {
 		t.Fatalf("window %d, want 100", o.WindowCycles)
 	}
-	d := o.Detector
-	if d.StableWindows != 3 || d.SatWindows != 2 || d.KneeFactor != 3.0 {
-		t.Fatalf("unexpected detector defaults: %+v", d)
-	}
 }
 
 // TestSketchQuantileErrorBound feeds known values and checks the estimate

@@ -84,7 +84,7 @@ func TestGoldenOutputs(t *testing.T) {
 }
 
 // withoutPhases drops an evaluation document's "phases" — wall-clock
-// timings — and re-encodes it as WriteJSON does.
+// timings — and re-encodes it with ExportedEvaluation.WriteJSON.
 func withoutPhases(t *testing.T, data []byte) []byte {
 	t.Helper()
 	var doc equinox.ExportedEvaluation
@@ -93,9 +93,7 @@ func withoutPhases(t *testing.T, data []byte) []byte {
 	}
 	doc.Phases = nil
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
+	if err := doc.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -156,23 +156,37 @@ func (ev *Evaluation) WriteJSON(w io.Writer) error {
 			}
 		}
 	}
-	sort.Slice(out.Runs, func(i, j int) bool {
-		if out.Runs[i].Scheme != out.Runs[j].Scheme {
-			return out.Runs[i].Scheme < out.Runs[j].Scheme
-		}
-		return out.Runs[i].Benchmark < out.Runs[j].Benchmark
-	})
 	out.Telemetry = append([]telemetry.RunSummary(nil), ev.Telemetry...)
-	sort.Slice(out.Telemetry, func(i, j int) bool {
-		if out.Telemetry[i].Scheme != out.Telemetry[j].Scheme {
-			return out.Telemetry[i].Scheme < out.Telemetry[j].Scheme
-		}
-		return out.Telemetry[i].Benchmark < out.Telemetry[j].Benchmark
-	})
 	for _, e := range ev.Errors {
 		out.Errors = append(out.Errors, e.Error())
 	}
+	return out.WriteJSON(w)
+}
+
+// Sort puts the document into canonical order: runs and telemetry by
+// scheme, then benchmark, and errors lexically.
+func (e *ExportedEvaluation) Sort() {
+	sort.Slice(e.Runs, func(i, j int) bool {
+		if e.Runs[i].Scheme != e.Runs[j].Scheme {
+			return e.Runs[i].Scheme < e.Runs[j].Scheme
+		}
+		return e.Runs[i].Benchmark < e.Runs[j].Benchmark
+	})
+	sort.Slice(e.Telemetry, func(i, j int) bool {
+		if e.Telemetry[i].Scheme != e.Telemetry[j].Scheme {
+			return e.Telemetry[i].Scheme < e.Telemetry[j].Scheme
+		}
+		return e.Telemetry[i].Benchmark < e.Telemetry[j].Benchmark
+	})
+	sort.Strings(e.Errors)
+}
+
+// WriteJSON sorts the document (Sort) and writes it as two-space-indented
+// JSON with a trailing newline, the one encoding of a written evaluation:
+// single-process and fleet-assembled documents compare byte for byte.
+func (e *ExportedEvaluation) WriteJSON(w io.Writer) error {
+	e.Sort()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return enc.Encode(e)
 }

@@ -5,43 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 
 	"equinox"
 	"equinox/internal/obs"
 )
-
-// marshalEval renders an evaluation document exactly the way
-// equinox.(*Evaluation).WriteJSON does (two-space indent, trailing
-// newline), so assembled and single-process results compare byte for
-// byte.
-func marshalEval(doc *equinox.ExportedEvaluation) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// sortEval puts runs, telemetry, and errors into the canonical order
-// WriteJSON uses.
-func sortEval(doc *equinox.ExportedEvaluation) {
-	sort.Slice(doc.Runs, func(i, j int) bool {
-		if doc.Runs[i].Scheme != doc.Runs[j].Scheme {
-			return doc.Runs[i].Scheme < doc.Runs[j].Scheme
-		}
-		return doc.Runs[i].Benchmark < doc.Runs[j].Benchmark
-	})
-	sort.Slice(doc.Telemetry, func(i, j int) bool {
-		if doc.Telemetry[i].Scheme != doc.Telemetry[j].Scheme {
-			return doc.Telemetry[i].Scheme < doc.Telemetry[j].Scheme
-		}
-		return doc.Telemetry[i].Benchmark < doc.Telemetry[j].Benchmark
-	})
-	sort.Strings(doc.Errors)
-}
 
 // CanonicalResult normalizes an evaluation JSON document for equivalence
 // comparison and storage: phase timings — wall-clock measurements that
@@ -55,8 +22,11 @@ func CanonicalResult(raw []byte) ([]byte, error) {
 	}
 	doc.Phases = nil
 	doc.Telemetry = nil
-	sortEval(&doc)
-	return marshalEval(&doc)
+	var buf bytes.Buffer
+	if err := doc.WriteJSON(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // checkResult vets a worker's unit document before it can reach the store
@@ -154,6 +124,6 @@ func assemble(units []*trackedUnit) ([]byte, error) {
 			out.Errors = append(out.Errors, fmt.Sprintf("%s/%s: %s", u.Scheme, u.Benchmark, u.errMsg))
 		}
 	}
-	sortEval(&out)
+	out.Sort()
 	return json.Marshal(&out)
 }

@@ -69,7 +69,9 @@ func TestCoordinatorBreakerQuarantinesAndProbes(t *testing.T) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
 		for time.Now().Before(deadline) {
-			if g, ok := c.Lease(worker); ok {
+			g, ok := c.Lease(worker)
+			checkInvariants(t, c)
+			if ok {
 				return g
 			}
 			time.Sleep(2 * time.Millisecond)
@@ -84,6 +86,7 @@ func TestCoordinatorBreakerQuarantinesAndProbes(t *testing.T) {
 		if err := c.Complete(g.LeaseID, nil, "injected failure", nil, nil); err != nil {
 			t.Fatal(err)
 		}
+		checkInvariants(t, c)
 	}
 	if st := c.WorkerCircuitState("flaky"); st != int(breakerOpen) {
 		t.Fatalf("circuit state after 2 failures = %d, want open (2)", st)
@@ -105,12 +108,14 @@ func TestCoordinatorBreakerQuarantinesAndProbes(t *testing.T) {
 		if _, ok := c.Lease("flaky"); ok {
 			t.Fatal("open circuit still granted a lease")
 		}
+		checkInvariants(t, c)
 	}
 	// A healthy worker drains one unit meanwhile.
 	g := leaseAs("healthy")
 	if err := c.Complete(g.LeaseID, unitDocJSON(g.Unit.Scheme, g.Unit.Benchmark), "", nil, nil); err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, c)
 
 	// The gauge exports the open state.
 	var buf strings.Builder
@@ -129,10 +134,12 @@ func TestCoordinatorBreakerQuarantinesAndProbes(t *testing.T) {
 	if _, ok := c.Lease("flaky"); ok {
 		t.Fatal("half-open circuit granted a second concurrent lease")
 	}
+	checkInvariants(t, c)
 	// Probe succeeds: circuit closes.
 	if err := c.Complete(probe.LeaseID, unitDocJSON(probe.Unit.Scheme, probe.Unit.Benchmark), "", nil, nil); err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, c)
 	if st := c.WorkerCircuitState("flaky"); st != int(breakerClosed) {
 		t.Fatalf("circuit state after successful probe = %d, want closed (0)", st)
 	}
@@ -165,7 +172,9 @@ func TestCoordinatorBreakerReopensOnFailedProbe(t *testing.T) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
 		for time.Now().Before(deadline) {
-			if g, ok := c.Lease("flaky"); ok {
+			g, ok := c.Lease("flaky")
+			checkInvariants(t, c)
+			if ok {
 				return g
 			}
 			time.Sleep(2 * time.Millisecond)
@@ -177,6 +186,7 @@ func TestCoordinatorBreakerReopensOnFailedProbe(t *testing.T) {
 	if err := c.Complete(g.LeaseID, nil, "boom", nil, nil); err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, c)
 	if st := c.WorkerCircuitState("flaky"); st != int(breakerOpen) {
 		t.Fatalf("state = %d, want open", st)
 	}
@@ -185,8 +195,138 @@ func TestCoordinatorBreakerReopensOnFailedProbe(t *testing.T) {
 	if err := c.Complete(g.LeaseID, nil, "boom again", nil, nil); err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, c)
 	// A failed probe reopens immediately regardless of the threshold.
 	if st := c.WorkerCircuitState("flaky"); st != int(breakerOpen) {
 		t.Fatalf("state after failed probe = %d, want open", st)
+	}
+}
+
+// openFlaky returns a fake-clocked coordinator whose first failure opens a
+// circuit for 30 s, with worker flaky's circuit just opened: its one unit
+// failed and backs off under a cancelled job.
+func openFlaky(t *testing.T) (*Coordinator, *fakeClock) {
+	t.Helper()
+	clk := newFakeClock()
+	c := NewCoordinator(Config{
+		LeaseTTL:         time.Minute,
+		SweepInterval:    time.Hour,
+		BreakerThreshold: 1,
+		BreakerCooldown:  30 * time.Second,
+		Now:              clk.now,
+	})
+	t.Cleanup(c.Close)
+	if err := c.SubmitJob("jobA", Interactive, testUnits("jobA", 1), JobCallbacks{}); err != nil {
+		t.Fatal(err)
+	}
+	g, ok := c.Lease("flaky")
+	if !ok {
+		t.Fatal("no unit for flaky")
+	}
+	if err := c.Complete(g.LeaseID, nil, "boom", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	c.CancelJob("jobA")
+	checkInvariants(t, c)
+	if st := c.WorkerCircuitState("flaky"); st != int(breakerOpen) {
+		t.Fatalf("circuit state after the failure = %d, want open (2)", st)
+	}
+	return c, clk
+}
+
+// TestCoordinatorBreakerProbeCancelled: a half-open worker whose probe
+// unit is cancelled holds no lease any more, so its next poll is a fresh
+// probe; the worker is not left quarantined for good.
+func TestCoordinatorBreakerProbeCancelled(t *testing.T) {
+	c, clk := openFlaky(t)
+	clk.advance(31 * time.Second) // past the cooldown
+	if err := c.SubmitJob("jobP", Interactive, testUnits("jobP", 1), JobCallbacks{}); err != nil {
+		t.Fatal(err)
+	}
+	probe, ok := c.Lease("flaky")
+	if !ok {
+		t.Fatal("half-open circuit granted no probe")
+	}
+	checkInvariants(t, c)
+	c.CancelJob("jobP")
+	checkInvariants(t, c)
+	ok = false
+	if err := c.SubmitJob("jobQ", Interactive, testUnits("jobQ", 1), JobCallbacks{}); err != nil {
+		t.Fatal(err)
+	}
+	// The worker keeps polling for three hours, well past the cancelled
+	// probe's lease TTL.
+	var again LeaseResponse
+	for i := 0; i < 120 && !ok; i++ {
+		clk.advance(90 * time.Second)
+		c.Heartbeat("flaky", nil)
+		c.sweep(clk.now())
+		checkInvariants(t, c)
+		again, ok = c.Lease("flaky")
+	}
+	if !ok {
+		t.Fatalf("worker stuck in circuit state %d for 3 h after its probe %s was cancelled", c.WorkerCircuitState("flaky"), probe.LeaseID)
+	}
+	checkInvariants(t, c)
+	if err := c.Complete(again.LeaseID, unitDocJSON(again.Unit.Scheme, again.Unit.Benchmark), "", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	checkInvariants(t, c)
+	if st := c.WorkerCircuitState("flaky"); st != int(breakerClosed) {
+		t.Fatalf("circuit state after the second probe succeeded = %d, want closed (0)", st)
+	}
+}
+
+// TestCoordinatorBreakerHeldLeaseIsProbe: a worker whose circuit opens
+// while it still holds a lease gets no new lease once half-open; the held
+// lease is its probe, and its success closes the circuit.
+func TestCoordinatorBreakerHeldLeaseIsProbe(t *testing.T) {
+	c, clk := openFlaky(t)
+	// Close the circuit with a good unit, then hold one lease while a
+	// second unit fails.
+	if err := c.SubmitJob("jobB", Interactive, testUnits("jobB", 3), JobCallbacks{}); err != nil {
+		t.Fatal(err)
+	}
+	clk.advance(31 * time.Second)
+	held, ok := c.Lease("flaky")
+	if !ok {
+		t.Fatal("half-open circuit granted no probe")
+	}
+	if err := c.Complete(held.LeaseID, unitDocJSON(held.Unit.Scheme, held.Unit.Benchmark), "", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if held, ok = c.Lease("flaky"); !ok {
+		t.Fatal("closed circuit granted no lease")
+	}
+	failing, ok := c.Lease("flaky")
+	if !ok {
+		t.Fatal("closed circuit granted no second lease")
+	}
+	if err := c.Complete(failing.LeaseID, nil, "boom", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	checkInvariants(t, c)
+	if st := c.WorkerCircuitState("flaky"); st != int(breakerOpen) {
+		t.Fatalf("circuit state after the failure = %d, want open (2)", st)
+	}
+
+	clk.advance(31 * time.Second)
+	c.sweep(clk.now()) // the failed unit's backoff is over: it is queued again
+	if _, ok := c.Lease("flaky"); ok {
+		t.Fatal("half-open circuit granted a lease while the worker holds one")
+	}
+	checkInvariants(t, c)
+	if st := c.WorkerCircuitState("flaky"); st != int(breakerHalfOpen) {
+		t.Fatalf("circuit state after the cooldown = %d, want half-open (1)", st)
+	}
+	if err := c.Complete(held.LeaseID, unitDocJSON(held.Unit.Scheme, held.Unit.Benchmark), "", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	checkInvariants(t, c)
+	if st := c.WorkerCircuitState("flaky"); st != int(breakerClosed) {
+		t.Fatalf("circuit state after the held lease succeeded = %d, want closed (0)", st)
+	}
+	if _, ok := c.Lease("flaky"); !ok {
+		t.Fatal("closed circuit granted no lease")
 	}
 }

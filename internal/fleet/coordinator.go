@@ -113,13 +113,17 @@ var (
 	ErrBadResult = errors.New("fleet: result is not an evaluation document")
 )
 
-// unit lifecycle states.
+// unit lifecycle states. Each of the first three is also a container,
+// and a unit is in exactly the container its state names: the queue holds
+// the pending units, the waiting set the backing-off ones and the lease
+// table the leased ones. So a unit found in a container needs no state
+// check.
 type unitState int
 
 const (
 	unitPending unitState = iota // in the queue
-	unitLeased                   // granted to a worker
-	unitWaiting                  // failed attempt, backing off before requeue
+	unitLeased                   // granted to a worker: its lease is in the lease table
+	unitWaiting                  // failed attempt, backing off in the waiting set
 	unitDone
 	unitFailed
 	unitCanceled
@@ -182,7 +186,7 @@ type breakerState int
 
 const (
 	breakerClosed   breakerState = 0 // healthy: leases flow
-	breakerHalfOpen breakerState = 1 // cooldown elapsed: one probe lease allowed
+	breakerHalfOpen breakerState = 1 // cooldown elapsed: the worker's one lease is its probe
 	breakerOpen     breakerState = 2 // quarantined: no leases until cooldown
 )
 
@@ -204,7 +208,17 @@ type breaker struct {
 	state     breakerState
 	consec    int       // consecutive failures while closed
 	openUntil time.Time // when an open circuit may half-open
-	probing   bool      // a half-open probe lease is outstanding
+}
+
+// workerRec is the coordinator's one record of a worker. It lives while
+// the worker was seen within WorkerTTL, holds a lease, or has an open
+// circuit still cooling down (so a restart under the same name serves the
+// quarantine).
+type workerRec struct {
+	seen    time.Time // last contact
+	expired bool      // unregistered (past WorkerTTL at a sweep, or never seen): it exports no series
+	leases  int       // leases it holds
+	breaker breaker
 }
 
 // lease is one granted unit.
@@ -247,15 +261,13 @@ type Coordinator struct {
 	met   *Metrics
 	queue *FairQueue[*trackedUnit]
 
-	mu           sync.Mutex
-	jobs         map[string]*trackedJob
-	leases       map[string]*lease
-	waiting      map[*trackedUnit]struct{}
-	workers      map[string]time.Time // last contact
-	workerLeases map[string]int
-	breakers     map[string]*breaker // per-worker failure circuits
-	idle         []*Worker           // in-process workers blocked in lease, oldest first
-	leaseSeq     int64
+	mu       sync.Mutex
+	jobs     map[string]*trackedJob
+	leases   map[string]*lease
+	waiting  map[*trackedUnit]struct{}
+	workers  map[string]*workerRec
+	idle     []*Worker // in-process workers blocked in lease, oldest first
+	leaseSeq int64
 
 	stop chan struct{}
 	done chan struct{}
@@ -266,18 +278,16 @@ type Coordinator struct {
 func NewCoordinator(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
-		cfg:          cfg,
-		log:          cfg.Logger,
-		met:          cfg.Metrics,
-		queue:        NewFairQueue[*trackedUnit](cfg.QueueDepth),
-		jobs:         map[string]*trackedJob{},
-		leases:       map[string]*lease{},
-		waiting:      map[*trackedUnit]struct{}{},
-		workers:      map[string]time.Time{},
-		workerLeases: map[string]int{},
-		breakers:     map[string]*breaker{},
-		stop:         make(chan struct{}),
-		done:         make(chan struct{}),
+		cfg:     cfg,
+		log:     cfg.Logger,
+		met:     cfg.Metrics,
+		queue:   NewFairQueue[*trackedUnit](cfg.QueueDepth),
+		jobs:    map[string]*trackedJob{},
+		leases:  map[string]*lease{},
+		waiting: map[*trackedUnit]struct{}{},
+		workers: map[string]*workerRec{},
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	go c.sweepLoop()
 	return c
@@ -434,10 +444,10 @@ func (c *Coordinator) handOffLocked(now time.Time) []delivery {
 	return out
 }
 
-// CancelJob withdraws a job: queued and waiting units are dropped
-// immediately; leased units are flagged so the next heartbeat (or
-// completion) tells their workers to abort. No callbacks fire after
-// cancellation.
+// CancelJob withdraws a job: its queued and waiting units are dropped and
+// its leases revoked at once, so the next heartbeat tells a remote holder
+// to abort and a late completion answers ErrUnknownLease; in-process
+// holders abandon the unit now. No callbacks fire after cancellation.
 func (c *Coordinator) CancelJob(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -453,12 +463,14 @@ func (c *Coordinator) CancelJob(id string) {
 		case unitWaiting:
 			delete(c.waiting, u)
 		case unitLeased:
-			if l := u.lease; l != nil && l.owner != nil {
+			l := u.lease
+			c.dropLeaseLocked(l)
+			if l.owner != nil {
 				l.owner.abandon(l.id)
 			}
 		}
 		if u.state != unitDone && u.state != unitFailed {
-			u.state = unitCanceled
+			u.state, u.lease = unitCanceled, nil
 		}
 	}
 	c.log.Info("units withdrawn", "jobId", id)
@@ -471,8 +483,7 @@ func (c *Coordinator) CancelJob(id string) {
 func (c *Coordinator) Lease(worker string) (LeaseResponse, bool) {
 	now := c.cfg.Now()
 	c.mu.Lock()
-	c.touchWorkerLocked(worker, now)
-	if !c.breakerAllowLocked(worker, now) {
+	if !c.breakerAllowLocked(worker, c.touchWorkerLocked(worker, now), now) {
 		c.mu.Unlock()
 		return LeaseResponse{}, false
 	}
@@ -519,50 +530,47 @@ func (c *Coordinator) lease(ctx context.Context, w *Worker) (LeaseResponse, bool
 // grantNextLocked leases the next grantable queued unit to worker (owner:
 // see lease) and returns the grant and its lease event to deliver.
 func (c *Coordinator) grantNextLocked(worker string, owner *Worker, now time.Time) (LeaseResponse, delivery, bool) {
-	for {
-		u, ok := c.queue.TryPop()
-		if !ok {
-			return LeaseResponse{}, delivery{}, false
-		}
-		if u.state != unitPending {
-			continue // cancelled while queued
-		}
-		c.leaseSeq++
-		l := &lease{
-			id:      fmt.Sprintf("L%08d", c.leaseSeq),
-			unit:    u,
-			worker:  worker,
-			granted: now,
-			expires: now.Add(c.cfg.LeaseTTL),
-			owner:   owner,
-		}
-		u.state = unitLeased
-		u.attempts++
-		u.lease = l
-		c.leases[l.id] = l
-		c.workerLeases[worker]++
-		c.met.WorkerBusy.With(worker).Set(1)
-		if b := c.breakers[worker]; b != nil && b.state == breakerHalfOpen {
-			b.probing = true
-			c.log.Info("worker circuit probing", "worker", worker, "leaseId", l.id)
-		}
-		u.wait.SetAttr("worker", worker)
-		u.wait.End()
-		u.wait = nil
-		c.log.Info("unit leased",
-			"jobId", u.JobID, "unitKey", u.Key, "leaseId", l.id,
-			"worker", worker, "attempt", u.attempts,
-			"scheme", u.Scheme, "benchmark", u.Benchmark)
-		resp := LeaseResponse{
-			LeaseID:   l.id,
-			TTLMillis: c.cfg.LeaseTTL.Milliseconds(),
-			Unit:      u.Unit,
-		}
-		// The traceparent rides the grant, not the spec: a tracing worker
-		// joins the unit span so its spans stitch under the job's trace.
-		resp.Unit.TraceParent = u.span.TraceParent()
-		return resp, delivery{job: u.job, events: []Event{u.event("unit", "leased")}}, true
+	u, ok := c.queue.TryPop()
+	if !ok {
+		return LeaseResponse{}, delivery{}, false
 	}
+	w := c.workerLocked(worker) // new only for an idle in-process worker that expired while it waited
+	c.leaseSeq++
+	l := &lease{
+		id:      fmt.Sprintf("L%08d", c.leaseSeq),
+		unit:    u,
+		worker:  worker,
+		granted: now,
+		expires: now.Add(c.cfg.LeaseTTL),
+		owner:   owner,
+	}
+	u.state = unitLeased
+	u.attempts++
+	u.lease = l
+	c.leases[l.id] = l
+	w.leases++
+	if !w.expired {
+		c.met.WorkerBusy.With(worker).Set(1)
+	}
+	if w.breaker.state == breakerHalfOpen {
+		c.log.Info("worker circuit probing", "worker", worker, "leaseId", l.id)
+	}
+	u.wait.SetAttr("worker", worker)
+	u.wait.End()
+	u.wait = nil
+	c.log.Info("unit leased",
+		"jobId", u.JobID, "unitKey", u.Key, "leaseId", l.id,
+		"worker", worker, "attempt", u.attempts,
+		"scheme", u.Scheme, "benchmark", u.Benchmark)
+	resp := LeaseResponse{
+		LeaseID:   l.id,
+		TTLMillis: c.cfg.LeaseTTL.Milliseconds(),
+		Unit:      u.Unit,
+	}
+	// The traceparent rides the grant, not the spec: a tracing worker
+	// joins the unit span so its spans stitch under the job's trace.
+	resp.Unit.TraceParent = u.span.TraceParent()
+	return resp, delivery{job: u.job, events: []Event{u.event("unit", "leased")}}, true
 }
 
 // Complete records a unit's outcome from its parts; see complete.
@@ -571,12 +579,13 @@ func (c *Coordinator) Complete(leaseID string, result []byte, errMsg string, spa
 }
 
 // complete records a unit's outcome: req.Result on success, req.Error on
-// failure (retried with backoff unless req.Final). An unknown lease (expired and re-granted, or from a cancelled
-// job) returns ErrUnknownLease; the worker discards the unit. A success
-// whose result fails checkResult returns ErrBadResult and changes nothing.
-// The stored and assembled result is the compacted document. req.Spans
-// are stitched into the job's trace; req.Telemetry becomes a "telemetry"
-// event just before the completed event, which carries req.Flight.
+// failure (retried with backoff unless req.Final). An unknown lease
+// (expired, or from a cancelled job) returns ErrUnknownLease; the worker
+// discards the unit. A success whose result fails checkResult returns
+// ErrBadResult and changes nothing. The stored and assembled result is
+// the compacted document. req.Spans are stitched into the job's trace;
+// req.Telemetry becomes a "telemetry" event just before the completed
+// event, which carries req.Flight.
 func (c *Coordinator) complete(_ context.Context, req CompleteRequest) error {
 	leaseID, result, errMsg := req.LeaseID, []byte(req.Result), req.Error
 	var bad error
@@ -599,12 +608,6 @@ func (c *Coordinator) complete(_ context.Context, req CompleteRequest) error {
 	}
 	c.dropLeaseLocked(l)
 	u := l.unit
-	if u.state != unitLeased {
-		// Cancelled (or already resolved by an expiry race): the result
-		// is unwanted.
-		c.mu.Unlock()
-		return nil
-	}
 	c.stitchSpansLocked(u, l, now, req.Spans)
 	var d delivery
 	switch {
@@ -613,11 +616,11 @@ func (c *Coordinator) complete(_ context.Context, req CompleteRequest) error {
 		d = c.failUnitLocked(u, errMsg)
 	case errMsg != "":
 		if l.owner == nil {
-			c.breakerFailureLocked(l.worker, now, errMsg)
+			c.breakerFailureLocked(l.worker, c.workers[l.worker], now, errMsg)
 		}
 		d = c.retryUnitLocked(u, now, errMsg)
 	default:
-		c.breakerSuccessLocked(l.worker)
+		c.breakerSuccessLocked(l.worker, c.workers[l.worker])
 		u.result = result
 		c.met.UnitDuration.With(u.Scheme).Observe(now.Sub(l.granted).Seconds())
 		u.span.SetAttr("worker", l.worker)
@@ -652,19 +655,11 @@ func (c *Coordinator) Heartbeat(worker string, leaseIDs []string) (canceled []st
 	defer c.mu.Unlock()
 	c.touchWorkerLocked(worker, now)
 	for _, id := range leaseIDs {
-		l, ok := c.leases[id]
-		if ok && l.worker != worker {
+		if l, ok := c.leases[id]; ok && l.worker == worker {
+			l.expires = now.Add(c.cfg.LeaseTTL)
+		} else {
 			canceled = append(canceled, id)
-			continue
 		}
-		if !ok || l.unit.state != unitLeased {
-			canceled = append(canceled, id)
-			if ok {
-				c.dropLeaseLocked(l)
-			}
-			continue
-		}
-		l.expires = now.Add(c.cfg.LeaseTTL)
 	}
 	return canceled
 }
@@ -705,10 +700,13 @@ func (c *Coordinator) retryUnitLocked(u *trackedUnit, now time.Time, reason stri
 	}
 	u.lease = nil
 	u.errMsg = reason
-	backoff := c.cfg.RetryBackoff << (u.attempts - 1)
-	if backoff > maxBackoff {
-		backoff = maxBackoff
+	// Doubled per earlier attempt, but never past the cap: a shift by
+	// attempts-1 overflows from the 35th attempt on.
+	backoff := c.cfg.RetryBackoff
+	for i := 1; i < u.attempts && backoff < maxBackoff; i++ {
+		backoff *= 2
 	}
+	backoff = min(backoff, maxBackoff)
 	u.state = unitWaiting
 	u.readyAt = now.Add(backoff)
 	c.waiting[u] = struct{}{}
@@ -769,15 +767,12 @@ func (c *Coordinator) sweep(now time.Time) {
 			continue
 		}
 		c.dropLeaseLocked(l)
-		if l.unit.state != unitLeased {
-			continue
-		}
 		c.met.LeasesExpired.Inc()
 		c.log.Warn("lease expired",
 			"jobId", l.unit.JobID, "unitKey", l.unit.Key,
 			"leaseId", id, "worker", l.worker)
 		if l.owner == nil {
-			c.breakerFailureLocked(l.worker, now, "lease expired")
+			c.breakerFailureLocked(l.worker, c.workers[l.worker], now, "lease expired")
 		}
 		deliveries = append(deliveries, c.retryUnitLocked(l.unit, now, "lease expired (worker lost)"))
 	}
@@ -785,33 +780,27 @@ func (c *Coordinator) sweep(now time.Time) {
 		if now.Before(u.readyAt) {
 			continue
 		}
-		delete(c.waiting, u)
-		if u.state != unitWaiting {
-			continue
-		}
-		u.state = unitPending
 		if !c.queue.forcePush(u, u.job.class) {
 			break // queue closed: shutting down
 		}
+		delete(c.waiting, u)
+		u.state = unitPending
 	}
-	for w, seen := range c.workers {
-		if now.Sub(seen) > c.cfg.WorkerTTL {
-			delete(c.workers, w)
-			c.met.WorkerLastSeen.Delete(w)
-			c.met.WorkerBusy.Delete(w)
-			c.log.Info("worker expired", "worker", w)
-		}
-	}
-	// An expired worker's circuit gauge goes with it. Its breaker outlives
-	// it only while open, so a restart under the same name still serves
-	// the quarantine.
-	for w, b := range c.breakers {
-		if _, live := c.workers[w]; live {
+	// An expired worker's series go at once; its record goes once it holds
+	// no lease and its circuit is not cooling down.
+	for name, w := range c.workers {
+		if now.Sub(w.seen) <= c.cfg.WorkerTTL {
 			continue
 		}
-		c.met.WorkerCircuit.Delete(w)
-		if b.state != breakerOpen || !now.Before(b.openUntil) {
-			delete(c.breakers, w)
+		if !w.expired {
+			w.expired = true
+			c.met.WorkerLastSeen.Delete(name)
+			c.met.WorkerBusy.Delete(name)
+			c.met.WorkerCircuit.Delete(name)
+			c.log.Info("worker expired", "worker", name)
+		}
+		if w.leases == 0 && !w.breaker.quarantined(now) {
+			delete(c.workers, name)
 		}
 	}
 	deliveries = append(deliveries, c.handOffLocked(now)...)
@@ -819,90 +808,76 @@ func (c *Coordinator) sweep(now time.Time) {
 	c.deliver(deliveries)
 }
 
-// dropLeaseLocked removes a lease and maintains the per-worker busy
-// accounting.
+// dropLeaseLocked removes a lease from the table and from its worker's
+// count, idling the worker's busy gauge with its last lease.
 func (c *Coordinator) dropLeaseLocked(l *lease) {
-	if _, ok := c.leases[l.id]; !ok {
-		return
-	}
 	delete(c.leases, l.id)
-	if n := c.workerLeases[l.worker] - 1; n > 0 {
-		c.workerLeases[l.worker] = n
-	} else {
-		delete(c.workerLeases, l.worker)
-		if _, live := c.workers[l.worker]; live {
-			c.met.WorkerBusy.With(l.worker).Set(0)
-		} else {
-			c.met.WorkerBusy.Delete(l.worker) // it expired holding the lease
-		}
+	w := c.workers[l.worker]
+	if w.leases--; w.leases == 0 && !w.expired {
+		c.met.WorkerBusy.With(l.worker).Set(0)
 	}
 }
 
-// breakerAllowLocked decides whether a worker may receive a lease:
-// closed circuits always may, open ones may not until their cooldown
-// elapses (which half-opens them), and half-open ones admit exactly one
-// probe lease at a time.
-func (c *Coordinator) breakerAllowLocked(worker string, now time.Time) bool {
-	b := c.breakers[worker]
-	if b == nil {
-		return true
+// quarantined reports whether the circuit is open and still cooling down.
+func (b breaker) quarantined(now time.Time) bool {
+	return b.state == breakerOpen && now.Before(b.openUntil)
+}
+
+// setCircuitLocked moves w's circuit to s and exports it, unless the
+// worker has expired: an expired worker keeps no series.
+func (c *Coordinator) setCircuitLocked(name string, w *workerRec, s breakerState) {
+	w.breaker.state = s
+	if !w.expired {
+		c.met.WorkerCircuit.With(name).Set(float64(s))
 	}
-	switch b.state {
-	case breakerOpen:
-		if now.Before(b.openUntil) {
+}
+
+// breakerAllowLocked decides whether a remote worker may receive a lease:
+// closed circuits always may, open ones may not until their cooldown
+// elapses (which half-opens them), and a half-open one may while its
+// worker holds no lease, so that one lease is its probe.
+func (c *Coordinator) breakerAllowLocked(name string, w *workerRec, now time.Time) bool {
+	if w.breaker.state == breakerOpen {
+		if w.breaker.quarantined(now) {
 			return false
 		}
-		b.state = breakerHalfOpen
-		b.probing = false
-		c.met.WorkerCircuit.With(worker).Set(float64(breakerHalfOpen))
-		c.log.Info("worker circuit half-open", "worker", worker)
-		return true
-	case breakerHalfOpen:
-		return !b.probing
-	default:
-		return true
+		c.setCircuitLocked(name, w, breakerHalfOpen)
+		c.log.Info("worker circuit half-open", "worker", name)
 	}
+	return w.breaker.state == breakerClosed || w.leases == 0
 }
 
 // breakerFailureLocked attributes one failure (reported error or
 // expired lease) to a worker, opening its circuit after
 // BreakerThreshold consecutive failures — or immediately when a
 // half-open probe fails.
-func (c *Coordinator) breakerFailureLocked(worker string, now time.Time, reason string) {
+func (c *Coordinator) breakerFailureLocked(name string, w *workerRec, now time.Time, reason string) {
 	if c.cfg.BreakerThreshold < 0 {
 		return
 	}
-	b := c.breakers[worker]
-	if b == nil {
-		b = &breaker{}
-		c.breakers[worker] = b
-	}
+	b := &w.breaker
 	b.consec++
 	if b.state == breakerHalfOpen || b.consec >= c.cfg.BreakerThreshold {
-		b.state = breakerOpen
 		b.openUntil = now.Add(c.cfg.BreakerCooldown)
-		b.probing = false
-		c.met.WorkerCircuit.With(worker).Set(float64(breakerOpen))
+		c.setCircuitLocked(name, w, breakerOpen)
 		c.log.Warn("worker circuit opened",
-			"worker", worker, "consecutiveFailures", b.consec,
+			"worker", name, "consecutiveFailures", b.consec,
 			"cooldownMs", c.cfg.BreakerCooldown.Milliseconds(), "error", reason)
 	}
 }
 
 // breakerSuccessLocked records a successful completion, closing the
-// worker's circuit from any state.
-func (c *Coordinator) breakerSuccessLocked(worker string) {
-	b := c.breakers[worker]
-	if b == nil {
+// worker's circuit from any state. A worker with no failure on record
+// exports no circuit series.
+func (c *Coordinator) breakerSuccessLocked(name string, w *workerRec) {
+	if w.breaker == (breaker{}) {
 		return
 	}
-	if b.state != breakerClosed {
-		c.log.Info("worker circuit closed", "worker", worker)
+	if w.breaker.state != breakerClosed {
+		c.log.Info("worker circuit closed", "worker", name)
 	}
-	b.state = breakerClosed
-	b.consec = 0
-	b.probing = false
-	c.met.WorkerCircuit.With(worker).Set(float64(breakerClosed))
+	w.breaker = breaker{}
+	c.setCircuitLocked(name, w, breakerClosed)
 }
 
 // WorkerCircuitState reports a worker's breaker state (0 closed,
@@ -910,18 +885,33 @@ func (c *Coordinator) breakerSuccessLocked(worker string) {
 func (c *Coordinator) WorkerCircuitState(worker string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if b := c.breakers[worker]; b != nil {
-		return int(b.state)
+	if w := c.workers[worker]; w != nil {
+		return int(w.breaker.state)
 	}
 	return int(breakerClosed)
 }
 
-func (c *Coordinator) touchWorkerLocked(worker string, now time.Time) {
-	if _, known := c.workers[worker]; !known {
-		c.log.Info("worker registered", "worker", worker)
+// workerLocked returns a worker's record, creating an unregistered one
+// (it exports no series) for a name the coordinator does not hold.
+func (c *Coordinator) workerLocked(name string) *workerRec {
+	w := c.workers[name]
+	if w == nil {
+		w = &workerRec{expired: true}
+		c.workers[name] = w
 	}
-	c.workers[worker] = now
-	c.met.WorkerLastSeen.With(worker).Set(float64(now.Unix()))
+	return w
+}
+
+// touchWorkerLocked records contact from a worker, registering it anew if
+// it was unknown or had expired, and returns its record.
+func (c *Coordinator) touchWorkerLocked(name string, now time.Time) *workerRec {
+	w := c.workerLocked(name)
+	if w.expired {
+		c.log.Info("worker registered", "worker", name)
+	}
+	w.seen, w.expired = now, false
+	c.met.WorkerLastSeen.With(name).Set(float64(now.Unix()))
+	return w
 }
 
 // ActiveWorkers counts workers seen within WorkerTTL whose circuit is
@@ -931,14 +921,10 @@ func (c *Coordinator) ActiveWorkers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for w, seen := range c.workers {
-		if now.Sub(seen) > c.cfg.WorkerTTL {
-			continue
+	for _, w := range c.workers {
+		if now.Sub(w.seen) <= c.cfg.WorkerTTL && !w.breaker.quarantined(now) {
+			n++
 		}
-		if b := c.breakers[w]; b != nil && b.state == breakerOpen && now.Before(b.openUntil) {
-			continue
-		}
-		n++
 	}
 	return n
 }
@@ -955,13 +941,7 @@ func (c *Coordinator) UnitsPending() int {
 func (c *Coordinator) UnitsRunning() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for _, l := range c.leases {
-		if l.unit.state == unitLeased {
-			n++
-		}
-	}
-	return n
+	return len(c.leases)
 }
 
 // QueueDepth returns per-class queued unit counts (interactive, batch).

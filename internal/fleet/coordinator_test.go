@@ -110,10 +110,12 @@ func TestCoordinatorLeaseCompleteAssemble(t *testing.T) {
 		if !ok {
 			t.Fatalf("lease %d: no unit", i)
 		}
+		checkInvariants(t, c)
 		doc := unitDocJSON(grant.Unit.Scheme, grant.Unit.Benchmark)
 		if err := c.Complete(grant.LeaseID, doc, "", nil, nil); err != nil {
 			t.Fatal(err)
 		}
+		checkInvariants(t, c)
 	}
 	result, err := cl.wait(t)
 	if err != nil {
@@ -157,11 +159,13 @@ func TestCoordinatorStoreHitSkipsExecution(t *testing.T) {
 	if got := cl.eventCount("cache", ""); got != 1 {
 		t.Fatalf("cache events: %d want 1", got)
 	}
+	checkInvariants(t, c)
 	// Only the uncached unit should be leasable.
 	grant, ok := c.Lease("w1")
 	if !ok {
 		t.Fatal("no unit to lease")
 	}
+	checkInvariants(t, c)
 	if grant.Unit.Key != "jobS-key-1" {
 		t.Fatalf("leased cached unit %s", grant.Unit.Key)
 	}
@@ -171,6 +175,7 @@ func TestCoordinatorStoreHitSkipsExecution(t *testing.T) {
 	if err := c.Complete(grant.LeaseID, unitDocJSON(grant.Unit.Scheme, grant.Unit.Benchmark), "", nil, nil); err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, c)
 	if _, err := cl.wait(t); err != nil {
 		t.Fatal(err)
 	}
@@ -194,6 +199,7 @@ func TestCoordinatorLeaseExpiryRequeues(t *testing.T) {
 	if !ok {
 		t.Fatal("no unit")
 	}
+	checkInvariants(t, c)
 	// "Crash": never complete, never heartbeat. The unit must come back.
 	var regrant LeaseResponse
 	deadline := time.Now().Add(5 * time.Second)
@@ -201,12 +207,14 @@ func TestCoordinatorLeaseExpiryRequeues(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("unit never re-leased after expiry")
 		}
+		checkInvariants(t, c)
 		if g, ok := c.Lease("healthy"); ok {
 			regrant = g
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	checkInvariants(t, c)
 	if regrant.Unit.Key != grant.Unit.Key {
 		t.Fatalf("re-leased wrong unit %s", regrant.Unit.Key)
 	}
@@ -217,6 +225,7 @@ func TestCoordinatorLeaseExpiryRequeues(t *testing.T) {
 	if err := c.Complete(regrant.LeaseID, unitDocJSON("Scheme0", "bench"), "", nil, nil); err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, c)
 	if _, err := cl.wait(t); err != nil {
 		t.Fatal(err)
 	}
@@ -244,6 +253,7 @@ func TestCoordinatorHeartbeatKeepsLeaseAlive(t *testing.T) {
 		if canceled := c.Heartbeat("w1", []string{grant.LeaseID}); len(canceled) != 0 {
 			t.Fatalf("lease canceled at heartbeat %d: %v", i, canceled)
 		}
+		checkInvariants(t, c)
 	}
 	if err := c.Complete(grant.LeaseID, unitDocJSON("Scheme0", "bench"), "", nil, nil); err != nil {
 		t.Fatal(err)
@@ -274,6 +284,7 @@ func TestCoordinatorHeartbeatKeepsLeaseAlive(t *testing.T) {
 	if canceled := c.Heartbeat("w1", []string{grant.LeaseID}); len(canceled) != 0 {
 		t.Fatalf("lease canceled by heartbeat: %v", canceled)
 	}
+	checkInvariants(t, c)
 	skewNS.Add(int64(time.Second))
 	if age := c.OldestLeaseAgeSeconds(); age < 11 || age > 30 {
 		t.Errorf("oldest lease age = %.2fs after grant+11s, want ~11 (time since grant, not since the last heartbeat)", age)
@@ -306,6 +317,7 @@ func TestSweepAfterCloseReleasesLock(t *testing.T) {
 	if err := c.Complete(grant.LeaseID, nil, "boom", nil, nil); err != nil { // unit → waiting
 		t.Fatal(err)
 	}
+	checkInvariants(t, c)
 	c.Close()
 	c.sweep(time.Now().Add(time.Minute)) // backoff elapsed: tries to requeue into the closed queue
 	pending := make(chan int, 1)
@@ -315,6 +327,7 @@ func TestSweepAfterCloseReleasesLock(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("UnitsPending blocked: sweep returned with the coordinator lock held")
 	}
+	checkInvariants(t, c)
 }
 
 func TestCoordinatorMaxAttemptsFailsUnit(t *testing.T) {
@@ -332,6 +345,7 @@ func TestCoordinatorMaxAttemptsFailsUnit(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for completed < 2 && time.Now().Before(deadline) {
 		grant, ok := c.Lease("w1")
+		checkInvariants(t, c)
 		if !ok {
 			time.Sleep(5 * time.Millisecond)
 			continue
@@ -348,6 +362,7 @@ func TestCoordinatorMaxAttemptsFailsUnit(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		checkInvariants(t, c)
 	}
 	result, err := cl.wait(t)
 	if err != nil {
@@ -382,7 +397,9 @@ func TestCoordinatorCancelWithdrawsUnits(t *testing.T) {
 	if !ok {
 		t.Fatal("no unit")
 	}
+	checkInvariants(t, c)
 	c.CancelJob("jobC")
+	checkInvariants(t, c)
 	// Queued units are gone.
 	if _, ok := c.Lease("w1"); ok {
 		t.Fatal("cancelled job's units still leasable")
@@ -392,6 +409,7 @@ func TestCoordinatorCancelWithdrawsUnits(t *testing.T) {
 	if len(canceled) != 1 || canceled[0] != grant.LeaseID {
 		t.Fatalf("heartbeat canceled: %v", canceled)
 	}
+	checkInvariants(t, c)
 	// A late completion for the withdrawn lease is dropped quietly.
 	if err := c.Complete(grant.LeaseID, unitDocJSON("x", "y"), "", nil, nil); err != ErrUnknownLease {
 		t.Fatalf("late complete: %v", err)
@@ -415,6 +433,7 @@ func TestCoordinatorDuplicateSubmitRejected(t *testing.T) {
 	if err := c.SubmitJob("dup", Batch, testUnits("dup", 1), newCollector().callbacks()); err != ErrJobExists {
 		t.Fatalf("duplicate submit: %v", err)
 	}
+	checkInvariants(t, c)
 }
 
 // fakeClock is a coordinator clock that moves only when told to.
@@ -452,16 +471,20 @@ func TestHeartbeatRenewsOnlyOwnLeases(t *testing.T) {
 		if n := c.UnitsRunning(); n != 1 {
 			t.Fatalf("units running after b's heartbeat = %d, want 1 (the lease stays a's)", n)
 		}
+		checkInvariants(t, c)
 	}
 	c.sweep(clk.now())
+	checkInvariants(t, c)
 	if running, pending := c.UnitsRunning(), c.UnitsPending(); running != 0 || pending != 1 {
 		t.Fatalf("after the sweep: %d running, %d pending; want a's lease expired and its unit retried", running, pending)
 	}
 	clk.advance(time.Minute) // past the retry backoff
 	c.sweep(clk.now())
+	checkInvariants(t, c)
 	if again, ok := c.Lease("b"); !ok || again.Unit.Key != grant.Unit.Key {
 		t.Fatalf("re-lease = %+v (ok=%v), want unit %s back in the queue", again, ok, grant.Unit.Key)
 	}
+	checkInvariants(t, c)
 }
 
 // TestExpiredWorkerLeavesNoSeries: once a worker expires, its last-seen,
@@ -497,6 +520,7 @@ func TestExpiredWorkerLeavesNoSeries(t *testing.T) {
 		t.Fatal("no unit for holder")
 	}
 	c.Heartbeat("live", nil)
+	checkInvariants(t, c)
 
 	expo := func() string {
 		var b strings.Builder
@@ -511,7 +535,13 @@ func TestExpiredWorkerLeavesNoSeries(t *testing.T) {
 	breakers := func() int {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return len(c.breakers)
+		n := 0
+		for _, w := range c.workers {
+			if w.breaker != (breaker{}) {
+				n++
+			}
+		}
+		return n
 	}
 	// +6 s: flaky and holder expire (holder's lease has 4 s left); +11 s:
 	// the lease expires too, opening holder's circuit; +42 s: both
@@ -523,6 +553,7 @@ func TestExpiredWorkerLeavesNoSeries(t *testing.T) {
 		clk.advance(step.d)
 		c.Heartbeat("live", nil)
 		c.sweep(clk.now())
+		checkInvariants(t, c)
 		e := expo()
 		if strings.Contains(e, `worker="flaky"`) || strings.Contains(e, `worker="holder"`) {
 			t.Fatalf("expired workers still exposed:\n%s", e)
@@ -533,5 +564,85 @@ func TestExpiredWorkerLeavesNoSeries(t *testing.T) {
 		if n := breakers(); n != step.breakers {
 			t.Fatalf("breakers after +%v = %d, want %d", step.d, n, step.breakers)
 		}
+	}
+}
+
+// checkInvariants asserts that each unit state is the container holding
+// the unit and that each worker record counts exactly its leases: every
+// queued unit is pending, every waiting one is waiting, every lease's unit
+// is leased and points back to it, and each record's lease count matches
+// the lease table.
+func checkInvariants(tb testing.TB, c *Coordinator) {
+	tb.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.queue.mu.Lock()
+	for class := range c.queue.q {
+		for _, u := range c.queue.q[class][c.queue.head[class]:] {
+			if u.state != unitPending {
+				tb.Errorf("queued unit %s in state %d, want pending", u.Key, u.state)
+			}
+		}
+	}
+	c.queue.mu.Unlock()
+	for u := range c.waiting {
+		if u.state != unitWaiting {
+			tb.Errorf("waiting unit %s in state %d, want waiting", u.Key, u.state)
+		}
+	}
+	held := map[string]int{}
+	for id, l := range c.leases {
+		if l.unit.state != unitLeased || l.unit.lease != l {
+			tb.Errorf("lease %s: unit %s in state %d holding lease %p, want leased holding %p", id, l.unit.Key, l.unit.state, l.unit.lease, l)
+		}
+		held[l.worker]++
+	}
+	for name, w := range c.workers {
+		if w.leases != held[name] {
+			tb.Errorf("worker %s counts %d leases, holds %d", name, w.leases, held[name])
+		}
+		delete(held, name)
+	}
+	for name, n := range held {
+		tb.Errorf("worker %s holds %d leases but has no record", name, n)
+	}
+}
+
+// TestCoordinatorRetryBackoffCapped: a failed unit's retry delay doubles
+// per attempt from RetryBackoff up to maxBackoff and stays there, however
+// many attempts MaxAttempts allows; a shifted delay overflows from the
+// 35th attempt on and would retry at once.
+func TestCoordinatorRetryBackoffCapped(t *testing.T) {
+	clk := newFakeClock()
+	c := NewCoordinator(Config{
+		LeaseTTL:         time.Hour,
+		SweepInterval:    time.Hour,
+		MaxAttempts:      70,
+		BreakerThreshold: -1,
+		Now:              clk.now,
+	})
+	t.Cleanup(c.Close)
+	if err := c.SubmitJob("jobB", Interactive, testUnits("jobB", 1), JobCallbacks{}); err != nil {
+		t.Fatal(err)
+	}
+	want := time.Second
+	for attempt := 1; attempt < 70; attempt++ {
+		g, ok := c.Lease("w")
+		if !ok {
+			t.Fatalf("attempt %d: no unit", attempt)
+		}
+		if err := c.Complete(g.LeaseID, nil, "boom", nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		checkInvariants(t, c)
+		clk.advance(want - time.Millisecond)
+		c.sweep(clk.now())
+		if _, ok := c.Lease("w"); ok {
+			t.Fatalf("attempt %d: unit leasable before its %v backoff", attempt, want)
+		}
+		clk.advance(time.Millisecond)
+		c.sweep(clk.now())
+		checkInvariants(t, c)
+		want = min(2*want, maxBackoff)
 	}
 }

@@ -185,6 +185,7 @@ func FuzzFleetLeaseHeartbeat(f *testing.F) {
 		units, before := c.UnitsPending()+c.UnitsRunning(), expiries()
 		clk.advance(time.Second) // so a renewal moves an expiry
 		post("/v1/fleet/heartbeat")
+		checkInvariants(t, c)
 		if n := c.UnitsPending() + c.UnitsRunning(); n != units {
 			t.Fatalf("heartbeat moved pending+running from %d to %d", units, n)
 		}
@@ -202,6 +203,7 @@ func FuzzFleetLeaseHeartbeat(f *testing.F) {
 		}
 
 		post("/v1/fleet/lease")
+		checkInvariants(t, c)
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		for id, l := range c.leases {

@@ -178,7 +178,7 @@ func Middleware(next http.Handler, m *HTTPMetrics, logger *slog.Logger, tracer *
 		sp.SetAttrInt("status", int64(sw.status))
 		sp.End()
 		m.latency.With(rt).Observe(elapsed.Seconds())
-		m.requests.With(rt, r.Method, fmt.Sprintf("%d", sw.status)).Inc()
+		m.requests.With(rt, methodLabel(r.Method), fmt.Sprintf("%d", sw.status)).Inc()
 		logger.Info("http request",
 			"requestId", rid,
 			"method", r.Method,
@@ -189,4 +189,16 @@ func Middleware(next http.Handler, m *HTTPMetrics, logger *slog.Logger, tracer *
 			"remote", r.RemoteAddr,
 		)
 	})
+}
+
+// methodLabel bounds the method label: a method net/http names keeps its
+// name, and any other token a client sends counts as "other". Spans and
+// access logs keep the raw method.
+func methodLabel(method string) string {
+	switch method {
+	case http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodPatch,
+		http.MethodDelete, http.MethodConnect, http.MethodOptions, http.MethodTrace:
+		return method
+	}
+	return "other"
 }

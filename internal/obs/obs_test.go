@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -333,6 +334,47 @@ func TestMiddleware(t *testing.T) {
 	}
 	if !strings.Contains(logs, "status=404") || !strings.Contains(logs, "route=other") {
 		t.Errorf("access log missing status/route fields:\n%s", logs)
+	}
+}
+
+// TestMiddlewareMethodLabelBounded: request methods outside net/http's
+// names share one "other" series, so clients cannot grow the exposition
+// by inventing methods; the access log keeps the raw method.
+func TestMiddlewareMethodLabelBounded(t *testing.T) {
+	reg := NewRegistry()
+	var logBuf bytes.Buffer
+	logger, err := NewLogger(&logBuf, "info", "text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})
+	h := Middleware(ok, NewHTTPMetrics(reg, "test"), logger, nil, func(*http.Request) string { return "/v1/healthz" })
+	methods := []string{http.MethodGet}
+	for i := 0; i < 50; i++ {
+		methods = append(methods, fmt.Sprintf("M%d", i))
+	}
+	for _, m := range methods {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(m, "/v1/healthz", nil))
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var series []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "test_http_requests_total{") {
+			series = append(series, line)
+		}
+	}
+	want := []string{
+		`test_http_requests_total{route="/v1/healthz",method="GET",code="200"} 1`,
+		`test_http_requests_total{route="/v1/healthz",method="other",code="200"} 50`,
+	}
+	if !reflect.DeepEqual(series, want) {
+		t.Errorf("request series = %q, want %q", series, want)
+	}
+	if !strings.Contains(logBuf.String(), "method=M49") {
+		t.Errorf("access log lost the raw method:\n%s", logBuf.String())
 	}
 }
 

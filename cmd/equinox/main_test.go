@@ -38,6 +38,7 @@ var goldenCases = []struct {
 	{"eval-fig9a-ubumps", []string{"eval", "-benchmarks", "kmeans,bfs", "-instr", "40", "-fig9a", "-ubumps"}, nil},
 	{"design-mcts", []string{"design", "-iters", "40"}, nil},
 	{"design-greedy-12x12", []string{"design", "-search", "greedy", "-width", "12", "-height", "12"}, nil},
+	{"design-random", []string{"design", "-search", "random", "-iters", "25"}, nil}, // reports its 8 × 25 samples
 	{"heatmap", []string{"heatmap", "-cycles", "300"}, nil},
 	{"sweep-f2m", []string{"sweep", "-pattern", "f2m"}, nil},
 	{"viz", []string{"viz", "-out", "$DIR"},

@@ -81,7 +81,7 @@ type Design struct {
 
 	PlacementScore int             // hot-zone penalty of the CB placement
 	Eval           mcts.Evaluation // search evaluation of the EIR selection
-	SearchIters    int
+	SearchIters    int             // complete assignments the search scored (0 for greedy)
 }
 
 // BuildDesign runs the full §4 flow.
@@ -171,7 +171,7 @@ func BuildDesignContext(ctx context.Context, cfg DesignConfig) (*Design, error) 
 		Plan:           plan,
 		PlacementScore: placement.Score(pl),
 		Eval:           res.Eval,
-		SearchIters:    res.Iterations,
+		SearchIters:    res.Evaluated,
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err

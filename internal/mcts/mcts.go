@@ -381,8 +381,7 @@ func DefaultOptions() Options {
 type Result struct {
 	Assignment Assignment
 	Eval       Evaluation
-	Iterations int // total MCTS iterations performed
-	Evaluated  int // rollout evaluations performed
+	Evaluated  int // complete assignments scored: one per MCTS iteration or random sample
 }
 
 // node is one tree node, addressed by its index in the level's slab. Its
@@ -436,7 +435,6 @@ func Search(p Problem, opts Options) (Result, error) {
 		nodes = append(nodes[:0], node{cand: -1, parent: -1, first: -1, last: -1, sibling: -1,
 			next: s.nextLegal(level, 0, s.taken)})
 		for it := 0; it < opts.IterationsPerLevel; it++ {
-			res.Iterations++
 			// (1) Selection.
 			n, depth := int32(0), level
 			copy(path, s.taken)
@@ -573,7 +571,8 @@ func RandomSearch(p Problem, samples int, seed int64) (Result, error) {
 // gets an EIR exactly two hops away on each axis direction that stays inside
 // the mesh and is not a CB or an already-used EIR. This mirrors the design
 // MCTS converges to in the paper's Figure 7 and serves both as a fast path
-// for large meshes and as a quality yardstick in tests.
+// for large meshes and as a quality yardstick in tests. Under a HopLimit of
+// 1 no 2-hop EIR is legal, and every group is empty.
 func GreedyTwoHop(p Problem) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
@@ -584,7 +583,7 @@ func GreedyTwoHop(p Problem) (Result, error) {
 	for ci, cb := range p.CBs {
 		var g Group
 		for _, d := range axisOrder {
-			if len(g) == p.MaxEIRsPerCB {
+			if len(g) == p.MaxEIRsPerCB || p.HopLimit < 2 {
 				break
 			}
 			e := cb.Add(geom.Pt(d.Delta().X*2, d.Delta().Y*2))
@@ -600,18 +599,4 @@ func GreedyTwoHop(p Problem) (Result, error) {
 		a[ci] = g
 	}
 	return Result{Assignment: a, Eval: p.Evaluate(a)}, nil
-}
-
-// PureGreedyRollout completes an empty assignment with the rollout policy's
-// greedy choice for every CB (no randomness). Exported for diagnostics; it
-// returns nil for a Problem that does not validate.
-func PureGreedyRollout(p Problem) Assignment {
-	if p.Validate() != nil {
-		return nil
-	}
-	s := newSearch(p)
-	for ci := range p.CBs {
-		s.choose(ci, s.nextLegal(ci, 0, s.taken), s.taken)
-	}
-	return s.assignment()
 }

@@ -347,19 +347,34 @@ func TestGroupsMap(t *testing.T) {
 	}
 }
 
+// TestDefaultOptionsAndPureGreedy: the default budget is a real one, and
+// the pure greedy construction (GreedyTwoHop) places EIRs on the paper's
+// problem but none beyond a HopLimit, however small.
 func TestDefaultOptionsAndPureGreedy(t *testing.T) {
 	o := DefaultOptions()
 	if o.IterationsPerLevel <= 0 || o.ExplorationC <= 0 {
 		t.Error("bad default options")
 	}
 	p := paperProblem(t)
-	a := PureGreedyRollout(p)
-	if len(a) != len(p.CBs) {
-		t.Fatalf("rollout covers %d CBs", len(a))
-	}
-	ev := p.Evaluate(a)
-	if ev.Links == 0 || ev.Cost <= 0 {
-		t.Error("greedy rollout empty")
+	for hop := 1; hop <= 3; hop++ {
+		p.HopLimit = hop
+		g, err := GreedyTwoHop(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(g.Assignment) != len(p.CBs) {
+			t.Fatalf("HopLimit %d: greedy covers %d CBs", hop, len(g.Assignment))
+		}
+		if hop >= 2 && g.Eval.Links == 0 {
+			t.Errorf("HopLimit %d: greedy design empty", hop)
+		}
+		for ci, group := range g.Assignment {
+			for _, e := range group {
+				if d := geom.Manhattan(p.CBs[ci], e); d > hop {
+					t.Errorf("HopLimit %d: greedy EIR %v is %d hops from CB %v", hop, e, d, p.CBs[ci])
+				}
+			}
+		}
 	}
 }
 
@@ -374,8 +389,8 @@ func TestSearchKeepsSeedWithDefaultBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := def.IterationsPerLevel * len(p.CBs); got.Iterations != want {
-			t.Errorf("seed %d: %d iterations with a zero budget, want the default %d", seed, got.Iterations, want)
+		if want := def.IterationsPerLevel * len(p.CBs); got.Evaluated != want {
+			t.Errorf("seed %d: %d evaluations with a zero budget, want the default %d", seed, got.Evaluated, want)
 		}
 		want, err := Search(p, Options{IterationsPerLevel: def.IterationsPerLevel, ExplorationC: def.ExplorationC, Seed: seed})
 		if err != nil {
@@ -402,7 +417,11 @@ func TestSearchKeepsSeedWithDefaultBudget(t *testing.T) {
 // matrix), scratch and one node slab — nothing per iteration.
 func TestAllocationPins(t *testing.T) {
 	p := paperProblem(t)
-	a := PureGreedyRollout(p)
+	g, err := GreedyTwoHop(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := g.Assignment
 	if n := testing.AllocsPerRun(20, func() { p.Evaluate(a) }); n != 0 {
 		t.Errorf("Evaluate allocates %.0f times per 8×8 assignment, want 0", n)
 	}

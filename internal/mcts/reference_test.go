@@ -248,7 +248,6 @@ func refSearch(p Problem, opts Options) (Result, error) {
 			continue
 		}
 		for it := 0; it < opts.IterationsPerLevel; it++ {
-			res.Iterations++
 			// (1) Selection.
 			n := root
 			depth := level
@@ -500,7 +499,8 @@ func refRandomSearch(p Problem, samples int, seed int64) (Result, error) {
 // gets an EIR exactly two hops away on each axis direction that stays inside
 // the mesh and is not a CB or an already-used EIR. This mirrors the design
 // MCTS converges to in the paper's Figure 7 and serves both as a fast path
-// for large meshes and as a quality yardstick in tests.
+// for large meshes and as a quality yardstick in tests. Under a HopLimit of
+// 1 no 2-hop EIR is legal, and every group is empty.
 func refGreedyTwoHop(p Problem) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
@@ -515,7 +515,7 @@ func refGreedyTwoHop(p Problem) (Result, error) {
 	for ci, cb := range p.CBs {
 		var g Group
 		for _, d := range order {
-			if len(g) == p.MaxEIRsPerCB {
+			if len(g) == p.MaxEIRsPerCB || p.HopLimit < 2 {
 				break
 			}
 			e := cb.Add(geom.Pt(d.Delta().X*2, d.Delta().Y*2))
@@ -533,120 +533,4 @@ func refGreedyTwoHop(p Problem) (Result, error) {
 		a[ci] = g
 	}
 	return Result{Assignment: a, Eval: p.refEvaluate(a)}, nil
-}
-
-// PureGreedyRollout completes an empty assignment with the rollout policy's
-// greedy choice for every CB (no randomness). Exported for diagnostics.
-func refPureGreedyRollout(p Problem) Assignment {
-	taken := map[geom.Point]bool{}
-	a := make(Assignment, 0, len(p.CBs))
-	for ci := range p.CBs {
-		cands := p.refCandidateGroups(ci, taken)
-		if len(cands) == 0 {
-			a = append(a, nil)
-			continue
-		}
-		g := p.refBestHeuristicGroup(ci, cands)
-		a = append(a, g)
-		for _, e := range g {
-			taken[e] = true
-		}
-	}
-	return a
-}
-
-// SimulatedAnnealing is the alternative search the paper argues against
-// (§4.3): the natural SA formulation works on a per-node bit vector ("is
-// this tile an EIR?"), which blows the problem up to 2^64 states and
-// generates many invalid intermediates during perturbation. It is included
-// as an ablation baseline; with matched evaluation budgets it converges
-// more slowly than the tree search, reproducing the paper's argument.
-//
-// States are repaired to validity before evaluation (invalid bits are
-// dropped), so SA pays the formulation tax as wasted perturbations rather
-// than as crashes.
-func refSimulatedAnnealing(p Problem, evaluations int, seed int64) (Result, error) {
-	if err := p.Validate(); err != nil {
-		return Result{}, err
-	}
-	if evaluations < 1 {
-		evaluations = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	n := p.Width * p.Height
-	isCB := map[int]bool{}
-	for _, cb := range p.CBs {
-		isCB[cb.ID(p.Width)] = true
-	}
-
-	// Start from a random valid-ish bit vector: mark a few tiles near CBs.
-	bits := make([]bool, n)
-	for _, cb := range p.CBs {
-		for k := 0; k < p.MaxEIRsPerCB; k++ {
-			d := geom.Direction(1 + rng.Intn(4))
-			dist := 1 + rng.Intn(p.HopLimit)
-			e := cb.Add(geom.Pt(d.Delta().X*dist, d.Delta().Y*dist))
-			if e.In(p.Width, p.Height) && !isCB[e.ID(p.Width)] {
-				bits[e.ID(p.Width)] = true
-			}
-		}
-	}
-
-	decode := func(bs []bool) Assignment {
-		// Repair: each set bit becomes an EIR of the nearest CB whose axis
-		// it lies on (first match wins); bits that fit no CB are invalid and
-		// dropped — the wasted encodings the paper's critique predicts.
-		a := make(Assignment, len(p.CBs))
-		used := map[geom.Point]bool{}
-		dirTaken := make([]map[geom.Direction]bool, len(p.CBs))
-		for i := range dirTaken {
-			dirTaken[i] = map[geom.Direction]bool{}
-		}
-		for id, set := range bs {
-			if !set {
-				continue
-			}
-			e := geom.FromID(id, p.Width)
-			if isCB[id] || used[e] {
-				continue
-			}
-			for ci, cb := range p.CBs {
-				dirs := geom.DirTowards(cb, e)
-				if len(dirs) != 1 || geom.Manhattan(cb, e) > p.HopLimit {
-					continue
-				}
-				if len(a[ci]) >= p.MaxEIRsPerCB || dirTaken[ci][dirs[0]] {
-					continue
-				}
-				a[ci] = append(a[ci], e)
-				dirTaken[ci][dirs[0]] = true
-				used[e] = true
-				break
-			}
-		}
-		return a
-	}
-
-	cur := append([]bool(nil), bits...)
-	curCost := p.refEvaluate(decode(cur)).Cost
-	best := append([]bool(nil), cur...)
-	bestCost := curCost
-
-	t0, t1 := 1.0, 0.01
-	for i := 0; i < evaluations; i++ {
-		temp := t0 * math.Pow(t1/t0, float64(i)/float64(evaluations))
-		// Perturb: flip one random bit (the GA/SA mutation of the critique).
-		j := rng.Intn(n)
-		cand := append([]bool(nil), cur...)
-		cand[j] = !cand[j]
-		cost := p.refEvaluate(decode(cand)).Cost
-		if cost < curCost || rng.Float64() < math.Exp((curCost-cost)/temp) {
-			cur, curCost = cand, cost
-			if cost < bestCost {
-				best, bestCost = append([]bool(nil), cand...), cost
-			}
-		}
-	}
-	a := decode(best)
-	return Result{Assignment: a, Eval: p.refEvaluate(a), Evaluated: evaluations}, nil
 }

@@ -1,0 +1,74 @@
+package equinox
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// TestDesignInventoryMatchesTree holds DESIGN.md §2, the system inventory,
+// to the tree: every directory of this module that holds non-test Go files
+// has a row, and every path a row names exists. The root package's row
+// names it by its import path, equinox. bench/ is its own module, with its
+// own docs, and is not walked.
+func TestDesignInventoryMatchesTree(t *testing.T) {
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	section := string(doc)
+	start := strings.Index(section, "\n## 2.")
+	if start < 0 {
+		t.Fatal("DESIGN.md has no section 2")
+	}
+	section = section[start+1:]
+	if end := strings.Index(section, "\n## "); end >= 0 {
+		section = section[:end]
+	}
+	rowName := regexp.MustCompile("^\\| `([^`]+)`")
+	rows := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		m := rowName.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		path := m[1]
+		if path == "equinox" {
+			path = "."
+		}
+		rows[path] = true
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("DESIGN.md §2 names %s, which does not exist", m[1])
+		}
+	}
+	if len(rows) == 0 {
+		t.Fatal("DESIGN.md §2 has no rows")
+	}
+
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata" || path == "bench") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			dir := filepath.ToSlash(filepath.Dir(path))
+			if !rows[dir] {
+				t.Errorf("%s holds Go code but has no DESIGN.md §2 row", dir)
+				rows[dir] = true // one report per directory
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

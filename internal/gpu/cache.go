@@ -114,9 +114,6 @@ func (c *Cache) Fill(addr uint64, markDirty bool) (hit bool, evicted uint64, evi
 	return false, evicted, evictedDirty
 }
 
-// LineBytes returns the cache's line size.
-func (c *Cache) LineBytes() int { return c.lineBytes }
-
 // Probe reports whether the line is resident without updating state.
 func (c *Cache) Probe(addr uint64) bool {
 	line := addr / uint64(c.lineBytes)
@@ -144,32 +141,29 @@ func (c *Cache) HitRate() float64 {
 
 // MSHR tracks outstanding misses with merging: secondary misses on a line
 // already being fetched merge into the existing entry instead of consuming
-// a new slot or re-fetching.
+// a new slot or re-fetching. W is what a waiter carries: a PE's waiters are
+// struct{}, so its file keeps counts only; a bank's are the waiting
+// *Transaction.
 //
 // It is a fixed table scanned linearly, not a map: Table 1's files hold at
 // most 24 (PE) or 64 (bank) lines, so a scan of one slab of entries beats
 // hashing the line on every L1 and L2 miss. Live entries come first; a
 // completed one is swap-removed. The table is one slab allocated at the
 // first miss, so the 64 files every system builds cost nothing until used.
-type MSHR struct {
+type MSHR[W any] struct {
 	size    int
-	entries []mshrEntry // len = outstanding lines; cap = size once allocated
+	entries []mshrEntry[W] // len = outstanding lines; cap = size once allocated
 }
 
 // mshrEntry is one outstanding line and its waiters. A completed entry's
 // waiter slice stays in its slot, past the live ones, for the next Allocate.
-type mshrEntry struct {
+type mshrEntry[W any] struct {
 	line    uint64
-	waiters []any
-}
-
-// NewMSHR builds an MSHR file with the given number of entries.
-func NewMSHR(entries int) *MSHR {
-	return &MSHR{size: entries}
+	waiters []W
 }
 
 // find returns the live entry of line, or nil.
-func (m *MSHR) find(line uint64) *mshrEntry {
+func (m *MSHR[W]) find(line uint64) *mshrEntry[W] {
 	for i := range m.entries {
 		if m.entries[i].line == line {
 			return &m.entries[i]
@@ -178,23 +172,14 @@ func (m *MSHR) find(line uint64) *mshrEntry {
 	return nil
 }
 
-// Lookup reports whether a fetch for the line is already outstanding.
-func (m *MSHR) Lookup(line uint64) bool { return m.find(line) != nil }
-
-// Full reports whether no new primary miss can be accepted.
-func (m *MSHR) Full() bool { return len(m.entries) >= m.size }
-
-// Allocate registers a primary miss; false when full.
-func (m *MSHR) Allocate(line uint64, waiter any) bool {
-	if e := m.find(line); e != nil {
-		e.waiters = append(e.waiters, waiter)
-		return true
-	}
-	if m.Full() {
+// Allocate registers a primary miss, on a line the caller has found no fetch
+// outstanding for (Merge returned false); false when full.
+func (m *MSHR[W]) Allocate(line uint64, waiter W) bool {
+	if len(m.entries) >= m.size {
 		return false
 	}
 	if m.entries == nil {
-		m.entries = make([]mshrEntry, 0, m.size)
+		m.entries = make([]mshrEntry[W], 0, m.size)
 	}
 	m.entries = m.entries[:len(m.entries)+1]
 	e := &m.entries[len(m.entries)-1]
@@ -203,7 +188,7 @@ func (m *MSHR) Allocate(line uint64, waiter any) bool {
 }
 
 // Merge appends a secondary miss waiter; false if no fetch is outstanding.
-func (m *MSHR) Merge(line uint64, waiter any) bool {
+func (m *MSHR[W]) Merge(line uint64, waiter W) bool {
 	e := m.find(line)
 	if e == nil {
 		return false
@@ -214,17 +199,17 @@ func (m *MSHR) Merge(line uint64, waiter any) bool {
 
 // Complete removes the entry and returns its waiters. The slice is recycled
 // into a later entry: it is valid until the next Allocate.
-func (m *MSHR) Complete(line uint64) []any {
+func (m *MSHR[W]) Complete(line uint64) []W {
 	e := m.find(line)
 	if e == nil {
 		return nil
 	}
 	last := &m.entries[len(m.entries)-1]
 	ws := e.waiters
-	*e, *last = *last, mshrEntry{waiters: ws}
+	*e, *last = *last, mshrEntry[W]{waiters: ws}
 	m.entries = m.entries[:len(m.entries)-1]
 	return ws
 }
 
 // Outstanding returns the number of in-flight lines.
-func (m *MSHR) Outstanding() int { return len(m.entries) }
+func (m *MSHR[W]) Outstanding() int { return len(m.entries) }

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"equinox/internal/hbm"
+	"equinox/internal/workloads"
 )
 
 // CB is one shared last-level cache bank with its dedicated memory
@@ -15,26 +16,26 @@ type CB struct {
 	L2   *Cache
 	MC   *hbm.Controller
 
-	mshr       MSHR
+	mshr       MSHR[*Transaction]
 	pendingOut []*Transaction // replies waiting for reply-network space
 	maxPending int
 	writebacks []uint64       // dirty-evicted lines awaiting the HBM write queue
 	reqPool    []*hbm.Request // completed HBM requests, reused for later misses
 
-	Requests   int64
 	L2Hits     int64
 	L2Misses   int64
-	Writes     int64
 	Writebacks int64
-	StallOnMC  int64
 	StallOnOut int64
 }
+
+// maxWritebacks bounds the write-back queue so sustained write misses
+// backpressure request processing rather than growing without bound.
+const maxWritebacks = 64
 
 // CBConfig sizes a cache bank.
 type CBConfig struct {
 	L2Bytes     int
 	L2Ways      int
-	LineBytes   int
 	MSHREntries int
 	MaxPending  int // completed replies buffered toward the reply NI
 	HBM         hbm.Config
@@ -45,7 +46,6 @@ func DefaultCBConfig() CBConfig {
 	return CBConfig{
 		L2Bytes:     2 * 1024 * 1024,
 		L2Ways:      16,
-		LineBytes:   128,
 		MSHREntries: 64,
 		MaxPending:  4,
 		HBM:         hbm.DefaultConfig(),
@@ -54,7 +54,7 @@ func DefaultCBConfig() CBConfig {
 
 // NewCB builds a cache bank with its memory controller.
 func NewCB(bank int, cfg CBConfig) (*CB, error) {
-	l2, err := NewCache(cfg.L2Bytes, cfg.L2Ways, cfg.LineBytes)
+	l2, err := NewCache(cfg.L2Bytes, cfg.L2Ways, workloads.LineBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -66,14 +66,9 @@ func NewCB(bank int, cfg CBConfig) (*CB, error) {
 		Bank:       bank,
 		L2:         l2,
 		MC:         mc,
-		mshr:       *NewMSHR(cfg.MSHREntries),
+		mshr:       MSHR[*Transaction]{size: cfg.MSHREntries},
 		maxPending: cfg.MaxPending,
 	}, nil
-}
-
-// CanAccept reports whether the bank can take another request this cycle.
-func (cb *CB) CanAccept() bool {
-	return len(cb.pendingOut) < cb.maxPending
 }
 
 // ProcessRequest handles one arriving request transaction. It returns false
@@ -88,41 +83,28 @@ func (cb *CB) ProcessRequest(tx *Transaction, now int64) bool {
 		// Write-back L2: the write allocates and dirties the line; the HBM
 		// write happens when the dirty line is eventually evicted. The write
 		// reply posts immediately.
-		if len(cb.writebacks) >= cb.maxWritebacks() {
-			cb.StallOnMC++
+		if len(cb.writebacks) >= maxWritebacks {
 			return false
 		}
 		cb.fill(tx.Addr, true)
-		cb.Requests++
-		cb.Writes++
 		cb.pendingOut = append(cb.pendingOut, tx)
 		return true
 	}
 	// Read.
 	if cb.L2.Probe(tx.Addr) {
 		cb.fill(tx.Addr, false)
-		cb.Requests++
 		cb.L2Hits++
 		cb.pendingOut = append(cb.pendingOut, tx)
 		return true
 	}
-	// Read miss: merge or allocate a fetch.
-	if cb.mshr.Lookup(tx.Line) {
-		cb.mshr.Merge(tx.Line, tx)
-		cb.Requests++
-		cb.L2Misses++
-		return true
+	// Read miss: merge into an outstanding fetch, or allocate one. The
+	// transaction waits in the MSHR until the fetch completes.
+	if !cb.mshr.Merge(tx.Line, tx) {
+		if cb.MC.QueueSpace() == 0 || !cb.mshr.Allocate(tx.Line, tx) {
+			return false
+		}
+		cb.enqueue(hbm.Request{Addr: tx.Addr}, now)
 	}
-	if cb.mshr.Full() || cb.MC.QueueSpace() == 0 {
-		cb.StallOnMC++
-		return false
-	}
-	cb.mshr.Allocate(tx.Line, tx)
-	// The primary-miss transaction rides along as the payload (a pointer
-	// boxes without allocating, unlike the line number); it waits in the
-	// MSHR until the fetch completes.
-	cb.enqueue(hbm.Request{Addr: tx.Addr, Payload: tx}, now)
-	cb.Requests++
 	cb.L2Misses++
 	return true
 }
@@ -149,10 +131,6 @@ func (cb *CB) fill(addr uint64, markDirty bool) {
 	}
 }
 
-// maxWritebacks bounds the write-back queue so sustained write misses
-// backpressure request processing rather than growing without bound.
-func (cb *CB) maxWritebacks() int { return 64 }
-
 // Step advances the memory controller one cycle and turns read completions
 // into pending replies. The controller is frozen while the reply buffer is
 // saturated, propagating backpressure into HBM timing. Queued write-backs
@@ -164,7 +142,7 @@ func (cb *CB) Step(now int64) {
 		// Compact in place (here and in PopReply): a q = q[1:] pop strands
 		// capacity behind the slice base, so every later append reallocates.
 		cb.writebacks = cb.writebacks[:copy(cb.writebacks, cb.writebacks[1:])]
-		cb.enqueue(hbm.Request{Addr: line * uint64(cb.L2.LineBytes()), Write: true}, now)
+		cb.enqueue(hbm.Request{Addr: line * workloads.LineBytes, Write: true}, now)
 	}
 	if len(cb.pendingOut) >= cb.maxPending {
 		cb.StallOnOut++
@@ -178,9 +156,7 @@ func (cb *CB) Step(now int64) {
 			continue // write-backs complete silently
 		}
 		cb.fill(done.Addr, false)
-		for _, w := range cb.mshr.Complete(done.Payload.(*Transaction).Line) {
-			cb.pendingOut = append(cb.pendingOut, w.(*Transaction))
-		}
+		cb.pendingOut = append(cb.pendingOut, cb.mshr.Complete(done.Addr/workloads.LineBytes)...)
 	}
 }
 

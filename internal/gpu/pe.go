@@ -36,15 +36,18 @@ func (p *TxPool) Put(tx *Transaction) { p.free = append(p.free, tx) }
 // PE models one processing element (an SM): an in-order issue engine with a
 // private L1, an MSHR file, and a bound on outstanding memory transactions.
 // GPUs tolerate latency through outstanding-request parallelism, so memory
-// instructions are fire-and-forget up to the MSHR bound; the PE finishes
-// when its instruction budget is spent and all transactions returned.
+// instructions are fire-and-forget up to that bound; the PE finishes when its
+// instruction budget is spent and all transactions returned.
 type PE struct {
 	ID  int
 	L1  *Cache
 	Txs *TxPool // source of the PE's Transactions; nil allocates each one
 	gen *workloads.Generator
 
-	mshr           MSHR
+	// outstanding counts every miss in flight, primary and merged: the sum
+	// of the MSHR's waiters. Each entry holds at least one of them, so with
+	// the file sized to maxOutstanding it cannot fill before the bound binds.
+	mshr           MSHR[struct{}]
 	maxOutstanding int
 	outstanding    int
 
@@ -54,18 +57,14 @@ type PE struct {
 	depLine   uint64
 
 	Instructions int64 // retired instructions (compute + memory)
-	L1HitsFast   int64 // memory instructions satisfied locally
-	StallCycles  int64 // cycles blocked on MSHR or injection backpressure
-	DepStalls    int64 // cycles blocked waiting for a dependent load's data
+	StallCycles  int64 // cycles blocked on the miss bound or injection backpressure
 }
 
 // PEConfig sizes a PE.
 type PEConfig struct {
 	L1Bytes        int
 	L1Ways         int
-	LineBytes      int
-	MSHREntries    int
-	MaxOutstanding int
+	MaxOutstanding int // misses in flight, and the MSHR file's entries
 }
 
 // DefaultPEConfig matches Table 1 (16 KB L1 per PE).
@@ -73,15 +72,13 @@ func DefaultPEConfig() PEConfig {
 	return PEConfig{
 		L1Bytes:        16 * 1024,
 		L1Ways:         4,
-		LineBytes:      workloads.LineBytes,
-		MSHREntries:    24,
 		MaxOutstanding: 24,
 	}
 }
 
 // NewPE builds a PE running the given generator.
 func NewPE(id int, cfg PEConfig, gen *workloads.Generator) (*PE, error) {
-	l1, err := NewCache(cfg.L1Bytes, cfg.L1Ways, cfg.LineBytes)
+	l1, err := NewCache(cfg.L1Bytes, cfg.L1Ways, workloads.LineBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +86,7 @@ func NewPE(id int, cfg PEConfig, gen *workloads.Generator) (*PE, error) {
 		ID:             id,
 		L1:             l1,
 		gen:            gen,
-		mshr:           *NewMSHR(cfg.MSHREntries),
+		mshr:           MSHR[struct{}]{size: cfg.MaxOutstanding},
 		maxOutstanding: cfg.MaxOutstanding,
 	}, nil
 }
@@ -110,27 +107,19 @@ func (pe *PE) Step(inject func(*Transaction) bool) {
 	// A dependent consumer is waiting for loaded data: the PE cannot issue
 	// past it (real warps block on uses of outstanding loads).
 	if pe.depWait {
-		pe.DepStalls++
 		return
 	}
-	// Retry a transaction stalled on MSHR or injection backpressure. No new
-	// instructions issue while one is held, so the line cannot have gained
-	// an MSHR entry in the meantime.
-	if pe.stalledTx != nil {
-		if pe.outstanding >= pe.maxOutstanding || pe.mshr.Full() {
+	// Retry a transaction stalled on the miss bound or injection
+	// backpressure. No new instructions issue while one is held, so the line
+	// cannot have gained an MSHR entry in the meantime.
+	if tx := pe.stalledTx; tx != nil {
+		if pe.outstanding >= pe.maxOutstanding || !inject(tx) {
 			pe.StallCycles++
 			return
-		}
-		if !inject(pe.stalledTx) {
-			pe.StallCycles++
-			return
-		}
-		pe.mshr.Allocate(pe.stalledTx.Line, struct{}{})
-		pe.outstanding++
-		if pe.stalledTx.Dependent {
-			pe.depWait, pe.depLine = true, pe.stalledTx.Line
 		}
 		pe.stalledTx = nil
+		pe.mshr.Allocate(tx.Line, struct{}{})
+		pe.miss(tx.Line, tx.Dependent)
 		return
 	}
 	if pe.gapLeft > 0 {
@@ -146,32 +135,31 @@ func (pe *PE) Step(inject func(*Transaction) bool) {
 		return // one compute instruction per cycle
 	}
 	pe.gapLeft = op.Gap
-	line := op.Addr / uint64(workloads.LineBytes)
 	if pe.L1.Access(op.Addr) {
-		pe.L1HitsFast++
 		return
 	}
 	// L1 miss: merge into an outstanding fetch when possible.
-	if pe.mshr.Lookup(line) {
-		pe.mshr.Merge(line, struct{}{})
-		pe.outstanding++
-		if op.Dependent {
-			pe.depWait, pe.depLine = true, line
+	line := op.Addr / workloads.LineBytes
+	if !pe.mshr.Merge(line, struct{}{}) {
+		tx := pe.Txs.get()
+		*tx = Transaction{PE: pe.ID, Addr: op.Addr, Write: op.Write, Line: line, Dependent: op.Dependent}
+		if pe.outstanding >= pe.maxOutstanding || !inject(tx) {
+			// Hold the transaction; retry next cycles. The MSHR entry is only
+			// allocated once the request actually enters the network.
+			pe.stalledTx = tx
+			pe.StallCycles++
+			return
 		}
-		return
+		pe.mshr.Allocate(line, struct{}{})
 	}
-	tx := pe.Txs.get()
-	*tx = Transaction{PE: pe.ID, Addr: op.Addr, Write: op.Write, Line: line, Dependent: op.Dependent}
-	if pe.mshr.Full() || pe.outstanding >= pe.maxOutstanding || !inject(tx) {
-		// Hold the transaction; retry next cycles. The MSHR entry is only
-		// allocated once the request actually enters the network.
-		pe.stalledTx = tx
-		pe.StallCycles++
-		return
-	}
-	pe.mshr.Allocate(line, struct{}{})
+	pe.miss(line, op.Dependent)
+}
+
+// miss counts a miss on line now in flight, primary or merged; a dependent
+// one blocks the PE until the line returns.
+func (pe *PE) miss(line uint64, dependent bool) {
 	pe.outstanding++
-	if op.Dependent {
+	if dependent {
 		pe.depWait, pe.depLine = true, line
 	}
 }
@@ -182,13 +170,5 @@ func (pe *PE) Complete(line uint64) {
 	if pe.depWait && pe.depLine == line {
 		pe.depWait = false
 	}
-	ws := pe.mshr.Complete(line)
-	n := len(ws)
-	if n == 0 {
-		n = 1 // reply for a stalled-then-injected line with no MSHR entry
-	}
-	pe.outstanding -= n
-	if pe.outstanding < 0 {
-		pe.outstanding = 0
-	}
+	pe.outstanding -= len(pe.mshr.Complete(line))
 }

@@ -75,9 +75,8 @@ func (c Config) Validate() error {
 
 // Request is one memory access.
 type Request struct {
-	Addr    uint64
-	Write   bool
-	Payload any // opaque caller context
+	Addr  uint64
+	Write bool
 
 	arrived   int64
 	doneAt    int64

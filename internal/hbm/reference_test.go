@@ -157,9 +157,13 @@ func TestCachedDecodeMatchesReference(t *testing.T) {
 			var frozenUntil int64
 			frozen, refreshFrozen := 0, 0
 
-			// id → the pair of twin requests in flight, one per controller.
-			type twin struct{ got, want *Request }
-			live := map[int]twin{}
+			// Each request in flight under test → its id and its twin in the
+			// reference. A recycled request is a new key once it completes.
+			type twin struct {
+				id   int
+				want *Request
+			}
+			live := map[*Request]twin{}
 			var pool []*Request // completed requests, re-enqueued like gpu.CB does
 			next, completed := 0, 0
 			stream := uint64(rng.Intn(1 << 20))
@@ -179,11 +183,11 @@ func TestCachedDecodeMatchesReference(t *testing.T) {
 					var g *Request
 					if k := len(pool); k > 0 && rng.Intn(2) == 0 {
 						g, pool = pool[k-1], pool[:k-1]
-						g.Addr, g.Write, g.Payload = addr, rng.Intn(4) == 0, next
+						g.Addr, g.Write = addr, rng.Intn(4) == 0
 					} else {
-						g = &Request{Addr: addr, Write: rng.Intn(4) == 0, Payload: next}
+						g = &Request{Addr: addr, Write: rng.Intn(4) == 0}
 					}
-					w := &Request{Addr: g.Addr, Write: g.Write, Payload: next}
+					w := &Request{Addr: g.Addr, Write: g.Write}
 					okG, okW := mc.Enqueue(g, now), ref.enqueue(w, now)
 					if okG != okW {
 						t.Fatalf("cycle %d: Enqueue accepted=%v, reference %v", now, okG, okW)
@@ -192,7 +196,7 @@ func TestCachedDecodeMatchesReference(t *testing.T) {
 						pool = append(pool, g)
 						break
 					}
-					live[next] = twin{g, w}
+					live[g] = twin{next, w}
 					next++
 				}
 				if mc.QueueSpace() != cfg.QueueDepth-len(ref.queue) || mc.Pending() != len(ref.queue) {
@@ -219,21 +223,24 @@ func TestCachedDecodeMatchesReference(t *testing.T) {
 					t.Fatalf("cycle %d: %d completions, reference %d", now, len(got), len(want))
 				}
 				for i := range got {
-					id := got[i].Payload.(int)
-					if id != want[i].Payload.(int) || got[i].DoneAt() != want[i].doneAt || got[i].Arrived() != want[i].arrived {
-						t.Fatalf("cycle %d completion %d: request %d done@%d arrived@%d, reference request %d done@%d arrived@%d",
-							now, i, id, got[i].DoneAt(), got[i].Arrived(), want[i].Payload.(int), want[i].doneAt, want[i].arrived)
+					tw, ok := live[got[i]]
+					if !ok {
+						t.Fatalf("cycle %d completion %d: a request not in flight", now, i)
 					}
-					delete(live, id)
+					if tw.want != want[i] || got[i].DoneAt() != want[i].doneAt || got[i].Arrived() != want[i].arrived {
+						t.Fatalf("cycle %d completion %d: request %d done@%d arrived@%d, reference done@%d arrived@%d (the same request: %v)",
+							now, i, tw.id, got[i].DoneAt(), got[i].Arrived(), want[i].doneAt, want[i].arrived, tw.want == want[i])
+					}
+					delete(live, got[i])
 					pool = append(pool, got[i])
 					completed++
 				}
 				// Issue cycles: every queued request is scheduled in both or
 				// neither, for the same completion cycle.
-				for id, tw := range live {
-					if tw.got.scheduled != tw.want.scheduled || (tw.got.scheduled && tw.got.doneAt != tw.want.doneAt) {
+				for g, tw := range live {
+					if g.scheduled != tw.want.scheduled || (g.scheduled && g.doneAt != tw.want.doneAt) {
 						t.Fatalf("cycle %d request %d: issued=%v done@%d, reference issued=%v done@%d",
-							now, id, tw.got.scheduled, tw.got.doneAt, tw.want.scheduled, tw.want.doneAt)
+							now, tw.id, g.scheduled, g.doneAt, tw.want.scheduled, tw.want.doneAt)
 					}
 				}
 			}

@@ -5,12 +5,9 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 
-	"equinox/internal/geom"
 	"equinox/internal/noc"
 	"equinox/internal/placement"
 )
@@ -81,31 +78,6 @@ func PlacementHeatmaps(w, h, numCBs, warmCycles int, seed int64) ([]HeatResult, 
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// Render draws the heat map as ASCII shades, brightest = most cycles.
-func (r HeatResult) Render() string {
-	shades := []byte(" .:-=+*#%@")
-	max := 0.0
-	for _, v := range r.Heat {
-		if v > max {
-			max = v
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (variance %.2f)\n", r.Kind, r.Variance)
-	for y := 0; y < r.Height; y++ {
-		for x := 0; x < r.Width; x++ {
-			v := r.Heat[geom.Pt(x, y).ID(r.Width)]
-			i := 0
-			if max > 0 {
-				i = int(v / max * float64(len(shades)-1))
-			}
-			b.WriteByte(shades[i])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // Variance returns the population variance of xs.

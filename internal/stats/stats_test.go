@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"equinox/internal/placement"
@@ -59,11 +58,6 @@ func TestPlacementHeatmapRuns(t *testing.T) {
 	}
 	if r.Variance <= 0 {
 		t.Error("no variance recorded under hot traffic")
-	}
-	s := r.Render()
-	// Header + 8 rows + trailing newline.
-	if !strings.Contains(s, "Top") || len(strings.Split(s, "\n")) != 10 {
-		t.Errorf("render malformed:\n%s", s)
 	}
 }
 

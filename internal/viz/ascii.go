@@ -2,17 +2,16 @@ package viz
 
 import (
 	"fmt"
+	"strings"
 
 	"equinox/internal/geom"
 )
 
-// ASCIIHeatmap draws a per-router value grid as ASCII shades (brightest =
-// highest), one character per router, row 0 at the top — the terminal
-// counterpart of HeatmapSVG. heat is indexed by geom.Point.ID(w), i.e.
-// y*w+x. The title line carries the max and mean so two maps rendered at
-// different scales stay comparable.
+// ASCIIHeatmap draws a per-router value grid under a title line (see
+// ASCIIGrid) — the terminal counterpart of HeatmapSVG. The title line
+// carries the max and mean so two maps rendered at different scales stay
+// comparable.
 func ASCIIHeatmap(title string, w, h int, heat []float64) string {
-	shades := []byte(" .:-=+*#%@")
 	max, sum := 0.0, 0.0
 	for _, v := range heat {
 		sum += v
@@ -24,18 +23,31 @@ func ASCIIHeatmap(title string, w, h int, heat []float64) string {
 	if len(heat) > 0 {
 		mean = sum / float64(len(heat))
 	}
-	out := fmt.Sprintf("%s (max %.2f, mean %.2f)\n", title, max, mean)
+	return fmt.Sprintf("%s (max %.2f, mean %.2f)\n", title, max, mean) + ASCIIGrid(w, h, heat)
+}
+
+// ASCIIGrid draws a per-router value grid as ASCII shades (brightest =
+// highest), one character per router and one line per row, row 0 at the
+// top. heat is indexed by geom.Point.ID(w), i.e. y*w+x.
+func ASCIIGrid(w, h int, heat []float64) string {
+	shades := []byte(" .:-=+*#%@")
+	max := 0.0
+	for _, v := range heat {
+		if v > max {
+			max = v
+		}
+	}
+	var b strings.Builder
 	for y := 0; y < h; y++ {
-		row := make([]byte, w)
 		for x := 0; x < w; x++ {
 			v := heat[geom.Pt(x, y).ID(w)]
 			i := 0
 			if max > 0 {
 				i = int(v / max * float64(len(shades)-1))
 			}
-			row[x] = shades[i]
+			b.WriteByte(shades[i])
 		}
-		out += string(row) + "\n"
+		b.WriteByte('\n')
 	}
-	return out
+	return b.String()
 }

@@ -63,6 +63,25 @@ func TestHeatmapSVG(t *testing.T) {
 	}
 }
 
+// TestASCIIGrid checks a Figure 4 map's text rendering: one line of one
+// shade per router for each row, the hottest router at full shade.
+func TestASCIIGrid(t *testing.T) {
+	r, err := stats.PlacementHeatmap(placement.Top, 8, 8, 8, 600, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := ASCIIGrid(r.Width, r.Height, r.Heat)
+	rows := strings.Split(strings.TrimSuffix(s, "\n"), "\n")
+	if len(rows) != 8 || !strings.Contains(s, "@") {
+		t.Fatalf("grid malformed:\n%s", s)
+	}
+	for _, row := range rows {
+		if len(row) != 8 || strings.Trim(row, " .:-=+*#%@") != "" {
+			t.Errorf("row %q: want 8 shades", row)
+		}
+	}
+}
+
 func TestHeatmapsSVG(t *testing.T) {
 	rs, err := stats.PlacementHeatmaps(8, 8, 8, 400, 1)
 	if err != nil {

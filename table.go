@@ -9,6 +9,7 @@ import (
 	"equinox/internal/placement"
 	"equinox/internal/sim"
 	"equinox/internal/stats"
+	"equinox/internal/viz"
 )
 
 // cmeshBumpPlan builds the Interposer-CMesh wiring plan used for the §6.6
@@ -174,8 +175,7 @@ func Figure4(w, h, numCBs, cycles int, seed int64) (string, error) {
 	var b strings.Builder
 	b.WriteString("== Figure 4: Heat map of average router traversal cycles ==\n")
 	for _, r := range rs {
-		b.WriteString(r.Render())
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "%s (variance %.2f)\n%s\n", r.Kind, r.Variance, viz.ASCIIGrid(r.Width, r.Height, r.Heat))
 	}
 	return b.String(), nil
 }

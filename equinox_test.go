@@ -1,7 +1,9 @@
 package equinox
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -181,23 +183,28 @@ func TestUbumpComparisonNumbers(t *testing.T) {
 	}
 }
 
+// TestEvaluationReport pins WriteReport's markdown byte for byte on the
+// shared mini sweep. Regenerate with GOLDEN_UPDATE=1 go test -run
+// TestEvaluationReport .
 func TestEvaluationReport(t *testing.T) {
 	ev := miniEval(t)
-	var buf strings.Builder
+	var buf bytes.Buffer
 	if err := ev.WriteReport(&buf); err != nil {
 		t.Fatal(err)
 	}
-	s := buf.String()
-	for _, want := range []string{
-		"# EquiNox evaluation report",
-		"Figure 9", "Figure 10", "Figure 11",
-		"EquiNox vs SingleBase execution time",
-		"Reply share of NoC bits",
-		"| EquiNox |",
-	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("report missing %q", want)
+	const path = "testdata/report-mini.md"
+	if os.Getenv("GOLDEN_UPDATE") != "" {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
 		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with GOLDEN_UPDATE=1)", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("report drifted from %s\n--- got ---\n%s\n--- want ---\n%s", path, buf.Bytes(), want)
 	}
 }
 

@@ -170,7 +170,7 @@ func BenchmarkFig10LatencyBreakdown(b *testing.B) {
 	if len(tbl.Rows) != 7 {
 		b.Fatal("figure 10 incomplete")
 	}
-	lat := ev.LatencySummary(sim.SingleBase)
+	lat := ev.GeoMeanNormalized(func(r sim.Result) float64 { return r.TotalLatencyNS() }, sim.SingleBase)
 	b.ReportMetric(lat[sim.EquiNox], "equinox-latency")
 }
 

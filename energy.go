@@ -1,10 +1,6 @@
 package equinox
 
-import (
-	"fmt"
-
-	"equinox/internal/sim"
-)
+import "fmt"
 
 // EnergyBreakdownTable decomposes each scheme's NoC energy into its
 // components (buffers, crossbars, arbiters, on-chip links, interposer
@@ -40,27 +36,4 @@ func (ev *Evaluation) EnergyBreakdownTable() Table {
 		t.Rows = append(t.Rows, row)
 	}
 	return t
-}
-
-// LeakageShare returns leakage's fraction of each scheme's total energy —
-// the quantity that makes execution-time reductions show up as energy
-// reductions (§6.2's causal chain).
-func (ev *Evaluation) LeakageShare() map[sim.SchemeKind]float64 {
-	out := map[sim.SchemeKind]float64{}
-	for _, s := range ev.Schemes {
-		var leak, total float64
-		for _, b := range ev.Benches {
-			r, ok := ev.Result(s, b)
-			if !ok {
-				continue
-			}
-			e := r.Energy
-			leak += e.LeakagePJ
-			total += e.TotalPJ()
-		}
-		if total > 0 {
-			out[s] = leak / total
-		}
-	}
-	return out
 }

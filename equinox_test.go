@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -218,10 +219,12 @@ func TestEnergyBreakdownTable(t *testing.T) {
 	if !strings.Contains(s, "interposer") || !strings.Contains(s, "EquiNox") {
 		t.Errorf("breakdown malformed:\n%s", s)
 	}
-	shares := ev.LeakageShare()
-	for scheme, sh := range shares {
-		if sh <= 0 || sh >= 1 {
-			t.Errorf("%v leakage share %f out of (0,1)", scheme, sh)
+	// Leakage is a proper, non-zero part of every scheme's total energy.
+	for _, row := range tab.Rows {
+		leak, _ := strconv.ParseFloat(row[6], 64)
+		total, _ := strconv.ParseFloat(row[7], 64)
+		if leak <= 0 || leak >= total {
+			t.Errorf("%s leakage %s not in (0, total %s)", row[0], row[6], row[7])
 		}
 	}
 }

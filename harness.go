@@ -288,7 +288,6 @@ func (ev *Evaluation) GeoMeanNormalized(m metric, base sim.SchemeKind) map[sim.S
 func execTime(r sim.Result) float64 { return r.ExecNS }
 func energy(r sim.Result) float64   { return r.Energy.TotalPJ() }
 func edp(r sim.Result) float64      { return r.EDP() }
-func latency(r sim.Result) float64  { return r.TotalLatencyNS() }
 func area(r sim.Result) float64     { return r.AreaMM2 }
 func ipc(r sim.Result) float64      { return r.IPC }
 
@@ -305,12 +304,6 @@ func (ev *Evaluation) EnergySummary(base sim.SchemeKind) map[sim.SchemeKind]floa
 // EDPSummary returns the Figure 9(c) averages normalized to base.
 func (ev *Evaluation) EDPSummary(base sim.SchemeKind) map[sim.SchemeKind]float64 {
 	return ev.GeoMeanNormalized(edp, base)
-}
-
-// LatencySummary returns the Figure 10 total-latency averages normalized to
-// base.
-func (ev *Evaluation) LatencySummary(base sim.SchemeKind) map[sim.SchemeKind]float64 {
-	return ev.GeoMeanNormalized(latency, base)
 }
 
 // AreaSummary returns the Figure 11 mean NoC area per scheme in mm².

@@ -1,7 +1,6 @@
 // Package stats provides the measurement harnesses and aggregation helpers
 // behind the paper's figures: the Figure 4 placement heat-map experiment,
-// normalization against a baseline scheme, and geometric means across the
-// benchmark suite.
+// variance, and arithmetic and geometric means across the benchmark suite.
 package stats
 
 import (
@@ -123,17 +122,4 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Normalize divides each value by the baseline, for "normalized to
-// SingleBase" style figures. Zero baseline yields zeros.
-func Normalize(values []float64, baseline float64) []float64 {
-	out := make([]float64, len(values))
-	if baseline == 0 {
-		return out
-	}
-	for i, v := range values {
-		out[i] = v / baseline
-	}
-	return out
 }

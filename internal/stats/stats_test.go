@@ -34,17 +34,12 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-func TestMeanAndNormalize(t *testing.T) {
+func TestMean(t *testing.T) {
 	if m := Mean([]float64{1, 2, 3}); m != 2 {
 		t.Errorf("mean = %f", m)
 	}
-	n := Normalize([]float64{2, 4}, 2)
-	if n[0] != 1 || n[1] != 2 {
-		t.Errorf("normalize = %v", n)
-	}
-	z := Normalize([]float64{1}, 0)
-	if z[0] != 0 {
-		t.Errorf("zero baseline should zero out, got %v", z)
+	if m := Mean(nil); m != 0 {
+		t.Errorf("empty mean = %f", m)
 	}
 }
 

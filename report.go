@@ -3,96 +3,81 @@ package equinox
 import (
 	"fmt"
 	"io"
+	"strings"
 
-	"equinox/internal/report"
 	"equinox/internal/sim"
 )
 
-// Report assembles the evaluation into a markdown document mirroring the
+// WriteReport renders the evaluation as a markdown document mirroring the
 // paper's §6: Figure 9(a/b/c) summaries, the Figure 10 latency breakdown,
-// Figure 11 areas, and headline reductions as footnotes.
-func (ev *Evaluation) Report() *report.Document {
-	var order []string
-	for _, s := range ev.Schemes {
-		order = append(order, s.String())
-	}
+// Figure 11 areas, and headline reductions as numbered notes.
+func (ev *Evaluation) WriteReport(w io.Writer) error {
+	var b strings.Builder
+	b.WriteString("# EquiNox evaluation report\n\n" +
+		"All values regenerated by this repository's simulator; " +
+		"normalizations follow the paper (SingleBase = 1.0, geometric " +
+		"mean over the benchmark suite).\n\n")
 
-	doc := &report.Document{
-		Title: "EquiNox evaluation report",
-		Intro: "All values regenerated by this repository's simulator; " +
-			"normalizations follow the paper (SingleBase = 1.0, geometric " +
-			"mean over the benchmark suite).",
-	}
-
-	// Figure 9: one section with three columns.
 	exec := ev.ExecTimeSummary(sim.SingleBase)
 	energy := ev.EnergySummary(sim.SingleBase)
 	edp := ev.EDPSummary(sim.SingleBase)
-	fig9 := report.Section{
-		Title:   "Figure 9: execution time, energy, EDP (normalized)",
-		Columns: []string{"exec", "energy", "EDP"},
-		Cells:   map[string][]float64{},
-		Order:   order,
-	}
-	for _, s := range ev.Schemes {
-		fig9.Cells[s.String()] = []float64{exec[s], energy[s], edp[s]}
-	}
-	doc.Sections = append(doc.Sections, fig9)
-
-	// Figure 10: latency parts.
-	fig10 := report.Section{
-		Title:   "Figure 10: packet latency breakdown (vs SingleBase total)",
-		Columns: []string{"reqQueue", "reqNet", "repQueue", "repNet", "total"},
-		Cells:   map[string][]float64{},
-		Order:   order,
-	}
-	for _, s := range ev.Schemes {
-		rq, rn, pq, pn := ev.latencyParts(s, sim.SingleBase)
-		fig10.Cells[s.String()] = []float64{rq, rn, pq, pn, rq + rn + pq + pn}
-	}
-	doc.Sections = append(doc.Sections, fig10)
-
-	// Figure 11: area.
 	areas := ev.AreaSummary()
-	fig11 := report.Section{
-		Title:   "Figure 11: NoC area (mm²)",
-		Columns: []string{"area"},
-		Cells:   map[string][]float64{},
-		Order:   order,
+	fig9 := Table{
+		Title:  "Figure 9: execution time, energy, EDP (normalized)",
+		Header: []string{"scheme", "exec", "energy", "EDP"},
 	}
+	fig11 := Table{Title: "Figure 11: NoC area (mm²)", Header: []string{"scheme", "area"}}
 	for _, s := range ev.Schemes {
-		fig11.Cells[s.String()] = []float64{areas[s]}
+		fig9.Rows = append(fig9.Rows, []string{s.String(),
+			fmt.Sprintf("%.3f", exec[s]), fmt.Sprintf("%.3f", energy[s]), fmt.Sprintf("%.3f", edp[s])})
+		fig11.Rows = append(fig11.Rows, []string{s.String(), fmt.Sprintf("%.3f", areas[s])})
 	}
-	doc.Sections = append(doc.Sections, fig11)
+	fig10 := ev.Figure10()
+	fig10.Title = "Figure 10: packet latency breakdown (vs SingleBase total)"
+	for _, t := range []Table{fig9, fig10, fig11} {
+		b.WriteString(t.Markdown())
+	}
 
 	// Headlines.
 	has := func(k sim.SchemeKind) bool {
 		_, ok := ev.Results[k]
 		return ok
 	}
+	var notes []string
 	if has(sim.EquiNox) && has(sim.SingleBase) {
-		doc.Footnotes = append(doc.Footnotes,
-			"EquiNox vs SingleBase execution time: "+report.Reduction(exec[sim.EquiNox], exec[sim.SingleBase])+
+		notes = append(notes,
+			"EquiNox vs SingleBase execution time: "+reduction(exec[sim.EquiNox], exec[sim.SingleBase])+
 				" (paper: −47.7%)")
 	}
 	if has(sim.EquiNox) && has(sim.SeparateBase) {
-		doc.Footnotes = append(doc.Footnotes,
-			"EquiNox vs SeparateBase execution time: "+report.Reduction(exec[sim.EquiNox], exec[sim.SeparateBase])+
+		notes = append(notes,
+			"EquiNox vs SeparateBase execution time: "+reduction(exec[sim.EquiNox], exec[sim.SeparateBase])+
 				" (paper: −23.5%)",
-			"EquiNox vs SeparateBase EDP: "+report.Reduction(edp[sim.EquiNox], edp[sim.SeparateBase])+
+			"EquiNox vs SeparateBase EDP: "+reduction(edp[sim.EquiNox], edp[sim.SeparateBase])+
 				" (paper: −32.8%)",
-			"EquiNox area overhead vs SeparateBase: "+report.Reduction(areas[sim.EquiNox], areas[sim.SeparateBase])+
+			"EquiNox area overhead vs SeparateBase: "+reduction(areas[sim.EquiNox], areas[sim.SeparateBase])+
 				" (paper: +4.6%)")
 	}
 	if has(sim.SeparateBase) {
-		doc.Footnotes = append(doc.Footnotes,
+		notes = append(notes,
 			fmt.Sprintf("Reply share of NoC bits (SeparateBase): %.1f%% (paper: 72.7%%)",
 				ev.ReplyBitShare(sim.SeparateBase)*100))
 	}
-	return doc
+	if len(notes) > 0 {
+		b.WriteString("## Notes\n\n")
+		for i, n := range notes {
+			fmt.Fprintf(&b, "%d. %s\n", i+1, n)
+		}
+		b.WriteByte('\n')
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
-// WriteReport renders the evaluation's markdown report to w.
-func (ev *Evaluation) WriteReport(w io.Writer) error {
-	return ev.Report().Render(w)
+// reduction formats a as a signed percentage change from b.
+func reduction(a, b float64) string {
+	if b == 0 {
+		return "n/a"
+	}
+	return fmt.Sprintf("%+.1f%%", (a/b-1)*100)
 }

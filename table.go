@@ -64,6 +64,28 @@ func (t Table) String() string {
 	return b.String()
 }
 
+// Markdown renders the table as a level-2 markdown section: the title as a
+// heading, then a pipe table with every `|` in the text escaped.
+func (t Table) Markdown() string {
+	esc := strings.NewReplacer("|", `\|`)
+	var b strings.Builder
+	fmt.Fprintf(&b, "## %s\n\n", esc.Replace(t.Title))
+	line := func(cells []string) {
+		b.WriteByte('|')
+		for _, c := range cells {
+			fmt.Fprintf(&b, " %s |", esc.Replace(c))
+		}
+		b.WriteByte('\n')
+	}
+	line(t.Header)
+	b.WriteString("|" + strings.Repeat("---|", len(t.Header)) + "\n")
+	for _, row := range t.Rows {
+		line(row)
+	}
+	b.WriteByte('\n')
+	return b.String()
+}
+
 // figure9 builds a per-benchmark normalized table for one metric.
 func (ev *Evaluation) figure9(title string, m metric, base sim.SchemeKind) Table {
 	t := Table{Title: title, Header: []string{"benchmark"}}

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/ on http.DefaultServeMux
 	"os"
+	"sync"
 	"time"
 
 	"equinox/internal/fleet"
@@ -35,10 +36,43 @@ var (
 
 // newHTTPServer serves mux, with net/http/pprof's /debug/pprof/ routed in
 // beside it, within the connection time bounds above.
+//
+// Its Shutdown closes at once every connection that has not sent a request
+// yet. http.Server counts such a connection as busy for its first 5 s, and
+// net/http's client leaves exactly those behind: a dial it started for a
+// request that then went out on a connection freed meanwhile is parked
+// unused in the client's idle pool. One such spare held serve's drain for
+// 5 s.
 func newHTTPServer(mux *http.ServeMux) *http.Server {
 	// net/http/pprof registers on the default mux; route its prefix there.
 	mux.Handle("/debug/pprof/", http.DefaultServeMux)
-	return &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	var (
+		mu       sync.Mutex
+		unused   = map[net.Conn]bool{}
+		shutting bool
+	)
+	srv.ConnState = func(c net.Conn, st http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case st != http.StateNew:
+			delete(unused, c)
+		case shutting: // accepted just before the listener closed
+			c.Close()
+		default:
+			unused[c] = true
+		}
+	}
+	srv.RegisterOnShutdown(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		shutting = true
+		for c := range unused {
+			c.Close()
+		}
+	})
+	return srv
 }
 
 // logFlags defines -log-level and -log-format and returns the constructor

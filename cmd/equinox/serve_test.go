@@ -134,6 +134,49 @@ func TestStalledHeadersDisconnected(t *testing.T) {
 	returnsNil(t, "serve", serveErr, 10*time.Second)
 }
 
+// acceptSignal reports each connection its listener accepts.
+type acceptSignal struct {
+	net.Listener
+	accepted chan struct{}
+}
+
+func (l acceptSignal) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted <- struct{}{}
+	}
+	return c, err
+}
+
+// TestShutdownClosesUnusedConns: a connection that never sends a request,
+// such as a spare dial parked in a client's idle pool, does not hold
+// Shutdown. http.Server alone waits 5 s for one.
+func TestShutdownClosesUnusedConns(t *testing.T) {
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := acceptSignal{inner, make(chan struct{}, 1)}
+	srv := newHTTPServer(http.NewServeMux())
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	conn, err := net.Dial("tcp", inner.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	<-ln.accepted
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Errorf("Shutdown with an unused connection open: %v", err)
+	}
+	if err := <-errc; err != http.ErrServerClosed {
+		t.Errorf("Serve returned %v", err)
+	}
+}
+
 // TestServeAndWorker pushes a tiny job through serve with a worker attached,
 // all in process, then cancels their context: both must drain and return
 // nil within serve's -drain budget.

@@ -22,7 +22,8 @@ type DesignConfig struct {
 	Width, Height int
 	NumCBs        int
 
-	// MaxEIRsPerCB and HopLimit bound the search space (§4.3: 4 and 3).
+	// MaxEIRsPerCB and HopLimit bound the search space; zero keeps
+	// mcts.NewProblem's §4.3 values, 4 and 3.
 	MaxEIRsPerCB int
 	HopLimit     int
 
@@ -30,7 +31,8 @@ type DesignConfig struct {
 	Search SearchStrategy
 	// MCTS controls the tree search when Search == SearchMCTS.
 	MCTS mcts.Options
-	// Weights tunes the evaluation function.
+	// Weights tunes the evaluation function; zero keeps
+	// mcts.DefaultWeights.
 	Weights mcts.EvalWeights
 }
 
@@ -64,10 +66,8 @@ func (s SearchStrategy) String() string {
 func DefaultDesignConfig() DesignConfig {
 	return DesignConfig{
 		Width: 8, Height: 8, NumCBs: 8,
-		MaxEIRsPerCB: 4, HopLimit: 3,
-		Search:  SearchMCTS,
-		MCTS:    mcts.DefaultOptions(),
-		Weights: mcts.DefaultWeights(),
+		Search: SearchMCTS,
+		MCTS:   mcts.DefaultOptions(),
 	}
 }
 
@@ -116,19 +116,15 @@ func BuildDesignContext(ctx context.Context, cfg DesignConfig) (*Design, error) 
 	}
 
 	// Step 2: EIR selection (§4.3).
-	prob := mcts.Problem{
-		Width: cfg.Width, Height: cfg.Height, CBs: pl.CBs,
-		MaxEIRsPerCB: cfg.MaxEIRsPerCB, HopLimit: cfg.HopLimit,
-		Weights: cfg.Weights,
+	prob := mcts.NewProblem(cfg.Width, cfg.Height, pl.CBs)
+	if cfg.MaxEIRsPerCB != 0 {
+		prob.MaxEIRsPerCB = cfg.MaxEIRsPerCB
 	}
-	if prob.MaxEIRsPerCB == 0 {
-		prob.MaxEIRsPerCB = 4
+	if cfg.HopLimit != 0 {
+		prob.HopLimit = cfg.HopLimit
 	}
-	if prob.HopLimit == 0 {
-		prob.HopLimit = 3
-	}
-	if (prob.Weights == mcts.EvalWeights{}) {
-		prob.Weights = mcts.DefaultWeights()
+	if (cfg.Weights != mcts.EvalWeights{}) {
+		prob.Weights = cfg.Weights
 	}
 	searchSpan := trace.StartChild(ctx, "mcts")
 	var res mcts.Result

@@ -8,6 +8,7 @@ package placement
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"equinox/internal/geom"
@@ -184,83 +185,69 @@ func clamp(v, lo, hi int) int {
 	return v
 }
 
-// NQueenSolutions returns every N-Queen solution on an n×n board as column
-// positions: sol[row] = column of the queen in that row. For n = 8 there are
-// exactly 92 solutions, as the paper notes.
-func NQueenSolutions(n int) [][]int {
-	var sols [][]int
+// queens is the one N-Queen backtracker: it places a queen per row of an
+// n×n board, trying each row's columns in the sequence order returns, and
+// hands every complete solution to found as column positions (sol[row] =
+// column of the queen in that row). sol is reused, so found copies what it
+// keeps. The search stops as soon as found returns false.
+func queens(n int, order func() []int, found func(sol []int) bool) {
 	cols := make([]int, n)
 	colUsed := make([]bool, n)
 	diagUsed := make([]bool, 2*n)  // row+col
 	adiagUsed := make([]bool, 2*n) // row-col+n
-	var place func(row int)
-	place = func(row int) {
+	var place func(row int) bool   // false once found has stopped the search
+	place = func(row int) bool {
 		if row == n {
-			sol := make([]int, n)
-			copy(sol, cols)
-			sols = append(sols, sol)
-			return
+			return found(cols)
 		}
-		for c := 0; c < n; c++ {
+		for _, c := range order() {
 			if colUsed[c] || diagUsed[row+c] || adiagUsed[row-c+n] {
 				continue
 			}
 			cols[row] = c
 			colUsed[c], diagUsed[row+c], adiagUsed[row-c+n] = true, true, true
-			place(row + 1)
+			more := place(row + 1)
 			colUsed[c], diagUsed[row+c], adiagUsed[row-c+n] = false, false, false
+			if !more {
+				return false
+			}
 		}
+		return true
 	}
 	place(0)
+}
+
+// NQueenSolutions returns every N-Queen solution on an n×n board as column
+// positions, trying columns in ascending order. For n = 8 there are exactly
+// 92 solutions, as the paper notes.
+func NQueenSolutions(n int) [][]int {
+	asc := make([]int, n)
+	for i := range asc {
+		asc[i] = i
+	}
+	var sols [][]int
+	queens(n, func() []int { return asc }, func(sol []int) bool {
+		sols = append(sols, slices.Clone(sol))
+		return true
+	})
 	return sols
 }
 
 // SampleNQueenSolutions returns up to count distinct N-Queen solutions on an
-// n×n board found by randomized backtracking (random column order per row).
-// It is used for boards too large to enumerate exhaustively.
+// n×n board: each of up to 4·count attempts is a backtracking search in a
+// random column order per row (rng.Perm) that keeps its first solution. It
+// is used for boards too large to enumerate exhaustively.
 func SampleNQueenSolutions(n, count int, rng *rand.Rand) [][]int {
 	seen := map[string]bool{}
 	var sols [][]int
-	cols := make([]int, n)
-	colUsed := make([]bool, n)
-	diagUsed := make([]bool, 2*n)
-	adiagUsed := make([]bool, 2*n)
-	var place func(row int) bool
-	place = func(row int) bool {
-		if row == n {
-			return true
-		}
-		for _, c := range rng.Perm(n) {
-			if colUsed[c] || diagUsed[row+c] || adiagUsed[row-c+n] {
-				continue
-			}
-			cols[row] = c
-			colUsed[c], diagUsed[row+c], adiagUsed[row-c+n] = true, true, true
-			if place(row + 1) {
-				return true
-			}
-			colUsed[c], diagUsed[row+c], adiagUsed[row-c+n] = false, false, false
-		}
-		return false
-	}
 	for attempt := 0; attempt < count*4 && len(sols) < count; attempt++ {
-		for i := range colUsed {
-			colUsed[i] = false
-		}
-		for i := range diagUsed {
-			diagUsed[i] = false
-			adiagUsed[i] = false
-		}
-		if !place(0) {
-			continue
-		}
-		key := fmt.Sprint(cols)
-		if !seen[key] {
-			seen[key] = true
-			sol := make([]int, n)
-			copy(sol, cols)
-			sols = append(sols, sol)
-		}
+		queens(n, func() []int { return rng.Perm(n) }, func(sol []int) bool {
+			if key := fmt.Sprint(sol); !seen[key] {
+				seen[key] = true
+				sols = append(sols, slices.Clone(sol))
+			}
+			return false
+		})
 	}
 	return sols
 }

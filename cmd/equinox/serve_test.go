@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"log"
 	"net"
@@ -172,7 +173,7 @@ func TestShutdownClosesUnusedConns(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Errorf("Shutdown with an unused connection open: %v", err)
 	}
-	if err := <-errc; err != http.ErrServerClosed {
+	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
 		t.Errorf("Serve returned %v", err)
 	}
 }

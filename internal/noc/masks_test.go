@@ -169,17 +169,12 @@ func checkMasks(n *Network) error {
 		if ready != 0 {
 			inSA++
 		}
-		flits := 0
 		for s := range r.vcs {
 			vb := &r.vcs[s]
-			flits += int(vb.n)
 			if !vb.empty() && vb.headEntered != vb.at(n.flits, 0).enteredRouter {
 				return fmt.Errorf("router %v slot %d: cached head entry cycle %d, head flit says %d",
 					r.pos, s, vb.headEntered, vb.at(n.flits, 0).enteredRouter)
 			}
-		}
-		if flits != r.inFlits {
-			return fmt.Errorf("router %v: inFlits %d, buffers hold %d", r.pos, r.inFlits, flits)
 		}
 	}
 	// Each router's bit is right, so equal counts mean no stray bits.
@@ -203,29 +198,48 @@ func checkMasks(n *Network) error {
 	return checkPacketTable(n)
 }
 
-// checkConservation checks, between Steps, the two conservation laws of
-// direct link deposit. Credits: on every link VC the upstream credit counter
-// plus the flits buffered downstream equals VCDepthFlits — a deposited flit
-// is in the downstream buffer at once, and credits a traversal returns are
-// applied before Step ends, so nothing is unaccounted in between. Flits:
-// every flit the NIs have streamed (injectedFlits less what the NIs still
-// hold) is buffered in some router or has ejected.
+// checkStep runs every invariant check that holds between Steps: the masks,
+// sets and packet table (checkMasks), conservation and VC ownership; and
+// once the network is quiescent, that a full scan agrees and no VC is still
+// owned or allocated. injectedFlits is the flits of every packet injected so
+// far.
+func checkStep(n *Network, injectedFlits int64) error {
+	if err := checkMasks(n); err != nil {
+		return err
+	}
+	if err := checkConservation(n, injectedFlits); err != nil {
+		return err
+	}
+	if err := checkOwnership(n); err != nil {
+		return err
+	}
+	if !n.Quiescent() {
+		return nil
+	}
+	if !n.quiescentScan() {
+		return fmt.Errorf("quiescent, but a scan finds work left")
+	}
+	for d := range n.vcs {
+		if vb := &n.vcs[d]; vb.owner != noAlloc || vb.outPort != noAlloc {
+			return fmt.Errorf("quiescent, but VC %d is owned by slot %d and allocated port %d", d, vb.owner, vb.outPort)
+		}
+	}
+	return nil
+}
+
+// checkConservation checks, between Steps, that no VC holds more than
+// VCDepthFlits flits — a flit sent without a credit would overrun its ring —
+// and that every flit the NIs have streamed (injectedFlits less what the NIs
+// still hold) is buffered in some router or has ejected.
 func checkConservation(n *Network, injectedFlits int64) error {
 	var buffered int64
 	for _, r := range n.Routers {
-		buffered += int64(r.inFlits)
-		for pi := range r.out {
-			op := &r.out[pi]
-			if op.to == noAlloc {
-				continue
+		for s := range r.vcs {
+			vb := &r.vcs[s]
+			if vb.n > vb.depth {
+				return fmt.Errorf("router %v slot %d: %d flits in a VC %d deep", r.pos, s, vb.n, vb.depth)
 			}
-			down := n.Routers[op.to].vcs[op.toSlot : op.toSlot+int32(n.nvc)]
-			for vc, credits := range n.portCredits(op) {
-				if int(credits)+int(down[vc].n) != n.Cfg.VCDepthFlits {
-					return fmt.Errorf("router %v out %d vc %d: %d credits + %d flits downstream != depth %d",
-						r.pos, pi, vc, credits, down[vc].n, n.Cfg.VCDepthFlits)
-				}
-			}
+			buffered += int64(vb.n)
 		}
 	}
 	backlog := make([]int64, len(n.Routers))
@@ -240,6 +254,51 @@ func checkConservation(n *Network, injectedFlits int64) error {
 		return fmt.Errorf("NIs streamed %d flits, routers buffer %d and %d ejected", streamed, buffered, ejected)
 	}
 	return nil
+}
+
+// checkOwnership checks VC ownership, whose one record is the downstream
+// vcBuf.owner, against the input VC allocations that name it: an input VC
+// allocated a link names the downstream VC its output port and VC lead to,
+// and that VC's owner is its slot; an input VC allocated an ejection port
+// names none; and every owned VC is named by exactly one allocation, every
+// free one by none.
+func checkOwnership(n *Network) error {
+	named := make([]int, len(n.vcs))
+	for _, r := range n.Routers {
+		for s := range r.vcs {
+			vb := &r.vcs[s]
+			if vb.outPort == noAlloc {
+				continue
+			}
+			op := &r.out[vb.outPort]
+			switch {
+			case op.eject && vb.down != noAlloc:
+				return fmt.Errorf("router %v slot %d: ejecting, but holds downstream VC %d", r.pos, s, vb.down)
+			case op.eject:
+				continue
+			case vb.down != op.down+vb.outVC:
+				return fmt.Errorf("router %v slot %d: allocated port %d VC %d, holds downstream VC %d, not %d",
+					r.pos, s, vb.outPort, vb.outVC, vb.down, op.down+vb.outVC)
+			case n.vcs[vb.down].owner != int32(s):
+				return fmt.Errorf("router %v slot %d: holds downstream VC %d, whose owner is slot %d",
+					r.pos, s, vb.down, n.vcs[vb.down].owner)
+			}
+			named[vb.down]++
+		}
+	}
+	for d := range n.vcs {
+		if owner := n.vcs[d].owner; named[d] > 1 || (owner != noAlloc) != (named[d] == 1) {
+			return fmt.Errorf("VC %d: owner %d, named by %d allocations", d, owner, named[d])
+		}
+	}
+	return nil
+}
+
+// linkFed reports whether input port pi of r is fed by a mesh link, not an
+// NI: links are symmetric, so port pi (East..North) is fed iff r has an
+// output port into the neighbour that way.
+func linkFed(r *Router, pi int) bool {
+	return pi >= int(PortEast) && pi <= int(PortNorth) && r.out[pi].to != noAlloc
 }
 
 // checkPacketTable checks the slots flits name their packets by: every
@@ -348,7 +407,7 @@ func checkDeposits(n *Network, before buffers) error {
 	var deps []deposit
 	for _, r := range n.Routers {
 		for pi := range r.in {
-			if r.in[pi].upCredit == noAlloc {
+			if !linkFed(r, pi) {
 				continue // fed by an NI, not a link
 			}
 			for vc := 0; vc < n.nvc; vc++ {
@@ -451,10 +510,11 @@ func flightObserverOf(n *Network) *flightObserver {
 
 // TestMasksMatchScan pins the invariants the stepper relies on. After every
 // Step: on every router needVA / ready equal what a scan of the buffers
-// finds, the per-phase sets equal a scan of those masks, conservation holds,
-// the flits deposited over links equal the flits that traversed a link in
-// that Step, and the held LinkTraverse events name them in (router, output
-// port) order, in a list whose capacity never changes. Covered: every router
+// finds, the per-phase sets equal a scan of those masks, conservation and
+// VC ownership hold (checkStep), the flits deposited over links equal the
+// flits that traversed a link in that Step, and the held LinkTraverse events
+// name them in (router, output port) order, in a list whose capacity never
+// changes. Covered: every router
 // shape the seven schemes build × {uniform, hotspot} traffic × 3 seeds,
 // through injection, saturation and drain, with a flight recorder attached.
 func TestMasksMatchScan(t *testing.T) {
@@ -470,7 +530,7 @@ func TestMasksMatchScan(t *testing.T) {
 						t.Fatal(err)
 					}
 					n.AttachFlight(flight.Options{BufferCap: 1024})
-					if err := checkMasks(n); err != nil {
+					if err := checkStep(n, 0); err != nil {
 						t.Fatalf("fresh network: %v", err)
 					}
 					fo := flightObserverOf(n)
@@ -481,10 +541,7 @@ func TestMasksMatchScan(t *testing.T) {
 					driveTraffic(t, n, nc, pattern, seed, 2500, func(cyc int, injected int64) {
 						before := snapshot(n)
 						n.Step()
-						if err := checkMasks(n); err != nil {
-							t.Fatalf("seed %d cycle %d: %v", seed, cyc, err)
-						}
-						if err := checkConservation(n, injected); err != nil {
+						if err := checkStep(n, injected); err != nil {
 							t.Fatalf("seed %d cycle %d: %v", seed, cyc, err)
 						}
 						if err := checkDeposits(n, before); err != nil {
@@ -500,9 +557,9 @@ func TestMasksMatchScan(t *testing.T) {
 	}
 }
 
-// TestConservation checks after every Step that credits plus downstream
-// buffered flits fill every link VC exactly, and that every flit the NIs
-// streamed is buffered or ejected (checkConservation), over every router
+// TestConservation checks after every Step that no VC overfills, that every
+// flit the NIs streamed is buffered or ejected (checkConservation), and that
+// VC ownership matches the allocations (checkOwnership), over every router
 // shape the seven schemes build, uniform and hotspot traffic, on 8×8 and
 // 16×16 meshes. At 16×16 the stepper's router sets span four words, so a
 // flit can be deposited into a router the same switch-allocation walk has
@@ -521,6 +578,9 @@ func TestConservation(t *testing.T) {
 						before := snapshot(n)
 						n.Step()
 						if err := checkConservation(n, injected); err != nil {
+							t.Fatalf("cycle %d: %v", cyc, err)
+						}
+						if err := checkOwnership(n); err != nil {
 							t.Fatalf("cycle %d: %v", cyc, err)
 						}
 						if err := checkDeposits(n, before); err != nil {
@@ -571,7 +631,7 @@ func TestNIsSerializeFlits(t *testing.T) {
 				n.Step()
 				for _, r := range n.Routers {
 					for pi := range r.in {
-						if r.in[pi].upCredit != noAlloc {
+						if linkFed(r, pi) {
 							continue // fed by a link, not an NI
 						}
 						for vc := range r.portVCs(pi) {

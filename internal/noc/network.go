@@ -19,8 +19,7 @@ type Network struct {
 	// ejectQ is indexed [class][node]: requests and replies eject into
 	// separate NI buffers so a backpressured request can never trap replies
 	// behind it (protocol-deadlock safety at nodes receiving both classes).
-	ejectQ   [NumClasses][][]*Packet
-	ejectCap int
+	ejectQ [NumClasses][][]*Packet
 
 	now int64
 
@@ -38,8 +37,10 @@ type Network struct {
 	inflight  int64
 	heldNodes []uint64
 
-	// flits is every input VC's flit ring, depth flits per VC in the order
-	// of the VC buffers (vcBuf.base).
+	// vcs is every router's input VCs, router-major: Router.vcs is a window
+	// of it, and vcBuf.down and outputPort.down index it. flits is their
+	// flit rings, depth flits per VC in the same order (vcBuf.base).
+	vcs   []vcBuf
 	flits []Flit
 
 	// pkts is the packet table flits name their packet by (Flit.pkt): a
@@ -47,17 +48,6 @@ type Network struct {
 	// back when its tail flit ejects, onto the freePkts stack.
 	pkts     []*Packet
 	freePkts []int32
-
-	// creditSlab holds every output port's per-VC credit counters and owners
-	// the input slot owning each downstream VC, both indexed
-	// outputPort.creditBase + VC. credits holds the creditSlab indices of the
-	// credits switch traversal returned upstream this cycle; Step applies
-	// them once the phase is over. This is a timing property of the router
-	// model: a buffer slot freed in cycle t is visible to the upstream router
-	// in cycle t+1, whatever order routers are visited in.
-	creditSlab []int32
-	owners     []int32
-	credits    []int32
 
 	// scratch is the allocators' working memory, sized by Router.finalize.
 	scratch allocScratch
@@ -75,6 +65,35 @@ type Network struct {
 	// obs are the attached observers (Observe). Every hook site tests
 	// len(n.obs) first, so a network without one pays a single compare.
 	obs []Observer
+}
+
+// ejectCap is the delivered packets of one class a node's ejection queue
+// holds before its router stops ejecting that class.
+const ejectCap = 2
+
+// credit returns the credits the upstream router holds in cycle now for the
+// link-fed VC n.vcs[d]: its free slots, less the slot a flit leaving it freed
+// this cycle. That slot becomes usable upstream in the next cycle, so a slot
+// freed in cycle t is usable in t+1 and not in t, whatever order routers are
+// visited in. No counter is kept; the downstream VC is the one copy of the
+// fact, and reading it there is exact because:
+//   - each link-fed VC has exactly one upstream writer, the output port its
+//     link leaves, so every flit in n was sent against these credits;
+//   - links have latency 1: switch traversal deposits a flit straight into
+//     the downstream VC, so no flit is between the two ends, outside n;
+//   - a VC loses at most one flit per cycle (switch allocation grants an
+//     input port one VC, and traverse pops it once), so one popped stamp
+//     covers every slot freed this cycle.
+//
+// A multi-cycle link breaks the second fact: flits on the wire would have to
+// be counted, which brings a per-link counter back.
+func (n *Network) credit(d int32, now int64) int32 {
+	b := &n.vcs[d]
+	c := b.depth - b.n
+	if b.popped == now {
+		c--
+	}
+	return c
 }
 
 // Observer watches a network run: the probe, the telemetry sampler and the
@@ -108,11 +127,16 @@ func (n *Network) emit(now int64, p *Packet, k flight.Kind, router int, a, b int
 // at the end of the cycle: those buffered in its input VCs plus the NI
 // injection backlog waiting to enter it. A flit deposited downstream this
 // cycle is still on its link (linkBusy) and counts toward no router yet. Both
-// samplers read it; see Probe.EndCycle for why the NI term matters. Must not
-// allocate.
+// samplers read it on their sampling cycles only, so it sums the VCs rather
+// than have every flit hop keep a count; see Probe.EndCycle for why the NI
+// term matters. Must not allocate.
 func (n *Network) occupancy(per []int64) {
 	for i, r := range n.Routers {
-		per[i] = int64(r.inFlits)
+		var f int32
+		for s := range r.vcs {
+			f += r.vcs[s].n
+		}
+		per[i] = int64(f)
 	}
 	for _, r := range n.Routers {
 		for pi := PortEast; pi <= PortNorth; pi++ {
@@ -134,16 +158,16 @@ func (n *Network) linkBusy(r *Router, pi PortID) bool {
 }
 
 // New builds a network from a configuration. Router state is laid out flat:
-// routers, ports, VC buffers, their flit rings, credit/owner counters, links,
-// NI queues and NI buffers are windows of a handful of per-network slabs
-// indexed router × port × VC, not separate heap objects. The big ones — the
-// flit rings, VC buffers, ports and counters — hold no pointers, so building
-// a network is mostly zeroing memory the collector will never scan.
+// routers, ports, VC buffers, their flit rings, links, NI queues and NI
+// buffers are windows of a handful of per-network slabs indexed router ×
+// port × VC, not separate heap objects. The big ones — the flit rings, VC
+// buffers and ports — hold no pointers, so building a network is mostly
+// zeroing memory the collector will never scan.
 func New(cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{Cfg: cfg, ejectCap: 2, nvc: cfg.VCsPerPort}
+	n := &Network{Cfg: cfg, nvc: cfg.VCsPerPort}
 	n.Stats.init()
 	n.initClassVCs()
 	n.spokes = 1
@@ -168,21 +192,13 @@ func New(cfg Config) (*Network, error) {
 	routers := make([]Router, cfg.Nodes())
 	inPorts := make([]inputPort, totIn)
 	outPorts := make([]outputPort, totOut)
-	vcs := make([]vcBuf, totIn*nvc)
+	n.vcs = make([]vcBuf, totIn*nvc)
 	n.flits = make([]Flit, totIn*nvc*depth)
-	counters := make([]int32, 2*totOut*nvc)
-	n.creditSlab, n.owners = counters[:totOut*nvc:totOut*nvc], counters[totOut*nvc:]
-	for i := range vcs {
-		vcs[i] = vcBuf{base: int32(i * depth), depth: int32(depth), outPort: noAlloc, outVC: noAlloc, credit: noAlloc}
-	}
-	for i := range inPorts {
-		inPorts[i].upCredit = noAlloc
-	}
-	for i := range n.creditSlab {
-		n.creditSlab[i], n.owners[i] = int32(depth), noAlloc
+	for i := range n.vcs {
+		n.vcs[i] = vcBuf{base: int32(i * depth), depth: int32(depth), outPort: noAlloc, outVC: noAlloc, down: noAlloc, owner: noAlloc, popped: -1}
 	}
 	for i := range outPorts {
-		outPorts[i] = outputPort{to: noAlloc, creditBase: i * nvc, lastSent: -1, grant: noAlloc}
+		outPorts[i] = outputPort{to: noAlloc, down: noAlloc, lastSent: -1, grant: noAlloc}
 	}
 
 	// Routers. Base ports are local + four directions (ports exist even on
@@ -192,17 +208,18 @@ func New(cfg Config) (*Network, error) {
 	// attached by the NIs below, within the planned window.
 	base := int(geom.NumDirections)
 	n.Routers = make([]*Router, len(routers))
+	firstVC := make([]int, len(routers)) // Network.vcs index of each router's slot 0
 	io, oo := 0, 0
 	for id := range routers {
 		r := &routers[id]
+		firstVC[id] = io * nvc
 		*r = Router{
-			id:   id,
-			pos:  geom.FromID(id, cfg.Width),
-			net:  n,
-			node: id,
-			vcs:  vcs[io*nvc : (io+nIn[id])*nvc : (io+nIn[id])*nvc],
-			in:   inPorts[io : io+base : io+nIn[id]],
-			out:  outPorts[oo : oo+nOut[id] : oo+nOut[id]],
+			id:  id,
+			pos: geom.FromID(id, cfg.Width),
+			net: n,
+			vcs: n.vcs[io*nvc : (io+nIn[id])*nvc : (io+nIn[id])*nvc],
+			in:  inPorts[io : io+base : io+nIn[id]],
+			out: outPorts[oo : oo+nOut[id] : oo+nOut[id]],
 		}
 		for d := range r.dirOut {
 			r.dirOut[d] = noAlloc
@@ -230,15 +247,15 @@ func New(cfg Config) (*Network, error) {
 			toPort := int(d.Opposite())
 			op := &r.out[PortID(d)]
 			op.to, op.toSlot = int32(nb.id), int32(n.slot(toPort, 0))
+			op.down = int32(firstVC[nb.id]) + op.toSlot
 			r.dirOut[d] = int(d)
-			nb.in[toPort].upCredit = op.creditBase
 		}
 	}
 
 	// Ejection queues, one per class per node, preallocated to the most an
 	// eject-ready check can let through: ejectCap-1 waiting plus one tail per
 	// ejection port in a cycle.
-	ejectSlots := n.ejectCap - 1 + max(cfg.EjectPortsPerCB, 1)
+	ejectSlots := ejectCap - 1 + max(cfg.EjectPortsPerCB, 1)
 	n.heldNodes = make([]uint64, (cfg.Nodes()+63)/64)
 	ejectSlab := make([]*Packet, int(NumClasses)*cfg.Nodes()*ejectSlots)
 	for c := range n.ejectQ {
@@ -372,7 +389,7 @@ func (n *Network) PeekDeliveredClass(node int, c Class) *Packet {
 // ejectReady reports whether the node can accept another ejected flit of
 // the class (its reassembly/delivery queue is not saturated).
 func (n *Network) ejectReady(node int, c Class) bool {
-	return len(n.ejectQ[c][node]) < n.ejectCap
+	return len(n.ejectQ[c][node]) < ejectCap
 }
 
 // admit gives p a packet-table slot for its flits to name it by.
@@ -429,7 +446,9 @@ func (n *Network) Step() {
 	// passes, not one per router: a cycle's VCAlloc flight events all precede
 	// its SAGrant events. A flit traversal deposits downstream can set the
 	// SA bit of a router this walk has yet to reach; visiting it is a no-op,
-	// as the flit's own stamp keeps it from leaving before next cycle.
+	// as the flit's own stamp keeps it from leaving before next cycle. Alike,
+	// a slot a traversal frees is a credit upstream from next cycle on,
+	// whether or not the walk has passed the upstream router (Network.credit).
 	for w, m := range n.vaSet {
 		for ; m != 0; m &= m - 1 {
 			n.Routers[w<<6+bits.TrailingZeros64(m)].vcAllocate(now)
@@ -440,12 +459,6 @@ func (n *Network) Step() {
 			n.Routers[w<<6+bits.TrailingZeros64(m)].switchAllocate(now)
 		}
 	}
-	// The credits phase 4 returned become visible now, for the next cycle
-	// (see Network.credits).
-	for _, ix := range n.credits {
-		n.creditSlab[ix]++
-	}
-	n.credits = n.credits[:0]
 	// Close the cycle: the observers, then the clock (linkBusy reads it).
 	for _, o := range n.obs {
 		o.EndCycle(now)
@@ -472,14 +485,9 @@ func (n *Network) quiescentScan() bool {
 			return false
 		}
 	}
-	for _, r := range n.Routers {
-		if r.inFlits > 0 {
+	for i := range n.vcs {
+		if !n.vcs[i].empty() {
 			return false
-		}
-		for i := range r.vcs {
-			if !r.vcs[i].empty() {
-				return false
-			}
 		}
 	}
 	for c := range n.ejectQ {
@@ -529,7 +537,7 @@ func (n *Network) DebugDump() string {
 					continue
 				}
 				if !hdr {
-					add(fmt.Sprintf("router %v (node %d):\n", r.pos, r.node))
+					add(fmt.Sprintf("router %v (node %d):\n", r.pos, r.id))
 					hdr = true
 				}
 				p := n.pkts[vb.at(n.flits, 0).pkt]
@@ -539,12 +547,12 @@ func (n *Network) DebugDump() string {
 				} else {
 					op := &r.out[vb.outPort]
 					if op.eject {
-						if !n.ejectReady(r.node, ClassOf(p.Type)) {
+						if !n.ejectReady(r.id, ClassOf(p.Type)) {
 							reason = "eject queue full"
 						} else {
 							reason = "eject ready"
 						}
-					} else if n.creditSlab[vb.credit] <= 0 {
+					} else if n.credit(vb.down, n.now) <= 0 {
 						reason = "no credits"
 					} else {
 						reason = "has credits"

@@ -533,7 +533,7 @@ func TestEjectionBackpressure(t *testing.T) {
 		}
 		n.Step() // never pop node 15
 	}
-	if got := len(n.ejectQ[Request][15]); got > n.ejectCap {
+	if got := len(n.ejectQ[Request][15]); got > ejectCap {
 		t.Errorf("ejection queue exceeded cap: %d", got)
 	}
 	// Now drain; everything must arrive.

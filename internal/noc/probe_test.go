@@ -10,9 +10,10 @@ import (
 	"equinox/internal/telemetry"
 )
 
-// runProbed drives a small network under sustained crossing traffic with a
-// probe attached and returns the probe after the run.
-func runProbed(t *testing.T, every int64, cycles int) (*Network, *Probe) {
+// runProbed drives a small network under sustained crossing reply traffic —
+// the last VC of every input port it crosses — with a probe and a flit
+// ledger sampling alike attached, and returns both after the run.
+func runProbed(t *testing.T, every int64, cycles int) (*Network, *Probe, *flitLedger) {
 	t.Helper()
 	cfg := DefaultConfig("probed", 4, 4)
 	cfg.Routing = RoutingXY
@@ -22,16 +23,38 @@ func runProbed(t *testing.T, every int64, cycles int) (*Network, *Probe) {
 		t.Fatal(err)
 	}
 	p := n.AttachProbe(every)
+	l := &flitLedger{n: n, every: every}
+	n.Observe(l)
 	pairs := [][2]int{{0, 15}, {15, 0}, {3, 12}, {12, 3}}
-	h := newAllocHarness(t, n, ReadRequest, pairs, 4)
+	h := newAllocHarness(t, n, ReadReply, pairs, 4)
 	for i := 0; i < cycles; i++ {
 		h.tick()
 	}
-	return n, p
+	return n, p, l
 }
 
+// flitLedger is a test observer that sums, over the probe's sampling
+// cycles, the flits injected and not yet ejected: by flit conservation, what
+// the NIs, the input VCs and the links hold.
+type flitLedger struct {
+	n          *Network
+	every, sum int64
+}
+
+func (*flitLedger) Packet(int64, *Packet, flight.Kind, int, int32, int32) {}
+
+func (l *flitLedger) EndCycle(now int64) {
+	if now%l.every == 0 {
+		s := &l.n.Stats
+		l.sum += (s.Bits[Request]+s.Bits[Reply])/int64(8*l.n.Cfg.FlitBytes) - s.EjectFlits
+	}
+}
+
+// TestProbeSampling checks the probe's sample count and shapes, and that its
+// occupancy adds up: summed over routers and samples, it equals the flits
+// the ledger says were in the network less those the probe saw on links.
 func TestProbeSampling(t *testing.T) {
-	n, p := runProbed(t, 4, 400)
+	n, p, l := runProbed(t, 4, 400)
 
 	if want := int64(100); p.Samples() != want {
 		t.Errorf("Samples = %d, want %d (400 cycles / every 4)", p.Samples(), want)
@@ -65,6 +88,16 @@ func TestProbeSampling(t *testing.T) {
 	}
 	if linkTotal == 0 {
 		t.Error("no link load recorded under sustained traffic")
+	}
+	var occ, onLinks int64
+	for i := range p.occSum {
+		occ += p.occSum[i]
+	}
+	for _, s := range p.linkSum {
+		onLinks += s
+	}
+	if occ != l.sum-onLinks {
+		t.Errorf("occupancy sums to %d flit-samples; %d were injected and not ejected, %d of them on links", occ, l.sum, onLinks)
 	}
 }
 
@@ -152,7 +185,7 @@ func TestObserversIndependentOfAttachOrder(t *testing.T) {
 }
 
 func TestProbeCSV(t *testing.T) {
-	n, p := runProbed(t, 4, 400)
+	n, p, _ := runProbed(t, 4, 400)
 	var buf bytes.Buffer
 	if err := p.WriteCSV(&buf); err != nil {
 		t.Fatal(err)

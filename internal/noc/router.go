@@ -35,18 +35,25 @@ type vcBuf struct {
 	head  int32 // ring offset of the oldest flit
 	n     int32 // flits buffered
 
-	// Allocation state for the packet at the head of the buffer. credit and
+	// Allocation state for the packet at the head of the buffer. down and
 	// class are valid while outPort is set.
 	outPort int32 // allocated output port, noAlloc if none
 	outVC   int32 // allocated downstream VC, noAlloc if none
-	credit  int32 // Network.creditSlab index of (outPort, outVC); noAlloc when ejecting
+	down    int32 // Network.vcs index of the allocated downstream VC; noAlloc when ejecting
 	class   int32 // Class of the allocated packet
 
-	// headEntered caches the head flit's enteredRouter. With credit and
-	// class it lets the switch allocator's input stage decide from the vcBuf
-	// and one credit counter, without touching the flit, its packet or the
-	// output port.
+	// owner is the input slot of the upstream router whose packet holds
+	// this VC (link-fed VCs only), noAlloc while the VC is free.
+	owner int32
+
+	// headEntered caches the head flit's enteredRouter. With down and class
+	// it lets the switch allocator's input stage decide from the vcBuf and
+	// the downstream vcBuf's credit, without touching the flit, its packet
+	// or the output port.
 	headEntered int64
+	// popped is the last cycle a flit left this VC, -1 before the first: the
+	// slot it freed is not yet usable upstream (Network.credit).
+	popped int64
 }
 
 func (b *vcBuf) free() int   { return int(b.depth - b.n) }
@@ -74,9 +81,11 @@ func (b *vcBuf) push(flits []Flit, f Flit) {
 	b.n++
 }
 
-// pop removes and returns the head flit and refreshes the head cache.
-func (b *vcBuf) pop(flits []Flit) Flit {
+// pop removes and returns the head flit in cycle now, refreshes the head
+// cache and stamps the cycle.
+func (b *vcBuf) pop(flits []Flit, now int64) Flit {
 	f := flits[b.base+b.head]
+	b.popped = now
 	if b.head++; b.head == b.depth {
 		b.head = 0
 	}
@@ -87,15 +96,10 @@ func (b *vcBuf) pop(flits []Flit) Flit {
 	return f
 }
 
-// inputPort is one input port: the upstream output port that receives its
-// credits, and the switch-allocation pointer. Its VCs are a window of the
-// router's (Router.portVCs).
+// inputPort is one input port's switch-allocation state. Its VCs are a
+// window of the router's (Router.portVCs).
 type inputPort struct {
-	// upCredit indexes the upstream router output port's VC-0 credit counter
-	// in Network.creditSlab; noAlloc for NI-fed ports, whose NIs inspect
-	// buffer space directly and take no credits.
-	upCredit int
-	rrVC     int // round-robin pointer for switch allocation
+	rrVC int // round-robin pointer for switch allocation
 }
 
 // outputPort is one output port: a link to a downstream router input port,
@@ -105,14 +109,10 @@ type outputPort struct {
 	// port, VC 0) there; to is noAlloc for ejection ports and for boundary
 	// ports without a neighbour. Every link has a latency of one cycle:
 	// switch traversal deposits a flit granted in cycle t straight into the
-	// downstream buffer, stamped as entering it in t+1 (see traverse).
-	to, toSlot int32
-
-	// creditBase indexes the port's VC-0 entry in the per-VC downstream
-	// bookkeeping (links only): Network.creditSlab, the free downstream
-	// buffer slots, and Network.owners, the input slot owning each
-	// downstream VC or noAlloc.
-	creditBase int
+	// downstream buffer, stamped as entering it in t+1 (see traverse). down
+	// is the Network.vcs index of that (input port, VC 0), whose VCs hold
+	// the link's credits and owners; noAlloc where to is.
+	to, toSlot, down int32
 
 	// lastSent is the last cycle a flit left through this port onto its
 	// link (links only; -1 before the first). A flit deposited in cycle t
@@ -149,16 +149,13 @@ type Router struct {
 	vaWord, saWord *uint64
 	bit            uint64
 
-	inFlits int // flits buffered in this router's input VCs
-
-	vcs []vcBuf // every input VC, indexed by slot
+	vcs []vcBuf // every input VC, indexed by slot: a window of Network.vcs
 	in  []inputPort
 	out []outputPort
 
-	id   int
-	pos  geom.Point
-	net  *Network
-	node int // node (tile) ID this router serves; -1 for pure transit routers
+	id  int // also the ID of the node (tile) it serves
+	pos geom.Point
+	net *Network
 
 	// dirOut maps geometric directions to output port IDs (noAlloc if the
 	// router has no neighbour in that direction).
@@ -203,9 +200,9 @@ func (r *Router) finalize() {
 }
 
 // accept pushes a flit into input slot (port*VCsPerPort + vc), maintaining
-// the occupancy masks, the per-phase router sets and the flit counter. All
-// flit arrivals (link deposits and NIs) go through here; the caller has set
-// f.enteredRouter and checked the buffer has room.
+// the occupancy masks and the per-phase router sets. All flit arrivals (link
+// deposits and NIs) go through here; the caller has set f.enteredRouter and
+// checked the buffer has room.
 func (r *Router) accept(slot int, f Flit) {
 	vb := &r.vcs[slot]
 	if vb.n == 0 {
@@ -220,7 +217,6 @@ func (r *Router) accept(slot int, f Flit) {
 		}
 	}
 	vb.push(r.net.flits, f)
-	r.inFlits++
 }
 
 // Pos returns the router's tile coordinate.
@@ -232,22 +228,16 @@ func (r *Router) portVCs(pi int) []vcBuf {
 	return r.vcs[pi*nvc : (pi+1)*nvc]
 }
 
-// portCredits returns the output port's per-VC downstream credit counters,
-// a window of n.creditSlab.
-func (n *Network) portCredits(op *outputPort) []int32 {
-	return n.creditSlab[op.creditBase : op.creditBase+n.nvc]
-}
-
-// vcOrderByCredit lists an output port's VCs most-free first, given its
-// credits, for adaptive VC selection on single-class networks. The returned
-// slice is scratch, valid until the next call.
-func vcOrderByCredit(credits []int32, sc *allocScratch) []int {
+// vcOrderByCredit lists link output port op's VCs most credits first in
+// cycle now, for adaptive VC selection on single-class networks. The
+// returned slice is scratch, valid until the next call.
+func (n *Network) vcOrderByCredit(op *outputPort, now int64, sc *allocScratch) []int {
 	vcs := sc.vcOrd[:0]
-	for i := range credits {
-		vcs = append(vcs, i)
+	for vc := 0; vc < n.nvc; vc++ {
+		vcs = append(vcs, vc)
 	}
 	for i := 1; i < len(vcs); i++ {
-		for j := i; j > 0 && credits[vcs[j]] > credits[vcs[j-1]]; j-- {
+		for j := i; j > 0 && n.credit(op.down+int32(vcs[j]), now) > n.credit(op.down+int32(vcs[j-1]), now); j-- {
 			vcs[j], vcs[j-1] = vcs[j-1], vcs[j]
 		}
 	}
@@ -291,10 +281,10 @@ type routeCand struct {
 	vc   int
 }
 
-// routeCandidates lists the head packet's candidates in preference order
-// into the scratch buffer; the returned slice is valid until the next call
-// with the same scratch.
-func (r *Router) routeCandidates(p *Packet, sc *allocScratch) []routeCand {
+// routeCandidates lists the head packet's candidates in cycle now in
+// preference order into the scratch buffer; the returned slice is valid
+// until the next call with the same scratch.
+func (r *Router) routeCandidates(p *Packet, now int64, sc *allocScratch) []routeCand {
 	n := r.net
 	cands := sc.cands[:0]
 	dst := geom.FromID(p.Dst, n.Cfg.Width)
@@ -340,8 +330,8 @@ func (r *Router) routeCandidates(p *Packet, sc *allocScratch) []routeCand {
 				continue
 			}
 			total := 0
-			for _, c := range n.portCredits(&r.out[op]) {
-				total += int(c)
+			for vc := int32(0); vc < int32(n.nvc); vc++ {
+				total += int(n.credit(r.out[op].down+vc, now))
 			}
 			adaptive[na] = scored{op, total}
 			na++
@@ -353,7 +343,7 @@ func (r *Router) routeCandidates(p *Packet, sc *allocScratch) []routeCand {
 			}
 		}
 		for _, s := range adaptive[:na] {
-			for _, vc := range vcOrderByCredit(n.portCredits(&r.out[s.port]), sc) {
+			for _, vc := range n.vcOrderByCredit(&r.out[s.port], now, sc) {
 				cands = append(cands, routeCand{port: s.port, vc: vc})
 			}
 		}
@@ -388,17 +378,18 @@ func (r *Router) vcAllocate(now int64) {
 			}
 			p := n.pkts[head.pkt]
 			cls := ClassOf(p.Type)
-			for _, c := range r.routeCandidates(p, sc) {
+			for _, c := range r.routeCandidates(p, now, sc) {
 				if c.port == noAlloc {
 					continue
 				}
 				op := &r.out[c.port]
 				if op.eject {
-					vb.outPort, vb.outVC, vb.credit = int32(c.port), 0, noAlloc
+					vb.outPort, vb.outVC, vb.down = int32(c.port), 0, noAlloc
 					break
 				}
-				credit := op.creditBase + c.vc
-				if n.owners[credit] != noAlloc {
+				down := op.down + int32(c.vc)
+				d := &n.vcs[down]
+				if d.owner != noAlloc {
 					continue
 				}
 				// VC monopolization safety: borrowing the other class's VC
@@ -409,15 +400,15 @@ func (r *Router) vcAllocate(now int64) {
 				// injection, replies waiting behind requests — deadlocks.
 				if n.Cfg.VCPolicy == VCMonopolize &&
 					c.vc != int(cls) &&
-					int(n.creditSlab[credit]) < n.Cfg.VCDepthFlits {
+					n.credit(down, now) < d.depth {
 					continue
 				}
 				// Deadlock freedom: both routing modes (XY and west-first
 				// adaptive) have acyclic channel dependence graphs, so
 				// owner-free acquisition with ordinary wormhole flow control
 				// suffices.
-				n.owners[credit] = int32(slot)
-				vb.outPort, vb.outVC, vb.credit = int32(c.port), int32(c.vc), int32(credit)
+				d.owner = int32(slot)
+				vb.outPort, vb.outVC, vb.down = int32(c.port), int32(c.vc), down
 				break
 			}
 			if vb.outPort == noAlloc {
@@ -442,8 +433,8 @@ func (r *Router) vcAllocate(now int64) {
 
 // slot packs an (input port, VC) pair into the router-local index of the VC
 // buffer: the bit position in the occupancy masks, the index into Router.vcs
-// and the owner token held by a downstream VC. Config.Validate bounds it
-// below 64.
+// and the owner token held by a downstream VC (vcBuf.owner). Config.Validate
+// bounds it below 64.
 func (n *Network) slot(inPort, vc int) int { return inPort*n.nvc + vc }
 
 // sendable reports whether the head flit of a ready VC may traverse this
@@ -453,10 +444,10 @@ func (r *Router) sendable(vb *vcBuf, now int64) bool {
 	if vb.headEntered >= now {
 		return false
 	}
-	if vb.credit == noAlloc {
-		return r.net.ejectReady(r.node, Class(vb.class))
+	if vb.down == noAlloc {
+		return r.net.ejectReady(r.id, Class(vb.class))
 	}
-	return r.net.creditSlab[vb.credit] > 0
+	return r.net.credit(vb.down, now) > 0
 }
 
 // switchAllocate runs separable input-first switch allocation over the
@@ -547,9 +538,10 @@ func (r *Router) switchAllocate(now int64) {
 // across the link straight into the downstream input buffer. A deposited flit
 // is stamped as entering that buffer next cycle — the link's one-cycle
 // latency — so it cannot move again this cycle, whichever order routers are
-// visited in. traverse also returns the credit upstream, advances the
-// output's round-robin pointer past the winning input port, and keeps the
-// masks, router sets and counters.
+// visited in. The pop's popped stamp is the credit returned upstream
+// (Network.credit). traverse also advances the output's round-robin pointer
+// past the winning input port, and keeps the masks, router sets and
+// counters.
 func (r *Router) traverse(slot int, now int64) {
 	n := r.net
 	ipIx := int(n.slotPort[slot])
@@ -560,14 +552,9 @@ func (r *Router) traverse(slot int, now int64) {
 		op.rrIn = 0
 	}
 	r.occupancyCycles += now - vb.headEntered
-	f := vb.pop(n.flits)
+	f := vb.pop(n.flits, now)
 	if len(n.obs) != 0 && f.IsHead {
 		n.emit(now, n.pkts[f.pkt], flight.SAGrant, r.id, pi, outVC)
-	}
-	// Return a credit upstream, deferred to the end of the phase (see
-	// Network.credits). NI-fed ports take no credits.
-	if up := r.in[ipIx].upCredit; up != noAlloc {
-		n.credits = append(n.credits, int32(up+slot-ipIx*n.nvc))
 	}
 	if op.eject {
 		n.Stats.EjectFlits++
@@ -575,7 +562,6 @@ func (r *Router) traverse(slot int, now int64) {
 			n.ejectPacket(f.pkt, now)
 		}
 	} else {
-		n.creditSlab[vb.credit]--
 		n.Stats.LinkFlits++
 		op.lastSent = now
 		f.enteredRouter = now + 1
@@ -593,7 +579,7 @@ func (r *Router) traverse(slot int, now int64) {
 	bit := uint64(1) << uint(slot)
 	if f.IsTail {
 		if !op.eject {
-			n.owners[vb.credit] = noAlloc
+			n.vcs[vb.down].owner = noAlloc
 		}
 		vb.outPort, vb.outVC = noAlloc, noAlloc
 		r.ready &^= bit
@@ -607,7 +593,6 @@ func (r *Router) traverse(slot int, now int64) {
 	if r.ready == 0 {
 		*r.saWord &^= r.bit
 	}
-	r.inFlits--
 	r.flitsThrough++
 	n.Stats.FlitHops++
 }

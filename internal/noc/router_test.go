@@ -17,70 +17,79 @@ func trackNet(t *testing.T, cfg Config) *Network {
 	return n
 }
 
-// TestCreditConservation checks the fundamental flow-control invariant:
-// for every link, downstream free buffer slots equal the upstream credit
-// count once the network is quiescent.
-func TestCreditConservation(t *testing.T) {
+// TestVCsReleasedOnDrain drives random traffic through a network until it
+// drains, checking conservation and VC ownership after every Step
+// (checkStep), which also requires every VC to be empty, free and
+// unallocated once the network is quiescent.
+func TestVCsReleasedOnDrain(t *testing.T) {
 	cfg := DefaultConfig("t", 4, 4)
 	n := trackNet(t, cfg)
 	rng := rand.New(rand.NewSource(9))
-	for cyc := 0; cyc < 800; cyc++ {
+	var injected int64
+	for cyc := 0; cyc < 400 || !n.Quiescent(); cyc++ {
+		if cyc == 100000 {
+			t.Fatal("network did not drain")
+		}
 		if cyc < 400 {
-			p := &Packet{Type: ReadReply, Src: rng.Intn(16), Dst: rng.Intn(16)}
-			n.TryInject(p, n.Now())
+			if p := (&Packet{Type: ReadReply, Src: rng.Intn(16), Dst: rng.Intn(16)}); n.TryInject(p, n.Now()) {
+				injected += int64(p.Flits)
+			}
 		}
 		for node := 0; node < 16; node++ {
 			for n.PopDelivered(node) != nil {
 			}
 		}
 		n.Step()
-	}
-	for !n.Quiescent() && n.Now() < 100000 {
-		for node := 0; node < 16; node++ {
-			for n.PopDelivered(node) != nil {
-			}
-		}
-		n.Step()
-	}
-	if !n.Quiescent() {
-		t.Fatal("network did not drain")
-	}
-	for _, r := range n.Routers {
-		for pi, op := range r.out {
-			if op.to == noAlloc {
-				continue
-			}
-			down := n.Routers[op.to].portVCs(int(n.slotPort[op.toSlot]))
-			for vc, credits := range n.portCredits(&op) {
-				if free := down[vc].free(); int(credits) != free {
-					t.Errorf("router %v out %d vc %d: credits %d != downstream free %d",
-						r.pos, pi, vc, credits, free)
-				}
-				if int(credits) > cfg.VCDepthFlits {
-					t.Errorf("credits %d exceed depth", credits)
-				}
-			}
+		if err := checkStep(n, injected); err != nil {
+			t.Fatalf("cycle %d: %v", cyc, err)
 		}
 	}
-	// All VC allocations must be released.
-	for _, r := range n.Routers {
-		for _, op := range r.out {
-			if op.to == noAlloc {
-				continue
+}
+
+// TestCreditReturnTiming pins the router model's credit timing on a
+// two-router line: a downstream VC slot freed in cycle t is usable upstream
+// in t+1, and not in t. Single-flit requests back up behind a full ejection
+// queue until the link's one VC is full; popping one delivered packet lets
+// the downstream router eject one flit in cycle t, and the upstream router
+// must refill the slot in t+1. Both visit orders are covered: the
+// downstream router's ID below the upstream's (it pops before the upstream
+// router looks at its credits) and above it.
+func TestCreditReturnTiming(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		up, dst int
+		port    PortID
+	}{
+		{"downstream-above", 0, 1, PortEast},
+		{"downstream-below", 1, 0, PortWest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig("t", 2, 1)
+			cfg.Routing, cfg.VCsPerPort, cfg.VCDepthFlits, cfg.InjQueuePackets = RoutingXY, 1, 2, 8
+			n := trackNet(t, cfg)
+			op := &n.Routers[tc.up].out[tc.port]
+			down := &n.vcs[op.down]
+			for i := 0; i < 40; i++ {
+				n.TryInject(&Packet{Type: ReadRequest, Src: tc.up, Dst: tc.dst}, n.Now())
+				n.Step()
 			}
-			for vc, owner := range n.owners[op.creditBase : op.creditBase+n.nvc] {
-				if owner != noAlloc {
-					t.Errorf("router %v: VC %d still owned after drain", r.pos, vc)
-				}
+			if int(down.n) != cfg.VCDepthFlits || len(n.ejectQ[Request][tc.dst]) != ejectCap {
+				t.Fatalf("setup: downstream VC holds %d of %d flits, ejection queue %d packets", down.n, cfg.VCDepthFlits, len(n.ejectQ[Request][tc.dst]))
 			}
-		}
-		for pi := range r.in {
-			for _, vb := range r.portVCs(pi) {
-				if vb.outPort != noAlloc {
-					t.Errorf("router %v: input VC still allocated", r.pos)
-				}
+			n.PopDelivered(tc.dst)
+			freed := n.Now()
+			n.Step()
+			if op.lastSent == freed {
+				t.Fatalf("cycle %d: the upstream router used the slot freed in the same cycle", freed)
 			}
-		}
+			if down.popped != freed || int(down.n) != cfg.VCDepthFlits-1 {
+				t.Fatalf("cycle %d: downstream VC popped at %d and holds %d flits; want a flit ejected", freed, down.popped, down.n)
+			}
+			n.Step()
+			if op.lastSent != freed+1 || int(down.n) != cfg.VCDepthFlits {
+				t.Fatalf("cycle %d: upstream last sent at %d, downstream VC holds %d flits; want the freed slot refilled", freed+1, op.lastSent, down.n)
+			}
+		})
 	}
 }
 
@@ -94,7 +103,7 @@ func TestWestFirstTurnLegality(t *testing.T) {
 	src := geom.Pt(5, 5).ID(8)
 	dst := geom.Pt(1, 2).ID(8)
 	r := n.Routers[src]
-	cands := r.routeCandidates(&Packet{Type: ReadReply, Src: src, Dst: dst}, &n.scratch)
+	cands := r.routeCandidates(&Packet{Type: ReadReply, Src: src, Dst: dst}, n.Now(), &n.scratch)
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -106,7 +115,7 @@ func TestWestFirstTurnLegality(t *testing.T) {
 	// Eastbound from (1,2) to (5,5): both East and South must be offered.
 	r2 := n.Routers[dst]
 	seen := map[int]bool{}
-	for _, c := range r2.routeCandidates(&Packet{Type: ReadReply, Src: dst, Dst: src}, &n.scratch) {
+	for _, c := range r2.routeCandidates(&Packet{Type: ReadReply, Src: dst, Dst: src}, n.Now(), &n.scratch) {
 		seen[c.port] = true
 	}
 	if !seen[int(geom.East)] || !seen[int(geom.South)] {

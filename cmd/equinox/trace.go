@@ -143,7 +143,7 @@ func traceCommand(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 		// Probes cover every network of the scheme so occupancy is
 		// comparable across schemes regardless of how each splits traffic
 		// over meshes.
-		var probes []*noc.Probe
+		var probes []*sim.Probe
 		if *heatmap || *heatmapCSV != "" {
 			probes = sys.AttachProbes(*probeEvery)
 		}
@@ -199,11 +199,11 @@ func traceCommand(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 		}
 
 		if *heatmap {
-			heat := noc.CombineMeanOccupancy(probes)
+			heat := sim.CombineMeanOccupancy(probes)
 			title := fmt.Sprintf("%v NoC occupancy (buffered + NI-queued flits/router, sampled every %d cycles)",
 				res.Scheme, *probeEvery)
 			fmt.Fprint(stdout, "\n", viz.ASCIIHeatmap(title, cfg.Width, cfg.Height, heat))
-			fmt.Fprintf(stdout, "  hot-zone concentration (max/mean): %.2f\n", noc.MaxMeanRatio(heat))
+			fmt.Fprintf(stdout, "  hot-zone concentration (max/mean): %.2f\n", sim.MaxMeanRatio(heat))
 			mean := 0.0
 			if dl.delivered > 0 {
 				mean = float64(dl.latSum) / float64(dl.delivered)
@@ -251,8 +251,8 @@ type deliveries struct {
 	reply bool
 }
 
-func (d deliveries) Packet(_ int64, p *noc.Packet, k flight.Kind, _ int, latency, _ int32) {
-	if k != flight.Ejected {
+func (d deliveries) Packet(_ int64, p *noc.Packet, k noc.EventKind, _ int, latency, _ int32) {
+	if k != noc.Ejected {
 		return
 	}
 	d.latSum += int64(latency)

@@ -1,10 +1,14 @@
 package equinox
 
 import (
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -70,5 +74,45 @@ func TestDesignInventoryMatchesTree(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPackageLayering holds the simulator's lower layers to their imports:
+// the non-test files of each package below import no package of this module
+// but the ones its row allows. internal/noc knows only geom, so every
+// instrument — probe, telemetry, flight recorder — sits above the kernel.
+func TestPackageLayering(t *testing.T) {
+	for _, layer := range []struct {
+		dir     string
+		imports []string
+	}{
+		{"internal/noc", []string{"equinox/internal/geom"}},
+		{"internal/gpu", []string{"equinox/internal/hbm", "equinox/internal/workloads"}},
+		{"internal/hbm", nil},
+		{"internal/geom", nil},
+		{"internal/workloads", nil},
+	} {
+		files, err := filepath.Glob(filepath.Join(layer.dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: no Go files (%v)", layer.dir, err)
+		}
+		for _, name := range files {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				path, err := strconv.Unquote(imp.Path.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (path == "equinox" || strings.HasPrefix(path, "equinox/")) && !slices.Contains(layer.imports, path) {
+					t.Errorf("%s imports %s; %s may import only %v", filepath.ToSlash(name), path, layer.dir, layer.imports)
+				}
+			}
+		}
 	}
 }

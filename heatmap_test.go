@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"equinox/internal/noc"
 	"equinox/internal/sim"
 	"equinox/internal/viz"
 	"equinox/internal/workloads"
@@ -41,8 +40,8 @@ func probedRatio(t *testing.T, kind sim.SchemeKind, bench string) ([]float64, fl
 			t.Fatalf("probe %d took no samples", i)
 		}
 	}
-	heat := noc.CombineMeanOccupancy(probes)
-	return heat, noc.MaxMeanRatio(heat)
+	heat := sim.CombineMeanOccupancy(probes)
+	return heat, sim.MaxMeanRatio(heat)
 }
 
 // TestHeatmapDispersal reproduces the paper's Figure 4 observation with the

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+
+	"equinox/internal/noc"
 )
 
 // Capture bundles the recorders of one traced run (one per physical
@@ -109,7 +111,7 @@ func (c *Capture) WritePerfetto(w io.Writer) error {
 				})
 			}
 			pktID := strconv.FormatInt(ev.Pkt, 10)
-			pktName := fmt.Sprintf("pkt %d %s %d->%d", ev.Pkt, rec.typeName(ev.Type), ev.Src, ev.Dst)
+			pktName := fmt.Sprintf("pkt %d %s %d->%d", ev.Pkt, ev.Type, ev.Src, ev.Dst)
 			if first[ev.Pkt] == i {
 				out = append(out, pfEvent{
 					Name: pktName, Cat: "packet", Ph: "b", ID: pktID,
@@ -118,26 +120,26 @@ func (c *Capture) WritePerfetto(w io.Writer) error {
 			}
 			args := map[string]any{"pkt": ev.Pkt}
 			switch ev.Kind {
-			case Created:
+			case noc.Created:
 				args["class"] = ev.A
-			case BufferAssigned:
+			case noc.BufferAssigned:
 				args["buffer"] = ev.A
-			case InjectStall:
+			case noc.InjectStall:
 				args["reason"] = StallReasonString(ev.A)
-			case VCAlloc, SAGrant:
+			case noc.VCAlloc, noc.SAGrant:
 				args["port"], args["vc"] = ev.A, ev.B
-			case LinkTraverse:
+			case noc.LinkTraverse:
 				args["inPort"], args["vc"] = ev.A, ev.B
-			case Ejected:
+			case noc.Ejected:
 				args["latency"] = ev.A
 			}
 			out = append(out, pfEvent{
-				Name: ev.Kind.String(), Cat: "lifecycle", Ph: "i",
+				Name: kindName(ev.Kind), Cat: "lifecycle", Ph: "i",
 				TS: ev.Cycle, PID: pid, TID: tid, S: "t", Args: args,
 			})
 			if last[ev.Pkt] == i {
 				endArgs := map[string]any(nil)
-				if ev.Kind != Ejected {
+				if ev.Kind != noc.Ejected {
 					endArgs = map[string]any{"inflight": true}
 				}
 				out = append(out, pfEvent{
@@ -172,9 +174,9 @@ func (c *Capture) WriteCSV(w io.Writer) error {
 			row := []string{
 				rec.Name,
 				strconv.FormatInt(ev.Cycle, 10),
-				ev.Kind.String(),
+				kindName(ev.Kind),
 				strconv.FormatInt(ev.Pkt, 10),
-				rec.typeName(ev.Type),
+				ev.Type.String(),
 				strconv.Itoa(int(ev.Src)),
 				strconv.Itoa(int(ev.Dst)),
 				strconv.Itoa(int(ev.Router)),

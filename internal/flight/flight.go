@@ -7,78 +7,42 @@
 // link traversal — so a run can be opened in Perfetto/chrome://tracing and
 // the paper's injection bottleneck watched as it forms.
 //
-// The package is dependency-free by design: events carry plain integers, so
-// internal/noc can import it and record from the hot path without an import
-// cycle. A recorder is fed by a noc.Observer, so a network without one pays
-// the observer list's one length compare per hook site; an attached one
-// filters by packet ID (ID % SampleMod) and writes fixed-size events into a
-// preallocated ring, so the steady state allocates nothing.
+// The event vocabulary (noc.EventKind and the stall reasons) is
+// internal/noc's; this package names it for dumps and exports. A recorder
+// is fed by a noc.Observer that internal/sim attaches, so a network without
+// one pays the observer list's one length compare per hook site; an
+// attached one filters by packet ID (ID % SampleMod) and writes fixed-size
+// events into a preallocated ring, so the steady state allocates nothing.
 package flight
 
 import (
 	"fmt"
 	"strings"
+
+	"equinox/internal/noc"
 )
 
-// Kind is a packet lifecycle event type, in the order events occur.
-type Kind uint8
-
-// The lifecycle events. Arg fields A/B are kind-specific:
-//
-//	Created        A = traffic class (0 request, 1 reply)
-//	BufferAssigned A = injection buffer index (0 local; EquiNox: 1..4 =
-//	                   East..North EIR buffer; MultiPort: port index),
-//	                   B = input VC when chosen at assignment (-1 otherwise)
-//	InjectStall    A = stall reason (StallBuffersBusy / StallNoVC / StallVCFull)
-//	VCAlloc        A = output port, B = downstream VC
-//	SAGrant        A = output port, B = downstream VC (head flits only)
-//	LinkTraverse   A = arrival input port, B = VC (head flits only)
-//	Ejected        A = total latency in cycles
-const (
-	Created Kind = iota
-	BufferAssigned
-	InjectStall
-	VCAlloc
-	SAGrant
-	LinkTraverse
-	Ejected
-	numKinds
-)
-
+// kindNames names each noc.EventKind in dumps and exports.
 var kindNames = [...]string{
 	"created", "buffer", "stall", "vcalloc", "sagrant", "link", "ejected",
 }
 
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	if k >= numKinds {
+// kindName names a lifecycle event kind.
+func kindName(k noc.EventKind) string {
+	if int(k) >= len(kindNames) {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
 	return kindNames[k]
 }
 
-// Injection stall reasons (Event.A on InjectStall events). The values start
-// at 1 so a zero-valued dedup note can never match a real reason.
-const (
-	// StallBuffersBusy: every shortest-path injection buffer (and the local
-	// fallback) is occupied; the packet waits in the NI queue.
-	StallBuffersBusy int32 = iota + 1
-	// StallNoVC: no input VC at the router's injection port can accept the
-	// packet's class (all allowed VCs full or owned).
-	StallNoVC
-	// StallVCFull: a VC was claimed but its buffer has no free slot this
-	// cycle (downstream backpressure reached the injection port).
-	StallVCFull
-)
-
 // StallReasonString names a stall reason for dumps and trace args.
 func StallReasonString(r int32) string {
 	switch r {
-	case StallBuffersBusy:
+	case noc.StallBuffersBusy:
 		return "buffers-busy"
-	case StallNoVC:
+	case noc.StallNoVC:
 		return "no-vc"
-	case StallVCFull:
+	case noc.StallVCFull:
 		return "vc-full"
 	default:
 		return fmt.Sprintf("reason(%d)", r)
@@ -90,12 +54,12 @@ func StallReasonString(r int32) string {
 type Event struct {
 	Cycle  int64 // network clock-domain cycle
 	Pkt    int64 // packet ID
-	Kind   Kind
-	Type   uint8 // packet type ordinal (noc.PacketType)
+	Kind   noc.EventKind
+	Type   noc.PacketType
 	Src    int32 // source node
 	Dst    int32 // destination node
 	Router int32 // router the event happened at (NI events: the fed router)
-	A, B   int32 // kind-specific arguments (see Kind docs)
+	A, B   int32 // kind-specific arguments (see noc.EventKind)
 }
 
 // Options configures a Recorder.
@@ -146,12 +110,11 @@ type TailDump struct {
 }
 
 // Recorder collects one network's lifecycle events into a preallocated
-// ring. Metadata fields (Name, W, H, TypeNames) are filled by the attaching
-// network and drive export labeling.
+// ring. Metadata fields (Name, W, H) are filled by the attaching simulator
+// and drive export labeling.
 type Recorder struct {
-	Name      string   // network name (trace process label)
-	W, H      int      // mesh shape (router track labels)
-	TypeNames []string // packet type ordinal → name
+	Name string // network name (trace process label)
+	W, H int    // mesh shape (router track labels)
 
 	opts Options
 
@@ -302,31 +265,23 @@ func (r *Recorder) TailExceeded() int64 { return r.tailExceeded }
 // TailDumps returns the captured tail-latency packet histories.
 func (r *Recorder) TailDumps() []TailDump { return r.tailDumps }
 
-// typeName renders a packet type ordinal with the recorder's name table.
-func (r *Recorder) typeName(t uint8) string {
-	if int(t) < len(r.TypeNames) {
-		return r.TypeNames[t]
-	}
-	return fmt.Sprintf("type%d", t)
-}
-
 // FormatEvents renders events as one diagnostic line each, for watchdog
 // dumps and job logs.
 func (r *Recorder) FormatEvents(evs []Event) string {
 	var b strings.Builder
 	for _, ev := range evs {
 		fmt.Fprintf(&b, "c=%-8d pkt=%-6d %-12s %s %d->%d router=%d",
-			ev.Cycle, ev.Pkt, r.typeName(ev.Type), ev.Kind, ev.Src, ev.Dst, ev.Router)
+			ev.Cycle, ev.Pkt, ev.Type, kindName(ev.Kind), ev.Src, ev.Dst, ev.Router)
 		switch ev.Kind {
-		case BufferAssigned:
+		case noc.BufferAssigned:
 			fmt.Fprintf(&b, " buf=%d", ev.A)
-		case InjectStall:
+		case noc.InjectStall:
 			fmt.Fprintf(&b, " why=%s", StallReasonString(ev.A))
-		case VCAlloc, SAGrant:
+		case noc.VCAlloc, noc.SAGrant:
 			fmt.Fprintf(&b, " port=%d vc=%d", ev.A, ev.B)
-		case LinkTraverse:
+		case noc.LinkTraverse:
 			fmt.Fprintf(&b, " inPort=%d vc=%d", ev.A, ev.B)
-		case Ejected:
+		case noc.Ejected:
 			fmt.Fprintf(&b, " latency=%d", ev.A)
 		}
 		b.WriteByte('\n')

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"equinox/internal/noc"
 )
 
 func TestOptionsWithDefaults(t *testing.T) {
@@ -74,24 +76,24 @@ func TestRingWrapKeepsNewestInOrder(t *testing.T) {
 
 func TestPacketEvents(t *testing.T) {
 	r := NewRecorder(Options{BufferCap: 16})
-	r.Record(Event{Cycle: 1, Pkt: 10, Kind: Created})
-	r.Record(Event{Cycle: 2, Pkt: 11, Kind: Created})
-	r.Record(Event{Cycle: 3, Pkt: 10, Kind: VCAlloc})
-	r.Record(Event{Cycle: 9, Pkt: 10, Kind: Ejected})
+	r.Record(Event{Cycle: 1, Pkt: 10, Kind: noc.Created})
+	r.Record(Event{Cycle: 2, Pkt: 11, Kind: noc.Created})
+	r.Record(Event{Cycle: 3, Pkt: 10, Kind: noc.VCAlloc})
+	r.Record(Event{Cycle: 9, Pkt: 10, Kind: noc.Ejected})
 	evs := r.PacketEvents(10)
 	if len(evs) != 3 {
 		t.Fatalf("PacketEvents(10) len = %d, want 3", len(evs))
 	}
-	if evs[0].Kind != Created || evs[1].Kind != VCAlloc || evs[2].Kind != Ejected {
+	if evs[0].Kind != noc.Created || evs[1].Kind != noc.VCAlloc || evs[2].Kind != noc.Ejected {
 		t.Errorf("PacketEvents(10) kinds = %v,%v,%v", evs[0].Kind, evs[1].Kind, evs[2].Kind)
 	}
 }
 
 func TestStallReasonStrings(t *testing.T) {
 	cases := map[int32]string{
-		StallBuffersBusy: "buffers-busy",
-		StallNoVC:        "no-vc",
-		StallVCFull:      "vc-full",
+		noc.StallBuffersBusy: "buffers-busy",
+		noc.StallNoVC:        "no-vc",
+		noc.StallVCFull:      "vc-full",
 	}
 	for r, want := range cases {
 		if got := StallReasonString(r); got != want {
@@ -127,8 +129,8 @@ func TestStarvationWindow(t *testing.T) {
 
 func TestTailLatencyTrigger(t *testing.T) {
 	r := NewRecorder(Options{LatencyLimit: 100})
-	r.Record(Event{Cycle: 1, Pkt: 5, Kind: Created})
-	r.Record(Event{Cycle: 150, Pkt: 5, Kind: Ejected, A: 149})
+	r.Record(Event{Cycle: 1, Pkt: 5, Kind: noc.Created})
+	r.Record(Event{Cycle: 150, Pkt: 5, Kind: noc.Ejected, A: 149})
 
 	r.EjectObserved(50, 1, 40, true) // under the bound: no dump
 	r.EjectObserved(150, 5, 149, true)
@@ -159,10 +161,9 @@ func TestTailLatencyTrigger(t *testing.T) {
 
 func TestFormatEvents(t *testing.T) {
 	r := NewRecorder(Options{})
-	r.TypeNames = []string{"ReadRequest"}
 	out := r.FormatEvents([]Event{
-		{Cycle: 7, Pkt: 3, Kind: InjectStall, Type: 0, Src: 1, Dst: 2, Router: 1, A: StallNoVC},
-		{Cycle: 9, Pkt: 3, Kind: Ejected, Type: 0, Src: 1, Dst: 2, Router: 2, A: 8},
+		{Cycle: 7, Pkt: 3, Kind: noc.InjectStall, Type: noc.ReadRequest, Src: 1, Dst: 2, Router: 1, A: noc.StallNoVC},
+		{Cycle: 9, Pkt: 3, Kind: noc.Ejected, Type: noc.ReadRequest, Src: 1, Dst: 2, Router: 2, A: 8},
 	})
 	for _, want := range []string{"why=no-vc", "latency=8", "ReadRequest", "pkt=3"} {
 		if !strings.Contains(out, want) {
@@ -177,12 +178,11 @@ func TestFormatEvents(t *testing.T) {
 func testCapture() *Capture {
 	r := NewRecorder(Options{BufferCap: 32})
 	r.Name, r.W, r.H = "reply0", 2, 2
-	r.TypeNames = []string{"ReadRequest", "ReadReply"}
-	r.Record(Event{Cycle: 1, Pkt: 2, Kind: Created, Type: 1, Src: 0, Dst: 3, Router: 0, A: 1, B: -1})
-	r.Record(Event{Cycle: 2, Pkt: 2, Kind: BufferAssigned, Type: 1, Src: 0, Dst: 3, Router: 0, A: 0, B: 0})
-	r.Record(Event{Cycle: 4, Pkt: 2, Kind: SAGrant, Type: 1, Src: 0, Dst: 3, Router: 0, A: 0, B: 0})
-	r.Record(Event{Cycle: 6, Pkt: 2, Kind: Ejected, Type: 1, Src: 0, Dst: 3, Router: 3, A: 5})
-	r.Record(Event{Cycle: 5, Pkt: 4, Kind: Created, Type: 0, Src: 1, Dst: 2, Router: 1, A: 0, B: -1})
+	r.Record(Event{Cycle: 1, Pkt: 2, Kind: noc.Created, Type: noc.ReadReply, Src: 0, Dst: 3, Router: 0, A: 1, B: -1})
+	r.Record(Event{Cycle: 2, Pkt: 2, Kind: noc.BufferAssigned, Type: noc.ReadReply, Src: 0, Dst: 3, Router: 0, A: 0, B: 0})
+	r.Record(Event{Cycle: 4, Pkt: 2, Kind: noc.SAGrant, Type: noc.ReadReply, Src: 0, Dst: 3, Router: 0, A: 0, B: 0})
+	r.Record(Event{Cycle: 6, Pkt: 2, Kind: noc.Ejected, Type: noc.ReadReply, Src: 0, Dst: 3, Router: 3, A: 5})
+	r.Record(Event{Cycle: 5, Pkt: 4, Kind: noc.Created, Type: noc.ReadRequest, Src: 1, Dst: 2, Router: 1, A: 0, B: -1})
 	return &Capture{Scheme: "EquiNox", Benchmark: "kmeans", Recorders: []*Recorder{r}}
 }
 

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"equinox/internal/flight"
 	"equinox/internal/geom"
 	"equinox/internal/placement"
 )
@@ -86,17 +85,26 @@ func schemeNetConfigs(t testing.TB, size int) []schemeNet {
 // driveTraffic runs one seeded traffic pattern through n: six packets a
 // cycle for 300 cycles — "uniform" between random nodes, or "hotspot",
 // requests converging on the CBs and replies fanning out of them — then
-// runs until the network drains, failing if it does not within maxCycles.
-// Delivered packets are popped slowly at first, so ejection queues back up.
-// step is called in place of every Step, with the cycle and the flits of
-// every packet injected so far; it must call n.Step.
+// runs until the network drains, failing if it does not within maxCycles,
+// or if no flit crosses a router for stallCycles while packets are in
+// flight (FuzzStepInvariants' no-progress bound). Delivered packets are
+// popped slowly at first, so ejection queues back up. step is called in
+// place of every Step, with the cycle and the flits of every packet injected
+// so far; it must call n.Step.
 func driveTraffic(t *testing.T, n *Network, nc schemeNet, pattern string, seed int64, maxCycles int, step func(cyc int, injectedFlits int64)) {
 	t.Helper()
+	const stallCycles = 1000
 	cfg := nc.cfg
 	rng := rand.New(rand.NewSource(seed))
 	nodes := cfg.Nodes()
-	var injected int64
+	var injected, hops int64
+	moved := 0 // the last cycle a flit crossed a router, or the network was empty
 	for cyc := 0; cyc < maxCycles && (cyc < 300 || !n.Quiescent()); cyc++ {
+		if h := n.Stats.FlitHops; h != hops || n.Quiescent() {
+			hops, moved = h, cyc
+		} else if cyc-moved == stallCycles {
+			t.Fatalf("seed %d: no flit moved for %d cycles, %d packets in flight\n%s", seed, stallCycles, n.InFlight(), n.DebugDump())
+		}
 		for k := 0; k < 6 && cyc < 300; k++ {
 			typ := nc.types[rng.Intn(len(nc.types))]
 			src, dst := rng.Intn(nodes), rng.Intn(nodes)
@@ -199,10 +207,10 @@ func checkMasks(n *Network) error {
 }
 
 // checkStep runs every invariant check that holds between Steps: the masks,
-// sets and packet table (checkMasks), conservation and VC ownership; and
-// once the network is quiescent, that a full scan agrees and no VC is still
-// owned or allocated. injectedFlits is the flits of every packet injected so
-// far.
+// sets and packet table (checkMasks), conservation, VC ownership and flit
+// order; and once the network is quiescent, that a full scan agrees and no
+// VC is still owned or allocated. injectedFlits is the flits of every packet
+// injected so far.
 func checkStep(n *Network, injectedFlits int64) error {
 	if err := checkMasks(n); err != nil {
 		return err
@@ -211,6 +219,9 @@ func checkStep(n *Network, injectedFlits int64) error {
 		return err
 	}
 	if err := checkOwnership(n); err != nil {
+		return err
+	}
+	if err := checkFlitOrder(n); err != nil {
 		return err
 	}
 	if !n.Quiescent() {
@@ -289,6 +300,28 @@ func checkOwnership(n *Network) error {
 	for d := range n.vcs {
 		if owner := n.vcs[d].owner; named[d] > 1 || (owner != noAlloc) != (named[d] == 1) {
 			return fmt.Errorf("VC %d: owner %d, named by %d allocations", d, owner, named[d])
+		}
+	}
+	return nil
+}
+
+// checkFlitOrder checks every VC's flits in ring order: a flit after a
+// non-tail is the next flit of the same packet, and a flit after a tail
+// starts a new packet at index 0. A VC may hold flits of two packets — its
+// owner is released as soon as the first packet's tail leaves upstream
+// (BookSim's wait_for_tail_credit = 0) — but never interleaved.
+func checkFlitOrder(n *Network) error {
+	for _, r := range n.Routers {
+		for s := range r.vcs {
+			vb := &r.vcs[s]
+			for i := 1; i < int(vb.n); i++ {
+				prev, f := vb.at(n.flits, i-1), vb.at(n.flits, i)
+				if prev.IsTail && (f.pkt == prev.pkt || f.Index != 0) ||
+					!prev.IsTail && (f.pkt != prev.pkt || f.Index != prev.Index+1) {
+					return fmt.Errorf("router %v slot %d: flit %d of packet %d follows flit %d (tail %v) of packet %d",
+						r.pos, s, f.Index, n.pkts[f.pkt].ID, prev.Index, prev.IsTail, n.pkts[prev.pkt].ID)
+				}
+			}
 		}
 	}
 	return nil
@@ -398,11 +431,10 @@ type deposit struct {
 // must be equal, each on a link its router really has, and a link must read
 // busy (lastSent) exactly when it carried one of them. No flit may land in a
 // VC that was full when the Step began: the upstream router had no credit
-// for it, as a credit returned in a cycle is only usable in the next. With a
-// flight
-// recorder attached, the held LinkTraverse events must name the deposited
-// head flits in (router, output port) order, the order they are recorded in.
-func checkDeposits(n *Network, before buffers) error {
+// for it, as a credit returned in a cycle is only usable in the next. Given a
+// log, its LinkTraverse events of the Step must name the deposited head
+// flits in (router, output port) order, the order they are emitted in.
+func checkDeposits(n *Network, before buffers, log *linkLog) error {
 	now := n.Now()
 	var deps []deposit
 	for _, r := range n.Routers {
@@ -466,8 +498,7 @@ func checkDeposits(n *Network, before buffers) error {
 			}
 		}
 	}
-	fo := flightObserverOf(n)
-	if fo == nil {
+	if log == nil {
 		return nil
 	}
 	slices.SortFunc(deps, func(a, b deposit) int {
@@ -481,42 +512,50 @@ func checkDeposits(n *Network, before buffers) error {
 		if d.f.index != 0 {
 			continue
 		}
-		if k == len(fo.held) {
+		if k == len(log.evs) {
 			return fmt.Errorf("router %d port %d: head flit of packet %d crossed a link with no LinkTraverse event", d.from, d.port, d.f.pkt.ID)
 		}
-		ev := fo.held[k]
+		ev := log.evs[k]
 		port := int32(n.slotPort[d.slot])
-		if ev.Pkt != d.f.pkt.ID || ev.Cycle != now || ev.Kind != flight.LinkTraverse || ev.Router != d.to || ev.A != port || ev.B != d.slot-port*int32(n.nvc) {
-			return fmt.Errorf("LinkTraverse event %d is %+v, want packet %d entering router %d slot %d at cycle %d (from router %d port %d)",
+		if ev.pkt != d.f.pkt.ID || ev.now != now-1 || int32(ev.router) != d.to || ev.a != port || ev.b != d.slot-port*int32(n.nvc) {
+			return fmt.Errorf("LinkTraverse event %d is %+v, want packet %d entering router %d slot %d from cycle %d (from router %d port %d)",
 				k, ev, d.f.pkt.ID, d.to, d.slot, now, d.from, d.port)
 		}
 		k++
 	}
-	if k != len(fo.held) {
-		return fmt.Errorf("%d LinkTraverse events held, %d head flits crossed a link", len(fo.held), k)
+	if k != len(log.evs) {
+		return fmt.Errorf("%d LinkTraverse events in the Step, %d head flits crossed a link", len(log.evs), k)
 	}
 	return nil
 }
 
-// flightObserverOf returns the network's attached flight observer, or nil.
-func flightObserverOf(n *Network) *flightObserver {
-	for _, o := range n.obs {
-		if fo, ok := o.(*flightObserver); ok {
-			return fo
-		}
-	}
-	return nil
+// linkLog is a test observer keeping the LinkTraverse events of one Step;
+// the caller empties evs before each Step.
+type linkLog struct{ evs []linkEvent }
+
+// linkEvent is one LinkTraverse event's arguments.
+type linkEvent struct {
+	now, pkt int64
+	router   int
+	a, b     int32
 }
+
+func (l *linkLog) Packet(now int64, p *Packet, k EventKind, router int, a, b int32) {
+	if k == LinkTraverse {
+		l.evs = append(l.evs, linkEvent{now, p.ID, router, a, b})
+	}
+}
+
+func (*linkLog) EndCycle(int64) {}
 
 // TestMasksMatchScan pins the invariants the stepper relies on. After every
 // Step: on every router needVA / ready equal what a scan of the buffers
 // finds, the per-phase sets equal a scan of those masks, conservation and
-// VC ownership hold (checkStep), the flits deposited over links equal the
-// flits that traversed a link in that Step, and the held LinkTraverse events
-// name them in (router, output port) order, in a list whose capacity never
-// changes. Covered: every router
-// shape the seven schemes build × {uniform, hotspot} traffic × 3 seeds,
-// through injection, saturation and drain, with a flight recorder attached.
+// VC ownership and flit order hold (checkStep), the flits deposited over
+// links equal the flits that traversed a link in that Step, and the Step's
+// LinkTraverse events name them in (router, output port) order. Covered:
+// every router shape the seven schemes build × {uniform, hotspot} traffic ×
+// 3 seeds, through injection, saturation and drain.
 func TestMasksMatchScan(t *testing.T) {
 	for _, nc := range schemeNetConfigs(t, 8) {
 		for _, pattern := range []string{"uniform", "hotspot"} {
@@ -529,26 +568,20 @@ func TestMasksMatchScan(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					n.AttachFlight(flight.Options{BufferCap: 1024})
+					log := &linkLog{}
+					n.Observe(log)
 					if err := checkStep(n, 0); err != nil {
 						t.Fatalf("fresh network: %v", err)
 					}
-					fo := flightObserverOf(n)
-					links := cap(fo.held)
-					if links < 2*((n.Cfg.Width-1)*n.Cfg.Height+n.Cfg.Width*(n.Cfg.Height-1)) {
-						t.Fatalf("the LinkTraverse list has room for %d events, fewer than the mesh's links", links)
-					}
 					driveTraffic(t, n, nc, pattern, seed, 2500, func(cyc int, injected int64) {
 						before := snapshot(n)
+						log.evs = log.evs[:0]
 						n.Step()
 						if err := checkStep(n, injected); err != nil {
 							t.Fatalf("seed %d cycle %d: %v", seed, cyc, err)
 						}
-						if err := checkDeposits(n, before); err != nil {
+						if err := checkDeposits(n, before, log); err != nil {
 							t.Fatalf("seed %d cycle %d: %v", seed, cyc, err)
-						}
-						if got := cap(fo.held); got != links {
-							t.Fatalf("seed %d cycle %d: LinkTraverse list capacity %d, was %d after AttachFlight", seed, cyc, got, links)
 						}
 					})
 				}
@@ -558,8 +591,9 @@ func TestMasksMatchScan(t *testing.T) {
 }
 
 // TestConservation checks after every Step that no VC overfills, that every
-// flit the NIs streamed is buffered or ejected (checkConservation), and that
-// VC ownership matches the allocations (checkOwnership), over every router
+// flit the NIs streamed is buffered or ejected (checkConservation), that
+// VC ownership matches the allocations (checkOwnership) and that every VC
+// holds its flits in order (checkFlitOrder), over every router
 // shape the seven schemes build, uniform and hotspot traffic, on 8×8 and
 // 16×16 meshes. At 16×16 the stepper's router sets span four words, so a
 // flit can be deposited into a router the same switch-allocation walk has
@@ -583,7 +617,10 @@ func TestConservation(t *testing.T) {
 						if err := checkOwnership(n); err != nil {
 							t.Fatalf("cycle %d: %v", cyc, err)
 						}
-						if err := checkDeposits(n, before); err != nil {
+						if err := checkFlitOrder(n); err != nil {
+							t.Fatalf("cycle %d: %v", cyc, err)
+						}
+						if err := checkDeposits(n, before, nil); err != nil {
 							t.Fatalf("cycle %d: %v", cyc, err)
 						}
 					})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"equinox/internal/flight"
 	"equinox/internal/geom"
 )
 
@@ -96,17 +95,41 @@ func (n *Network) credit(d int32, now int64) int32 {
 	return c
 }
 
-// Observer watches a network run: the probe, the telemetry sampler and the
-// flight recorder are observers. Observers are independent of one another
+// EventKind is a packet lifecycle event, in the order events occur. The
+// arguments a and b of Observer.Packet are kind-specific:
+//
+//	Created        a = traffic class (0 request, 1 reply), b = -1
+//	BufferAssigned a = injection buffer index (0 local; EquiNox: 1..4 =
+//	                   East..North EIR buffer; MultiPort: port index),
+//	               b = input VC when chosen at assignment (-1 otherwise)
+//	InjectStall    a = stall reason (StallBuffersBusy / StallNoVC / StallVCFull)
+//	VCAlloc        a = output port, b = downstream VC
+//	SAGrant        a = output port, b = downstream VC (head flits only)
+//	LinkTraverse   a = arrival input port, b = VC (head flits only)
+//	Ejected        a = total latency in cycles
+type EventKind uint8
+
+// The lifecycle events.
+const (
+	Created EventKind = iota
+	BufferAssigned
+	InjectStall
+	VCAlloc
+	SAGrant
+	LinkTraverse
+	Ejected
+)
+
+// Observer watches a network run. Observers are independent of one another
 // and of attach order; neither method may allocate if Step is to stay
 // allocation-free, nor retain p beyond the call.
 type Observer interface {
 	// Packet reports one lifecycle event of packet p at router, unfiltered,
-	// with flight.Kind's arguments a and b (Ejected: a is the latency, and
+	// with k's arguments a and b (Ejected: a is the latency, and
 	// p.DeliveredAt is set). Created fires from TryInject at the caller's
 	// cycle, every other kind inside Step. LinkTraverse fires as the head
 	// flit leaves; it enters router in cycle now+1.
-	Packet(now int64, p *Packet, k flight.Kind, router int, a, b int32)
+	Packet(now int64, p *Packet, k EventKind, router int, a, b int32)
 	// EndCycle runs after every phase of cycle now, before the clock
 	// advances.
 	EndCycle(now int64)
@@ -117,20 +140,28 @@ func (n *Network) Observe(o Observer) { n.obs = append(n.obs, o) }
 
 // emit reports one lifecycle event to every observer. Callers guard it with
 // len(n.obs) != 0.
-func (n *Network) emit(now int64, p *Packet, k flight.Kind, router int, a, b int32) {
+func (n *Network) emit(now int64, p *Packet, k EventKind, router int, a, b int32) {
 	for _, o := range n.obs {
 		o.Packet(now, p, k, router, a, b)
 	}
 }
 
-// occupancy fills per, indexed by router ID, with the flits each router holds
+// meshLinks is the number of directed mesh links leaving each router, one
+// per non-local direction: East, West, South, North.
+const meshLinks = int(geom.NumDirections) - 1
+
+// Occupancy fills per, indexed by router ID, with the flits each router holds
 // at the end of the cycle: those buffered in its input VCs plus the NI
 // injection backlog waiting to enter it. A flit deposited downstream this
-// cycle is still on its link (linkBusy) and counts toward no router yet. Both
-// samplers read it on their sampling cycles only, so it sums the VCs rather
-// than have every flit hop keep a count; see Probe.EndCycle for why the NI
-// term matters. Must not allocate.
-func (n *Network) occupancy(per []int64) {
+// cycle is still on its link and counts toward no router yet. When links is
+// non-nil it also fills links[router*4+direction-1] (East, West, South,
+// North) with 1 for each mesh link holding such a flit and 0 otherwise.
+//
+// Call it from an Observer's EndCycle, which runs before the clock advances:
+// a link holds a flit when one left through it in the cycle being closed. It
+// sums the VCs rather than have every flit hop keep a count, so samplers pay
+// for it on their sampling cycles only. Must not allocate.
+func (n *Network) Occupancy(per, links []int64) {
 	for i, r := range n.Routers {
 		var f int32
 		for s := range r.vcs {
@@ -138,23 +169,21 @@ func (n *Network) occupancy(per []int64) {
 		}
 		per[i] = int64(f)
 	}
-	for _, r := range n.Routers {
+	for i, r := range n.Routers {
 		for pi := PortEast; pi <= PortNorth; pi++ {
-			if n.linkBusy(r, pi) {
+			var busy int64
+			if r.out[pi].lastSent == n.now {
 				per[r.out[pi].to]--
+				busy = 1
+			}
+			if links != nil {
+				links[i*meshLinks+int(pi)-1] = busy
 			}
 		}
 	}
 	for i := range n.nis {
 		n.nis[i].backlog(per)
 	}
-}
-
-// linkBusy reports whether the mesh link leaving r through output port pi
-// (East..North) holds a flit at the end of the current cycle: one left
-// through it this cycle and enters the downstream router next cycle.
-func (n *Network) linkBusy(r *Router, pi PortID) bool {
-	return r.out[pi].lastSent == n.now
 }
 
 // New builds a network from a configuration. Router state is laid out flat:
@@ -324,7 +353,7 @@ func (n *Network) TryInject(p *Packet, now int64) bool {
 		n.niSet[ix>>6] |= 1 << uint(ix&63)
 		n.inflight++
 		if len(n.obs) != 0 {
-			n.emit(now, p, flight.Created, p.Src, int32(ClassOf(p.Type)), noAlloc)
+			n.emit(now, p, Created, p.Src, int32(ClassOf(p.Type)), noAlloc)
 		}
 		return true
 	}
@@ -417,7 +446,7 @@ func (n *Network) ejectPacket(h int32, now int64) {
 	n.Stats.packetDelivered(p, n.Cfg)
 	n.heldNodes[p.Dst>>6] |= 1 << uint(p.Dst&63)
 	if len(n.obs) != 0 {
-		n.emit(now, p, flight.Ejected, p.Dst, int32(now-p.CreatedAt), 0)
+		n.emit(now, p, Ejected, p.Dst, int32(now-p.CreatedAt), 0)
 	}
 }
 
@@ -443,7 +472,7 @@ func (n *Network) Step() {
 		}
 	}
 	// 3. Routing + VC allocation, then 4. switch allocation + traversal. Two
-	// passes, not one per router: a cycle's VCAlloc flight events all precede
+	// passes, not one per router: a cycle's VCAlloc events all precede
 	// its SAGrant events. A flit traversal deposits downstream can set the
 	// SA bit of a router this walk has yet to reach; visiting it is a no-op,
 	// as the flit's own stamp keeps it from leaving before next cycle. Alike,
@@ -459,7 +488,7 @@ func (n *Network) Step() {
 			n.Routers[w<<6+bits.TrailingZeros64(m)].switchAllocate(now)
 		}
 	}
-	// Close the cycle: the observers, then the clock (linkBusy reads it).
+	// Close the cycle: the observers, then the clock (Occupancy reads it).
 	for _, o := range n.obs {
 		o.EndCycle(now)
 	}

@@ -1,9 +1,6 @@
 package noc
 
-import (
-	"equinox/internal/flight"
-	"equinox/internal/geom"
-)
+import "equinox/internal/geom"
 
 // addInjectionPort attaches the router's next planned injection-only input
 // port (its buffers already sit in the slabs) and returns its index. Used for
@@ -60,6 +57,39 @@ type ni struct {
 // buffer's first stream attempt). A nil buffer keeps p queued; why is then the
 // stall reason to record, or 0 when no dispatch was attempted.
 type selector func(ni *ni, p *Packet) (b *injBuffer, vc int, why int32)
+
+// Injection stall reasons (the argument a of InjectStall events). The values
+// start at 1 so a zero-valued stallNote can never match a real reason.
+const (
+	// StallBuffersBusy: every shortest-path injection buffer (and the local
+	// fallback) is occupied; the packet waits in the NI queue.
+	StallBuffersBusy int32 = iota + 1
+	// StallNoVC: no input VC at the router's injection port can accept the
+	// packet's class (all allowed VCs full or owned).
+	StallNoVC
+	// StallVCFull: a VC was claimed but its buffer has no free slot this
+	// cycle (downstream backpressure reached the injection port).
+	StallVCFull
+)
+
+// stallNote dedups InjectStall events: injection stalls persist for many
+// cycles, and reporting each one would flood observers with duplicates. One
+// event is emitted when a (packet, reason) episode starts; the episode ends
+// when the owner makes progress and resets the note.
+type stallNote struct {
+	pkt int64
+	why int32
+}
+
+// stall emits one InjectStall event per stall episode. Callers guard with
+// len(n.obs) != 0.
+func (n *Network) stall(note *stallNote, now int64, p *Packet, router int, why int32) {
+	if note.pkt == p.ID && note.why == why {
+		return
+	}
+	note.pkt, note.why = p.ID, why
+	n.emit(now, p, InjectStall, router, why, 0)
+}
 
 // niSlab hands New's NIs their FIFOs and injection buffers as consecutive
 // windows of two per-network slabs, rather than two allocations per NI.
@@ -229,7 +259,7 @@ func selectWhenVCFree(ni *ni, p *Packet) (*injBuffer, int, int32) {
 	}
 	vc := injectVC(ni.net, b.r.portVCs(b.port), ClassOf(p.Type))
 	if vc == noAlloc {
-		return nil, noAlloc, flight.StallNoVC
+		return nil, noAlloc, StallNoVC
 	}
 	return b, vc, 0
 }
@@ -253,7 +283,7 @@ func selectRoundRobin(ni *ni, p *Packet) (*injBuffer, int, int32) {
 			}
 		}
 	}
-	return nil, noAlloc, flight.StallBuffersBusy
+	return nil, noAlloc, StallBuffersBusy
 }
 
 // selectEquiNox implements the paper's Buffer Decision Policy ("Buffer
@@ -288,7 +318,7 @@ func selectEquiNox(ni *ni, p *Packet) (*injBuffer, int, int32) {
 	case !ni.bufs[0].busy():
 		return &ni.bufs[0], noAlloc, 0
 	}
-	return nil, noAlloc, flight.StallBuffersBusy
+	return nil, noAlloc, StallBuffersBusy
 }
 
 // shortestPathBuffer returns the EIR buffer for direction d if it is free and
@@ -306,8 +336,8 @@ func (ni *ni) shortestPathBuffer(d geom.Direction, delta int) *injBuffer {
 type injBuffer struct {
 	r    *Router
 	port int
-	// ix is the buffer's flight-recorder index: 0 = local, EquiNox 1..4 =
-	// East..North EIR buffer, MultiPort = port ordinal.
+	// ix is the buffer's index in BufferAssigned events: 0 = local,
+	// EquiNox 1..4 = East..North EIR buffer, MultiPort = port ordinal.
 	ix int32
 	// interposer marks an EIR buffer: its flits cross an interposer wire.
 	interposer bool
@@ -331,7 +361,7 @@ func (b *injBuffer) load(n *Network, p *Packet, vc int, now int64) {
 	}
 	b.stall = stallNote{}
 	if len(n.obs) != 0 {
-		n.emit(now, p, flight.BufferAssigned, b.r.id, b.ix, int32(vc))
+		n.emit(now, p, BufferAssigned, b.r.id, b.ix, int32(vc))
 	}
 }
 
@@ -346,7 +376,7 @@ func (b *injBuffer) stream(n *Network, now int64) {
 		vc := injectVC(n, b.r.portVCs(b.port), ClassOf(p.Type))
 		if vc == noAlloc {
 			if len(n.obs) != 0 {
-				n.stall(&b.stall, now, p, b.r.id, flight.StallNoVC)
+				n.stall(&b.stall, now, p, b.r.id, StallNoVC)
 			}
 			return
 		}
@@ -356,7 +386,7 @@ func (b *injBuffer) stream(n *Network, now int64) {
 	slot := n.slot(b.port, b.vc)
 	if b.r.vcs[slot].free() <= 0 {
 		if len(n.obs) != 0 {
-			n.stall(&b.stall, now, p, b.r.id, flight.StallVCFull)
+			n.stall(&b.stall, now, p, b.r.id, StallVCFull)
 		}
 		return
 	}

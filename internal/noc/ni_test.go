@@ -4,13 +4,12 @@ import (
 	"strings"
 	"testing"
 
-	"equinox/internal/flight"
 	"equinox/internal/geom"
 )
 
 // TestBufferDecisionPolicy walks the paper's Buffer Decision Policy on a
 // hand-built group: CB (3,3) of an 8×8 mesh with one two-hop EIR on each axis
-// direction. Buffer indices are the flight-recorder ones (0 local, 1..4
+// direction. Buffer indices are the BufferAssigned event ones (0 local, 1..4
 // East..North); -1 means the packet stays queued.
 func TestBufferDecisionPolicy(t *testing.T) {
 	cb := geom.Pt(3, 3)
@@ -59,7 +58,7 @@ func TestBufferDecisionPolicy(t *testing.T) {
 			p := &Packet{Type: ReadReply, Src: cb.ID(8), Dst: tc.dst.ID(8)}
 			for i, want := range tc.want {
 				b, vc, why := ni.choose(ni, p)
-				got, wantWhy := int32(queued), flight.StallBuffersBusy
+				got, wantWhy := int32(queued), StallBuffersBusy
 				if b != nil {
 					got, wantWhy = b.ix, 0
 				}

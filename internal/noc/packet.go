@@ -12,8 +12,9 @@ package noc
 
 import "fmt"
 
-// PacketType distinguishes the four traffic types of the M2F2M pattern.
-type PacketType int
+// PacketType distinguishes the four traffic types of the M2F2M pattern. One
+// byte, so a lifecycle event that carries it stays a compact value.
+type PacketType uint8
 
 // Packet types.
 const (
@@ -27,7 +28,7 @@ var pktNames = [...]string{"ReadRequest", "WriteRequest", "ReadReply", "WriteRep
 
 // String implements fmt.Stringer.
 func (t PacketType) String() string {
-	if t < 0 || int(t) >= len(pktNames) {
+	if int(t) >= len(pktNames) {
 		return fmt.Sprintf("PacketType(%d)", int(t))
 	}
 	return pktNames[t]

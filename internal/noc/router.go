@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"equinox/internal/flight"
 	"equinox/internal/geom"
 )
 
@@ -118,7 +117,7 @@ type outputPort struct {
 	// link (links only; -1 before the first). A flit deposited in cycle t
 	// is on the link until t+1 begins, so lastSent == now at the end of a
 	// cycle means the link holds one flit, which the downstream router's
-	// occupancy does not count yet (Network.linkBusy).
+	// occupancy does not count yet (Network.Occupancy).
 	lastSent int64
 
 	eject bool
@@ -419,7 +418,7 @@ func (r *Router) vcAllocate(now int64) {
 			r.needVA &^= bit
 			r.ready |= bit
 			if len(n.obs) != 0 {
-				n.emit(now, p, flight.VCAlloc, r.id, vb.outPort, vb.outVC)
+				n.emit(now, p, VCAlloc, r.id, vb.outPort, vb.outVC)
 			}
 		}
 	}
@@ -554,7 +553,7 @@ func (r *Router) traverse(slot int, now int64) {
 	r.occupancyCycles += now - vb.headEntered
 	f := vb.pop(n.flits, now)
 	if len(n.obs) != 0 && f.IsHead {
-		n.emit(now, n.pkts[f.pkt], flight.SAGrant, r.id, pi, outVC)
+		n.emit(now, n.pkts[f.pkt], SAGrant, r.id, pi, outVC)
 	}
 	if op.eject {
 		n.Stats.EjectFlits++
@@ -568,7 +567,7 @@ func (r *Router) traverse(slot int, now int64) {
 		to := op.toSlot + outVC
 		if len(n.obs) != 0 && f.IsHead {
 			port := int32(n.slotPort[to])
-			n.emit(now, n.pkts[f.pkt], flight.LinkTraverse, int(op.to), port, to-port*int32(n.nvc))
+			n.emit(now, n.pkts[f.pkt], LinkTraverse, int(op.to), port, to-port*int32(n.nvc))
 		}
 		n.Routers[op.to].accept(int(to), f)
 	}

@@ -89,6 +89,9 @@ type System struct {
 	// order); the cycle loop runs its watchdogs at the cancellation-check
 	// cadence.
 	flight *flight.Capture
+	// samplers holds each network's occupancy sampler (nets order), nil
+	// until AttachProbes or AttachTelemetry attaches one.
+	samplers []*sampler
 }
 
 // newPacket draws a packet from the pool (or the heap on a cold start).

@@ -12,7 +12,7 @@
 // occupancy) plus two online detectors. All state is
 // preallocated at construction and updated in place, so an attached series
 // adds zero steady-state allocations to the simulation hot loop (pinned by
-// noc's TestStepDoesNotAllocate).
+// sim's TestInstrumentsDoNotAllocate).
 package telemetry
 
 import (
@@ -271,9 +271,8 @@ type Series struct {
 	det detector
 }
 
-// NewSeries builds a series for one network; opts should already carry
-// defaults (callers normally go through noc.AttachTelemetry, which applies
-// Options.WithDefaults).
+// NewSeries builds a series for one network, applying Options.WithDefaults
+// (callers normally go through sim.System.AttachTelemetry).
 func NewSeries(name string, nodes int, clockGHz float64, opts Options) *Series {
 	opts = opts.WithDefaults()
 	return &Series{

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"equinox/internal/geom"
+	"equinox/internal/telemetry"
 )
 
 // allocHarness keeps a warmed-up network saturated with recycled packets so
@@ -62,8 +63,16 @@ func checkSteadyStateAllocs(t *testing.T, h *allocHarness, o *sampleObserver) {
 	for i := 0; i < 3000; i++ {
 		h.tick()
 	}
-	if avg := testing.AllocsPerRun(200, h.tick); avg != 0 {
-		t.Errorf("steady-state Step allocates %.2f objects/cycle, want 0", avg)
+	// One run of 256 cycles, not 256 runs of one: AllocsPerRun truncates
+	// its per-run average, which would hide an allocation made only on
+	// sampling cycles.
+	const cycles = 256
+	if n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < cycles; i++ {
+			h.tick()
+		}
+	}); n != 0 {
+		t.Errorf("%d steady-state cycles allocate %.0f objects, want 0", cycles, n)
 	}
 	if o.samples == 0 || o.kinds[Created] == 0 || o.kinds[Ejected] == 0 {
 		t.Errorf("observer saw %d samples and events %v", o.samples, o.kinds)
@@ -73,24 +82,17 @@ func checkSteadyStateAllocs(t *testing.T, h *allocHarness, o *sampleObserver) {
 // TestStepDoesNotAllocate locks in the zero-allocation hot loop: a warmed-up
 // network must step, route, and deliver recycled packets without producing
 // any garbage, for both a SingleBase-style shared network and an EquiNox
-// network with EIR injection. Both networks run with a sampling observer
+// network with EIR injection. Every network runs with a sampling observer
 // attached that counts every event and reads Occupancy every 16 cycles,
 // inside the measured window, pinning that the observation seam stays free
-// in the steady state. sim's TestInstrumentsDoNotAllocate pins the
-// instruments themselves.
+// in the steady state; two SingleBase runs add a telemetry series or a
+// flight recorder behind it. sim's TestInstrumentsDoNotAllocate pins the
+// instruments' sim adapters.
 func TestStepDoesNotAllocate(t *testing.T) {
 	t.Run("SingleBase", func(t *testing.T) {
-		cfg := DefaultConfig("single", 8, 8)
-		cfg.Routing = RoutingXY
-		cfg.VCPolicy = VCByClass
-		n, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := singleBaseAllocNet(t)
 		o := newSampleObserver(n, 16)
-		// Crossing request traffic between opposite corners plus a hotspot.
-		pairs := [][2]int{{0, 63}, {63, 0}, {7, 56}, {56, 7}, {1, 27}, {62, 27}}
-		h := newAllocHarness(t, n, ReadRequest, pairs, 6)
+		h := newAllocHarness(t, n, ReadRequest, singleBasePairs, 6)
 		checkSteadyStateAllocs(t, h, o)
 	})
 
@@ -117,6 +119,109 @@ func TestStepDoesNotAllocate(t *testing.T) {
 		h := newAllocHarness(t, n, ReadReply, pairs, 4)
 		checkSteadyStateAllocs(t, h, o)
 	})
+
+	// A telemetry series' ring, sketch and scratch are preallocated, so
+	// windowed collection fed from the observation seam — occupancy every
+	// 16 cycles and a window flush every 64, both inside the measured
+	// window — must add zero steady-state allocations.
+	t.Run("SingleBaseTelemetryAttached", func(t *testing.T) {
+		n := singleBaseAllocNet(t)
+		o := newSampleObserver(n, 16)
+		tel := newTelemetryObserver(n, telemetry.Options{SampleEvery: 16, WindowCycles: 64, MaxWindows: 8})
+		h := newAllocHarness(t, n, ReadRequest, singleBasePairs, 6)
+		checkSteadyStateAllocs(t, h, o)
+		if len(tel.series.Windows()) == 0 {
+			t.Error("the telemetry series flushed no window")
+		}
+	})
+
+	// A flight recorder's ring is preallocated, so recording every packet's
+	// lifecycle events must not reintroduce steady-state garbage: events are
+	// value copies into the ring and the watchdog's common path is two
+	// compares. internal/flight imports noc, so the external tests supply
+	// the recorder (AttachFlightRecorder).
+	t.Run("SingleBaseFlightAttached", func(t *testing.T) {
+		if AttachFlightRecorder == nil {
+			t.Fatal("no flight recorder to attach")
+		}
+		n := singleBaseAllocNet(t)
+		o := newSampleObserver(n, 16)
+		recorded := AttachFlightRecorder(n)
+		h := newAllocHarness(t, n, ReadRequest, singleBasePairs, 6)
+		checkSteadyStateAllocs(t, h, o)
+		if recorded() == 0 {
+			t.Error("the flight recorder recorded no event")
+		}
+	})
+}
+
+// singleBasePairs is crossing request traffic between opposite corners of
+// an 8x8 mesh plus a hotspot.
+var singleBasePairs = [][2]int{{0, 63}, {63, 0}, {7, 56}, {56, 7}, {1, 27}, {62, 27}}
+
+// singleBaseAllocNet builds the SingleBase-style 8x8 network of
+// TestStepDoesNotAllocate.
+func singleBaseAllocNet(t *testing.T) *Network {
+	t.Helper()
+	cfg := DefaultConfig("single", 8, 8)
+	cfg.Routing = RoutingXY
+	cfg.VCPolicy = VCByClass
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// telemetryObserver feeds a telemetry series from a network the way
+// internal/sim's sampler does: every delivery's latency, the routers'
+// occupancy every SampleEvery cycles, and the window's flit counts at each
+// flush.
+type telemetryObserver struct {
+	n                   *Network
+	series              *telemetry.Series
+	occ                 []int64
+	lastInj, lastEjects int64
+}
+
+func newTelemetryObserver(n *Network, opts telemetry.Options) *telemetryObserver {
+	o := &telemetryObserver{
+		n:      n,
+		series: telemetry.NewSeries(n.Cfg.Name, n.Cfg.Nodes(), n.Cfg.ClockGHz, opts),
+		occ:    make([]int64, len(n.Routers)),
+	}
+	n.Observe(o)
+	return o
+}
+
+func (o *telemetryObserver) Packet(_ int64, _ *Packet, k EventKind, _ int, a, _ int32) {
+	if k == Ejected {
+		o.series.ObserveLatency(int64(a))
+	}
+}
+
+func (o *telemetryObserver) EndCycle(now int64) {
+	if now%o.series.SampleEvery != 0 {
+		return
+	}
+	o.n.Occupancy(o.occ, nil)
+	var total, peak int64
+	for _, f := range o.occ {
+		total += f
+		peak = max(peak, f)
+	}
+	o.series.Occupancy(total, peak)
+	if now == 0 || now%o.series.WindowCycles != 0 {
+		return
+	}
+	s := &o.n.Stats
+	var inj int64
+	for _, b := range s.Bits {
+		inj += b
+	}
+	inj /= int64(8 * o.n.Cfg.FlitBytes)
+	o.series.Flush(now, inj-o.lastInj, s.EjectFlits-o.lastEjects)
+	o.lastInj, o.lastEjects = inj, s.EjectFlits
 }
 
 // TestQuiescentMatchesScan cross-checks the O(1) in-flight counter behind

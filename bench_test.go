@@ -235,8 +235,15 @@ func BenchmarkKnightMovePlacement(b *testing.B) {
 	var pairs int
 	for i := 0; i < b.N; i++ {
 		pl := placement.KnightMovePlacement(8, 8, 12)
-		a := placement.Alignments(pl)
-		pairs = a.RowPairs + a.ColPairs + a.DiagPairs
+		pairs = 0
+		for j, a := range pl.CBs {
+			for _, c := range pl.CBs[j+1:] {
+				// a and c share a row, a column or a diagonal.
+				if a.X == c.X || a.Y == c.Y || max(a.X-c.X, c.X-a.X) == max(a.Y-c.Y, c.Y-a.Y) {
+					pairs++
+				}
+			}
+		}
 	}
 	b.ReportMetric(float64(pairs), "aligned-pairs")
 }

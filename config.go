@@ -19,25 +19,6 @@ type evalConfigJSON struct {
 	Parallelism       int      `json:"parallelism,omitempty"`
 }
 
-// SaveEvalConfig writes the configuration as JSON.
-func SaveEvalConfig(cfg EvalConfig, w io.Writer) error {
-	out := evalConfigJSON{
-		Width:             cfg.Width,
-		Height:            cfg.Height,
-		NumCBs:            cfg.NumCBs,
-		Benchmarks:        cfg.Benchmarks,
-		InstructionsPerPE: cfg.InstructionsPerPE,
-		Seed:              cfg.Seed,
-		Parallelism:       cfg.Parallelism,
-	}
-	for _, s := range cfg.Schemes {
-		out.Schemes = append(out.Schemes, s.String())
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
 // LoadEvalConfig reads a JSON evaluation configuration. Unknown scheme or
 // benchmark names are rejected immediately rather than at sweep time.
 func LoadEvalConfig(r io.Reader) (EvalConfig, error) {

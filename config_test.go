@@ -2,6 +2,7 @@ package equinox
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -10,16 +11,17 @@ import (
 )
 
 func TestEvalConfigRoundTrip(t *testing.T) {
-	cfg := DefaultEvalConfig()
-	cfg.Schemes = []sim.SchemeKind{sim.SingleBase, sim.EquiNox}
-	cfg.Benchmarks = []string{"bfs", "kmeans"}
-	cfg.InstructionsPerPE = 321
-	cfg.Seed = 9
-	var buf bytes.Buffer
-	if err := SaveEvalConfig(cfg, &buf); err != nil {
+	spec, err := json.Marshal(evalConfigJSON{
+		Width: 8, Height: 8, NumCBs: 8,
+		Schemes:           []string{sim.SingleBase.String(), sim.EquiNox.String()},
+		Benchmarks:        []string{"bfs", "kmeans"},
+		InstructionsPerPE: 321,
+		Seed:              9,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadEvalConfig(&buf)
+	got, err := LoadEvalConfig(bytes.NewReader(spec))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,9 +111,6 @@ func BuildDesignContext(ctx context.Context, cfg DesignConfig) (*Design, error) 
 	if err != nil {
 		return nil, fmt.Errorf("core: placement: %w", err)
 	}
-	if err := pl.Validate(); err != nil {
-		return nil, err
-	}
 
 	// Step 2: EIR selection (§4.3).
 	prob := mcts.NewProblem(cfg.Width, cfg.Height, pl.CBs)

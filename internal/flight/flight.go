@@ -143,9 +143,6 @@ func NewRecorder(opts Options) *Recorder {
 	}
 }
 
-// Options returns the recorder's effective (defaulted) options.
-func (r *Recorder) Options() Options { return r.opts }
-
 // Hit reports whether a packet ID passes the sampling filter. Hot path:
 // called for every candidate event.
 func (r *Recorder) Hit(pkt int64) bool {

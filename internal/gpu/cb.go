@@ -183,12 +183,3 @@ func (cb *CB) PeekReply() *Transaction {
 func (cb *CB) Drained() bool {
 	return len(cb.pendingOut) == 0 && cb.mshr.Outstanding() == 0 && cb.MC.Pending() == 0
 }
-
-// L2HitRate returns the read hit rate observed by the bank.
-func (cb *CB) L2HitRate() float64 {
-	t := cb.L2Hits + cb.L2Misses
-	if t == 0 {
-		return 0
-	}
-	return float64(cb.L2Hits) / float64(t)
-}

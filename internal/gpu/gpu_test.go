@@ -64,7 +64,7 @@ func TestCacheHitRateProperty(t *testing.T) {
 			c.Access(uint64(i * 128))
 		}
 	}
-	if hr := c.HitRate(); hr < 0.7 {
+	if hr := float64(c.Hits) / float64(c.Hits+c.Misses); hr < 0.7 {
 		t.Errorf("small working set hit rate %f < 0.7", hr)
 	}
 	// A working set much larger than capacity accessed randomly must miss
@@ -73,7 +73,7 @@ func TestCacheHitRateProperty(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		c2.Access(uint64((i * 7919 % 100000) * 128))
 	}
-	if hr := c2.HitRate(); hr > 0.3 {
+	if hr := float64(c2.Hits) / float64(c2.Hits+c2.Misses); hr > 0.3 {
 		t.Errorf("thrashing hit rate %f > 0.3", hr)
 	}
 }
@@ -192,7 +192,7 @@ func TestPERunsToCompletion(t *testing.T) {
 		inFlight = inFlight[:0]
 	}
 	if !pe.Finished() {
-		t.Fatalf("PE did not finish; outstanding=%d", pe.Outstanding())
+		t.Fatalf("PE did not finish; outstanding=%d", pe.outstanding)
 	}
 	if pe.Instructions != 300 {
 		t.Errorf("retired %d instructions, want 300", pe.Instructions)
@@ -213,8 +213,8 @@ func TestPEBackpressureStalls(t *testing.T) {
 	if pe.StallCycles == 0 {
 		t.Error("no stall cycles recorded")
 	}
-	if pe.Outstanding() != 0 {
-		t.Errorf("outstanding=%d with dead network", pe.Outstanding())
+	if pe.outstanding != 0 {
+		t.Errorf("outstanding=%d with dead network", pe.outstanding)
 	}
 }
 
@@ -231,8 +231,8 @@ func TestPEMSHRLimitsOutstanding(t *testing.T) {
 	maxSeen := 0
 	for cycle := 0; cycle < 5000; cycle++ {
 		pe.Step(func(tx *Transaction) bool { return true }) // never complete
-		if pe.Outstanding() > maxSeen {
-			maxSeen = pe.Outstanding()
+		if pe.outstanding > maxSeen {
+			maxSeen = pe.outstanding
 		}
 	}
 	if maxSeen > 8 {
@@ -432,15 +432,15 @@ func TestCBAccessors(t *testing.T) {
 	if cb.PeekReply() != nil {
 		t.Error("fresh CB has pending reply")
 	}
-	if cb.L2HitRate() != 0 {
-		t.Error("fresh CB hit rate not 0")
+	if cb.L2Hits != 0 || cb.L2Misses != 0 {
+		t.Error("fresh CB counted L2 reads")
 	}
 	cb.ProcessRequest(&Transaction{PE: 1, Addr: 0x80, Write: true, Line: 1}, 0)
 	if cb.PeekReply() == nil {
 		t.Error("write reply not peekable")
 	}
 	cb.ProcessRequest(&Transaction{PE: 1, Addr: 0x80, Line: 1}, 1)
-	if cb.L2HitRate() != 1.0 {
-		t.Errorf("hit rate %f after a hit", cb.L2HitRate())
+	if cb.L2Hits != 1 || cb.L2Misses != 0 {
+		t.Errorf("%d L2 hits, %d misses after one read hit", cb.L2Hits, cb.L2Misses)
 	}
 }

@@ -97,9 +97,6 @@ func (pe *PE) Finished() bool {
 	return pe.gen.Done() && pe.outstanding == 0 && pe.stalledTx == nil
 }
 
-// Outstanding returns in-flight memory transactions.
-func (pe *PE) Outstanding() int { return pe.outstanding }
-
 // Step advances the PE by one cycle. inject is called for transactions that
 // must enter the request network; returning false applies backpressure and
 // the PE retries next cycle.

@@ -87,12 +87,6 @@ type Request struct {
 	row    int64
 }
 
-// Arrived returns the cycle the request entered the controller.
-func (r *Request) Arrived() int64 { return r.arrived }
-
-// DoneAt returns the completion cycle (valid after completion).
-func (r *Request) DoneAt() int64 { return r.doneAt }
-
 type bank struct {
 	openRow  int64 // -1 = closed
 	busyTill int64

@@ -55,7 +55,7 @@ func TestSingleRequestLatency(t *testing.T) {
 	cfg := DefaultConfig()
 	min := int64(cfg.TCAS + cfg.TBurst)
 	max := int64(cfg.TRP + cfg.TRCD + cfg.TCAS + cfg.TBurst + 2)
-	if lat := done[0].DoneAt() - done[0].Arrived(); lat < min || lat > max {
+	if lat := done[0].doneAt - done[0].arrived; lat < min || lat > max {
 		t.Errorf("cold access latency %d outside [%d,%d]", lat, min, max)
 	}
 }
@@ -87,8 +87,8 @@ func TestRowHitFasterThanMiss(t *testing.T) {
 	if doneB == nil {
 		t.Fatal("second request did not complete")
 	}
-	latA := doneA.DoneAt() - doneA.Arrived()
-	latB := doneB.DoneAt() - doneB.Arrived()
+	latA := doneA.doneAt - doneA.arrived
+	latB := doneB.doneAt - doneB.arrived
 	if latB >= latA {
 		t.Errorf("row hit latency %d not below cold latency %d", latB, latA)
 	}

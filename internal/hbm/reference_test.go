@@ -227,9 +227,9 @@ func TestCachedDecodeMatchesReference(t *testing.T) {
 					if !ok {
 						t.Fatalf("cycle %d completion %d: a request not in flight", now, i)
 					}
-					if tw.want != want[i] || got[i].DoneAt() != want[i].doneAt || got[i].Arrived() != want[i].arrived {
+					if tw.want != want[i] || got[i].doneAt != want[i].doneAt || got[i].arrived != want[i].arrived {
 						t.Fatalf("cycle %d completion %d: request %d done@%d arrived@%d, reference done@%d arrived@%d (the same request: %v)",
-							now, i, tw.id, got[i].DoneAt(), got[i].Arrived(), want[i].doneAt, want[i].arrived, tw.want == want[i])
+							now, i, tw.id, got[i].doneAt, got[i].arrived, want[i].doneAt, want[i].arrived, tw.want == want[i])
 					}
 					delete(live, got[i])
 					pool = append(pool, got[i])

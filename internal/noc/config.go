@@ -211,6 +211,33 @@ func (c Config) Validate() error {
 // maskBits is the width of the routers' occupancy masks.
 const maskBits = 64
 
+// niKind names the network interface a router's tile gets.
+type niKind uint8
+
+const (
+	niBaseline  niKind = iota // one buffer on the local port
+	niSpokes                  // an independent baseline NI per concentration spoke
+	niEquiNox                 // a CB tile's EquiNox NI, feeding its EIR group
+	niMultiPort               // a CB tile's InjectPortsPerCB local buffers
+)
+
+// niKind decides the NI of a tile: spokes on every tile of a concentrated
+// network, the EquiNox NI on CB tiles of a network with EIR groups, the
+// MultiPort NI on CB tiles with InjectPortsPerCB > 1, and the baseline NI
+// everywhere else. New builds the NIs and portCounts plans their ports from
+// this one decision.
+func (c Config) niKind(isCB bool) niKind {
+	switch {
+	case c.SpokesPerNode > 1:
+		return niSpokes
+	case isCB && c.EIRGroups != nil:
+		return niEquiNox
+	case isCB && c.InjectPortsPerCB > 1:
+		return niMultiPort
+	}
+	return niBaseline
+}
+
 // portCounts returns, per router, the number of input and output ports New
 // builds: the five mesh ports plus concentration spokes, MultiPort CB
 // injection/ejection ports, and one EIR injection port per EIR grouped under
@@ -219,22 +246,21 @@ const maskBits = 64
 func (c Config) portCounts() (in, out []int) {
 	in, out = make([]int, c.Nodes()), make([]int, c.Nodes())
 	for id := range in {
-		in[id] = int(geom.NumDirections) + max(c.SpokesPerNode-1, 0)
+		in[id] = int(geom.NumDirections)
 		out[id] = int(geom.NumDirections)
 	}
 	for id, cb := range c.isCB() {
-		if !cb {
-			continue
+		if cb {
+			out[id] += max(c.EjectPortsPerCB-1, 0)
 		}
-		out[id] += max(c.EjectPortsPerCB-1, 0)
-		// Mirrors New's choice of NI for a CB tile.
-		switch {
-		case c.SpokesPerNode > 1:
-		case c.EIRGroups != nil:
+		switch c.niKind(cb) {
+		case niSpokes:
+			in[id] += c.SpokesPerNode - 1
+		case niEquiNox:
 			for _, e := range c.EIRGroups[geom.FromID(id, c.Width)] {
 				in[e.ID(c.Width)]++
 			}
-		case c.InjectPortsPerCB > 1:
+		case niMultiPort:
 			in[id] += c.InjectPortsPerCB - 1
 		}
 	}
@@ -253,8 +279,3 @@ func (c Config) isCB() []bool {
 
 // Nodes returns the number of tiles.
 func (c Config) Nodes() int { return c.Width * c.Height }
-
-// CycleNS converts cycles of this network's clock into nanoseconds.
-func (c Config) CycleNS(cycles int64) float64 {
-	return float64(cycles) / c.ClockGHz
-}

@@ -123,7 +123,7 @@ func (sc scenario) drive(t *testing.T, n *noc.Network) {
 		if h := n.Stats.FlitHops; h != hops || n.Quiescent() {
 			hops, moved = h, cyc
 		} else if cyc-moved == stallCycles {
-			t.Fatalf("%s: no flit moved for %d cycles, %d packets in flight\n%s", n, stallCycles, n.InFlight(), n.DebugDump())
+			t.Fatalf("%s: no flit moved for %d cycles, %d packets in flight\n%s", n, stallCycles, n.InFlight(), noc.DebugDump(n))
 		}
 		for s := 0; s < sources && cyc < sc.cycles; s++ {
 			if rng.Float64() >= sc.load {

@@ -103,7 +103,7 @@ func driveTraffic(t *testing.T, n *Network, nc schemeNet, pattern string, seed i
 		if h := n.Stats.FlitHops; h != hops || n.Quiescent() {
 			hops, moved = h, cyc
 		} else if cyc-moved == stallCycles {
-			t.Fatalf("seed %d: no flit moved for %d cycles, %d packets in flight\n%s", seed, stallCycles, n.InFlight(), n.DebugDump())
+			t.Fatalf("seed %d: no flit moved for %d cycles, %d packets in flight\n%s", seed, stallCycles, n.InFlight(), n.debugDump())
 		}
 		for k := 0; k < 6 && cyc < 300; k++ {
 			typ := nc.types[rng.Intn(len(nc.types))]
@@ -129,7 +129,7 @@ func driveTraffic(t *testing.T, n *Network, nc schemeNet, pattern string, seed i
 		}
 	}
 	if !n.Quiescent() {
-		t.Fatalf("seed %d: network did not drain\n%s", seed, n.DebugDump())
+		t.Fatalf("seed %d: network did not drain\n%s", seed, n.debugDump())
 	}
 }
 
@@ -697,7 +697,7 @@ func TestNIsSerializeFlits(t *testing.T) {
 				}
 			}
 			if !n.Quiescent() {
-				t.Fatalf("network did not drain\n%s", n.DebugDump())
+				t.Fatalf("network did not drain\n%s", n.debugDump())
 			}
 			if len(next) != injected || multiFlit == 0 {
 				t.Fatalf("saw the flits of %d packets, injected %d (%d multi-flit)", len(next), injected, multiFlit)
@@ -749,4 +749,72 @@ func TestValidateRouterWidth(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("CB outside the mesh accepted")
 	}
+}
+
+// quiescentScan is the full-network reference implementation of Quiescent,
+// kept for tests that cross-check the O(1) counter.
+func (n *Network) quiescentScan() bool {
+	for i := range n.nis {
+		if n.nis[i].pending() {
+			return false
+		}
+	}
+	for i := range n.vcs {
+		if !n.vcs[i].empty() {
+			return false
+		}
+	}
+	for c := range n.ejectQ {
+		for _, q := range n.ejectQ[c] {
+			if len(q) > 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// debugDump renders the live buffer state of every router: for each input
+// port VC with flits, the head packet, its allocation, and the blocking
+// condition. Diagnostic aid for deadlock analysis.
+func (n *Network) debugDump() string {
+	var b []byte
+	add := func(s string) { b = append(b, s...) }
+	for _, r := range n.Routers {
+		hdr := false
+		for pi := range r.in {
+			vcs := r.portVCs(pi)
+			for vi := range vcs {
+				vb := &vcs[vi]
+				if vb.empty() {
+					continue
+				}
+				if !hdr {
+					add(fmt.Sprintf("router %v (node %d):\n", r.pos, r.id))
+					hdr = true
+				}
+				p := n.pkts[vb.at(n.flits, 0).pkt]
+				reason := "?"
+				if vb.outPort == noAlloc {
+					reason = "awaiting VC alloc"
+				} else {
+					op := &r.out[vb.outPort]
+					if op.eject {
+						if !n.ejectReady(r.id, ClassOf(p.Type)) {
+							reason = "eject queue full"
+						} else {
+							reason = "eject ready"
+						}
+					} else if n.credit(vb.down, n.now) <= 0 {
+						reason = "no credits"
+					} else {
+						reason = "has credits"
+					}
+				}
+				add(fmt.Sprintf("  in[%d].vc[%d]: %d flits, head pkt %v %d->%d out=%d/%d (%s)\n",
+					pi, vi, vb.n, p.Type, p.Src, p.Dst, vb.outPort, vb.outVC, reason))
+			}
+		}
+	}
+	return string(b)
 }

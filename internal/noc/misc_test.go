@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,18 +30,10 @@ func TestStringers(t *testing.T) {
 	}
 }
 
-func TestCycleNS(t *testing.T) {
-	cfg := DefaultConfig("t", 4, 4)
-	cfg.ClockGHz = 2.0
-	if got := cfg.CycleNS(10); got != 5.0 {
-		t.Errorf("CycleNS = %f", got)
-	}
-}
-
 func TestRouterPosAndRouterAt(t *testing.T) {
 	n, _ := New(DefaultConfig("t", 4, 4))
 	r := n.RouterAt(geom.Pt(2, 3))
-	if r == nil || r.Pos() != geom.Pt(2, 3) {
+	if r == nil || r.pos != geom.Pt(2, 3) {
 		t.Error("RouterAt/Pos wrong")
 	}
 	if n.RouterAt(geom.Pt(9, 9)) != nil {
@@ -77,22 +70,50 @@ func TestPeekDeliveredClass(t *testing.T) {
 	}
 }
 
-func TestInjectorQueueSpace(t *testing.T) {
-	cfg := DefaultConfig("t", 4, 4)
-	cfg.CBs = []geom.Point{geom.Pt(1, 1)}
-	cfg.InjectPortsPerCB = 4
-	n, _ := New(cfg)
-	node := geom.Pt(1, 1).ID(4)
-	if n.InjectSpace(node) != cfg.InjQueuePackets {
-		t.Errorf("fresh multiport space = %d", n.InjectSpace(node))
-	}
-	cfg2 := DefaultConfig("t", 4, 4)
+// TestRefusedInjectChangesNothing holds TryInject's refusal to be free of
+// side effects on every NI kind and both classes: once a class FIFO is full,
+// one more TryInject returns false and leaves the statistics, the in-flight
+// count, the set of NIs with work and the packet itself as they were.
+func TestRefusedInjectChangesNothing(t *testing.T) {
 	cb := geom.Pt(1, 1)
-	cfg2.CBs = []geom.Point{cb}
-	cfg2.EIRGroups = map[geom.Point][]geom.Point{cb: {geom.Pt(3, 1)}}
-	n2, _ := New(cfg2)
-	if n2.InjectSpace(node) != cfg2.InjQueuePackets {
-		t.Errorf("fresh equinox NI space = %d", n2.InjectSpace(node))
+	kinds := []struct {
+		name  string
+		spoke int
+		cfg   func(*Config)
+	}{
+		{"baseline", 0, func(*Config) {}},
+		{"spoke", 1, func(c *Config) { c.SpokesPerNode = 2 }},
+		{"MultiPort", 0, func(c *Config) { c.InjectPortsPerCB = 4 }},
+		{"EquiNox", 0, func(c *Config) { c.EIRGroups = map[geom.Point][]geom.Point{cb: {geom.Pt(3, 1)}} }},
+	}
+	for _, k := range kinds {
+		for _, typ := range []PacketType{ReadRequest, ReadReply} {
+			cfg := DefaultConfig("t", 4, 4)
+			cfg.CBs = []geom.Point{cb}
+			k.cfg(&cfg)
+			n, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, dst := cb.ID(cfg.Width), 15
+			for i := 0; i < cfg.InjQueuePackets; i++ {
+				if !n.TryInject(&Packet{ID: int64(i), Type: typ, Src: src, Dst: dst, Spoke: k.spoke}, n.Now()) {
+					t.Fatalf("%s/%v: packet %d refused below the %d-packet FIFO", k.name, typ, i, cfg.InjQueuePackets)
+				}
+			}
+			stats, inflight, niSet := n.Stats, n.InFlight(), slices.Clone(n.niSet)
+			p := &Packet{ID: 99, Type: typ, Src: src, Dst: dst, Spoke: k.spoke, Flits: 7, CreatedAt: -3}
+			if n.TryInject(p, n.Now()) {
+				t.Fatalf("%s/%v: full FIFO accepted a packet", k.name, typ)
+			}
+			if n.Stats != stats || n.InFlight() != inflight || !slices.Equal(n.niSet, niSet) {
+				t.Errorf("%s/%v: refused inject changed the network: stats %+v -> %+v, in flight %d -> %d, NI set %v -> %v",
+					k.name, typ, stats, n.Stats, inflight, n.InFlight(), niSet, n.niSet)
+			}
+			if p.Flits != 7 || p.CreatedAt != -3 {
+				t.Errorf("%s/%v: refused inject changed the packet: Flits %d, CreatedAt %d", k.name, typ, p.Flits, p.CreatedAt)
+			}
+		}
 	}
 }
 
@@ -102,7 +123,7 @@ func TestDebugDumpShowsBufferedFlits(t *testing.T) {
 	n.TryInject(p, n.Now())
 	n.Step()
 	n.Step()
-	dump := n.DebugDump()
+	dump := n.debugDump()
 	if !strings.Contains(dump, "ReadReply") {
 		t.Errorf("dump missing packet info:\n%s", dump)
 	}

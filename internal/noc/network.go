@@ -295,11 +295,9 @@ func New(cfg Config) (*Network, error) {
 		}
 	}
 
-	// NIs, one per node and spoke: concentrated nodes get an independent
-	// baseline NI per spoke, CB tiles with an EIR group the EquiNox NI, CB
-	// tiles with InjectPortsPerCB > 1 the MultiPort NI, the rest the baseline.
-	// Every injection port — a router's local port and the input ports past
-	// its four mesh ones — is fed by exactly one NI buffer, and every loaded
+	// NIs, one per node and spoke, of the kind Config.niKind decides. Every
+	// injection port — a router's local port and the input ports past its
+	// four mesh ones — is fed by exactly one NI buffer, and every loaded
 	// buffer holds a packet-table slot, so the table starts at that size.
 	isCB := cfg.isCB()
 	nis := len(n.Routers) * n.spokes
@@ -311,15 +309,15 @@ func New(cfg Config) (*Network, error) {
 	}
 	n.pkts, n.freePkts = make([]*Packet, 0, bufs), make([]int32, 0, bufs)
 	for _, r := range n.Routers {
-		switch {
-		case n.spokes > 1:
+		switch cfg.niKind(isCB[r.id]) {
+		case niSpokes:
 			n.nis = append(n.nis, newNI(n, sl, r, int(PortLocal), 1))
 			for k := 1; k < n.spokes; k++ {
 				n.nis = append(n.nis, newNI(n, sl, r, addInjectionPort(r), 1))
 			}
-		case cfg.EIRGroups != nil && isCB[r.id]:
+		case niEquiNox:
 			n.nis = append(n.nis, newEquiNoxNI(n, sl, r, cfg.EIRGroups[r.pos]))
-		case cfg.InjectPortsPerCB > 1 && isCB[r.id]:
+		case niMultiPort:
 			n.nis = append(n.nis, newMultiPortNI(n, sl, r, cfg.InjectPortsPerCB))
 		default:
 			n.nis = append(n.nis, newNI(n, sl, r, int(PortLocal), 1))
@@ -359,9 +357,6 @@ func (n *Network) TryInject(p *Packet, now int64) bool {
 	}
 	return false
 }
-
-// InjectSpace returns the free packet slots at a node's NI queue (spoke 0).
-func (n *Network) InjectSpace(node int) int { return n.nis[node*n.spokes].space() }
 
 // PopDelivered removes and returns the oldest fully-delivered packet at a
 // node, preferring replies, or nil.
@@ -506,29 +501,6 @@ func (n *Network) Quiescent() bool { return n.inflight == 0 }
 // PopDeliveredClass (the counter behind Quiescent).
 func (n *Network) InFlight() int64 { return n.inflight }
 
-// quiescentScan is the full-network reference implementation of Quiescent,
-// kept for tests that cross-check the O(1) counter.
-func (n *Network) quiescentScan() bool {
-	for i := range n.nis {
-		if n.nis[i].pending() {
-			return false
-		}
-	}
-	for i := range n.vcs {
-		if !n.vcs[i].empty() {
-			return false
-		}
-	}
-	for c := range n.ejectQ {
-		for _, q := range n.ejectQ[c] {
-			if len(q) > 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // RouterAt returns the router at a tile position.
 func (n *Network) RouterAt(p geom.Point) *Router {
 	if !p.In(n.Cfg.Width, n.Cfg.Height) {
@@ -548,49 +520,4 @@ func (n *Network) HeatMap() []float64 {
 
 func (n *Network) String() string {
 	return fmt.Sprintf("%s(%dx%d,%s,%s)", n.Cfg.Name, n.Cfg.Width, n.Cfg.Height, n.Cfg.Routing, n.Cfg.VCPolicy)
-}
-
-// DebugDump renders the live buffer state of every router: for each input
-// port VC with flits, the head packet, its allocation, and the blocking
-// condition. Diagnostic aid for deadlock analysis.
-func (n *Network) DebugDump() string {
-	var b []byte
-	add := func(s string) { b = append(b, s...) }
-	for _, r := range n.Routers {
-		hdr := false
-		for pi := range r.in {
-			vcs := r.portVCs(pi)
-			for vi := range vcs {
-				vb := &vcs[vi]
-				if vb.empty() {
-					continue
-				}
-				if !hdr {
-					add(fmt.Sprintf("router %v (node %d):\n", r.pos, r.id))
-					hdr = true
-				}
-				p := n.pkts[vb.at(n.flits, 0).pkt]
-				reason := "?"
-				if vb.outPort == noAlloc {
-					reason = "awaiting VC alloc"
-				} else {
-					op := &r.out[vb.outPort]
-					if op.eject {
-						if !n.ejectReady(r.id, ClassOf(p.Type)) {
-							reason = "eject queue full"
-						} else {
-							reason = "eject ready"
-						}
-					} else if n.credit(vb.down, n.now) <= 0 {
-						reason = "no credits"
-					} else {
-						reason = "has credits"
-					}
-				}
-				add(fmt.Sprintf("  in[%d].vc[%d]: %d flits, head pkt %v %d->%d out=%d/%d (%s)\n",
-					pi, vi, vb.n, p.Type, p.Src, p.Dst, vb.outPort, vb.outVC, reason))
-			}
-		}
-	}
-	return string(b)
 }

@@ -165,11 +165,6 @@ func (ni *ni) enqueue(p *Packet, now int64) bool {
 	return true
 }
 
-// space returns the free packet slots of the fuller FIFO.
-func (ni *ni) space() int {
-	return ni.cap - max(len(ni.queues[Request]), len(ni.queues[Reply]))
-}
-
 // pending reports whether the NI still holds any packet or flits.
 func (ni *ni) pending() bool {
 	if len(ni.queues[Request]) > 0 || len(ni.queues[Reply]) > 0 {

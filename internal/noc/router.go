@@ -218,9 +218,6 @@ func (r *Router) accept(slot int, f Flit) {
 	vb.push(r.net.flits, f)
 }
 
-// Pos returns the router's tile coordinate.
-func (r *Router) Pos() geom.Point { return r.pos }
-
 // portVCs returns input port pi's VC buffers, a window of r.vcs.
 func (r *Router) portVCs(pi int) []vcBuf {
 	nvc := r.net.nvc

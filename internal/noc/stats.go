@@ -1,8 +1,7 @@
 package noc
 
 // Stats accumulates per-network traffic statistics. Latencies are recorded
-// in this network's clock cycles; cross-clock-domain comparisons convert via
-// Config.CycleNS.
+// in this network's clock cycles (Config.ClockGHz).
 type Stats struct {
 	cycles int64
 
@@ -52,21 +51,6 @@ func (s *Stats) AvgNetCycles(c Class) float64 {
 		return 0
 	}
 	return float64(s.NetCycles[c]) / float64(s.Delivered[c])
-}
-
-// AvgTotalCycles returns the mean end-to-end latency of a class.
-func (s *Stats) AvgTotalCycles(c Class) float64 {
-	return s.AvgQueueCycles(c) + s.AvgNetCycles(c)
-}
-
-// ReplyBitShare returns the fraction of injected bits that belong to reply
-// traffic (the paper reports 72.7% for its workloads).
-func (s *Stats) ReplyBitShare() float64 {
-	total := s.Bits[Request] + s.Bits[Reply]
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Bits[Reply]) / float64(total)
 }
 
 // TotalDelivered returns delivered packets across classes.

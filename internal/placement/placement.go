@@ -49,23 +49,36 @@ func Kinds() []Kind { return []Kind{Top, Side, Diagonal, Diamond, NQueen} }
 
 // New returns the placement of n CBs on a w×h mesh using strategy k.
 // For NQueen it returns the best-scoring N-Queen placement (see BestNQueen).
+// A placement it returns is valid (see Validate); where strategy k cannot
+// place n distinct CBs on the mesh, New returns an error instead.
 func New(k Kind, w, h, n int) (Placement, error) {
+	if w < 1 || h < 1 || n < 1 || n > w*h {
+		return Placement{}, fmt.Errorf("placement: %d CBs do not fit a %dx%d mesh", n, w, h)
+	}
+	var pl Placement
 	switch k {
 	case Top:
-		return topPlacement(w, h, n), nil
+		pl = topPlacement(w, h, n)
 	case Side:
-		return sidePlacement(w, h, n), nil
+		pl = sidePlacement(w, h, n)
 	case Diagonal:
-		return diagonalPlacement(w, h, n), nil
+		pl = diagonalPlacement(w, h, n)
 	case Diamond:
-		return diamondPlacement(w, h, n), nil
+		pl = diamondPlacement(w, h, n)
 	case NQueen:
-		return BestNQueen(w, h, n)
+		var err error
+		if pl, err = BestNQueen(w, h, n); err != nil {
+			return Placement{}, err
+		}
 	case KnightMove:
-		return KnightMovePlacement(w, h, n), nil
+		pl = KnightMovePlacement(w, h, n)
 	default:
 		return Placement{}, fmt.Errorf("placement: unknown kind %d", int(k))
 	}
+	if err := pl.Validate(); err != nil {
+		return Placement{}, fmt.Errorf("%v placement of %d CBs on %dx%d: %w", k, n, w, h, err)
+	}
+	return pl, nil
 }
 
 // Contains reports whether tile p holds a CB.
@@ -166,23 +179,16 @@ func diamondPlacement(w, h, n int) Placement {
 	used := map[geom.Point]bool{}
 	for i := 0; i < n; i++ {
 		p := ring[i*len(ring)/n%len(ring)]
+		// More CBs than ring tiles collide: take the next free tile in
+		// row-major order, wrapping around the mesh. New admits at most w·h
+		// CBs, so one is free.
 		for used[p] {
-			p = geom.Pt(clamp(p.X+1, 0, w-1), p.Y)
+			p = geom.FromID((p.ID(w)+1)%(w*h), w)
 		}
 		used[p] = true
 		pl.CBs = append(pl.CBs, p)
 	}
 	return pl
-}
-
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // queens is the one N-Queen backtracker: it places a queen per row of an
@@ -263,32 +269,6 @@ func FromQueenSolution(sol []int) Placement {
 	return pl
 }
 
-// HotZone classification of a tile relative to one CB (paper §4.2):
-// the four directly connected neighbours are Direct Access Zones (DAZ) and
-// the four diagonal corners are Corner Access Zones (CAZ).
-type ZoneKind int
-
-// Zone kinds.
-const (
-	NoZone ZoneKind = iota
-	DAZ
-	CAZ
-)
-
-// ZoneOf classifies tile p with respect to CB cb.
-func ZoneOf(cb, p geom.Point) ZoneKind {
-	dx := abs(cb.X - p.X)
-	dy := abs(cb.Y - p.Y)
-	switch {
-	case dx+dy == 1:
-		return DAZ
-	case dx == 1 && dy == 1:
-		return CAZ
-	default:
-		return NoZone
-	}
-}
-
 // hotZoneCover counts, per tile (row-major), the CBs whose hot zone (DAZ or
 // CAZ) covers it, saturating at 2: a tile is a hot-zone overlap exactly when
 // its count is 2. It reuses grid's storage when that is large enough.
@@ -310,19 +290,6 @@ func hotZoneCover(pl Placement, grid []uint8) []uint8 {
 		}
 	}
 	return grid
-}
-
-// OverlapMap returns, for each tile of the mesh, whether it is a hot-zone
-// overlap: a tile belonging to the hot zones (DAZ or CAZ) of two or more
-// distinct CBs.
-func OverlapMap(pl Placement) map[geom.Point]bool {
-	overlaps := map[geom.Point]bool{}
-	for id, c := range hotZoneCover(pl, nil) {
-		if c == 2 {
-			overlaps[geom.FromID(id, pl.Width)] = true
-		}
-	}
-	return overlaps
 }
 
 // Score implements the paper's penalty scoring policy: for every tile, count
@@ -503,37 +470,4 @@ func KnightMovePlacement(w, h, n int) Placement {
 		p = q
 	}
 	return pl
-}
-
-// AlignmentStats counts how many unordered CB pairs share a row, column, or
-// diagonal — the contention structure the placements try to minimize.
-type AlignmentStats struct {
-	RowPairs, ColPairs, DiagPairs int
-}
-
-// Alignments computes AlignmentStats for a placement.
-func Alignments(pl Placement) AlignmentStats {
-	var s AlignmentStats
-	for i := 0; i < len(pl.CBs); i++ {
-		for j := i + 1; j < len(pl.CBs); j++ {
-			a, b := pl.CBs[i], pl.CBs[j]
-			if geom.SameRow(a, b) {
-				s.RowPairs++
-			}
-			if geom.SameCol(a, b) {
-				s.ColPairs++
-			}
-			if geom.SameDiagonal(a, b) {
-				s.DiagPairs++
-			}
-		}
-	}
-	return s
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

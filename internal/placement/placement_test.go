@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"equinox/internal/geom"
 )
@@ -24,7 +25,7 @@ func TestNQueenSolutionsValid(t *testing.T) {
 		pl := FromQueenSolution(sol)
 		for i := 0; i < len(pl.CBs); i++ {
 			for j := i + 1; j < len(pl.CBs); j++ {
-				if geom.QueenAttacks(pl.CBs[i], pl.CBs[j]) {
+				if queenAttacks(pl.CBs[i], pl.CBs[j]) {
 					t.Fatalf("solution %v has attacking queens %v %v", sol, pl.CBs[i], pl.CBs[j])
 				}
 			}
@@ -44,6 +45,45 @@ func TestAllKindsValid(t *testing.T) {
 		if len(pl.CBs) != 8 {
 			t.Errorf("%v: got %d CBs, want 8", k, len(pl.CBs))
 		}
+	}
+}
+
+// TestNewReturnsValidOrError runs every strategy for every CB count a mesh
+// admits, on every mesh from 2×2 to 10×10: New must come back, with an error
+// or with a valid placement of exactly n CBs. A strategy that cannot resolve
+// a collision could loop forever, so the sweep runs under a deadline.
+func TestNewReturnsValidOrError(t *testing.T) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for w := 2; w <= 10; w++ {
+			for h := 2; h <= 10; h++ {
+				for _, k := range append(Kinds(), KnightMove) {
+					for n := 1; n <= w*h; n++ {
+						if k == NQueen && w != h {
+							continue // BestNQueen searches min(w,h); square meshes cover each side
+						}
+						pl, err := New(k, w, h, n)
+						if err != nil {
+							continue
+						}
+						if verr := pl.Validate(); verr != nil || len(pl.CBs) != n || pl.Width != w || pl.Height != h {
+							t.Errorf("%v %dx%d n=%d: %d CBs on %dx%d, %v", k, w, h, n, len(pl.CBs), pl.Width, pl.Height, verr)
+						}
+					}
+				}
+			}
+		}
+		for _, n := range []int{0, -1, 4*4 + 1} {
+			if _, err := New(Top, 4, 4, n); err == nil {
+				t.Errorf("New accepted %d CBs on 4x4", n)
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("New did not return within 20 s")
 	}
 }
 
@@ -81,14 +121,45 @@ func TestNQueenPlacementNoAttacks(t *testing.T) {
 	}
 	for i := 0; i < len(pl.CBs); i++ {
 		for j := i + 1; j < len(pl.CBs); j++ {
-			if geom.QueenAttacks(pl.CBs[i], pl.CBs[j]) {
+			if queenAttacks(pl.CBs[i], pl.CBs[j]) {
 				t.Errorf("N-Queen placement has attacking pair %v %v", pl.CBs[i], pl.CBs[j])
 			}
 		}
 	}
-	s := Alignments(pl)
+	s := alignments(pl)
 	if s.RowPairs+s.ColPairs+s.DiagPairs != 0 {
 		t.Errorf("N-Queen placement has alignments: %+v", s)
+	}
+}
+
+// queenAttacks reports whether queens at p and q attack each other: they
+// share a row, a column or a diagonal.
+func queenAttacks(p, q geom.Point) bool {
+	if p == q {
+		return false
+	}
+	return p.Y == q.Y || p.X == q.X || max(p.X-q.X, q.X-p.X) == max(p.Y-q.Y, q.Y-p.Y)
+}
+
+func TestQueenAttacks(t *testing.T) {
+	cases := []struct {
+		p, q geom.Point
+		want bool
+	}{
+		{geom.Pt(0, 0), geom.Pt(0, 7), true},  // same column
+		{geom.Pt(0, 0), geom.Pt(7, 0), true},  // same row
+		{geom.Pt(0, 0), geom.Pt(7, 7), true},  // main diagonal
+		{geom.Pt(2, 5), geom.Pt(5, 2), true},  // anti-diagonal
+		{geom.Pt(0, 0), geom.Pt(1, 2), false}, // knight move
+		{geom.Pt(0, 0), geom.Pt(0, 0), false}, // same square does not attack itself
+	}
+	for _, c := range cases {
+		if got := queenAttacks(c.p, c.q); got != c.want {
+			t.Errorf("queenAttacks(%v,%v) = %v, want %v", c.p, c.q, got, c.want)
+		}
+		if got := queenAttacks(c.q, c.p); got != c.want {
+			t.Errorf("queenAttacks(%v,%v) = %v, want %v (symmetry)", c.q, c.p, got, c.want)
+		}
 	}
 }
 
@@ -143,7 +214,7 @@ func TestBestNQueenFewerCBs(t *testing.T) {
 	}
 	for i := 0; i < len(pl.CBs); i++ {
 		for j := i + 1; j < len(pl.CBs); j++ {
-			if geom.QueenAttacks(pl.CBs[i], pl.CBs[j]) {
+			if queenAttacks(pl.CBs[i], pl.CBs[j]) {
 				t.Errorf("pruned placement has attacking pair")
 			}
 		}
@@ -171,8 +242,8 @@ func TestKnightMovePlacement(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		rowMajor.CBs = append(rowMajor.CBs, geom.Pt(i%8, i/8))
 	}
-	km := Alignments(pl)
-	rm := Alignments(rowMajor)
+	km := alignments(pl)
+	rm := alignments(rowMajor)
 	kmTotal := km.RowPairs + km.ColPairs + km.DiagPairs
 	rmTotal := rm.RowPairs + rm.ColPairs + rm.DiagPairs
 	if kmTotal >= rmTotal {
@@ -180,24 +251,70 @@ func TestKnightMovePlacement(t *testing.T) {
 	}
 }
 
+// zoneKind classifies a tile relative to one CB (paper §4.2): the four
+// directly connected neighbours are Direct Access Zones (DAZ) and the four
+// diagonal corners Corner Access Zones (CAZ).
+type zoneKind int
+
+const (
+	noZone zoneKind = iota
+	daz
+	caz
+)
+
+// zoneOf classifies tile p with respect to CB cb.
+func zoneOf(cb, p geom.Point) zoneKind {
+	dx, dy := max(cb.X-p.X, p.X-cb.X), max(cb.Y-p.Y, p.Y-cb.Y)
+	switch {
+	case dx+dy == 1:
+		return daz
+	case dx == 1 && dy == 1:
+		return caz
+	default:
+		return noZone
+	}
+}
+
+// TestZoneOf checks the zone oracle, then holds hotZoneCover to it: a lone
+// CB's hot zone is exactly its DAZ and CAZ tiles.
 func TestZoneOf(t *testing.T) {
 	cb := geom.Pt(4, 4)
-	if ZoneOf(cb, geom.Pt(4, 3)) != DAZ || ZoneOf(cb, geom.Pt(5, 4)) != DAZ {
+	if zoneOf(cb, geom.Pt(4, 3)) != daz || zoneOf(cb, geom.Pt(5, 4)) != daz {
 		t.Error("direct neighbours should be DAZ")
 	}
-	if ZoneOf(cb, geom.Pt(5, 5)) != CAZ || ZoneOf(cb, geom.Pt(3, 3)) != CAZ {
+	if zoneOf(cb, geom.Pt(5, 5)) != caz || zoneOf(cb, geom.Pt(3, 3)) != caz {
 		t.Error("corners should be CAZ")
 	}
-	if ZoneOf(cb, geom.Pt(6, 4)) != NoZone || ZoneOf(cb, cb) != NoZone {
+	if zoneOf(cb, geom.Pt(6, 4)) != noZone || zoneOf(cb, cb) != noZone {
 		t.Error("distant tiles / self should be NoZone")
 	}
+	for _, cb := range []geom.Point{cb, geom.Pt(0, 0), geom.Pt(7, 3)} {
+		cover := hotZoneCover(Placement{Width: 8, Height: 8, CBs: []geom.Point{cb}}, nil)
+		for id, c := range cover {
+			if p := geom.FromID(id, 8); (c == 1) != (zoneOf(cb, p) != noZone) {
+				t.Errorf("CB %v: tile %v covered %d times, zone %v", cb, p, c, zoneOf(cb, p))
+			}
+		}
+	}
+}
+
+// overlapMap lists the hot-zone overlaps: the tiles in the hot zones (DAZ
+// or CAZ) of two or more distinct CBs.
+func overlapMap(pl Placement) map[geom.Point]bool {
+	overlaps := map[geom.Point]bool{}
+	for id, c := range hotZoneCover(pl, nil) {
+		if c == 2 {
+			overlaps[geom.FromID(id, pl.Width)] = true
+		}
+	}
+	return overlaps
 }
 
 func TestOverlapMapPaperExample(t *testing.T) {
 	// Two CBs two apart horizontally: the DAZ of one meets the CAZ of the
 	// other at the tiles between them.
 	pl := Placement{Width: 8, Height: 8, CBs: []geom.Point{geom.Pt(2, 2), geom.Pt(4, 3)}}
-	ov := OverlapMap(pl)
+	ov := overlapMap(pl)
 	if !ov[geom.Pt(3, 2)] {
 		t.Error("(3,2) should be an overlap (DAZ of (2,2), CAZ of (4,3))")
 	}
@@ -257,18 +374,43 @@ func TestScalesTo16(t *testing.T) {
 		if err := pl.Validate(); err != nil {
 			t.Errorf("side %d: %v", side, err)
 		}
-		s := Alignments(pl)
+		s := alignments(pl)
 		if s.RowPairs+s.ColPairs+s.DiagPairs != 0 {
 			t.Errorf("side %d: pruned N-Queen placement has alignments %+v", side, s)
 		}
 	}
 }
 
+// alignmentStats counts how many unordered CB pairs share a row, column, or
+// diagonal — the contention structure the placements try to minimize.
+type alignmentStats struct {
+	RowPairs, ColPairs, DiagPairs int
+}
+
+func alignments(pl Placement) alignmentStats {
+	var s alignmentStats
+	for i := 0; i < len(pl.CBs); i++ {
+		for j := i + 1; j < len(pl.CBs); j++ {
+			a, b := pl.CBs[i], pl.CBs[j]
+			switch {
+			case a == b:
+			case a.Y == b.Y:
+				s.RowPairs++
+			case a.X == b.X:
+				s.ColPairs++
+			case queenAttacks(a, b): // neither row nor column: a diagonal
+				s.DiagPairs++
+			}
+		}
+	}
+	return s
+}
+
 func TestAlignments(t *testing.T) {
 	pl := Placement{Width: 8, Height: 8, CBs: []geom.Point{
 		geom.Pt(0, 0), geom.Pt(3, 0), geom.Pt(0, 4), geom.Pt(2, 2),
 	}}
-	s := Alignments(pl)
+	s := alignments(pl)
 	if s.RowPairs != 1 {
 		t.Errorf("RowPairs = %d, want 1", s.RowPairs)
 	}
@@ -302,7 +444,7 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
-// refOverlapMap and refScore are the map-based OverlapMap and Score that
+// refOverlapMap and refScore are the map-based overlap map and Score that
 // shipped before the counter-grid rewrite, kept as its oracle.
 func refOverlapMap(pl Placement) map[geom.Point]bool {
 	count := map[geom.Point]int{}
@@ -349,8 +491,8 @@ func refScore(pl Placement) int {
 func TestScoreMatchesReference(t *testing.T) {
 	check := func(pl Placement) {
 		t.Helper()
-		if got, want := OverlapMap(pl), refOverlapMap(pl); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%+v: OverlapMap = %v, reference %v", pl, got, want)
+		if got, want := overlapMap(pl), refOverlapMap(pl); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: overlaps = %v, reference %v", pl, got, want)
 		}
 		if got, want := Score(pl), refScore(pl); got != want {
 			t.Fatalf("%+v: Score = %d, reference %d", pl, got, want)
@@ -360,7 +502,7 @@ func TestScoreMatchesReference(t *testing.T) {
 		for _, k := range append(Kinds(), KnightMove) {
 			pl, err := New(k, side, side+side%3, side)
 			if err != nil {
-				continue // no N-Queen solution on 2×2 and 3×3 boards
+				continue // no N-Queen solution on 2×2 and 3×3 boards, no Diamond on a 2-wide mesh
 			}
 			check(pl)
 		}

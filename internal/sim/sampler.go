@@ -129,15 +129,9 @@ func (p *Probe) add(occ, links []int64) {
 	}
 }
 
-// Samples returns how many sampling cycles have elapsed.
-func (p *Probe) Samples() int64 { return p.samples }
-
 // MeanOccupancy returns the per-router mean occupancy in flits (input
 // buffers plus NI injection backlog).
 func (p *Probe) MeanOccupancy() []float64 { return meanOf(p.occSum, p.samples) }
-
-// MaxOccupancy returns the per-router peak sampled occupancy in flits.
-func (p *Probe) MaxOccupancy() []int64 { return append([]int64(nil), p.occMax...) }
 
 // MeanLinkLoad returns the mean in-flight flit count per directed mesh link,
 // indexed [router*4 + direction-1] (East, West, South, North); entries for

@@ -41,8 +41,8 @@ func TestProbeSampling(t *testing.T) {
 	sys, probes := probedSystem(t, 4)
 	for i, n := range sys.Networks() {
 		p := probes[i]
-		if want := (n.Now()-1)/4 + 1; p.Samples() != want {
-			t.Errorf("%s: Samples = %d, want %d (%d cycles / every 4)", n.Cfg.Name, p.Samples(), want, n.Now())
+		if want := (n.Now()-1)/4 + 1; p.samples != want {
+			t.Errorf("%s: Samples = %d, want %d (%d cycles / every 4)", n.Cfg.Name, p.samples, want, n.Now())
 		}
 		mean := p.MeanOccupancy()
 		if len(mean) != len(n.Routers) {
@@ -53,8 +53,8 @@ func TestProbeSampling(t *testing.T) {
 			if m < 0 {
 				t.Errorf("router %d mean occupancy negative: %v", r, m)
 			}
-			if float64(p.MaxOccupancy()[r]) < m {
-				t.Errorf("router %d max %d below mean %v", r, p.MaxOccupancy()[r], m)
+			if float64(p.occMax[r]) < m {
+				t.Errorf("router %d max %d below mean %v", r, p.occMax[r], m)
 			}
 			total += m
 		}
@@ -248,14 +248,14 @@ func TestInstrumentsDoNotAllocate(t *testing.T) {
 				}
 				var before, events, samples int64
 				if i == 1 {
-					before, samples = fl.TotalEvents(), probes[0].Samples()
+					before, samples = fl.TotalEvents(), probes[0].samples
 				}
 				mallocs[i] = stepMallocs(sys, measured)
 				if sys.Finished() {
 					t.Fatal("the run finished inside the measured cycles")
 				}
 				if i == 1 {
-					events, samples = fl.TotalEvents()-before, probes[0].Samples()-samples
+					events, samples = fl.TotalEvents()-before, probes[0].samples-samples
 					if events == 0 || samples == 0 || len(tel.Summary().Networks[0].Windows) == 0 {
 						t.Fatalf("instruments idle in the measured cycles: %d events, %d probe samples", events, samples)
 					}

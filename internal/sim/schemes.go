@@ -165,10 +165,6 @@ func AllSchemes() []SchemeKind {
 	return []SchemeKind{SingleBase, VCMono, InterposerCMesh, SeparateBase, DA2Mesh, MultiPort, EquiNox}
 }
 
-// IsSeparate reports whether the scheme uses separate physical request and
-// reply networks.
-func (s SchemeKind) IsSeparate() bool { return s >= SeparateBase }
-
 // network is one entry of a System's network list: a physical network with
 // the role, clock domain and pricing its scheme row gave it.
 type network struct {

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"equinox/internal/core"
@@ -63,11 +64,12 @@ func TestSchemeNames(t *testing.T) {
 	if SingleBase.String() != "SingleBase" || EquiNox.String() != "EquiNox" {
 		t.Error("scheme names wrong")
 	}
-	if SingleBase.IsSeparate() || !EquiNox.IsSeparate() || !SeparateBase.IsSeparate() {
-		t.Error("IsSeparate wrong")
-	}
-	if InterposerCMesh.IsSeparate() {
-		t.Error("Interposer-CMesh is single-network type")
+	// (1)–(3) carry both classes on one network, (4)–(7) split them.
+	for _, s := range AllSchemes() {
+		single := slices.ContainsFunc(schemes[s].nets, func(r netRow) bool { return r.role&(requests|replies) == requests|replies })
+		if single != (s < SeparateBase) {
+			t.Errorf("%v: single-network type = %v", s, single)
+		}
 	}
 }
 

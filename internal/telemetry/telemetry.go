@@ -96,10 +96,6 @@ const (
 	sketchLogRatio = 4 // buckets per octave (bound ratio 2^(1/4))
 )
 
-// SketchErrorBound is the sketch's worst-case relative quantile error
-// (one bucket ratio), before the linear interpolation inside the bucket.
-func SketchErrorBound() float64 { return math.Pow(2, 1.0/sketchLogRatio) - 1 }
-
 // sketch is a fixed-size streaming latency quantile sketch: a geometric
 // histogram whose bucket i covers (2^((i-1)/4), 2^(i/4)] cycles.
 type sketch struct {

@@ -23,9 +23,10 @@ func TestOptionsDefaults(t *testing.T) {
 }
 
 // TestSketchQuantileErrorBound feeds known values and checks the estimate
-// stays within the documented geometric-bucket error bound.
+// stays within the documented geometric-bucket error bound: one bucket
+// ratio, before the linear interpolation inside the bucket.
 func TestSketchQuantileErrorBound(t *testing.T) {
-	bound := SketchErrorBound()
+	bound := math.Pow(2, 1.0/sketchLogRatio) - 1
 	if bound <= 0 || bound > 0.2 {
 		t.Fatalf("unexpected error bound %f", bound)
 	}

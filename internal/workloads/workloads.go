@@ -103,8 +103,6 @@ func (p Profile) Validate() error {
 // vectorAdd), bursty sorting/scan kernels, and compute-bound outliers
 // (myocyte, gaussian) whose latency is dominated by non-queuing time.
 func Suite() []Profile {
-	const L = 1 // shorthand below keeps gofmt tables narrow
-	_ = L
 	ps := []Profile{
 		// Rodinia.
 		{Name: "backprop", MemRatio: 0.32, ReadFrac: 0.72, FootprintLines: 5000, SharedFrac: 0.35, SeqProb: 0.80, StrideLines: 1, Burstiness: 0.30, ComputeGap: 4, Instructions: 1600, DependentFrac: 0.22},
@@ -224,9 +222,6 @@ func (p Profile) NewGenerator(pe int, instructions int, seed int64) *Generator {
 	g.rng = rand.New(&g.src)
 	return g
 }
-
-// Remaining returns the number of instructions not yet generated.
-func (g *Generator) Remaining() int { return g.total - g.issued }
 
 // Done reports whether the budget is exhausted.
 func (g *Generator) Done() bool { return g.issued >= g.total }

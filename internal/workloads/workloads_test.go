@@ -82,7 +82,7 @@ func TestGeneratorBudget(t *testing.T) {
 		}
 		g.Next()
 	}
-	if !g.Done() || g.Remaining() != 0 {
+	if !g.Done() || g.issued != g.total {
 		t.Error("budget accounting wrong")
 	}
 	if op := g.Next(); op.IsMem {
